@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .bspline import KnotVector, grad_matrix_1d, scaled_eval
-from .tmesh import TMesh2D, TsplineSpace
+from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "Scalar2D",
     "Vector2D",
     "Complex3D",
-    "tensor_3d",
     "assemble_matrix_2d",
     "assemble_load_2d",
     "assemble_matrix_3d",
@@ -67,39 +66,6 @@ def gauss_points_2d(box, order):
     return pts, w
 
 
-
-
-def _axes_2d(box, order):
-    x1, y1, x2, y2 = box
-    ox, oy = (order, order) if np.isscalar(order) else order
-    px, wx = gauss_points_1d(x1, x2, ox)
-    py, wy = gauss_points_1d(y1, y2, oy)
-    pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1).reshape(-1, 2)
-    w = np.outer(wx, wy).reshape(-1)
-    return px, py, pts, w
-
-
-def _anchor_tables(space: TsplineSpace, acts, px, py, derivs=True):
-    """Values (and optionally x/y derivatives) of anchors on a tensor grid,
-    via 1D factor evaluations and outer products; shape (npts, nact)."""
-    p1, p2 = space.degrees
-    s1, s2 = space.scalings
-    n = len(px) * len(py)
-    v = np.empty((n, len(acts)))
-    dx = np.empty((n, len(acts))) if derivs else None
-    dy = np.empty((n, len(acts))) if derivs else None
-    for k, a in enumerate(acts):
-        fx = scaled_eval(a.lkv1, p1, s1, px)
-        fy = scaled_eval(a.lkv2, p2, s2, py)
-        v[:, k] = np.multiply.outer(fx, fy).reshape(-1)
-        if derivs:
-            gx = scaled_eval(a.lkv1, p1, s1, px, 1)
-            gy = scaled_eval(a.lkv2, p2, s2, py, 1)
-            dx[:, k] = np.multiply.outer(gx, fy).reshape(-1)
-            dy[:, k] = np.multiply.outer(fx, gy).reshape(-1)
-    return v, dx, dy
-
-
 # -- space wrappers ------------------------------------------------------------
 
 
@@ -121,8 +87,7 @@ class Scalar2D:
         return self.space.dim
 
     def elements(self):
-        ext = self.space.mesh.extended()
-        return _element_boxes(ext)
+        return self.space.elements
 
     def clamped_dofs(self, face):
         axis, side = face
@@ -150,8 +115,7 @@ class Vector2D:
         return cls(tcx.Y1[0], tcx.Y1[1])
 
     def elements(self):
-        ext = self.c1.mesh.extended()
-        return _element_boxes(ext)
+        return _shared_elements(self.c1, self.c2)
 
     def clamped_dofs(self, face):
         """Dofs with nonzero tangential trace on the face: the tangential
@@ -168,28 +132,12 @@ class Vector2D:
         return out
 
 
-def _element_boxes(mesh: TMesh2D):
-    out = []
-    for f in mesh.positive_faces():
-        out.append(
-            (
-                float(mesh.xs[f[0]]),
-                float(mesh.ys[f[1]]),
-                float(mesh.xs[f[2]]),
-                float(mesh.ys[f[3]]),
-            )
-        )
-    return out
-
-
-def _active(space: TsplineSpace, box):
-    x1, y1, x2, y2 = box
-    out = []
-    for a in space.anchors:
-        s = a.support
-        if float(s[0]) < x2 and float(s[1]) > x1 and float(s[2]) < y2 and float(s[3]) > y1:
-            out.append(a)
-    return out
+def _shared_elements(*spaces):
+    """The integration elements common to spaces assembled in one loop."""
+    boxes = spaces[0].elements
+    if any(s.elements != boxes for s in spaces[1:]):
+        raise ValueError("component spaces have different extended meshes")
+    return boxes
 
 
 # -- 2D assembly -----------------------------------------------------------------
@@ -229,20 +177,17 @@ def _element_loop(elements, worker, threads):
 def _assemble_scalar_2d(space: Scalar2D, geom, kind, order, threads):
     S = space.space
     n = S.dim
+    S.factor_tables(order)  # fill the caches before any worker runs
 
-    def worker(box):
-        px, py, pts, w = _axes_2d(box, order)
+    def worker(e):
+        pts, w = gauss_points_2d(S.elements[e], order)
         J, det, Ginv = _metric_2d(geom, pts)
-        act = _active(S, box)
-        idx = np.array([a.index for a in act])
+        idx, vals, gx, gy = S.element_table(e, order, derivs=kind == "gradgrad")
         if kind == "mass" and space.form == 0:
-            vals, _, _ = _anchor_tables(S, act, px, py, derivs=False)
             M = vals.T @ (vals * (w * det)[:, None])
         elif kind == "mass" and space.form == 2:
-            vals, _, _ = _anchor_tables(S, act, px, py, derivs=False)
             M = vals.T @ (vals * (w / det)[:, None])
         elif kind == "gradgrad":
-            _, gx, gy = _anchor_tables(S, act, px, py)
             wdet = w * det
             M = (
                 gx.T @ (gx * (Ginv[:, 0, 0] * wdet)[:, None])
@@ -254,21 +199,22 @@ def _assemble_scalar_2d(space: Scalar2D, geom, kind, order, threads):
             raise ValueError(f"unknown scalar kind {kind!r}")
         return idx, M
 
-    return _merge_coo(_element_loop(space.elements(), worker, threads), n)
+    return _merge_coo(_element_loop(range(len(S.elements)), worker, threads), n)
 
 
 def _assemble_vector_2d(space: Vector2D, geom, kind, order, threads):
     n1 = space.c1.dim
     n = space.dim
+    boxes = space.elements()
+    space.c1.factor_tables(order)  # fill the caches before any worker runs
+    space.c2.factor_tables(order)
 
-    def worker(box):
-        px, py, pts, w = _axes_2d(box, order)
+    def worker(e):
+        pts, w = gauss_points_2d(boxes[e], order)
         J, det, Ginv = _metric_2d(geom, pts)
-        a1 = _active(space.c1, box)
-        a2 = _active(space.c2, box)
-        idx = np.array([a.index for a in a1] + [n1 + a.index for a in a2])
-        t1 = _anchor_tables(space.c1, a1, px, py)
-        t2 = _anchor_tables(space.c2, a2, px, py)
+        a1, *t1 = space.c1.element_table(e, order, derivs=kind == "rotrot")
+        a2, *t2 = space.c2.element_table(e, order, derivs=kind == "rotrot")
+        idx = np.concatenate([a1, n1 + a2])
         if kind == "mass":
             v1, v2 = t1[0], t2[0]
             wdet = (w * det)[:, None]
@@ -284,7 +230,13 @@ def _assemble_vector_2d(space: Vector2D, geom, kind, order, threads):
             raise ValueError(f"unknown vector kind {kind!r}")
         return idx, M
 
-    return _merge_coo(_element_loop(space.elements(), worker, threads), n)
+    return _merge_coo(_element_loop(range(len(boxes)), worker, threads), n)
+
+
+def _weighted_sums(vals, wf):
+    """Per column of vals (npts, nact), np.sum(wf * column): the same
+    pairwise sums as summing each column on its own."""
+    return np.sum(np.ascontiguousarray(vals.T) * wf, axis=1)
 
 
 def assemble_load_2d(space, geom, f, order=None, threads=1):
@@ -294,45 +246,42 @@ def assemble_load_2d(space, geom, f, order=None, threads=1):
         S = space.space
         order = order or max(S.degrees) + 2
         out = np.zeros(S.dim)
-        for box in space.elements():
+        for e, box in enumerate(S.elements):
             pts, w = gauss_points_2d(box, order)
             J, det, _ = _metric_2d(geom, pts)
             fv = np.asarray(f(geom.eval(pts)))
-            act = _active(S, box)
-            for a in act:
-                out[a.index] += np.sum(w * det * fv * S.eval_anchor(a, pts))
+            act, vals, _, _ = S.element_table(e, order, derivs=False)
+            out[act] += _weighted_sums(vals, w * det * fv)
         return out
     order = order or max(space.c1.degrees) + 2
     out = np.zeros(space.dim)
     n1 = space.c1.dim
-    for box in space.elements():
+    for e, box in enumerate(space.elements()):
         pts, w = gauss_points_2d(box, order)
         J, det, _ = _metric_2d(geom, pts)
         Jinv = np.linalg.inv(J)
         fv = np.asarray(f(geom.eval(pts)))
         fhat = np.einsum("pij,pj->pi", Jinv, fv)
         wdet = w * det
-        for a in _active(space.c1, box):
-            out[a.index] += np.sum(wdet * fhat[:, 0] * space.c1.eval_anchor(a, pts))
-        for a in _active(space.c2, box):
-            out[n1 + a.index] += np.sum(wdet * fhat[:, 1] * space.c2.eval_anchor(a, pts))
+        for comp, (S, off) in enumerate(((space.c1, 0), (space.c2, n1))):
+            act, vals, _, _ = S.element_table(e, order, derivs=False)
+            out[off + act] += _weighted_sums(vals, wdet * fhat[:, comp])
     return out
 
 
 def _merge_coo(results, n):
-    rows, cols, vals = [], [], []
+    """Sum element matrices into one CSR matrix, duplicates in element order.
+    Triplets go straight into preallocated arrays with 32-bit indices."""
+    nnz = sum(M.size for _, M in results)
+    rows, cols, vals = np.empty(nnz, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
+    pos = 0
     for idx, M in results:
-        if len(idx) == 0:
-            continue
-        r = np.repeat(idx, len(idx))
-        c = np.tile(idx, len(idx))
-        rows.append(r)
-        cols.append(c)
-        vals.append(M.reshape(-1))
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return A
+        sl = slice(pos, pos + M.size)
+        rows[sl] = np.repeat(idx, len(idx))
+        cols[sl] = np.tile(idx, len(idx))
+        vals[sl] = M.reshape(-1)
+        pos += M.size
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # -- 3D tensor spaces ---------------------------------------------------------------
@@ -411,99 +360,104 @@ class Complex3D:
         return {"grad": grad, "curl": curl, "div": div}
 
 
-def tensor_3d(tcx: TsplineComplex, kv_z: KnotVector) -> Complex3D:
-    """The four 3D spaces from a 2D complex and a vertical knot vector."""
-    return Complex3D(tcx, kv_z)
-
-
 def _z_elements(kv: KnotVector):
     return [(float(a), float(b)) for a, b in kv.spans()]
 
 
-def _z_tables(kv: KnotVector, scaling, za, zb, order):
-    pz, wz = gauss_points_1d(za, zb, order)
-    ks = kv.knots
-    p = kv.degree
-    act = [i for i in range(kv.n) if float(ks[i]) < zb and float(ks[i + p + 1]) > za]
-    vals = np.stack([scaled_eval(ks[i : i + p + 2], p, scaling, pz) for i in act], axis=1)
-    ders = np.stack([scaled_eval(ks[i : i + p + 2], p, scaling, pz, 1) for i in act], axis=1)
-    return pz, wz, act, vals, ders
+def _z_tables(kv: KnotVector, scaling, spans, order):
+    """Per z-span: the indices of the functions of ``kv`` active on it and
+    their values and derivatives (order, nact) at its Gauss points, sliced
+    from one batched evaluation of all functions at all spans' points."""
+    rows = kv.local_rows
+    x = np.concatenate([gauss_points_1d(za, zb, order)[0] for za, zb in spans])
+    shape = (len(spans), order, kv.n)
+    vals = scaled_eval(rows, kv.degree, scaling, x).reshape(shape)
+    ders = scaled_eval(rows, kv.degree, scaling, x, 1).reshape(shape)
+    out = []
+    for s, (za, zb) in enumerate(spans):
+        act = np.flatnonzero((rows.knots[:, 0] < zb) & (rows.knots[:, -1] > za))
+        out.append((act, np.ascontiguousarray(vals[s][:, act]), np.ascontiguousarray(ders[s][:, act])))
+    return out
+
+
+def _x1_tables(cx3: Complex3D, order):
+    """The tabulation of one patch's X1 space: its elements, z-spans and,
+    per block, (dof offset, 2D space, z tables), with the 2D caches filled."""
+    zspans = _z_elements(cx3.kv_z)
+    blocks = []
+    for off, (s2d, kvz, zscal) in zip(cx3.x1_offsets(), cx3.x1_blocks()):
+        s2d.factor_tables(order)
+        blocks.append((off, s2d, _z_tables(kvz, zscal, zspans, order)))
+    boxes = _shared_elements(cx3.tcx.Y0, cx3.tcx.Y1[0], cx3.tcx.Y1[1])
+    return boxes, zspans, blocks
+
+
+def _rule_3d(box, zspan, order):
+    """Tensor Gauss rule of one 3D element: points (npts, 3), 2D point
+    index slowest, and weights."""
+    pts2, w2 = gauss_points_2d(box, order)
+    pz, wz = gauss_points_1d(zspan[0], zspan[1], order)
+    P = np.concatenate([np.repeat(pts2, len(wz), axis=0), np.tile(pz, len(w2))[:, None]], axis=1)
+    return P, (w2[:, None] * wz[None, :]).reshape(-1)
+
+
+def _block_dofs(off, s2d, act2, actz):
+    """X1 dofs of one block on one element, 2D anchor slowest."""
+    return (off + actz[None, :] * s2d.dim + act2[:, None]).ravel()
+
+
+def _outer(a, b):
+    """Products a[p, i] b[q, j] as (i*j, p*q): 2D-by-z dof and point order."""
+    return (a.T[:, None, :, None] * b.T[None, :, None, :]).reshape(a.shape[1] * b.shape[1], -1)
+
+
+# Reference curl of f e_m, block m: (component, derivative of f, sign).
+_CURL = (((1, "z", 1), (2, "y", -1)), ((0, "z", -1), (2, "x", 1)), ((0, "y", 1), (1, "x", -1)))
+
+
+def _dof_tables_3d(blocks, e, s, order, curl):
+    """Dofs of element (e, z-span s) and their reference values, or with
+    ``curl`` their reference curls, shape (ndof, npts, 3), from outer
+    products of the 2D element tables and the z tables."""
+    dofs, parts = [], []
+    for off, s2d, ztab in blocks:
+        act2, v2, dx2, dy2 = s2d.element_table(e, order, derivs=curl)
+        actz, vz, dz = ztab[s]
+        dofs.append(_block_dofs(off, s2d, act2, actz))
+        parts.append({"f": (v2, vz), "x": (dx2, vz), "y": (dy2, vz), "z": (v2, dz)})
+    idx = np.concatenate(dofs)
+    T = np.zeros((idx.size, order**3, 3))
+    start = 0
+    for m, (block, part) in enumerate(zip(dofs, parts)):
+        blk = T[start : start + block.size]
+        start += block.size
+        for comp, d, sign in _CURL[m] if curl else ((m, "f", 1),):
+            blk[:, :, comp] = sign * _outer(*part[d])
+    return idx, T
 
 
 def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None, threads=1):
     """'mass' or 'curlcurl' on the curl-conforming 3D space of one patch."""
+    if kind not in ("mass", "curlcurl"):
+        raise ValueError(f"unknown 3D kind {kind!r}")
     p = cx3.tcx.degree
     order = order or p + 1
-    blocks = cx3.x1_blocks()
-    offs = cx3.x1_offsets()
-    n = cx3.x1_dim()
-    ext = cx3.tcx.meshes.M0.extended()
-    boxes2d = _element_boxes(ext)
-    zspans = _z_elements(cx3.kv_z)
-    elements = [(b, z) for b in boxes2d for z in zspans]
+    boxes, zspans, blocks = _x1_tables(cx3, order)
+    elements = [(e, s) for e in range(len(boxes)) for s in range(len(zspans))]
 
     def worker(el):
-        box, (za, zb) = el
-        px, py, pts2, w2 = _axes_2d(box, order)
-        tabs = []
-        for m, (s2d, kvz, zscal) in enumerate(blocks):
-            act2 = _active(s2d, box)
-            v2, dx2, dy2 = _anchor_tables(s2d, act2, px, py)
-            pz, wz, actz, vz, dz = _z_tables(kvz, zscal, za, zb, order)
-            tabs.append((act2, v2, dx2, dy2, actz, vz, dz, s2d.dim))
-        pz, wz = gauss_points_1d(za, zb, order)
-        npt2, npz = len(w2), len(wz)
-        P = np.concatenate(
-            [np.repeat(pts2, npz, axis=0), np.tile(pz, npt2)[:, None]], axis=1
-        )
-        W = (w2[:, None] * wz[None, :]).reshape(-1)
+        e, s = el
+        P, W = _rule_3d(boxes[e], zspans[s], order)
         J, det = geom.jacobian_dets(P)
-        # basis values (3 components) and curls per dof
-        idx = []
-        V = []
-        C = []
-        for m, (act2, v2, dx2, dy2, actz, vz, dz, dim2) in enumerate(tabs):
-            for bi, a in enumerate(act2):
-                for zi, iz in enumerate(actz):
-                    idx.append(offs[m] + iz * dim2 + a.index)
-                    f = (v2[:, bi][:, None] * vz[:, zi][None, :]).reshape(-1)
-                    fdx = (dx2[:, bi][:, None] * vz[:, zi][None, :]).reshape(-1)
-                    fdy = (dy2[:, bi][:, None] * vz[:, zi][None, :]).reshape(-1)
-                    fdz = (v2[:, bi][:, None] * dz[:, zi][None, :]).reshape(-1)
-                    val = np.zeros((len(W), 3))
-                    cur = np.zeros((len(W), 3))
-                    if m == 0:
-                        val[:, 0] = f
-                        cur[:, 1] = fdz
-                        cur[:, 2] = -fdy
-                    elif m == 1:
-                        val[:, 1] = f
-                        cur[:, 0] = -fdz
-                        cur[:, 2] = fdx
-                    else:
-                        val[:, 2] = f
-                        cur[:, 0] = fdy
-                        cur[:, 1] = -fdx
-                    V.append(val)
-                    C.append(cur)
-        if not idx:
-            return np.array([], dtype=int), np.zeros((0, 0))
-        V = np.stack(V, axis=0)  # (ndof, nq, 3)
-        C = np.stack(C, axis=0)
+        idx, T = _dof_tables_3d(blocks, e, s, order, curl=kind == "curlcurl")
         if kind == "mass":
             Jinv = np.linalg.inv(J)
             G = np.einsum("pik,pjk->pij", Jinv, Jinv) * (det * W)[:, None, None]
-            quad = _bilinear(V, G)
-        elif kind == "curlcurl":
-            G = np.einsum("pki,pkj->pij", J, J) * (W / det)[:, None, None]
-            quad = _bilinear(C, G)
         else:
-            raise ValueError(f"unknown 3D kind {kind!r}")
-        return np.asarray(idx), quad
+            G = np.einsum("pki,pkj->pij", J, J) * (W / det)[:, None, None]
+        return idx, _bilinear(T, G)
 
-    return _merge_coo(_element_loop(elements, worker, threads), n)
-
-
+    return _merge_coo(_element_loop(elements, worker, threads), cx3.x1_dim())
 
 
 def _bilinear(V, Gw):
@@ -519,34 +473,20 @@ def assemble_load_3d(cx3: Complex3D, geom, f, order=None, threads=1):
     """Load vector int f . v for the curl-conforming space of one patch."""
     p = cx3.tcx.degree
     order = order or p + 2
-    blocks = cx3.x1_blocks()
-    offs = cx3.x1_offsets()
+    boxes, zspans, blocks = _x1_tables(cx3, order)
     out = np.zeros(cx3.x1_dim())
-    ext = cx3.tcx.meshes.M0.extended()
-    for box in _element_boxes(ext):
-        for (za, zb) in _z_elements(cx3.kv_z):
-            pts2, w2 = gauss_points_2d(box, order)
-            pz, wz = gauss_points_1d(za, zb, order)
-            npt2, npz = len(w2), len(wz)
-            P = np.concatenate(
-                [np.repeat(pts2, npz, axis=0), np.tile(pz, npt2)[:, None]], axis=1
-            )
-            W = (w2[:, None] * wz[None, :]).reshape(-1)
+    for e, box in enumerate(boxes):
+        for s, zspan in enumerate(zspans):
+            P, W = _rule_3d(box, zspan, order)
             J, det = geom.jacobian_dets(P)
             Jinv = np.linalg.inv(J)
             fv = np.asarray(f(geom.eval(P)))
             fhat = np.einsum("pij,pj->pi", Jinv, fv) * (det * W)[:, None]
-            for m, (s2d, kvz, zscal) in enumerate(blocks):
-                act2 = _active(s2d, box)
-                if not act2:
-                    continue
-                v2 = np.stack([s2d.eval_anchor(a, pts2) for a in act2], axis=1)
-                _, _, actz, vz, _ = _z_tables(kvz, zscal, za, zb, order)
-                target = fhat[:, m].reshape(npt2, npz)
-                local = v2.T @ (target @ vz)
-                for bi, a in enumerate(act2):
-                    for zi, iz in enumerate(actz):
-                        out[offs[m] + iz * s2d.dim + a.index] += local[bi, zi]
+            for m, (off, s2d, ztab) in enumerate(blocks):
+                act2, v2, _, _ = s2d.element_table(e, order, derivs=False)
+                actz, vz, _ = ztab[s]
+                target = fhat[:, m].reshape(order * order, order)
+                out[_block_dofs(off, s2d, act2, actz)] += (v2.T @ (target @ vz)).ravel()
     return out
 
 
@@ -643,50 +583,25 @@ def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact, order=Non
     """
     p = cx3.tcx.degree
     order = order or p + 2
-    blocks = cx3.x1_blocks()
-    offs = cx3.x1_offsets()
-    ext = cx3.tcx.meshes.M0.extended()
+    coeffs = np.asarray(coeffs)
+    boxes, zspans, blocks = _x1_tables(cx3, order)
     e_l2 = 0.0
     e_curl = 0.0
-    for box in _element_boxes(ext):
-        for (za, zb) in _z_elements(cx3.kv_z):
-            pts2, w2 = gauss_points_2d(box, order)
-            pz, wz = gauss_points_1d(za, zb, order)
-            npt2, npz = len(w2), len(wz)
-            P = np.concatenate(
-                [np.repeat(pts2, npz, axis=0), np.tile(pz, npt2)[:, None]], axis=1
-            )
-            W = (w2[:, None] * wz[None, :]).reshape(-1)
+    for e, box in enumerate(boxes):
+        for s, zspan in enumerate(zspans):
+            P, W = _rule_3d(box, zspan, order)
             J, det = geom.jacobian_dets(P)
             val_hat = np.zeros((len(W), 3))
             curl_hat = np.zeros((len(W), 3))
-            for m, (s2d, kvz, zscal) in enumerate(blocks):
-                act2 = _active(s2d, box)
-                if not act2:
-                    continue
-                _, _, actz, vz, dz = _z_tables(kvz, zscal, za, zb, order)
-                v2 = np.stack([s2d.eval_anchor(a, pts2) for a in act2], axis=1)
-                dx2 = np.stack([s2d.eval_anchor(a, pts2, dx=1) for a in act2], axis=1)
-                dy2 = np.stack([s2d.eval_anchor(a, pts2, dy=1) for a in act2], axis=1)
-                cloc = np.array(
-                    [[coeffs[offs[m] + iz * s2d.dim + a.index] for iz in actz] for a in act2]
-                )
-                f = np.einsum("pa,az,qz->pq", v2, cloc, vz).reshape(-1)
-                fdx = np.einsum("pa,az,qz->pq", dx2, cloc, vz).reshape(-1)
-                fdy = np.einsum("pa,az,qz->pq", dy2, cloc, vz).reshape(-1)
-                fdz = np.einsum("pa,az,qz->pq", v2, cloc, dz).reshape(-1)
-                if m == 0:
-                    val_hat[:, 0] += f
-                    curl_hat[:, 1] += fdz
-                    curl_hat[:, 2] += -fdy
-                elif m == 1:
-                    val_hat[:, 1] += f
-                    curl_hat[:, 0] += -fdz
-                    curl_hat[:, 2] += fdx
-                else:
-                    val_hat[:, 2] += f
-                    curl_hat[:, 0] += fdy
-                    curl_hat[:, 1] += -fdx
+            for m, (off, s2d, ztab) in enumerate(blocks):
+                act2, v2, dx2, dy2 = s2d.element_table(e, order)
+                actz, vz, dz = ztab[s]
+                cloc = coeffs[off + actz[None, :] * s2d.dim + act2[:, None]]
+                part = {"x": (dx2, vz), "y": (dy2, vz), "z": (v2, dz)}
+                val_hat[:, m] += np.einsum("pa,az,qz->pq", v2, cloc, vz).reshape(-1)
+                for comp, d, sign in _CURL[m]:
+                    a, b = part[d]
+                    curl_hat[:, comp] += sign * np.einsum("pa,az,qz->pq", a, cloc, b).reshape(-1)
             Jinv = np.linalg.inv(J)
             u_h = np.einsum("pji,pj->pi", Jinv, val_hat)  # J^-T hat u
             curl_h = np.einsum("pij,pj->pi", J, curl_hat) / det[:, None]

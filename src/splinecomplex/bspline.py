@@ -2,7 +2,8 @@
 
 Knot vectors store breakpoints as :class:`fractions.Fraction` so that local
 knot vectors, mesh coordinates and derivative targets can be compared
-exactly.  Evaluation converts to floating point at the call boundary.
+exactly.  Evaluation converts to floating point once, into :class:`KnotRows`,
+and one vectorized Cox-de Boor recursion evaluates all rows at all points.
 
 Conventions:
 
@@ -20,12 +21,14 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "KnotVector",
+    "KnotRows",
     "Anchor1D",
     "as_fraction",
     "eval_local",
@@ -137,6 +140,12 @@ class KnotVector:
             out.extend([b] * m)
         return tuple(out)
 
+    @cached_property
+    def local_rows(self) -> "KnotRows":
+        """Local knot vectors of all n basis functions, converted to floats once."""
+        ks, p = self.knots, self.degree
+        return KnotRows.from_exact(ks[i : i + p + 2] for i in range(self.n))
+
     @property
     def internal_multiplicities(self) -> tuple:
         return self.multiplicities[1:-1]
@@ -218,11 +227,90 @@ class KnotVector:
         return cls(degree, tuple(bp), tuple(mult))
 
 
-# -- local (single-function) evaluation ----------------------------------------
+# -- batched Cox-de Boor kernel ----------------------------------------------------
 
 
-def _local_floats(local_knots) -> np.ndarray:
-    return np.array([float(k) for k in local_knots])
+@dataclass(frozen=True, eq=False)
+class KnotRows:
+    """Local knot vectors of N B-splines of one degree q, as floats.
+
+    ``knots`` is (N, q+2).  ``left``, ``right`` and ``support`` are the
+    lengths t[q] - t[0], t[q+1] - t[1] and t[q+1] - t[0], rounded from the
+    exact differences; they scale derivatives and Curry-Schoenberg factors.
+    """
+
+    knots: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    support: np.ndarray
+
+    @classmethod
+    def from_exact(cls, rows) -> "KnotRows":
+        """Convert a sequence of equal-length local knot vectors once."""
+        rows = [tuple(r) for r in rows]
+        if not rows:
+            raise ValueError("no local knot vectors")
+        q = len(rows[0]) - 2
+        if q < 0 or any(len(r) != q + 2 for r in rows):
+            raise ValueError("local knot vectors must all have degree+2 entries")
+        knots = np.array([[float(k) for k in r] for r in rows])
+        left = np.array([float(r[q] - r[0]) for r in rows])
+        right = np.array([float(r[q + 1] - r[1]) for r in rows])
+        support = np.array([float(r[-1] - r[0]) for r in rows])
+        return cls(knots, left, right, support)
+
+    @property
+    def degree(self) -> int:
+        return self.knots.shape[1] - 2
+
+    def __len__(self) -> int:
+        return self.knots.shape[0]
+
+    def __getitem__(self, idx) -> "KnotRows":
+        return KnotRows(self.knots[idx], self.left[idx], self.right[idx], self.support[idx])
+
+
+def _cox_de_boor(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values (P, N) of the B-splines with float local knot rows t (N, q+2)
+    at points x, shared (P,) or one column per row (P, N).
+
+    Same operations per entry as the scalar recursion: half-open spans
+    closed at 1, and a term with a zero denominator contributes 0.
+    """
+    q = t.shape[1] - 2
+    x = x[:, None, None] if x.ndim == 1 else x[:, :, None]
+    a, b = t[:, :-1], t[:, 1:]
+    vals = ((x >= a) & ((x < b) | ((x == b) & (b == 1.0))) & (b > a)).astype(float)
+    for qq in range(1, q + 1):
+        m = q + 1 - qq
+        t0, t1, tq, tq1 = t[:, :m], t[:, 1 : m + 1], t[:, qq : qq + m], t[:, qq + 1 : qq + 1 + m]
+        dl, dr = tq - t0, tq1 - t1
+        up = (x - t0) / np.where(dl > 0, dl, 1.0) * vals[:, :, :m]
+        down = (tq1 - x) / np.where(dr > 0, dr, 1.0) * vals[:, :, 1:]
+        vals = np.where(dl > 0, up, 0.0) + np.where(dr > 0, down, 0.0)
+    return vals[:, :, 0]
+
+
+def _rows_eval(rows: KnotRows, x: np.ndarray, deriv: int) -> np.ndarray:
+    """Values or first derivatives (P, N); derivatives by the two-term
+    decomposition into degree q-1 neighbours."""
+    if deriv == 0:
+        return _cox_de_boor(rows.knots, x)
+    if deriv != 1:
+        raise ValueError("only derivatives up to order 1 are tabulated")
+    q = rows.degree
+    if q == 0:
+        return np.zeros((x.shape[0], len(rows)))
+    lo = np.where(rows.left > 0, q / np.where(rows.left > 0, rows.left, 1.0), 0.0)
+    hi = np.where(rows.right > 0, q / np.where(rows.right > 0, rows.right, 1.0), 0.0)
+    return lo * _cox_de_boor(rows.knots[:, :-1], x) - hi * _cox_de_boor(rows.knots[:, 1:], x)
+
+
+def _points(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+# -- single-function and full-basis evaluation ---------------------------------------
 
 
 def eval_local(local_knots: Sequence, degree: int, x) -> np.ndarray:
@@ -232,63 +320,33 @@ def eval_local(local_knots: Sequence, degree: int, x) -> np.ndarray:
     right where the span ends at 1 so that evaluation at the domain end uses
     the left limit.
     """
-    t = _local_floats(local_knots)
-    q = degree
-    if len(t) != q + 2:
-        raise ValueError("local knot vector must have degree+2 entries")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nlev = q + 1
-    vals = np.zeros((nlev, x.size))
-    for j in range(nlev):
-        a, b = t[j], t[j + 1]
-        if b > a:
-            inside = (x >= a) & ((x < b) | ((x == b) & (b == 1.0)))
-            vals[j, inside] = 1.0
-    for qq in range(1, q + 1):
-        nxt = np.zeros((nlev - qq, x.size))
-        for j in range(nlev - qq):
-            acc = nxt[j]
-            if t[j + qq] > t[j]:
-                acc += (x - t[j]) / (t[j + qq] - t[j]) * vals[j]
-            if t[j + qq + 1] > t[j + 1]:
-                acc += (t[j + qq + 1] - x) / (t[j + qq + 1] - t[j + 1]) * vals[j + 1]
-        vals = nxt
-    return vals[0]
+    return scaled_eval(local_knots, degree, "B", x)
 
 
 def eval_local_deriv(local_knots: Sequence, degree: int, x) -> np.ndarray:
     """First derivative of N[local_knots], via the two-term decomposition."""
-    q = degree
-    t = list(local_knots)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(x.size)
-    if q == 0:
-        return out
-    if t[q] > t[0]:
-        out += q / float(t[q] - t[0]) * eval_local(t[:-1], q - 1, x)
-    if t[q + 1] > t[1]:
-        out -= q / float(t[q + 1] - t[1]) * eval_local(t[1:], q - 1, x)
-    return out
+    return scaled_eval(local_knots, degree, "B", x, 1)
 
 
-def scaled_eval(local_knots: Sequence, degree: int, scaling: str, x, deriv: int = 0):
-    """Evaluate a basis factor with 'B' (plain) or 'D' (Curry-Schoenberg) scaling.
+def scaled_eval(local_knots, degree: int, scaling: str, x, deriv: int = 0):
+    """Evaluate basis factors with 'B' (plain) or 'D' (Curry-Schoenberg) scaling.
 
+    ``local_knots`` is one local knot vector, giving shape (npts,), or a
+    :class:`KnotRows` of N of them, giving (npts, N) from one batched
+    evaluation; for rows, ``x`` may also be (npts, N), points per row.
     A 'D' factor of degree q is ``(q+1)/|support| * N[local_knots]``, the
     scaling under which univariate derivative matrices have +-1 entries.
     """
-    if deriv == 0:
-        v = eval_local(local_knots, degree, x)
-    elif deriv == 1:
-        v = eval_local_deriv(local_knots, degree, x)
-    else:
-        raise ValueError("only derivatives up to order 1 are tabulated")
-    if scaling == "B":
-        return v
+    single = not isinstance(local_knots, KnotRows)
+    rows = KnotRows.from_exact([local_knots]) if single else local_knots
+    if rows.degree != degree:
+        raise ValueError("local knot vector must have degree+2 entries")
+    if scaling not in ("B", "D"):
+        raise ValueError(f"unknown scaling {scaling!r}")
+    v = _rows_eval(rows, _points(x), deriv)
     if scaling == "D":
-        supp = float(local_knots[-1] - local_knots[0])
-        return (degree + 1) / supp * v
-    raise ValueError(f"unknown scaling {scaling!r}")
+        v = (degree + 1) / rows.support * v
+    return v[:, 0] if single else v
 
 
 def curry_scaled(local_knots: Sequence, p: int, x) -> np.ndarray:
@@ -325,7 +383,11 @@ def derivative_decomposition(local_knots: Sequence, degree: int):
     return minus, plus
 
 
-# -- full-basis evaluation -------------------------------------------------------
+def _domain_points(x) -> np.ndarray:
+    x = _points(x)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError("evaluation point outside [0, 1]")
+    return x
 
 
 def eval_basis(kv: KnotVector, x) -> np.ndarray:
@@ -333,28 +395,12 @@ def eval_basis(kv: KnotVector, x) -> np.ndarray:
 
     Raises ValueError for points outside [0, 1].
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("evaluation point outside [0, 1]")
-    out = np.zeros((x.size, kv.n))
-    ks = kv.knots
-    p = kv.degree
-    for i in range(kv.n):
-        out[:, i] = eval_local(ks[i : i + p + 2], p, x)
-    return out
+    return scaled_eval(kv.local_rows, kv.degree, "B", _domain_points(x))
 
 
 def eval_basis_deriv(kv: KnotVector, x) -> np.ndarray:
     """First derivatives of all n basis functions; shape (npts, n)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("evaluation point outside [0, 1]")
-    out = np.zeros((x.size, kv.n))
-    ks = kv.knots
-    p = kv.degree
-    for i in range(kv.n):
-        out[:, i] = eval_local_deriv(ks[i : i + p + 2], p, x)
-    return out
+    return scaled_eval(kv.local_rows, kv.degree, "B", _domain_points(x), 1)
 
 
 # -- knot insertion ---------------------------------------------------------------

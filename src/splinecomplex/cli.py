@@ -25,6 +25,7 @@ from .serialization import (
     tmesh_from_dict,
     validate_problem,
 )
+from .solvers import NumericalError
 from .tmesh import TMesh2D, TMeshError
 from .tspline import build_tspline_complex, derive_complex_meshes
 
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except (NumericalError, np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (
         TMeshError,
         ValueError,
@@ -324,9 +328,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -79,20 +79,10 @@ class SplineSpace:
             out.append(tuple(per_dir[d][rev[d]] for d in range(self.ndim)))
         return out
 
-    def local_kv_pairs(self):
-        """Per anchor, the tuple of per-direction local knot vectors."""
-        return [tuple(a.local for a in anc) for anc in self.anchor_tuples()]
-
     def eval_factors(self, direction: int, x, deriv: int = 0) -> np.ndarray:
         """Values (npts, n_dir) of this direction's scaled basis functions."""
         f = self.factors[direction]
-        kv = f.kv
-        ks = kv.knots
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.size, kv.n))
-        for i in range(kv.n):
-            out[:, i] = scaled_eval(ks[i : i + kv.degree + 2], kv.degree, f.scaling, x, deriv)
-        return out
+        return scaled_eval(f.kv.local_rows, f.kv.degree, f.scaling, x, deriv)
 
     def eval(self, coeffs, points) -> np.ndarray:
         """Evaluate the scalar field with the given coefficients.

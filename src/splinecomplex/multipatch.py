@@ -27,7 +27,6 @@ __all__ = [
     "ConformityError",
     "check_conformity",
     "build_glue",
-    "assemble_global",
     "global_operator",
 ]
 
@@ -469,13 +468,6 @@ def _probe_with_coords(space, geom, face, key, coords):
 
 
 # -- global assembly ---------------------------------------------------------------
-
-
-def assemble_global(glue: Glue, locals_):
-    """Sum of scattered local matrices (or vectors)."""
-    if sp.issparse(locals_[0]):
-        return glue.global_matrix(locals_)
-    return glue.global_vector(locals_)
 
 
 def global_operator(glue_src: Glue, glue_dst: Glue, local_ops):

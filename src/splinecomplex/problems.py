@@ -117,10 +117,8 @@ def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int
     raw = lsection_raw_tmesh(level, degree)
     kv_z = KnotVector.uniform(degree, nz)
     geoms = [prism_patch(_rot(k)) for k in range(3)]
-    spaces = []
-    for _ in range(3):
-        tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-        spaces.append(Complex3D(tcx, kv_z))
+    tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
+    spaces = [Complex3D(tcx, kv_z) for _ in range(3)]
     interfaces = [
         Interface((0, (1, 0)), (1, (0, 0))),
         Interface((1, (1, 0)), (2, (0, 0))),
@@ -190,10 +188,8 @@ def cylinder_sector_source(level: int, degree: int = 3, nz: int = None, tensor: 
         raw = tensor_raw_tmesh(raw.breakpoints_x, raw.breakpoints_y)
     kv_z = KnotVector.uniform(degree, nz)
     geoms = cylinder_sector_patches()
-    spaces = []
-    for _ in range(3):
-        tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-        spaces.append(Complex3D(tcx, kv_z))
+    tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
+    spaces = [Complex3D(tcx, kv_z) for _ in range(3)]
     interfaces = [
         Interface((0, (1, 1)), (1, (1, 0))),
         Interface((1, (1, 1)), (2, (1, 0))),

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
+    "NumericalError",
     "EigenResult",
     "solve_generalized_eig",
     "solve_source",
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 ZERO_REL_TOL = 1e-8
+
+
+class NumericalError(ValueError):
+    """The numerics failed on valid input (non-SPD mass, solve residual)."""
 
 
 @dataclass
@@ -52,7 +57,8 @@ def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None) -> Eig
     """Smallest eigenpairs of K v = lambda M v, K sym-psd and M SPD.
 
     The zero count tallies eigenvalues below ``zero_tol`` (default 1e-8)
-    times the largest one.
+    times the largest one.  ``count`` is the number of nonzero eigenvalues
+    kept after the zero block; all of them when None.
     """
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
     Md = M.toarray() if sp.issparse(M) else np.asarray(M)
@@ -61,7 +67,7 @@ def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None) -> Eig
     try:
         np.linalg.cholesky(Md)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("mass matrix is not positive definite") from exc
+        raise NumericalError("mass matrix is not positive definite") from exc
     if vectors:
         w, V = sla.eigh(Kd, Md)
     else:
@@ -71,8 +77,8 @@ def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None) -> Eig
     tol = ZERO_REL_TOL if zero_tol is None else zero_tol
     zero = int(np.sum(w < tol * lam_max))
     if count is not None:
-        w = w[:count]
-        V = V[:, :count] if V is not None else None
+        w = w[: zero + count]
+        V = V[:, : zero + count] if V is not None else None
     return EigenResult(w, zero, V)
 
 
@@ -86,7 +92,7 @@ def solve_source(A, b, tol=1e-10):
     if nb > 0:
         res = np.linalg.norm(A @ x - b) / nb
         if res > tol:
-            raise ValueError(f"direct solve residual {res:.2e} exceeds {tol:.0e}")
+            raise NumericalError(f"direct solve residual {res:.2e} exceeds {tol:.0e}")
     return x
 
 
@@ -98,7 +104,7 @@ def solve_port_mode(K, M):
     """
     res = solve_generalized_eig(K, M, vectors=True)
     if res.zero_count >= res.values.size:
-        raise ValueError("all port eigenvalues are numerically zero")
+        raise NumericalError("all port eigenvalues are numerically zero")
     k2 = float(res.values[res.zero_count])
     v = res.vectors[:, res.zero_count]
     Md = M.toarray() if sp.issparse(M) else M

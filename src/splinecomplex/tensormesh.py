@@ -104,14 +104,6 @@ class TensorMesh:
     def cells(self):
         return _product_indices(self.nspans)
 
-    def edge_is_zero(self, direction: int, idx) -> bool:
-        ls = self.lines[direction]
-        s = idx[direction]
-        return ls[s + 1] == ls[s]
-
-    def vertex_position(self, idx):
-        return tuple(self.lines[d][idx[d]] for d in range(self.dim))
-
     # -- incidence matrices ---------------------------------------------------
 
     def edge_vertex_incidence(self, direction: int):

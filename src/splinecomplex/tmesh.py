@@ -21,10 +21,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .bspline import as_fraction, scaled_eval
+from .bspline import KnotRows, as_fraction, scaled_eval
 
 __all__ = [
     "RawTMesh",
@@ -196,9 +197,6 @@ class TMesh2D:
             else:
                 VE[line, lo:hi] = True
         return TMesh2D(self.xs, self.ys, VE, HE, degrees or self.degrees)
-
-    def retagged(self, degrees) -> "TMesh2D":
-        return TMesh2D(self.xs, self.ys, self.VE, self.HE, degrees)
 
     # -- basic structure -----------------------------------------------------
 
@@ -652,51 +650,111 @@ class TsplineSpace:
     def dim(self) -> int:
         return len(self.anchors)
 
-    def eval_anchor(self, a: Anchor2D, points, dx: int = 0, dy: int = 0) -> np.ndarray:
+    # -- tabulation: float data derived on first use, never in __init__ ----------
+
+    @cached_property
+    def knot_rows(self) -> tuple:
+        """Per direction, the local knot vectors of all anchors as
+        :class:`KnotRows`; the exact knots are converted to floats here,
+        once per space.  Column 0 and -1 of ``knots`` are the support box."""
+        return tuple(
+            KnotRows.from_exact([(a.lkv1, a.lkv2)[d] for a in self.anchors]) for d in (0, 1)
+        )
+
+    @cached_property
+    def elements(self) -> list:
+        """Float boxes (x1, y1, x2, y2) of the positive-area faces of the
+        extended mesh, the integration elements."""
+        ext = self.mesh.extended()
+        return [
+            (float(ext.xs[f[0]]), float(ext.ys[f[1]]), float(ext.xs[f[2]]), float(ext.ys[f[3]]))
+            for f in ext.positive_faces()
+        ]
+
+    @cached_property
+    def element_anchors(self) -> tuple:
+        """Element -> anchor map of ``elements``.
+
+        Returns (pairs, active).  Per direction, ``pairs`` holds the
+        distinct element spans and the (span, anchor) pairs whose supports
+        overlap, as two index arrays sorted by span.  Per element,
+        ``active`` holds the ascending indices of the anchors overlapping it
+        and their x and y pair numbers.
+        """
+        boxes = self.elements
+        pairs, hits, numbers = [], [], []
+        for d, rows in enumerate(self.knot_rows):
+            ivs = sorted({(b[d], b[d + 2]) for b in boxes})
+            lo, hi = rows.knots[:, 0], rows.knots[:, -1]
+            hit = np.array([(lo < b) & (hi > a) for a, b in ivs])
+            span, anchor = np.nonzero(hit)
+            number = np.zeros(hit.shape, dtype=int)
+            number[span, anchor] = np.arange(span.size)
+            pos = {iv: k for k, iv in enumerate(ivs)}
+            pairs.append((ivs, span, anchor))
+            hits.append((hit, [pos[(b[d], b[d + 2])] for b in boxes]))
+            numbers.append(number)
+        (hx, sx), (hy, sy) = hits
+        active = []
+        for i, j in zip(sx, sy):
+            act = np.flatnonzero(hx[i] & hy[j])
+            active.append((act, numbers[0][i, act], numbers[1][j, act]))
+        return pairs, active
+
+    def factor_tables(self, order: int) -> tuple:
+        """Per direction, (values, derivatives) of the 1D factors at the
+        ``order``-point Gauss rule of every distinct element span, one column
+        per (span, anchor) pair of ``element_anchors``: shape (order, npairs),
+        from one batched evaluation per direction."""
+        from .assembly import gauss_points_1d
+
+        cache = self.__dict__.setdefault("_factor_tables", {})
+        if order not in cache:
+            tabs = []
+            for d, (ivs, span, anchor) in enumerate(self.element_anchors[0]):
+                x = np.array([gauss_points_1d(a, b, order)[0] for a, b in ivs])[span].T
+                args = (self.knot_rows[d][anchor], self.degrees[d], self.scalings[d], x)
+                tabs.append((scaled_eval(*args), scaled_eval(*args, 1)))
+            cache[order] = tuple(tabs)
+        return cache[order]
+
+    def element_table(self, e: int, order: int, derivs: bool = True) -> tuple:
+        """Active anchors of element ``e`` and their values on its tensor
+        Gauss grid (x index slowest), shape (order**2, nact), as outer
+        products of factor-table columns; with ``derivs`` also the x and y
+        derivatives, else None for both."""
+        act, cx, cy = self.element_anchors[1][e]
+        (vx, gx), (vy, gy) = self.factor_tables(order)
+        fx, fy = vx[:, cx], vy[:, cy]
+
+        def outer(a, b):  # C order: BLAS sums these tables in a fixed order
+            return np.multiply(a[:, None, :], b[None, :, :], order="C").reshape(-1, len(act))
+
+        if not derivs:
+            return act, outer(fx, fy), None, None
+        return act, outer(fx, fy), outer(gx[:, cx], fy), outer(fx, gy[:, cy])
+
+    def basis(self, points) -> np.ndarray:
+        """Values of all anchors at arbitrary points, shape (npts, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        p1, p2 = self.degrees
-        fx = scaled_eval(a.lkv1, p1, self.scalings[0], pts[:, 0], dx)
-        fy = scaled_eval(a.lkv2, p2, self.scalings[1], pts[:, 1], dy)
-        return fx * fy
+        (rx, ry), (p1, p2), (s1, s2) = self.knot_rows, self.degrees, self.scalings
+        return scaled_eval(rx, p1, s1, pts[:, 0]) * scaled_eval(ry, p2, s2, pts[:, 1])
 
     def eval(self, coeffs, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("evaluation point outside the unit square")
-        out = np.zeros(pts.shape[0])
-        coeffs = np.asarray(coeffs, dtype=float)
-        for a in self.anchors:
-            c = coeffs[a.index]
-            if c != 0.0:
-                out += c * self.eval_anchor(a, pts)
-        return out
+        return self.basis(pts) @ np.asarray(coeffs, dtype=float)
 
     def gram_matrix(self, order=None) -> np.ndarray:
         """Mass matrix on the extended mesh of the underlying T-mesh."""
         from .assembly import gauss_points_2d
 
-        ext = self.mesh.extended()
-        p1, p2 = self.degrees
-        order = order or (max(p1, p2) + 1)
+        order = order or (max(self.degrees) + 1)
+        self.factor_tables(order)
         G = np.zeros((self.dim, self.dim))
-        for f in ext.positive_faces():
-            box = (
-                float(ext.xs[f[0]]),
-                float(ext.ys[f[1]]),
-                float(ext.xs[f[2]]),
-                float(ext.ys[f[3]]),
-            )
-            pts, w = gauss_points_2d(box, order)
-            act = [a for a in self.anchors if _overlaps(a, box)]
-            vals = np.stack([self.eval_anchor(a, pts) for a in act], axis=1)
-            M = vals.T @ (vals * w[:, None])
-            for r, ar in enumerate(act):
-                for c, ac in enumerate(act):
-                    G[ar.index, ac.index] += M[r, c]
+        for e, box in enumerate(self.elements):
+            _, w = gauss_points_2d(box, order)
+            act, vals, _, _ = self.element_table(e, order, derivs=False)
+            G[np.ix_(act, act)] += vals.T @ (vals * w[:, None])
         return G
-
-
-def _overlaps(a: Anchor2D, box) -> bool:
-    x1, y1, x2, y2 = box
-    s = a.support
-    return float(s[0]) < x2 and float(s[1]) > x1 and float(s[2]) < y2 and float(s[3]) > y1

@@ -37,7 +37,6 @@ __all__ = [
     "TsplineComplex",
     "derive_complex_meshes",
     "build_tspline_complex",
-    "t_diff_matrix",
     "verify_t_exactness",
 ]
 
@@ -102,8 +101,11 @@ def _first_bay(mesh: TMesh2D, ext):
 class TsplineComplex:
     """Spaces and operator matrices of the two T-spline sequences.
 
-    ``operators`` holds float matrices; ``operators_int`` the same matrices
-    scaled by ``denominators[name]`` to integers for exact arithmetic.
+    ``operators`` holds the float matrices 'grad', 'rot', 'rotvec' and
+    'div'; the last two act on the rotated space, so the column blocks of
+    'div' are (component on M12, component on M11).  ``operators_int`` holds
+    the same matrices scaled by ``denominators[name]`` to integers for exact
+    arithmetic.
     """
 
     meshes: ComplexMeshes
@@ -128,11 +130,6 @@ class TsplineComplex:
     @property
     def dims(self):
         return (self.space_dim(0), self.space_dim(1), self.space_dim(2))
-
-    @property
-    def Y1star(self):
-        """Rotated vector space: components of Y1 swapped."""
-        return (self.Y1[1], self.Y1[0])
 
 
 def _insert_knot_window(window, degree, z):
@@ -318,15 +315,6 @@ def build_tspline_complex(cm: ComplexMeshes) -> TsplineComplex:
     dens = {"grad": d_grad, "rot": d_rot, "rotvec": d_rotvec, "div": d_div}
     ops = {k: ints[k].astype(float) / dens[k] for k in ints}
     return TsplineComplex(cm, Y0, (Y1c1, Y1c2), Y2, ops, ints, dens)
-
-
-def t_diff_matrix(cx: TsplineComplex, which: str):
-    """Operator matrix: which in {'grad', 'rot', 'rotvec', 'div'}.
-
-    'rotvec' and 'div' act on the rotated space (components swapped): the
-    column blocks of 'div' are ordered (component on M12, component on M11).
-    """
-    return cx.operators[which]
 
 
 def verify_t_exactness(cx: TsplineComplex) -> ExactnessReport:

@@ -280,3 +280,93 @@ def test_thread_count_does_not_change_results():
     A1 = assemble_matrix_2d(v2, geom, "rotrot", threads=1)
     A2 = assemble_matrix_2d(v2, geom, "rotrot", threads=3)
     assert abs(A1 - A2).max() == 0.0
+
+
+# -- 3D tabulation against a per-anchor oracle ------------------------------------
+
+
+def _per_anchor_dofs_3d(cx3, order):
+    """Reference tables: every X1 function evaluated on its own at the
+    tensor Gauss points of every element it is active on.
+
+    Yields (P, W, [(dof, value (npts, 3), curl (npts, 3))]) per element.
+    """
+    from splinecomplex.bspline import scaled_eval
+
+    ext = cx3.tcx.meshes.M0.extended()
+    boxes = [
+        (float(ext.xs[f[0]]), float(ext.ys[f[1]]), float(ext.xs[f[2]]), float(ext.ys[f[3]]))
+        for f in ext.positive_faces()
+    ]
+    offs = cx3.x1_offsets()
+    for x1, y1, x2, y2 in boxes:
+        for za, zb in ((float(a), float(b)) for a, b in cx3.kv_z.spans()):
+            pts2, w2 = gauss_points_2d((x1, y1, x2, y2), order)
+            pz, wz = gauss_points_1d(za, zb, order)
+            P = np.array([[x, y, z] for x, y in pts2 for z in pz])
+            W = np.array([a * b for a in w2 for b in wz])
+            dofs = []
+            for m, (s2d, kvz, zscal) in enumerate(cx3.x1_blocks()):
+                (p1, p2), (s1, s2) = s2d.degrees, s2d.scalings
+                q, ks = kvz.degree, kvz.knots
+                for a in s2d.anchors:
+                    lo1, hi1, lo2, hi2 = (float(v) for v in a.support)
+                    if not (lo1 < x2 and hi1 > x1 and lo2 < y2 and hi2 > y1):
+                        continue
+                    for iz in range(kvz.n):
+                        lz = ks[iz : iz + q + 2]
+                        if not (float(lz[0]) < zb and float(lz[-1]) > za):
+                            continue
+                        fx, gx = (scaled_eval(a.lkv1, p1, s1, P[:, 0], d) for d in (0, 1))
+                        fy, gy = (scaled_eval(a.lkv2, p2, s2, P[:, 1], d) for d in (0, 1))
+                        fz, gz = (scaled_eval(lz, q, zscal, P[:, 2], d) for d in (0, 1))
+                        f, dx, dy, dz = fx * fy * fz, gx * fy * fz, fx * gy * fz, fx * fy * gz
+                        val = np.zeros((len(W), 3))
+                        val[:, m] = f
+                        zero = np.zeros_like(f)
+                        curl = np.column_stack(
+                            [(zero, -dz, dy)[m], (dz, zero, -dx)[m], (-dy, dx, zero)[m]]
+                        )
+                        dofs.append((offs[m] + iz * s2d.dim + a.index, val, curl))
+            yield P, W, dofs
+
+
+def test_3d_tables_match_per_anchor_oracle():
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(0), 2))
+    cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
+    geom = prism_patch(np.array([[1.0, 0.3], [-0.2, 0.8]]))
+    n = cx3.x1_dim()
+    f = lambda X: np.column_stack([np.sin(X[:, 2]), X[:, 0] * X[:, 1], np.cos(X[:, 0])])
+    coeffs = np.random.default_rng(7).standard_normal(n)
+
+    M, K, b = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+    for P, W, dofs in _per_anchor_dofs_3d(cx3, 3):
+        J, det = geom.jacobian_dets(P)
+        Jinv = np.linalg.inv(J)
+        idx = [i for i, _, _ in dofs]
+        U = np.array([np.einsum("pji,pj->pi", Jinv, v) for _, v, _ in dofs])
+        C = np.array([np.einsum("pij,pj->pi", J, c) / det[:, None] for _, _, c in dofs])
+        M[np.ix_(idx, idx)] += np.einsum("apk,bpk,p->ab", U, U, W * det)
+        K[np.ix_(idx, idx)] += np.einsum("apk,bpk,p->ab", C, C, W * det)
+    e_l2 = e_curl = 0.0
+    for P, W, dofs in _per_anchor_dofs_3d(cx3, 4):
+        J, det = geom.jacobian_dets(P)
+        Jinv = np.linalg.inv(J)
+        X = geom.eval(P)
+        u_h, c_h = np.zeros((len(W), 3)), np.zeros((len(W), 3))
+        for i, vi, ci in dofs:
+            ui = np.einsum("pji,pj->pi", Jinv, vi)
+            b[i] += np.sum(W * det * np.sum(f(X) * ui, axis=1))
+            u_h += coeffs[i] * ui
+            c_h += coeffs[i] * np.einsum("pij,pj->pi", J, ci) / det[:, None]
+        e_l2 += np.sum(W * det * np.sum((u_h - f(X)) ** 2, axis=1))
+        e_curl += np.sum(W * det * np.sum((c_h - f(X)) ** 2, axis=1))
+
+    def rel(A, B):
+        return np.abs(A - B).max() / np.abs(B).max()
+
+    assert rel(assemble_matrix_3d(cx3, geom, "mass").toarray(), M) < 1e-12
+    assert rel(assemble_matrix_3d(cx3, geom, "curlcurl").toarray(), K) < 1e-12
+    assert rel(assemble_load_3d(cx3, geom, f), b) < 1e-12
+    err = hcurl_error_3d(cx3, geom, coeffs, f, f)
+    assert rel(np.array(err), np.sqrt([e_l2, e_curl])) < 1e-12

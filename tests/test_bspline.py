@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinecomplex.bspline import (
+    KnotRows,
     KnotVector,
     curry_scaled,
     derivative_decomposition,
@@ -16,6 +19,7 @@ from splinecomplex.bspline import (
     eval_local_deriv,
     grad_matrix_1d,
     insert_knot,
+    scaled_eval,
 )
 
 F = Fraction
@@ -305,3 +309,83 @@ def test_text_round_trip():
     text = KV_HALF.to_text()
     assert text == "2; 0/1:3 1/2:1 1/1:3"
     assert KnotVector.from_text(text) == KV_HALF
+
+
+# -- batched kernel: property test against the per-function path and the exact oracle --
+
+INTERIOR = [F(k, 12) for k in range(1, 12)]
+
+
+@st.composite
+def open_knot_vectors(draw):
+    q = draw(st.integers(0, 5))
+    bp = sorted(draw(st.sets(st.sampled_from(INTERIOR), max_size=4)))
+    mult = [draw(st.integers(1, q + 1)) for _ in bp]
+    kv = KnotVector(q, (F(0), *bp, F(1)), (q + 1, *mult, q + 1))
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    x = np.array([0.0, 1.0] + [float(b) for b in bp] + extra)
+    return kv, x
+
+
+def _scalar_recursion(local, q, x):
+    """Reference: the one-function float recursion, level by level."""
+    t = [float(k) for k in local]
+    vals = np.zeros((q + 1, x.size))
+    for j in range(q + 1):
+        if t[j + 1] > t[j]:
+            vals[j, (x >= t[j]) & ((x < t[j + 1]) | ((x == t[j + 1]) & (t[j + 1] == 1.0)))] = 1.0
+    for qq in range(1, q + 1):
+        nxt = np.zeros((q + 1 - qq, x.size))
+        for j in range(q + 1 - qq):
+            if t[j + qq] > t[j]:
+                nxt[j] += (x - t[j]) / (t[j + qq] - t[j]) * vals[j]
+            if t[j + qq + 1] > t[j + 1]:
+                nxt[j] += (t[j + qq + 1] - x) / (t[j + qq + 1] - t[j + 1]) * vals[j + 1]
+        vals = nxt
+    return vals[0]
+
+
+def _scalar_deriv(local, q, x):
+    """Reference: the two-term derivative with exactly rounded lengths."""
+    out = np.zeros(x.size)
+    if q > 0 and local[q] > local[0]:
+        out += q / float(local[q] - local[0]) * _scalar_recursion(local[:-1], q - 1, x)
+    if q > 0 and local[q + 1] > local[1]:
+        out -= q / float(local[q + 1] - local[1]) * _scalar_recursion(local[1:], q - 1, x)
+    return out
+
+
+def _exact_deriv(t, q, x):
+    """d/dx N[t] exactly, by the two-term decomposition over rationals."""
+    if q == 0:
+        return F(0)
+    out = F(0)
+    if t[q] > t[0]:
+        out += F(q) / (t[q] - t[0]) * cox_de_boor_exact(t[:-1], q - 1, 0, x)
+    if t[q + 1] > t[1]:
+        out -= F(q) / (t[q + 1] - t[1]) * cox_de_boor_exact(t[1:], q - 1, 0, x)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(open_knot_vectors())
+def test_batched_kernel_matches_per_function_and_exact(case):
+    kv, x = case
+    q, ks = kv.degree, kv.knots
+    rows = KnotRows.from_exact(ks[i : i + q + 2] for i in range(kv.n))
+    vals = scaled_eval(rows, q, "B", x)
+    ders = scaled_eval(rows, q, "B", x, 1)
+    assert vals.shape == ders.shape == (x.size, kv.n)
+    for i in range(kv.n):
+        local = ks[i : i + q + 2]
+        # batching changes no bit: same operations as the scalar recursion
+        assert np.array_equal(vals[:, i], eval_local(local, q, x))
+        assert np.array_equal(ders[:, i], eval_local_deriv(local, q, x))
+        assert np.array_equal(vals[:, i], _scalar_recursion(local, q, x))
+        assert np.array_equal(ders[:, i], _scalar_deriv(local, q, x))
+        # the float recursion is the exact one on the float-rounded knots
+        t = [F(float(k)) for k in local]
+        scale = max([1.0] + [q / float(b - a) for a, b in zip(local, local[q:]) if b > a])
+        for xv, v, d in zip(x, vals[:, i], ders[:, i]):
+            assert abs(v - float(cox_de_boor_exact(t, q, 0, F(xv)))) <= 1e-14
+            assert abs(d - float(_exact_deriv(t, q, F(xv)))) <= 1e-14 * scale

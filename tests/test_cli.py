@@ -124,3 +124,11 @@ def test_tmesh_complex_report(tmp_path):
     # the vector mesh for the first component carries the two added segments
     m11 = {tuple(s) for s in rep["derived_meshes"]["M1_1"]["segments"]}
     assert ("h", "1/4", "0", "3/4") in m11
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch):
+    def not_spd(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_spd)
+    assert run_cli(["solve-eig", "--problem", str(FIXTURES / "square_p3.json")], tmp_path) == 3

@@ -114,3 +114,21 @@ def test_convergence_table_csv():
     assert text.splitlines()[0] == "dofs,value"
     assert text.endswith("\n")
     assert "0.25" in text
+
+
+def test_count_keeps_nonzero_values_after_zero_block():
+    from splinecomplex.problems import thick_l_eigenproblem
+
+    # nz=2 gives interior vertical functions, hence a nonempty zero block
+    full = thick_l_eigenproblem(0, degree=1, nz=2, count=None).result
+    run = thick_l_eigenproblem(0, degree=1, nz=2, count=5).result
+    assert run.zero_count == full.zero_count > 0
+    assert run.nonzero.size == 5
+    assert np.array_equal(run.values, full.values[: full.zero_count + 5])
+
+
+def test_numerical_failures_are_numerical_errors():
+    from splinecomplex.solvers import NumericalError
+
+    with pytest.raises(NumericalError, match="positive definite"):
+        solve_generalized_eig(np.eye(3), -np.eye(3))

@@ -13,7 +13,6 @@ from splinecomplex.tmesh import RawTMesh, TMesh2D, tensor_raw_tmesh
 from splinecomplex.tspline import (
     build_tspline_complex,
     derive_complex_meshes,
-    t_diff_matrix,
     verify_t_exactness,
 )
 
@@ -63,7 +62,7 @@ def test_tensor_reduction_bit_equality():
         bcx = build_complex([kv, kv])
         assert tcx.dims == (bcx.space_dim(0), bcx.space_dim(1), bcx.space_dim(2))
         for name in ("grad", "rot", "rotvec", "div"):
-            A = t_diff_matrix(tcx, name)
+            A = tcx.operators[name]
             B = bcx.operators[name]
             assert (A - B).nnz == 0, (n, p, name)
 
@@ -112,7 +111,7 @@ def test_dd_zero_and_entries_square():
     # anchors whose supports straddle an extension bay pick up exact dyadic
     # weights in (-1, 1); entries stay bounded by one
     tcx3 = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(0), 3))
-    data = np.unique(t_diff_matrix(tcx3, "grad").tocoo().data)
+    data = np.unique(tcx3.operators["grad"].tocoo().data)
     assert np.all(np.abs(data) <= 1.0)
     assert {-1.0, 1.0} <= set(data)
     scaled = data * tcx3.denominators["grad"]
