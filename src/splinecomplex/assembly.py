@@ -14,7 +14,6 @@ direction; component coefficient blocks are ordered (c1, c2, c3) with the
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,7 @@ __all__ = [
     "assemble_matrix_3d",
     "assemble_load_3d",
     "assemble_port_boundary",
-    "dirichlet_dofs_2d",
-    "dirichlet_dofs_3d",
+    "dirichlet_dofs",
     "hcurl_error_3d",
 ]
 
@@ -75,6 +73,25 @@ def _clamped_lkv(lkv, degree, side) -> bool:
     return lkv[1] == lkv[-1] == 1
 
 
+def _clamped_anchors(space: TsplineSpace, axis, side):
+    """Indices of the anchors clamped across the face (axis, side)."""
+    return [a.index for a in space.anchors if _clamped_lkv((a.lkv1, a.lkv2)[axis], space.degrees[axis], side)]
+
+
+def _clamped_z(kvz: KnotVector, side):
+    """Indices of the vertical functions clamped at the z-face ``side``."""
+    ks, p = kvz.knots, kvz.degree
+    return [i for i in range(kvz.n) if _clamped_lkv(tuple(ks[i : i + p + 2]), p, side)]
+
+
+def _clamped_block(off, s2d, kvz, axis, side):
+    """Dofs ``off + iz * s2d.dim + a`` of a 2D-by-vertical block clamped
+    across the face (axis, side), axis 2 the vertical direction."""
+    if axis == 2:
+        return [off + iz * s2d.dim + a for iz in _clamped_z(kvz, side) for a in range(s2d.dim)]
+    return [off + iz * s2d.dim + a for a in _clamped_anchors(s2d, axis, side) for iz in range(kvz.n)]
+
+
 @dataclass
 class Scalar2D:
     """Scalar 2D space (form degree 0 or 2) over one T-spline space."""
@@ -90,13 +107,7 @@ class Scalar2D:
         return self.space.elements
 
     def clamped_dofs(self, face):
-        axis, side = face
-        out = []
-        for a in self.space.anchors:
-            lkv = (a.lkv1, a.lkv2)[axis]
-            if _clamped_lkv(lkv, self.space.degrees[axis], side):
-                out.append(a.index)
-        return out
+        return _clamped_anchors(self.space, *face)
 
 
 @dataclass
@@ -124,12 +135,7 @@ class Vector2D:
         comp = 1 - axis  # tangential component index
         space = (self.c1, self.c2)[comp]
         off = 0 if comp == 0 else self.c1.dim
-        out = []
-        for a in space.anchors:
-            lkv = (a.lkv1, a.lkv2)[axis]
-            if _clamped_lkv(lkv, space.degrees[axis], side):
-                out.append(off + a.index)
-        return out
+        return [off + a for a in _clamped_anchors(space, axis, side)]
 
 
 def _shared_elements(*spaces):
@@ -150,7 +156,7 @@ def _metric_2d(geom, pts):
     return J, det, Ginv
 
 
-def assemble_matrix_2d(space, geom, kind, order=None, threads=1):
+def assemble_matrix_2d(space, geom, kind, order=None):
     """Sparse symmetric Galerkin matrix on one 2D patch.
 
     kinds: 'mass' and 'gradgrad' on Scalar2D (form 0); 'mass' on a form-2
@@ -159,27 +165,16 @@ def assemble_matrix_2d(space, geom, kind, order=None, threads=1):
     if isinstance(space, Scalar2D):
         p = max(space.space.degrees)
         order = order or p + 1
-        return _assemble_scalar_2d(space, geom, kind, order, threads)
+        return _assemble_scalar_2d(space, geom, kind, order)
     p = max(space.c1.degrees)
     order = order or p + 1
-    return _assemble_vector_2d(space, geom, kind, order, threads)
+    return _assemble_vector_2d(space, geom, kind, order)
 
 
-def _element_loop(elements, worker, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, elements))
-    else:
-        results = [worker(box) for box in elements]
-    return results
-
-
-def _assemble_scalar_2d(space: Scalar2D, geom, kind, order, threads):
+def _assemble_scalar_2d(space: Scalar2D, geom, kind, order):
     S = space.space
-    n = S.dim
-    S.factor_tables(order)  # fill the caches before any worker runs
 
-    def worker(e):
+    def element(e):
         pts, w = gauss_points_2d(S.elements[e], order)
         J, det, Ginv = _metric_2d(geom, pts)
         idx, vals, gx, gy = S.element_table(e, order, derivs=kind == "gradgrad")
@@ -199,17 +194,14 @@ def _assemble_scalar_2d(space: Scalar2D, geom, kind, order, threads):
             raise ValueError(f"unknown scalar kind {kind!r}")
         return idx, M
 
-    return _merge_coo(_element_loop(range(len(S.elements)), worker, threads), n)
+    return _merge_coo([element(e) for e in range(len(S.elements))], S.dim)
 
 
-def _assemble_vector_2d(space: Vector2D, geom, kind, order, threads):
+def _assemble_vector_2d(space: Vector2D, geom, kind, order):
     n1 = space.c1.dim
-    n = space.dim
     boxes = space.elements()
-    space.c1.factor_tables(order)  # fill the caches before any worker runs
-    space.c2.factor_tables(order)
 
-    def worker(e):
+    def element(e):
         pts, w = gauss_points_2d(boxes[e], order)
         J, det, Ginv = _metric_2d(geom, pts)
         a1, *t1 = space.c1.element_table(e, order, derivs=kind == "rotrot")
@@ -230,7 +222,7 @@ def _assemble_vector_2d(space: Vector2D, geom, kind, order, threads):
             raise ValueError(f"unknown vector kind {kind!r}")
         return idx, M
 
-    return _merge_coo(_element_loop(range(len(boxes)), worker, threads), n)
+    return _merge_coo([element(e) for e in range(len(boxes))], space.dim)
 
 
 def _weighted_sums(vals, wf):
@@ -239,7 +231,7 @@ def _weighted_sums(vals, wf):
     return np.sum(np.ascontiguousarray(vals.T) * wf, axis=1)
 
 
-def assemble_load_2d(space, geom, f, order=None, threads=1):
+def assemble_load_2d(space, geom, f, order=None):
     """Load vector for a physical source: scalar f for Scalar2D (form 0),
     vector f for Vector2D (curl-conforming transform)."""
     if isinstance(space, Scalar2D):
@@ -323,6 +315,16 @@ class Complex3D:
 
     def x1_dim(self):
         return self.space_dims()[1]
+
+    def clamped_dofs(self, face):
+        """X1 dofs with nonzero tangential trace on the face (axis 2 is the
+        vertical direction): the tangential components, clamped across it."""
+        axis, side = face
+        out = []
+        for m, (off, (s2d, kvz, _)) in enumerate(zip(self.x1_offsets(), self.x1_blocks())):
+            if m != axis:  # the normal component is unconstrained
+                out.extend(_clamped_block(off, s2d, kvz, axis, side))
+        return out
 
     def x1_offsets(self):
         b = self.x1_blocks()
@@ -436,17 +438,15 @@ def _dof_tables_3d(blocks, e, s, order, curl):
     return idx, T
 
 
-def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None, threads=1):
+def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
     """'mass' or 'curlcurl' on the curl-conforming 3D space of one patch."""
     if kind not in ("mass", "curlcurl"):
         raise ValueError(f"unknown 3D kind {kind!r}")
     p = cx3.tcx.degree
     order = order or p + 1
     boxes, zspans, blocks = _x1_tables(cx3, order)
-    elements = [(e, s) for e in range(len(boxes)) for s in range(len(zspans))]
 
-    def worker(el):
-        e, s = el
+    def element(e, s):
         P, W = _rule_3d(boxes[e], zspans[s], order)
         J, det = geom.jacobian_dets(P)
         idx, T = _dof_tables_3d(blocks, e, s, order, curl=kind == "curlcurl")
@@ -457,7 +457,7 @@ def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None, threads=1):
             G = np.einsum("pki,pkj->pij", J, J) * (W / det)[:, None, None]
         return idx, _bilinear(T, G)
 
-    return _merge_coo(_element_loop(elements, worker, threads), cx3.x1_dim())
+    return _merge_coo([element(e, s) for e in range(len(boxes)) for s in range(len(zspans))], cx3.x1_dim())
 
 
 def _bilinear(V, Gw):
@@ -469,7 +469,7 @@ def _bilinear(V, Gw):
     return A @ B.T
 
 
-def assemble_load_3d(cx3: Complex3D, geom, f, order=None, threads=1):
+def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
     """Load vector int f . v for the curl-conforming space of one patch."""
     p = cx3.tcx.degree
     order = order or p + 2
@@ -493,40 +493,9 @@ def assemble_load_3d(cx3: Complex3D, geom, f, order=None, threads=1):
 # -- boundary conditions -------------------------------------------------------------
 
 
-def dirichlet_dofs_2d(space, faces):
-    """Constrained dof indices of a 2D space for the tagged faces."""
-    out = set()
-    for face in faces:
-        out.update(space.clamped_dofs(face))
-    return sorted(out)
-
-
-def dirichlet_dofs_3d(cx3: Complex3D, faces):
-    """Constrained X1 dofs: tangential components clamped on tagged faces.
-
-    Faces are (axis, side) with axis 2 the vertical direction.
-    """
-    blocks = cx3.x1_blocks()
-    offs = cx3.x1_offsets()
-    out = set()
-    for axis, side in faces:
-        for m, (s2d, kvz, zscal) in enumerate(blocks):
-            if m == axis:
-                continue  # normal component is unconstrained
-            if axis == 2:
-                ks = kvz.knots
-                p = kvz.degree
-                for iz in range(kvz.n):
-                    if _clamped_lkv(tuple(ks[iz : iz + p + 2]), p, side):
-                        for a in range(s2d.dim):
-                            out.add(offs[m] + iz * s2d.dim + a)
-            else:
-                for a in s2d.anchors:
-                    lkv = (a.lkv1, a.lkv2)[axis]
-                    if _clamped_lkv(lkv, s2d.degrees[axis], side):
-                        for iz in range(kvz.n):
-                            out.add(offs[m] + iz * s2d.dim + a.index)
-    return sorted(out)
+def dirichlet_dofs(space, faces):
+    """Constrained dof indices of a 2D or 3D space for the tagged faces."""
+    return sorted({d for face in faces for d in space.clamped_dofs(face)})
 
 
 # -- port boundary -----------------------------------------------------------------
@@ -539,15 +508,10 @@ def port_trace_dofs(cx3: Complex3D, side):
     """
     blocks = cx3.x1_blocks()
     offs = cx3.x1_offsets()
-    kvz = cx3.kv_z
-    ks = kvz.knots
-    p = kvz.degree
-    iz = None
-    for i in range(kvz.n):
-        if _clamped_lkv(tuple(ks[i : i + p + 2]), p, side):
-            iz = i
-    if iz is None:
+    clamped = _clamped_z(cx3.kv_z, side)
+    if not clamped:
         raise ValueError("no clamped vertical function at the port face")
+    iz = clamped[-1]
     out = []
     for m in (0, 1):
         s2d = blocks[m][0]

@@ -159,9 +159,7 @@ def _run_eig(spec, args):
     level = spec.get("level", 0)
     degree = spec.get("degree", 3)
     count = spec.get("eigencount")
-    kw = {"threads": args.threads}
-    if args.tol is not None:
-        kw["zero_tol"] = args.tol
+    kw = {} if args.tol is None else {"zero_tol": args.tol}
     if formulation == "rotrot2d":
         run = problems.square_eigenproblem(level, degree, count, **kw)
     elif formulation == "laplace2d":
@@ -204,9 +202,7 @@ def cmd_solve_source(args):
         return EXIT_VALIDATION
     level = spec.get("level", 0)
     degree = spec.get("degree", 3)
-    dofs, free, err = problems.cylinder_sector_source(
-        level, degree, spec.get("nz"), spec.get("tensor", False), threads=args.threads
-    )
+    dofs, free, err = problems.cylinder_sector_source(level, degree, spec.get("nz"), spec.get("tensor", False))
     out = _out_dir(args)
     dump_json({"dofs": dofs, "free_dofs": free, "hcurl_error": err}, out / "source_report.json")
     print(f"dofs={dofs} H(curl) error={err:.6e}")
@@ -224,7 +220,6 @@ def cmd_solve_waveguide(args):
         spec.get("n_section", 3),
         spec.get("nz", 2),
         spec.get("length", 1.0),
-        threads=args.threads,
     )
     out = _out_dir(args)
     dump_json(
@@ -262,7 +257,7 @@ def cmd_convergence(args):
             run = problems.lsection_laplace_eigenproblem(lev, degree)
             rows.append((run.dofs, float(run.result.values[0] - 9.63972384472)))
         elif bench == "cylinder-sector":
-            dofs, _, err = problems.cylinder_sector_source(lev, degree, threads=args.threads)
+            dofs, _, err = problems.cylinder_sector_source(lev, degree)
             rows.append((dofs, err))
         else:
             print(f"error: no convergence driver for {bench}", file=sys.stderr)
@@ -276,7 +271,6 @@ def cmd_convergence(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="splinecomplex", description=__doc__)
     ap.add_argument("--out", default="out", help="output directory for reports")
-    ap.add_argument("--threads", type=int, default=1, help="assembly threads")
     ap.add_argument("--tol", type=float, default=None, help="override zero tolerance")
     sub = ap.add_subparsers(dest="command", required=True)
 

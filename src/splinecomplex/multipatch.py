@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import Complex3D, Scalar2D, Vector2D, _clamped_lkv
+from .assembly import Complex3D, Scalar2D, Vector2D, _clamped_block, _clamped_lkv, _clamped_z
 from .bspline import scaled_eval
 
 __all__ = [
@@ -46,25 +46,7 @@ class Scalar3D:
         return self.cx3.tcx.space_dim(0) * self.cx3.kv_z.n
 
     def clamped_dofs(self, face):
-        axis, side = face
-        s2d = self.cx3.tcx.Y0
-        kvz = self.cx3.kv_z
-        out = []
-        if axis == 2:
-            for iz in _clamped_z(kvz, side):
-                out.extend(iz * s2d.dim + a for a in range(s2d.dim))
-        else:
-            for a in s2d.anchors:
-                lkv = (a.lkv1, a.lkv2)[axis]
-                if _clamped_lkv(lkv, s2d.degrees[axis], side):
-                    out.extend(iz * s2d.dim + a.index for iz in range(kvz.n))
-        return out
-
-
-def _clamped_z(kvz, side):
-    ks = kvz.knots
-    p = kvz.degree
-    return [i for i in range(kvz.n) if _clamped_lkv(tuple(ks[i : i + p + 2]), p, side)]
+        return _clamped_block(0, self.cx3.tcx.Y0, self.cx3.kv_z, *face)
 
 
 def _z_anchors(kvz):
@@ -322,13 +304,10 @@ class Glue:
         return v
 
     def global_dofs_for(self, patch, local_dofs):
-        S = self.scatters[patch].tocsr()
-        out = []
-        for i in local_dofs:
-            row = S[i]
-            if row.nnz:
-                out.append(int(row.indices[0]))
-        return out
+        """Global dofs of local dofs of a patch: every scatter row holds
+        exactly one signed entry."""
+        S = self.scatters[patch]
+        return S.indices[S.indptr[np.asarray(local_dofs, dtype=int)]]
 
 
 def build_glue(ps: PatchSet, check: bool = True) -> Glue:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     Complex3D,
@@ -21,8 +20,7 @@ from .assembly import (
     assemble_matrix_2d,
     assemble_matrix_3d,
     assemble_port_boundary,
-    dirichlet_dofs_2d,
-    dirichlet_dofs_3d,
+    dirichlet_dofs,
     hcurl_error_3d,
 )
 from .benchmarks import (
@@ -43,6 +41,18 @@ from .tspline import build_tspline_complex, derive_complex_meshes
 
 ALL_FACES_2D = ((0, 0), (0, 1), (1, 0), (1, 1))
 
+# The three patches of the L-section (and of the thick L): the interfaces
+# and, per patch, the faces on the outer wall.
+_L_INTERFACES = (
+    Interface((0, (1, 0)), (1, (0, 0))),
+    Interface((1, (1, 0)), (2, (0, 0))),
+)
+_L_WALLS = {
+    0: [(0, 0), (0, 1), (1, 1)],
+    1: [(0, 1), (1, 1)],
+    2: [(0, 1), (1, 0), (1, 1)],
+}
+
 __all__ = [
     "square_eigenproblem",
     "lsection_laplace_eigenproblem",
@@ -59,87 +69,65 @@ class EigenRun:
     result: EigenResult
 
 
-def square_eigenproblem(level: int, degree: int = 3, count: int = None, threads: int = 1, zero_tol=None) -> EigenRun:
+def _system(ps: PatchSet, walls, kinds):
+    """The one problem pipeline: assemble every kind on every patch, glue it
+    into a global matrix, and drop the dofs clamped on the walls (patch ->
+    faces).  Returns (glue, matrices, free dofs).
+
+    A lone patch without interfaces keeps its local numbering and is not
+    glued; its glue is None.
+    """
+    glue = build_glue(ps) if ps.npatches > 1 or ps.interfaces else None
+    matrices = []
+    for kind in kinds:
+        local = []
+        for space, geom in zip(ps.spaces, ps.geoms):
+            assemble = assemble_matrix_3d if isinstance(space, Complex3D) else assemble_matrix_2d
+            local.append(assemble(space, geom, kind))
+        matrices.append(glue.global_matrix(local) if glue else local[0])
+    if glue is None:
+        walled = dirichlet_dofs(ps.spaces[0], walls[0])
+    else:
+        walled = [d for k, faces in walls.items() for d in glue.global_dofs_for(k, dirichlet_dofs(ps.spaces[k], faces))]
+    return glue, matrices, np.setdiff1d(np.arange(matrices[0].shape[0]), walled)
+
+
+def _eigen_run(ps, walls, kinds, count, zero_tol) -> EigenRun:
+    _, (K, M), free = _system(ps, walls, kinds)
+    sub = np.ix_(free, free)
+    return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, zero_tol=zero_tol))
+
+
+def square_eigenproblem(level: int, degree: int = 3, count: int = None, zero_tol=None) -> EigenRun:
     """Maxwell cavity eigenvalues on (0, pi)^2 with the benchmark T-meshes.
 
     ``dofs`` reports the dimension of the rot-conforming space before the
     tangential boundary conditions are eliminated.
     """
-    raw = square_raw_tmesh(level)
-    tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-    v2 = Vector2D.from_complex(tcx)
-    geom = square_geometry()
-    K = assemble_matrix_2d(v2, geom, "rotrot", threads=threads)
-    M = assemble_matrix_2d(v2, geom, "mass", threads=threads)
-    constrained = dirichlet_dofs_2d(v2, ALL_FACES_2D)
-    free = np.setdiff1d(np.arange(v2.dim), constrained)
-    res = solve_generalized_eig(K[np.ix_(free, free)], M[np.ix_(free, free)], count, zero_tol=zero_tol)
-    return EigenRun(v2.dim, free.size, res)
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), degree))
+    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count, zero_tol)
 
 
-def _lsection_patchset(level: int, degree: int):
-    raw = lsection_raw_tmesh(level, degree)
-    geoms = lsection_patches()
-    spaces = [Scalar2D(TsplineSpace(TMesh2D.from_raw(raw, (degree, degree)))) for _ in geoms]
-    interfaces = [
-        Interface((0, (1, 0)), (1, (0, 0))),
-        Interface((1, (1, 0)), (2, (0, 0))),
-    ]
-    dirichlet = {
-        0: [(0, 0), (0, 1), (1, 1)],
-        1: [(0, 1), (1, 1)],
-        2: [(0, 1), (1, 0), (1, 1)],
-    }
-    return PatchSet(geoms, spaces, interfaces), dirichlet
-
-
-def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5, threads: int = 1, zero_tol=None) -> EigenRun:
+def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5, zero_tol=None) -> EigenRun:
     """Dirichlet Laplacian eigenvalues of the L-shaped section, three glued
     patches with corner-refined T-meshes (the first eigenvalue is the
     L-membrane benchmark value)."""
-    ps, dirichlet = _lsection_patchset(level, degree)
-    glue = build_glue(ps)
-    Ks = [assemble_matrix_2d(s, g, "gradgrad", threads=threads) for s, g in zip(ps.spaces, ps.geoms)]
-    Ms = [assemble_matrix_2d(s, g, "mass", threads=threads) for s, g in zip(ps.spaces, ps.geoms)]
-    K = glue.global_matrix(Ks)
-    M = glue.global_matrix(Ms)
-    constrained = set()
-    for k, faces in dirichlet.items():
-        constrained.update(glue.global_dofs_for(k, dirichlet_dofs_2d(ps.spaces[k], faces)))
-    free = np.setdiff1d(np.arange(glue.ndof), sorted(constrained))
-    res = solve_generalized_eig(K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray(), count, zero_tol=zero_tol)
-    return EigenRun(glue.ndof, free.size, res)
+    raw = lsection_raw_tmesh(level, degree)
+    geoms = lsection_patches()
+    spaces = [Scalar2D(TsplineSpace(TMesh2D.from_raw(raw, (degree, degree)))) for _ in geoms]
+    ps = PatchSet(geoms, spaces, _L_INTERFACES)
+    return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count, zero_tol)
 
 
-def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int = 5, threads: int = 1, zero_tol=None) -> EigenRun:
+def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int = 5, zero_tol=None) -> EigenRun:
     """Maxwell cavity eigenvalues of the thick L (section times (0,1))."""
     nz = nz or max(2, 2 ** (1 + level))
-    raw = lsection_raw_tmesh(level, degree)
     kv_z = KnotVector.uniform(degree, nz)
-    geoms = [prism_patch(_rot(k)) for k in range(3)]
-    tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-    spaces = [Complex3D(tcx, kv_z) for _ in range(3)]
-    interfaces = [
-        Interface((0, (1, 0)), (1, (0, 0))),
-        Interface((1, (1, 0)), (2, (0, 0))),
-    ]
-    ps = PatchSet(geoms, spaces, interfaces)
-    glue = build_glue(ps)
-    Ks = [assemble_matrix_3d(s, g, "curlcurl", threads=threads) for s, g in zip(spaces, geoms)]
-    Ms = [assemble_matrix_3d(s, g, "mass", threads=threads) for s, g in zip(spaces, geoms)]
-    K = glue.global_matrix(Ks)
-    M = glue.global_matrix(Ms)
-    dirichlet = {
-        0: [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1)],
-        1: [(0, 1), (1, 1), (2, 0), (2, 1)],
-        2: [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)],
-    }
-    constrained = set()
-    for k, faces in dirichlet.items():
-        constrained.update(glue.global_dofs_for(k, dirichlet_dofs_3d(spaces[k], faces)))
-    free = np.setdiff1d(np.arange(glue.ndof), sorted(constrained))
-    res = solve_generalized_eig(K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray(), count, zero_tol=zero_tol)
-    return EigenRun(glue.ndof, free.size, res)
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
+    ps = PatchSet([prism_patch(_rot(k)) for k in range(3)], [Complex3D(tcx, kv_z) for _ in range(3)], _L_INTERFACES)
+    walls = {k: faces + [(2, 0), (2, 1)] for k, faces in _L_WALLS.items()}
+    return _eigen_run(ps, walls, ("curlcurl", "mass"), count, zero_tol)
 
 
 def _rot(k):
@@ -176,7 +164,7 @@ def cyl_zero_curl(X):
     return np.zeros((X.shape[0], 3))
 
 
-def cylinder_sector_source(level: int, degree: int = 3, nz: int = None, tensor: bool = False, threads: int = 1):
+def cylinder_sector_source(level: int, degree: int = 3, nz: int = None, tensor: bool = False):
     """Curl-curl source problem on 3/4 of the cylinder with a singular exact
     gradient field; returns (total dofs, free dofs, H(curl) error).
 
@@ -195,19 +183,10 @@ def cylinder_sector_source(level: int, degree: int = 3, nz: int = None, tensor: 
         Interface((1, (1, 1)), (2, (1, 0))),
     ]
     ps = PatchSet(geoms, spaces, interfaces)
-    glue = build_glue(ps)
-    Ks = [assemble_matrix_3d(s, g, "curlcurl", threads=threads) for s, g in zip(spaces, geoms)]
-    Ms = [assemble_matrix_3d(s, g, "mass", threads=threads) for s, g in zip(spaces, geoms)]
-    bs = [assemble_load_3d(s, g, cyl_exact_field, threads=threads) for s, g in zip(spaces, geoms)]
-    A = glue.global_matrix([K + M for K, M in zip(Ks, Ms)])
-    b = glue.global_vector(bs)
-    dirichlet = {0: [(1, 0)], 2: [(1, 1)]}
-    constrained = set()
-    for k, faces in dirichlet.items():
-        constrained.update(glue.global_dofs_for(k, dirichlet_dofs_3d(spaces[k], faces)))
-    free = np.setdiff1d(np.arange(glue.ndof), sorted(constrained))
+    glue, (K, M), free = _system(ps, {0: [(1, 0)], 2: [(1, 1)]}, ("curlcurl", "mass"))
+    b = glue.global_vector([assemble_load_3d(s, g, cyl_exact_field) for s, g in zip(spaces, geoms)])
     x = np.zeros(glue.ndof)
-    x[free] = solve_source(A[np.ix_(free, free)].tocsc(), b[free])
+    x[free] = solve_source((K + M)[np.ix_(free, free)].tocsc(), b[free])
     err2 = 0.0
     for k in range(3):
         ck = glue.scatters[k] @ x
@@ -219,7 +198,7 @@ def cylinder_sector_source(level: int, degree: int = 3, nz: int = None, tensor: 
 # -- straight waveguide ----------------------------------------------------------
 
 
-def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz: int = 2, length: float = 1.0, threads: int = 1):
+def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz: int = 2, length: float = 1.0):
     """TE10 pass-through on a straight guide with square section (0, pi)^2.
 
     Returns a dict with the port cutoff, reflection and transmission
@@ -233,39 +212,26 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     geoms = waveguide_geometry(length, npatch)
     section_geom = square_geometry()
     spaces = [Complex3D(tcx, kv_z) for _ in range(npatch)]
-    interfaces = [Interface((0, (2, 1)), (1, (2, 0)))]
-    ps = PatchSet(geoms, spaces, interfaces)
-    glue = build_glue(ps)
+    ps = PatchSet(geoms, spaces, [Interface((0, (2, 1)), (1, (2, 0)))])
 
     # port mode on the section
     v2 = Vector2D.from_complex(tcx)
-    K2 = assemble_matrix_2d(v2, section_geom, "rotrot", threads=threads)
-    M2 = assemble_matrix_2d(v2, section_geom, "mass", threads=threads)
-    c2d = dirichlet_dofs_2d(v2, ALL_FACES_2D)
-    free2 = np.setdiff1d(np.arange(v2.dim), c2d)
-    k10sq, e_free = solve_port_mode(K2[np.ix_(free2, free2)].toarray(), M2[np.ix_(free2, free2)].toarray())
+    _, (K2, M2), free2 = _system(PatchSet([section_geom], [v2]), {0: ALL_FACES_2D}, ("rotrot", "mass"))
+    k10sq, e_free = solve_port_mode(K2[np.ix_(free2, free2)], M2[np.ix_(free2, free2)])
     e10 = np.zeros(v2.dim)
     e10[free2] = e_free
     beta = math.sqrt(k * k - k10sq)
 
-    Ks = [assemble_matrix_3d(s, g, "curlcurl", threads=threads) for s, g in zip(spaces, geoms)]
-    Ms = [assemble_matrix_3d(s, g, "mass", threads=threads) for s, g in zip(spaces, geoms)]
-    K = glue.global_matrix(Ks)
-    M = glue.global_matrix(Ms)
+    glue, (K, M), free = _system(ps, {kk: ALL_FACES_2D for kk in range(npatch)}, ("curlcurl", "mass"))
     B0, tmap0 = assemble_port_boundary(spaces[0], section_geom, 0)
     B1, tmap1 = assemble_port_boundary(spaces[1], section_geom, 1)
-    Bg = glue.scatters[0].T @ B0 @ glue.scatters[0] + glue.scatters[1].T @ B1 @ glue.scatters[1]
+    Bg = glue.global_matrix([B0, B1])
     z1, z2 = 0.0, length
     Me = M2 @ e10
     load0 = np.zeros(spaces[0].x1_dim())
     load0[tmap0] = Me * np.exp(-1j * beta * z1).real  # z1 = 0
     bg = glue.scatters[0].T @ load0
 
-    side_faces = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    constrained = set()
-    for kk in range(npatch):
-        constrained.update(glue.global_dofs_for(kk, dirichlet_dofs_3d(spaces[kk], side_faces)))
-    free = np.setdiff1d(np.arange(glue.ndof), sorted(constrained))
     A = (K - k * k * M).astype(complex) + 1j * beta * Bg
     rhs = 2j * beta * bg
     x = np.zeros(glue.ndof, dtype=complex)

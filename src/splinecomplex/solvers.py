@@ -21,7 +21,6 @@ __all__ = [
     "solve_source",
     "solve_port_mode",
     "compute_scattering",
-    "ConvergenceTable",
 ]
 
 ZERO_REL_TOL = 1e-8
@@ -129,21 +128,3 @@ def compute_scattering(I1, I2, norm, beta, z1, z2):
     T = np.exp(1j * beta * z2) * I2 / norm
     return R, T
 
-
-@dataclass
-class ConvergenceTable:
-    label: str
-    rows: list  # (dofs, value)
-
-    def add(self, dofs, value):
-        self.rows.append((int(dofs), float(value)))
-
-    def monotone_decreasing(self) -> bool:
-        vals = [v for _, v in self.rows]
-        return all(b < a for a, b in zip(vals, vals[1:]))
-
-    def csv(self) -> str:
-        lines = ["dofs,value"]
-        for d, v in self.rows:
-            lines.append(f"{d},{v:.17g}")
-        return "\n".join(lines) + "\n"

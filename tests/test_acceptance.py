@@ -315,7 +315,7 @@ def test_criterion_10_waveguide():
     assert abs(abs(res["T"]) - 1.0) < 0.01
 
     # port cutoff at its own (finer) section resolution
-    from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs_2d
+    from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs
     from splinecomplex.benchmarks import square_geometry
     from splinecomplex.problems import ALL_FACES_2D
     from splinecomplex.solvers import solve_port_mode
@@ -327,7 +327,7 @@ def test_criterion_10_waveguide():
     v2 = Vector2D.from_complex(tcx)
     K2 = assemble_matrix_2d(v2, square_geometry(), "rotrot")
     M2 = assemble_matrix_2d(v2, square_geometry(), "mass")
-    free = np.setdiff1d(np.arange(v2.dim), dirichlet_dofs_2d(v2, ALL_FACES_2D))
+    free = np.setdiff1d(np.arange(v2.dim), dirichlet_dofs(v2, ALL_FACES_2D))
     k2, _ = solve_port_mode(K2[np.ix_(free, free)].toarray(), M2[np.ix_(free, free)].toarray())
     assert abs(k2 - 1.0) <= 1e-6, k2
     _report(10, f"|R|={abs(res['R']):.2e}, |T|={abs(res['T']):.6f}, port k10^2={k2:.8f}")

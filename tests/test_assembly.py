@@ -14,8 +14,7 @@ from splinecomplex.assembly import (
     assemble_matrix_2d,
     assemble_matrix_3d,
     assemble_port_boundary,
-    dirichlet_dofs_2d,
-    dirichlet_dofs_3d,
+    dirichlet_dofs,
     gauss_points_1d,
     gauss_points_2d,
     hcurl_error_3d,
@@ -226,9 +225,9 @@ def test_dirichlet_counts_3d():
     tcx = tcx_for(2, p)
     cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
     all_faces = [(a, s) for a in range(3) for s in (0, 1)]
-    constrained = dirichlet_dofs_3d(cx3, all_faces)
+    constrained = dirichlet_dofs(cx3, all_faces)
     # no-tags restriction is the identity
-    assert dirichlet_dofs_3d(cx3, []) == []
+    assert dirichlet_dofs(cx3, []) == []
     assert 0 < len(constrained) < cx3.x1_dim()
     # the free space excludes every clamped tangential dof
     dims = cx3.space_dims()
@@ -271,15 +270,6 @@ def test_zero_measure_elements_skipped():
     M = assemble_matrix_2d(sc, geom, "mass")
     rs = np.asarray(M.sum(axis=1)).ravel()
     npt.assert_allclose(rs.sum(), 1.0, atol=1e-12)
-
-
-def test_thread_count_does_not_change_results():
-    tcx = tcx_for(3, 3)
-    v2 = Vector2D.from_complex(tcx)
-    geom = linear_patch(np.pi * np.eye(2))
-    A1 = assemble_matrix_2d(v2, geom, "rotrot", threads=1)
-    A2 = assemble_matrix_2d(v2, geom, "rotrot", threads=3)
-    assert abs(A1 - A2).max() == 0.0
 
 
 # -- 3D tabulation against a per-anchor oracle ------------------------------------

@@ -132,3 +132,17 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", not_spd)
     assert run_cli(["solve-eig", "--problem", str(FIXTURES / "square_p3.json")], tmp_path) == 3
+
+
+def test_convergence_csv(tmp_path):
+    from splinecomplex.problems import square_eigenproblem
+
+    spec = tmp_path / "convergence.json"
+    dump_json({"kind": "convergence", "benchmark": "square", "degree": 3, "levels": [0, 1]}, spec)
+    assert run_cli(["convergence", "--problem", str(spec)], tmp_path) == 0
+    rows = []
+    for level in (0, 1):
+        run = square_eigenproblem(level)
+        rows.append(f"{run.dofs},{run.result.nonzero[0] - 1:.17g}\n")
+    assert [r.split(",")[0] for r in rows] == ["74", "184"]
+    assert (tmp_path / "convergence.csv").read_bytes() == ("dofs,value\n" + "".join(rows)).encode()

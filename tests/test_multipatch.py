@@ -266,3 +266,26 @@ def _eval_scalar3(cx3, coeffs, pts):
         if np.any(block):
             out += s2d.eval(block, pts[:, :2]) * zv
     return out
+
+
+def test_thick_l_zero_block_is_glued_gradient_image():
+    """The zero block of the thick-L Maxwell spectrum is the gradient image of
+    the glued scalar space under the same walls: its size is the number of
+    free scalar dofs."""
+    from splinecomplex.assembly import dirichlet_dofs
+    from splinecomplex.benchmarks import lsection_raw_tmesh
+    from splinecomplex.problems import thick_l_eigenproblem
+
+    p, nz = 1, 2
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
+    spaces = [Scalar3D(Complex3D(tcx, KnotVector.uniform(p, nz))) for _ in range(3)]
+    rots = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
+    itfs = [Interface((0, (1, 0)), (1, (0, 0))), Interface((1, (1, 0)), (2, (0, 0)))]
+    glue = build_glue(PatchSet([prism_patch(r) for r in rots], spaces, itfs))
+    walls = {0: [(0, 0), (0, 1), (1, 1)], 1: [(0, 1), (1, 1)], 2: [(0, 1), (1, 0), (1, 1)]}
+    walled = set()
+    for k, faces in walls.items():
+        walled.update(glue.global_dofs_for(k, dirichlet_dofs(spaces[k], faces + [(2, 0), (2, 1)])))
+    free = glue.ndof - len(walled)
+    assert free == 161
+    assert thick_l_eigenproblem(0, degree=p, nz=nz, count=None).result.zero_count == free

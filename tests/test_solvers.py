@@ -1,11 +1,10 @@
-"""Eigensolvers, port modes, scattering formulas, convergence tables."""
+"""Eigensolvers, port modes, scattering formulas."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from splinecomplex.solvers import (
-    ConvergenceTable,
     EigenResult,
     compute_scattering,
     solve_generalized_eig,
@@ -62,7 +61,7 @@ def test_port_mode_rectangle():
     # analytic TE10 cutoff: k10^2 = (pi/a)^2 on (0,a)x(0,b), a > b
     from fractions import Fraction as F
 
-    from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs_2d
+    from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs
     from splinecomplex.benchmarks import linear_patch
     from splinecomplex.tmesh import tensor_raw_tmesh
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
@@ -75,7 +74,7 @@ def test_port_mode_rectangle():
     K = assemble_matrix_2d(v2, geom, "rotrot")
     M = assemble_matrix_2d(v2, geom, "mass")
     faces = ((0, 0), (0, 1), (1, 0), (1, 1))
-    c = dirichlet_dofs_2d(v2, faces)
+    c = dirichlet_dofs(v2, faces)
     free = np.setdiff1d(np.arange(v2.dim), c)
     k2, e = solve_port_mode(K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray())
     npt.assert_allclose(k2, (np.pi / 2.0) ** 2, rtol=1e-6)
@@ -103,17 +102,6 @@ def test_scattering_pure_travelling_wave():
     R, T = compute_scattering(I1, I2, norm, beta, z1, z2)
     npt.assert_allclose(R, 0.0, atol=1e-15)
     npt.assert_allclose(T, 1.0, atol=1e-15)
-
-
-def test_convergence_table_csv():
-    t = ConvergenceTable("demo", [])
-    t.add(10, 0.5)
-    t.add(20, 0.25)
-    assert t.monotone_decreasing()
-    text = t.csv()
-    assert text.splitlines()[0] == "dofs,value"
-    assert text.endswith("\n")
-    assert "0.25" in text
 
 
 def test_count_keeps_nonzero_values_after_zero_block():

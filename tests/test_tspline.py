@@ -207,9 +207,9 @@ def test_zero_count_matches_restricted_grad_rank():
         if not clamped:
             keep0.append(a.index)
     v2 = Vector2D.from_complex(tcx)
-    from splinecomplex.assembly import dirichlet_dofs_2d
+    from splinecomplex.assembly import dirichlet_dofs
 
-    constrained1 = dirichlet_dofs_2d(v2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    constrained1 = dirichlet_dofs(v2, ((0, 0), (0, 1), (1, 0), (1, 1)))
     keep1 = np.setdiff1d(np.arange(v2.dim), constrained1)
     Gb = G[keep1][:, keep0]
     r = modular_rank(np.asarray(Gb.todense(), dtype=np.int64))
