@@ -520,18 +520,18 @@ def port_trace_dofs(cx3: Complex3D, side):
     return np.asarray(out)
 
 
-def assemble_port_boundary(cx3: Complex3D, section_geom, side, order=None):
+def assemble_port_boundary(cx3: Complex3D, section_mass, side):
     """Surface matrix of tangential traces on a z-port face.
 
-    Returns (B, trace_map): B is the full-size 3D sparse matrix of
-    int (n x E).(n x G) over the port, realized by the 2D mass matrix of the
-    section scattered to the trace dofs; trace_map are those 3D dofs.
+    ``section_mass`` is the 2D mass matrix of the section's vector space
+    ``Vector2D.from_complex(cx3.tcx)``.  Returns (B, trace_map): B is the
+    full-size 3D sparse matrix of int (n x E).(n x G) over the port,
+    realized by that mass matrix scattered to the trace dofs; trace_map are
+    those 3D dofs.
     """
-    v2 = Vector2D(cx3.tcx.Y1[0], cx3.tcx.Y1[1])
-    M2 = assemble_matrix_2d(v2, section_geom, "mass", order=order)
     tmap = port_trace_dofs(cx3, side)
     n = cx3.x1_dim()
-    M2 = M2.tocoo()
+    M2 = section_mass.tocoo()
     B = sp.coo_matrix((M2.data, (tmap[M2.row], tmap[M2.col])), shape=(n, n)).tocsr()
     return B, tmap
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bspline import Anchor1D, KnotVector, grad_matrix_1d, scaled_eval
-from .exactrank import rank_with_upper_bound
+from .exactrank import annihilates, rank_with_upper_bound, rational_kernel_vector
 from .tensormesh import TensorMesh, build_tensor_mesh
 
 __all__ = [
@@ -366,18 +366,8 @@ def verify_sequence(ops, chain, with_bc=False, kernel_vec=None, prefix="") -> Ex
     if with_bc:
         upper0 = chain[0]
     else:
-        vec = kernel_vec
-        if vec is None:
-            vec = np.ones(chain[0], dtype=np.int64)
-        if vec.dtype == object:
-            kernel_ok = all(v == 0 for v in (G.toarray().astype(object) @ vec))
-        else:
-            kernel_ok = np.all(np.asarray(G @ vec) == 0)
-        if not kernel_ok:
-            from .exactrank import rational_kernel_vector
-
-            vec = rational_kernel_vector(G)
-            kernel_ok = vec is not None
+        vec = np.ones(chain[0], dtype=np.int64) if kernel_vec is None else kernel_vec
+        kernel_ok = annihilates(G, vec) or rational_kernel_vector(G) is not None
         identities[f"{prefix}d0(const)=0"] = bool(kernel_ok)
         upper0 = chain[0] - 1
     r0, ok0 = rank_with_upper_bound(G, upper0)

@@ -223,8 +223,8 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     beta = math.sqrt(k * k - k10sq)
 
     glue, (K, M), free = _system(ps, {kk: ALL_FACES_2D for kk in range(npatch)}, ("curlcurl", "mass"))
-    B0, tmap0 = assemble_port_boundary(spaces[0], section_geom, 0)
-    B1, tmap1 = assemble_port_boundary(spaces[1], section_geom, 1)
+    B0, tmap0 = assemble_port_boundary(spaces[0], M2, 0)
+    B1, tmap1 = assemble_port_boundary(spaces[1], M2, 1)
     Bg = glue.global_matrix([B0, B1])
     z1, z2 = 0.0, length
     Me = M2 @ e10

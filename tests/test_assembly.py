@@ -246,16 +246,32 @@ def test_port_boundary_matrix():
     p = 2
     tcx = tcx_for(3, p)
     cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
-    geom = prism_patch(np.pi * np.eye(2))
     from splinecomplex.benchmarks import square_geometry
 
-    B, tmap = assemble_port_boundary(cx3, square_geometry(), 0)
+    M2 = assemble_matrix_2d(Vector2D.from_complex(tcx), square_geometry(), "mass")
+    B, tmap = assemble_port_boundary(cx3, M2, 0)
     Bd = B.toarray()
     assert abs(Bd - Bd.T).max() < 1e-13
     w = np.linalg.eigvalsh(0.5 * (Bd + Bd.T))
     assert w[0] > -1e-12  # positive semidefinite Gram of tangential traces
     # zero incident field gives a zero load by construction
     assert B.shape == (cx3.x1_dim(), cx3.x1_dim())
+
+
+def test_waveguide_assembles_section_mass_once(monkeypatch):
+    # the port mode and both port boundaries share one section mass matrix
+    from splinecomplex import assembly, problems
+
+    kinds = []
+
+    def counting(space, geom, kind, *args, **kw):
+        kinds.append(kind)
+        return assemble_matrix_2d(space, geom, kind, *args, **kw)
+
+    monkeypatch.setattr(problems, "assemble_matrix_2d", counting)
+    monkeypatch.setattr(assembly, "assemble_matrix_2d", counting)
+    problems.waveguide_scattering()
+    assert sorted(kinds) == ["mass", "rotrot"]
 
 
 def test_zero_measure_elements_skipped():

@@ -5,6 +5,9 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinecomplex.bspline import KnotVector
 from splinecomplex.complexes import (
@@ -14,8 +17,9 @@ from splinecomplex.complexes import (
     eval_field,
     restrict_boundary,
     verify_exactness,
+    verify_sequence,
 )
-from splinecomplex.exactrank import fraction_rank, modular_rank
+from splinecomplex.exactrank import _PRIMES, annihilates, fraction_rank, modular_rank, rational_kernel_vector
 from splinecomplex.tensormesh import build_tensor_mesh
 
 F = Fraction
@@ -154,6 +158,76 @@ def test_modular_rank_agrees_with_fractions():
     for _ in range(10):
         A = rng.integers(-3, 4, size=(12, 17))
         assert modular_rank(A) == fraction_rank(A)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Rank-deficient products of thin integer factors, with zero and
+    repeated rows and columns mixed in."""
+    m, n, k = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 4))
+
+    def factor(rows, cols):
+        entries = draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+        return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+    A = factor(m, k) @ factor(k, n)
+    for axis in (0, 1):
+        # -1 appends a zero line, i >= 0 repeats line i
+        picks = draw(st.lists(st.integers(-1, A.shape[axis] - 1), max_size=3))
+        extra = [np.take(A, [i], axis) * (i >= 0) for i in picks]
+        A = np.concatenate([A, *extra], axis=axis)
+        order = draw(st.permutations(range(A.shape[axis])))
+        A = np.take(A, order, axis)
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_modular_rank_property(A):
+    rank = fraction_rank(A)
+    assert modular_rank(A) == rank
+    r, pivots = modular_rank(sp.csr_matrix(A), return_pivots=True)
+    assert r == rank and len(set(pivots)) == rank
+    assert fraction_rank(A[:, pivots]) == rank
+
+
+def test_modular_rank_rejects_non_integers():
+    A = np.array([[1.0, 0.5], [0.0, 2.0]])
+    for M in (A, sp.csr_matrix(A)):
+        with pytest.raises(ValueError):
+            modular_rank(M)
+    assert modular_rank(sp.csr_matrix(2 * A)) == 2
+
+
+def test_modular_rank_drops_zeros_mod_p():
+    # an explicit stored zero is no pivot
+    A = sp.csr_matrix((np.array([0, 1, 0]), (np.array([0, 1, 1]), np.array([0, 0, 1]))), shape=(2, 2))
+    assert A.nnz == 3
+    assert modular_rank(A) == 1
+    # p and -p vanish mod p but not mod another prime
+    p, q = _PRIMES[:2]
+    B = np.array([[p, 1], [-p, 1], [2 * p, 0]])
+    for M in (B, sp.csr_matrix(B)):
+        assert modular_rank(M, p, return_pivots=True) == (1, [1])
+        assert modular_rank(M, q) == 2
+
+
+def test_rational_kernel_vector():
+    # kernel spanned by (5, -2, 1)
+    A = np.array([[2, 4, -2], [1, 3, 1]])
+    for M in (A, sp.csr_matrix(A)):
+        x = rational_kernel_vector(M)
+        assert x is not None and annihilates(M, x)
+        assert [5 * v for v in x] == [x[0] * v for v in (5, -2, 1)]
+    # a two-dimensional rational kernel
+    A = np.array([[3, 1, 0, 2], [0, 2, 5, 1]])
+    x = rational_kernel_vector(sp.csr_matrix(A))
+    assert any(v != 0 for v in x) and all(v == 0 for v in A.astype(object) @ x)
+    # full column rank
+    assert rational_kernel_vector(np.array([[1, 2], [3, 4], [5, 6]])) is None
+    # verify_sequence falls back to it when the constants are not in the kernel
+    rep = verify_sequence([sp.csr_matrix([[2, -1]])], [2, 1])
+    assert rep.identities["d0(const)=0"] and rep.passed and rep.certified
 
 
 def test_eval_field_partition_of_unity():
