@@ -2,9 +2,24 @@
 
 Integration runs element by element over the positive-area faces of the
 extended mesh (times nonempty knot spans in the third direction), with
-tensor Gauss rules of order degree+1 per direction.  Push-forward metric
-factors realize curl-conforming (j=1) and div-conforming (j=2) mappings;
-zero-measure elements contribute nothing and are skipped.
+tensor Gauss rules of order degree+1 per direction; zero-measure elements
+contribute nothing and are skipped.
+
+Every matrix is one element kernel, sum_q T_q W_q T_q^T, and its kind picks
+both factors:
+
+* the dof table T, shape (ndof, npts, c): the reference values of the space
+  for 'mass'; the reference values of its exterior derivative (grad, rot,
+  curl) for 'gradgrad', 'rotrot' and 'curlcurl';
+* the form degree j of the integrand: the space's own (Scalar2D 0,
+  Vector2D and Complex3D 1) for 'mass', one more for the derivative kinds;
+  W is the weight of the degree-j pullback (:func:`pullback_weight`): det J
+  for j=0, J^-1 J^-T det J for j=1, J^T J / det J for j=2 in 3D, 1 / det J
+  for the top form.
+
+Loads and the H(curl) error contract the same 3D tables with the pulled-back
+source and push the discrete field forward (:func:`apply_pullback`,
+:func:`apply_pushforward`).
 
 Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
 direction; component coefficient blocks are ordered (c1, c2, c3) with the
@@ -21,6 +36,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .bspline import KnotVector, grad_matrix_1d, scaled_eval
+from .geometry import apply_pullback, apply_pushforward, pullback_weight
 from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
 
@@ -31,7 +47,6 @@ __all__ = [
     "Vector2D",
     "Complex3D",
     "assemble_matrix_2d",
-    "assemble_load_2d",
     "assemble_matrix_3d",
     "assemble_load_3d",
     "assemble_port_boundary",
@@ -56,9 +71,8 @@ def gauss_points_1d(a, b, order):
 
 def gauss_points_2d(box, order):
     x1, y1, x2, y2 = box
-    ox, oy = (order, order) if np.isscalar(order) else order
-    px, wx = gauss_points_1d(x1, x2, ox)
-    py, wy = gauss_points_1d(y1, y2, oy)
+    px, wx = gauss_points_1d(x1, x2, order)
+    py, wy = gauss_points_1d(y1, y2, order)
     pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1).reshape(-1, 2)
     w = np.outer(wx, wy).reshape(-1)
     return pts, w
@@ -94,10 +108,9 @@ def _clamped_block(off, s2d, kvz, axis, side):
 
 @dataclass
 class Scalar2D:
-    """Scalar 2D space (form degree 0 or 2) over one T-spline space."""
+    """Scalar 2D space (form degree 0) over one T-spline space."""
 
     space: TsplineSpace
-    form: int = 0
 
     @property
     def dim(self):
@@ -146,119 +159,37 @@ def _shared_elements(*spaces):
     return boxes
 
 
-# -- 2D assembly -----------------------------------------------------------------
+# -- the element kernel -------------------------------------------------------------
 
 
-def _metric_2d(geom, pts):
-    J, det = geom.jacobian_dets(pts)
-    Jinv = np.linalg.inv(J)
-    Ginv = np.einsum("pik,pjk->pij", Jinv, Jinv)  # J^-1 J^-T
-    return J, det, Ginv
+def _kind(space, kind):
+    """(derivative table?, form degree j of the integrand) of a matrix kind."""
+    form, deriv_kind = _FORMS[type(space)]
+    if kind == "mass":
+        return False, form
+    if kind == deriv_kind:
+        return True, form + 1
+    raise ValueError(f"unknown kind {kind!r} for {type(space).__name__}")
 
 
-def assemble_matrix_2d(space, geom, kind, order=None):
-    """Sparse symmetric Galerkin matrix on one 2D patch.
-
-    kinds: 'mass' and 'gradgrad' on Scalar2D (form 0); 'mass' on a form-2
-    Scalar2D uses the determinant transform; 'mass' and 'rotrot' on Vector2D.
-    """
-    if isinstance(space, Scalar2D):
-        p = max(space.space.degrees)
-        order = order or p + 1
-        return _assemble_scalar_2d(space, geom, kind, order)
-    p = max(space.c1.degrees)
-    order = order or p + 1
-    return _assemble_vector_2d(space, geom, kind, order)
+def _bilinear(V, Gw):
+    """sum_q V[a,q,:] Gw[q] V[b,q,:]^T as one BLAS product; V has shape
+    (ndof, npts, c), Gw (npts, c, c)."""
+    nq, c = Gw.shape[0], Gw.shape[-1]
+    GV = np.matmul(V.transpose(1, 0, 2), Gw.transpose(0, 2, 1))  # (q, a, i)
+    A = GV.transpose(1, 0, 2).reshape(V.shape[0], nq * c)
+    B = V.reshape(V.shape[0], nq * c)
+    return A @ B.T
 
 
-def _assemble_scalar_2d(space: Scalar2D, geom, kind, order):
-    S = space.space
-
-    def element(e):
-        pts, w = gauss_points_2d(S.elements[e], order)
-        J, det, Ginv = _metric_2d(geom, pts)
-        idx, vals, gx, gy = S.element_table(e, order, derivs=kind == "gradgrad")
-        if kind == "mass" and space.form == 0:
-            M = vals.T @ (vals * (w * det)[:, None])
-        elif kind == "mass" and space.form == 2:
-            M = vals.T @ (vals * (w / det)[:, None])
-        elif kind == "gradgrad":
-            wdet = w * det
-            M = (
-                gx.T @ (gx * (Ginv[:, 0, 0] * wdet)[:, None])
-                + gx.T @ (gy * (Ginv[:, 0, 1] * wdet)[:, None])
-                + gy.T @ (gx * (Ginv[:, 1, 0] * wdet)[:, None])
-                + gy.T @ (gy * (Ginv[:, 1, 1] * wdet)[:, None])
-            )
-        else:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        return idx, M
-
-    return _merge_coo([element(e) for e in range(len(S.elements))], S.dim)
-
-
-def _assemble_vector_2d(space: Vector2D, geom, kind, order):
-    n1 = space.c1.dim
-    boxes = space.elements()
-
-    def element(e):
-        pts, w = gauss_points_2d(boxes[e], order)
-        J, det, Ginv = _metric_2d(geom, pts)
-        a1, *t1 = space.c1.element_table(e, order, derivs=kind == "rotrot")
-        a2, *t2 = space.c2.element_table(e, order, derivs=kind == "rotrot")
-        idx = np.concatenate([a1, n1 + a2])
-        if kind == "mass":
-            v1, v2 = t1[0], t2[0]
-            wdet = (w * det)[:, None]
-            M11 = v1.T @ (v1 * (Ginv[:, 0, 0])[:, None] * wdet)
-            M12 = v1.T @ (v2 * (Ginv[:, 0, 1])[:, None] * wdet)
-            M22 = v2.T @ (v2 * (Ginv[:, 1, 1])[:, None] * wdet)
-            M = np.block([[M11, M12], [M12.T, M22]])
-        elif kind == "rotrot":
-            # rot of (f, 0) is -df/dy; rot of (0, g) is dg/dx
-            r = np.concatenate([-t1[2], t2[1]], axis=1)
-            M = r.T @ (r * (w / det)[:, None])
-        else:
-            raise ValueError(f"unknown vector kind {kind!r}")
-        return idx, M
-
-    return _merge_coo([element(e) for e in range(len(boxes))], space.dim)
-
-
-def _weighted_sums(vals, wf):
-    """Per column of vals (npts, nact), np.sum(wf * column): the same
-    pairwise sums as summing each column on its own."""
-    return np.sum(np.ascontiguousarray(vals.T) * wf, axis=1)
-
-
-def assemble_load_2d(space, geom, f, order=None):
-    """Load vector for a physical source: scalar f for Scalar2D (form 0),
-    vector f for Vector2D (curl-conforming transform)."""
-    if isinstance(space, Scalar2D):
-        S = space.space
-        order = order or max(S.degrees) + 2
-        out = np.zeros(S.dim)
-        for e, box in enumerate(S.elements):
-            pts, w = gauss_points_2d(box, order)
-            J, det, _ = _metric_2d(geom, pts)
-            fv = np.asarray(f(geom.eval(pts)))
-            act, vals, _, _ = S.element_table(e, order, derivs=False)
-            out[act] += _weighted_sums(vals, w * det * fv)
-        return out
-    order = order or max(space.c1.degrees) + 2
-    out = np.zeros(space.dim)
-    n1 = space.c1.dim
-    for e, box in enumerate(space.elements()):
-        pts, w = gauss_points_2d(box, order)
-        J, det, _ = _metric_2d(geom, pts)
-        Jinv = np.linalg.inv(J)
-        fv = np.asarray(f(geom.eval(pts)))
-        fhat = np.einsum("pij,pj->pi", Jinv, fv)
-        wdet = w * det
-        for comp, (S, off) in enumerate(((space.c1, 0), (space.c2, n1))):
-            act, vals, _, _ = S.element_table(e, order, derivs=False)
-            out[off + act] += _weighted_sums(vals, wdet * fhat[:, comp])
-    return out
+def _matrix(cells, geom, j, n):
+    """Sum the element kernels of ``cells``, each (points, weights, dofs,
+    table), weighted by the degree-j pullback, into an n x n CSR matrix."""
+    out = []
+    for P, w, idx, T in cells:
+        J, det = geom.jacobian_dets(P)
+        out.append((idx, _bilinear(T, pullback_weight(j, J, det, w))))
+    return _merge_coo(out, n)
 
 
 def _merge_coo(results, n):
@@ -274,6 +205,43 @@ def _merge_coo(results, n):
         vals[sl] = M.reshape(-1)
         pos += M.size
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+# -- 2D assembly -----------------------------------------------------------------
+
+
+def _dof_tables_2d(space, e, order, deriv):
+    """Dofs of element ``e`` and their reference values, or with ``deriv``
+    their reference grads (Scalar2D) or rots (Vector2D), shape
+    (ndof, npts, c)."""
+    if isinstance(space, Scalar2D):
+        act, v, dx, dy = space.space.element_table(e, order, derivs=deriv)
+        return act, np.stack([dx.T, dy.T], axis=-1) if deriv else v.T[:, :, None]
+    parts = [S.element_table(e, order, derivs=deriv) for S in (space.c1, space.c2)]
+    idx = np.concatenate([parts[0][0], space.c1.dim + parts[1][0]])
+    T = np.zeros((idx.size, order**2, 1 if deriv else 2))
+    start = 0
+    for m, (act, v, dx, dy) in enumerate(parts):
+        blk = T[start : start + act.size]
+        start += act.size
+        if deriv:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx
+            blk[:, :, 0] = -dy.T if m == 0 else dx.T
+        else:
+            blk[:, :, m] = v.T
+    return idx, T
+
+
+def assemble_matrix_2d(space, geom, kind, order=None):
+    """Sparse symmetric Galerkin matrix on one 2D patch: 'mass' and
+    'gradgrad' on Scalar2D, 'mass' and 'rotrot' on Vector2D."""
+    deriv, j = _kind(space, kind)
+    degrees = space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees
+    order = order or max(degrees) + 1
+    cells = (
+        (*gauss_points_2d(box, order), *_dof_tables_2d(space, e, order, deriv))
+        for e, box in enumerate(space.elements())
+    )
+    return _matrix(cells, geom, j, space.dim)
 
 
 # -- 3D tensor spaces ---------------------------------------------------------------
@@ -362,6 +330,10 @@ class Complex3D:
         return {"grad": grad, "curl": curl, "div": div}
 
 
+# Per space type: its form degree and the kind built on its derivative table.
+_FORMS = {Scalar2D: (0, "gradgrad"), Vector2D: (1, "rotrot"), Complex3D: (1, "curlcurl")}
+
+
 def _z_elements(kv: KnotVector):
     return [(float(a), float(b)) for a, b in kv.spans()]
 
@@ -440,53 +412,29 @@ def _dof_tables_3d(blocks, e, s, order, curl):
 
 def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
     """'mass' or 'curlcurl' on the curl-conforming 3D space of one patch."""
-    if kind not in ("mass", "curlcurl"):
-        raise ValueError(f"unknown 3D kind {kind!r}")
-    p = cx3.tcx.degree
-    order = order or p + 1
+    deriv, j = _kind(cx3, kind)
+    order = order or cx3.tcx.degree + 1
     boxes, zspans, blocks = _x1_tables(cx3, order)
-
-    def element(e, s):
-        P, W = _rule_3d(boxes[e], zspans[s], order)
-        J, det = geom.jacobian_dets(P)
-        idx, T = _dof_tables_3d(blocks, e, s, order, curl=kind == "curlcurl")
-        if kind == "mass":
-            Jinv = np.linalg.inv(J)
-            G = np.einsum("pik,pjk->pij", Jinv, Jinv) * (det * W)[:, None, None]
-        else:
-            G = np.einsum("pki,pkj->pij", J, J) * (W / det)[:, None, None]
-        return idx, _bilinear(T, G)
-
-    return _merge_coo([element(e, s) for e in range(len(boxes)) for s in range(len(zspans))], cx3.x1_dim())
-
-
-def _bilinear(V, Gw):
-    """sum_q V[a,q,:] Gw[q] V[b,q,:]^T as one BLAS product."""
-    nq = Gw.shape[0]
-    GV = np.matmul(V.transpose(1, 0, 2), Gw.transpose(0, 2, 1))  # (q, a, i)
-    A = GV.transpose(1, 0, 2).reshape(V.shape[0], nq * 3)
-    B = V.reshape(V.shape[0], nq * 3)
-    return A @ B.T
+    cells = (
+        (*_rule_3d(box, zspan, order), *_dof_tables_3d(blocks, e, s, order, deriv))
+        for e, box in enumerate(boxes)
+        for s, zspan in enumerate(zspans)
+    )
+    return _matrix(cells, geom, j, cx3.x1_dim())
 
 
 def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
     """Load vector int f . v for the curl-conforming space of one patch."""
-    p = cx3.tcx.degree
-    order = order or p + 2
+    order = order or cx3.tcx.degree + 2
     boxes, zspans, blocks = _x1_tables(cx3, order)
     out = np.zeros(cx3.x1_dim())
     for e, box in enumerate(boxes):
         for s, zspan in enumerate(zspans):
             P, W = _rule_3d(box, zspan, order)
             J, det = geom.jacobian_dets(P)
-            Jinv = np.linalg.inv(J)
-            fv = np.asarray(f(geom.eval(P)))
-            fhat = np.einsum("pij,pj->pi", Jinv, fv) * (det * W)[:, None]
-            for m, (off, s2d, ztab) in enumerate(blocks):
-                act2, v2, _, _ = s2d.element_table(e, order, derivs=False)
-                actz, vz, _ = ztab[s]
-                target = fhat[:, m].reshape(order * order, order)
-                out[_block_dofs(off, s2d, act2, actz)] += (v2.T @ (target @ vz)).ravel()
+            fhat = apply_pullback(2, J, det, np.asarray(f(geom.eval(P)))) * W[:, None]
+            idx, T = _dof_tables_3d(blocks, e, s, order, curl=False)
+            out[idx] += T.reshape(idx.size, -1) @ fhat.ravel()
     return out
 
 
@@ -545,8 +493,7 @@ def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact, order=Non
     Returns (l2_err, curl_err) accumulated by quadrature on the extended
     mesh of one patch.
     """
-    p = cx3.tcx.degree
-    order = order or p + 2
+    order = order or cx3.tcx.degree + 2
     coeffs = np.asarray(coeffs)
     boxes, zspans, blocks = _x1_tables(cx3, order)
     e_l2 = 0.0
@@ -555,20 +502,11 @@ def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact, order=Non
         for s, zspan in enumerate(zspans):
             P, W = _rule_3d(box, zspan, order)
             J, det = geom.jacobian_dets(P)
-            val_hat = np.zeros((len(W), 3))
-            curl_hat = np.zeros((len(W), 3))
-            for m, (off, s2d, ztab) in enumerate(blocks):
-                act2, v2, dx2, dy2 = s2d.element_table(e, order)
-                actz, vz, dz = ztab[s]
-                cloc = coeffs[off + actz[None, :] * s2d.dim + act2[:, None]]
-                part = {"x": (dx2, vz), "y": (dy2, vz), "z": (v2, dz)}
-                val_hat[:, m] += np.einsum("pa,az,qz->pq", v2, cloc, vz).reshape(-1)
-                for comp, d, sign in _CURL[m]:
-                    a, b = part[d]
-                    curl_hat[:, comp] += sign * np.einsum("pa,az,qz->pq", a, cloc, b).reshape(-1)
-            Jinv = np.linalg.inv(J)
-            u_h = np.einsum("pji,pj->pi", Jinv, val_hat)  # J^-T hat u
-            curl_h = np.einsum("pij,pj->pi", J, curl_hat) / det[:, None]
+            idx, V = _dof_tables_3d(blocks, e, s, order, curl=False)
+            _, C = _dof_tables_3d(blocks, e, s, order, curl=True)
+            c = coeffs[idx]
+            u_h = apply_pushforward(1, J, det, (c @ V.reshape(idx.size, -1)).reshape(-1, 3))
+            curl_h = apply_pushforward(2, J, det, (c @ C.reshape(idx.size, -1)).reshape(-1, 3))
             X = geom.eval(P)
             du = u_h - np.asarray(u_exact(X))
             dc = curl_h - np.asarray(curlu_exact(X))

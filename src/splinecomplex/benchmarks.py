@@ -18,7 +18,7 @@ import numpy as np
 
 from .bspline import KnotVector
 from .geometry import GeometryMap, affine_map
-from .tmesh import RawTMesh
+from .tmesh import RawTMesh, TMesh2D
 
 F = Fraction
 
@@ -160,10 +160,10 @@ def lsection_raw_tmesh(level: int, degree: int, start: int = 8) -> RawTMesh:
     def line_extent(v):
         # index up to which the line at value v is present (full if coarse)
         if v in reach_of:
-            return idx[_nearest(bp, reach_of[v])]
+            return idx[reach_of[v]]
         return n - 1
 
-    # build faces by sweeping cells; cell (i, j) spans [bp[i], bp[i+1]] x ...
+    # elementary edge grids; the faces are read off the mesh they render
     VE = np.zeros((n, n - 1), dtype=bool)
     HE = np.zeros((n - 1, n), dtype=bool)
     for v in bp:
@@ -171,56 +171,7 @@ def lsection_raw_tmesh(level: int, degree: int, start: int = 8) -> RawTMesh:
         ext = line_extent(v)
         VE[i, :ext] = True
         HE[:ext, i] = True
-    raw = _raw_from_grids(bp, bp, VE, HE)
-    return raw
-
-
-def _nearest(sorted_vals, v):
-    for x in sorted_vals:
-        if x == v:
-            return x
-    raise ValueError(f"value {v} not on the grid")
-
-
-def _raw_from_grids(bx, by, VE, HE) -> RawTMesh:
-    """Recover the face list of a valid tiling from elementary edge grids."""
-    nx, ny = len(bx), len(by)
-    parent = list(range((nx - 1) * (ny - 1)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    cell = lambda i, j: i + (nx - 1) * j
-    for i in range(1, nx - 1):
-        for j in range(ny - 1):
-            if not VE[i, j]:
-                union(cell(i - 1, j), cell(i, j))
-    for i in range(nx - 1):
-        for j in range(1, ny - 1):
-            if not HE[i, j]:
-                union(cell(i, j - 1), cell(i, j))
-    groups = {}
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            groups.setdefault(find(cell(i, j)), []).append((i, j))
-    faces = []
-    for cells in groups.values():
-        i1 = min(c[0] for c in cells)
-        i2 = max(c[0] for c in cells) + 1
-        j1 = min(c[1] for c in cells)
-        j2 = max(c[1] for c in cells) + 1
-        assert len(cells) == (i2 - i1) * (j2 - j1)
-        faces.append((i1, j1, i2, j2))
-    faces.sort(key=lambda f: (f[1], f[0]))
-    return RawTMesh(tuple(bx), tuple(by), tuple(faces))
+    return RawTMesh(tuple(bp), tuple(bp), tuple(TMesh2D(bp, bp, VE, HE, (1, 1)).faces))
 
 
 def lsection_patches():
@@ -329,7 +280,7 @@ def cylinder_section_raw_tmesh(level: int, start: int = 4) -> RawTMesh:
     for j, v in enumerate(by):
         lim = idx_x[reach[v]] if v in reach else nx - 1
         HE[:lim, j] = True
-    return _raw_from_grids(bx, by, VE, HE)
+    return RawTMesh(tuple(bx), tuple(by), tuple(TMesh2D(bx, by, VE, HE, (1, 1)).faces))
 
 
 def waveguide_geometry(length: float = 1.0, npatches: int = 2):

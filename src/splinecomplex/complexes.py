@@ -25,7 +25,6 @@ __all__ = [
     "SplineSpace",
     "DiscreteComplex",
     "build_complex",
-    "diff_matrix",
     "verify_exactness",
     "restrict_boundary",
     "eval_field",
@@ -219,18 +218,6 @@ def build_complex(kvs) -> DiscreteComplex:
     raise ValueError("dimension must be 1, 2 or 3")
 
 
-def diff_matrix(complex_: DiscreteComplex, k: int):
-    """Operator matrix for form degree k (grad, curl/rot, div)."""
-    d = complex_.ndim
-    if d == 3:
-        return complex_.operators[("grad", "curl", "div")[k]]
-    if d == 2:
-        return complex_.operators[("grad", "rot")[k]]
-    if d == 1 and k == 0:
-        return complex_.operators["grad"]
-    raise ValueError("no such operator")
-
-
 # -- boundary restriction ---------------------------------------------------------
 
 
@@ -346,14 +333,14 @@ def _first_nonzero_product(A, B) -> bool:
     return P.nnz == 0 or np.all(P.data == 0)
 
 
-def verify_sequence(ops, chain, with_bc=False, kernel_vec=None, prefix="") -> ExactnessReport:
+def verify_sequence(ops, chain, with_bc=False, prefix="") -> ExactnessReport:
     """Certified rank identities for one sequence of operator matrices.
 
     ``ops`` is the ordered list of matrices, ``chain`` the space dimensions.
     Without boundary conditions the kernel of the first operator is spanned
-    by ``kernel_vec`` (the coefficients of the constant; all-ones is tried
-    when omitted); with full boundary conditions the sequence ends in the
-    integral functional and the first operator is injective.
+    by the coefficients of the constant (all-ones is tried first); with full
+    boundary conditions the sequence ends in the integral functional and the
+    first operator is injective.
     """
     identities = {}
     ranks = {}
@@ -366,8 +353,7 @@ def verify_sequence(ops, chain, with_bc=False, kernel_vec=None, prefix="") -> Ex
     if with_bc:
         upper0 = chain[0]
     else:
-        vec = np.ones(chain[0], dtype=np.int64) if kernel_vec is None else kernel_vec
-        kernel_ok = annihilates(G, vec) or rational_kernel_vector(G) is not None
+        kernel_ok = annihilates(G, np.ones(chain[0], dtype=np.int64)) or rational_kernel_vector(G) is not None
         identities[f"{prefix}d0(const)=0"] = bool(kernel_ok)
         upper0 = chain[0] - 1
     r0, ok0 = rank_with_upper_bound(G, upper0)

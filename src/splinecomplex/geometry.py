@@ -23,6 +23,7 @@ __all__ = [
     "pushforward",
     "apply_pullback",
     "apply_pushforward",
+    "pullback_weight",
     "ControlComplex",
     "build_control_complex",
     "control_distance",
@@ -180,6 +181,26 @@ def apply_pushforward(j: int, J: np.ndarray, det: np.ndarray, values: np.ndarray
     if j == 2:
         return np.einsum("pij,pj->pi", J, values) / det[:, None]
     raise ValueError("form degree must be 0..3")
+
+
+def pullback_weight(j: int, J: np.ndarray, det: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weights of the L2 product of degree-j forms in reference coordinates.
+
+    Returns G (npts, c, c) with int u . v dx = sum_q uhat_q . G_q vhat_q for
+    u, v the push-forwards of uhat, vhat and w the reference quadrature
+    weights: w det(J) for j=0, w J^-1 J^-T det(J) for j=1, w J^T J / det(J)
+    for j=2 in 3D and w / det(J) for the top form (j = ndim).
+    """
+    if j == 0:
+        return (w * det)[:, None, None]
+    if j == J.shape[-1]:
+        return (w / det)[:, None, None]
+    if j == 1:
+        Jinv = _inv(J)
+        return np.einsum("pik,pjk->pij", Jinv, Jinv) * (det * w)[:, None, None]
+    if j == 2:
+        return np.einsum("pki,pkj->pij", J, J) * (w / det)[:, None, None]
+    raise ValueError("form degree must be 0..ndim")
 
 
 def pullback(geo: GeometryMap, j: int, field):

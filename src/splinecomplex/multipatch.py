@@ -175,28 +175,14 @@ def _trace_dofs_x1(cx3: Complex3D, face):
 
 def _transform_key(key, perm, flip):
     """Map a trace key from a-face coordinates to b-face coordinates."""
-    kind = key[0]
-    if kind == "s":
-        lkvs = list(key[1:])
-    elif kind in ("s2",):
-        lkvs = list(key[1:])
-    elif kind == "t":
-        lkvs = list(key[2:])
-    elif kind == "t2":
-        lkvs = list(key[2:])
-    elif kind == "v":
-        lkvs = list(key[2:])
-    else:
-        raise ValueError(key)
-    nax = len(lkvs)
-    new = [None] * nax
-    for i in range(nax):
-        lk = _flip_lkv(lkvs[i]) if flip[i] else lkvs[i]
-        new[perm[i]] = lk
-    if kind in ("s", "s2"):
-        return (kind, *new)
-    comp = key[1]
-    return (kind, perm[comp], *new)
+    scalar = key[0] in ("s", "s2")  # scalar keys carry no component
+    lkvs = key[1:] if scalar else key[2:]
+    new = [None] * len(lkvs)
+    for i, lk in enumerate(lkvs):
+        new[perm[i]] = _flip_lkv(lk) if flip[i] else lk
+    if scalar:
+        return (key[0], *new)
+    return (key[0], perm[key[1]], *new)
 
 
 # -- geometric probes for orientation signs ----------------------------------------
@@ -358,7 +344,7 @@ def build_glue(ps: PatchSet, check: bool = True) -> Glue:
             if key_b not in ta:
                 raise ConformityError(f"unmatched trace function {key_b}")
             dof_a, key_a = ta[key_b]
-            sgn = _pair_sign(ps, ka, fa, key_a, kb, fb, key_b)
+            sgn = _pair_sign(ps, perm, flip, ka, fa, key_a, kb, fb, key_b)
             union(offset[ka] + dof_a, offset[kb] + dof_b, sgn)
 
     roots = {}
@@ -381,17 +367,13 @@ def build_glue(ps: PatchSet, check: bool = True) -> Glue:
     return Glue(scatters, ndof)
 
 
-def _pair_sign(ps, ka, fa, key_a, kb, fb, key_b):
+def _pair_sign(ps, perm, flip, ka, fa, key_a, kb, fb, key_b):
     """Orientation sign of the b-side trace relative to the a-side one,
-    compared at one matched face point (tangential projections)."""
+    compared at one matched face point (tangential projections); ``perm``
+    and ``flip`` map the a-face axes onto the b-face axes."""
     if key_a[0] in ("s", "s2"):
         return 1
-    itf_found = None
-    for itf in ps.interfaces:
-        if itf.a == (ka, fa) and itf.b == (kb, fb):
-            itf_found = itf
     ndim = ps.geoms[ka].ndim
-    perm, flip = itf_found.normalized(ndim - 1)
     ca = _key_coords(key_a)
     cb = [None] * (ndim - 1)
     for i in range(ndim - 1):

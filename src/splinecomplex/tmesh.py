@@ -748,13 +748,7 @@ class TsplineSpace:
 
     def gram_matrix(self, order=None) -> np.ndarray:
         """Mass matrix on the extended mesh of the underlying T-mesh."""
-        from .assembly import gauss_points_2d
+        from .assembly import Scalar2D, assemble_matrix_2d
+        from .geometry import affine_map
 
-        order = order or (max(self.degrees) + 1)
-        self.factor_tables(order)
-        G = np.zeros((self.dim, self.dim))
-        for e, box in enumerate(self.elements):
-            _, w = gauss_points_2d(box, order)
-            act, vals, _, _ = self.element_table(e, order, derivs=False)
-            G[np.ix_(act, act)] += vals.T @ (vals * w[:, None])
-        return G
+        return assemble_matrix_2d(Scalar2D(self), affine_map(1.0, ndim=2), "mass", order).toarray()

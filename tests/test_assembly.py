@@ -19,7 +19,7 @@ from splinecomplex.assembly import (
     gauss_points_2d,
     hcurl_error_3d,
 )
-from splinecomplex.benchmarks import linear_patch, prism_patch, square_raw_tmesh
+from splinecomplex.benchmarks import cylinder_sector_patches, linear_patch, prism_patch, square_raw_tmesh
 from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
 from splinecomplex.complexes import build_complex
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
@@ -288,7 +288,56 @@ def test_zero_measure_elements_skipped():
     npt.assert_allclose(rs.sum(), 1.0, atol=1e-12)
 
 
-# -- 3D tabulation against a per-anchor oracle ------------------------------------
+# -- tabulation against a per-anchor oracle ----------------------------------------
+
+
+def _boxes(mesh):
+    """Float boxes of the positive-area faces of the extended mesh."""
+    ext = mesh.extended()
+    return [
+        (float(ext.xs[f[0]]), float(ext.ys[f[1]]), float(ext.xs[f[2]]), float(ext.ys[f[3]]))
+        for f in ext.positive_faces()
+    ]
+
+
+def _factor(lkv, degree, scaling, x):
+    """Value and derivative of one 1D factor, evaluated on its own."""
+    from splinecomplex.bspline import scaled_eval
+
+    return scaled_eval(lkv, degree, scaling, x, 0), scaled_eval(lkv, degree, scaling, x, 1)
+
+
+def _overlaps(lo, hi, a, b):
+    return float(lo) < b and float(hi) > a
+
+
+def _per_anchor_dofs_2d(space, order):
+    """Reference tables: every function of a Scalar2D or Vector2D space
+    evaluated on its own at the Gauss points of every element it is active
+    on.
+
+    Yields (P, W, [(dof, value (npts, c), derivative (npts, c'))]) per
+    element; the derivative is the grad (Scalar2D) or the rot (Vector2D).
+    """
+    comps = [(space.space, 0)] if isinstance(space, Scalar2D) else [(space.c1, 0), (space.c2, space.c1.dim)]
+    for x1, y1, x2, y2 in _boxes(comps[0][0].mesh):
+        P, W = gauss_points_2d((x1, y1, x2, y2), order)
+        dofs = []
+        for m, (S, off) in enumerate(comps):
+            (p1, p2), (s1, s2) = S.degrees, S.scalings
+            for a in S.anchors:
+                lo1, hi1, lo2, hi2 = a.support
+                if not (_overlaps(lo1, hi1, x1, x2) and _overlaps(lo2, hi2, y1, y2)):
+                    continue
+                (fx, gx), (fy, gy) = _factor(a.lkv1, p1, s1, P[:, 0]), _factor(a.lkv2, p2, s2, P[:, 1])
+                if isinstance(space, Scalar2D):
+                    dofs.append((a.index, (fx * fy)[:, None], np.column_stack([gx * fy, fx * gy])))
+                    continue
+                val = np.zeros((len(W), 2))
+                val[:, m] = fx * fy
+                rot = -fx * gy if m == 0 else gx * fy
+                dofs.append((off + a.index, val, rot[:, None]))
+        yield P, W, dofs
 
 
 def _per_anchor_dofs_3d(cx3, order):
@@ -297,15 +346,8 @@ def _per_anchor_dofs_3d(cx3, order):
 
     Yields (P, W, [(dof, value (npts, 3), curl (npts, 3))]) per element.
     """
-    from splinecomplex.bspline import scaled_eval
-
-    ext = cx3.tcx.meshes.M0.extended()
-    boxes = [
-        (float(ext.xs[f[0]]), float(ext.ys[f[1]]), float(ext.xs[f[2]]), float(ext.ys[f[3]]))
-        for f in ext.positive_faces()
-    ]
     offs = cx3.x1_offsets()
-    for x1, y1, x2, y2 in boxes:
+    for x1, y1, x2, y2 in _boxes(cx3.tcx.meshes.M0):
         for za, zb in ((float(a), float(b)) for a, b in cx3.kv_z.spans()):
             pts2, w2 = gauss_points_2d((x1, y1, x2, y2), order)
             pz, wz = gauss_points_1d(za, zb, order)
@@ -316,16 +358,15 @@ def _per_anchor_dofs_3d(cx3, order):
                 (p1, p2), (s1, s2) = s2d.degrees, s2d.scalings
                 q, ks = kvz.degree, kvz.knots
                 for a in s2d.anchors:
-                    lo1, hi1, lo2, hi2 = (float(v) for v in a.support)
-                    if not (lo1 < x2 and hi1 > x1 and lo2 < y2 and hi2 > y1):
+                    lo1, hi1, lo2, hi2 = a.support
+                    if not (_overlaps(lo1, hi1, x1, x2) and _overlaps(lo2, hi2, y1, y2)):
                         continue
                     for iz in range(kvz.n):
                         lz = ks[iz : iz + q + 2]
-                        if not (float(lz[0]) < zb and float(lz[-1]) > za):
+                        if not _overlaps(lz[0], lz[-1], za, zb):
                             continue
-                        fx, gx = (scaled_eval(a.lkv1, p1, s1, P[:, 0], d) for d in (0, 1))
-                        fy, gy = (scaled_eval(a.lkv2, p2, s2, P[:, 1], d) for d in (0, 1))
-                        fz, gz = (scaled_eval(lz, q, zscal, P[:, 2], d) for d in (0, 1))
+                        (fx, gx), (fy, gy) = _factor(a.lkv1, p1, s1, P[:, 0]), _factor(a.lkv2, p2, s2, P[:, 1])
+                        fz, gz = _factor(lz, q, zscal, P[:, 2])
                         f, dx, dy, dz = fx * fy * fz, gx * fy * fz, fx * gy * fz, fx * fy * gz
                         val = np.zeros((len(W), 3))
                         val[:, m] = f
@@ -337,42 +378,85 @@ def _per_anchor_dofs_3d(cx3, order):
             yield P, W, dofs
 
 
+def _push(j, J, det, v):
+    """Physical values of reference degree-j values v (npts, c), written out
+    point by point: j=0 as is, j=1 J^-T v, j=2 in 3D J v / det J, the top
+    form v / det J."""
+    ndim = J.shape[-1]
+    if j == 0:
+        return v
+    if j == ndim:
+        return v / det[:, None]
+    if j == 1:
+        return np.array([np.linalg.solve(Jp.T, vp) for Jp, vp in zip(J, v)])
+    return np.array([Jp @ vp / dp for Jp, dp, vp in zip(J, det, v)])
+
+
+def _oracle_matrices(cells, geom, n, j):
+    """Mass and derivative matrices of per-anchor cells: each function is
+    pushed forward on its own (values as degree-j forms, derivatives as
+    degree j+1) and every pair is integrated in physical coordinates."""
+    M, K = np.zeros((n, n)), np.zeros((n, n))
+    for P, W, dofs in cells:
+        J, det = geom.jacobian_dets(P)
+        idx = [i for i, _, _ in dofs]
+        U = np.array([_push(j, J, det, v) for _, v, _ in dofs])
+        C = np.array([_push(j + 1, J, det, d) for _, _, d in dofs])
+        M[np.ix_(idx, idx)] += np.einsum("apk,bpk,p->ab", U, U, W * det)
+        K[np.ix_(idx, idx)] += np.einsum("apk,bpk,p->ab", C, C, W * det)
+    return M, K
+
+
+def _rel(A, B):
+    return np.abs(A - B).max() / np.abs(B).max()
+
+
+def test_2d_matrices_match_per_anchor_oracle():
+    # a curved NURBS map: J is not normal, so J^-1 J^-T and J^-T J^-1 differ
+    from tests.test_geometry import quarter_annulus
+
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(0), 2))
+    geom = quarter_annulus()
+    spaces = (
+        (Scalar2D(TsplineSpace(tcx.meshes.M0)), 0, "gradgrad"),
+        (Vector2D.from_complex(tcx), 1, "rotrot"),
+    )
+    for space, j, deriv_kind in spaces:
+        M, K = _oracle_matrices(_per_anchor_dofs_2d(space, 3), geom, space.dim, j)
+        assert _rel(assemble_matrix_2d(space, geom, "mass").toarray(), M) < 1e-12
+        assert _rel(assemble_matrix_2d(space, geom, deriv_kind).toarray(), K) < 1e-12
+
+
 def test_3d_tables_match_per_anchor_oracle():
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(0), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
-    geom = prism_patch(np.array([[1.0, 0.3], [-0.2, 0.8]]))
+    # an affine prism and a degenerate NURBS cylinder slice
+    for geom in (prism_patch(np.array([[1.0, 0.3], [-0.2, 0.8]])), cylinder_sector_patches()[0]):
+        _check_3d_against_oracle(cx3, geom)
+
+
+def _check_3d_against_oracle(cx3, geom):
     n = cx3.x1_dim()
     f = lambda X: np.column_stack([np.sin(X[:, 2]), X[:, 0] * X[:, 1], np.cos(X[:, 0])])
     coeffs = np.random.default_rng(7).standard_normal(n)
 
-    M, K, b = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
-    for P, W, dofs in _per_anchor_dofs_3d(cx3, 3):
-        J, det = geom.jacobian_dets(P)
-        Jinv = np.linalg.inv(J)
-        idx = [i for i, _, _ in dofs]
-        U = np.array([np.einsum("pji,pj->pi", Jinv, v) for _, v, _ in dofs])
-        C = np.array([np.einsum("pij,pj->pi", J, c) / det[:, None] for _, _, c in dofs])
-        M[np.ix_(idx, idx)] += np.einsum("apk,bpk,p->ab", U, U, W * det)
-        K[np.ix_(idx, idx)] += np.einsum("apk,bpk,p->ab", C, C, W * det)
+    M, K = _oracle_matrices(_per_anchor_dofs_3d(cx3, 3), geom, n, 1)
+    b = np.zeros(n)
     e_l2 = e_curl = 0.0
     for P, W, dofs in _per_anchor_dofs_3d(cx3, 4):
         J, det = geom.jacobian_dets(P)
-        Jinv = np.linalg.inv(J)
         X = geom.eval(P)
         u_h, c_h = np.zeros((len(W), 3)), np.zeros((len(W), 3))
         for i, vi, ci in dofs:
-            ui = np.einsum("pji,pj->pi", Jinv, vi)
+            ui = _push(1, J, det, vi)
             b[i] += np.sum(W * det * np.sum(f(X) * ui, axis=1))
             u_h += coeffs[i] * ui
-            c_h += coeffs[i] * np.einsum("pij,pj->pi", J, ci) / det[:, None]
+            c_h += coeffs[i] * _push(2, J, det, ci)
         e_l2 += np.sum(W * det * np.sum((u_h - f(X)) ** 2, axis=1))
         e_curl += np.sum(W * det * np.sum((c_h - f(X)) ** 2, axis=1))
 
-    def rel(A, B):
-        return np.abs(A - B).max() / np.abs(B).max()
-
-    assert rel(assemble_matrix_3d(cx3, geom, "mass").toarray(), M) < 1e-12
-    assert rel(assemble_matrix_3d(cx3, geom, "curlcurl").toarray(), K) < 1e-12
-    assert rel(assemble_load_3d(cx3, geom, f), b) < 1e-12
+    assert _rel(assemble_matrix_3d(cx3, geom, "mass").toarray(), M) < 1e-12
+    assert _rel(assemble_matrix_3d(cx3, geom, "curlcurl").toarray(), K) < 1e-12
+    assert _rel(assemble_load_3d(cx3, geom, f), b) < 1e-12
     err = hcurl_error_3d(cx3, geom, coeffs, f, f)
-    assert rel(np.array(err), np.sqrt([e_l2, e_curl])) < 1e-12
+    assert _rel(np.array(err), np.sqrt([e_l2, e_curl])) < 1e-12

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from splinecomplex.bspline import KnotVector
 from splinecomplex.complexes import (
     build_complex,
-    diff_matrix,
     entity_correspondence,
     eval_field,
     restrict_boundary,

@@ -1,6 +1,7 @@
 """T-mesh structure, extensions, analysis-suitability and anchor tracing."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,12 +9,15 @@ import pytest
 
 from splinecomplex.benchmarks import (
     crossing_extensions_raw,
+    cylinder_section_raw_tmesh,
     fig_extensions_raw,
     fig_local_kv_raw,
+    lsection_raw_tmesh,
     square_raw_tmesh,
     two_t_raw,
 )
 from splinecomplex.bspline import KnotVector
+from splinecomplex.serialization import load_json, tmesh_to_dict
 from splinecomplex.tmesh import (
     RawTMesh,
     TMesh2D,
@@ -24,6 +28,7 @@ from splinecomplex.tmesh import (
 )
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def uniform_raw(n):
@@ -262,3 +267,10 @@ def test_as_symmetric_under_mirror():
     transposed_faces = tuple((j1, i1, j2, i2) for (i1, j1, i2, j2) in raw.faces)
     transposed = RawTMesh(raw.breakpoints_y, raw.breakpoints_x, transposed_faces)
     assert not validate_tmesh(transposed, (3, 3)).is_analysis_suitable()[0]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_refined_mesh_generators_match_fixtures(level):
+    # the committed L-section and cylinder-section fixtures are these generators' output
+    assert tmesh_to_dict(lsection_raw_tmesh(level, 4)) == load_json(FIXTURES / f"lsection_tmesh_p4_l{level}.json")
+    assert tmesh_to_dict(cylinder_section_raw_tmesh(level)) == load_json(FIXTURES / f"cylinder_section_l{level}.json")
