@@ -21,6 +21,15 @@ Loads and the H(curl) error contract the same 3D tables with the pulled-back
 source and push the discrete field forward (:func:`apply_pullback`,
 :func:`apply_pushforward`).
 
+Per patch and quadrature rule, the Gauss points of all cells form one
+record, shape (ncell, npts, d): the geometry (J, det J, the physical points)
+and the pullback weights are evaluated once on it and sliced per cell.  The
+element blocks of a matrix go into a CSR pattern built once per element set
+(sorted ``indptr``/``indices`` plus the slot of every block entry in
+``data``), so each kind is one ``np.bincount`` over the slots; inside
+:func:`_shared_patterns` every kind and every patch on the same spaces
+reuses it.
+
 Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
 direction; component coefficient blocks are ordered (c1, c2, c3) with the
 2D anchor index running fastest inside each block.
@@ -29,6 +38,7 @@ direction; component coefficient blocks are ordered (c1, c2, c3) with the
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +80,18 @@ def gauss_points_1d(a, b, order):
 
 
 def gauss_points_2d(box, order):
-    x1, y1, x2, y2 = box
-    px, wx = gauss_points_1d(x1, x2, order)
-    py, wy = gauss_points_1d(y1, y2, order)
-    pts = np.stack(np.meshgrid(px, py, indexing="ij"), axis=-1).reshape(-1, 2)
-    w = np.outer(wx, wy).reshape(-1)
-    return pts, w
+    P, W = _rules_2d([box], order)
+    return P[0], W[0]
+
+
+def _rules_2d(boxes, order):
+    """Tensor Gauss rules of all boxes (x1, y1, x2, y2): points (nbox,
+    order**2, 2), x index slowest, and weights (nbox, order**2)."""
+    B = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    px, wx = gauss_points_1d(B[:, :1], B[:, 2:3], order)
+    py, wy = gauss_points_1d(B[:, 1:2], B[:, 3:], order)
+    P = np.stack(np.broadcast_arrays(px[:, :, None], py[:, None, :]), axis=-1)
+    return P.reshape(len(B), -1, 2), (wx[:, :, None] * wy[:, None, :]).reshape(len(B), -1)
 
 
 # -- space wrappers ------------------------------------------------------------
@@ -182,29 +198,62 @@ def _bilinear(V, Gw):
     return A @ B.T
 
 
-def _matrix(cells, geom, j, n):
-    """Sum the element kernels of ``cells``, each (points, weights, dofs,
-    table), weighted by the degree-j pullback, into an n x n CSR matrix."""
-    out = []
-    for P, w, idx, T in cells:
-        J, det = geom.jacobian_dets(P)
-        out.append((idx, _bilinear(T, pullback_weight(j, J, det, w))))
-    return _merge_coo(out, n)
+_PATTERNS = None  # pattern per element set while _shared_patterns() is open
 
 
-def _merge_coo(results, n):
-    """Sum element matrices into one CSR matrix, duplicates in element order.
-    Triplets go straight into preallocated arrays with 32-bit indices."""
-    nnz = sum(M.size for _, M in results)
-    rows, cols, vals = np.empty(nnz, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
-    pos = 0
-    for idx, M in results:
-        sl = slice(pos, pos + M.size)
-        rows[sl] = np.repeat(idx, len(idx))
-        cols[sl] = np.tile(idx, len(idx))
-        vals[sl] = M.reshape(-1)
-        pos += M.size
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+@contextmanager
+def _shared_patterns():
+    """Matrices assembled inside the block on the same element dof lists
+    share one sparsity pattern; it is dropped on exit."""
+    global _PATTERNS
+    outer, _PATTERNS = _PATTERNS, {}
+    try:
+        yield
+    finally:
+        _PATTERNS = outer
+
+
+def _pattern(space, n, dofs):
+    """CSR pattern of the element blocks dofs x dofs: (indptr, indices,
+    slot), slot the position in ``data`` of each block entry, blocks in
+    element order and row-major.  The element dof lists are fixed by the 2D
+    spaces (and the vertical knot vector), which key the shared patterns."""
+    if isinstance(space, Complex3D):
+        key = (space.tcx.Y0, *space.tcx.Y1, space.kv_z)
+    else:
+        key = (space.space,) if isinstance(space, Scalar2D) else (space.c1, space.c2)
+    if _PATTERNS is not None and key in _PATTERNS:
+        return _PATTERNS[key]
+    sizes = np.array([d.size for d in dofs])
+    E = sp.csr_matrix((np.ones(sizes.sum()), np.concatenate(dofs), np.r_[0, np.cumsum(sizes)]), shape=(len(dofs), n))
+    A = (E.T @ E).tocsr()  # the dof pairs sharing an element
+    A.sort_indices()
+    flat = np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices  # sorted row * n + col
+    slot, ends = np.empty((sizes**2).sum(), dtype=np.intp), np.cumsum(sizes**2)
+    for d, end in zip(dofs, ends):
+        slot[end - d.size**2 : end] = np.searchsorted(flat, (d[:, None] * n + d[None, :]).ravel())
+    pattern = (A.indptr, A.indices, slot)
+    if _PATTERNS is not None:
+        _PATTERNS[key] = pattern
+    return pattern
+
+
+def _matrix(space, n, rule, tables, geom, j):
+    """Sum the element kernels of one patch, (dofs, table) per cell from
+    ``tables``, into an n x n CSR matrix.  The degree-j pullback weight is
+    computed once at the points (ncell, npts, d) of ``rule`` = (points,
+    weights) and sliced per cell."""
+    P, W = rule
+    J, det = geom.jacobian_dets(P.reshape(-1, P.shape[-1]))
+    G = pullback_weight(j, J, det, W.ravel())
+    G = G.reshape(*W.shape, *G.shape[1:])
+    dofs, blocks = [], []
+    for (idx, T), Gk in zip(tables, G):
+        dofs.append(idx)
+        blocks.append(_bilinear(T, Gk).ravel())
+    indptr, indices, slot = _pattern(space, n, dofs)
+    data = np.bincount(slot, weights=np.concatenate(blocks), minlength=indices.size)
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))  # copies: the pattern is shared
 
 
 # -- 2D assembly -----------------------------------------------------------------
@@ -237,11 +286,9 @@ def assemble_matrix_2d(space, geom, kind, order=None):
     deriv, j = _kind(space, kind)
     degrees = space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees
     order = order or max(degrees) + 1
-    cells = (
-        (*gauss_points_2d(box, order), *_dof_tables_2d(space, e, order, deriv))
-        for e, box in enumerate(space.elements())
-    )
-    return _matrix(cells, geom, j, space.dim)
+    boxes = space.elements()
+    tables = (_dof_tables_2d(space, e, order, deriv) for e in range(len(boxes)))
+    return _matrix(space, space.dim, _rules_2d(boxes, order), tables, geom, j)
 
 
 # -- 3D tensor spaces ---------------------------------------------------------------
@@ -355,24 +402,29 @@ def _z_tables(kv: KnotVector, scaling, spans, order):
 
 
 def _x1_tables(cx3: Complex3D, order):
-    """The tabulation of one patch's X1 space: its elements, z-spans and,
-    per block, (dof offset, 2D space, z tables), with the 2D caches filled."""
+    """The tabulation of one patch's X1 space: the Gauss rule of all its
+    cells (element, z-span), the cells, and per block (dof offset, 2D space,
+    z tables), with the 2D caches filled."""
     zspans = _z_elements(cx3.kv_z)
     blocks = []
     for off, (s2d, kvz, zscal) in zip(cx3.x1_offsets(), cx3.x1_blocks()):
         s2d.factor_tables(order)
         blocks.append((off, s2d, _z_tables(kvz, zscal, zspans, order)))
     boxes = _shared_elements(cx3.tcx.Y0, cx3.tcx.Y1[0], cx3.tcx.Y1[1])
-    return boxes, zspans, blocks
+    cells = [(e, s) for e in range(len(boxes)) for s in range(len(zspans))]
+    return _rules_3d(boxes, zspans, order), cells, blocks
 
 
-def _rule_3d(box, zspan, order):
-    """Tensor Gauss rule of one 3D element: points (npts, 3), 2D point
-    index slowest, and weights."""
-    pts2, w2 = gauss_points_2d(box, order)
-    pz, wz = gauss_points_1d(zspan[0], zspan[1], order)
-    P = np.concatenate([np.repeat(pts2, len(wz), axis=0), np.tile(pz, len(w2))[:, None]], axis=1)
-    return P, (w2[:, None] * wz[None, :]).reshape(-1)
+def _rules_3d(boxes, zspans, order):
+    """Tensor Gauss rules of all 3D cells (box, z-span), z-span fastest:
+    points (ncell, npts, 3), 2D point index slowest, and weights."""
+    P2, W2 = _rules_2d(boxes, order)
+    Z = np.asarray(zspans, dtype=float)
+    pz, wz = gauss_points_1d(Z[:, :1], Z[:, 1:], order)
+    P = np.empty((len(P2), len(Z), P2.shape[1], order, 3))
+    P[..., :2], P[..., 2] = P2[:, None, :, None, :], pz[None, :, None, :]
+    W = W2[:, None, :, None] * wz[None, :, None, :]
+    return P.reshape(len(P2) * len(Z), -1, 3), W.reshape(len(P2) * len(Z), -1)
 
 
 def _block_dofs(off, s2d, act2, actz):
@@ -389,52 +441,51 @@ def _outer(a, b):
 _CURL = (((1, "z", 1), (2, "y", -1)), ((0, "z", -1), (2, "x", 1)), ((0, "y", 1), (1, "x", -1)))
 
 
-def _dof_tables_3d(blocks, e, s, order, curl):
-    """Dofs of element (e, z-span s) and their reference values, or with
-    ``curl`` their reference curls, shape (ndof, npts, 3), from outer
-    products of the 2D element tables and the z tables."""
+def _dof_tables_3d(blocks, e, s, order, *curls):
+    """Dofs of element (e, z-span s) and, per flag of ``curls``, their
+    reference values (False) or reference curls (True), shape (ndof, npts,
+    3), from outer products of one tabulation of the 2D element tables and
+    the z tables."""
     dofs, parts = [], []
     for off, s2d, ztab in blocks:
-        act2, v2, dx2, dy2 = s2d.element_table(e, order, derivs=curl)
+        act2, v2, dx2, dy2 = s2d.element_table(e, order, derivs=any(curls))
         actz, vz, dz = ztab[s]
         dofs.append(_block_dofs(off, s2d, act2, actz))
         parts.append({"f": (v2, vz), "x": (dx2, vz), "y": (dy2, vz), "z": (v2, dz)})
     idx = np.concatenate(dofs)
-    T = np.zeros((idx.size, order**3, 3))
-    start = 0
-    for m, (block, part) in enumerate(zip(dofs, parts)):
-        blk = T[start : start + block.size]
-        start += block.size
-        for comp, d, sign in _CURL[m] if curl else ((m, "f", 1),):
-            blk[:, :, comp] = sign * _outer(*part[d])
-    return idx, T
+    tables = []
+    for curl in curls:
+        T = np.zeros((idx.size, order**3, 3))
+        start = 0
+        for m, (block, part) in enumerate(zip(dofs, parts)):
+            blk = T[start : start + block.size]
+            start += block.size
+            for comp, d, sign in _CURL[m] if curl else ((m, "f", 1),):
+                blk[:, :, comp] = sign * _outer(*part[d])
+        tables.append(T)
+    return (idx, *tables)
 
 
 def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
     """'mass' or 'curlcurl' on the curl-conforming 3D space of one patch."""
     deriv, j = _kind(cx3, kind)
     order = order or cx3.tcx.degree + 1
-    boxes, zspans, blocks = _x1_tables(cx3, order)
-    cells = (
-        (*_rule_3d(box, zspan, order), *_dof_tables_3d(blocks, e, s, order, deriv))
-        for e, box in enumerate(boxes)
-        for s, zspan in enumerate(zspans)
-    )
-    return _matrix(cells, geom, j, cx3.x1_dim())
+    rule, cells, blocks = _x1_tables(cx3, order)
+    tables = (_dof_tables_3d(blocks, e, s, order, deriv) for e, s in cells)
+    return _matrix(cx3, cx3.x1_dim(), rule, tables, geom, j)
 
 
 def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
     """Load vector int f . v for the curl-conforming space of one patch."""
     order = order or cx3.tcx.degree + 2
-    boxes, zspans, blocks = _x1_tables(cx3, order)
+    (P, W), cells, blocks = _x1_tables(cx3, order)
+    P = P.reshape(-1, 3)
+    J, det = geom.jacobian_dets(P)
+    fhat = apply_pullback(2, J, det, np.asarray(f(geom.eval(P)))) * W.reshape(-1, 1)
     out = np.zeros(cx3.x1_dim())
-    for e, box in enumerate(boxes):
-        for s, zspan in enumerate(zspans):
-            P, W = _rule_3d(box, zspan, order)
-            J, det = geom.jacobian_dets(P)
-            fhat = apply_pullback(2, J, det, np.asarray(f(geom.eval(P)))) * W[:, None]
-            idx, T = _dof_tables_3d(blocks, e, s, order, curl=False)
-            out[idx] += T.reshape(idx.size, -1) @ fhat.ravel()
+    for (e, s), fk in zip(cells, fhat.reshape(len(cells), -1)):
+        idx, T = _dof_tables_3d(blocks, e, s, order, False)
+        out[idx] += T.reshape(idx.size, -1) @ fk
     return out
 
 
@@ -495,21 +546,17 @@ def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact, order=Non
     """
     order = order or cx3.tcx.degree + 2
     coeffs = np.asarray(coeffs)
-    boxes, zspans, blocks = _x1_tables(cx3, order)
-    e_l2 = 0.0
-    e_curl = 0.0
-    for e, box in enumerate(boxes):
-        for s, zspan in enumerate(zspans):
-            P, W = _rule_3d(box, zspan, order)
-            J, det = geom.jacobian_dets(P)
-            idx, V = _dof_tables_3d(blocks, e, s, order, curl=False)
-            _, C = _dof_tables_3d(blocks, e, s, order, curl=True)
-            c = coeffs[idx]
-            u_h = apply_pushforward(1, J, det, (c @ V.reshape(idx.size, -1)).reshape(-1, 3))
-            curl_h = apply_pushforward(2, J, det, (c @ C.reshape(idx.size, -1)).reshape(-1, 3))
-            X = geom.eval(P)
-            du = u_h - np.asarray(u_exact(X))
-            dc = curl_h - np.asarray(curlu_exact(X))
-            e_l2 += np.sum(W * det * np.sum(du * du, axis=1))
-            e_curl += np.sum(W * det * np.sum(dc * dc, axis=1))
-    return math.sqrt(e_l2), math.sqrt(e_curl)
+    (P, W), cells, blocks = _x1_tables(cx3, order)
+    u_h, curl_h = np.empty((2, *P.shape))
+    for k, (e, s) in enumerate(cells):
+        idx, V, C = _dof_tables_3d(blocks, e, s, order, False, True)
+        c = coeffs[idx]
+        u_h[k] = (c @ V.reshape(idx.size, -1)).reshape(-1, 3)
+        curl_h[k] = (c @ C.reshape(idx.size, -1)).reshape(-1, 3)
+    P = P.reshape(-1, 3)
+    J, det = geom.jacobian_dets(P)
+    X = geom.eval(P)
+    du = apply_pushforward(1, J, det, u_h.reshape(-1, 3)) - np.asarray(u_exact(X))
+    dc = apply_pushforward(2, J, det, curl_h.reshape(-1, 3)) - np.asarray(curlu_exact(X))
+    wdet = W.ravel() * det
+    return math.sqrt(np.sum(wdet * np.sum(du * du, axis=1))), math.sqrt(np.sum(wdet * np.sum(dc * dc, axis=1)))

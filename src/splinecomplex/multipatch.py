@@ -4,8 +4,8 @@ Interfaces are declared (patch, face) pairs with an axis permutation/flip
 code, then verified: matching trace spaces under the coordinate map and
 pointwise geometric agreement.  Merging identifies trace basis functions by
 their local knot vectors in face coordinates; orientation signs are fixed by
-evaluating both physical traces at a matched face point, with the
-lower-indexed patch as the master (+1).
+evaluating both physical traces at matched face points (one batched probe
+per interface side), with the lower-indexed patch as the master (+1).
 
 Faces are (axis, side) pairs; the face coordinates are the remaining
 parametric axes in increasing order.
@@ -192,13 +192,20 @@ def _support_mid(lkv):
     return float(lkv[0] + lkv[-1]) / 2.0
 
 
-def _face_point(ndim, face, coords):
+def _face_points(ndim, face, coords):
+    """Parametric points of face coordinates ``coords`` (npts, ndim-1)."""
     axis, side = face
-    pt = np.zeros(ndim)
-    pt[axis] = float(side)
-    for d, v in zip(_face_axes(ndim, axis), coords):
-        pt[d] = v
-    return pt
+    pts = np.full((len(coords), ndim), float(side))
+    pts[:, list(_face_axes(ndim, axis))] = coords
+    return pts
+
+
+def _map_coords(coords, perm, flip):
+    """Face coordinates (npts, nface) on side a mapped onto side b."""
+    out = np.empty_like(coords)
+    for i in range(coords.shape[1]):
+        out[:, perm[i]] = 1.0 - coords[:, i] if flip[i] else coords[:, i]
+    return out
 
 
 def _eval_2d_factor(s2d, lkv1, lkv2, xy):
@@ -211,22 +218,6 @@ def _key_coords(key):
     kind = key[0]
     lkvs = key[1:] if kind in ("s", "s2") else key[2:]
     return tuple(_support_mid(lk) for lk in lkvs)
-
-
-def _outward_normal(J, axis, side):
-    d = J.shape[0]
-    tangents = [J[:, a] for a in range(d) if a != axis]
-    if d == 3:
-        n = np.cross(tangents[0], tangents[1])
-    else:
-        t = tangents[0]
-        n = np.array([t[1], -t[0]])
-    n = n / np.linalg.norm(n)
-    probe = J[:, axis]
-    inward = probe if side == 0 else -probe
-    if n @ inward > 0:
-        n = -n
-    return n
 
 
 # -- conformity -----------------------------------------------------------------
@@ -253,14 +244,8 @@ def check_conformity(ps: PatchSet, samples: int = 7, tol: float = 1e-10):
         # sampled geometric agreement
         grid = np.linspace(0.05, 0.95, samples)
         coords = np.stack(np.meshgrid(*([grid] * (ndim - 1)), indexing="ij"), axis=-1).reshape(-1, ndim - 1)
-        pts_a = np.array([_face_point(ndim, fa, c) for c in coords])
-        cb = np.empty_like(coords)
-        for i in range(ndim - 1):
-            src = 1.0 - coords[:, i] if flip[i] else coords[:, i]
-            cb[:, perm[i]] = src
-        pts_b = np.array([_face_point(ndim, fb, c) for c in cb])
-        Fa = ps.geoms[ka].eval(pts_a)
-        Fb = ps.geoms[kb].eval(pts_b)
+        Fa = ps.geoms[ka].eval(_face_points(ndim, fa, coords))
+        Fb = ps.geoms[kb].eval(_face_points(ndim, fb, _map_coords(coords, perm, flip)))
         err = float(np.max(np.linalg.norm(Fa - Fb, axis=1)))
         report.append((itf, err < tol, f"max geometric mismatch {err:.2e}"))
     return report
@@ -340,11 +325,12 @@ def build_glue(ps: PatchSet, check: bool = True) -> Glue:
         ta = {}
         for dof, key in _trace_dofs(ps.spaces[ka], fa):
             ta[_transform_key(key, perm, flip)] = (dof, key)
+        pairs = []
         for dof_b, key_b in _trace_dofs(ps.spaces[kb], fb):
             if key_b not in ta:
                 raise ConformityError(f"unmatched trace function {key_b}")
-            dof_a, key_a = ta[key_b]
-            sgn = _pair_sign(ps, perm, flip, ka, fa, key_a, kb, fb, key_b)
+            pairs.append((*ta[key_b], dof_b, key_b))
+        for (dof_a, _, dof_b, _), sgn in zip(pairs, _pair_signs(ps, itf, perm, flip, pairs)):
             union(offset[ka] + dof_a, offset[kb] + dof_b, sgn)
 
     roots = {}
@@ -367,65 +353,58 @@ def build_glue(ps: PatchSet, check: bool = True) -> Glue:
     return Glue(scatters, ndof)
 
 
-def _pair_sign(ps, perm, flip, ka, fa, key_a, kb, fb, key_b):
-    """Orientation sign of the b-side trace relative to the a-side one,
-    compared at one matched face point (tangential projections); ``perm``
-    and ``flip`` map the a-face axes onto the b-face axes."""
-    if key_a[0] in ("s", "s2"):
-        return 1
-    ndim = ps.geoms[ka].ndim
-    ca = _key_coords(key_a)
-    cb = [None] * (ndim - 1)
-    for i in range(ndim - 1):
-        src = 1.0 - ca[i] if flip[i] else ca[i]
-        cb[perm[i]] = src
-    va = _probe_with_coords(ps.spaces[ka], ps.geoms[ka], fa, key_a, ca)
-    vb = _probe_with_coords(ps.spaces[kb], ps.geoms[kb], fb, key_b, tuple(cb))
-    dot = float(np.dot(va, vb))
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na < 1e-14 or nb < 1e-14 or abs(abs(dot) / (na * nb) - 1.0) > 1e-6:
-        raise ConformityError(f"trace probe mismatch for {key_a} vs {key_b}")
-    return 1 if dot > 0 else -1
+def _pair_signs(ps, itf, perm, flip, pairs):
+    """Orientation signs of the b-side traces relative to the a-side ones,
+    per (dof_a, key_a, dof_b, key_b) of ``pairs``, compared at matched face
+    points (tangential projections) with one probe per side; ``perm`` and
+    ``flip`` map the a-face axes onto the b-face axes."""
+    signs = np.ones(len(pairs), dtype=int)
+    vec = [i for i, pair in enumerate(pairs) if pair[1][0] not in ("s", "s2")]
+    if not vec:
+        return signs
+    (ka, fa), (kb, fb) = itf.a, itf.b
+    keys_a, keys_b = [pairs[i][1] for i in vec], [pairs[i][3] for i in vec]
+    ca = np.array([_key_coords(key) for key in keys_a])
+    va = _trace_probes(ps.spaces[ka], ps.geoms[ka], fa, keys_a, ca)
+    vb = _trace_probes(ps.spaces[kb], ps.geoms[kb], fb, keys_b, _map_coords(ca, perm, flip))
+    dot = np.sum(va * vb, axis=1)
+    for i, (d, na, nb) in enumerate(zip(dot, np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1))):
+        if na < 1e-14 or nb < 1e-14 or abs(abs(d) / (na * nb) - 1.0) > 1e-6:
+            raise ConformityError(f"trace probe mismatch for {keys_a[i]} vs {keys_b[i]}")
+    signs[vec] = np.where(dot > 0, 1, -1)
+    return signs
 
 
-def _probe_with_coords(space, geom, face, key, coords):
-    axis, side = face
-    if isinstance(space, Vector2D):
-        comp = 1 - axis
-        sp2 = (space.c1, space.c2)[comp]
-        lkv = key[2]
-        pt = _face_point(2, face, coords)
-        val = float(scaled_eval(lkv, sp2.degrees[comp], sp2.scalings[comp], coords[0])[0])
-        uhat = np.zeros(2)
-        uhat[comp] = val
-        J, det = geom.jacobian_dets([pt])
-        u = np.linalg.solve(J[0].T, uhat)
-        tang = J[0][:, comp] / np.linalg.norm(J[0][:, comp])
-        return (u @ tang) * tang
-    if isinstance(space, Complex3D):
-        blocks = space.x1_blocks()
-        pt = _face_point(3, face, coords)
-        kind = key[0]
-        uhat = np.zeros(3)
-        if kind == "t2":
-            m = key[1]
-            s2d, kvz, _ = blocks[m]
-            uhat[m] = _eval_2d_factor(s2d, key[2], key[3], (pt[0], pt[1]))
-        else:
-            compf = key[1]
-            m = (1 - axis) if compf == 0 else 2
+def _trace_probes(space, geom, face, keys, coords):
+    """Physical tangential traces of the functions ``keys``, each at its
+    face point (rows of ``coords``), from one Jacobian evaluation."""
+    axis = face[0]
+    pts = _face_points(geom.ndim, face, coords)
+    uhat = np.zeros_like(pts)
+    blocks = space.x1_blocks() if isinstance(space, Complex3D) else None
+    for i, (key, pt) in enumerate(zip(keys, pts)):
+        if isinstance(space, Vector2D):
+            comp = 1 - axis
+            sp2 = (space.c1, space.c2)[comp]
+            uhat[i, comp] = scaled_eval(key[2], sp2.degrees[comp], sp2.scalings[comp], pt[comp])[0]
+        elif isinstance(space, Complex3D) and key[0] == "t2":
+            s2d, _, _ = blocks[key[1]]
+            uhat[i, key[1]] = _eval_2d_factor(s2d, key[2], key[3], pt[:2])
+        elif isinstance(space, Complex3D):
+            m = (1 - axis) if key[1] == 0 else 2
             s2d, kvz, zscal = blocks[m]
-            lkv_t, lkv_z = key[2], key[3]
-            fval = float(
-                scaled_eval(lkv_t, s2d.degrees[1 - axis], s2d.scalings[1 - axis], coords[0])[0]
-            )
-            zval = float(scaled_eval(lkv_z, kvz.degree, zscal, coords[1])[0])
-            uhat[m] = fval * zval
-        J, det = geom.jacobian_dets([pt])
-        u = np.linalg.solve(J[0].T, uhat)
-        n = _outward_normal(J[0], axis, side)
-        return u - (u @ n) * n
-    raise TypeError(type(space))
+            fval = scaled_eval(key[2], s2d.degrees[1 - axis], s2d.scalings[1 - axis], pt[1 - axis])[0]
+            uhat[i, m] = fval * scaled_eval(key[3], kvz.degree, zscal, pt[2])[0]
+        else:
+            raise TypeError(type(space))
+    J, _ = geom.jacobian_dets(pts)
+    u = np.linalg.solve(J.transpose(0, 2, 1), uhat[:, :, None])[:, :, 0]
+    if isinstance(space, Vector2D):
+        tang = J[:, :, 1 - axis] / np.linalg.norm(J[:, :, 1 - axis], axis=1)[:, None]
+        return np.sum(u * tang, axis=1)[:, None] * tang
+    n = np.cross(*(J[:, :, a] for a in range(3) if a != axis))  # either orientation
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    return u - np.sum(u * n, axis=1)[:, None] * n
 
 
 # -- global assembly ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from .assembly import (
     Complex3D,
     Scalar2D,
     Vector2D,
+    _shared_patterns,
     assemble_load_3d,
     assemble_matrix_2d,
     assemble_matrix_3d,
@@ -75,16 +76,18 @@ def _system(ps: PatchSet, walls, kinds):
     faces).  Returns (glue, matrices, free dofs).
 
     A lone patch without interfaces keeps its local numbering and is not
-    glued; its glue is None.
+    glued; its glue is None.  All kinds and patches on the same spaces share
+    one sparsity pattern, dropped before the matrices are returned.
     """
     glue = build_glue(ps) if ps.npatches > 1 or ps.interfaces else None
     matrices = []
-    for kind in kinds:
-        local = []
-        for space, geom in zip(ps.spaces, ps.geoms):
-            assemble = assemble_matrix_3d if isinstance(space, Complex3D) else assemble_matrix_2d
-            local.append(assemble(space, geom, kind))
-        matrices.append(glue.global_matrix(local) if glue else local[0])
+    with _shared_patterns():
+        for kind in kinds:
+            local = []
+            for space, geom in zip(ps.spaces, ps.geoms):
+                assemble = assemble_matrix_3d if isinstance(space, Complex3D) else assemble_matrix_2d
+                local.append(assemble(space, geom, kind))
+            matrices.append(glue.global_matrix(local) if glue else local[0])
     if glue is None:
         walled = dirichlet_dofs(ps.spaces[0], walls[0])
     else:

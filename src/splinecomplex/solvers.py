@@ -82,8 +82,16 @@ def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None) -> Eig
 
 
 def solve_source(A, b, tol=1e-10):
-    """Direct solve with a relative-residual guard."""
-    if sp.issparse(A):
+    """Direct solve with a relative-residual guard.  Real sparse systems are
+    the SPD ones here: they are factored with a symmetric minimum-degree
+    ordering and diagonal pivots; complex ones with the default ordering."""
+    if sp.issparse(A) and not (np.iscomplexobj(A) or np.iscomplexobj(b)):
+        try:
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True})
+        except RuntimeError as exc:  # an exactly singular factor
+            raise NumericalError(f"sparse factorization failed: {exc}") from exc
+        x = lu.solve(b)
+    elif sp.issparse(A):
         x = spla.spsolve(A.tocsc(), b)
     else:
         x = np.linalg.solve(A, b)

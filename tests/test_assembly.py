@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
+from splinecomplex import assembly
 from splinecomplex.assembly import (
     Complex3D,
     Scalar2D,
@@ -22,6 +24,7 @@ from splinecomplex.assembly import (
 from splinecomplex.benchmarks import cylinder_sector_patches, linear_patch, prism_patch, square_raw_tmesh
 from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
 from splinecomplex.complexes import build_complex
+from splinecomplex.geometry import pullback_weight
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
@@ -460,3 +463,118 @@ def _check_3d_against_oracle(cx3, geom):
     assert _rel(assemble_load_3d(cx3, geom, f), b) < 1e-12
     err = hcurl_error_3d(cx3, geom, coeffs, f, f)
     assert _rel(np.array(err), np.sqrt([e_l2, e_curl])) < 1e-12
+
+
+# -- the per-patch record and the shared pattern ---------------------------------
+
+
+def _rule_2d(box, order):
+    """Tensor Gauss rule of one box, x index slowest."""
+    px, wx = gauss_points_1d(box[0], box[2], order)
+    py, wy = gauss_points_1d(box[1], box[3], order)
+    return np.array([[x, y] for x in px for y in py]), np.array([a * b for a in wx for b in wy])
+
+
+def _rule_3d(box, zspan, order):
+    """Tensor Gauss rule of one 3D cell, 2D point slowest, z fastest."""
+    P2, W2 = _rule_2d(box, order)
+    pz, wz = gauss_points_1d(*zspan, order)
+    return np.array([[*xy, z] for xy in P2 for z in pz]), np.array([a * b for a in W2 for b in wz])
+
+
+def _cells_2d(space, deriv, order):
+    for e, box in enumerate(space.elements()):
+        yield (*_rule_2d(box, order), *assembly._dof_tables_2d(space, e, order, deriv))
+
+
+def _cells_3d(cx3, deriv, order):
+    _, cells, blocks = assembly._x1_tables(cx3, order)
+    boxes = cx3.tcx.Y0.elements
+    zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
+    for e, s in cells:
+        yield (*_rule_3d(boxes[e], zspans[s], order), *assembly._dof_tables_3d(blocks, e, s, order, deriv))
+
+
+def _coo_sum(cells, geom, j, n):
+    """A plain COO sum of the element kernels sum_q T_q W_q T_q^T, with J
+    and det J evaluated per element and the duplicates summed by scipy."""
+    rows, cols, vals = [], [], []
+    for P, W, idx, T in cells:
+        J, det = geom.jacobian_dets(P)
+        block = np.einsum("aqi,qij,bqj->ab", T, pullback_weight(j, J, det, W), T)
+        rows.append(np.repeat(idx, idx.size))
+        cols.append(np.tile(idx, idx.size))
+        vals.append(block.ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+
+
+def _frob_rel(A, B):
+    return sp.linalg.norm(A - B) / sp.linalg.norm(B)
+
+
+def test_2d_matrices_match_coo_sum_of_element_kernels():
+    from tests.test_geometry import quarter_annulus
+
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 3))
+    geom = quarter_annulus()
+    for space, j in ((Scalar2D(TsplineSpace(tcx.meshes.M0)), 0), (Vector2D.from_complex(tcx), 1)):
+        for kind in ("mass", assembly._FORMS[type(space)][1]):
+            deriv = kind != "mass"
+            A = assemble_matrix_2d(space, geom, kind)
+            assert _frob_rel(A, _coo_sum(_cells_2d(space, deriv, 4), geom, j + deriv, space.dim)) < 1e-14
+
+
+def test_3d_patches_share_one_pattern_and_match_coo_sum():
+    from splinecomplex.benchmarks import cylinder_section_raw_tmesh
+
+    tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(1), 2))
+    cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
+    n = cx3.x1_dim()
+    with assembly._shared_patterns():
+        for geom in cylinder_sector_patches():
+            for kind, j in (("mass", 1), ("curlcurl", 2)):
+                A = assemble_matrix_3d(cx3, geom, kind)
+                assert _frob_rel(A, _coo_sum(_cells_3d(cx3, kind != "mass", 3), geom, j, n)) < 1e-14
+        assert len(assembly._PATTERNS) == 1
+    assert assembly._PATTERNS is None
+
+
+def test_patch_record_matches_per_element_geometry():
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 2))
+    cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
+    geom = cylinder_sector_patches()[1]
+    (P, W), cells, _ = assembly._x1_tables(cx3, 4)
+    J, det = geom.jacobian_dets(P.reshape(-1, 3))
+    J, det = J.reshape(*P.shape, 3), det.reshape(W.shape)
+    boxes = tcx.Y0.elements
+    zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
+    for k, (e, s) in enumerate(cells):
+        Pk, Wk = _rule_3d(boxes[e], zspans[s], 4)
+        npt.assert_array_equal(P[k], Pk)
+        npt.assert_array_equal(W[k], Wk)
+        Jk, detk = geom.jacobian_dets(Pk)
+        npt.assert_allclose(J[k], Jk, rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(det[k], detk, rtol=1e-14)
+
+
+def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
+    # the jacobian_dets calls of a whole solve do not grow with the elements
+    from splinecomplex import problems
+    from splinecomplex.geometry import GeometryMap
+
+    original = GeometryMap.jacobian_dets
+    points = []
+
+    def counting(self, pts):
+        points.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(GeometryMap, "jacobian_dets", counting)
+    calls, total = [], []
+    for level in (0, 1):
+        points.clear()
+        problems.cylinder_sector_source(level, degree=1, nz=1)
+        calls.append(len(points))
+        total.append(sum(points))
+    assert calls[0] == calls[1], calls
+    assert total[1] > total[0]

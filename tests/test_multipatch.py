@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.sparse.linalg import norm as sp_norm
 
 from splinecomplex.assembly import Complex3D, Scalar2D, Vector2D, assemble_matrix_2d
 from splinecomplex.benchmarks import linear_patch, lsection_patches, prism_patch
@@ -289,3 +290,46 @@ def test_thick_l_zero_block_is_glued_gradient_image():
     free = glue.ndof - len(walled)
     assert free == 161
     assert thick_l_eigenproblem(0, degree=p, nz=nz, count=None).result.zero_count == free
+
+
+def test_permuted_flipped_interface_glues_gradients():
+    """Patch 1 is the cube (1,2)x(0,1)^2 parametrized as (x, y, z) =
+    (2 - eta, 1 - zeta, xi): on the interface x = 1 the face axes (y, z) of
+    patch 0 map onto (zeta, xi), a permutation with the first axis
+    reversed.  The glued gradient, the glued curl-curl kernel and a global
+    gradient field must all come out right across it."""
+    from splinecomplex.assembly import assemble_load_3d, assemble_matrix_3d, hcurl_error_3d
+    from splinecomplex.solvers import solve_source
+
+    p = 2
+    tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(2), p))
+    cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
+    geoms = [linear_patch(np.eye(3)), linear_patch(np.array([[0.0, -1, 0], [0, 0, -1], [1, 0, 0]]), b=[2.0, 1, 0])]
+    itf = [Interface((0, (0, 1)), (1, (1, 1)), perm=(1, 0), flip=(True, False))]
+    glue0 = build_glue(PatchSet(geoms, [Scalar3D(cx3)] * 2, itf))
+    glue1 = build_glue(PatchSet(geoms, [cx3] * 2, itf))
+    n1d = 2 + p
+    assert glue0.ndof == 2 * n1d**3 - n1d**2
+
+    # the glued gradient is the patch gradient on both sides
+    grad = cx3.operators()["grad"]
+    G = global_operator(glue0, glue1, [grad, grad])
+    x = np.random.default_rng(44).standard_normal(glue0.ndof)
+    for S0, S1 in zip(glue0.scatters, glue1.scatters):
+        npt.assert_allclose(S1 @ (G @ x), grad @ (S0 @ x), rtol=0, atol=1e-12 * np.abs(x).max())
+    assert np.abs(G @ np.ones(glue0.ndof)).max() < 1e-12
+
+    # the glued curl-curl matrix annihilates the glued gradients
+    K = glue1.global_matrix([assemble_matrix_3d(cx3, g, "curlcurl") for g in geoms])
+    Gx = G @ x
+    assert np.linalg.norm(K @ Gx) < 1e-13 * sp_norm(K) * np.linalg.norm(Gx)
+
+    # grad(x^2 y z) lies in the glued space: the source problem reproduces it
+    u = lambda X: np.column_stack([2 * X[:, 0] * X[:, 1] * X[:, 2], X[:, 0] ** 2 * X[:, 2], X[:, 0] ** 2 * X[:, 1]])
+    zero = lambda X: np.zeros((X.shape[0], 3))
+    M = glue1.global_matrix([assemble_matrix_3d(cx3, g, "mass") for g in geoms])
+    b = glue1.global_vector([assemble_load_3d(cx3, g, u) for g in geoms])
+    c = solve_source((K + M).tocsc(), b)
+    for S, g in zip(glue1.scatters, geoms):
+        e_l2, e_curl = hcurl_error_3d(cx3, g, S @ c, u, zero)
+        assert e_l2 < 1e-9 and e_curl < 1e-9, (e_l2, e_curl)

@@ -3,9 +3,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from splinecomplex.solvers import (
     EigenResult,
+    NumericalError,
     compute_scattering,
     solve_generalized_eig,
     solve_port_mode,
@@ -53,8 +55,12 @@ def test_solve_source_residual_guard():
     rng = np.random.default_rng(62)
     A = random_spd(rng, 12)
     b = rng.standard_normal(12)
-    x = solve_source(A, b)
-    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
+    for M in (A, sp.csc_matrix(A), sp.csc_matrix(A.astype(complex))):  # dense, sparse SPD, complex
+        x = solve_source(M, b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
+    # an exactly singular sparse factor is a numerical failure, not NaNs
+    with pytest.raises(NumericalError):
+        solve_source(sp.csc_matrix(np.ones((2, 2))), np.array([1.0, 0.0]))
 
 
 def test_port_mode_rectangle():
