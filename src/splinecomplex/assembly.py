@@ -33,6 +33,14 @@ reuses it.
 Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
 direction; component coefficient blocks are ordered (c1, c2, c3) with the
 2D anchor index running fastest inside each block.
+
+Every space type (Scalar2D, Vector2D, Scalar3D, Complex3D) describes itself
+by ``blocks()``: per component block, (dof offset, 2D T-spline space,
+vertical knot vector or None, vertical scaling, reference component or
+None for scalars); dof ``offset + iz * dim2d + anchor``.  :func:`traces`
+enumerates from it the functions with a nonzero tangential trace on a
+face, which is all the Dirichlet walls, the port map and the interface
+glue of :mod:`splinecomplex.multipatch` read.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from .bspline import KnotVector, grad_matrix_1d, scaled_eval
+from .bspline import KnotVector, _clamped, grad_matrix_1d, scaled_eval
 from .geometry import apply_pullback, apply_pushforward, pullback_weight
 from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
@@ -56,12 +64,14 @@ __all__ = [
     "Scalar2D",
     "Vector2D",
     "Complex3D",
+    "Scalar3D",
     "assemble_matrix_2d",
     "assemble_matrix_3d",
     "assemble_load_3d",
     "assemble_port_boundary",
     "dirichlet_dofs",
     "hcurl_error_3d",
+    "traces",
 ]
 
 _GAUSS_CACHE = {}
@@ -97,31 +107,6 @@ def _rules_2d(boxes, order):
 # -- space wrappers ------------------------------------------------------------
 
 
-def _clamped_lkv(lkv, degree, side) -> bool:
-    if side == 0:
-        return lkv[degree] == lkv[0] == 0
-    return lkv[1] == lkv[-1] == 1
-
-
-def _clamped_anchors(space: TsplineSpace, axis, side):
-    """Indices of the anchors clamped across the face (axis, side)."""
-    return [a.index for a in space.anchors if _clamped_lkv((a.lkv1, a.lkv2)[axis], space.degrees[axis], side)]
-
-
-def _clamped_z(kvz: KnotVector, side):
-    """Indices of the vertical functions clamped at the z-face ``side``."""
-    ks, p = kvz.knots, kvz.degree
-    return [i for i in range(kvz.n) if _clamped_lkv(tuple(ks[i : i + p + 2]), p, side)]
-
-
-def _clamped_block(off, s2d, kvz, axis, side):
-    """Dofs ``off + iz * s2d.dim + a`` of a 2D-by-vertical block clamped
-    across the face (axis, side), axis 2 the vertical direction."""
-    if axis == 2:
-        return [off + iz * s2d.dim + a for iz in _clamped_z(kvz, side) for a in range(s2d.dim)]
-    return [off + iz * s2d.dim + a for a in _clamped_anchors(s2d, axis, side) for iz in range(kvz.n)]
-
-
 @dataclass
 class Scalar2D:
     """Scalar 2D space (form degree 0) over one T-spline space."""
@@ -135,8 +120,8 @@ class Scalar2D:
     def elements(self):
         return self.space.elements
 
-    def clamped_dofs(self, face):
-        return _clamped_anchors(self.space, *face)
+    def blocks(self):
+        return ((0, self.space, None, None, None),)
 
 
 @dataclass
@@ -157,14 +142,8 @@ class Vector2D:
     def elements(self):
         return _shared_elements(self.c1, self.c2)
 
-    def clamped_dofs(self, face):
-        """Dofs with nonzero tangential trace on the face: the tangential
-        component is the one along the face, clamped across it."""
-        axis, side = face
-        comp = 1 - axis  # tangential component index
-        space = (self.c1, self.c2)[comp]
-        off = 0 if comp == 0 else self.c1.dim
-        return [off + a for a in _clamped_anchors(space, axis, side)]
+    def blocks(self):
+        return ((0, self.c1, None, None, 0), (self.c1.dim, self.c2, None, None, 1))
 
 
 def _shared_elements(*spaces):
@@ -319,32 +298,16 @@ class Complex3D:
             3: t.space_dim(2) * nzd,
         }
 
-    def x1_blocks(self):
-        """(2D space, z knot vector, z scaling) per X1 component."""
-        kvd = self.kv_z.derived()
-        return (
-            (self.tcx.Y1[0], self.kv_z, "B"),
-            (self.tcx.Y1[1], self.kv_z, "B"),
-            (self.tcx.Y0, kvd, "D"),
-        )
-
-    def x1_dim(self):
+    @property
+    def dim(self):
         return self.space_dims()[1]
 
-    def clamped_dofs(self, face):
-        """X1 dofs with nonzero tangential trace on the face (axis 2 is the
-        vertical direction): the tangential components, clamped across it."""
-        axis, side = face
-        out = []
-        for m, (off, (s2d, kvz, _)) in enumerate(zip(self.x1_offsets(), self.x1_blocks())):
-            if m != axis:  # the normal component is unconstrained
-                out.extend(_clamped_block(off, s2d, kvz, axis, side))
-        return out
-
-    def x1_offsets(self):
-        b = self.x1_blocks()
-        sizes = [s.dim * kv.n for (s, kv, _) in b]
-        return np.concatenate([[0], np.cumsum(sizes)])
+    def blocks(self):
+        """The X1 components (c1, c2, c3): 2D space times vertical factor."""
+        t, kvd = self.tcx, self.kv_z.derived()
+        parts = ((t.Y1[0], self.kv_z, "B"), (t.Y1[1], self.kv_z, "B"), (t.Y0, kvd, "D"))
+        offs = np.cumsum([0] + [s2d.dim * kvz.n for s2d, kvz, _ in parts])
+        return tuple((int(off), *part, m) for m, (off, part) in enumerate(zip(offs, parts)))
 
     def operators(self):
         """grad, curl, div as float matrices (Kronecker combinations)."""
@@ -377,6 +340,20 @@ class Complex3D:
         return {"grad": grad, "curl": curl, "div": div}
 
 
+@dataclass
+class Scalar3D:
+    """Scalar 3D space (X0): a 2D scalar space tensor a vertical direction."""
+
+    cx3: Complex3D
+
+    @property
+    def dim(self):
+        return self.cx3.tcx.space_dim(0) * self.cx3.kv_z.n
+
+    def blocks(self):
+        return ((0, self.cx3.tcx.Y0, self.cx3.kv_z, "B", None),)
+
+
 # Per space type: its form degree and the kind built on its derivative table.
 _FORMS = {Scalar2D: (0, "gradgrad"), Vector2D: (1, "rotrot"), Complex3D: (1, "curlcurl")}
 
@@ -407,7 +384,7 @@ def _x1_tables(cx3: Complex3D, order):
     z tables), with the 2D caches filled."""
     zspans = _z_elements(cx3.kv_z)
     blocks = []
-    for off, (s2d, kvz, zscal) in zip(cx3.x1_offsets(), cx3.x1_blocks()):
+    for off, s2d, kvz, zscal, _ in cx3.blocks():
         s2d.factor_tables(order)
         blocks.append((off, s2d, _z_tables(kvz, zscal, zspans, order)))
     boxes = _shared_elements(cx3.tcx.Y0, cx3.tcx.Y1[0], cx3.tcx.Y1[1])
@@ -472,7 +449,7 @@ def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
     order = order or cx3.tcx.degree + 1
     rule, cells, blocks = _x1_tables(cx3, order)
     tables = (_dof_tables_3d(blocks, e, s, order, deriv) for e, s in cells)
-    return _matrix(cx3, cx3.x1_dim(), rule, tables, geom, j)
+    return _matrix(cx3, cx3.dim, rule, tables, geom, j)
 
 
 def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
@@ -482,56 +459,68 @@ def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
     P = P.reshape(-1, 3)
     J, det = geom.jacobian_dets(P)
     fhat = apply_pullback(2, J, det, np.asarray(f(geom.eval(P)))) * W.reshape(-1, 1)
-    out = np.zeros(cx3.x1_dim())
+    out = np.zeros(cx3.dim)
     for (e, s), fk in zip(cells, fhat.reshape(len(cells), -1)):
         idx, T = _dof_tables_3d(blocks, e, s, order, False)
         out[idx] += T.reshape(idx.size, -1) @ fk
     return out
 
 
-# -- boundary conditions -------------------------------------------------------------
+# -- traces: boundary conditions, interfaces, ports -----------------------------------
+
+
+def traces(space, face):
+    """One record (dof, c, factors) per function of ``space`` with a nonzero
+    (tangential) trace on ``face`` = (axis, side), axis 2 vertical in 3D.
+
+    A function of a block is the product of its 2D anchor's factors and, in
+    3D, a vertical factor.  It reaches the face exactly when its factor
+    along ``axis`` is clamped at ``side``; a component normal to the face
+    has no tangential trace.  ``c`` is the index of the function's component
+    among the face axes (None for scalars), and ``factors`` gives, per face
+    axis in increasing order, the (local knot vector, degree, scaling) of
+    the trace.  Records come block by block, 2D anchor slowest.
+    """
+    axis, side = face
+    out = []
+    for off, s2d, kvz, zscal, comp in space.blocks():
+        if comp == axis:
+            continue
+        face_axes = [ax for ax in range(2 if kvz is None else 3) if ax != axis]
+        c = None if comp is None else face_axes.index(comp)
+        # (dof term, factors) of the 2D anchors and of the vertical functions
+        planar = [(a.index, tuple(zip((a.lkv1, a.lkv2), s2d.degrees, s2d.scalings))) for a in s2d.anchors]
+        vertical = [(0, ())]
+        if kvz is not None:
+            vertical = [(z.index * s2d.dim, ((z.local, kvz.degree, zscal),)) for z in kvz.anchors()]
+        if axis < 2:
+            planar = [(d, f) for d, f in planar if _clamped(*f[axis][:2], side)]
+        else:
+            vertical = [(d, f) for d, f in vertical if _clamped(*f[0][:2], side)]
+        for d2, f2 in planar:
+            for dz, fz in vertical:
+                f = f2 + fz
+                out.append((off + dz + d2, c, tuple(f[ax] for ax in face_axes)))
+    return out
 
 
 def dirichlet_dofs(space, faces):
     """Constrained dof indices of a 2D or 3D space for the tagged faces."""
-    return sorted({d for face in faces for d in space.clamped_dofs(face)})
-
-
-# -- port boundary -----------------------------------------------------------------
-
-
-def port_trace_dofs(cx3: Complex3D, side):
-    """Map 2D tangential-trace dofs onto 3D dofs at a z-face.
-
-    Returns (dof3d array aligned with the Vector2D ordering of the section).
-    """
-    blocks = cx3.x1_blocks()
-    offs = cx3.x1_offsets()
-    clamped = _clamped_z(cx3.kv_z, side)
-    if not clamped:
-        raise ValueError("no clamped vertical function at the port face")
-    iz = clamped[-1]
-    out = []
-    for m in (0, 1):
-        s2d = blocks[m][0]
-        for a in range(s2d.dim):
-            out.append(offs[m] + iz * s2d.dim + a)
-    return np.asarray(out)
+    return sorted({dof for face in faces for dof, _, _ in traces(space, face)})
 
 
 def assemble_port_boundary(cx3: Complex3D, section_mass, side):
     """Surface matrix of tangential traces on a z-port face.
 
     ``section_mass`` is the 2D mass matrix of the section's vector space
-    ``Vector2D.from_complex(cx3.tcx)``.  Returns (B, trace_map): B is the
-    full-size 3D sparse matrix of int (n x E).(n x G) over the port,
-    realized by that mass matrix scattered to the trace dofs; trace_map are
-    those 3D dofs.
+    ``Vector2D.from_complex(cx3.tcx)``.  Returns (B, trace_map): trace_map
+    are the 3D dofs of the traces on the face (2, side), in the Vector2D
+    ordering of the section; B is the full-size 3D sparse matrix of
+    int (n x E).(n x G) over the port, that mass matrix scattered to them.
     """
-    tmap = port_trace_dofs(cx3, side)
-    n = cx3.x1_dim()
+    tmap = np.array([dof for dof, _, _ in traces(cx3, (2, side))])
     M2 = section_mass.tocoo()
-    B = sp.coo_matrix((M2.data, (tmap[M2.row], tmap[M2.col])), shape=(n, n)).tocsr()
+    B = sp.coo_matrix((M2.data, (tmap[M2.row], tmap[M2.col])), shape=(cx3.dim, cx3.dim)).tocsr()
     return B, tmap
 
 

@@ -12,6 +12,7 @@ added prolongations are the ceil(p/2)-bay face extensions).
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -158,9 +159,10 @@ def lsection_raw_tmesh(level: int, degree: int, start: int = 8) -> RawTMesh:
     reach_of = {v: r for v, r in segs}
 
     def line_extent(v):
-        # index up to which the line at value v is present (full if coarse)
+        # index up to which the line at value v is present (full if coarse):
+        # the first breakpoint at or beyond its reach
         if v in reach_of:
-            return idx[reach_of[v]]
+            return bisect.bisect_left(bp, reach_of[v])
         return n - 1
 
     # elementary edge grids; the faces are read off the mesh they render

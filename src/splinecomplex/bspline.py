@@ -57,6 +57,14 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _clamped(local, degree: int, side: int) -> bool:
+    """True if the basis function with local knots ``local`` (nondecreasing
+    in [0, 1]) has a nonzero value at the 0/1 end of its direction."""
+    if side == 0:
+        return local[degree] == 0
+    return local[1] == 1
+
+
 @dataclass(frozen=True)
 class Anchor1D:
     """Anchor of a univariate B-spline: index, parametric position, local knots."""

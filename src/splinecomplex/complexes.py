@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import Anchor1D, KnotVector, grad_matrix_1d, scaled_eval
+from .bspline import Anchor1D, KnotVector, _clamped, grad_matrix_1d, scaled_eval
 from .exactrank import annihilates, rank_with_upper_bound, rational_kernel_vector
 from .tensormesh import TensorMesh, build_tensor_mesh
 
@@ -219,14 +219,6 @@ def build_complex(kvs) -> DiscreteComplex:
 
 
 # -- boundary restriction ---------------------------------------------------------
-
-
-def _clamped(local, degree: int, side: int) -> bool:
-    """True if the basis function with the given local knots has a nonzero
-    value at the 0/1 end of its direction."""
-    if side == 0:
-        return local[degree] == 0
-    return local[1] == 1
 
 
 def _kept_mask(space: SplineSpace, faces, constrained_axes) -> np.ndarray:

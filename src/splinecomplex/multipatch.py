@@ -2,10 +2,13 @@
 
 Interfaces are declared (patch, face) pairs with an axis permutation/flip
 code, then verified: matching trace spaces under the coordinate map and
-pointwise geometric agreement.  Merging identifies trace basis functions by
-their local knot vectors in face coordinates; orientation signs are fixed by
-evaluating both physical traces at matched face points (one batched probe
-per interface side), with the lower-indexed patch as the master (+1).
+pointwise geometric agreement.  Both sides' trace functions come from
+:func:`splinecomplex.assembly.traces`; one matcher identifies them by the
+key (face component, local knot vectors), the a side's key permuted and
+flipped into b-face coordinates.  Orientation signs are fixed by
+evaluating both physical traces, the product of the record's factors, at
+the midpoint of the factor supports and its image (one batched probe per
+interface side), with the lower-indexed patch as the master (+1).
 
 Faces are (axis, side) pairs; the face coordinates are the remaining
 parametric axes in increasing order.
@@ -17,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import Complex3D, Scalar2D, Vector2D, _clamped_block, _clamped_lkv, _clamped_z
+from .assembly import traces
 from .bspline import scaled_eval
 
 __all__ = [
-    "Scalar3D",
     "PatchSet",
     "Interface",
     "ConformityError",
@@ -30,33 +32,13 @@ __all__ = [
     "global_operator",
 ]
 
+# check_conformity: face samples per axis and the largest geometric mismatch
+_SAMPLES = 7
+_GEOM_TOL = 1e-10
+
 
 class ConformityError(ValueError):
     pass
-
-
-@dataclass
-class Scalar3D:
-    """Scalar 3D space (X0): a 2D scalar space tensor a vertical direction."""
-
-    cx3: Complex3D
-
-    @property
-    def dim(self):
-        return self.cx3.tcx.space_dim(0) * self.cx3.kv_z.n
-
-    def clamped_dofs(self, face):
-        return _clamped_block(0, self.cx3.tcx.Y0, self.cx3.kv_z, *face)
-
-
-def _z_anchors(kvz):
-    ks = kvz.knots
-    p = kvz.degree
-    return [tuple(ks[i : i + p + 2]) for i in range(kvz.n)]
-
-
-def _flip_lkv(lkv):
-    return tuple(1 - t for t in reversed(lkv))
 
 
 @dataclass(frozen=True)
@@ -88,108 +70,38 @@ class PatchSet:
         return len(self.geoms)
 
 
-# -- trace-dof extraction ------------------------------------------------------
+# -- trace matching ------------------------------------------------------------
 
 
 def _face_axes(ndim, axis):
     return tuple(d for d in range(ndim) if d != axis)
 
 
-def _trace_dofs(space, face):
-    """(local dof, key) pairs of the basis functions with nonzero trace.
-
-    Keys carry the component in face coordinates and the local knot vectors
-    per face axis, plus the scaling tags so only like functions merge.
-    """
-    axis, side = face
-    out = []
-    if isinstance(space, Scalar2D):
-        for a in space.space.anchors:
-            lkvs = (a.lkv1, a.lkv2)
-            if _clamped_lkv(lkvs[axis], space.space.degrees[axis], side):
-                out.append((a.index, ("s", lkvs[1 - axis])))
-        return out
-    if isinstance(space, Vector2D):
-        comp = 1 - axis
-        sp2 = (space.c1, space.c2)[comp]
-        off = 0 if comp == 0 else space.c1.dim
-        for a in sp2.anchors:
-            lkvs = (a.lkv1, a.lkv2)
-            if _clamped_lkv(lkvs[axis], sp2.degrees[axis], side):
-                out.append((off + a.index, ("t", 0, lkvs[1 - axis])))
-        return out
-    if isinstance(space, Scalar3D):
-        cx3 = space.cx3
-        s2d = cx3.tcx.Y0
-        kvz = cx3.kv_z
-        zanch = _z_anchors(kvz)
-        if axis == 2:
-            for iz in _clamped_z(kvz, side):
-                for a in s2d.anchors:
-                    out.append((iz * s2d.dim + a.index, ("s2", a.lkv1, a.lkv2)))
-        else:
-            for a in s2d.anchors:
-                lkvs = (a.lkv1, a.lkv2)
-                if _clamped_lkv(lkvs[axis], s2d.degrees[axis], side):
-                    for iz, zl in enumerate(zanch):
-                        out.append((iz * s2d.dim + a.index, ("s", lkvs[1 - axis], zl)))
-        return out
-    if isinstance(space, Complex3D):
-        return _trace_dofs_x1(space, face)
-    raise TypeError(f"no trace extraction for {type(space)!r}")
+def _key(record, perm, flip):
+    """Match key (c, local knot vectors) of a trace record in the face
+    coordinates its face axes map onto by ``perm`` and ``flip``."""
+    _, c, factors = record
+    lkvs = [None] * len(factors)
+    for i, (lkv, _, _) in enumerate(factors):
+        lkvs[perm[i]] = tuple(1 - t for t in reversed(lkv)) if flip[i] else lkv
+    return (None if c is None else perm[c], *lkvs)
 
 
-def _trace_dofs_x1(cx3: Complex3D, face):
-    axis, side = face
-    blocks = cx3.x1_blocks()
-    offs = cx3.x1_offsets()
-    out = []
-    if axis == 2:
-        for m in (0, 1):
-            s2d, kvz, _ = blocks[m]
-            for iz in _clamped_z(kvz, side):
-                for a in s2d.anchors:
-                    key = ("t2", m, a.lkv1, a.lkv2)
-                    out.append((offs[m] + iz * s2d.dim + a.index, key))
-        return out
-    # side face: tangential components are the other 2D direction and z
-    m2d = 1 - axis
-    s2d, kvz, _ = blocks[m2d]
-    zanch = _z_anchors(kvz)
-    for a in s2d.anchors:
-        lkvs = (a.lkv1, a.lkv2)
-        if _clamped_lkv(lkvs[axis], s2d.degrees[axis], side):
-            for iz, zl in enumerate(zanch):
-                key = ("v", 0, lkvs[1 - axis], zl)
-                out.append((offs[m2d] + iz * s2d.dim + a.index, key))
-    s2d, kvz, _ = blocks[2]
-    zanch = _z_anchors(kvz)
-    for a in s2d.anchors:
-        lkvs = (a.lkv1, a.lkv2)
-        if _clamped_lkv(lkvs[axis], s2d.degrees[axis], side):
-            for iz, zl in enumerate(zanch):
-                key = ("v", 1, lkvs[1 - axis], zl)
-                out.append((offs[2] + iz * s2d.dim + a.index, key))
-    return out
-
-
-def _transform_key(key, perm, flip):
-    """Map a trace key from a-face coordinates to b-face coordinates."""
-    scalar = key[0] in ("s", "s2")  # scalar keys carry no component
-    lkvs = key[1:] if scalar else key[2:]
-    new = [None] * len(lkvs)
-    for i, lk in enumerate(lkvs):
-        new[perm[i]] = _flip_lkv(lk) if flip[i] else lk
-    if scalar:
-        return (key[0], *new)
-    return (key[0], perm[key[1]], *new)
+def _match(ps: PatchSet, itf: Interface):
+    """(record on a, record on b) per trace function of the interface,
+    matched by key; ConformityError if the trace spaces differ."""
+    (ka, fa), (kb, fb) = itf.a, itf.b
+    n = ps.geoms[ka].ndim - 1
+    perm, flip = itf.normalized(n)
+    ta = {_key(r, perm, flip): r for r in traces(ps.spaces[ka], fa)}
+    tb = {_key(r, range(n), [False] * n): r for r in traces(ps.spaces[kb], fb)}
+    if ta.keys() != tb.keys():
+        first = sorted(ta.keys() ^ tb.keys(), key=str)[0]
+        raise ConformityError(f"trace spaces differ, first mismatch {first}")
+    return [(ta[key], rb) for key, rb in tb.items()]
 
 
 # -- geometric probes for orientation signs ----------------------------------------
-
-
-def _support_mid(lkv):
-    return float(lkv[0] + lkv[-1]) / 2.0
 
 
 def _face_points(ndim, face, coords):
@@ -208,47 +120,34 @@ def _map_coords(coords, perm, flip):
     return out
 
 
-def _eval_2d_factor(s2d, lkv1, lkv2, xy):
-    v1 = scaled_eval(lkv1, s2d.degrees[0], s2d.scalings[0], xy[0])[0]
-    v2 = scaled_eval(lkv2, s2d.degrees[1], s2d.scalings[1], xy[1])[0]
-    return float(v1 * v2)
-
-
-def _key_coords(key):
-    kind = key[0]
-    lkvs = key[1:] if kind in ("s", "s2") else key[2:]
-    return tuple(_support_mid(lk) for lk in lkvs)
-
-
 # -- conformity -----------------------------------------------------------------
 
 
-def check_conformity(ps: PatchSet, samples: int = 7, tol: float = 1e-10):
-    """Per interface: trace keys match under the coordinate map and the two
-    geometry images agree pointwise."""
-    report = []
+def _checked(ps: PatchSet):
+    """Per interface: (interface, matched records or None, ok, message), the
+    conformity check of :func:`check_conformity` plus the matched records
+    :func:`build_glue` merges."""
     for itf in ps.interfaces:
+        try:
+            pairs = _match(ps, itf)
+        except ConformityError as exc:
+            yield itf, None, False, str(exc)
+            continue
         (ka, fa), (kb, fb) = itf.a, itf.b
-        space_a, space_b = ps.spaces[ka], ps.spaces[kb]
         ndim = ps.geoms[ka].ndim
         perm, flip = itf.normalized(ndim - 1)
-        ta = dict()
-        for dof, key in _trace_dofs(space_a, fa):
-            ta[_transform_key(key, perm, flip)] = dof
-        tb = {key: dof for dof, key in _trace_dofs(space_b, fb)}
-        missing = set(ta) ^ set(tb)
-        if missing:
-            first = sorted(missing, key=str)[0]
-            report.append((itf, False, f"trace spaces differ, first mismatch {first}"))
-            continue
-        # sampled geometric agreement
-        grid = np.linspace(0.05, 0.95, samples)
+        grid = np.linspace(0.05, 0.95, _SAMPLES)
         coords = np.stack(np.meshgrid(*([grid] * (ndim - 1)), indexing="ij"), axis=-1).reshape(-1, ndim - 1)
         Fa = ps.geoms[ka].eval(_face_points(ndim, fa, coords))
         Fb = ps.geoms[kb].eval(_face_points(ndim, fb, _map_coords(coords, perm, flip)))
         err = float(np.max(np.linalg.norm(Fa - Fb, axis=1)))
-        report.append((itf, err < tol, f"max geometric mismatch {err:.2e}"))
-    return report
+        yield itf, pairs, err < _GEOM_TOL, f"max geometric mismatch {err:.2e}"
+
+
+def check_conformity(ps: PatchSet):
+    """Per interface: (interface, ok, message); ok when the trace keys match
+    under the coordinate map and the two geometry images agree pointwise."""
+    return [(itf, ok, msg) for itf, _, ok, msg in _checked(ps)]
 
 
 # -- glue -----------------------------------------------------------------------
@@ -281,14 +180,13 @@ class Glue:
         return S.indices[S.indptr[np.asarray(local_dofs, dtype=int)]]
 
 
-def build_glue(ps: PatchSet, check: bool = True) -> Glue:
+def build_glue(ps: PatchSet) -> Glue:
     """Merge coincident interface dofs with orientation from the lower patch."""
-    if check:
-        rep = check_conformity(ps)
-        bad = [r for r in rep if not r[1]]
-        if bad:
-            raise ConformityError(str(bad[0]))
-    dims = [s.dim if not isinstance(s, Complex3D) else s.x1_dim() for s in ps.spaces]
+    checked = list(_checked(ps))
+    bad = [(itf, ok, msg) for itf, _, ok, msg in checked if not ok]
+    if bad:
+        raise ConformityError(str(bad[0]))
+    dims = [s.dim for s in ps.spaces]
     offset = np.concatenate([[0], np.cumsum(dims)])
     total = int(offset[-1])
     parent = list(range(total))
@@ -318,20 +216,10 @@ def build_glue(ps: PatchSet, check: bool = True) -> Glue:
             parent[rx] = ry
             rel[rx] = sx * sxy * sy
 
-    for itf in ps.interfaces:
-        (ka, fa), (kb, fb) = itf.a, itf.b
-        ndim = ps.geoms[ka].ndim
-        perm, flip = itf.normalized(ndim - 1)
-        ta = {}
-        for dof, key in _trace_dofs(ps.spaces[ka], fa):
-            ta[_transform_key(key, perm, flip)] = (dof, key)
-        pairs = []
-        for dof_b, key_b in _trace_dofs(ps.spaces[kb], fb):
-            if key_b not in ta:
-                raise ConformityError(f"unmatched trace function {key_b}")
-            pairs.append((*ta[key_b], dof_b, key_b))
-        for (dof_a, _, dof_b, _), sgn in zip(pairs, _pair_signs(ps, itf, perm, flip, pairs)):
-            union(offset[ka] + dof_a, offset[kb] + dof_b, sgn)
+    for itf, pairs, _, _ in checked:
+        (ka, _), (kb, _) = itf.a, itf.b
+        for (ra, rb), sgn in zip(pairs, _pair_signs(ps, itf, pairs)):
+            union(offset[ka] + ra[0], offset[kb] + rb[0], sgn)
 
     roots = {}
     for x in range(total):
@@ -353,58 +241,44 @@ def build_glue(ps: PatchSet, check: bool = True) -> Glue:
     return Glue(scatters, ndof)
 
 
-def _pair_signs(ps, itf, perm, flip, pairs):
+def _pair_signs(ps, itf, pairs):
     """Orientation signs of the b-side traces relative to the a-side ones,
-    per (dof_a, key_a, dof_b, key_b) of ``pairs``, compared at matched face
-    points (tangential projections) with one probe per side; ``perm`` and
-    ``flip`` map the a-face axes onto the b-face axes."""
+    per (record a, record b) of ``pairs``, compared at matched face points
+    (tangential projections) with one probe per side: the midpoint of the
+    a-side factor supports and its image on the b face."""
     signs = np.ones(len(pairs), dtype=int)
-    vec = [i for i, pair in enumerate(pairs) if pair[1][0] not in ("s", "s2")]
+    vec = [i for i, (ra, _) in enumerate(pairs) if ra[1] is not None]
     if not vec:
         return signs
     (ka, fa), (kb, fb) = itf.a, itf.b
-    keys_a, keys_b = [pairs[i][1] for i in vec], [pairs[i][3] for i in vec]
-    ca = np.array([_key_coords(key) for key in keys_a])
-    va = _trace_probes(ps.spaces[ka], ps.geoms[ka], fa, keys_a, ca)
-    vb = _trace_probes(ps.spaces[kb], ps.geoms[kb], fb, keys_b, _map_coords(ca, perm, flip))
+    perm, flip = itf.normalized(ps.geoms[ka].ndim - 1)
+    recs_a, recs_b = [pairs[i][0] for i in vec], [pairs[i][1] for i in vec]
+    ca = np.array([[float(lkv[0] + lkv[-1]) / 2 for lkv, _, _ in r[2]] for r in recs_a])
+    va = _trace_probes(ps.geoms[ka], fa, recs_a, ca)
+    vb = _trace_probes(ps.geoms[kb], fb, recs_b, _map_coords(ca, perm, flip))
     dot = np.sum(va * vb, axis=1)
     for i, (d, na, nb) in enumerate(zip(dot, np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1))):
         if na < 1e-14 or nb < 1e-14 or abs(abs(d) / (na * nb) - 1.0) > 1e-6:
-            raise ConformityError(f"trace probe mismatch for {keys_a[i]} vs {keys_b[i]}")
+            raise ConformityError(f"trace probe mismatch for dofs {recs_a[i][0]} (a) and {recs_b[i][0]} (b)")
     signs[vec] = np.where(dot > 0, 1, -1)
     return signs
 
 
-def _trace_probes(space, geom, face, keys, coords):
-    """Physical tangential traces of the functions ``keys``, each at its
-    face point (rows of ``coords``), from one Jacobian evaluation."""
-    axis = face[0]
+def _trace_probes(geom, face, records, coords):
+    """Physical tangential traces of the vector functions ``records``, each
+    at its face point (rows of ``coords``), from one Jacobian evaluation.
+
+    A record's reference trace uhat is the product of its factors in face
+    component c.  Its curl-conforming push-forward u = J^-T uhat has
+    T^T u = uhat on the face tangents T = J[:, :, face axes], so the
+    tangential part of u is T (T^T T)^-1 uhat."""
     pts = _face_points(geom.ndim, face, coords)
-    uhat = np.zeros_like(pts)
-    blocks = space.x1_blocks() if isinstance(space, Complex3D) else None
-    for i, (key, pt) in enumerate(zip(keys, pts)):
-        if isinstance(space, Vector2D):
-            comp = 1 - axis
-            sp2 = (space.c1, space.c2)[comp]
-            uhat[i, comp] = scaled_eval(key[2], sp2.degrees[comp], sp2.scalings[comp], pt[comp])[0]
-        elif isinstance(space, Complex3D) and key[0] == "t2":
-            s2d, _, _ = blocks[key[1]]
-            uhat[i, key[1]] = _eval_2d_factor(s2d, key[2], key[3], pt[:2])
-        elif isinstance(space, Complex3D):
-            m = (1 - axis) if key[1] == 0 else 2
-            s2d, kvz, zscal = blocks[m]
-            fval = scaled_eval(key[2], s2d.degrees[1 - axis], s2d.scalings[1 - axis], pt[1 - axis])[0]
-            uhat[i, m] = fval * scaled_eval(key[3], kvz.degree, zscal, pt[2])[0]
-        else:
-            raise TypeError(type(space))
+    uhat = np.zeros_like(coords)
+    for i, ((_, c, factors), x) in enumerate(zip(records, coords)):
+        uhat[i, c] = np.prod([scaled_eval(lkv, p, s, xi)[0] for (lkv, p, s), xi in zip(factors, x)])
     J, _ = geom.jacobian_dets(pts)
-    u = np.linalg.solve(J.transpose(0, 2, 1), uhat[:, :, None])[:, :, 0]
-    if isinstance(space, Vector2D):
-        tang = J[:, :, 1 - axis] / np.linalg.norm(J[:, :, 1 - axis], axis=1)[:, None]
-        return np.sum(u * tang, axis=1)[:, None] * tang
-    n = np.cross(*(J[:, :, a] for a in range(3) if a != axis))  # either orientation
-    n /= np.linalg.norm(n, axis=1)[:, None]
-    return u - np.sum(u * n, axis=1)[:, None] * n
+    T = J[:, :, list(_face_axes(geom.ndim, face[0]))]
+    return (T @ np.linalg.solve(T.transpose(0, 2, 1) @ T, uhat[:, :, None]))[:, :, 0]
 
 
 # -- global assembly ---------------------------------------------------------------

@@ -231,7 +231,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     Bg = glue.global_matrix([B0, B1])
     z1, z2 = 0.0, length
     Me = M2 @ e10
-    load0 = np.zeros(spaces[0].x1_dim())
+    load0 = np.zeros(spaces[0].dim)
     load0[tmap0] = Me * np.exp(-1j * beta * z1).real  # z1 = 0
     bg = glue.scatters[0].T @ load0
 

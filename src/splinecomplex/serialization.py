@@ -169,7 +169,6 @@ PROBLEM_SCHEMA = {
         "k": {"type": "number"},
         "length": {"type": "number"},
         "tensor": {"type": "boolean"},
-        "zero_tol": {"type": "number"},
     },
 }
 

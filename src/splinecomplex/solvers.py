@@ -98,7 +98,7 @@ def solve_source(A, b, tol=1e-10):
     nb = np.linalg.norm(b)
     if nb > 0:
         res = np.linalg.norm(A @ x - b) / nb
-        if res > tol:
+        if not res <= tol:  # NaN fails too
             raise NumericalError(f"direct solve residual {res:.2e} exceeds {tol:.0e}")
     return x
 

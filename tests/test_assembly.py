@@ -11,6 +11,7 @@ from splinecomplex import assembly
 from splinecomplex.assembly import (
     Complex3D,
     Scalar2D,
+    Scalar3D,
     Vector2D,
     assemble_load_3d,
     assemble_matrix_2d,
@@ -231,7 +232,7 @@ def test_dirichlet_counts_3d():
     constrained = dirichlet_dofs(cx3, all_faces)
     # no-tags restriction is the identity
     assert dirichlet_dofs(cx3, []) == []
-    assert 0 < len(constrained) < cx3.x1_dim()
+    assert 0 < len(constrained) < cx3.dim
     # the free space excludes every clamped tangential dof
     dims = cx3.space_dims()
     nz = cx3.kv_z.n
@@ -258,7 +259,69 @@ def test_port_boundary_matrix():
     w = np.linalg.eigvalsh(0.5 * (Bd + Bd.T))
     assert w[0] > -1e-12  # positive semidefinite Gram of tangential traces
     # zero incident field gives a zero load by construction
-    assert B.shape == (cx3.x1_dim(), cx3.x1_dim())
+    assert B.shape == (cx3.dim, cx3.dim)
+
+
+def _lsection_spaces(p, nz=3):
+    """The section complex of the level-1 L-section T-mesh at degree p and
+    its four space types."""
+    from splinecomplex.benchmarks import lsection_raw_tmesh
+
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(1, p), p))
+    cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
+    return tcx, (Scalar2D(tcx.Y0), Vector2D.from_complex(tcx), Scalar3D(cx3), cx3)
+
+
+def _face_traces(space, face):
+    """Oracle: {dof: (reference component, P, values at P)} of the functions
+    whose tangential trace is nonzero at some face point P, the midpoints
+    of all mesh intervals of their block along the face axes."""
+    from splinecomplex.bspline import scaled_eval
+
+    axis, side = face
+    out = {}
+    for off, s2d, kvz, zscal, comp in space.blocks():
+        lines = [s2d.mesh.xs, s2d.mesh.ys] + ([] if kvz is None else [kvz.breakpoints])
+        mids = [(g[1:] + g[:-1]) / 2 for g in (np.unique(np.asarray(v, dtype=float)) for v in lines)]
+        mids[axis] = np.array([float(side)])
+        P = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(-1, len(mids))
+        V = s2d.basis(P[:, :2])
+        if kvz is not None:  # dof iz * dim + a
+            V = (scaled_eval(kvz.local_rows, kvz.degree, zscal, P[:, 2])[:, :, None] * V[:, None, :]).reshape(len(P), -1)
+        if comp != axis:  # e_axis is normal to the face
+            for i in np.flatnonzero(np.abs(V).max(axis=0) > 1e-12):
+                out[off + int(i)] = (comp, P, V[:, i])
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_traces_are_the_functions_nonzero_on_each_face(p):
+    from splinecomplex.bspline import scaled_eval
+
+    for space in _lsection_spaces(p)[1]:
+        ndim = 2 if isinstance(space, (Scalar2D, Vector2D)) else 3
+        for face in [(a, s) for a in range(ndim) for s in (0, 1)]:
+            records = assembly.traces(space, face)
+            oracle = _face_traces(space, face)
+            dofs = [dof for dof, _, _ in records]
+            assert sorted(dofs) == sorted(oracle) == dirichlet_dofs(space, [face]), (type(space).__name__, face)
+            face_axes = [d for d in range(ndim) if d != face[0]]
+            for dof, c, factors in records:
+                comp, P, values = oracle[dof]
+                assert (None if c is None else face_axes[c]) == comp
+                trace = np.prod([scaled_eval(lkv, q, s, P[:, d]) for (lkv, q, s), d in zip(factors, face_axes)], axis=0)
+                npt.assert_allclose(trace, values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_port_trace_map_is_the_section_at_the_clamped_layer(p):
+    tcx, (*_, cx3) = _lsection_spaces(p)
+    n1, n2, nz = tcx.Y1[0].dim, tcx.Y1[1].dim, cx3.nz
+    for side, iz in ((0, 0), (1, nz - 1)):
+        B, tmap = assemble_port_boundary(cx3, sp.identity(n1 + n2, format="csr"), side)
+        expected = [iz * n1 + a for a in range(n1)] + [n1 * nz + iz * n2 + a for a in range(n2)]
+        assert tmap.tolist() == expected
+        assert np.array_equal(np.flatnonzero(B.diagonal()), np.sort(expected)) and B.nnz == n1 + n2
 
 
 def test_waveguide_assembles_section_mass_once(monkeypatch):
@@ -349,7 +412,6 @@ def _per_anchor_dofs_3d(cx3, order):
 
     Yields (P, W, [(dof, value (npts, 3), curl (npts, 3))]) per element.
     """
-    offs = cx3.x1_offsets()
     for x1, y1, x2, y2 in _boxes(cx3.tcx.meshes.M0):
         for za, zb in ((float(a), float(b)) for a, b in cx3.kv_z.spans()):
             pts2, w2 = gauss_points_2d((x1, y1, x2, y2), order)
@@ -357,7 +419,7 @@ def _per_anchor_dofs_3d(cx3, order):
             P = np.array([[x, y, z] for x, y in pts2 for z in pz])
             W = np.array([a * b for a in w2 for b in wz])
             dofs = []
-            for m, (s2d, kvz, zscal) in enumerate(cx3.x1_blocks()):
+            for off, s2d, kvz, zscal, m in cx3.blocks():
                 (p1, p2), (s1, s2) = s2d.degrees, s2d.scalings
                 q, ks = kvz.degree, kvz.knots
                 for a in s2d.anchors:
@@ -377,7 +439,7 @@ def _per_anchor_dofs_3d(cx3, order):
                         curl = np.column_stack(
                             [(zero, -dz, dy)[m], (dz, zero, -dx)[m], (-dy, dx, zero)[m]]
                         )
-                        dofs.append((offs[m] + iz * s2d.dim + a.index, val, curl))
+                        dofs.append((off + iz * s2d.dim + a.index, val, curl))
             yield P, W, dofs
 
 
@@ -439,7 +501,7 @@ def test_3d_tables_match_per_anchor_oracle():
 
 
 def _check_3d_against_oracle(cx3, geom):
-    n = cx3.x1_dim()
+    n = cx3.dim
     f = lambda X: np.column_stack([np.sin(X[:, 2]), X[:, 0] * X[:, 1], np.cos(X[:, 0])])
     coeffs = np.random.default_rng(7).standard_normal(n)
 
@@ -529,7 +591,7 @@ def test_3d_patches_share_one_pattern_and_match_coo_sum():
 
     tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(1), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
-    n = cx3.x1_dim()
+    n = cx3.dim
     with assembly._shared_patterns():
         for geom in cylinder_sector_patches():
             for kind, j in (("mass", 1), ("curlcurl", 2)):

@@ -68,6 +68,9 @@ def test_validation_error_exit_code(tmp_path):
     wrong_kind = tmp_path / "wrong.json"
     dump_json({"kind": "solve-source"}, wrong_kind)
     assert run_cli(["solve-eig", "--problem", str(wrong_kind)], tmp_path) == 2
+    unread = tmp_path / "unread.json"
+    dump_json({"kind": "solve-eig", "benchmark": "square", "zero_tol": 1e-6}, unread)
+    assert run_cli(["solve-eig", "--problem", str(unread)], tmp_path) == 2
 
 
 def test_byte_identical_reruns(tmp_path):

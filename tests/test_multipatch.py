@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.sparse.linalg import norm as sp_norm
 
-from splinecomplex.assembly import Complex3D, Scalar2D, Vector2D, assemble_matrix_2d
+from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D, assemble_matrix_2d
 from splinecomplex.benchmarks import linear_patch, lsection_patches, prism_patch
 from splinecomplex.bspline import KnotVector
 from splinecomplex.exactrank import modular_rank
@@ -15,7 +15,6 @@ from splinecomplex.multipatch import (
     ConformityError,
     Interface,
     PatchSet,
-    Scalar3D,
     build_glue,
     check_conformity,
     global_operator,
@@ -333,3 +332,34 @@ def test_permuted_flipped_interface_glues_gradients():
     for S, g in zip(glue1.scatters, geoms):
         e_l2, e_curl = hcurl_error_3d(cx3, g, S @ c, u, zero)
         assert e_l2 < 1e-9 and e_curl < 1e-9, (e_l2, e_curl)
+
+
+@pytest.mark.parametrize(
+    "flip", [(False, False), (True, False), (False, True), (True, True)], ids=["kept", "flip0", "flip1", "flip01"]
+)
+@pytest.mark.parametrize("perm", [(0, 1), (1, 0)], ids=["same", "swap"])
+def test_every_interface_orientation_glues_gradients(perm, flip):
+    """Two unit cubes meeting at x = 1, in all 8 orientations of the face
+    map: patch 1 is (1,2)x(0,1)^2 with its face eta = side on the
+    interface, and the face axes (y, z) of patch 0 map onto its (xi, zeta)
+    by ``perm`` and ``flip``; eta runs along x or against it so that the
+    map keeps a positive Jacobian."""
+    p = 2
+    cx3 = Complex3D(build_tspline_complex(derive_complex_meshes(uniform_raw(2), p)), KnotVector.uniform(p, 2))
+    A, b = np.zeros((3, 3)), np.zeros(3)
+    for i in range(2):  # a-face coordinate i of (y, z) is b-face coordinate perm[i] of (xi, zeta)
+        A[1 + i, (0, 2)[perm[i]]] = -1.0 if flip[i] else 1.0
+        b[1 + i] = 1.0 if flip[i] else 0.0
+    A[0, 1] = 1.0
+    side = int(np.linalg.det(A) < 0)
+    A[0, 1], b[0] = (-1.0, 2.0) if side else (1.0, 1.0)
+    geoms = [linear_patch(np.eye(3)), linear_patch(A, b=b)]
+    itf = [Interface((0, (0, 1)), (1, (1, side)), perm=perm, flip=flip)]
+    assert all(ok for _, ok, _ in check_conformity(PatchSet(geoms, [cx3] * 2, itf)))
+    glue0 = build_glue(PatchSet(geoms, [Scalar3D(cx3)] * 2, itf))
+    glue1 = build_glue(PatchSet(geoms, [cx3] * 2, itf))
+    grad = cx3.operators()["grad"]
+    G = global_operator(glue0, glue1, [grad, grad])
+    x = np.random.default_rng(45).standard_normal(glue0.ndof)
+    for S0, S1 in zip(glue0.scatters, glue1.scatters):
+        npt.assert_allclose(S1 @ (G @ x), grad @ (S0 @ x), rtol=0, atol=1e-12 * np.abs(x).max())

@@ -61,6 +61,8 @@ def test_solve_source_residual_guard():
     # an exactly singular sparse factor is a numerical failure, not NaNs
     with pytest.raises(NumericalError):
         solve_source(sp.csc_matrix(np.ones((2, 2))), np.array([1.0, 0.0]))
+    with pytest.raises(NumericalError):  # the complex path solves to NaNs
+        solve_source(sp.csc_matrix(np.ones((2, 2)) + 0j), np.array([1.0, 0.0]))
 
 
 def test_port_mode_rectangle():

@@ -26,6 +26,7 @@ from splinecomplex.tmesh import (
     tensor_raw_tmesh,
     validate_tmesh,
 )
+from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes, verify_t_exactness
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -274,3 +275,13 @@ def test_refined_mesh_generators_match_fixtures(level):
     # the committed L-section and cylinder-section fixtures are these generators' output
     assert tmesh_to_dict(lsection_raw_tmesh(level, 4)) == load_json(FIXTURES / f"lsection_tmesh_p4_l{level}.json")
     assert tmesh_to_dict(cylinder_section_raw_tmesh(level)) == load_json(FIXTURES / f"cylinder_section_l{level}.json")
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_degree5_lsection_builds_exact_complex(level):
+    # at p=5 the reach of a fine line falls between breakpoints (5/32 at
+    # level 3, 5/64 at level 4): the line runs on to the next breakpoint
+    raw = lsection_raw_tmesh(level, 5)
+    assert validate_tmesh(raw, (5, 5)).is_analysis_suitable()[0]
+    rep = verify_t_exactness(build_tspline_complex(derive_complex_meshes(raw, 5)))
+    assert rep.passed and rep.certified, rep.identities

@@ -190,7 +190,8 @@ def test_zero_count_matches_restricted_grad_rank():
     # the zero modes of the cavity eigenproblem are the discrete gradients of
     # the fully constrained scalar space: cross-check via the exact rank of
     # the boundary-restricted gradient matrix
-    from splinecomplex.assembly import Vector2D, _clamped_lkv, dirichlet_dofs
+    from splinecomplex.assembly import Vector2D, dirichlet_dofs
+    from splinecomplex.bspline import _clamped
     from splinecomplex.exactrank import modular_rank
     from splinecomplex.problems import square_eigenproblem
 
@@ -202,7 +203,7 @@ def test_zero_count_matches_restricted_grad_rank():
         keep0 = []
         for a in tcx.Y0.anchors:
             clamped = any(
-                _clamped_lkv(lkv, 3, side) for lkv in (a.lkv1, a.lkv2) for side in (0, 1)
+                _clamped(lkv, 3, side) for lkv in (a.lkv1, a.lkv2) for side in (0, 1)
             )
             if not clamped:
                 keep0.append(a.index)
