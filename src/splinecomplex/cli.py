@@ -271,7 +271,7 @@ def cmd_convergence(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="splinecomplex", description=__doc__)
     ap.add_argument("--out", default="out", help="output directory for reports")
-    ap.add_argument("--tol", type=float, default=None, help="override zero tolerance")
+    ap.add_argument("--tol", type=float, default=None, help="override the zero threshold for eigenvalues beyond the exact gradient kernel")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-complex", help="build a tensor complex and verify exactness")

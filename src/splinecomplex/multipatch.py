@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import traces
-from .bspline import scaled_eval
+from .bspline import KnotRows, scaled_eval
 
 __all__ = [
     "PatchSet",
@@ -269,13 +269,21 @@ def _trace_probes(geom, face, records, coords):
     at its face point (rows of ``coords``), from one Jacobian evaluation.
 
     A record's reference trace uhat is the product of its factors in face
-    component c.  Its curl-conforming push-forward u = J^-T uhat has
+    component c, the factors evaluated in one batch per face axis and
+    (degree, scaling).  Its curl-conforming push-forward u = J^-T uhat has
     T^T u = uhat on the face tangents T = J[:, :, face axes], so the
     tangential part of u is T (T^T T)^-1 uhat."""
     pts = _face_points(geom.ndim, face, coords)
+    vals = np.ones(len(records))
+    for j in range(coords.shape[1]):  # one batch per face axis and factor type
+        groups = {}
+        for i, (_, _, factors) in enumerate(records):
+            groups.setdefault(factors[j][1:], []).append(i)
+        for (p, s), idx in groups.items():
+            rows = KnotRows.from_exact([records[i][2][j][0] for i in idx])
+            vals[idx] *= scaled_eval(rows, p, s, coords[idx, j][None, :])[0]
     uhat = np.zeros_like(coords)
-    for i, ((_, c, factors), x) in enumerate(zip(records, coords)):
-        uhat[i, c] = np.prod([scaled_eval(lkv, p, s, xi)[0] for (lkv, p, s), xi in zip(factors, x)])
+    uhat[np.arange(len(records)), [c for _, c, _ in records]] = vals
     J, _ = geom.jacobian_dets(pts)
     T = J[:, :, list(_face_axes(geom.ndim, face[0]))]
     return (T @ np.linalg.solve(T.transpose(0, 2, 1) @ T, uhat[:, :, None]))[:, :, 0]
@@ -287,19 +295,20 @@ def _trace_probes(geom, face, records, coords):
 def global_operator(glue_src: Glue, glue_dst: Glue, local_ops):
     """Global differential operator from per-patch operators and two glues.
 
-    Each global target row is taken from its master patch representative.
+    Each global target row is taken from its master patch representative:
+    the first (patch, local row) that scatters to it, in patch order.  Per
+    patch, the signed selection P_k of its master rows gives the sum of
+    P_k @ op_k @ S_k over the patches, S_k the source scatters.
     """
     ndst = glue_dst.ndof
-    rows = []
-    masters = [None] * ndst
-    for k, S in enumerate(glue_dst.scatters):
-        coo = S.tocoo()
-        for i, g, s in zip(coo.row, coo.col, coo.data):
-            if masters[g] is None:
-                masters[g] = (k, int(i), int(s))
-    blocks = []
-    for g in range(ndst):
-        k, i, s = masters[g]
-        row = s * (local_ops[k].getrow(i) @ glue_src.scatters[k])
-        blocks.append(row)
-    return sp.vstack(blocks).tocsr()
+    taken = np.zeros(ndst, dtype=bool)
+    A = None
+    for D, op, S in zip(glue_dst.scatters, local_ops, glue_src.scatters):
+        g = D.indices[D.indptr[:-1]]  # one signed entry per local row
+        _, first = np.unique(g, return_index=True)
+        rows = first[~taken[g[first]]]
+        taken[g[rows]] = True
+        P = sp.csr_matrix((D.data[D.indptr[rows]], (g[rows], rows)), shape=(ndst, D.shape[0]))
+        term = P @ op @ S
+        A = term if A is None else A + term
+    return A.tocsr()

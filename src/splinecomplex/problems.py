@@ -15,6 +15,7 @@ import numpy as np
 from .assembly import (
     Complex3D,
     Scalar2D,
+    Scalar3D,
     Vector2D,
     _shared_patterns,
     assemble_load_3d,
@@ -35,7 +36,7 @@ from .benchmarks import (
     waveguide_geometry,
 )
 from .bspline import KnotVector
-from .multipatch import Interface, PatchSet, build_glue
+from .multipatch import Interface, PatchSet, build_glue, global_operator
 from .solvers import EigenResult, compute_scattering, solve_generalized_eig, solve_port_mode, solve_source
 from .tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from .tspline import build_tspline_complex, derive_complex_meshes
@@ -88,17 +89,41 @@ def _system(ps: PatchSet, walls, kinds):
                 assemble = assemble_matrix_3d if isinstance(space, Complex3D) else assemble_matrix_2d
                 local.append(assemble(space, geom, kind))
             matrices.append(glue.global_matrix(local) if glue else local[0])
+    return glue, matrices, _free(ps, glue, walls, matrices[0].shape[0])
+
+
+def _free(ps: PatchSet, glue, walls, ndof):
+    """The (global) dofs of ``ps`` without a trace on the walls."""
     if glue is None:
         walled = dirichlet_dofs(ps.spaces[0], walls[0])
     else:
         walled = [d for k, faces in walls.items() for d in glue.global_dofs_for(k, dirichlet_dofs(ps.spaces[k], faces))]
-    return glue, matrices, np.setdiff1d(np.arange(matrices[0].shape[0]), walled)
+    return np.setdiff1d(np.arange(ndof), walled)
 
 
-def _eigen_run(ps, walls, kinds, count, zero_tol) -> EigenRun:
-    _, (K, M), free = _system(ps, walls, kinds)
+def _gradient_kernel(ps: PatchSet, glue, walls, free, scalars, grads):
+    """The exact kernel of the rot-rot or curl-curl matrix of ``ps``: the
+    gradient ``grads`` (per patch) of the scalar spaces ``scalars``, glued
+    like ``ps``, with rows restricted to the free dofs ``free`` and columns
+    to the scalar dofs off the same walls.  Under the walls the gradient
+    is injective, so its columns are a basis of the kernel."""
+    ps0 = PatchSet(ps.geoms, scalars, ps.interfaces)
+    glue0 = None if glue is None else build_glue(ps0)
+    G = grads[0] if glue0 is None else global_operator(glue0, glue, grads)
+    return G.tocsr()[free][:, _free(ps0, glue0, walls, G.shape[1])]
+
+
+def _grad_2d(tcx):
+    return tcx.operators_int["grad"] / tcx.denominators["grad"]
+
+
+def _eigen_run(ps, walls, kinds, count, zero_tol, scalars=None, grads=None) -> EigenRun:
+    """Eigenvalues of the pencil ``kinds`` on the free dofs; the gradient
+    kernel of ``scalars`` and ``grads`` is deflated when they are given."""
+    glue, (K, M), free = _system(ps, walls, kinds)
+    G = None if scalars is None else _gradient_kernel(ps, glue, walls, free, scalars, grads)
     sub = np.ix_(free, free)
-    return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, zero_tol=zero_tol))
+    return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, zero_tol=zero_tol, kernel=G))
 
 
 def square_eigenproblem(level: int, degree: int = 3, count: int = None, zero_tol=None) -> EigenRun:
@@ -109,7 +134,7 @@ def square_eigenproblem(level: int, degree: int = 3, count: int = None, zero_tol
     """
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), degree))
     ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
-    return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count, zero_tol)
+    return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count, zero_tol, [Scalar2D(tcx.Y0)], [_grad_2d(tcx)])
 
 
 def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5, zero_tol=None) -> EigenRun:
@@ -130,7 +155,9 @@ def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
     ps = PatchSet([prism_patch(_rot(k)) for k in range(3)], [Complex3D(tcx, kv_z) for _ in range(3)], _L_INTERFACES)
     walls = {k: faces + [(2, 0), (2, 1)] for k, faces in _L_WALLS.items()}
-    return _eigen_run(ps, walls, ("curlcurl", "mass"), count, zero_tol)
+    scalars = [Scalar3D(cx3) for cx3 in ps.spaces]
+    grads = [cx3.operators()["grad"] for cx3 in ps.spaces]
+    return _eigen_run(ps, walls, ("curlcurl", "mass"), count, zero_tol, scalars, grads)
 
 
 def _rot(k):
@@ -219,8 +246,10 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
 
     # port mode on the section
     v2 = Vector2D.from_complex(tcx)
-    _, (K2, M2), free2 = _system(PatchSet([section_geom], [v2]), {0: ALL_FACES_2D}, ("rotrot", "mass"))
-    k10sq, e_free = solve_port_mode(K2[np.ix_(free2, free2)], M2[np.ix_(free2, free2)])
+    section = PatchSet([section_geom], [v2])
+    _, (K2, M2), free2 = _system(section, {0: ALL_FACES_2D}, ("rotrot", "mass"))
+    G2 = _gradient_kernel(section, None, {0: ALL_FACES_2D}, free2, [Scalar2D(tcx.Y0)], [_grad_2d(tcx)])
+    k10sq, e_free = solve_port_mode(K2[np.ix_(free2, free2)], M2[np.ix_(free2, free2)], kernel=G2)
     e10 = np.zeros(v2.dim)
     e10[free2] = e_free
     beta = math.sqrt(k * k - k10sq)

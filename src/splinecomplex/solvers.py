@@ -3,6 +3,16 @@
 Solves are deterministic and single-threaded; systems at desk scale are
 reduced with a Cholesky factorization of the mass matrix inside LAPACK's
 generalized symmetric driver.
+
+The kernel of the Maxwell stiffness is exactly the image of the discrete
+gradient, the zero block of every Maxwell spectrum.  Given that kernel G
+(n x m), :func:`solve_generalized_eig` deflates it: it solves only the
+(n-m)-dim pencil on a complement of range(G), whose eigenvalues are the
+nonzero ones, and puts m exact zeros in front (Arbenz and Geus, Appl.
+Numer. Math. 54, 2005).  The zero count then comes from the exact complex;
+the ``zero_tol`` threshold counts only zeros beyond the kernel.  A kernel
+that K does not annihilate, that is rank deficient, or that leaves an
+indefinite deflated mass matrix raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ __all__ = [
 ]
 
 ZERO_REL_TOL = 1e-8
+KERNEL_REL_TOL = 1e-10  # |K G| against |K| |G|, all Frobenius
 
 
 class NumericalError(ValueError):
@@ -45,40 +56,89 @@ class EigenResult:
         if self.vectors is None:
             raise ValueError("eigenvectors were not requested")
         lam_max = max(float(np.max(np.abs(self.values))), 1.0)
-        out = []
-        for lam, v in zip(self.values, self.vectors.T):
-            r = K @ v - lam * (M @ v)
-            out.append(np.linalg.norm(r) / (np.linalg.norm(v) * lam_max))
-        return np.asarray(out)
+        V = self.vectors
+        R = K @ V - (M @ V) * self.values
+        return np.linalg.norm(R, axis=0) / (np.linalg.norm(V, axis=0) * lam_max)
 
 
-def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None) -> EigenResult:
+def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None, kernel=None) -> EigenResult:
     """Smallest eigenpairs of K v = lambda M v, K sym-psd and M SPD.
 
-    The zero count tallies eigenvalues below ``zero_tol`` (default 1e-8)
-    times the largest one.  ``count`` is the number of nonzero eigenvalues
-    kept after the zero block; all of them when None.
+    ``kernel`` is an exact basis G (n x m) of the null space of K, or None
+    (m = 0).  Its m zero eigenvalues come first, exactly; the dense solve
+    runs only on the (n-m)-dim deflated pencil of :func:`_deflate`.  The
+    zero count is m plus the deflated eigenvalues below ``zero_tol``
+    (default 1e-8) times the largest one.  ``count`` is the number of
+    nonzero eigenvalues kept after the zero block; all of them when None.
+    With ``vectors`` the zero block holds the kernel columns.
     """
-    Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
-    Md = M.toarray() if sp.issparse(M) else np.asarray(M)
+    m = 0 if kernel is None else kernel.shape[1]
+    Kd, Md, lift = _deflate(K, M, kernel) if m else (_dense(K), _dense(M), None)
     Kd = 0.5 * (Kd + Kd.T)
     Md = 0.5 * (Md + Md.T)
     try:
-        np.linalg.cholesky(Md)
+        w, V = sla.eigh(Kd, Md) if vectors else (sla.eigh(Kd, Md, eigvals_only=True), None)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("mass matrix is not positive definite") from exc
-    if vectors:
-        w, V = sla.eigh(Kd, Md)
-    else:
-        w = sla.eigh(Kd, Md, eigvals_only=True)
-        V = None
+        raise NumericalError(f"dense eigensolve failed: {exc}") from exc
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     tol = ZERO_REL_TOL if zero_tol is None else zero_tol
-    zero = int(np.sum(w < tol * lam_max))
+    zero = m + int(np.sum(w < tol * lam_max))
+    w = np.concatenate([np.zeros(m), w])
+    if V is not None and m:
+        V = np.hstack([_dense(kernel), lift(V)])
     if count is not None:
         w = w[: zero + count]
         V = V[:, : zero + count] if V is not None else None
     return EigenResult(w, zero, V)
+
+
+def _dense(A):
+    return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+
+
+def _fro(A):
+    return float(spla.norm(A)) if sp.issparse(A) else float(np.linalg.norm(A))
+
+
+def _deflate(K, M, G):
+    """The pencil (K_CC, S) on a complement of range(G), with K G = 0.
+
+    T are the m pivot rows of a partially pivoted LU of G, C the others.
+    In the basis [E_C, G] the matrix K is block diagonal (K_CC, 0); the
+    Schur complement S = M_CC - M_CR (G^T M G)^-1 M_RC of the G block of M
+    (M_CR = E_C^T M G) makes the nonzero eigenvalues of (K_CC, S) exactly
+    those of (K, M).  Returns (K_CC, S, lift): lift maps deflated
+    eigenvectors x to the full v = E_C x - G (G^T M G)^-1 G^T M E_C x.
+    Raises NumericalError when G is not a kernel of K, is rank deficient
+    or has an indefinite G^T M G.
+    """
+    n, m = G.shape
+    KG = K @ G
+    if _fro(KG) > KERNEL_REL_TOL * _fro(K) * _fro(G):
+        raise NumericalError(f"the kernel is not annihilated: |KG| = {_fro(KG):.2e}")
+    lu, piv = sla.lu_factor(_dense(G))
+    pivots = np.abs(np.diag(lu))
+    if not pivots.min() > max(n, m) * np.finfo(float).eps * np.abs(np.triu(lu[:m])).max():
+        raise NumericalError("the kernel columns are linearly dependent")
+    perm = np.arange(n)
+    for i, p in enumerate(piv):
+        perm[[i, p]] = perm[[p, i]]
+    C = np.sort(perm[m:])
+    MG = sp.csr_matrix(M @ G)
+    try:
+        L = np.linalg.cholesky(_dense(G.T @ MG))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("G^T M G is not positive definite") from exc
+    W = sla.solve_triangular(L, _dense(MG[C].T), lower=True)
+    sub = np.ix_(C, C)
+    S = _dense(M[sub]) - W.T @ W
+
+    def lift(X):
+        V = np.zeros((n, X.shape[1]))
+        V[C] = X
+        return V - G @ sla.solve_triangular(L, W @ X, lower=True, trans="T")
+
+    return _dense(K[sub]), S, lift
 
 
 def solve_source(A, b, tol=1e-10):
@@ -103,19 +163,19 @@ def solve_source(A, b, tol=1e-10):
     return x
 
 
-def solve_port_mode(K, M):
-    """Smallest nonzero eigenvalue and its mass-normalized eigenvector.
+def solve_port_mode(K, M, kernel=None):
+    """Smallest nonzero eigenvalue and its mass-normalized eigenvector;
+    ``kernel`` is deflated as in :func:`solve_generalized_eig`.
 
     The eigenvector sign is fixed so its first nonzero coefficient is
     positive, making the result deterministic across runs.
     """
-    res = solve_generalized_eig(K, M, vectors=True)
+    res = solve_generalized_eig(K, M, vectors=True, kernel=kernel)
     if res.zero_count >= res.values.size:
         raise NumericalError("all port eigenvalues are numerically zero")
     k2 = float(res.values[res.zero_count])
     v = res.vectors[:, res.zero_count]
-    Md = M.toarray() if sp.issparse(M) else M
-    v = v / np.sqrt(v @ (Md @ v))
+    v = v / np.sqrt(v @ (M @ v))
     nz = np.nonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]
     if v[nz[0]] < 0:
         v = -v

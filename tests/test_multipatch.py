@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sp_norm
 
 from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D, assemble_matrix_2d
@@ -332,6 +333,44 @@ def test_permuted_flipped_interface_glues_gradients():
     for S, g in zip(glue1.scatters, geoms):
         e_l2, e_curl = hcurl_error_3d(cx3, g, S @ c, u, zero)
         assert e_l2 < 1e-9 and e_curl < 1e-9, (e_l2, e_curl)
+
+
+def _global_operator_by_rows(glue_src, glue_dst, local_ops):
+    """Reference for global_operator: each global row copied from its first
+    (patch, local row) in patch order, one row at a time."""
+    masters = [None] * glue_dst.ndof
+    for k, S in enumerate(glue_dst.scatters):
+        coo = S.tocoo()
+        for i, g, s in zip(coo.row, coo.col, coo.data):
+            if masters[g] is None:
+                masters[g] = (k, int(i), int(s))
+    rows = [s * (local_ops[k].getrow(i) @ glue_src.scatters[k]) for k, i, s in masters]
+    return sp.vstack(rows).tocsr()
+
+
+def test_global_operator_matches_row_by_row_reference():
+    """On the permuted, flipped two-cube interface the selection-matrix
+    global operator equals the row-by-row reference exactly, for the float
+    gradient, an X1 -> X1 operator and the integer-scaled gradient, each
+    doubled on patch 1."""
+    p = 2
+    tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(2), p))
+    cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
+    geoms = [linear_patch(np.eye(3)), linear_patch(np.array([[0.0, -1, 0], [0, 0, -1], [1, 0, 0]]), b=[2.0, 1, 0])]
+    itf = [Interface((0, (0, 1)), (1, (1, 1)), perm=(1, 0), flip=(True, False))]
+    glue0 = build_glue(PatchSet(geoms, [Scalar3D(cx3)] * 2, itf))
+    glue1 = build_glue(PatchSet(geoms, [cx3] * 2, itf))
+    ops = cx3.operators()
+    grad_int = (ops["grad"] * tcx.denominators["grad"]).tocsr()
+    grad_int.data = np.rint(grad_int.data)
+    grad_int = grad_int.astype(np.int64)
+    for src, dst, op in ((glue0, glue1, ops["grad"]), (glue1, glue1, ops["grad"] @ ops["grad"].T), (glue0, glue1, grad_int)):
+        ops_k = [op, 2 * op]  # unequal per patch, so the choice of master rows shows
+        got = global_operator(src, dst, ops_k)
+        want = _global_operator_by_rows(src, dst, ops_k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert not np.array_equal(got.toarray(), global_operator(src, dst, ops_k[::-1]).toarray())
 
 
 @pytest.mark.parametrize(

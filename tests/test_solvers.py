@@ -128,3 +128,91 @@ def test_numerical_failures_are_numerical_errors():
 
     with pytest.raises(NumericalError, match="positive definite"):
         solve_generalized_eig(np.eye(3), -np.eye(3))
+
+
+def _pencil_and_kernel(problem):
+    """(K, M, G) of the square L1 p=3 or thick L0 p=2 Maxwell problem, on
+    its free dofs, with the exact gradient kernel the drivers deflate."""
+    from splinecomplex import problems
+    from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D
+    from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch, square_geometry, square_raw_tmesh
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.multipatch import PatchSet
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    if problem == "square":
+        tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 3))
+        ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+        walls, kinds = {0: problems.ALL_FACES_2D}, ("rotrot", "mass")
+        scalars, grads = [Scalar2D(tcx.Y0)], [problems._grad_2d(tcx)]
+    else:
+        p = 2
+        tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
+        cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
+        ps = PatchSet([prism_patch(problems._rot(k)) for k in range(3)], [cx3] * 3, problems._L_INTERFACES)
+        walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
+        kinds = ("curlcurl", "mass")
+        scalars, grads = [Scalar3D(cx3)] * 3, [cx3.operators()["grad"]] * 3
+    glue, (K, M), free = problems._system(ps, walls, kinds)
+    G = problems._gradient_kernel(ps, glue, walls, free, scalars, grads)
+    sub = np.ix_(free, free)
+    return K[sub], M[sub], G
+
+
+@pytest.mark.parametrize("problem", ["square", "thick_l"])
+def test_deflated_spectrum_matches_full_solve(problem):
+    K, M, G = _pencil_and_kernel(problem)
+    full = solve_generalized_eig(K, M)
+    res = solve_generalized_eig(K, M, kernel=G)
+    assert res.zero_count == full.zero_count == G.shape[1] > 0
+    assert np.array_equal(res.values[: res.zero_count], np.zeros(res.zero_count))
+    npt.assert_allclose(res.nonzero, full.nonzero, rtol=1e-10, atol=0)
+
+
+def test_deflated_vectors_are_eigenpairs():
+    """Lifted deflated eigenvectors solve the full pencil and are
+    M-orthonormal; the zero block holds the kernel columns."""
+    K, M, G = _pencil_and_kernel("square")
+    res = solve_generalized_eig(K, M, vectors=True, kernel=G)
+    m = G.shape[1]
+    assert res.vectors.shape == (K.shape[0], K.shape[0])
+    assert np.array_equal(res.vectors[:, :m], G.toarray())
+    assert np.all(res.residuals(K, M) < 1e-10)
+    V = res.vectors[:, m:]
+    npt.assert_allclose(V.T @ (M @ V), np.eye(V.shape[1]), atol=1e-10)
+    # the port mode's sign rule reads entries at roundoff here, so the two
+    # modes agree up to sign
+    k2, e = solve_port_mode(K, M, kernel=G)
+    k2_full, e_full = solve_port_mode(K, M)
+    npt.assert_allclose(k2, k2_full, rtol=1e-10)
+    npt.assert_allclose(abs(e @ (M @ e_full)), 1.0, rtol=1e-10)
+
+
+def test_residuals_match_per_pair_loop():
+    # pairs that are not eigenpairs, so the residuals are far above roundoff
+    rng = np.random.default_rng(63)
+    M = random_spd(rng, 12)
+    K = sp.csr_matrix(random_spd(rng, 12))
+    res = EigenResult(np.sort(rng.uniform(0.0, 5.0, 12)), 0, rng.standard_normal((12, 12)))
+    lam_max = max(np.abs(res.values).max(), 1.0)
+    want = [np.linalg.norm(K @ v - lam * (M @ v)) / (np.linalg.norm(v) * lam_max) for lam, v in zip(res.values, res.vectors.T)]
+    npt.assert_allclose(res.residuals(K, M), want, rtol=1e-12, atol=1e-300)
+
+
+def test_wrong_kernels_are_numerical_errors():
+    K, M, G = _pencil_and_kernel("square")
+    G = G.toarray()
+    # a column that is not a gradient: K does not annihilate it
+    bad = G.copy()
+    bad[:, 0] = np.random.default_rng(64).standard_normal(G.shape[0])
+    with pytest.raises(NumericalError, match="not annihilated"):
+        solve_generalized_eig(K, M, kernel=bad)
+    # a duplicated column: still in the kernel, but rank deficient
+    with pytest.raises(NumericalError, match="linearly dependent"):
+        solve_generalized_eig(K, M, kernel=np.hstack([G, G[:, :1]]))
+    # an exact kernel, but a mass matrix whose deflated block is indefinite
+    n = 6
+    Kd = np.diag([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    Md = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NumericalError, match="positive definite"):
+        solve_generalized_eig(Kd, Md, kernel=np.eye(n)[:, :2])

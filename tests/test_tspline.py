@@ -213,3 +213,36 @@ def test_zero_count_matches_restricted_grad_rank():
         Gb = G[keep1][:, keep0]
         r = modular_rank(Gb)
         assert r == len(keep0) == run.result.zero_count == zeros, level
+
+    # the glued thick L (p=1, nz=2): the integer-scaled gradient, glued and
+    # restricted to the free dofs, has full column rank m, and m is both the
+    # zero count and the column count of the kernel the eigensolve deflates
+    import scipy.sparse as sp
+
+    from splinecomplex.assembly import Complex3D, Scalar3D
+    from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch
+    from splinecomplex.bspline import grad_matrix_1d
+    from splinecomplex.multipatch import PatchSet, build_glue, global_operator
+    from splinecomplex import problems
+
+    p, nz = 1, 2
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
+    cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
+    oi, d = tcx.operators_int["grad"], tcx.denominators["grad"]
+    n11 = tcx.Y1[0].dim
+    Iz = sp.identity(cx3.nz, format="csr", dtype=np.int64)  # vertical functions
+    G_int = sp.vstack(
+        [sp.kron(Iz, oi[:n11]), sp.kron(Iz, oi[n11:]), d * sp.kron(grad_matrix_1d(cx3.kv_z), sp.identity(tcx.space_dim(0), dtype=np.int64))]
+    ).tocsr()
+    geoms = [prism_patch(problems._rot(k)) for k in range(3)]
+    walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
+    ps1 = PatchSet(geoms, [cx3] * 3, problems._L_INTERFACES)
+    ps0 = PatchSet(geoms, [Scalar3D(cx3)] * 3, problems._L_INTERFACES)
+    glue1, glue0 = build_glue(ps1), build_glue(ps0)
+    free1 = problems._free(ps1, glue1, walls, glue1.ndof)
+    free0 = problems._free(ps0, glue0, walls, glue0.ndof)
+    Gb = global_operator(glue0, glue1, [G_int] * 3)[free1][:, free0]
+    kernel = problems._gradient_kernel(ps1, glue1, walls, free1, [Scalar3D(cx3)] * 3, [cx3.operators()["grad"]] * 3)
+    assert abs(Gb / d - kernel).max() < 1e-15
+    run = problems.thick_l_eigenproblem(0, degree=p, nz=nz, count=None)
+    assert modular_rank(Gb) == Gb.shape[1] == kernel.shape[1] == run.result.zero_count == 161
