@@ -167,8 +167,10 @@ def solve_port_mode(K, M, kernel=None):
     """Smallest nonzero eigenvalue and its mass-normalized eigenvector;
     ``kernel`` is deflated as in :func:`solve_generalized_eig`.
 
-    The eigenvector sign is fixed so its first nonzero coefficient is
-    positive, making the result deterministic across runs.
+    The eigenvector sign is fixed so its largest-magnitude coefficient
+    (the lowest-indexed one on a tie) is positive; unlike the first nonzero
+    coefficient, that entry is never at roundoff, so the sign does not
+    depend on the solver path.
     """
     res = solve_generalized_eig(K, M, vectors=True, kernel=kernel)
     if res.zero_count >= res.values.size:
@@ -176,8 +178,7 @@ def solve_port_mode(K, M, kernel=None):
     k2 = float(res.values[res.zero_count])
     v = res.vectors[:, res.zero_count]
     v = v / np.sqrt(v @ (M @ v))
-    nz = np.nonzero(np.abs(v) > 1e-12 * np.abs(v).max())[0]
-    if v[nz[0]] < 0:
+    if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return k2, v
 

@@ -6,7 +6,10 @@ breakpoint tables and faces as index rectangles.  Rendering it for degrees
 (p1, p2) expands boundary lines to multiplicity floor(p/2)+1 and interior
 lines to their stated multiplicities; all structure queries (census,
 T-junctions, extensions, anchor tracing) run on the rendered index grid, so
-segment comparisons are exact integer index comparisons.
+segment comparisons are exact integer index comparisons.  Anchor lookups and
+local-knot-vector keys likewise run on integer line ranks (a line's position
+among the distinct line values of its axis); the knots themselves stay
+Fractions.
 
 Conventions fixed here:
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -122,6 +124,9 @@ class Anchor2D:
     locators: tuple  # per direction: ('line', k) or ('span', m)
     lkv1: tuple
     lkv2: tuple
+    # (ranks of lkv1, ranks of lkv2) among the mesh's distinct line values:
+    # the exact identity by which spaces of one mesh family match anchors
+    key: tuple
 
     @property
     def support(self):
@@ -141,6 +146,9 @@ class TMesh2D:
             raise TMeshError("vertical edge grid has wrong shape")
         if self.HE.shape != (len(self.xs) - 1, len(self.ys)):
             raise TMeshError("horizontal edge grid has wrong shape")
+        for t in (self.xs, self.ys):
+            if t[0] != 0 or t[-1] != 1 or any(a > b for a, b in zip(t, t[1:])):
+                raise TMeshError("line tables must be non-decreasing from 0 to 1")
         self._faces = None
         self._validate()
 
@@ -472,16 +480,14 @@ class TMesh2D:
                         lo2, hi2 = e2.full_range
                         if lo1 <= hi2 and lo2 <= hi1:
                             return False, ("parallel extension overlap", (e1, e2))
+        ix, iy = self._axis_indices()
         for e in exts:
-            lines = self.xs if e.orientation == "h" else self.ys
-            locator = ("line", e.line_index)
+            index = ix if e.orientation == "h" else iy
             lo, hi = e.full_range
-            for k in range(lo, hi + 1):
-                hit = self._vline_hits(k, locator) if e.orientation == "h" else self._hline_hits(k, locator)
-                if not hit:
-                    continue
-                v = lines[k]
-                if 0 < v < 1 and lines.count(v) > 1:
+            hits = index.hits["line"][e.line_index]
+            for k in hits[bisect.bisect_left(hits, lo) : bisect.bisect_right(hits, hi)]:
+                r = index.rank[k]
+                if 0 < r < len(index.values) - 1 and index.count(r) > 1:
                     return False, ("repeated line crossed", (e, k))
         return True, None
 
@@ -495,65 +501,17 @@ class TMesh2D:
 
     # -- anchors and local knot vectors ------------------------------------------
 
-    def _locator(self, axis, lo, hi):
-        """Locator for an even-parity anchor coordinate spanning [lo, hi]."""
-        table = self.xs if axis == 0 else self.ys
-        if table[lo] == table[hi]:
-            if hi != lo + 1:
-                raise TMeshError("ambiguous zero-width anchor extent")
-            return ("span", lo), table[lo]
-        mid = (table[lo] + table[hi]) / 2
-        matches = [k for k in range(len(table)) if table[k] == mid]
-        if len(matches) == 1:
-            return ("line", matches[0]), mid
-        if len(matches) > 1:
-            raise TMeshError("anchor midpoint lies on a repeated line")
-        m = bisect.bisect_right(table, mid) - 1
-        return ("span", m), mid
+    def _axis_indices(self):
+        """The x and y :class:`_LineIndex` of this mesh: horizontal rays cross
+        the vertical edges, vertical rays the horizontal ones."""
+        vx, vy = self.line_values
+        return _LineIndex(self.xs, vx, self.VE), _LineIndex(self.ys, vy, self.HE.T)
 
-    def _trace(self, axis, locator, other_locator, degree):
-        """Local knot vector in one direction by ray tracing.
-
-        ``axis`` 0 traces horizontally collecting x-values; ``other_locator``
-        fixes the perpendicular coordinate.  Pads with 0/1 at the boundary.
-        """
-        table = self.xs if axis == 0 else self.ys
-        hits = (lambda k: self._vline_hits(k, other_locator)) if axis == 0 else (
-            lambda k: self._hline_hits(k, other_locator)
-        )
-        n = len(table)
-        kind, k0 = locator
-        if degree % 2 == 1:
-            if kind != "line":
-                raise TMeshError("odd-degree anchor must sit on a line")
-            need = (degree + 1) // 2
-            center = [table[k0]]
-            left_from, right_from = k0 - 1, k0 + 1
-        else:
-            need = (degree + 2) // 2
-            center = []
-            if kind == "span":
-                left_from, right_from = k0, k0 + 1
-            else:
-                # anchor value coincides with a line that misses the ray
-                left_from, right_from = k0 - 1, k0 + 1
-        left = []
-        k = left_from
-        while k >= 0 and len(left) < need:
-            if hits(k):
-                left.append(table[k])
-            k -= 1
-        while len(left) < need:
-            left.append(Fraction(0))
-        right = []
-        k = right_from
-        while k < n and len(right) < need:
-            if hits(k):
-                right.append(table[k])
-            k += 1
-        while len(right) < need:
-            right.append(Fraction(1))
-        return tuple(reversed(left)) + tuple(center) + tuple(right)
+    @cached_property
+    def line_values(self) -> tuple:
+        """Per axis, the distinct line values in increasing order; a line's
+        rank is the position of its value here."""
+        return tuple(sorted(set(t)) for t in (self.xs, self.ys))
 
     def anchor_entities(self):
         """Entity per anchor, by degree parity: vertices, edge midpoints or
@@ -571,6 +529,7 @@ class TMesh2D:
     def anchors(self):
         """All anchors with exact positions and traced local knot vectors."""
         p1, p2 = self.degrees
+        ix, iy = self._axis_indices()
         out = []
         for idx, (kind, ent) in enumerate(self.anchor_entities()):
             if kind == "vertex":
@@ -579,20 +538,106 @@ class TMesh2D:
                 locy, posy = ("line", j), self.ys[j]
             elif kind == "hedge":
                 i1, i2, j = ent
-                locx, posx = self._locator(0, i1, i2)
+                locx, posx = ix.locator(i1, i2)
                 locy, posy = ("line", j), self.ys[j]
             elif kind == "vedge":
                 i, j1, j2 = ent
                 locx, posx = ("line", i), self.xs[i]
-                locy, posy = self._locator(1, j1, j2)
+                locy, posy = iy.locator(j1, j2)
             else:
                 i1, j1, i2, j2 = ent
-                locx, posx = self._locator(0, i1, i2)
-                locy, posy = self._locator(1, j1, j2)
-            lkv1 = self._trace(0, locx, locy, p1)
-            lkv2 = self._trace(1, locy, locx, p2)
-            out.append(Anchor2D(idx, (posx, posy), (locx, locy), lkv1, lkv2))
+                locx, posx = ix.locator(i1, i2)
+                locy, posy = iy.locator(j1, j2)
+            lkv1, key1 = ix.trace(locx, locy, p1)
+            lkv2, key2 = iy.trace(locy, locx, p2)
+            out.append(Anchor2D(idx, (posx, posy), (locx, locy), lkv1, lkv2, (key1, key2)))
         return out
+
+
+class _LineIndex:
+    """Exact integer index of one axis of a rendered T-mesh.
+
+    ``rank[k]`` is the position of line k's value among the distinct line
+    values ``values``, so knot vectors compare and hash as int tuples while
+    the knots stay Fractions; lines of rank r are ``bounds[r]`` up to
+    ``bounds[r + 1]`` (the table is sorted).  ``hits[kind][m]`` lists,
+    ascending, the lines of this axis crossed by the ray at the perpendicular
+    locator (kind, m).  ``edges[k, m]`` is the edge on line k across the m-th
+    perpendicular span.
+    """
+
+    def __init__(self, table, values, edges):
+        self.table = table
+        self.values = values
+        self.rank_of = {v: r for r, v in enumerate(self.values)}
+        self.rank = [self.rank_of[v] for v in table]
+        self.bounds = [k for k in range(len(table)) if k == 0 or table[k] != table[k - 1]]
+        self.bounds.append(len(table))
+        line = np.zeros((edges.shape[0], edges.shape[1] + 1), dtype=bool)
+        line[:, :-1] |= edges
+        line[:, 1:] |= edges
+        self.hits = {
+            kind: [np.flatnonzero(c).tolist() for c in grid.T]
+            for kind, grid in (("span", edges), ("line", line))
+        }
+
+    def count(self, r) -> int:
+        """Multiplicity of the lines of rank r."""
+        return self.bounds[r + 1] - self.bounds[r]
+
+    def locator(self, lo, hi):
+        """Locator and value of an even-parity anchor coordinate spanning
+        lines [lo, hi]."""
+        if self.rank[lo] == self.rank[hi]:
+            if hi != lo + 1:
+                raise TMeshError("ambiguous zero-width anchor extent")
+            return ("span", lo), self.table[lo]
+        return self.midpoint(self.rank[lo], self.rank[hi])
+
+    def midpoint(self, rlo, rhi):
+        """Locator and value of the midpoint of two distinct line values."""
+        mid = (self.values[rlo] + self.values[rhi]) / 2
+        r = self.rank_of.get(mid)
+        if r is None:  # values[rlo] < mid < values[rhi]
+            return ("span", self.bounds[bisect.bisect_right(self.values, mid, rlo + 1, rhi)] - 1), mid
+        if self.count(r) > 1:
+            raise TMeshError(f"midpoint {mid} lies on a repeated line")
+        return ("line", self.bounds[r]), mid
+
+    def trace(self, locator, other_locator, degree):
+        """Local knot vector at ``locator`` along this axis by ray tracing,
+        and its ranks; ``other_locator`` fixes the perpendicular coordinate
+        of the ray.  Pads with the boundary values 0 and 1, the first and last
+        ranks."""
+        kind, k0 = locator
+        if degree % 2 == 1:
+            if kind != "line":
+                raise TMeshError("odd-degree anchor must sit on a line")
+            need = (degree + 1) // 2
+            center = [k0]
+            left_from = k0 - 1
+        else:
+            need = (degree + 2) // 2
+            center = []
+            # a 'line' anchor of even degree sits on a line the ray misses
+            left_from = k0 if kind == "span" else k0 - 1
+        hits = self.hits[other_locator[0]][other_locator[1]]
+        i = bisect.bisect_right(hits, left_from)
+        j = bisect.bisect_left(hits, k0 + 1)
+        lines = hits[max(i - need, 0) : i] + center + hits[j : j + need]
+        lo, hi = need - min(i, need), need - min(len(hits) - j, need)
+        last = len(self.values) - 1
+        knots = self.values[:1] * lo + [self.table[k] for k in lines] + self.values[last:] * hi
+        ranks = (0,) * lo + tuple([self.rank[k] for k in lines]) + (last,) * hi
+        return tuple(knots), ranks
+
+    def between(self, locator, rlo, rhi) -> list:
+        """Ranks of the lines crossed by the ray at ``locator`` whose values
+        lie strictly between ranks rlo and rhi, with multiplicity."""
+        hits = self.hits[locator[0]][locator[1]]
+        i = bisect.bisect_left(hits, self.bounds[rlo + 1])
+        j = bisect.bisect_left(hits, self.bounds[rhi])
+        return [self.rank[k] for k in hits[i:j]]
 
 
 def _runs(mask):
@@ -639,12 +684,11 @@ class TsplineSpace:
         self.degrees = mesh.degrees
         self.scalings = tuple(scalings)
         self.anchors = mesh.anchors()
-        self.key_index = {}
+        self.key_index = {}  # Anchor2D.key -> anchor index
         for a in self.anchors:
-            key = (a.lkv1, a.lkv2)
-            if key in self.key_index:
+            if a.key in self.key_index:
                 raise TMeshError("two anchors share identical local knot vectors")
-            self.key_index[key] = a.index
+            self.key_index[a.key] = a.index
 
     @property
     def dim(self) -> int:

@@ -10,12 +10,14 @@ the lowered degree).
 Operator matrices are built column by column from the univariate derivative
 decomposition.  The differentiated direction always yields +-1 entries in
 the Curry-Schoenberg-scaled target basis.  In the transverse direction the
-two windows are located by exact local-knot-vector matching; where the
-derived mesh refines the transverse knot line (possible next to extension
-bays) the source window is expanded by exact rational knot insertion
-instead.  Matrices are therefore rational; they are stored as integer
-matrices over one common denominator so compositions and ranks stay exact,
-and they reduce bit-for-bit to the signed B-spline pattern on tensor input.
+two windows are located by exact local-knot-vector matching, on the integer
+line ranks of the anchor keys (the four derived meshes rank the same line
+values); where the derived mesh refines the transverse knot line (possible
+next to extension bays) the source window is expanded by exact rational knot
+insertion instead, with the knot values looked up from the ranks.  Matrices
+are therefore rational; they are stored as integer matrices over one common
+denominator so compositions and ranks stay exact, and they reduce
+bit-for-bit to the signed B-spline pattern on tensor input.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import derivative_decomposition
 from .complexes import ExactnessReport, _merge_reports, verify_sequence
 from .tmesh import RawTMesh, TMesh2D, TMeshError, TsplineSpace
 
@@ -132,22 +133,25 @@ class TsplineComplex:
         return (self.space_dim(0), self.space_dim(1), self.space_dim(2))
 
 
-def _insert_knot_window(window, degree, z):
-    """Split one B-spline by inserting z: N[window] = a N[w1] + b N[w2]."""
+def _insert_knot_window(window, degree, z, values):
+    """Split one B-spline by inserting z: N[window] = a N[w1] + b N[w2].
+
+    Windows and z are line ranks; ``values`` maps a rank to its knot."""
     q = degree
     t = list(window)
     pos = bisect.bisect_left(t, z)
     refined = t[:pos] + [z] + t[pos:]
     w1 = tuple(refined[: q + 2])
     w2 = tuple(refined[1:])
+    x, zv = [values[r] for r in t], values[z]
     if z >= t[q]:
         a = Fraction(1)
     else:
-        a = (z - t[0]) / (t[q] - t[0])
+        a = (zv - x[0]) / (x[q] - x[0])
     if z <= t[1]:
         b = Fraction(1)
     else:
-        b = 1 - (z - t[1]) / (t[q + 1] - t[1])
+        b = 1 - (zv - x[1]) / (x[q + 1] - x[1])
     out = []
     if a != 0 and w1[-1] > w1[0]:
         out.append((w1, a))
@@ -156,14 +160,14 @@ def _insert_knot_window(window, degree, z):
     return out
 
 
-def _expand_window(window, degree, missing):
+def _expand_window(window, degree, missing, values):
     """Cascade knot insertion: N[window] = sum c_w N[w] on the refined line."""
     chain = {tuple(window): Fraction(1)}
     for z in missing:
         new = {}
         for w, c in chain.items():
             if w[0] < z < w[-1]:
-                for w2, a in _insert_knot_window(w, degree, z):
+                for w2, a in _insert_knot_window(w, degree, z, values):
                     new[w2] = new.get(w2, Fraction(0)) + c * a
             else:
                 new[w] = new.get(w, Fraction(0)) + c
@@ -171,98 +175,75 @@ def _expand_window(window, degree, missing):
     return chain
 
 
-def _abscissa_locator(mesh: TMesh2D, axis, window, degree):
-    """Locator of the anchor abscissa of a derivative-target window."""
-    table = mesh.xs if axis == 0 else mesh.ys
+def _abscissa_locator(index, window, degree):
+    """Locator of the anchor abscissa of a derivative-target window of ranks
+    on the axis ``index``."""
     q = degree
     if q % 2 == 1:
-        v = window[(q + 1) // 2]
-        matches = [k for k in range(len(table)) if table[k] == v]
-        if len(matches) != 1:
+        r = window[(q + 1) // 2]
+        if index.count(r) != 1:
             raise TMeshError("ambiguous line abscissa for derivative target")
-        return ("line", matches[0])
+        return ("line", index.bounds[r])
     lo, hi = window[q // 2], window[q // 2 + 1]
     if lo == hi:
-        matches = [k for k in range(len(table) - 1) if table[k] == lo == table[k + 1]]
-        if not matches:
+        if index.count(lo) < 2:
             raise TMeshError("no zero-width span for degenerate abscissa")
-        return ("span", matches[0])
-    v = (lo + hi) / 2
-    matches = [k for k in range(len(table)) if table[k] == v]
-    if len(matches) == 1:
-        return ("line", matches[0])
-    if len(matches) > 1:
-        raise TMeshError("derivative-target abscissa lies on a repeated line")
-    m = bisect.bisect_right(table, v) - 1
-    return ("span", m)
-
-
-def _collect_hits(mesh: TMesh2D, t_axis, fixed_locator, lo, hi):
-    """Values of lines in the transverse axis hit by the fixed ray, within
-    the open interval (lo, hi); repeated lines counted with multiplicity."""
-    table = mesh.xs if t_axis == 0 else mesh.ys
-    out = []
-    for k in range(len(table)):
-        v = table[k]
-        if not (lo < v < hi):
-            continue
-        hit = (
-            mesh._vline_hits(k, fixed_locator)
-            if t_axis == 0
-            else mesh._hline_hits(k, fixed_locator)
-        )
-        if hit:
-            out.append(v)
-    return out
+        return ("span", index.bounds[lo])
+    return index.midpoint(lo, hi)[0]
 
 
 def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     """Exact matrix of the partial derivative mapping src into dst.
 
-    Returns (float_csr, int_csr, denominator).
+    Anchors match by their rank keys, so both meshes must rank the same
+    distinct line values.  Returns (float_csr, int_csr, denominator).
     """
-    p = src.degrees[direction]
+    if src.mesh.line_values != dst.mesh.line_values:
+        raise TMeshError("source and target meshes do not share one table of distinct line values")
     t_dir = 1 - direction
     t_deg = src.degrees[t_dir]
+    values = src.mesh.line_values[t_dir]
     src_t_scaling = src.scalings[t_dir]
     dst_t_scaling = dst.scalings[t_dir]
+    index = None  # the target mesh's line indices, built on the first refinement
     rows, cols, vals = [], [], []
     for a in src.anchors:
-        lkvs = (a.lkv1, a.lkv2)
-        dec = derivative_decomposition(lkvs[direction], p)
-        for sign, (target, coeff) in zip((1, -1), dec):
-            if target is None or coeff == 0:
+        K, T = a.key[direction], a.key[t_dir]
+        # d/dx N[K] = c N[K[:-1]] - c' N[K[1:]]; a term with zero support vanishes
+        for sign, target in ((1, K[:-1]), (-1, K[1:])):
+            if target[-1] == target[0]:
                 continue
-            T = lkvs[t_dir]
             key = (target, T) if direction == 0 else (T, target)
             tidx = dst.key_index.get(key)
             if tidx is not None:
                 rows.append(tidx)
                 cols.append(a.index)
-                vals.append(Fraction(sign))
+                vals.append(sign)
                 continue
             # transverse window needs refinement on the derived mesh
-            floc = _abscissa_locator(dst.mesh, direction, target, dst.degrees[direction])
-            refined = _collect_hits(dst.mesh, t_dir, floc, T[0], T[-1])
+            if index is None:
+                index = dst.mesh._axis_indices()
+            floc = _abscissa_locator(index[direction], target, dst.degrees[direction])
+            refined = index[t_dir].between(floc, T[0], T[-1])
             t_open = [t for t in T[1:-1] if T[0] < t < T[-1]]
             missing = _multiset_difference(refined, t_open)
             if missing is None:
                 raise TMeshError(
-                    f"derivative of anchor {a.index}: transverse knots {t_open} "
-                    f"not visible on the derived mesh (non-AS input?)"
+                    f"derivative of anchor {a.index}: transverse knots "
+                    f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
                 )
-            chain = _expand_window(T, t_deg, missing)
+            chain = _expand_window(T, t_deg, missing, values)
             for w, c in chain.items():
                 key = (target, w) if direction == 0 else (w, target)
                 tidx = dst.key_index.get(key)
                 if tidx is None:
                     raise TMeshError(
-                        f"derivative of anchor {a.index} has no target with "
-                        f"local knot vectors {key} in the derived space"
+                        f"derivative of anchor {a.index} has no target with transverse "
+                        f"local knot vector {[values[t] for t in w]} in the derived space"
                     )
                 scale = c
                 if src_t_scaling == "D" and dst_t_scaling == "D":
-                    scale = c * (w[-1] - w[0]) / (T[-1] - T[0])
+                    scale = c * (values[w[-1]] - values[w[0]]) / (values[T[-1]] - values[T[0]])
                 elif src_t_scaling != dst_t_scaling:
                     raise TMeshError("mixed transverse scalings are not wired")
                 rows.append(tidx)

@@ -1,11 +1,14 @@
 """T-mesh structure, extensions, analysis-suitability and anchor tracing."""
 
+import bisect
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splinecomplex.benchmarks import (
     crossing_extensions_raw,
@@ -285,3 +288,174 @@ def test_degree5_lsection_builds_exact_complex(level):
     assert validate_tmesh(raw, (5, 5)).is_analysis_suitable()[0]
     rep = verify_t_exactness(build_tspline_complex(derive_complex_meshes(raw, 5)))
     assert rep.passed and rep.certified, rep.identities
+
+
+# -- random analysis-suitable T-meshes against a Fraction-scan oracle -----------
+
+
+def _oracle_hits(mesh, axis, k, locator):
+    """Whether the line k of ``axis`` is crossed by the ray at ``locator``."""
+    kind, m = locator
+    E = mesh.VE if axis == 0 else mesh.HE.T
+    if kind == "line":
+        return bool((m > 0 and E[k, m - 1]) or (m < E.shape[1] and E[k, m]))
+    return bool(E[k, m])
+
+
+def _oracle_locator(mesh, axis, lo, hi):
+    # the line table scanned by value, as anchors were located before ranks
+    table = mesh.xs if axis == 0 else mesh.ys
+    if table[lo] == table[hi]:
+        assert hi == lo + 1
+        return ("span", lo), table[lo]
+    mid = (table[lo] + table[hi]) / 2
+    matches = [k for k in range(len(table)) if table[k] == mid]
+    assert len(matches) <= 1
+    if matches:
+        return ("line", matches[0]), mid
+    return ("span", bisect.bisect_right(table, mid) - 1), mid
+
+
+def _oracle_trace(mesh, axis, locator, other_locator, degree):
+    # one line at a time outward from the anchor, padding with 0 and 1
+    table = mesh.xs if axis == 0 else mesh.ys
+    kind, k0 = locator
+    if degree % 2 == 1:
+        assert kind == "line"
+        need, center, left_from = (degree + 1) // 2, [table[k0]], k0 - 1
+    else:
+        need, center = (degree + 2) // 2, []
+        left_from = k0 if kind == "span" else k0 - 1
+    left = [table[k] for k in range(left_from, -1, -1) if _oracle_hits(mesh, axis, k, other_locator)]
+    right = [table[k] for k in range(k0 + 1, len(table)) if _oracle_hits(mesh, axis, k, other_locator)]
+    left = (left[:need] + [F(0)] * need)[:need]
+    right = (right[:need] + [F(1)] * need)[:need]
+    return tuple(reversed(left)) + tuple(center) + tuple(right)
+
+
+def _oracle_anchors(mesh):
+    p1, p2 = mesh.degrees
+    out = []
+    for idx, (kind, ent) in enumerate(mesh.anchor_entities()):
+        if kind == "vertex":
+            i, j = ent
+            locx, posx = ("line", i), mesh.xs[i]
+            locy, posy = ("line", j), mesh.ys[j]
+        elif kind == "hedge":
+            i1, i2, j = ent
+            locx, posx = _oracle_locator(mesh, 0, i1, i2)
+            locy, posy = ("line", j), mesh.ys[j]
+        elif kind == "vedge":
+            i, j1, j2 = ent
+            locx, posx = ("line", i), mesh.xs[i]
+            locy, posy = _oracle_locator(mesh, 1, j1, j2)
+        else:
+            i1, j1, i2, j2 = ent
+            locx, posx = _oracle_locator(mesh, 0, i1, i2)
+            locy, posy = _oracle_locator(mesh, 1, j1, j2)
+        lkv1 = _oracle_trace(mesh, 0, locx, locy, p1)
+        lkv2 = _oracle_trace(mesh, 1, locy, locx, p2)
+        out.append((idx, (posx, posy), (locx, locy), lkv1, lkv2))
+    return out
+
+
+@st.composite
+def refined_tmeshes(draw):
+    """A degree and a raw T-mesh: a small uniform tensor mesh whose random
+    faces are split at their midpoints, with one interior line of the tensor
+    mesh repeated 2..p times in some draws."""
+    p = draw(st.integers(1, 4))
+    n = [draw(st.integers(1, 3)) for _ in range(2)]
+    faces = [
+        (F(i, n[0]), F(j, n[1]), F(i + 1, n[0]), F(j + 1, n[1]))
+        for j in range(n[1])
+        for i in range(n[0])
+    ]
+    for pick in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4)):
+        x1, y1, x2, y2 = faces.pop(pick % len(faces))
+        xm, ym = (x1 + x2) / 2, (y1 + y2) / 2
+        faces += [(x1, y1, xm, ym), (xm, y1, x2, ym), (x1, ym, xm, y2), (xm, ym, x2, y2)]
+    bx = sorted({f[0] for f in faces} | {f[2] for f in faces})
+    by = sorted({f[1] for f in faces} | {f[3] for f in faces})
+    multiplicities = {}
+    lines = [(axis, F(k, n[d])) for d, axis in enumerate("xy") for k in range(1, n[d])]
+    if p >= 2 and lines and draw(st.booleans()):
+        axis, value = draw(st.sampled_from(lines))
+        table = bx if axis == "x" else by
+        multiplicities[(axis, table.index(value))] = draw(st.integers(2, p))
+    boxes = tuple((bx.index(x1), by.index(y1), bx.index(x2), by.index(y2)) for x1, y1, x2, y2 in faces)
+    return p, RawTMesh(tuple(bx), tuple(by), boxes, multiplicities)
+
+
+def _crossed_repeated_lines(mesh):
+    """(extension, line) pairs where an extension crosses an interior line of
+    multiplicity above one, by value scan."""
+    out = []
+    for e in mesh.compute_extensions():
+        axis = 0 if e.orientation == "h" else 1
+        table = mesh.xs if axis == 0 else mesh.ys
+        for k in range(e.full_range[0], e.full_range[1] + 1):
+            hit = _oracle_hits(mesh, axis, k, ("line", e.line_index))
+            if hit and 0 < table[k] < 1 and table.count(table[k]) > 1:
+                out.append((e, k))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(refined_tmeshes())
+def test_ranked_anchors_match_fraction_scan_on_random_meshes(case):
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    cm = derive_complex_meshes(raw, p)
+    for mesh in (cm.M0, cm.M11, cm.M12, cm.M2):
+        anchors = mesh.anchors()
+        assert [(a.index, a.position, a.locators, a.lkv1, a.lkv2) for a in anchors] == _oracle_anchors(mesh)
+        vx, vy = mesh.line_values
+        for a in anchors:  # the rank key spells the local knot vectors
+            assert (tuple(vx[r] for r in a.key[0]), tuple(vy[r] for r in a.key[1])) == (a.lkv1, a.lkv2)
+    crossed = _crossed_repeated_lines(cm.M0)
+    ok, reason = cm.M0.check_strong_as()
+    if ok or reason[0] == "repeated line crossed":
+        assert (reason and reason[1]) == (crossed[0] if crossed else None)
+    try:
+        tcx = build_tspline_complex(cm)
+    except TMeshError:
+        # the known failure, see test_extension_crossing_a_repeated_line_builds_exact_complex
+        assert crossed
+        return
+    d0, d1, d2 = tcx.dims
+    assert d0 + d2 == d1 + 1
+    rep = verify_t_exactness(tcx)
+    assert rep.passed and rep.certified, rep.identities
+
+
+def _doubled_line_raw(split_to):
+    """x = 1/2 runs up from y = 0 to ``split_to`` (1/4 or 1/2) and ends on a
+    horizontal line; y = 1/2 is doubled."""
+    ys = (F(0), F(1, 4), F(1, 2), F(1))
+    if split_to == F(1, 2):  # the cells below y = 1/2 are split into four
+        faces = ((0, 2, 2, 3), (0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2), (1, 1, 2, 2))
+    else:
+        faces = ((0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 2, 2), (0, 2, 2, 3))
+    return RawTMesh((F(0), F(1, 2), F(1)), ys, faces, {("y", 2): 2})
+
+
+@pytest.mark.parametrize(
+    "split_to, junction, crossed",
+    [
+        (F(1, 2), (2, 3, "v"), 3),  # the extension runs on through both copies
+        (F(1, 4), (2, 2, "v"), 3),  # the extension ends on the first copy
+    ],
+)
+def test_extension_crossing_a_repeated_line_is_not_strong(split_to, junction, crossed):
+    mesh = TMesh2D.from_raw(_doubled_line_raw(split_to), (2, 2))
+    assert mesh.is_analysis_suitable()[0]
+    ok, (kind, (ext, k)) = mesh.check_strong_as()
+    assert not ok and kind == "repeated line crossed"
+    assert (ext.junction, k, mesh.ys[k]) == (junction, crossed, F(1, 2))
+
+
+@pytest.mark.xfail(raises=TMeshError, strict=True, reason="a derivative target whose abscissa is a repeated line has no unique locator")
+def test_extension_crossing_a_repeated_line_builds_exact_complex():
+    rep = verify_t_exactness(build_tspline_complex(derive_complex_meshes(_doubled_line_raw(F(1, 2)), 2)))
+    assert rep.passed and rep.certified

@@ -172,6 +172,19 @@ def test_non_as_input_rejected():
         derive_complex_meshes(crossing_extensions_raw(), 3)
 
 
+def test_derivative_needs_one_table_of_line_values():
+    # anchors match by line ranks, which only mean the same knots when both
+    # meshes rank the same distinct line values
+    from splinecomplex.tmesh import TMeshError, TsplineSpace
+    from splinecomplex.tspline import _derivative_block
+
+    a, b = derive_complex_meshes(uniform_raw(2), 3), derive_complex_meshes(uniform_raw(3), 3)
+    src = TsplineSpace(a.M0)
+    assert _derivative_block(src, TsplineSpace(a.M11, ("D", "B")), 0)[2] == 1
+    with pytest.raises(TMeshError, match="distinct line values"):
+        _derivative_block(src, TsplineSpace(b.M11, ("D", "B")), 0)
+
+
 def test_random_as_fixture_family():
     # band-refined fixtures: vertical lines full, horizontal lines partial
     from splinecomplex.benchmarks import cylinder_section_raw_tmesh
