@@ -126,10 +126,12 @@ class Scalar2D:
 
 @dataclass
 class Vector2D:
-    """Rot-conforming vector 2D space: components (D x B, B x D)."""
+    """Rot-conforming vector 2D space: components (D x B, B x D), the Y1 of
+    the T-spline complex ``tcx`` it is built from."""
 
     c1: TsplineSpace
     c2: TsplineSpace
+    tcx: TsplineComplex
 
     @property
     def dim(self):
@@ -137,7 +139,12 @@ class Vector2D:
 
     @classmethod
     def from_complex(cls, tcx: TsplineComplex) -> "Vector2D":
-        return cls(tcx.Y1[0], tcx.Y1[1])
+        return cls(tcx.Y1[0], tcx.Y1[1], tcx)
+
+    def gradient(self):
+        """The exact gradient: the scalar space Y0 and grad: Y0 -> Y1, whose
+        image is the kernel of rot."""
+        return Scalar2D(self.tcx.Y0), self.tcx.operators["grad"]
 
     def elements(self):
         return _shared_elements(self.c1, self.c2)
@@ -309,19 +316,22 @@ class Complex3D:
         offs = np.cumsum([0] + [s2d.dim * kvz.n for s2d, kvz, _ in parts])
         return tuple((int(off), *part, m) for m, (off, part) in enumerate(zip(offs, parts)))
 
+    def gradient(self):
+        """The exact gradient: the scalar space X0 and grad: X0 -> X1, whose
+        image is the kernel of curl."""
+        return Scalar3D(self), self.operators()["grad"]
+
     def operators(self):
         """grad, curl, div as float matrices (Kronecker combinations)."""
         t = self.tcx
-        oi, dens = t.operators_int, t.denominators
+        ops = t.operators
         n0, n2 = t.space_dim(0), t.space_dim(2)
         n11, n12 = t.Y1[0].dim, t.Y1[1].dim
         Gz = grad_matrix_1d(self.kv_z)
         Iz = sp.identity(self.nz, format="csr")
         Izd = sp.identity(self.nz - 1, format="csr")
-        G1 = oi["grad"][:n11] / dens["grad"]
-        G2 = oi["grad"][n11:] / dens["grad"]
-        R1 = -oi["rot"][:, :n11] / dens["rot"]
-        R2 = oi["rot"][:, n11:] / dens["rot"]
+        G1, G2 = ops["grad"][:n11], ops["grad"][n11:]
+        R1, R2 = -ops["rot"][:, :n11], ops["rot"][:, n11:]
         grad = sp.vstack(
             [sp.kron(Iz, G1), sp.kron(Iz, G2), sp.kron(Gz, sp.identity(n0, format="csr"))]
         ).tocsr()

@@ -22,7 +22,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,19 +110,6 @@ class KnotVector:
             raise ValueError("knot vector defines fewer than p+1 basis functions")
 
     # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_knots(cls, degree: int, knots: Iterable) -> "KnotVector":
-        """Build from a full non-decreasing knot list (with repetitions)."""
-        ks = [as_fraction(k) for k in knots]
-        bp, mult = [], []
-        for k in ks:
-            if bp and k == bp[-1]:
-                mult[-1] += 1
-            else:
-                bp.append(k)
-                mult.append(1)
-        return cls(degree, tuple(bp), tuple(mult))
 
     @classmethod
     def uniform(cls, degree: int, nspans: int) -> "KnotVector":

@@ -154,21 +154,18 @@ def cmd_tmesh_complex(args):
     return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
 
-def _run_eig(spec, args):
+def _run_eig(spec):
     formulation = spec.get("formulation", "rotrot2d")
     level = spec.get("level", 0)
     degree = spec.get("degree", 3)
     count = spec.get("eigencount")
-    kw = {} if args.tol is None else {"zero_tol": args.tol}
     if formulation == "rotrot2d":
-        run = problems.square_eigenproblem(level, degree, count, **kw)
-    elif formulation == "laplace2d":
-        run = problems.lsection_laplace_eigenproblem(level, degree, count or 5, **kw)
-    elif formulation == "curlcurl3d":
-        run = problems.thick_l_eigenproblem(level, degree, spec.get("nz"), count or 5, **kw)
-    else:
-        raise ValueError(formulation)
-    return run
+        return problems.square_eigenproblem(level, degree, count)
+    if formulation == "laplace2d":
+        return problems.lsection_laplace_eigenproblem(level, degree, count or 5)
+    if formulation == "curlcurl3d":
+        return problems.thick_l_eigenproblem(level, degree, spec.get("nz"), count or 5)
+    raise ValueError(formulation)
 
 
 def cmd_solve_eig(args):
@@ -176,7 +173,7 @@ def cmd_solve_eig(args):
     if spec["kind"] != "solve-eig":
         print("error: problem kind is not solve-eig", file=sys.stderr)
         return EXIT_VALIDATION
-    run = _run_eig(spec, args)
+    run = _run_eig(spec)
     out = _out_dir(args)
     values = run.result.values.tolist()
     dump_json(
@@ -271,7 +268,6 @@ def cmd_convergence(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="splinecomplex", description=__doc__)
     ap.add_argument("--out", default="out", help="output directory for reports")
-    ap.add_argument("--tol", type=float, default=None, help="override the zero threshold for eigenvalues beyond the exact gradient kernel")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-complex", help="build a tensor complex and verify exactness")

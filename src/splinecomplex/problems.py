@@ -15,7 +15,6 @@ import numpy as np
 from .assembly import (
     Complex3D,
     Scalar2D,
-    Scalar3D,
     Vector2D,
     _shared_patterns,
     assemble_load_3d,
@@ -101,32 +100,29 @@ def _free(ps: PatchSet, glue, walls, ndof):
     return np.setdiff1d(np.arange(ndof), walled)
 
 
-def _gradient_kernel(ps: PatchSet, glue, walls, free, scalars, grads):
+def _gradient_kernel(ps: PatchSet, glue, walls, free):
     """The exact kernel of the rot-rot or curl-curl matrix of ``ps``: the
-    gradient ``grads`` (per patch) of the scalar spaces ``scalars``, glued
-    like ``ps``, with rows restricted to the free dofs ``free`` and columns
-    to the scalar dofs off the same walls.  Under the walls the gradient
-    is injective, so its columns are a basis of the kernel."""
+    gradient of each patch space's scalar space (``space.gradient()``),
+    glued like ``ps``, with rows restricted to the free dofs ``free`` and
+    columns to the scalar dofs off the same walls.  Under the walls the
+    gradient is injective, so its columns are a basis of the kernel."""
+    scalars, grads = zip(*(space.gradient() for space in ps.spaces))
     ps0 = PatchSet(ps.geoms, scalars, ps.interfaces)
     glue0 = None if glue is None else build_glue(ps0)
     G = grads[0] if glue0 is None else global_operator(glue0, glue, grads)
     return G.tocsr()[free][:, _free(ps0, glue0, walls, G.shape[1])]
 
 
-def _grad_2d(tcx):
-    return tcx.operators_int["grad"] / tcx.denominators["grad"]
-
-
-def _eigen_run(ps, walls, kinds, count, zero_tol, scalars=None, grads=None) -> EigenRun:
-    """Eigenvalues of the pencil ``kinds`` on the free dofs; the gradient
-    kernel of ``scalars`` and ``grads`` is deflated when they are given."""
+def _eigen_run(ps, walls, kinds, count) -> EigenRun:
+    """Eigenvalues of the pencil ``kinds`` on the free dofs; the exact
+    gradient kernel is deflated whenever the space has one."""
     glue, (K, M), free = _system(ps, walls, kinds)
-    G = None if scalars is None else _gradient_kernel(ps, glue, walls, free, scalars, grads)
+    G = _gradient_kernel(ps, glue, walls, free) if hasattr(ps.spaces[0], "gradient") else None
     sub = np.ix_(free, free)
-    return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, zero_tol=zero_tol, kernel=G))
+    return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, kernel=G))
 
 
-def square_eigenproblem(level: int, degree: int = 3, count: int = None, zero_tol=None) -> EigenRun:
+def square_eigenproblem(level: int, degree: int = 3, count: int = None) -> EigenRun:
     """Maxwell cavity eigenvalues on (0, pi)^2 with the benchmark T-meshes.
 
     ``dofs`` reports the dimension of the rot-conforming space before the
@@ -134,10 +130,10 @@ def square_eigenproblem(level: int, degree: int = 3, count: int = None, zero_tol
     """
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), degree))
     ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
-    return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count, zero_tol, [Scalar2D(tcx.Y0)], [_grad_2d(tcx)])
+    return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count)
 
 
-def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5, zero_tol=None) -> EigenRun:
+def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5) -> EigenRun:
     """Dirichlet Laplacian eigenvalues of the L-shaped section, three glued
     patches with corner-refined T-meshes (the first eigenvalue is the
     L-membrane benchmark value)."""
@@ -145,19 +141,17 @@ def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5, z
     geoms = lsection_patches()
     spaces = [Scalar2D(TsplineSpace(TMesh2D.from_raw(raw, (degree, degree)))) for _ in geoms]
     ps = PatchSet(geoms, spaces, _L_INTERFACES)
-    return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count, zero_tol)
+    return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count)
 
 
-def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int = 5, zero_tol=None) -> EigenRun:
+def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int = 5) -> EigenRun:
     """Maxwell cavity eigenvalues of the thick L (section times (0,1))."""
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
     ps = PatchSet([prism_patch(_rot(k)) for k in range(3)], [Complex3D(tcx, kv_z) for _ in range(3)], _L_INTERFACES)
     walls = {k: faces + [(2, 0), (2, 1)] for k, faces in _L_WALLS.items()}
-    scalars = [Scalar3D(cx3) for cx3 in ps.spaces]
-    grads = [cx3.operators()["grad"] for cx3 in ps.spaces]
-    return _eigen_run(ps, walls, ("curlcurl", "mass"), count, zero_tol, scalars, grads)
+    return _eigen_run(ps, walls, ("curlcurl", "mass"), count)
 
 
 def _rot(k):
@@ -248,7 +242,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     v2 = Vector2D.from_complex(tcx)
     section = PatchSet([section_geom], [v2])
     _, (K2, M2), free2 = _system(section, {0: ALL_FACES_2D}, ("rotrot", "mass"))
-    G2 = _gradient_kernel(section, None, {0: ALL_FACES_2D}, free2, [Scalar2D(tcx.Y0)], [_grad_2d(tcx)])
+    G2 = _gradient_kernel(section, None, {0: ALL_FACES_2D}, free2)
     k10sq, e_free = solve_port_mode(K2[np.ix_(free2, free2)], M2[np.ix_(free2, free2)], kernel=G2)
     e10 = np.zeros(v2.dim)
     e10[free2] = e_free

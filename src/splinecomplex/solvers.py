@@ -9,10 +9,10 @@ gradient, the zero block of every Maxwell spectrum.  Given that kernel G
 (n x m), :func:`solve_generalized_eig` deflates it: it solves only the
 (n-m)-dim pencil on a complement of range(G), whose eigenvalues are the
 nonzero ones, and puts m exact zeros in front (Arbenz and Geus, Appl.
-Numer. Math. 54, 2005).  The zero count then comes from the exact complex;
-the ``zero_tol`` threshold counts only zeros beyond the kernel.  A kernel
-that K does not annihilate, that is rank deficient, or that leaves an
-indefinite deflated mass matrix raises :class:`NumericalError`.
+Numer. Math. 54, 2005).  The zero count is m, never a threshold: a float
+zero beyond the kernel (a deflated eigenvalue below ``ZERO_REL_TOL`` of the
+largest), a kernel that K does not annihilate, that is rank deficient, or
+that leaves an indefinite deflated mass matrix raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "compute_scattering",
 ]
 
-ZERO_REL_TOL = 1e-8
+ZERO_REL_TOL = 1e-8  # a float zero, relative to the largest eigenvalue
 KERNEL_REL_TOL = 1e-10  # |K G| against |K| |G|, all Frobenius
 
 
@@ -61,16 +61,17 @@ class EigenResult:
         return np.linalg.norm(R, axis=0) / (np.linalg.norm(V, axis=0) * lam_max)
 
 
-def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None, kernel=None) -> EigenResult:
+def solve_generalized_eig(K, M, count=None, vectors=False, kernel=None) -> EigenResult:
     """Smallest eigenpairs of K v = lambda M v, K sym-psd and M SPD.
 
-    ``kernel`` is an exact basis G (n x m) of the null space of K, or None
-    (m = 0).  Its m zero eigenvalues come first, exactly; the dense solve
-    runs only on the (n-m)-dim deflated pencil of :func:`_deflate`.  The
-    zero count is m plus the deflated eigenvalues below ``zero_tol``
-    (default 1e-8) times the largest one.  ``count`` is the number of
-    nonzero eigenvalues kept after the zero block; all of them when None.
-    With ``vectors`` the zero block holds the kernel columns.
+    ``kernel`` is an exact basis G (n x m) of the null space of K.  Its m
+    exact zeros are the whole zero block, the dense solve runs only on the
+    (n-m)-dim deflated pencil of :func:`_deflate`, and a deflated value
+    below ``ZERO_REL_TOL`` times the largest raises :class:`NumericalError`.
+    Without a kernel, the zeros are the values below that threshold.
+    ``count`` is the number of nonzero eigenvalues kept after the zero
+    block; all of them when None.  With ``vectors`` the zero block holds
+    the kernel columns.
     """
     m = 0 if kernel is None else kernel.shape[1]
     Kd, Md, lift = _deflate(K, M, kernel) if m else (_dense(K), _dense(M), None)
@@ -81,8 +82,10 @@ def solve_generalized_eig(K, M, count=None, vectors=False, zero_tol=None, kernel
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    tol = ZERO_REL_TOL if zero_tol is None else zero_tol
-    zero = m + int(np.sum(w < tol * lam_max))
+    below = int(np.sum(w < ZERO_REL_TOL * lam_max))
+    if kernel is not None and below:
+        raise NumericalError(f"{below} deflated eigenvalue(s) below {ZERO_REL_TOL:.0e} of the largest: float zeros beyond the exact kernel of dimension {m}")
+    zero = m + below
     w = np.concatenate([np.zeros(m), w])
     if V is not None and m:
         V = np.hstack([_dense(kernel), lift(V)])

@@ -65,11 +65,16 @@ class ComplexMeshes:
 def derive_complex_meshes(raw: RawTMesh, p: int) -> ComplexMeshes:
     """Derive the meshes for the scalar, vector and top-form spaces.
 
-    Requires an analysis-suitable input (checked); equal degree in both
-    directions is assumed throughout.
+    Requires an analysis-suitable input with interior multiplicities at
+    most p (both checked); equal degree in both directions is assumed
+    throughout.
     """
     if p < 1:
         raise ValueError("degree must be at least 1")
+    for (axis, k), m in sorted(raw.multiplicities.items()):
+        if m > p:
+            value = (raw.breakpoints_x if axis == "x" else raw.breakpoints_y)[k]
+            raise TMeshError(f"interior multiplicity {m} of the {axis} line {value} exceeds the degree {p}")
     M0 = TMesh2D.from_raw(raw, (p, p))
     ok, pair = M0.is_analysis_suitable()
     if not ok:

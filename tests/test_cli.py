@@ -1,6 +1,9 @@
 """CLI subcommands, exit codes, file formats and round-trips."""
 
+import argparse
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinecomplex.cli import main
+from splinecomplex.cli import build_parser, main
 from splinecomplex.serialization import (
     dump_json,
     geometry_from_dict,
@@ -22,6 +25,7 @@ from splinecomplex.serialization import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, tmp_path):
@@ -149,3 +153,22 @@ def test_convergence_csv(tmp_path):
         rows.append(f"{run.dofs},{run.result.nonzero[0] - 1:.17g}\n")
     assert [r.split(",")[0] for r in rows] == ["74", "184"]
     assert (tmp_path / "convergence.csv").read_bytes() == ("dofs,value\n" + "".join(rows)).encode()
+
+
+def test_readme_command_line_matches_parser():
+    """Every ``splinecomplex`` line of the README's command-line block
+    parses, and its ``Flags:`` line names exactly the parser's top-level
+    options, so a removed flag cannot stay in the docs."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("splinecomplex ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    flags = next(line for line in section.splitlines() if line.startswith("Flags:"))
+    options = {o for a in parser._actions if not isinstance(a, argparse._HelpAction) for o in a.option_strings}
+    assert set(re.findall(r"--[\w-]+", flags)) == options

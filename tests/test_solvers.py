@@ -133,7 +133,7 @@ def _pencil_and_kernel(problem):
     """(K, M, G) of the square L1 p=3 or thick L0 p=2 Maxwell problem, on
     its free dofs, with the exact gradient kernel the drivers deflate."""
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D
+    from splinecomplex.assembly import Complex3D, Vector2D
     from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch, square_geometry, square_raw_tmesh
     from splinecomplex.bspline import KnotVector
     from splinecomplex.multipatch import PatchSet
@@ -143,7 +143,6 @@ def _pencil_and_kernel(problem):
         tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 3))
         ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
         walls, kinds = {0: problems.ALL_FACES_2D}, ("rotrot", "mass")
-        scalars, grads = [Scalar2D(tcx.Y0)], [problems._grad_2d(tcx)]
     else:
         p = 2
         tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
@@ -151,9 +150,8 @@ def _pencil_and_kernel(problem):
         ps = PatchSet([prism_patch(problems._rot(k)) for k in range(3)], [cx3] * 3, problems._L_INTERFACES)
         walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
         kinds = ("curlcurl", "mass")
-        scalars, grads = [Scalar3D(cx3)] * 3, [cx3.operators()["grad"]] * 3
     glue, (K, M), free = problems._system(ps, walls, kinds)
-    G = problems._gradient_kernel(ps, glue, walls, free, scalars, grads)
+    G = problems._gradient_kernel(ps, glue, walls, free)
     sub = np.ix_(free, free)
     return K[sub], M[sub], G
 
@@ -215,3 +213,23 @@ def test_wrong_kernels_are_numerical_errors():
     Md = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
     with pytest.raises(NumericalError, match="positive definite"):
         solve_generalized_eig(Kd, Md, kernel=np.eye(n)[:, :2])
+
+
+@pytest.mark.parametrize("problem", ["square", "thick_l"])
+def test_a_gradient_left_out_of_the_kernel_is_a_numerical_error(problem):
+    """With one kernel column dropped, the leftover gradient mode is a float
+    zero of the deflated pencil (about 1e-16 of the largest eigenvalue); the
+    zero count is the kernel's dimension, so that is a failure."""
+    K, M, G = _pencil_and_kernel(problem)
+    m = G.shape[1] - 1
+    with pytest.raises(NumericalError, match=rf"^1 deflated eigenvalue\(s\) .* exact kernel of dimension {m}$"):
+        solve_generalized_eig(K, M, kernel=G[:, 1:])
+
+
+def test_zero_threshold_flag_is_gone():
+    from splinecomplex.cli import main
+
+    for argv in (["--tol", "1e-6", "solve-eig", "--problem", "p.json"], ["solve-eig", "--problem", "p.json", "--tol", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

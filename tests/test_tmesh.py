@@ -20,7 +20,7 @@ from splinecomplex.benchmarks import (
     two_t_raw,
 )
 from splinecomplex.bspline import KnotVector
-from splinecomplex.serialization import load_json, tmesh_to_dict
+from splinecomplex.serialization import dump_json, load_json, tmesh_to_dict
 from splinecomplex.tmesh import (
     RawTMesh,
     TMesh2D,
@@ -459,3 +459,16 @@ def test_extension_crossing_a_repeated_line_is_not_strong(split_to, junction, cr
 def test_extension_crossing_a_repeated_line_builds_exact_complex():
     rep = verify_t_exactness(build_tspline_complex(derive_complex_meshes(_doubled_line_raw(F(1, 2)), 2)))
     assert rep.passed and rep.certified
+
+
+def test_multiplicity_above_the_degree_is_rejected(tmp_path):
+    """y = 1/2 doubled at p = 1 is analysis-suitable, but its complex would
+    not be exact: the derivation and ``tmesh complex`` refuse it."""
+    from splinecomplex.cli import main
+
+    raw = _doubled_line_raw(F(1, 4))
+    assert TMesh2D.from_raw(raw, (1, 1)).is_analysis_suitable()[0]
+    with pytest.raises(TMeshError, match="interior multiplicity 2 of the y line 1/2 exceeds the degree 1"):
+        derive_complex_meshes(raw, 1)
+    dump_json(tmesh_to_dict(raw), tmp_path / "doubled.json")
+    assert main(["--out", str(tmp_path), "tmesh", "complex", "--mesh", str(tmp_path / "doubled.json"), "--degree", "1"]) == 2

@@ -255,7 +255,7 @@ def test_zero_count_matches_restricted_grad_rank():
     free1 = problems._free(ps1, glue1, walls, glue1.ndof)
     free0 = problems._free(ps0, glue0, walls, glue0.ndof)
     Gb = global_operator(glue0, glue1, [G_int] * 3)[free1][:, free0]
-    kernel = problems._gradient_kernel(ps1, glue1, walls, free1, [Scalar3D(cx3)] * 3, [cx3.operators()["grad"]] * 3)
+    kernel = problems._gradient_kernel(ps1, glue1, walls, free1)
     assert abs(Gb / d - kernel).max() < 1e-15
     run = problems.thick_l_eigenproblem(0, degree=p, nz=nz, count=None)
     assert modular_rank(Gb) == Gb.shape[1] == kernel.shape[1] == run.result.zero_count == 161
