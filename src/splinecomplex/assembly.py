@@ -17,22 +17,24 @@ both factors:
   for j=0, J^-1 J^-T det J for j=1, J^T J / det J for j=2 in 3D, 1 / det J
   for the top form.
 
-Loads and the H(curl) error contract the same 3D tables with the pulled-back
-source and push the discrete field forward (:func:`apply_pullback`,
-:func:`apply_pushforward`).
-
 Per patch and quadrature rule, the Gauss points of all cells form one
 record, shape (ncell, npts, d): the geometry (J, det J, the physical points)
-and the pullback weights are evaluated once on it and sliced per cell.  The
-element blocks of a matrix go into a CSR pattern built once per element set
-(sorted ``indptr``/``indices`` plus the slot of every block entry in
-``data``), so each kind is one ``np.bincount`` over the slots; inside
+and the pullback weights are evaluated once on it.  The element blocks of a
+matrix go into a CSR pattern built once per element set (sorted
+``indptr``/``indices`` plus the slot of every block entry in ``data``), so
+each kind is one ``np.bincount`` over the slots; inside
 :func:`_shared_patterns` every kind and every patch on the same spaces
 reuses it.
 
 Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
 direction; component coefficient blocks are ordered (c1, c2, c3) with the
-2D anchor index running fastest inside each block.
+2D anchor index running fastest inside each block.  Their dof tables are
+never expanded: each is a sum of terms (2D factor) x (z factor) in one
+component.  Per 2D element the z-spans of its column are a batch axis and
+the z direction is contracted first, into z-integrated weights
+H = sum_qz Z Z' W, then the 2D factors against H.  Loads and the H(curl)
+error read the same factored tables, with the pulled-back source and the
+pushed-forward field (:func:`apply_pullback`, :func:`apply_pushforward`).
 
 Every space type (Scalar2D, Vector2D, Scalar3D, Complex3D) describes itself
 by ``blocks()``: per component block, (dof offset, 2D T-spline space,
@@ -45,6 +47,7 @@ glue of :mod:`splinecomplex.multipatch` read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -214,31 +217,32 @@ def _pattern(space, n, dofs):
     E = sp.csr_matrix((np.ones(sizes.sum()), np.concatenate(dofs), np.r_[0, np.cumsum(sizes)]), shape=(len(dofs), n))
     A = (E.T @ E).tocsr()  # the dof pairs sharing an element
     A.sort_indices()
-    flat = np.repeat(np.arange(n), np.diff(A.indptr)) * n + A.indices  # sorted row * n + col
-    slot, ends = np.empty((sizes**2).sum(), dtype=np.intp), np.cumsum(sizes**2)
+    itype = np.int32 if n * n < 2**31 else np.int64  # keys row * n + col
+    flat = np.repeat(np.arange(n, dtype=itype), np.diff(A.indptr)) * itype(n) + A.indices  # sorted
+    keys, ends = np.empty((sizes**2).sum(), dtype=itype), np.cumsum(sizes**2)
     for d, end in zip(dofs, ends):
-        slot[end - d.size**2 : end] = np.searchsorted(flat, (d[:, None] * n + d[None, :]).ravel())
+        keys[end - d.size**2 : end] = (d[:, None] * n + d[None, :]).ravel()
+    slot = np.searchsorted(flat, keys)
     pattern = (A.indptr, A.indices, slot)
     if _PATTERNS is not None:
         _PATTERNS[key] = pattern
     return pattern
 
 
-def _matrix(space, n, rule, tables, geom, j):
-    """Sum the element kernels of one patch, (dofs, table) per cell from
-    ``tables``, into an n x n CSR matrix.  The degree-j pullback weight is
-    computed once at the points (ncell, npts, d) of ``rule`` = (points,
-    weights) and sliced per cell."""
+def _weights(geom, rule, j):
+    """Degree-j pullback weights (ncell, npts, c, c) at the points (ncell,
+    npts, d) of ``rule`` = (points, weights), from one geometry call."""
     P, W = rule
     J, det = geom.jacobian_dets(P.reshape(-1, P.shape[-1]))
     G = pullback_weight(j, J, det, W.ravel())
-    G = G.reshape(*W.shape, *G.shape[1:])
-    dofs, blocks = [], []
-    for (idx, T), Gk in zip(tables, G):
-        dofs.append(idx)
-        blocks.append(_bilinear(T, Gk).ravel())
+    return G.reshape(*W.shape, *G.shape[1:])
+
+
+def _csr(space, n, dofs, data):
+    """Sum the element blocks, ``data`` their concatenation in the order of
+    the element dof lists ``dofs``, into an n x n CSR matrix."""
     indptr, indices, slot = _pattern(space, n, dofs)
-    data = np.bincount(slot, weights=np.concatenate(blocks), minlength=indices.size)
+    data = np.bincount(slot, weights=data, minlength=indices.size)
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))  # copies: the pattern is shared
 
 
@@ -273,8 +277,10 @@ def assemble_matrix_2d(space, geom, kind, order=None):
     degrees = space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees
     order = order or max(degrees) + 1
     boxes = space.elements()
-    tables = (_dof_tables_2d(space, e, order, deriv) for e in range(len(boxes)))
-    return _matrix(space, space.dim, _rules_2d(boxes, order), tables, geom, j)
+    G = _weights(geom, _rules_2d(boxes, order), j)
+    tables = [_dof_tables_2d(space, e, order, deriv) for e in range(len(boxes))]
+    data = np.concatenate([_bilinear(T, Ge).ravel() for (_, T), Ge in zip(tables, G)])
+    return _csr(space, space.dim, [idx for idx, _ in tables], data)
 
 
 # -- 3D tensor spaces ---------------------------------------------------------------
@@ -368,38 +374,28 @@ class Scalar3D:
 _FORMS = {Scalar2D: (0, "gradgrad"), Vector2D: (1, "rotrot"), Complex3D: (1, "curlcurl")}
 
 
-def _z_elements(kv: KnotVector):
-    return [(float(a), float(b)) for a, b in kv.spans()]
-
-
 def _z_tables(kv: KnotVector, scaling, spans, order):
-    """Per z-span: the indices of the functions of ``kv`` active on it and
-    their values and derivatives (order, nact) at its Gauss points, sliced
-    from one batched evaluation of all functions at all spans' points."""
+    """The functions of ``kv`` active on each z-span (nzs, q+1) and their
+    values and derivatives (2, nzs, order, q+1) at its Gauss points."""
     rows = kv.local_rows
     x = np.concatenate([gauss_points_1d(za, zb, order)[0] for za, zb in spans])
-    shape = (len(spans), order, kv.n)
-    vals = scaled_eval(rows, kv.degree, scaling, x).reshape(shape)
-    ders = scaled_eval(rows, kv.degree, scaling, x, 1).reshape(shape)
-    out = []
-    for s, (za, zb) in enumerate(spans):
-        act = np.flatnonzero((rows.knots[:, 0] < zb) & (rows.knots[:, -1] > za))
-        out.append((act, np.ascontiguousarray(vals[s][:, act]), np.ascontiguousarray(ders[s][:, act])))
-    return out
+    args = (rows, kv.degree, scaling, x)
+    Z = np.stack([scaled_eval(*args), scaled_eval(*args, 1)]).reshape(2, len(spans), order, kv.n)
+    act = np.array([np.flatnonzero((rows.knots[:, 0] < zb) & (rows.knots[:, -1] > za)) for za, zb in spans])
+    return act, np.take_along_axis(Z, act[None, :, None, :], axis=3)
 
 
 def _x1_tables(cx3: Complex3D, order):
-    """The tabulation of one patch's X1 space: the Gauss rule of all its
-    cells (element, z-span), the cells, and per block (dof offset, 2D space,
-    z tables), with the 2D caches filled."""
-    zspans = _z_elements(cx3.kv_z)
+    """The Gauss rule of all cells (element, z-span) of one patch, the
+    number of 2D elements, and per X1 block (dof offset, 2D space with its
+    caches filled, z tables)."""
+    zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
     blocks = []
     for off, s2d, kvz, zscal, _ in cx3.blocks():
         s2d.factor_tables(order)
         blocks.append((off, s2d, _z_tables(kvz, zscal, zspans, order)))
     boxes = _shared_elements(cx3.tcx.Y0, cx3.tcx.Y1[0], cx3.tcx.Y1[1])
-    cells = [(e, s) for e in range(len(boxes)) for s in range(len(zspans))]
-    return _rules_3d(boxes, zspans, order), cells, blocks
+    return _rules_3d(boxes, zspans, order), len(boxes), blocks
 
 
 def _rules_3d(boxes, zspans, order):
@@ -414,66 +410,88 @@ def _rules_3d(boxes, zspans, order):
     return P.reshape(len(P2) * len(Z), -1, 3), W.reshape(len(P2) * len(Z), -1)
 
 
-def _block_dofs(off, s2d, act2, actz):
-    """X1 dofs of one block on one element, 2D anchor slowest."""
-    return (off + actz[None, :] * s2d.dim + act2[:, None]).ravel()
+# Per table (values, curls) and block m, the terms sign * (2D factor) x (z
+# factor) in one component of f e_m or of its reference curl: (component,
+# 2D factor 0 value, 1 d/dx, 2 d/dy; z factor 0 value, 1 d/dz; sign).
+_TERMS = (
+    (((0, 0, 0, 1),), ((1, 0, 0, 1),), ((2, 0, 0, 1),)),
+    (((1, 0, 1, 1), (2, 2, 0, -1)), ((0, 0, 1, -1), (2, 1, 0, 1)), ((0, 2, 0, 1), (1, 1, 0, -1))),
+)
 
 
-def _outer(a, b):
-    """Products a[p, i] b[q, j] as (i*j, p*q): 2D-by-z dof and point order."""
-    return (a.T[:, None, :, None] * b.T[None, :, None, :]).reshape(a.shape[1] * b.shape[1], -1)
+def _z_factors(blocks, curl):
+    """The signed z factors of all terms in their components, one table
+    (nzs, order, 3, nt) with columns (term, z function) block by block, and
+    the column range of each block."""
+    cols, ends = [], [0]
+    for m, (_, _, (_, Zm)) in enumerate(blocks):
+        for comp, _, zf, sign in _TERMS[curl][m]:
+            cols.append(np.zeros((*Zm.shape[1:3], 3, Zm.shape[-1])))
+            cols[-1][:, :, comp] = sign * Zm[zf]
+        ends.append(sum(c.shape[-1] for c in cols))
+    return np.concatenate(cols, axis=-1), [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
-# Reference curl of f e_m, block m: (component, derivative of f, sign).
-_CURL = (((1, "z", 1), (2, "y", -1)), ((0, "z", -1), (2, "x", 1)), ((0, "y", 1), (1, "x", -1)))
-
-
-def _dof_tables_3d(blocks, e, s, order, *curls):
-    """Dofs of element (e, z-span s) and, per flag of ``curls``, their
-    reference values (False) or reference curls (True), shape (ndof, npts,
-    3), from outer products of one tabulation of the 2D element tables and
-    the z tables."""
-    dofs, parts = [], []
-    for off, s2d, ztab in blocks:
-        act2, v2, dx2, dy2 = s2d.element_table(e, order, derivs=any(curls))
-        actz, vz, dz = ztab[s]
-        dofs.append(_block_dofs(off, s2d, act2, actz))
-        parts.append({"f": (v2, vz), "x": (dx2, vz), "y": (dy2, vz), "z": (v2, dz)})
-    idx = np.concatenate(dofs)
-    tables = []
-    for curl in curls:
-        T = np.zeros((idx.size, order**3, 3))
-        start = 0
-        for m, (block, part) in enumerate(zip(dofs, parts)):
-            blk = T[start : start + block.size]
-            start += block.size
-            for comp, d, sign in _CURL[m] if curl else ((m, "f", 1),):
-                blk[:, :, comp] = sign * _outer(*part[d])
-        tables.append(T)
-    return (idx, *tables)
+def _element_tables(blocks, e, order, curl=False):
+    """The z column of 2D element ``e``: its cell dofs (nzs, ndof), block by
+    block with the 2D anchor slowest, their positions per block, and per
+    block the 2D factors (order**2, nterms, n2d) of the terms."""
+    dofs, tables = [], []
+    for m, (off, s2d, (actz, _)) in enumerate(blocks):
+        act2, *tabs = s2d.element_table(e, order, derivs=curl)
+        dofs.append((off + actz[:, None, :] * s2d.dim + act2[None, :, None]).reshape(len(actz), -1))
+        tables.append(np.stack([tabs[x] for _, x, _, _ in _TERMS[curl][m]], axis=1))
+    ends = np.cumsum([d.shape[1] for d in dofs])
+    return np.concatenate(dofs, axis=1), [slice(b - d.shape[1], b) for d, b in zip(dofs, ends)], tables
 
 
 def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
-    """'mass' or 'curlcurl' on the curl-conforming 3D space of one patch."""
-    deriv, j = _kind(cx3, kind)
+    """'mass' or 'curlcurl' on the curl-conforming space of one patch, per
+    z column: H = sum_qz Z Z' G for all pairs of terms, then per pair of
+    blocks one product of 2D factors with H; each cell gets its own block."""
+    curl, j = _kind(cx3, kind)
     order = order or cx3.tcx.degree + 1
-    rule, cells, blocks = _x1_tables(cx3, order)
-    tables = (_dof_tables_3d(blocks, e, s, order, deriv) for e, s in cells)
-    return _matrix(cx3, cx3.dim, rule, tables, geom, j)
+    rule, nelem, blocks = _x1_tables(cx3, order)
+    Z, ranges = _z_factors(blocks, curl)
+    nzs, nt, o2 = Z.shape[0], Z.shape[-1], order * order
+    ZT = Z.reshape(nzs, 3 * order, nt).transpose(0, 2, 1)
+    G = _weights(geom, rule, j).reshape(nelem, nzs, o2, order, 3, 3)
+    nk = [act.shape[1] for _, _, (act, _) in blocks]
+    dofs, data = [], []
+    for e in range(nelem):
+        cell_dofs, pos, X = _element_tables(blocks, e, order, curl)
+        H = ZT[:, None] @ (G[e] @ Z[:, None]).reshape(nzs, o2, 3 * order, nt)  # (nzs, o2, nt, nt)
+        A = np.empty((nzs, cell_dofs.shape[1], cell_dofs.shape[1]))
+        for a, b in itertools.combinations_with_replacement(range(len(blocks)), 2):
+            (nta, na), (ntb, nb) = X[a].shape[1:], X[b].shape[1:]
+            # one product, K = (2D point, term a, term b) and N = (z-span, z function a, z function b)
+            Hab = H[:, :, ranges[a], ranges[b]].reshape(nzs, o2, nta, nk[a], ntb, nk[b]).transpose(1, 2, 4, 0, 3, 5)
+            XX = X[a][:, :, None, :, None] * X[b][:, None, :, None, :]  # (o2, nta, ntb, na, nb)
+            out = Hab.reshape(o2 * nta * ntb, -1).T @ XX.reshape(o2 * nta * ntb, -1)
+            A[:, pos[a], pos[b]] = out.reshape(nzs, nk[a], nk[b], na, nb).transpose(0, 3, 1, 4, 2).reshape(nzs, na * nk[a], -1)
+            if a != b:
+                A[:, pos[b], pos[a]] = A[:, pos[a], pos[b]].transpose(0, 2, 1)
+        dofs.extend(cell_dofs)
+        data.append(A.ravel())
+    return _csr(cx3, cx3.dim, dofs, np.concatenate(data))
 
 
 def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
-    """Load vector int f . v for the curl-conforming space of one patch."""
+    """Load vector int f . v for the curl-conforming space of one patch, the
+    z direction contracted first like in :func:`assemble_matrix_3d`."""
     order = order or cx3.tcx.degree + 2
-    (P, W), cells, blocks = _x1_tables(cx3, order)
-    P = P.reshape(-1, 3)
-    J, det = geom.jacobian_dets(P)
-    fhat = apply_pullback(2, J, det, np.asarray(f(geom.eval(P)))) * W.reshape(-1, 1)
-    out = np.zeros(cx3.dim)
-    for (e, s), fk in zip(cells, fhat.reshape(len(cells), -1)):
-        idx, T = _dof_tables_3d(blocks, e, s, order, False)
-        out[idx] += T.reshape(idx.size, -1) @ fk
-    return out
+    (P, W), nelem, blocks = _x1_tables(cx3, order)
+    X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
+    fhat = apply_pullback(2, J, det, np.asarray(f(X))) * W.reshape(-1, 1)
+    Z, ranges = _z_factors(blocks, False)
+    nzs = Z.shape[0]
+    Hf = fhat.reshape(nelem, nzs, order * order, 3 * order) @ Z.reshape(nzs, 3 * order, -1)  # z first
+    dofs, vals = [], []
+    for e in range(nelem):
+        cell_dofs, _, X2 = _element_tables(blocks, e, order)
+        dofs.append(cell_dofs)
+        vals.append(np.concatenate([(Xm[:, 0].T @ Hf[e][:, :, r]).reshape(nzs, -1) for Xm, r in zip(X2, ranges)], 1))
+    return np.bincount(np.concatenate(dofs).ravel(), weights=np.concatenate(vals).ravel(), minlength=cx3.dim)
 
 
 # -- traces: boundary conditions, interfaces, ports -----------------------------------
@@ -538,24 +556,25 @@ def assemble_port_boundary(cx3: Complex3D, section_mass, side):
 
 
 def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact, order=None):
-    """H(curl) error of a discrete field against closed-form references.
-
-    Returns (l2_err, curl_err) accumulated by quadrature on the extended
-    mesh of one patch.
-    """
+    """H(curl) error (l2_err, curl_err) of a discrete field against
+    closed-form references, by quadrature on the extended mesh of one patch."""
     order = order or cx3.tcx.degree + 2
     coeffs = np.asarray(coeffs)
-    (P, W), cells, blocks = _x1_tables(cx3, order)
-    u_h, curl_h = np.empty((2, *P.shape))
-    for k, (e, s) in enumerate(cells):
-        idx, V, C = _dof_tables_3d(blocks, e, s, order, False, True)
-        c = coeffs[idx]
-        u_h[k] = (c @ V.reshape(idx.size, -1)).reshape(-1, 3)
-        curl_h[k] = (c @ C.reshape(idx.size, -1)).reshape(-1, 3)
-    P = P.reshape(-1, 3)
-    J, det = geom.jacobian_dets(P)
-    X = geom.eval(P)
-    du = apply_pushforward(1, J, det, u_h.reshape(-1, 3)) - np.asarray(u_exact(X))
-    dc = apply_pushforward(2, J, det, curl_h.reshape(-1, 3)) - np.asarray(curlu_exact(X))
+    (P, W), nelem, blocks = _x1_tables(cx3, order)
+    fields = []
+    for curl in (False, True):
+        Z, ranges = _z_factors(blocks, curl)
+        nzs = Z.shape[0]
+        Y = np.empty((nelem, nzs, order * order, Z.shape[-1]))
+        for e in range(nelem):  # the 2D factors against the coefficients
+            cell_dofs, pos, X2 = _element_tables(blocks, e, order, curl)
+            c = coeffs[cell_dofs]
+            for Xm, r, p in zip(X2, ranges, pos):
+                cm = c[:, p].reshape(nzs, Xm.shape[-1], -1)
+                Y[e][:, :, r] = (Xm.reshape(-1, Xm.shape[-1]) @ cm).reshape(nzs, order * order, -1)
+        fields.append((Y @ Z.reshape(nzs, 3 * order, -1).transpose(0, 2, 1)).reshape(-1, 3))
+    X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
+    du = apply_pushforward(1, J, det, fields[0]) - np.asarray(u_exact(X))
+    dc = apply_pushforward(2, J, det, fields[1]) - np.asarray(curlu_exact(X))
     wdet = W.ravel() * det
     return math.sqrt(np.sum(wdet * np.sum(du * du, axis=1))), math.sqrt(np.sum(wdet * np.sum(dc * dc, axis=1)))

@@ -1,6 +1,8 @@
 """Spline and NURBS geometry maps, pullbacks and control complexes.
 
-Geometry maps are evaluated pointwise (values and exact Jacobians); the
+Geometry maps are tabulated per direction on the distinct abscissae of the
+points and contracted per cell of the geometry's mesh (values and exact
+Jacobians); 2x2 and 3x3 inverses and determinants are closed-form.  The
 four pullbacks are the composition, covariant, Piola and determinant
 transforms that preserve point values, circulations, fluxes and integrals.
 Unknown fields are always splines; NURBS enter through the geometry only.
@@ -70,65 +72,80 @@ class GeometryMap:
     def nphys(self) -> int:
         return self.control_points.shape[1]
 
-    def _basis_tables(self, pts: np.ndarray):
-        vals = [eval_basis(kv, pts[:, d]) for d, kv in enumerate(self.kvs)]
-        ders = [eval_basis_deriv(kv, pts[:, d]) for d, kv in enumerate(self.kvs)]
-        return vals, ders
-
-    def _tensor(self, tables) -> np.ndarray:
-        """Combine per-direction tables into (npts, ncp), direction 1 fastest."""
-        out = tables[0]
-        for t in tables[1:]:
-            out = (out[:, None, :] * t[:, :, None]).reshape(t.shape[0], -1)
+    def _local_tables(self, pts: np.ndarray):
+        """Per direction: the first of the degree+1 functions that can be
+        nonzero at each point, and their values and derivatives (degree+1,
+        npts).  Cox-de Boor runs once on the distinct abscissae; the tables
+        are indexed back to the points."""
+        out = []
+        for d, kv in enumerate(self.kvs):
+            x, back = np.unique(pts[:, d], return_inverse=True)
+            first = np.searchsorted(kv.local_rows.knots[:, 0], x, side="right") - 1 - kv.degree
+            window = first[:, None] + np.arange(kv.degree + 1)
+            tabs = [np.take_along_axis(f(kv, x), window, axis=1).T[:, back] for f in (eval_basis, eval_basis_deriv)]
+            out.append((first[back], *tabs))
         return out
+
+    def _contract(self, pts: np.ndarray):
+        """(X, J) at the points.  Per cell of the geometry's mesh, the
+        (homogeneous, for NURBS) map and its derivatives are one product of
+        the windowed tables, direction 1 fastest, with its control points."""
+        tables = self._local_tables(pts)
+        w = self.weights
+        cp = self.control_points if w is None else np.column_stack([self.control_points * w[:, None], w])
+        shape = [kv.n for kv in self.kvs]
+        local = np.ravel_multi_index(np.indices([kv.degree + 1 for kv in self.kvs]), shape, order="F").ravel(order="F")
+        corner = np.ravel_multi_index([f for f, _, _ in tables], shape, order="F")
+        order = np.argsort(corner, kind="stable")  # the points cell by cell
+        tables, corner = [(v[:, order], g[:, order]) for _, v, g in tables], corner[order]
+        starts = np.flatnonzero(np.r_[True, corner[1:] != corner[:-1], True])
+        S = np.empty((1 + self.ndim, len(pts), cp.shape[1]))
+        for k in range(len(S)):  # k = 0 the values, k = d + 1 the derivative along d
+            W = np.ones((1, len(pts)))
+            for d, (v, g) in enumerate(tables):
+                W = ((g if k == d + 1 else v)[:, None, :] * W[None, :, :]).reshape(-1, len(pts))
+            for a, b in zip(starts, starts[1:]):
+                S[k, a:b] = W[:, a:b].T @ cp[corner[a] + local]
+        S[:, order] = S.copy()  # back to the order of the points
+        if w is None:
+            return S[0], np.stack(S[1:], axis=-1)
+        den = S[0, :, -1:]
+        X = S[0, :, :-1] / den
+        return X, np.stack([(Sd[:, :-1] - X * Sd[:, -1:]) / den for Sd in S[1:]], axis=-1)
 
     def eval(self, points) -> np.ndarray:
         """Physical image of parametric points (npts, ndim) -> (npts, nphys)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals, _ = self._basis_tables(pts)
-        B = self._tensor(vals)
-        if self.weights is None:
-            return B @ self.control_points
-        W = B * self.weights
-        den = W.sum(axis=1)
-        num = W @ self.control_points
-        return num / den[:, None]
+        return self._contract(np.atleast_2d(np.asarray(points, dtype=float)))[0]
 
     def jacobian(self, points) -> np.ndarray:
         """Jacobian matrices (npts, nphys, ndim) by exact differentiation."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals, ders = self._basis_tables(pts)
-        npts = pts.shape[0]
-        J = np.empty((npts, self.nphys, self.ndim))
-        if self.weights is None:
-            for d in range(self.ndim):
-                tables = [ders[k] if k == d else vals[k] for k in range(self.ndim)]
-                J[:, :, d] = self._tensor(tables) @ self.control_points
-            return J
-        B = self._tensor(vals)
-        W = B * self.weights
-        den = W.sum(axis=1)
-        num = W @ self.control_points
-        for d in range(self.ndim):
-            tables = [ders[k] if k == d else vals[k] for k in range(self.ndim)]
-            dB = self._tensor(tables) * self.weights
-            dden = dB.sum(axis=1)
-            dnum = dB @ self.control_points
-            J[:, :, d] = (dnum * den[:, None] - num * dden[:, None]) / (den**2)[:, None]
-        return J
+        return self._contract(np.atleast_2d(np.asarray(points, dtype=float)))[1]
 
     def jacobian_dets(self, points):
         """(J, detJ) with a singularity guard at the evaluation points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        J = self.jacobian(pts)
+        return self.eval_jacobian_dets(points)[1:]
+
+    def eval_jacobian_dets(self, points):
+        """(X, J, detJ) from one tabulation.  Singular: |det J| at most
+        ``_SINGULAR_TOL`` times the product of J's column norms, at any scale.
+        The last result is kept, read-only: every kind of a patch and rule
+        evaluates the same points, and so do its load and error."""
         if self.nphys != self.ndim:
             raise ValueError("determinants need a square Jacobian")
-        det = np.linalg.det(J)
-        bad = np.abs(det) < _SINGULAR_TOL
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        last = self.__dict__.get("_last")
+        if last is not None and last[0].shape == pts.shape and np.array_equal(last[0], pts):
+            return last[1:]
+        X, J = self._contract(pts)
+        A = _adjugate(J)
+        det = sum(A[:, 0, k] * J[:, k, 0] for k in range(self.ndim))  # along the first column
+        bad = np.abs(det) <= _SINGULAR_TOL * np.prod(np.linalg.norm(J, axis=1), axis=1)
         if np.any(bad):
-            i = int(np.nonzero(bad)[0][0])
-            raise ValueError(f"singular Jacobian at parametric point {pts[i]}")
-        return J, det
+            raise ValueError(f"singular Jacobian at parametric point {pts[np.argmax(bad)]}")
+        for a in (X, J, det):
+            a.flags.writeable = False
+        self.__dict__["_last"] = (pts.copy(), X, J, det)
+        return X, J, det
 
 
 def affine_map(scale, offset=None, ndim=None, degree=1) -> GeometryMap:
@@ -149,8 +166,16 @@ def affine_map(scale, offset=None, ndim=None, degree=1) -> GeometryMap:
 # -- pullbacks / push-forwards -----------------------------------------------------
 
 
-def _inv(J):
-    return np.linalg.inv(J)
+def _adjugate(J):
+    """Adjugates adj J = det(J) J^-1 of 1x1, 2x2 and 3x3 matrices (npts, n,
+    n), in closed form: for 3x3 the rows are cross products of columns."""
+    n = J.shape[-1]
+    if n == 1:
+        return np.ones_like(J)
+    if n == 2:
+        return np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+    c = J.transpose(0, 2, 1)
+    return np.stack([np.cross(c[:, 1], c[:, 2]), np.cross(c[:, 2], c[:, 0]), np.cross(c[:, 0], c[:, 1])], axis=1)
 
 
 def apply_pullback(j: int, J: np.ndarray, det: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -166,7 +191,7 @@ def apply_pullback(j: int, J: np.ndarray, det: np.ndarray, values: np.ndarray) -
     if j == 1:
         return np.einsum("pji,pj->pi", J, values)
     if j == 2:
-        return det[:, None] * np.einsum("pij,pj->pi", _inv(J), values)
+        return np.einsum("pij,pj->pi", _adjugate(J), values)
     raise ValueError("form degree must be 0..3")
 
 
@@ -177,7 +202,7 @@ def apply_pushforward(j: int, J: np.ndarray, det: np.ndarray, values: np.ndarray
     if j == 3:
         return values / det
     if j == 1:
-        return np.einsum("pij,pj->pi", np.linalg.inv(np.transpose(J, (0, 2, 1))), values)
+        return np.einsum("pji,pj->pi", _adjugate(J), values) / det[:, None]
     if j == 2:
         return np.einsum("pij,pj->pi", J, values) / det[:, None]
     raise ValueError("form degree must be 0..3")
@@ -188,16 +213,17 @@ def pullback_weight(j: int, J: np.ndarray, det: np.ndarray, w: np.ndarray) -> np
 
     Returns G (npts, c, c) with int u . v dx = sum_q uhat_q . G_q vhat_q for
     u, v the push-forwards of uhat, vhat and w the reference quadrature
-    weights: w det(J) for j=0, w J^-1 J^-T det(J) for j=1, w J^T J / det(J)
-    for j=2 in 3D and w / det(J) for the top form (j = ndim).
+    weights: w det(J) for j=0, w J^-1 J^-T det(J) = w adj(J) adj(J)^T /
+    det(J) for j=1, w J^T J / det(J) for j=2 in 3D and w / det(J) for the
+    top form (j = ndim).
     """
     if j == 0:
         return (w * det)[:, None, None]
     if j == J.shape[-1]:
         return (w / det)[:, None, None]
     if j == 1:
-        Jinv = _inv(J)
-        return np.einsum("pik,pjk->pij", Jinv, Jinv) * (det * w)[:, None, None]
+        A = _adjugate(J)
+        return np.einsum("pik,pjk->pij", A, A) * (w / det)[:, None, None]
     if j == 2:
         return np.einsum("pki,pkj->pij", J, J) * (w / det)[:, None, None]
     raise ValueError("form degree must be 0..ndim")
@@ -208,8 +234,8 @@ def pullback(geo: GeometryMap, j: int, field):
 
     def hat(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        J, det = geo.jacobian_dets(pts)
-        phys = np.asarray(field(geo.eval(pts)))
+        X, J, det = geo.eval_jacobian_dets(pts)
+        phys = np.asarray(field(X))
         if j in (0, 3):
             phys = phys.reshape(pts.shape[0])
         else:
@@ -251,7 +277,6 @@ class ControlComplex:
     def control_map(self, points) -> np.ndarray:
         """Piecewise multilinear map through the control points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((pts.shape[0], self.geo.nphys))
         cp = self.geo.control_points
         shape = tuple(len(g) for g in self.greville)
         vals = np.ones((pts.shape[0], int(np.prod(shape))))
@@ -261,8 +286,7 @@ class ControlComplex:
             reps = int(np.prod(shape[:d])) or 1
             tiles = int(np.prod(shape[d + 1 :])) or 1
             vals *= np.tile(np.repeat(lam, reps, axis=1), (1, tiles))
-        out = vals @ cp
-        return out
+        return vals @ cp
 
 
 def _hat_values(xs: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -161,11 +161,22 @@ class Glue:
     ndof: int
 
     def global_matrix(self, locals_):
-        A = None
-        for S, Ak in zip(self.scatters, locals_):
-            term = S.T @ Ak @ S
-            A = term if A is None else A + term
-        return A.tocsr()
+        """Glued sum of the patch matrices, no sparse products: entry (i, j, a)
+        of a patch goes to (g[i], g[j]) with sign s[i] s[j], (g, s) the signed
+        row map of its scatter; the relabelled patches are summed in order."""
+        out = None
+        for S, A in zip(self.scatters, locals_):
+            A = sp.csr_matrix(A)
+            g, s, counts = S.indices, S.data, np.diff(A.indptr)
+            order = np.argsort(g, kind="stable")  # the local rows in global row order
+            shift = A.indptr[order] - np.r_[0, np.cumsum(counts[order])[:-1]]  # a row block's start in A minus in P
+            take = np.repeat(shift, counts[order]) + np.arange(A.nnz)  # the entries of A in P's order
+            indptr = np.r_[0, np.cumsum(np.bincount(g, counts, self.ndof))].astype(A.indptr.dtype)
+            data = (np.repeat(s, counts) * s[A.indices] * A.data)[take]
+            P = sp.csr_matrix((data, g[A.indices[take]], indptr), shape=(self.ndof, self.ndof))
+            P.sum_duplicates()  # sorts each row, and sums any entry two local rows share
+            out = P if out is None else out + P
+        return out
 
     def global_vector(self, locals_):
         v = np.zeros(self.ndof, dtype=np.result_type(*[l.dtype for l in locals_]))
@@ -221,24 +232,10 @@ def build_glue(ps: PatchSet) -> Glue:
         for (ra, rb), sgn in zip(pairs, _pair_signs(ps, itf, pairs)):
             union(offset[ka] + ra[0], offset[kb] + rb[0], sgn)
 
-    roots = {}
-    for x in range(total):
-        r, s = find(x)
-        roots.setdefault(r, []).append((x, s))
-    order = sorted(roots)
-    gid = {r: g for g, r in enumerate(order)}
-    ndof = len(order)
-    scatters = []
-    for k in range(ps.npatches):
-        rows, cols, vals = [], [], []
-        for i in range(dims[k]):
-            x = offset[k] + i
-            r, s = find(x)
-            rows.append(i)
-            cols.append(gid[r])
-            vals.append(s)
-        scatters.append(sp.coo_matrix((vals, (rows, cols)), shape=(dims[k], ndof)).tocsr())
-    return Glue(scatters, ndof)
+    root, sign = np.array([find(x) for x in range(total)]).T
+    roots, gid = np.unique(root, return_inverse=True)  # global dofs numbered by their root
+    scatters = [sp.csr_matrix((sign[a:b], gid[a:b], np.arange(b - a + 1)), shape=(b - a, roots.size)) for a, b in zip(offset, offset[1:])]
+    return Glue(scatters, roots.size)
 
 
 def _pair_signs(ps, itf, pairs):

@@ -549,12 +549,18 @@ def _cells_2d(space, deriv, order):
         yield (*_rule_2d(box, order), *assembly._dof_tables_2d(space, e, order, deriv))
 
 
-def _cells_3d(cx3, deriv, order):
-    _, cells, blocks = assembly._x1_tables(cx3, order)
+def _cells_3d(cx3, order):
+    """Per cell of the per-anchor oracle: its rule, checked against
+    :func:`_rule_3d`, its dofs and their value and curl tables (ndof, npts, 3)."""
     boxes = cx3.tcx.Y0.elements
     zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
-    for e, s in cells:
-        yield (*_rule_3d(boxes[e], zspans[s], order), *assembly._dof_tables_3d(blocks, e, s, order, deriv))
+    cells = list(_per_anchor_dofs_3d(cx3, order))
+    assert len(cells) == len(boxes) * len(zspans)
+    for k, (P, W, dofs) in enumerate(cells):
+        Pk, Wk = _rule_3d(boxes[k // len(zspans)], zspans[k % len(zspans)], order)
+        npt.assert_allclose(P, Pk, rtol=0, atol=1e-15)
+        npt.assert_allclose(W, Wk, rtol=1e-14)
+        yield P, W, np.array([i for i, _, _ in dofs]), np.array([v for _, v, _ in dofs]), np.array([c for _, _, c in dofs])
 
 
 def _coo_sum(cells, geom, j, n):
@@ -592,11 +598,13 @@ def test_3d_patches_share_one_pattern_and_match_coo_sum():
     tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(1), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
     n = cx3.dim
+    cells = list(_cells_3d(cx3, 3))
     with assembly._shared_patterns():
         for geom in cylinder_sector_patches():
             for kind, j in (("mass", 1), ("curlcurl", 2)):
                 A = assemble_matrix_3d(cx3, geom, kind)
-                assert _frob_rel(A, _coo_sum(_cells_3d(cx3, kind != "mass", 3), geom, j, n)) < 1e-14
+                tables = [(P, W, idx, C if kind != "mass" else V) for P, W, idx, V, C in cells]
+                assert _frob_rel(A, _coo_sum(tables, geom, j, n)) < 1e-14
         assert len(assembly._PATTERNS) == 1
     assert assembly._PATTERNS is None
 
@@ -605,12 +613,13 @@ def test_patch_record_matches_per_element_geometry():
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
     geom = cylinder_sector_patches()[1]
-    (P, W), cells, _ = assembly._x1_tables(cx3, 4)
+    (P, W), nelem, _ = assembly._x1_tables(cx3, 4)
     J, det = geom.jacobian_dets(P.reshape(-1, 3))
     J, det = J.reshape(*P.shape, 3), det.reshape(W.shape)
     boxes = tcx.Y0.elements
     zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
-    for k, (e, s) in enumerate(cells):
+    assert nelem == len(boxes) and len(P) == nelem * len(zspans)
+    for k, (e, s) in enumerate((e, s) for e in range(nelem) for s in range(len(zspans))):
         Pk, Wk = _rule_3d(boxes[e], zspans[s], 4)
         npt.assert_array_equal(P[k], Pk)
         npt.assert_array_equal(W[k], Wk)
@@ -624,14 +633,14 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     from splinecomplex import problems
     from splinecomplex.geometry import GeometryMap
 
-    original = GeometryMap.jacobian_dets
+    original = GeometryMap.eval_jacobian_dets
     points = []
 
     def counting(self, pts):
         points.append(len(pts))
         return original(self, pts)
 
-    monkeypatch.setattr(GeometryMap, "jacobian_dets", counting)
+    monkeypatch.setattr(GeometryMap, "eval_jacobian_dets", counting)
     calls, total = [], []
     for level in (0, 1):
         points.clear()
@@ -640,3 +649,50 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
         total.append(sum(points))
     assert calls[0] == calls[1], calls
     assert total[1] > total[0]
+
+
+def test_geometry_tabulates_each_direction_on_its_distinct_abscissae(monkeypatch):
+    # Cox-de Boor sees the distinct abscissae of the rule per direction, not
+    # every quadrature point of every cell
+    from splinecomplex import geometry
+
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 2))
+    cx3 = Complex3D(tcx, KnotVector.uniform(2, 3))
+    geom = cylinder_sector_patches()[0]
+    seen = []
+
+    def counting(f):
+        def wrapped(kv, x):
+            seen.append(len(x))
+            return f(kv, x)
+
+        return wrapped
+
+    for name in ("eval_basis", "eval_basis_deriv"):
+        monkeypatch.setattr(geometry, name, counting(getattr(geometry, name)))
+    assemble_matrix_3d(cx3, geom, "mass")
+    (P, _), _, _ = assembly._x1_tables(cx3, 3)
+    distinct = [np.unique(P[..., d]).size for d in range(3)]
+    assert seen == [n for n in distinct for _ in range(2)]
+    assert sum(seen) < P.shape[0] * P.shape[1] / 10
+
+
+def test_pattern_slots_match_a_search_per_element():
+    # one search over all element keys gives the slots of one search per element
+    from splinecomplex.benchmarks import cylinder_section_raw_tmesh
+
+    tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(1), 2))
+    for space in (Vector2D.from_complex(tcx), Complex3D(tcx, KnotVector.uniform(2, 3))):
+        n = space.dim
+        if isinstance(space, Vector2D):
+            dofs = [assembly._dof_tables_2d(space, e, 3, False)[0] for e in range(len(space.elements()))]
+        else:
+            _, nelem, blocks = assembly._x1_tables(space, 3)
+            dofs = [d for e in range(nelem) for d in assembly._element_tables(blocks, e, 3)[0]]
+        indptr, indices, slot = assembly._pattern(space, n, dofs)
+        flat = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+        sizes = np.array([d.size for d in dofs])
+        expected, ends = np.empty((sizes**2).sum(), dtype=np.intp), np.cumsum(sizes**2)
+        for d, end in zip(dofs, ends):
+            expected[end - d.size**2 : end] = np.searchsorted(flat, (d[:, None] * n + d[None, :]).ravel())
+        assert np.array_equal(slot, expected)

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from splinecomplex.bspline import KnotVector, eval_basis, insert_knot
+from splinecomplex.bspline import KnotVector, eval_basis, eval_basis_deriv, insert_knot
 from splinecomplex.complexes import build_complex
 from splinecomplex.geometry import (
     GeometryMap,
@@ -198,6 +198,106 @@ def test_singular_jacobian_reported():
     geo = GeometryMap((kv, kv), cp)
     with pytest.raises(ValueError, match="singular Jacobian"):
         geo.jacobian_dets([[0.0, 0.5]])
+
+
+def test_singular_guard_is_relative_to_the_scale():
+    # a 10 micron cube is regular: |det J| is compared with the column norms
+    J, det = affine_map(1e-5, ndim=3).jacobian_dets([[0.5, 0.5, 0.5]])
+    npt.assert_allclose(det, 1e-15, rtol=1e-12)
+    npt.assert_allclose(J[0], 1e-5 * np.eye(3), rtol=1e-12)
+
+
+def _warped_map(ndim, rational):
+    """A spline or NURBS map with interior knots, a perturbed identity."""
+    kvs = (KnotVector.uniform(2, 3), KnotVector(3, (F(0), F(1, 4), F(1, 2), F(1)), (4, 1, 2, 4)), KnotVector.uniform(1, 2))[:ndim]
+    grev = [np.array([float(g) for g in kv.greville()]) for kv in kvs]
+    cp = np.stack([g.reshape(-1, order="F") for g in np.meshgrid(*grev, indexing="ij")], axis=1)
+    rng = np.random.default_rng(ndim + 10 * rational)
+    cp = cp + 0.02 * rng.standard_normal(cp.shape)
+    weights = rng.uniform(0.7, 1.3, len(cp)) if rational else None
+    return GeometryMap(kvs, cp, weights)
+
+
+def _dense_oracle(geo, P):
+    """X and J from the dense (npts, ncp) tensor of all basis functions at
+    every point, direction 1 fastest."""
+
+    def tensor(tables):
+        out = tables[0]
+        for t in tables[1:]:
+            out = (out[:, None, :] * t[:, :, None]).reshape(len(P), -1)
+        return out
+
+    vals = [eval_basis(kv, P[:, d]) for d, kv in enumerate(geo.kvs)]
+    ders = [eval_basis_deriv(kv, P[:, d]) for d, kv in enumerate(geo.kvs)]
+    w = np.ones(len(geo.control_points)) if geo.weights is None else geo.weights
+    B = tensor(vals) * w
+    X = (B @ geo.control_points) / B.sum(axis=1)[:, None]
+    J = np.empty((len(P), geo.nphys, geo.ndim))
+    for d in range(geo.ndim):
+        dB = tensor([ders[k] if k == d else vals[k] for k in range(geo.ndim)]) * w
+        J[:, :, d] = (dB @ geo.control_points - X * dB.sum(axis=1)[:, None]) / B.sum(axis=1)[:, None]
+    return X, J
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("rational", [False, True], ids=["spline", "NURBS"])
+def test_per_direction_tabulation_matches_pointwise_evaluation(ndim, rational):
+    """Scattered points, not a tensor grid, with coordinates at 0, 1 and
+    interior knots: the tables indexed back from the distinct abscissae are
+    the pointwise Cox-de Boor values bit for bit, and X and J agree with the
+    dense evaluation."""
+    geo = _warped_map(ndim, rational)
+    rng = np.random.default_rng(20 + ndim)
+    P = rng.uniform(0, 1, size=(60, ndim))
+    P[:30] = rng.choice([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0], size=(30, ndim))
+    for (first, vals, ders), kv, x in zip(geo._local_tables(P), geo.kvs, P.T):
+        rows = np.arange(len(P))
+        for table, full in ((vals, eval_basis(kv, x)), (ders, eval_basis_deriv(kv, x))):
+            window = full[rows[:, None], first[:, None] + np.arange(kv.degree + 1)]
+            assert np.array_equal(table.T, window)
+            outside = np.ones_like(full, dtype=bool)
+            outside[rows[:, None], first[:, None] + np.arange(kv.degree + 1)] = False
+            assert not full[outside].any()
+    X, J, det = geo.eval_jacobian_dets(P)
+    Xo, Jo = _dense_oracle(geo, P)
+    assert np.abs(X - Xo).max() <= 1e-14 * np.abs(Xo).max()
+    assert np.abs(J - Jo).max() <= 1e-14 * np.abs(Jo).max()
+    assert np.array_equal(X, geo.eval(P)) and np.array_equal(J, geo.jacobian(P))
+    npt.assert_allclose(det, np.linalg.det(Jo), rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_inverse_and_determinant(n):
+    """The cofactor inverse and determinant against LAPACK on random
+    Jacobians: the determinant as the geometry reports it for x = A zeta,
+    the inverse through the pullbacks that use it."""
+    from splinecomplex.benchmarks import linear_patch
+    from splinecomplex.geometry import _adjugate, pullback_weight
+
+    rng = np.random.default_rng(n)
+    J = rng.standard_normal((50, n, n)) + 2 * np.eye(n)
+    det = np.array([linear_patch(A).jacobian_dets(np.full((1, n), 0.5))[1][0] for A in J])
+    npt.assert_allclose(det, np.linalg.det(J), rtol=1e-13)
+    inv = np.linalg.inv(J)
+    rel = lambda a, b: np.abs(a - b).max() / np.abs(b).max()
+    assert rel(_adjugate(J) / det[:, None, None], inv) < 1e-13
+    v, w = rng.standard_normal((50, n)), rng.uniform(0.5, 1, 50)
+    assert rel(apply_pushforward(1, J, det, v), np.einsum("pji,pj->pi", inv, v)) < 1e-13
+    assert rel(pullback_weight(1, J, det, w), inv @ inv.transpose(0, 2, 1) * (w * det)[:, None, None]) < 1e-13
+    if n == 3:
+        assert rel(apply_pullback(2, J, det, v), det[:, None] * np.einsum("pij,pj->pi", inv, v)) < 1e-13
+
+
+def test_the_last_evaluation_is_kept_read_only():
+    geo = quarter_annulus()
+    P = np.random.default_rng(7).uniform(0.1, 0.9, size=(20, 2))
+    first = geo.eval_jacobian_dets(P)
+    assert all(a is b for a, b in zip(first, geo.eval_jacobian_dets(P.copy())))
+    assert not any(a.flags.writeable for a in first)
+    other = geo.eval_jacobian_dets(P[::-1])
+    assert other[0] is not first[0]
+    npt.assert_allclose(other[1], first[1][::-1], rtol=1e-15, atol=1e-15)
 
 
 def test_control_complex_dims_and_operators():

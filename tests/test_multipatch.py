@@ -402,3 +402,44 @@ def test_every_interface_orientation_glues_gradients(perm, flip):
     x = np.random.default_rng(45).standard_normal(glue0.ndof)
     for S0, S1 in zip(glue0.scatters, glue1.scatters):
         npt.assert_allclose(S1 @ (G @ x), grad @ (S0 @ x), rtol=0, atol=1e-12 * np.abs(x).max())
+    # the scatter glue of the patch matrices is the sum of S^T A S
+    from splinecomplex.assembly import assemble_matrix_3d
+
+    for kind in ("mass", "curlcurl"):
+        local = [assemble_matrix_3d(cx3, g, kind) for g in geoms]
+        _check_scatter_glue(glue1.global_matrix(local), glue1, local)
+
+
+def _check_scatter_glue(A, glue, locals_):
+    """A glued matrix against the sum of the products S^T A S."""
+    ref = sum(S.T @ Ak @ S for S, Ak in zip(glue.scatters, locals_)).tocsr()
+    assert A.shape == ref.shape and A.has_sorted_indices
+    assert sp_norm(A - ref) <= 1e-14 * sp_norm(ref)
+
+
+@pytest.mark.parametrize("driver", ["cylinder", "thick_l", "waveguide", "lsection"])
+def test_scatter_glue_matches_sparse_products(monkeypatch, driver):
+    """Every matrix the drivers glue, on the shared pattern or not (the
+    waveguide's port matrices, the 2D L-section patches), equals the sum of
+    S^T A S."""
+    from splinecomplex import problems
+    from splinecomplex.multipatch import Glue
+
+    calls = []
+    original = Glue.global_matrix
+
+    def checking(self, locals_):
+        calls.append(len(locals_))
+        A = original(self, locals_)
+        _check_scatter_glue(A, self, locals_)
+        return A
+
+    monkeypatch.setattr(Glue, "global_matrix", checking)
+    run = {
+        "cylinder": lambda: problems.cylinder_sector_source(0, degree=2, nz=2),
+        "thick_l": lambda: problems.thick_l_eigenproblem(0, degree=2, count=None),
+        "waveguide": problems.waveguide_scattering,
+        "lsection": lambda: problems.lsection_laplace_eigenproblem(1, degree=2),
+    }[driver]
+    run()
+    assert calls == ([2, 2, 2] if driver == "waveguide" else [3, 3])
