@@ -57,6 +57,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .bspline import KnotVector, _clamped, grad_matrix_1d, scaled_eval
+from .complexes import extrude_operators
 from .geometry import apply_pullback, apply_pushforward, pullback_weight
 from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
@@ -270,12 +271,12 @@ def _dof_tables_2d(space, e, order, deriv):
     return idx, T
 
 
-def assemble_matrix_2d(space, geom, kind, order=None):
+def assemble_matrix_2d(space, geom, kind):
     """Sparse symmetric Galerkin matrix on one 2D patch: 'mass' and
     'gradgrad' on Scalar2D, 'mass' and 'rotrot' on Vector2D."""
     deriv, j = _kind(space, kind)
     degrees = space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees
-    order = order or max(degrees) + 1
+    order = max(degrees) + 1
     boxes = space.elements()
     G = _weights(geom, _rules_2d(boxes, order), j)
     tables = [_dof_tables_2d(space, e, order, deriv) for e in range(len(boxes))]
@@ -330,30 +331,7 @@ class Complex3D:
     def operators(self):
         """grad, curl, div as float matrices (Kronecker combinations)."""
         t = self.tcx
-        ops = t.operators
-        n0, n2 = t.space_dim(0), t.space_dim(2)
-        n11, n12 = t.Y1[0].dim, t.Y1[1].dim
-        Gz = grad_matrix_1d(self.kv_z)
-        Iz = sp.identity(self.nz, format="csr")
-        Izd = sp.identity(self.nz - 1, format="csr")
-        G1, G2 = ops["grad"][:n11], ops["grad"][n11:]
-        R1, R2 = -ops["rot"][:, :n11], ops["rot"][:, n11:]
-        grad = sp.vstack(
-            [sp.kron(Iz, G1), sp.kron(Iz, G2), sp.kron(Gz, sp.identity(n0, format="csr"))]
-        ).tocsr()
-        z12 = sp.csr_matrix((n12 * (self.nz - 1), n11 * self.nz))
-        z21 = sp.csr_matrix((n11 * (self.nz - 1), n12 * self.nz))
-        curl = sp.vstack(
-            [
-                sp.hstack([z12, -sp.kron(Gz, sp.identity(n12)), sp.kron(Izd, G2)]),
-                sp.hstack([sp.kron(Gz, sp.identity(n11)), z21, -sp.kron(Izd, G1)]),
-                sp.hstack([sp.kron(Iz, -R1), sp.kron(Iz, R2), sp.csr_matrix((n2 * self.nz, n0 * (self.nz - 1)))]),
-            ]
-        ).tocsr()
-        div = sp.hstack(
-            [sp.kron(Izd, R2), sp.kron(Izd, R1), sp.kron(Gz, sp.identity(n2))]
-        ).tocsr()
-        return {"grad": grad, "curl": curl, "div": div}
+        return extrude_operators(t.operators["grad"], t.operators["rot"], t.Y1[0].dim, grad_matrix_1d(self.kv_z))
 
 
 @dataclass
@@ -445,12 +423,12 @@ def _element_tables(blocks, e, order, curl=False):
     return np.concatenate(dofs, axis=1), [slice(b - d.shape[1], b) for d, b in zip(dofs, ends)], tables
 
 
-def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
+def assemble_matrix_3d(cx3: Complex3D, geom, kind):
     """'mass' or 'curlcurl' on the curl-conforming space of one patch, per
     z column: H = sum_qz Z Z' G for all pairs of terms, then per pair of
     blocks one product of 2D factors with H; each cell gets its own block."""
     curl, j = _kind(cx3, kind)
-    order = order or cx3.tcx.degree + 1
+    order = cx3.tcx.degree + 1
     rule, nelem, blocks = _x1_tables(cx3, order)
     Z, ranges = _z_factors(blocks, curl)
     nzs, nt, o2 = Z.shape[0], Z.shape[-1], order * order
@@ -476,10 +454,10 @@ def assemble_matrix_3d(cx3: Complex3D, geom, kind, order=None):
     return _csr(cx3, cx3.dim, dofs, np.concatenate(data))
 
 
-def assemble_load_3d(cx3: Complex3D, geom, f, order=None):
+def assemble_load_3d(cx3: Complex3D, geom, f):
     """Load vector int f . v for the curl-conforming space of one patch, the
     z direction contracted first like in :func:`assemble_matrix_3d`."""
-    order = order or cx3.tcx.degree + 2
+    order = cx3.tcx.degree + 2
     (P, W), nelem, blocks = _x1_tables(cx3, order)
     X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
     fhat = apply_pullback(2, J, det, np.asarray(f(X))) * W.reshape(-1, 1)
@@ -555,10 +533,10 @@ def assemble_port_boundary(cx3: Complex3D, section_mass, side):
 # -- error evaluation ----------------------------------------------------------------
 
 
-def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact, order=None):
+def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact):
     """H(curl) error (l2_err, curl_err) of a discrete field against
     closed-form references, by quadrature on the extended mesh of one patch."""
-    order = order or cx3.tcx.degree + 2
+    order = cx3.tcx.degree + 2
     coeffs = np.asarray(coeffs)
     (P, W), nelem, blocks = _x1_tables(cx3, order)
     fields = []

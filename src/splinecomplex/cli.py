@@ -55,9 +55,11 @@ def cmd_check_complex(args):
     degrees = [int(d) for d in args.degrees.split(",")]
     sizes = [int(n) for n in args.n.split(",")]
     if len(degrees) != len(sizes):
-        print("error: --degrees and --n must have equal length", file=sys.stderr)
-        return EXIT_VALIDATION
-    kvs = [KnotVector.uniform(p, max(1, n - p)) for p, n in zip(degrees, sizes)]
+        raise ValueError("--degrees and --n must have equal length")
+    for d, (p, n) in enumerate(zip(degrees, sizes), 1):
+        if n < p + 1:
+            raise ValueError(f"--n gives {n} functions in direction {d}, fewer than degree + 1 = {p + 1}")
+    kvs = [KnotVector.uniform(p, n - p) for p, n in zip(degrees, sizes)]
     cx = build_complex(kvs)
     rep = verify_exactness(cx)
     out = _out_dir(args)
@@ -154,6 +156,14 @@ def cmd_tmesh_complex(args):
     return EXIT_OK if rep.passed else EXIT_NUMERICAL
 
 
+def _problem(args, kind):
+    """The validated problem of ``--problem``, which must be of ``kind``."""
+    spec = validate_problem(load_json(args.problem))
+    if spec["kind"] != kind:
+        raise ValueError(f"problem kind is not {kind}")
+    return spec
+
+
 def _run_eig(spec):
     formulation = spec.get("formulation", "rotrot2d")
     level = spec.get("level", 0)
@@ -169,10 +179,7 @@ def _run_eig(spec):
 
 
 def cmd_solve_eig(args):
-    spec = validate_problem(load_json(args.problem))
-    if spec["kind"] != "solve-eig":
-        print("error: problem kind is not solve-eig", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = _problem(args, "solve-eig")
     run = _run_eig(spec)
     out = _out_dir(args)
     values = run.result.values.tolist()
@@ -193,10 +200,7 @@ def cmd_solve_eig(args):
 
 
 def cmd_solve_source(args):
-    spec = validate_problem(load_json(args.problem))
-    if spec["kind"] != "solve-source":
-        print("error: problem kind is not solve-source", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = _problem(args, "solve-source")
     level = spec.get("level", 0)
     degree = spec.get("degree", 3)
     dofs, free, err = problems.cylinder_sector_source(level, degree, spec.get("nz"), spec.get("tensor", False))
@@ -207,10 +211,7 @@ def cmd_solve_source(args):
 
 
 def cmd_solve_waveguide(args):
-    spec = validate_problem(load_json(args.problem))
-    if spec["kind"] != "solve-waveguide":
-        print("error: problem kind is not solve-waveguide", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = _problem(args, "solve-waveguide")
     res = problems.waveguide_scattering(
         spec.get("k", 1.2),
         spec.get("degree", 2),
@@ -237,10 +238,7 @@ def cmd_solve_waveguide(args):
 
 
 def cmd_convergence(args):
-    spec = validate_problem(load_json(args.problem))
-    if spec["kind"] != "convergence":
-        print("error: problem kind is not convergence", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = _problem(args, "convergence")
     bench = spec.get("benchmark", "square")
     degree = spec.get("degree", 3)
     levels = spec.get("levels", [0, 1])
@@ -257,8 +255,7 @@ def cmd_convergence(args):
             dofs, _, err = problems.cylinder_sector_source(lev, degree)
             rows.append((dofs, err))
         else:
-            print(f"error: no convergence driver for {bench}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError(f"no convergence driver for {bench}")
     out = _out_dir(args)
     _write_csv(out / "convergence.csv", "dofs,value", rows)
     print("\n".join(f"{d},{_fmt(v)}" for d, v in rows))

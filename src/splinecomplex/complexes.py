@@ -124,6 +124,35 @@ def _kron_chain(mats):
     return out.astype(np.int64)
 
 
+def extrude_operators(grad, rot, n11, Gz):
+    """grad, curl and div of the tensor product of a 2D complex with a 1D one
+    in direction 3, the slowest.
+
+    ``grad`` and ``rot`` are the 2D operators, whose vector space has n11
+    functions in component 1; ``Gz`` is the 1D derivative.  The X1 and X2
+    components order (1, 2, 3); identities and zero blocks take the dtype of
+    ``grad``, so integer operators stay integer.
+    """
+    kron = lambda a, b: sp.kron(a, b, format="csr")  # no explicit zeros, unlike bsr
+    eye = lambda n: sp.identity(n, dtype=grad.dtype, format="csr")
+    zero = lambda r, c: sp.csr_matrix((r, c), dtype=grad.dtype)
+    nz, (n1, n0), n2 = Gz.shape[1], grad.shape, rot.shape[0]
+    n12 = n1 - n11
+    G1, G2 = grad[:n11], grad[n11:]
+    R1, R2 = -rot[:, :n11], rot[:, n11:]  # d2 on component 1, d1 on component 2
+    Iz, Izd = eye(nz), eye(nz - 1)
+    grad3 = sp.vstack([kron(Iz, G1), kron(Iz, G2), kron(Gz, eye(n0))]).tocsr()
+    curl = sp.vstack(
+        [
+            sp.hstack([zero(n12 * (nz - 1), n11 * nz), -kron(Gz, eye(n12)), kron(Izd, G2)]),
+            sp.hstack([kron(Gz, eye(n11)), zero(n11 * (nz - 1), n12 * nz), -kron(Izd, G1)]),
+            sp.hstack([kron(Iz, -R1), kron(Iz, R2), zero(n2 * nz, n0 * (nz - 1))]),
+        ]
+    ).tocsr()
+    div = sp.hstack([kron(Izd, R2), kron(Izd, R1), kron(Gz, eye(n2))]).tocsr()
+    return {"grad": grad3, "curl": curl, "div": div}
+
+
 @dataclass
 class DiscreteComplex:
     """Spaces and integer operator matrices of one discrete de Rham sequence."""
@@ -153,6 +182,8 @@ def build_complex(kvs) -> DiscreteComplex:
     """Build the discrete complex for the given per-direction knot vectors."""
     kvs = tuple(kvs)
     d = len(kvs)
+    if d not in (1, 2, 3):
+        raise ValueError("dimension must be 1, 2 or 3")
     if any(kv.degree < 1 for kv in kvs):
         raise ValueError("degree must be at least 1 in every direction")
     G = [grad_matrix_1d(kv) for kv in kvs]
@@ -164,18 +195,17 @@ def build_complex(kvs) -> DiscreteComplex:
         ops = {"grad": G[0].astype(np.int64)}
         return DiscreteComplex(kvs, spaces, ops, mesh)
 
+    # the complex of directions 1 and 2; scalar rot u = d1 u2 - d2 u1
+    grad = sp.vstack([_kron_chain([G[0], _eye(n[1])]), _kron_chain([_eye(n[0]), G[1]])]).tocsr()
+    R1 = _kron_chain([_eye(n[0] - 1), G[1]])  # d2 on component 1
+    R2 = _kron_chain([G[0], _eye(n[1] - 1)])  # d1 on component 2
+    rot = sp.hstack([-R1, R2]).tocsr()
+
     if d == 2:
         X0 = _space(kvs, "BB")
         X1 = (_space(kvs, "DB", 0), _space(kvs, "BD", 1))
         X1s = (_space(kvs, "BD", 0), _space(kvs, "DB", 1))
         X2 = _space(kvs, "DD")
-        grad = sp.vstack(
-            [_kron_chain([G[0], _eye(n[1])]), _kron_chain([_eye(n[0]), G[1]])]
-        ).tocsr()
-        # scalar rot u = d1 u2 - d2 u1
-        R1 = _kron_chain([_eye(n[0] - 1), G[1]])  # d2 on component 1
-        R2 = _kron_chain([G[0], _eye(n[1] - 1)])  # d1 on component 2
-        rot = sp.hstack([-R1, R2]).tocsr()
         rotvec = sp.vstack(
             [_kron_chain([_eye(n[0]), G[1]]), -_kron_chain([G[0], _eye(n[1])])]
         ).tocsr()
@@ -184,38 +214,12 @@ def build_complex(kvs) -> DiscreteComplex:
         ops = {"grad": grad, "rot": rot, "rotvec": rotvec, "div": div}
         return DiscreteComplex(kvs, spaces, ops, mesh)
 
-    if d == 3:
-        X0 = _space(kvs, "BBB")
-        X1 = (_space(kvs, "DBB", 0), _space(kvs, "BDB", 1), _space(kvs, "BBD", 2))
-        X2 = (_space(kvs, "BDD", 0), _space(kvs, "DBD", 1), _space(kvs, "DDB", 2))
-        X3 = _space(kvs, "DDD")
-        I = [_eye(ni) for ni in n]
-        Id = [_eye(ni - 1) for ni in n]
-        d1_0 = _kron_chain([G[0], I[1], I[2]])
-        d2_0 = _kron_chain([I[0], G[1], I[2]])
-        d3_0 = _kron_chain([I[0], I[1], G[2]])
-        grad = sp.vstack([d1_0, d2_0, d3_0]).tocsr()
-        z = lambda r, c: sp.csr_matrix((r, c), dtype=np.int64)
-        c1, c2, c3 = (X1[i].dim for i in range(3))
-        curl = sp.vstack(
-            [
-                sp.hstack([z(X2[0].dim, c1), -_kron_chain([I[0], Id[1], G[2]]), _kron_chain([I[0], G[1], Id[2]])]),
-                sp.hstack([_kron_chain([Id[0], I[1], G[2]]), z(X2[1].dim, c2), -_kron_chain([G[0], I[1], Id[2]])]),
-                sp.hstack([-_kron_chain([Id[0], G[1], I[2]]), _kron_chain([G[0], Id[1], I[2]]), z(X2[2].dim, c3)]),
-            ]
-        ).tocsr()
-        div = sp.hstack(
-            [
-                _kron_chain([G[0], Id[1], Id[2]]),
-                _kron_chain([Id[0], G[1], Id[2]]),
-                _kron_chain([Id[0], Id[1], G[2]]),
-            ]
-        ).tocsr()
-        spaces = {0: X0, 1: X1, 2: X2, 3: X3}
-        ops = {"grad": grad, "curl": curl, "div": div}
-        return DiscreteComplex(kvs, spaces, ops, mesh)
-
-    raise ValueError("dimension must be 1, 2 or 3")
+    X0 = _space(kvs, "BBB")
+    X1 = (_space(kvs, "DBB", 0), _space(kvs, "BDB", 1), _space(kvs, "BBD", 2))
+    X2 = (_space(kvs, "BDD", 0), _space(kvs, "DBD", 1), _space(kvs, "DDB", 2))
+    X3 = _space(kvs, "DDD")
+    ops = extrude_operators(grad, rot, (n[0] - 1) * n[1], G[2])
+    return DiscreteComplex(kvs, {0: X0, 1: X1, 2: X2, 3: X3}, ops, mesh)
 
 
 # -- boundary restriction ---------------------------------------------------------

@@ -11,6 +11,13 @@ local-knot-vector keys likewise run on integer line ranks (a line's position
 among the distinct line values of its axis); the knots themselves stay
 Fractions.
 
+Each mesh holds two per-axis structures, built once: a germ table (which of
+the edges left, right, below and above every grid point exist), from which
+the dangling-edge check, the vertices and the T-junctions are read, and the
+cached ``line_index``, one :class:`_LineIndex` per axis listing the lines
+crossed by every ray, which serves extension walks, the strong-AS check,
+anchor tracing and the derivative-target refinement.
+
 Conventions fixed here:
 
 * lines terminating at the outer boundary pass through the whole repeated
@@ -160,40 +167,7 @@ class TMesh2D:
         rawVE, rawHE = raw.edge_grids()
         xs, xr = _render_lines(raw.breakpoints_x, raw.multiplicities, "x", p1)
         ys, yr = _render_lines(raw.breakpoints_y, raw.multiplicities, "y", p2)
-        Nx, Ny = len(xs), len(ys)
-        VE = np.zeros((Nx, Ny - 1), dtype=bool)
-        HE = np.zeros((Nx - 1, Ny), dtype=bool)
-        nrx, nry = len(raw.breakpoints_x), len(raw.breakpoints_y)
-
-        for i in range(nrx):
-            for j in range(nry - 1):
-                if not rawVE[i, j]:
-                    continue
-                for ii in range(xr[i][0], xr[i][1] + 1):
-                    VE[ii, yr[j][1] : yr[j + 1][0]] = True
-        for i in range(nrx - 1):
-            for j in range(nry):
-                if not rawHE[i, j]:
-                    continue
-                for jj in range(yr[j][0], yr[j][1] + 1):
-                    HE[xr[i][1] : xr[i + 1][0], jj] = True
-        # band crossings: a line passes through a repeated band when it has
-        # edges on both sides, or when the band is the outer boundary
-        for i in range(nrx):
-            for j in range(nry):
-                below = j > 0 and rawVE[i, j - 1]
-                above = j < nry - 1 and rawVE[i, j]
-                crosses = (below and above) or (j in (0, nry - 1) and (below or above))
-                if crosses:
-                    for ii in range(xr[i][0], xr[i][1] + 1):
-                        VE[ii, yr[j][0] : yr[j][1]] = True
-                left = i > 0 and rawHE[i - 1, j]
-                right = i < nrx - 1 and rawHE[i, j]
-                crosses = (left and right) or (i in (0, nrx - 1) and (left or right))
-                if crosses:
-                    for jj in range(yr[j][0], yr[j][1] + 1):
-                        HE[xr[i][0] : xr[i][1], jj] = True
-        return cls(xs, ys, VE, HE, degrees)
+        return cls(xs, ys, _render_edges(rawVE, xr, yr), _render_edges(rawHE.T, yr, xr).T, degrees)
 
     def with_segments(self, segments, degrees=None) -> "TMesh2D":
         """Copy with horizontal/vertical segments added as mesh edges."""
@@ -216,28 +190,21 @@ class TMesh2D:
     def ny(self) -> int:
         return len(self.ys)
 
-    def _germs(self, i, j):
-        L = bool(self.HE[i - 1, j]) if i > 0 else False
-        R = bool(self.HE[i, j]) if i < self.nx - 1 else False
-        D = bool(self.VE[i, j - 1]) if j > 0 else False
-        U = bool(self.VE[i, j]) if j < self.ny - 1 else False
-        return L, R, D, U
-
-    def is_vertex(self, i, j) -> bool:
-        L, R, D, U = self._germs(i, j)
-        nh, nv = L + R, D + U
-        if nh + nv == 0:
-            return False
-        return not ((nh == 2 and nv == 0) or (nv == 2 and nh == 0))
-
     def _validate(self):
         if not (self.HE[:, 0].all() and self.HE[:, -1].all() and self.VE[0, :].all() and self.VE[-1, :].all()):
             raise TMeshError("outer boundary is not fully meshed")
-        for i in range(self.nx):
-            for j in range(self.ny):
-                L, R, D, U = self._germs(i, j)
-                if L + R + D + U == 1:
-                    raise TMeshError(f"dangling edge at grid point ({i}, {j})")
+        # the germ table: edges left, right, below and above every grid point
+        g = np.zeros((4, self.nx, self.ny), dtype=bool)
+        g[0, 1:], g[1, :-1], g[2, :, 1:], g[3, :, :-1] = self.HE, self.HE, self.VE, self.VE
+        nh, nv = g[0].astype(int) + g[1], g[2].astype(int) + g[3]  # bool + bool would be an OR
+        if np.any(nh + nv == 1):
+            i, j = np.argwhere(nh + nv == 1)[0]
+            raise TMeshError(f"dangling edge at grid point ({i}, {j})")
+        self.germs = g
+        # a vertex is a grid point with germs that is not a pass-through
+        self._vertex = (nh + nv > 2) | ((nh == 1) & (nv == 1))
+        inner = [[0 < t < 1 for t in table] for table in (self.xs, self.ys)]
+        self._tjunction = (nh + nv == 3) & np.outer(*inner)
         self._faces = self._extract_faces()
 
     def _extract_faces(self):
@@ -295,59 +262,24 @@ class TMesh2D:
     # -- census -----------------------------------------------------------------
 
     def vertices(self):
-        return [
-            (i, j) for j in range(self.ny) for i in range(self.nx) if self.is_vertex(i, j)
-        ]
+        return [(i, j) for j, i in np.argwhere(self._vertex.T).tolist()]
 
     def horizontal_edges(self):
         """Maximal horizontal edges as (i_start, i_end, j), row-major order."""
-        out = []
-        for j in range(self.ny):
-            i = 0
-            while i < self.nx - 1:
-                if not self.HE[i, j]:
-                    i += 1
-                    continue
-                start = i
-                while i < self.nx - 1 and self.HE[i, j] and not (i > start and self.is_vertex(i, j)):
-                    i += 1
-                out.append((start, i, j))
-        out.sort(key=lambda e: (e[2], e[0]))
-        return out
+        return [(a, b, j) for j, a, b in _runs(self.HE.T, self._vertex.T)]
 
     def vertical_edges(self):
         """Maximal vertical edges as (i, j_start, j_end), ordered by (j, i)."""
-        out = []
-        for i in range(self.nx):
-            j = 0
-            while j < self.ny - 1:
-                if not self.VE[i, j]:
-                    j += 1
-                    continue
-                start = j
-                while j < self.ny - 1 and self.VE[i, j] and not (j > start and self.is_vertex(i, j)):
-                    j += 1
-                out.append((i, start, j))
-        out.sort(key=lambda e: (e[1], e[0]))
-        return out
+        return sorted(_runs(self.VE, self._vertex), key=lambda e: (e[1], e[0]))
 
     def t_junctions(self):
-        """Interior vertices with exactly three edge germs."""
-        out = []
-        for j in range(self.ny):
-            if not (0 < self.ys[j] < 1):
-                continue
-            for i in range(self.nx):
-                if not (0 < self.xs[i] < 1):
-                    continue
-                L, R, D, U = self._germs(i, j)
-                if L + R + D + U != 3:
-                    continue
-                if not L or not R:
-                    out.append((i, j, "h", +1 if not R else -1))
-                else:
-                    out.append((i, j, "v", +1 if not U else -1))
-        return out
+        """Interior vertices with exactly three edge germs, row-major, as
+        (i, j, orientation of the missing germ, sense it points to)."""
+        L, R, _, U = self.germs
+        return [
+            (i, j, "v", -1 if U[i, j] else 1) if L[i, j] and R[i, j] else (i, j, "h", -1 if R[i, j] else 1)
+            for j, i in np.argwhere(self._tjunction.T).tolist()
+        ]
 
     def census(self) -> dict:
         V = self.vertices()
@@ -372,54 +304,21 @@ class TMesh2D:
         """Positive-length maximal runs per distinct line value, for comparing
         meshes rendered at different degrees (repetitions collapsed)."""
         segs = set()
-        for j in range(self.ny):
-            runs = _runs(self.HE[:, j])
-            for a, b in runs:
-                if self.xs[b] > self.xs[a]:
-                    segs.add(("h", self.ys[j], self.xs[a], self.xs[b]))
-        for i in range(self.nx):
-            runs = _runs(self.VE[i, :])
-            for a, b in runs:
-                if self.ys[b] > self.ys[a]:
-                    segs.add(("v", self.xs[i], self.ys[a], self.ys[b]))
+        for tag, E, along, at in (("h", self.HE.T, self.xs, self.ys), ("v", self.VE, self.ys, self.xs)):
+            segs.update((tag, at[k], along[a], along[b]) for k, a, b in _runs(E) if along[b] > along[a])
         return segs
 
     # -- extensions and analysis-suitability -----------------------------------
 
-    def _vline_hits(self, i, ylocator) -> bool:
-        kind, k = ylocator
-        if kind == "line":
-            below = self.VE[i, k - 1] if k > 0 else False
-            above = self.VE[i, k] if k < self.ny - 1 else False
-            return bool(below or above)
-        return bool(self.VE[i, k])
-
-    def _hline_hits(self, j, xlocator) -> bool:
-        kind, k = xlocator
-        if kind == "line":
-            left = self.HE[k - 1, j] if k > 0 else False
-            right = self.HE[k, j] if k < self.nx - 1 else False
-            return bool(left or right)
-        return bool(self.HE[k, j])
-
     def _walk(self, orientation, line, start, step, bays):
         """March from a T-junction, returning the index after crossing
         ``bays`` lines (clipped at the outer boundary)."""
-        hits = 0
-        limit = self.nx if orientation == "h" else self.ny
-        k = start + step
-        last = start
-        while 0 <= k < limit and hits < bays:
-            hit = (
-                self._vline_hits(k, ("line", line))
-                if orientation == "h"
-                else self._hline_hits(k, ("line", line))
-            )
-            if hit:
-                hits += 1
-                last = k
-            k += step
-        return last
+        hits = self.line_index["hv".index(orientation)].hits["line"][line]
+        if step > 0:
+            ahead = hits[bisect.bisect_right(hits, start) :][:bays]
+        else:
+            ahead = hits[: bisect.bisect_left(hits, start)][::-1][:bays]
+        return ahead[-1] if ahead else start
 
     def compute_extensions(self):
         """Per T-junction, the face- and edge-extension segments.
@@ -427,16 +326,12 @@ class TMesh2D:
         Face extensions run ceil(p/2) bays in the direction of the missing
         edge, edge extensions floor(p/2) bays the opposite way.
         """
-        p1, p2 = self.degrees
         out = []
         for (i, j, orientation, sense) in self.t_junctions():
-            p = p1 if orientation == "h" else p2
+            p = self.degrees["hv".index(orientation)]
             fb = (p + 1) // 2
             eb = p // 2
-            if orientation == "h":
-                start, line = i, j
-            else:
-                start, line = j, i
+            start, line = (i, j) if orientation == "h" else (j, i)
             f_end = self._walk(orientation, line, start, sense, fb)
             e_end = self._walk(orientation, line, start, -sense, eb)
             face_range = (min(start, f_end), max(start, f_end))
@@ -480,9 +375,8 @@ class TMesh2D:
                         lo2, hi2 = e2.full_range
                         if lo1 <= hi2 and lo2 <= hi1:
                             return False, ("parallel extension overlap", (e1, e2))
-        ix, iy = self._axis_indices()
         for e in exts:
-            index = ix if e.orientation == "h" else iy
+            index = self.line_index["hv".index(e.orientation)]
             lo, hi = e.full_range
             hits = index.hits["line"][e.line_index]
             for k in hits[bisect.bisect_left(hits, lo) : bisect.bisect_right(hits, hi)]:
@@ -501,9 +395,10 @@ class TMesh2D:
 
     # -- anchors and local knot vectors ------------------------------------------
 
-    def _axis_indices(self):
-        """The x and y :class:`_LineIndex` of this mesh: horizontal rays cross
-        the vertical edges, vertical rays the horizontal ones."""
+    @cached_property
+    def line_index(self) -> tuple:
+        """The x and y :class:`_LineIndex` of this mesh, built once: horizontal
+        rays cross the vertical edges, vertical rays the horizontal ones."""
         vx, vy = self.line_values
         return _LineIndex(self.xs, vx, self.VE), _LineIndex(self.ys, vy, self.HE.T)
 
@@ -529,25 +424,11 @@ class TMesh2D:
     def anchors(self):
         """All anchors with exact positions and traced local knot vectors."""
         p1, p2 = self.degrees
-        ix, iy = self._axis_indices()
+        ix, iy = self.line_index
         out = []
         for idx, (kind, ent) in enumerate(self.anchor_entities()):
-            if kind == "vertex":
-                i, j = ent
-                locx, posx = ("line", i), self.xs[i]
-                locy, posy = ("line", j), self.ys[j]
-            elif kind == "hedge":
-                i1, i2, j = ent
-                locx, posx = ix.locator(i1, i2)
-                locy, posy = ("line", j), self.ys[j]
-            elif kind == "vedge":
-                i, j1, j2 = ent
-                locx, posx = ("line", i), self.xs[i]
-                locy, posy = iy.locator(j1, j2)
-            else:
-                i1, j1, i2, j2 = ent
-                locx, posx = ix.locator(i1, i2)
-                locy, posy = iy.locator(j1, j2)
+            i1, j1, i2, j2 = (ent[k] for k in _ENTITY_BOX[kind])
+            (locx, posx), (locy, posy) = ix.locator(i1, i2), iy.locator(j1, j2)
             lkv1, key1 = ix.trace(locx, locy, p1)
             lkv2, key2 = iy.trace(locy, locx, p2)
             out.append(Anchor2D(idx, (posx, posy), (locx, locy), lkv1, lkv2, (key1, key2)))
@@ -586,8 +467,10 @@ class _LineIndex:
         return self.bounds[r + 1] - self.bounds[r]
 
     def locator(self, lo, hi):
-        """Locator and value of an even-parity anchor coordinate spanning
-        lines [lo, hi]."""
+        """Locator and value of an anchor coordinate on lines [lo, hi]: the
+        line itself when lo == hi, else the even-parity midpoint."""
+        if lo == hi:
+            return ("line", lo), self.table[lo]
         if self.rank[lo] == self.rank[hi]:
             if hi != lo + 1:
                 raise TMeshError("ambiguous zero-width anchor extent")
@@ -640,18 +523,38 @@ class _LineIndex:
         return [self.rank[k] for k in hits[i:j]]
 
 
-def _runs(mask):
-    out = []
-    start = None
-    for k, v in enumerate(mask):
-        if v and start is None:
-            start = k
-        if not v and start is not None:
-            out.append((start, k))
-            start = None
-    if start is not None:
-        out.append((start, len(mask)))
-    return out
+# Positions in an anchor entity of its index box (i1, j1, i2, j2): a vertex
+# is a box of zero extent, an edge one of zero extent across the edge.
+_ENTITY_BOX = {"vertex": (0, 1, 0, 1), "hedge": (0, 2, 1, 2), "vedge": (0, 1, 0, 2), "face": (0, 1, 2, 3)}
+
+
+def _runs(E, cut=False):
+    """Maximal runs of edges along the lines of one axis, ``E[k, m]`` being
+    the edge of line k from point m to m + 1, cut at the points where
+    ``cut[k, m]`` is set: (line, start point, end point), by line."""
+    pad = np.zeros((E.shape[0], 1), dtype=bool)
+    before, after = np.hstack([pad, E]), np.hstack([E, pad])  # the edges at each point
+    lines, starts = np.nonzero(after & (~before | cut))
+    ends = np.nonzero(before & (~after | cut))[1]
+    return list(zip(lines.tolist(), starts.tolist(), ends.tolist()))
+
+
+def _render_edges(raw, lines, spans):
+    """Rendered grid of one edge family from its raw grid ``raw[line, span]``,
+    given the rendered index ranges of the raw lines of the family and of
+    the raw lines across it.  Every copy of a line gets its edges; a line
+    passes through a repeated band across it when it has edges on both
+    sides, or when the band is the outer boundary."""
+    E = np.zeros((lines[-1][1] + 1, spans[-1][1]), dtype=bool)
+    last = len(spans) - 1
+    for k, (a, b) in enumerate(lines):
+        for m, (c, d) in enumerate(spans):
+            below, above = m > 0 and raw[k, m - 1], m < last and raw[k, m]
+            if above:
+                E[a : b + 1, d : spans[m + 1][0]] = True
+            if (below and above) or (m in (0, last) and (below or above)):
+                E[a : b + 1, c:d] = True
+    return E
 
 
 def _render_lines(breakpoints, multiplicities, axis, degree):
@@ -790,9 +693,9 @@ class TsplineSpace:
             raise ValueError("evaluation point outside the unit square")
         return self.basis(pts) @ np.asarray(coeffs, dtype=float)
 
-    def gram_matrix(self, order=None) -> np.ndarray:
+    def gram_matrix(self) -> np.ndarray:
         """Mass matrix on the extended mesh of the underlying T-mesh."""
         from .assembly import Scalar2D, assemble_matrix_2d
         from .geometry import affine_map
 
-        return assemble_matrix_2d(Scalar2D(self), affine_map(1.0, ndim=2), "mass", order).toarray()
+        return assemble_matrix_2d(Scalar2D(self), affine_map(1.0, ndim=2), "mass").toarray()

@@ -210,7 +210,7 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     values = src.mesh.line_values[t_dir]
     src_t_scaling = src.scalings[t_dir]
     dst_t_scaling = dst.scalings[t_dir]
-    index = None  # the target mesh's line indices, built on the first refinement
+    index = dst.mesh.line_index  # built by the target space's anchors
     rows, cols, vals = [], [], []
     for a in src.anchors:
         K, T = a.key[direction], a.key[t_dir]
@@ -226,8 +226,6 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
                 vals.append(sign)
                 continue
             # transverse window needs refinement on the derived mesh
-            if index is None:
-                index = dst.mesh._axis_indices()
             floc = _abscissa_locator(index[direction], target, dst.degrees[direction])
             refined = index[t_dir].between(floc, T[0], T[-1])
             t_open = [t for t in T[1:-1] if T[0] < t < T[-1]]

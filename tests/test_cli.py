@@ -38,6 +38,13 @@ def test_check_complex(tmp_path):
     assert report["passed"] and report["certified"]
 
 
+def test_check_complex_rejects_fewer_functions_than_degree_plus_one(tmp_path, capsys):
+    # the requested dimension is not silently raised to p + 1
+    assert run_cli(["check-complex", "--degrees", "3,2", "--n", "2,6"], tmp_path) == 2
+    assert "direction 1" in capsys.readouterr().err
+    assert not (tmp_path / "complex_report.json").exists()
+
+
 def test_tmesh_check_fig_extensions(tmp_path):
     code = run_cli(
         ["tmesh", "check", "--mesh", str(FIXTURES / "fig_extensions.json"), "--degrees", "2,3"],

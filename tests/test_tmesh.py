@@ -22,6 +22,7 @@ from splinecomplex.benchmarks import (
 from splinecomplex.bspline import KnotVector
 from splinecomplex.serialization import dump_json, load_json, tmesh_to_dict
 from splinecomplex.tmesh import (
+    Extension,
     RawTMesh,
     TMesh2D,
     TMeshError,
@@ -302,6 +303,78 @@ def _oracle_hits(mesh, axis, k, locator):
     return bool(E[k, m])
 
 
+def _oracle_germs(mesh, i, j):
+    """Edge germs left, right, below and above the grid point (i, j)."""
+    L = i > 0 and mesh.HE[i - 1, j]
+    R = i < mesh.nx - 1 and mesh.HE[i, j]
+    D = j > 0 and mesh.VE[i, j - 1]
+    U = j < mesh.ny - 1 and mesh.VE[i, j]
+    return [bool(g) for g in (L, R, D, U)]
+
+
+def _oracle_is_vertex(mesh, i, j):
+    L, R, D, U = _oracle_germs(mesh, i, j)
+    nh, nv = L + R, D + U
+    return nh + nv > 0 and not ((nh == 2 and nv == 0) or (nv == 2 and nh == 0))
+
+
+def _oracle_runs(E, is_vertex):
+    """(line, start, end) runs of E[line, :], stepped one cell at a time and
+    cut at vertices."""
+    out = []
+    for k in range(E.shape[0]):
+        m = 0
+        while m < E.shape[1]:
+            if not E[k, m]:
+                m += 1
+                continue
+            start, m = m, m + 1
+            while m < E.shape[1] and E[k, m] and not is_vertex(k, m):
+                m += 1
+            out.append((k, start, m))
+    return out
+
+
+def _oracle_census(mesh):
+    """Vertices, T-junctions, horizontal and vertical edges by a scan of every
+    grid point and cell."""
+    points = [(i, j) for j in range(mesh.ny) for i in range(mesh.nx)]
+    vertices = [(i, j) for i, j in points if _oracle_is_vertex(mesh, i, j)]
+    tjs = []
+    for i, j in points:
+        L, R, D, U = _oracle_germs(mesh, i, j)
+        if 0 < mesh.xs[i] < 1 and 0 < mesh.ys[j] < 1 and L + R + D + U == 3:
+            tjs.append((i, j, "h", 1 if not R else -1) if not (L and R) else (i, j, "v", 1 if not U else -1))
+    rows = _oracle_runs(mesh.HE.T, lambda j, i: _oracle_is_vertex(mesh, i, j))
+    columns = _oracle_runs(mesh.VE, lambda i, j: _oracle_is_vertex(mesh, i, j))
+    hedges = sorted(((a, b, j) for j, a, b in rows), key=lambda e: (e[2], e[0]))
+    vedges = sorted(columns, key=lambda e: (e[1], e[0]))
+    return vertices, tjs, hedges, vedges
+
+
+def _oracle_walk(mesh, orientation, line, start, step, bays):
+    """Index of the ``bays``-th line crossed marching from ``start``, one
+    line at a time (clipped at the last line crossed)."""
+    axis = "hv".index(orientation)
+    hits, last, k = 0, start, start + step
+    while 0 <= k < (mesh.nx, mesh.ny)[axis] and hits < bays:
+        if _oracle_hits(mesh, axis, k, ("line", line)):
+            hits, last = hits + 1, k
+        k += step
+    return last
+
+
+def _oracle_extensions(mesh):
+    out = []
+    for i, j, orientation, sense in _oracle_census(mesh)[1]:
+        p = mesh.degrees["hv".index(orientation)]
+        start, line = (i, j) if orientation == "h" else (j, i)
+        face = sorted((start, _oracle_walk(mesh, orientation, line, start, sense, (p + 1) // 2)))
+        edge = sorted((start, _oracle_walk(mesh, orientation, line, start, -sense, p // 2)))
+        out.append(Extension((i, j, orientation), orientation, line, tuple(face), tuple(edge), (p + 1) // 2, p // 2))
+    return out
+
+
 def _oracle_locator(mesh, axis, lo, hi):
     # the line table scanned by value, as anchors were located before ranks
     table = mesh.xs if axis == 0 else mesh.ys
@@ -408,6 +481,9 @@ def test_ranked_anchors_match_fraction_scan_on_random_meshes(case):
     assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
     cm = derive_complex_meshes(raw, p)
     for mesh in (cm.M0, cm.M11, cm.M12, cm.M2):
+        census = (mesh.vertices(), mesh.t_junctions(), mesh.horizontal_edges(), mesh.vertical_edges())
+        assert census == _oracle_census(mesh)
+        assert mesh.compute_extensions() == _oracle_extensions(mesh)
         anchors = mesh.anchors()
         assert [(a.index, a.position, a.locators, a.lkv1, a.lkv2) for a in anchors] == _oracle_anchors(mesh)
         vx, vy = mesh.line_values
@@ -427,6 +503,29 @@ def test_ranked_anchors_match_fraction_scan_on_random_meshes(case):
     assert d0 + d2 == d1 + 1
     rep = verify_t_exactness(tcx)
     assert rep.passed and rep.certified, rep.identities
+
+
+def test_line_index_is_built_once_per_mesh(monkeypatch):
+    # anchors, the strong-AS check, extension walks and the derivative
+    # blocks of the complex all read one cached index pair per mesh
+    import splinecomplex.tmesh as tmesh
+
+    built = []
+
+    class CountingIndex(tmesh._LineIndex):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tmesh, "_LineIndex", CountingIndex)
+    cm = derive_complex_meshes(square_raw_tmesh(1), 3)
+    meshes = (cm.M0, cm.M11, cm.M12, cm.M2)
+    for mesh in meshes:
+        mesh.anchors()
+        mesh.check_strong_as()
+        mesh.compute_extensions()
+    build_tspline_complex(cm)
+    assert len(built) == 2 * len(meshes)
 
 
 def _doubled_line_raw(split_to):
