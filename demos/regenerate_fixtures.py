@@ -45,12 +45,8 @@ def main():
         {
             "kind": "solve-eig",
             "formulation": "rotrot2d",
-            "benchmark": "square",
             "degree": 3,
             "level": 0,
-            "mesh": "square_tmesh_l0.json",
-            "geometry": "square_geometry.json",
-            "bc": "all",
             "eigencount": 52,
         },
         OUT / "square_p3.json",
@@ -59,12 +55,9 @@ def main():
         {
             "kind": "solve-eig",
             "formulation": "curlcurl3d",
-            "benchmark": "thick-l",
             "degree": 4,
             "level": 0,
             "nz": 2,
-            "mesh": "lsection_tmesh_p4_l0.json",
-            "multipatch": "lsection_patches.json",
             "eigencount": 5,
         },
         OUT / "thickL_p4.json",
@@ -73,11 +66,8 @@ def main():
         {
             "kind": "solve-eig",
             "formulation": "laplace2d",
-            "benchmark": "lsection",
             "degree": 4,
             "level": 2,
-            "mesh": "lsection_tmesh_p4_l2.json",
-            "multipatch": "lsection_patches.json",
             "eigencount": 5,
         },
         OUT / "lsection_p4.json",
@@ -85,25 +75,19 @@ def main():
     dump_json(
         {
             "kind": "solve-source",
-            "formulation": "curlcurl3d",
-            "benchmark": "cylinder-sector",
             "degree": 3,
             "level": 1,
-            "mesh": "cylinder_section_l1.json",
-            "multipatch": "cylinder_patches.json",
         },
         OUT / "cyl_sector_p3.json",
     )
     dump_json(
         {
             "kind": "solve-waveguide",
-            "benchmark": "straight-guide",
             "degree": 2,
             "n_section": 3,
             "nz": 2,
             "k": 1.2,
             "length": 1.0,
-            "multipatch": "guide_patches.json",
         },
         OUT / "straight_guide.json",
     )

@@ -4,7 +4,7 @@ The square-domain eigenproblem family: the coarsest mesh has 8 square
 elements in the left half and 4 taller rectangles in the right half, with
 T-junctions on the line x = 1/2; each refinement splits every element in 4.
 
-The L-section family: per patch an n x n start mesh, dyadic refinement of a
+The L-section family: per patch an 8 x 8 start mesh, dyadic refinement of a
 corner block per level; the terminating fine lines are prolonged by their
 face-extension length so the mesh stays analysis-suitable (for degree p the
 added prolongations are the ceil(p/2)-bay face extensions).
@@ -18,10 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from .bspline import KnotVector
-from .geometry import GeometryMap, affine_map
+from .geometry import GeometryMap, affine_map, linear_patch
 from .tmesh import RawTMesh, TMesh2D
 
 F = Fraction
+
+LSECTION_START = 8  # elements per direction of the L-section start mesh
+CYLINDER_START = 4  # elements per direction of the cylinder-section start mesh
+GUIDE_PATCHES = 2  # z patches of the straight guide
 
 __all__ = [
     "square_raw_tmesh",
@@ -125,16 +129,16 @@ def two_t_raw() -> RawTMesh:
 # -- L-shaped section -----------------------------------------------------------
 
 
-def lsection_raw_tmesh(level: int, degree: int, start: int = 8) -> RawTMesh:
+def lsection_raw_tmesh(level: int, degree: int) -> RawTMesh:
     """Dyadically corner-refined T-mesh near the parametric corner (0, 0).
 
-    Level 0 is the uniform start x start mesh.  Level 1 refines a 3 x 3 block
-    of elements, later levels a 2 x 2 block of the current finest elements;
+    Level 0 is the uniform start mesh.  Level 1 refines a 3 x 3 block of
+    elements, later levels a 2 x 2 block of the current finest elements;
     new lines are prolonged by ceil(p/2) bays of the surrounding spacing so
     the mesh remains analysis-suitable.
     """
     fb = (degree + 1) // 2
-    h = F(1, start)
+    h = F(1, LSECTION_START)
     # refinement block sizes per level
     sizes = []
     for lev in range(1, level + 1):
@@ -143,7 +147,7 @@ def lsection_raw_tmesh(level: int, degree: int, start: int = 8) -> RawTMesh:
         else:
             prev = sizes[-1][1]
             sizes.append((2 * prev, prev / 2))
-    xs = {F(k, start) for k in range(start + 1)}
+    xs = {F(k, LSECTION_START) for k in range(LSECTION_START + 1)}
     segs = []  # (value, reach) pairs for the fine lines of each level
     for (block, hfine) in sizes:
         reach = block + fb * (2 * hfine)
@@ -192,26 +196,13 @@ def lsection_patches():
     ]
 
 
-def linear_patch(A, b=None) -> GeometryMap:
-    """Degree-1 spline patch realizing x = A zeta + b."""
-    A = np.asarray(A, dtype=float)
-    d = A.shape[1]
-    b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
-    kvs = tuple(KnotVector.uniform(1, 1) for _ in range(d))
-    grev = [np.array([0.0, 1.0])] * d
-    grids = np.meshgrid(*grev, indexing="ij")
-    zeta = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-    cp = zeta @ A.T + b
-    return GeometryMap(kvs, cp)
-
-
-def prism_patch(A2, b2=None, zlen: float = 1.0) -> GeometryMap:
-    """3D patch: a planar affine section extruded along z."""
+def prism_patch(A2, b2=None) -> GeometryMap:
+    """3D patch: a planar affine section extruded along z over (0, 1)."""
     A2 = np.asarray(A2, dtype=float)
     b2 = np.zeros(2) if b2 is None else np.asarray(b2, dtype=float)
     A = np.zeros((3, 3))
     A[:2, :2] = A2
-    A[2, 2] = zlen
+    A[2, 2] = 1.0
     b = np.array([b2[0], b2[1], 0.0])
     return linear_patch(A, b)
 
@@ -219,8 +210,9 @@ def prism_patch(A2, b2=None, zlen: float = 1.0) -> GeometryMap:
 # -- cylinder sector --------------------------------------------------------------
 
 
-def cylinder_sector_patches(nz: float = 1.0):
-    """Three quarter-disk slices (times z) covering 3/4 of the unit cylinder.
+def cylinder_sector_patches():
+    """Three quarter-disk slices (times (0, 1) in z) covering 3/4 of the unit
+    cylinder.
 
     Each slice is a degenerate NURBS patch: linear in the radius, a rational
     quarter arc in the angle; the whole edge zeta1 = 0 collapses onto the
@@ -244,23 +236,23 @@ def cylinder_sector_patches(nz: float = 1.0):
                 wts2.append(1.0 if j != 1 else w)
         cp2 = np.asarray(cp2)
         wts2 = np.asarray(wts2)
-        cp = np.vstack([np.column_stack([cp2, np.full(6, z)]) for z in (0.0, nz)])
+        cp = np.vstack([np.column_stack([cp2, np.full(6, z)]) for z in (0.0, 1.0)])
         wts = np.concatenate([wts2, wts2])
         out.append(GeometryMap((kv_r, kv_t, kv_z), cp, wts))
     return out
 
 
-def cylinder_section_raw_tmesh(level: int, start: int = 4) -> RawTMesh:
+def cylinder_section_raw_tmesh(level: int) -> RawTMesh:
     """Band refinement toward the collapsed edge zeta1 = 0 of a slice.
 
     Level l splits every element with zeta1 < 2^-l-ish in four, producing
-    horizontal T-junctions only (extensions never intersect).
+    horizontal T-junctions only (extensions never intersect).  Level 0 is
+    the uniform start mesh.
     """
-    xs = {F(k, start) for k in range(start + 1)}
-    ys = {F(k, start) for k in range(start + 1)}
+    xs = {F(k, CYLINDER_START) for k in range(CYLINDER_START + 1)}
+    ys = set(xs)
     segs = []
-    band = F(1, start)
-    hy = F(1, start)
+    band = hy = F(1, CYLINDER_START)
     for lev in range(level):
         hy = hy / 2
         newx = band / 2
@@ -285,11 +277,12 @@ def cylinder_section_raw_tmesh(level: int, start: int = 4) -> RawTMesh:
     return RawTMesh(tuple(bx), tuple(by), tuple(TMesh2D(bx, by, VE, HE, (1, 1)).faces))
 
 
-def waveguide_geometry(length: float = 1.0, npatches: int = 2):
-    """Straight guide with square section (0, pi)^2, split into z patches."""
+def waveguide_geometry(length: float = 1.0):
+    """Straight guide with square section (0, pi)^2, split into
+    ``GUIDE_PATCHES`` z patches."""
     out = []
-    dz = length / npatches
-    for k in range(npatches):
+    dz = length / GUIDE_PATCHES
+    for k in range(GUIDE_PATCHES):
         A = np.diag([np.pi, np.pi, dz])
         b = np.array([0.0, 0.0, k * dz])
         out.append(linear_patch(A, b))

@@ -455,14 +455,4 @@ def grad_matrix_1d(kv: KnotVector):
     import scipy.sparse as sp
 
     n = kv.n
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if i - 1 >= 0:
-            rows.append(i - 1)
-            cols.append(i)
-            vals.append(1)
-        if i <= n - 2:
-            rows.append(i)
-            cols.append(i)
-            vals.append(-1)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n - 1, n), dtype=np.int64).tocsr()
+    return sp.eye(n - 1, n, k=1, dtype=np.int64, format="csr") - sp.eye(n - 1, n, dtype=np.int64, format="csr")

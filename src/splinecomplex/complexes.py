@@ -509,7 +509,7 @@ def entity_correspondence(cx: DiscreteComplex) -> IncidenceReport:
             interior_v = int(np.prod([nl - 2 for nl in mesh.nlines]))
             bij["X3"] = ("interior vertices", cx.space_dim(3) == interior_v)
         inc = sp.vstack(
-            [mesh.face_cell_incidence(k, interior_only=True) for k in range(d)]
+            [mesh.face_cell_incidence(k) for k in range(d)]
         ).tocsr()
         G = cx.operators["grad"]
         matches["grad=face-cell(interior)"] = (G - inc).nnz == 0

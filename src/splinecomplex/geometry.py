@@ -6,6 +6,9 @@ Jacobians); 2x2 and 3x3 inverses and determinants are closed-form.  The
 four pullbacks are the composition, covariant, Piola and determinant
 transforms that preserve point values, circulations, fluxes and integrals.
 Unknown fields are always splines; NURBS enter through the geometry only.
+Affine patches (``linear_patch``, ``affine_map``) are degree-one maps on
+one element, and the control map F_C of a spline geometry is the degree-one
+map on its Greville mesh through the same control points.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .complexes import DiscreteComplex, build_complex
 __all__ = [
     "GeometryMap",
     "affine_map",
+    "linear_patch",
     "pullback",
     "pushforward",
     "apply_pullback",
@@ -148,19 +152,20 @@ class GeometryMap:
         return X, J, det
 
 
-def affine_map(scale, offset=None, ndim=None, degree=1) -> GeometryMap:
+def linear_patch(A, b=None) -> GeometryMap:
+    """Degree-1 spline patch realizing x = A zeta + b."""
+    A = np.asarray(A, dtype=float)
+    d = A.shape[1]
+    b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+    kvs = tuple(KnotVector.uniform(1, 1) for _ in range(d))
+    zeta = np.indices((2,) * d, dtype=float).reshape(d, -1, order="F").T  # the corners, direction 1 fastest
+    return GeometryMap(kvs, zeta @ A.T + b)
+
+
+def affine_map(scale, offset=None, ndim=None) -> GeometryMap:
     """Axis-aligned affine geometry x = offset + diag(scale) * zeta."""
     scale = np.atleast_1d(np.asarray(scale, dtype=float))
-    d = ndim or scale.size
-    if scale.size == 1:
-        scale = np.repeat(scale, d)
-    offset = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-    kvs = tuple(KnotVector.uniform(degree, 1) for _ in range(d))
-    grev = [np.array([float(g) for g in kv.greville()]) for kv in kvs]
-    grids = np.meshgrid(*grev, indexing="ij")
-    cp = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-    cp = cp * scale + offset
-    return GeometryMap(kvs, cp)
+    return linear_patch(np.diag(np.broadcast_to(scale, ndim or scale.size)), offset)
 
 
 # -- pullbacks / push-forwards -----------------------------------------------------
@@ -272,35 +277,11 @@ class ControlComplex:
 
     geo: GeometryMap
     complex: DiscreteComplex
-    greville: tuple  # per-direction Greville sites as Fractions
 
     def control_map(self, points) -> np.ndarray:
-        """Piecewise multilinear map through the control points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cp = self.geo.control_points
-        shape = tuple(len(g) for g in self.greville)
-        vals = np.ones((pts.shape[0], int(np.prod(shape))))
-        for d, sites in enumerate(self.greville):
-            xs = np.array([float(s) for s in sites])
-            lam = _hat_values(xs, pts[:, d])
-            reps = int(np.prod(shape[:d])) or 1
-            tiles = int(np.prod(shape[d + 1 :])) or 1
-            vals *= np.tile(np.repeat(lam, reps, axis=1), (1, tiles))
-        return vals @ cp
-
-
-def _hat_values(xs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Lagrangian hat functions on the sorted sites xs, evaluated at t."""
-    n = xs.size
-    out = np.zeros((t.size, n))
-    idx = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, n - 2)
-    x0 = xs[idx]
-    x1 = xs[idx + 1]
-    w = np.where(x1 > x0, (t - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-    rows = np.arange(t.size)
-    out[rows, idx] = 1.0 - w
-    out[rows, idx + 1] = w
-    return out
+        """F_C: the degree-one map on the Greville mesh through the control
+        points."""
+        return GeometryMap(self.complex.kvs, self.geo.control_points).eval(points)
 
 
 def build_control_complex(geo: GeometryMap, cx: DiscreteComplex) -> ControlComplex:
@@ -313,11 +294,9 @@ def build_control_complex(geo: GeometryMap, cx: DiscreteComplex) -> ControlCompl
         raise ValueError("geometry and complex must share knot vectors")
     gkvs = [greville_knot_vector(kv) for kv in cx.kvs]
     zcx = build_complex(gkvs)
-    for j in (0,):
-        if zcx.space_dim(j) != cx.space_dim(j):
-            raise AssertionError("control space dimension mismatch")
-    grev = tuple(tuple(kv.greville()) for kv in cx.kvs)
-    return ControlComplex(geo, zcx, grev)
+    if zcx.space_dim(0) != cx.space_dim(0):
+        raise AssertionError("control space dimension mismatch")
+    return ControlComplex(geo, zcx)
 
 
 def control_distance(geo: GeometryMap, sample_count: int = 200) -> float:

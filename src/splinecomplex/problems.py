@@ -232,10 +232,9 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     raw = tensor_raw_tmesh(b, b)
     tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
     kv_z = KnotVector.uniform(degree, nz)
-    npatch = 2
-    geoms = waveguide_geometry(length, npatch)
+    geoms = waveguide_geometry(length)
     section_geom = square_geometry()
-    spaces = [Complex3D(tcx, kv_z) for _ in range(npatch)]
+    spaces = [Complex3D(tcx, kv_z) for _ in geoms]
     ps = PatchSet(geoms, spaces, [Interface((0, (2, 1)), (1, (2, 0)))])
 
     # port mode on the section
@@ -248,7 +247,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     e10[free2] = e_free
     beta = math.sqrt(k * k - k10sq)
 
-    glue, (K, M), free = _system(ps, {kk: ALL_FACES_2D for kk in range(npatch)}, ("curlcurl", "mass"))
+    glue, (K, M), free = _system(ps, {kk: ALL_FACES_2D for kk in range(len(geoms))}, ("curlcurl", "mass"))
     B0, tmap0 = assemble_port_boundary(spaces[0], M2, 0)
     B1, tmap1 = assemble_port_boundary(spaces[1], M2, 1)
     Bg = glue.global_matrix([B0, B1])

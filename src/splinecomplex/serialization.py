@@ -140,29 +140,12 @@ PROBLEM_SCHEMA = {
     "additionalProperties": False,
     "required": ["kind"],
     "properties": {
-        "kind": {
-            "enum": [
-                "check-complex",
-                "tmesh-check",
-                "solve-eig",
-                "solve-source",
-                "solve-waveguide",
-                "convergence",
-            ]
-        },
+        "kind": {"enum": ["solve-eig", "solve-source", "solve-waveguide", "convergence"]},
         "formulation": {"enum": ["rotrot2d", "laplace2d", "curlcurl3d"]},
-        "benchmark": {
-            "enum": ["square", "lsection", "thick-l", "cylinder-sector", "straight-guide"]
-        },
+        "benchmark": {"enum": ["square", "lsection", "cylinder-sector"]},
         "degree": {"type": "integer", "minimum": 1},
-        "degrees": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "n": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "level": {"type": "integer", "minimum": 0},
         "levels": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "mesh": {"type": "string"},
-        "geometry": {"type": "string"},
-        "multipatch": {"type": "string"},
-        "bc": {"enum": ["all", "none"]},
         "eigencount": {"type": "integer", "minimum": 1},
         "nz": {"type": "integer", "minimum": 1},
         "n_section": {"type": "integer", "minimum": 1},

@@ -85,25 +85,6 @@ class TensorMesh:
         E = self.num_edges(0) + self.num_edges(1)
         return F + V == E + 1
 
-    # -- entity enumeration -------------------------------------------------
-
-    def vertices(self):
-        """Index tuples of all vertices, direction 1 fastest."""
-        return _product_indices(self.nlines)
-
-    def edges(self, direction: int):
-        sizes = [self.nlines[d] for d in range(self.dim)]
-        sizes[direction] = self.nspans[direction]
-        return _product_indices(tuple(sizes))
-
-    def faces(self, normal: int):
-        sizes = [self.nspans[d] for d in range(self.dim)]
-        sizes[normal] = self.nlines[normal]
-        return _product_indices(tuple(sizes))
-
-    def cells(self):
-        return _product_indices(self.nspans)
-
     # -- incidence matrices ---------------------------------------------------
 
     def edge_vertex_incidence(self, direction: int):
@@ -127,25 +108,24 @@ class TensorMesh:
         shape = (int(np.prod(sizes_e)), self.num_vertices)
         return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64).tocsr()
 
-    def face_cell_incidence(self, normal: int, interior_only: bool = True):
+    def face_cell_incidence(self, normal: int):
         """Signed face-cell incidence: for each cell, +1 on its lower face
         and -1 on its upper face in the normal direction.
 
-        With ``interior_only`` the outermost faces are dropped, matching the
-        chain-complex correspondence of even-degree spaces.
+        The outermost faces are dropped, matching the chain-complex
+        correspondence of even-degree spaces.
         """
         ns = self.nspans
         nl = self.nlines
         sizes_f = [ns[d] for d in range(self.dim)]
-        lo = 1 if interior_only else 0
-        nlines_kept = nl[normal] - 2 * lo
+        nlines_kept = nl[normal] - 2
         sizes_f[normal] = nlines_kept
         rows, cols, vals = [], [], []
         for c_idx in _product_indices(ns):
             c_flat = _mixed_index(c_idx, ns)
             for side, sign in ((0, 1), (1, -1)):
                 f = list(c_idx)
-                f[normal] = c_idx[normal] + side - lo
+                f[normal] = c_idx[normal] + side - 1
                 if not (0 <= f[normal] < nlines_kept):
                     continue
                 rows.append(_mixed_index(tuple(f), sizes_f))

@@ -11,9 +11,11 @@ local-knot-vector keys likewise run on integer line ranks (a line's position
 among the distinct line values of its axis); the knots themselves stay
 Fractions.
 
-Each mesh holds two per-axis structures, built once: a germ table (which of
-the edges left, right, below and above every grid point exist), from which
-the dangling-edge check, the vertices and the T-junctions are read, and the
+The faces are the connected components of the cells joined across missing
+edges, each of which must fill its bounding box.  Each mesh also holds two
+per-axis structures, built once: a germ table (which of the edges left,
+right, below and above every grid point exist), from which the
+dangling-edge check, the vertices and the T-junctions are read, and the
 cached ``line_index``, one :class:`_LineIndex` per axis listing the lines
 crossed by every ray, which serves extension walks, the strong-AS check,
 anchor tracing and the derivative-target refinement.
@@ -33,6 +35,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .bspline import KnotRows, as_fraction, scaled_eval
 
@@ -208,44 +212,26 @@ class TMesh2D:
         self._faces = self._extract_faces()
 
     def _extract_faces(self):
-        nxc, nyc = self.nx - 1, self.ny - 1
-        parent = list(range(nxc * nyc))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        cell = lambda i, j: i + nxc * j
-        for i in range(1, nxc):
-            for j in range(nyc):
-                if not self.VE[i, j]:
-                    union(cell(i - 1, j), cell(i, j))
-        for i in range(nxc):
-            for j in range(1, nyc):
-                if not self.HE[i, j]:
-                    union(cell(i, j - 1), cell(i, j))
-        groups = {}
-        for i in range(nxc):
-            for j in range(nyc):
-                groups.setdefault(find(cell(i, j)), []).append((i, j))
-        faces = []
-        for cells in groups.values():
-            i1 = min(c[0] for c in cells)
-            i2 = max(c[0] for c in cells) + 1
-            j1 = min(c[1] for c in cells)
-            j2 = max(c[1] for c in cells) + 1
-            if len(cells) != (i2 - i1) * (j2 - j1):
-                raise TMeshError(f"non-rectangular face with cells {sorted(cells)[:4]}...")
-            faces.append((i1, j1, i2, j2))
-        faces.sort(key=lambda f: (f[1], f[0]))
-        return faces
+        """Faces are the connected components of the cells joined across
+        missing edges; each must fill its bounding box."""
+        shape = (self.nx - 1, self.ny - 1)
+        cell = np.arange(np.prod(shape)).reshape(shape, order="F")  # cell[i, j] = i + (nx - 1) j
+        open_v, open_h = ~self.VE[1:-1], ~self.HE[:, 1:-1]
+        a = np.r_[cell[:-1][open_v], cell[:, :-1][open_h]]
+        b = np.r_[cell[1:][open_v], cell[:, 1:][open_h]]
+        joined = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(cell.size, cell.size))
+        n, label = connected_components(joined, directed=False)
+        ij = np.indices(shape).reshape(2, -1, order="F")  # (i, j) of each cell
+        lo, hi = np.full((2, n), cell.size), np.zeros((2, n), dtype=int)
+        for d in (0, 1):
+            np.minimum.at(lo[d], label, ij[d])
+            np.maximum.at(hi[d], label, ij[d] + 1)
+        bad = np.flatnonzero(np.bincount(label) != np.prod(hi - lo, axis=0))
+        if bad.size:
+            cells = [tuple(c) for c in ij.T[label == bad[0]].tolist()]
+            raise TMeshError(f"non-rectangular face with cells {sorted(cells)[:4]}...")
+        order = np.lexsort((lo[0], lo[1]))  # by (j1, i1)
+        return [tuple(f) for f in np.vstack([lo, hi]).T[order].tolist()]
 
     @property
     def faces(self):

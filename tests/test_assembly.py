@@ -22,10 +22,10 @@ from splinecomplex.assembly import (
     gauss_points_2d,
     hcurl_error_3d,
 )
-from splinecomplex.benchmarks import cylinder_sector_patches, linear_patch, prism_patch, square_raw_tmesh
+from splinecomplex.benchmarks import cylinder_sector_patches, prism_patch, square_raw_tmesh
 from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
 from splinecomplex.complexes import build_complex
-from splinecomplex.geometry import pullback_weight
+from splinecomplex.geometry import linear_patch, pullback_weight
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 

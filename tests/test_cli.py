@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splinecomplex import cli
 from splinecomplex.cli import build_parser, main
+from splinecomplex.problems import EigenRun
 from splinecomplex.serialization import (
+    PROBLEM_SCHEMA,
     dump_json,
     geometry_from_dict,
     geometry_to_dict,
@@ -23,6 +26,7 @@ from splinecomplex.serialization import (
     tmesh_to_dict,
     validate_problem,
 )
+from splinecomplex.solvers import EigenResult
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -82,6 +86,72 @@ def test_validation_error_exit_code(tmp_path):
     unread = tmp_path / "unread.json"
     dump_json({"kind": "solve-eig", "benchmark": "square", "zero_tol": 1e-6}, unread)
     assert run_cli(["solve-eig", "--problem", str(unread)], tmp_path) == 2
+    dump_json({"kind": "solve-eig", "mesh": "square_tmesh_l0.json"}, unread)
+    assert run_cli(["solve-eig", "--problem", str(unread)], tmp_path) == 2
+
+
+class _ReadKeys(dict):
+    """A problem spec that records every key a command reads."""
+
+    def __init__(self, spec, seen):
+        super().__init__(spec)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+@pytest.fixture
+def stubbed_drivers(monkeypatch):
+    """The problem drivers replaced by instant stand-ins; returns the
+    recorder that collects the keys each run reads."""
+    run = EigenRun(3, 2, EigenResult(np.array([0.0, 1.0, 2.0]), 1))
+    waves = {"k10_squared": 1.0, "beta": 0.5, "R": 0j, "T": 1 + 0j, "dofs": 3, "free_dofs": 2}
+    for name, result in (
+        ("square_eigenproblem", run),
+        ("lsection_laplace_eigenproblem", run),
+        ("thick_l_eigenproblem", run),
+        ("cylinder_sector_source", (3, 2, 0.1)),
+        ("waveguide_scattering", waves),
+    ):
+        monkeypatch.setattr(cli.problems, name, lambda *a, result=result, **k: result)
+    seen = set()
+    validate = cli.validate_problem
+    monkeypatch.setattr(cli, "validate_problem", lambda d: _ReadKeys(validate(d), seen))
+    return seen
+
+
+def test_problem_files_hold_only_what_their_command_reads(stubbed_drivers, tmp_path):
+    """Every key of every problem fixture is read by its command, every
+    key of the schema by some command, and the kinds are the commands that
+    take ``--problem``."""
+    read = set()
+    kinds = set()
+    for f in sorted(FIXTURES.glob("*.json")):
+        spec = load_json(f)
+        if "kind" not in spec:
+            continue
+        stubbed_drivers.clear()
+        assert run_cli([spec["kind"], "--problem", str(f)], tmp_path) == 0, f.name
+        assert set(spec) <= stubbed_drivers, (f.name, set(spec) - stubbed_drivers)
+        read |= stubbed_drivers
+        kinds.add(spec["kind"])
+    assert read == set(PROBLEM_SCHEMA["properties"])
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    takes_problem = {n for n, p in sub.choices.items() if any("--problem" in a.option_strings for a in p._actions)}
+    assert kinds == takes_problem == set(PROBLEM_SCHEMA["properties"]["kind"]["enum"])
+
+
+def test_every_schema_benchmark_has_a_convergence_driver(stubbed_drivers, tmp_path):
+    spec = tmp_path / "convergence.json"
+    for bench in PROBLEM_SCHEMA["properties"]["benchmark"]["enum"]:
+        dump_json({"kind": "convergence", "benchmark": bench, "levels": [0]}, spec)
+        assert run_cli(["convergence", "--problem", str(spec)], tmp_path) == 0, bench
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -15,6 +15,7 @@ from splinecomplex.geometry import (
     apply_pushforward,
     build_control_complex,
     control_distance,
+    linear_patch,
     pullback,
     pushforward,
 )
@@ -272,7 +273,6 @@ def test_closed_form_inverse_and_determinant(n):
     """The cofactor inverse and determinant against LAPACK on random
     Jacobians: the determinant as the geometry reports it for x = A zeta,
     the inverse through the pullbacks that use it."""
-    from splinecomplex.benchmarks import linear_patch
     from splinecomplex.geometry import _adjugate, pullback_weight
 
     rng = np.random.default_rng(n)
@@ -303,7 +303,6 @@ def test_the_last_evaluation_is_kept_read_only():
 def test_control_complex_dims_and_operators():
     kv = KnotVector.uniform(3, 3)
     cx = build_complex([kv, kv, kv])
-    geo = affine_map(1.0, ndim=3, degree=1)
     # geometry on the same knot vectors as the complex
     grev = [np.array([float(g) for g in k.greville()]) for k in (kv, kv, kv)]
     grids = np.meshgrid(*grev, indexing="ij")
@@ -332,7 +331,7 @@ def test_control_complex_p1_coincides():
 
 
 def test_control_distance_identity_and_affine():
-    geo = affine_map([2.0, 3.0], offset=[1.0, -1.0], ndim=2, degree=1)
+    geo = affine_map([2.0, 3.0], offset=[1.0, -1.0], ndim=2)
     assert control_distance(geo, 100) < 1e-13
 
 

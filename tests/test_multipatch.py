@@ -9,9 +9,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sp_norm
 
 from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D, assemble_matrix_2d
-from splinecomplex.benchmarks import linear_patch, lsection_patches, prism_patch
+from splinecomplex.benchmarks import lsection_patches, prism_patch
 from splinecomplex.bspline import KnotVector
 from splinecomplex.exactrank import modular_rank
+from splinecomplex.geometry import linear_patch
 from splinecomplex.multipatch import (
     ConformityError,
     Interface,

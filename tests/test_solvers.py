@@ -70,7 +70,7 @@ def test_port_mode_rectangle():
     from fractions import Fraction as F
 
     from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs
-    from splinecomplex.benchmarks import linear_patch
+    from splinecomplex.geometry import linear_patch
     from splinecomplex.tmesh import tensor_raw_tmesh
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 

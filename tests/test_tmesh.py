@@ -73,6 +73,17 @@ def test_validation_errors():
         RawTMesh(b, b, ((0, 0, 2, 3),)).edge_grids()
 
 
+def test_l_shaped_region_is_not_a_face():
+    # 2 x 2 cells: the edges inside the lower-left L are missing, the two
+    # edges of the upper-right cell that face it are present; no edge dangles
+    b = (F(0), F(1, 2), F(1))
+    VE = np.ones((3, 2), dtype=bool)
+    HE = np.ones((2, 3), dtype=bool)
+    VE[1, 0] = HE[0, 1] = False
+    with pytest.raises(TMeshError, match="non-rectangular face"):
+        TMesh2D(b, b, VE, HE, (1, 1))
+
+
 def test_square_benchmark_census_and_euler():
     mesh = validate_tmesh(square_raw_tmesh(0), (3, 3))
     c = mesh.census()
@@ -335,9 +346,52 @@ def _oracle_runs(E, is_vertex):
     return out
 
 
+def _oracle_faces(mesh):
+    """Faces by union-find of the cells joined across missing edges, one cell
+    at a time, ordered by (j1, i1)."""
+    nxc, nyc = mesh.nx - 1, mesh.ny - 1
+    parent = list(range(nxc * nyc))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    cell = lambda i, j: i + nxc * j
+    for i in range(1, nxc):
+        for j in range(nyc):
+            if not mesh.VE[i, j]:
+                union(cell(i - 1, j), cell(i, j))
+    for i in range(nxc):
+        for j in range(1, nyc):
+            if not mesh.HE[i, j]:
+                union(cell(i, j - 1), cell(i, j))
+    groups = {}
+    for i in range(nxc):
+        for j in range(nyc):
+            groups.setdefault(find(cell(i, j)), []).append((i, j))
+    faces = []
+    for cells in groups.values():
+        i1, i2 = min(c[0] for c in cells), max(c[0] for c in cells) + 1
+        j1, j2 = min(c[1] for c in cells), max(c[1] for c in cells) + 1
+        assert len(cells) == (i2 - i1) * (j2 - j1), "non-rectangular face"
+        faces.append((i1, j1, i2, j2))
+    return sorted(faces, key=lambda f: (f[1], f[0]))
+
+
+def _census(mesh):
+    return mesh.faces, mesh.vertices(), mesh.t_junctions(), mesh.horizontal_edges(), mesh.vertical_edges()
+
+
 def _oracle_census(mesh):
-    """Vertices, T-junctions, horizontal and vertical edges by a scan of every
-    grid point and cell."""
+    """Faces, vertices, T-junctions, horizontal and vertical edges by a scan
+    of every grid point and cell."""
     points = [(i, j) for j in range(mesh.ny) for i in range(mesh.nx)]
     vertices = [(i, j) for i, j in points if _oracle_is_vertex(mesh, i, j)]
     tjs = []
@@ -349,7 +403,7 @@ def _oracle_census(mesh):
     columns = _oracle_runs(mesh.VE, lambda i, j: _oracle_is_vertex(mesh, i, j))
     hedges = sorted(((a, b, j) for j, a, b in rows), key=lambda e: (e[2], e[0]))
     vedges = sorted(columns, key=lambda e: (e[1], e[0]))
-    return vertices, tjs, hedges, vedges
+    return _oracle_faces(mesh), vertices, tjs, hedges, vedges
 
 
 def _oracle_walk(mesh, orientation, line, start, step, bays):
@@ -366,7 +420,7 @@ def _oracle_walk(mesh, orientation, line, start, step, bays):
 
 def _oracle_extensions(mesh):
     out = []
-    for i, j, orientation, sense in _oracle_census(mesh)[1]:
+    for i, j, orientation, sense in _oracle_census(mesh)[2]:
         p = mesh.degrees["hv".index(orientation)]
         start, line = (i, j) if orientation == "h" else (j, i)
         face = sorted((start, _oracle_walk(mesh, orientation, line, start, sense, (p + 1) // 2)))
@@ -480,9 +534,10 @@ def test_ranked_anchors_match_fraction_scan_on_random_meshes(case):
     p, raw = case
     assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
     cm = derive_complex_meshes(raw, p)
+    extended = cm.M0.extended()  # M0 is the raw mesh rendered
+    assert _census(extended) == _oracle_census(extended)
     for mesh in (cm.M0, cm.M11, cm.M12, cm.M2):
-        census = (mesh.vertices(), mesh.t_junctions(), mesh.horizontal_edges(), mesh.vertical_edges())
-        assert census == _oracle_census(mesh)
+        assert _census(mesh) == _oracle_census(mesh)
         assert mesh.compute_extensions() == _oracle_extensions(mesh)
         anchors = mesh.anchors()
         assert [(a.index, a.position, a.locators, a.lkv1, a.lkv2) for a in anchors] == _oracle_anchors(mesh)
