@@ -41,8 +41,9 @@ by ``blocks()``: per component block, (dof offset, 2D T-spline space,
 vertical knot vector or None, vertical scaling, reference component or
 None for scalars); dof ``offset + iz * dim2d + anchor``.  :func:`traces`
 enumerates from it the functions with a nonzero tangential trace on a
-face, which is all the Dirichlet walls, the port map and the interface
-glue of :mod:`splinecomplex.multipatch` read.
+face, with their local knot vectors along the face, which is all the
+Dirichlet walls, the port map and the interface glue of
+:mod:`splinecomplex.multipatch` read.
 """
 
 from __future__ import annotations
@@ -476,37 +477,38 @@ def assemble_load_3d(cx3: Complex3D, geom, f):
 
 
 def traces(space, face):
-    """One record (dof, c, factors) per function of ``space`` with a nonzero
+    """One record (dof, c, lkvs) per function of ``space`` with a nonzero
     (tangential) trace on ``face`` = (axis, side), axis 2 vertical in 3D.
 
     A function of a block is the product of its 2D anchor's factors and, in
     3D, a vertical factor.  It reaches the face exactly when its factor
-    along ``axis`` is clamped at ``side``; a component normal to the face
-    has no tangential trace.  ``c`` is the index of the function's component
-    among the face axes (None for scalars), and ``factors`` gives, per face
-    axis in increasing order, the (local knot vector, degree, scaling) of
-    the trace.  Records come block by block, 2D anchor slowest.
+    along ``axis`` is clamped at ``side`` (at the block's degree along
+    ``axis``); a component normal to the face has no tangential trace.
+    ``c`` is the index of the function's component among the face axes
+    (None for scalars), and ``lkvs`` gives, per face axis in increasing
+    order, the local knot vector of the trace.  Records come block by
+    block, 2D anchor slowest.
     """
     axis, side = face
     out = []
-    for off, s2d, kvz, zscal, comp in space.blocks():
+    for off, s2d, kvz, _, comp in space.blocks():
         if comp == axis:
             continue
         face_axes = [ax for ax in range(2 if kvz is None else 3) if ax != axis]
         c = None if comp is None else face_axes.index(comp)
-        # (dof term, factors) of the 2D anchors and of the vertical functions
-        planar = [(a.index, tuple(zip((a.lkv1, a.lkv2), s2d.degrees, s2d.scalings))) for a in s2d.anchors]
+        # (dof term, local knot vectors) of the 2D anchors and of the vertical functions
+        planar = [(a.index, (a.lkv1, a.lkv2)) for a in s2d.anchors]
         vertical = [(0, ())]
         if kvz is not None:
-            vertical = [(z.index * s2d.dim, ((z.local, kvz.degree, zscal),)) for z in kvz.anchors()]
+            vertical = [(z.index * s2d.dim, (z.local,)) for z in kvz.anchors()]
         if axis < 2:
-            planar = [(d, f) for d, f in planar if _clamped(*f[axis][:2], side)]
+            planar = [(d, k) for d, k in planar if _clamped(k[axis], s2d.degrees[axis], side)]
         else:
-            vertical = [(d, f) for d, f in vertical if _clamped(*f[0][:2], side)]
-        for d2, f2 in planar:
-            for dz, fz in vertical:
-                f = f2 + fz
-                out.append((off + dz + d2, c, tuple(f[ax] for ax in face_axes)))
+            vertical = [(d, k) for d, k in vertical if _clamped(k[0], kvz.degree, side)]
+        for d2, k2 in planar:
+            for dz, kz in vertical:
+                k = k2 + kz
+                out.append((off + dz + d2, c, tuple(k[ax] for ax in face_axes)))
     return out
 
 

@@ -73,10 +73,6 @@ class Anchor1D:
     position: Fraction
     local: tuple  # p+2 knots, the support of the associated basis function
 
-    @property
-    def support(self) -> tuple:
-        return (self.local[0], self.local[-1])
-
 
 @dataclass(frozen=True)
 class KnotVector:

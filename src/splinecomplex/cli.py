@@ -164,18 +164,27 @@ def _problem(args, kind):
     return spec
 
 
+# Problem keys passed to the drivers under another name.
+_PARAMETERS = {"eigencount": "count"}
+
+
+def _arguments(spec, *skip):
+    """The driver keyword arguments of a problem file: its keys but
+    ``kind`` and ``skip``, renamed to the driver's parameters.  A key the
+    file lacks is not passed, so the driver's signature holds its default."""
+    return {_PARAMETERS.get(key, key): spec[key] for key in spec if key not in ("kind", *skip)}
+
+
 def _run_eig(spec):
     formulation = spec.get("formulation", "rotrot2d")
-    level = spec.get("level", 0)
-    degree = spec.get("degree", 3)
-    count = spec.get("eigencount")
-    if formulation == "rotrot2d":
-        return problems.square_eigenproblem(level, degree, count)
-    if formulation == "laplace2d":
-        return problems.lsection_laplace_eigenproblem(level, degree, count or 5)
-    if formulation == "curlcurl3d":
-        return problems.thick_l_eigenproblem(level, degree, spec.get("nz"), count or 5)
-    raise ValueError(formulation)
+    if "nz" in spec and formulation != "curlcurl3d":
+        raise ValueError(f"formulation {formulation} does not read the problem key 'nz'")
+    driver = {
+        "rotrot2d": problems.square_eigenproblem,
+        "laplace2d": problems.lsection_laplace_eigenproblem,
+        "curlcurl3d": problems.thick_l_eigenproblem,
+    }[formulation]
+    return driver(**_arguments(spec, "formulation"))
 
 
 def cmd_solve_eig(args):
@@ -201,9 +210,7 @@ def cmd_solve_eig(args):
 
 def cmd_solve_source(args):
     spec = _problem(args, "solve-source")
-    level = spec.get("level", 0)
-    degree = spec.get("degree", 3)
-    dofs, free, err = problems.cylinder_sector_source(level, degree, spec.get("nz"), spec.get("tensor", False))
+    dofs, free, err = problems.cylinder_sector_source(**_arguments(spec))
     out = _out_dir(args)
     dump_json({"dofs": dofs, "free_dofs": free, "hcurl_error": err}, out / "source_report.json")
     print(f"dofs={dofs} H(curl) error={err:.6e}")
@@ -211,14 +218,7 @@ def cmd_solve_source(args):
 
 
 def cmd_solve_waveguide(args):
-    spec = _problem(args, "solve-waveguide")
-    res = problems.waveguide_scattering(
-        spec.get("k", 1.2),
-        spec.get("degree", 2),
-        spec.get("n_section", 3),
-        spec.get("nz", 2),
-        spec.get("length", 1.0),
-    )
+    res = problems.waveguide_scattering(**_arguments(_problem(args, "solve-waveguide")))
     out = _out_dir(args)
     dump_json(
         {
@@ -240,19 +240,18 @@ def cmd_solve_waveguide(args):
 def cmd_convergence(args):
     spec = _problem(args, "convergence")
     bench = spec.get("benchmark", "square")
-    degree = spec.get("degree", 3)
-    levels = spec.get("levels", [0, 1])
+    kwargs = _arguments(spec, "benchmark", "levels")
     rows = []
-    for lev in levels:
+    for lev in spec.get("levels", [0, 1]):
         if bench == "square":
-            run = problems.square_eigenproblem(lev, degree)
+            run = problems.square_eigenproblem(lev, **kwargs)
             value = float(run.result.nonzero[0] - 1.0)
             rows.append((run.dofs, value))
         elif bench == "lsection":
-            run = problems.lsection_laplace_eigenproblem(lev, degree)
+            run = problems.lsection_laplace_eigenproblem(lev, **kwargs)
             rows.append((run.dofs, float(run.result.values[0] - 9.63972384472)))
         elif bench == "cylinder-sector":
-            dofs, _, err = problems.cylinder_sector_source(lev, degree)
+            dofs, _, err = problems.cylinder_sector_source(lev, **kwargs)
             rows.append((dofs, err))
         else:
             raise ValueError(f"no convergence driver for {bench}")

@@ -260,10 +260,6 @@ class RestrictedComplex:
     def space_dim(self, j) -> int:
         return int(self.masks[j].sum())
 
-    @property
-    def dims(self):
-        return tuple(self.space_dim(j) for j in sorted(self.masks))
-
 
 def _space_masks(cx: DiscreteComplex, faces) -> dict:
     d = cx.ndim

@@ -26,7 +26,6 @@ __all__ = [
     "affine_map",
     "linear_patch",
     "pullback",
-    "pushforward",
     "apply_pullback",
     "apply_pushforward",
     "pullback_weight",
@@ -63,10 +62,6 @@ class GeometryMap:
             if np.any(w <= 0):
                 raise ValueError("NURBS weights must be positive")
             object.__setattr__(self, "weights", w)
-
-    @property
-    def kind(self) -> str:
-        return "spline" if self.weights is None else "NURBS"
 
     @property
     def ndim(self) -> int:
@@ -248,13 +243,6 @@ def pullback(geo: GeometryMap, j: int, field):
         return apply_pullback(j, J, det, phys)
 
     return hat
-
-
-def pushforward(geo: GeometryMap, j: int, hat_values, points) -> np.ndarray:
-    """Push parametric field values at parametric points to physical ones."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    J, det = geo.jacobian_dets(pts)
-    return apply_pushforward(j, J, det, np.asarray(hat_values))
 
 
 # -- control complex ----------------------------------------------------------------

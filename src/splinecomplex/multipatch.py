@@ -5,10 +5,15 @@ code, then verified: matching trace spaces under the coordinate map and
 pointwise geometric agreement.  Both sides' trace functions come from
 :func:`splinecomplex.assembly.traces`; one matcher identifies them by the
 key (face component, local knot vectors), the a side's key permuted and
-flipped into b-face coordinates.  Orientation signs are fixed by
-evaluating both physical traces, the product of the record's factors, at
-the midpoint of the factor supports and its image (one batched probe per
-interface side), with the lower-indexed patch as the master (+1).
+flipped into b-face coordinates.
+
+Once the geometry check has verified F_a = F_b o phi on the face, traces
+pull back covariantly, so a matched tangential component changes sign
+exactly when its face axis is flipped; scalar traces and unflipped
+components keep their sign.  The matched pairs then form a signed graph
+on the local dofs, and one connected-components labelling of its doubled
+graph (a node per dof and sign) gives the shared entities: each has the
+lowest dof among its members as master (+1), so the lower patch wins.
 
 Faces are (axis, side) pairs; the face coordinates are the remaining
 parametric axes in increasing order.
@@ -19,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import traces
-from .bspline import KnotRows, scaled_eval
 
 __all__ = [
     "PatchSet",
@@ -80,11 +85,11 @@ def _face_axes(ndim, axis):
 def _key(record, perm, flip):
     """Match key (c, local knot vectors) of a trace record in the face
     coordinates its face axes map onto by ``perm`` and ``flip``."""
-    _, c, factors = record
-    lkvs = [None] * len(factors)
-    for i, (lkv, _, _) in enumerate(factors):
-        lkvs[perm[i]] = tuple(1 - t for t in reversed(lkv)) if flip[i] else lkv
-    return (None if c is None else perm[c], *lkvs)
+    _, c, lkvs = record
+    out = [None] * len(lkvs)
+    for i, lkv in enumerate(lkvs):
+        out[perm[i]] = tuple(1 - t for t in reversed(lkv)) if flip[i] else lkv
+    return (None if c is None else perm[c], *out)
 
 
 def _match(ps: PatchSet, itf: Interface):
@@ -101,7 +106,7 @@ def _match(ps: PatchSet, itf: Interface):
     return [(ta[key], rb) for key, rb in tb.items()]
 
 
-# -- geometric probes for orientation signs ----------------------------------------
+# -- conformity -----------------------------------------------------------------
 
 
 def _face_points(ndim, face, coords):
@@ -118,9 +123,6 @@ def _map_coords(coords, perm, flip):
     for i in range(coords.shape[1]):
         out[:, perm[i]] = 1.0 - coords[:, i] if flip[i] else coords[:, i]
     return out
-
-
-# -- conformity -----------------------------------------------------------------
 
 
 def _checked(ps: PatchSet):
@@ -192,98 +194,43 @@ class Glue:
 
 
 def build_glue(ps: PatchSet) -> Glue:
-    """Merge coincident interface dofs with orientation from the lower patch."""
+    """Merge coincident interface dofs with orientation from the lower patch.
+
+    A matched pair (x, y) of local dofs imposes value_x = -value_y when its
+    component is along a flipped face axis, value_x = value_y otherwise.
+    On the doubled graph, with nodes x+ and x- per dof, a kept pair joins
+    x+ to y+ and x- to y-, a reversed one x+ to y- and x- to y+.  An entity
+    is a pair of mirrored components {label(x+), label(x-)}, numbered by
+    its lowest dof (the master); a dof's sign is + when x+ shares its
+    master's label.  x+ and x- in one component is a sign cycle.
+    """
     checked = list(_checked(ps))
     bad = [(itf, ok, msg) for itf, _, ok, msg in checked if not ok]
     if bad:
         raise ConformityError(str(bad[0]))
-    dims = [s.dim for s in ps.spaces]
-    offset = np.concatenate([[0], np.cumsum(dims)])
+    offset = np.concatenate([[0], np.cumsum([s.dim for s in ps.spaces])])
     total = int(offset[-1])
-    parent = list(range(total))
-    rel = [1] * total  # sign relative to the parent
-
-    def find(x):
-        if parent[x] == x:
-            return x, 1
-        root, s = find(parent[x])
-        parent[x] = root
-        rel[x] = rel[x] * s
-        return root, rel[x]
-
-    def union(x, y, sxy):
-        """Impose value_x = sxy * value_y."""
-        rx, sx = find(x)
-        ry, sy = find(y)
-        if rx == ry:
-            if sx != sxy * sy:
-                raise ConformityError("inconsistent orientation around an interface entity")
-            return
-        # attach the higher root under the lower (master = lower patch/index)
-        if rx < ry:
-            parent[ry] = rx
-            rel[ry] = sx * sxy * sy  # value_y = s * value_root
-        else:
-            parent[rx] = ry
-            rel[rx] = sx * sxy * sy
-
+    x, y, flipped = [], [], []
     for itf, pairs, _, _ in checked:
         (ka, _), (kb, _) = itf.a, itf.b
-        for (ra, rb), sgn in zip(pairs, _pair_signs(ps, itf, pairs)):
-            union(offset[ka] + ra[0], offset[kb] + rb[0], sgn)
-
-    root, sign = np.array([find(x) for x in range(total)]).T
-    roots, gid = np.unique(root, return_inverse=True)  # global dofs numbered by their root
-    scatters = [sp.csr_matrix((sign[a:b], gid[a:b], np.arange(b - a + 1)), shape=(b - a, roots.size)) for a, b in zip(offset, offset[1:])]
-    return Glue(scatters, roots.size)
-
-
-def _pair_signs(ps, itf, pairs):
-    """Orientation signs of the b-side traces relative to the a-side ones,
-    per (record a, record b) of ``pairs``, compared at matched face points
-    (tangential projections) with one probe per side: the midpoint of the
-    a-side factor supports and its image on the b face."""
-    signs = np.ones(len(pairs), dtype=int)
-    vec = [i for i, (ra, _) in enumerate(pairs) if ra[1] is not None]
-    if not vec:
-        return signs
-    (ka, fa), (kb, fb) = itf.a, itf.b
-    perm, flip = itf.normalized(ps.geoms[ka].ndim - 1)
-    recs_a, recs_b = [pairs[i][0] for i in vec], [pairs[i][1] for i in vec]
-    ca = np.array([[float(lkv[0] + lkv[-1]) / 2 for lkv, _, _ in r[2]] for r in recs_a])
-    va = _trace_probes(ps.geoms[ka], fa, recs_a, ca)
-    vb = _trace_probes(ps.geoms[kb], fb, recs_b, _map_coords(ca, perm, flip))
-    dot = np.sum(va * vb, axis=1)
-    for i, (d, na, nb) in enumerate(zip(dot, np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1))):
-        if na < 1e-14 or nb < 1e-14 or abs(abs(d) / (na * nb) - 1.0) > 1e-6:
-            raise ConformityError(f"trace probe mismatch for dofs {recs_a[i][0]} (a) and {recs_b[i][0]} (b)")
-    signs[vec] = np.where(dot > 0, 1, -1)
-    return signs
-
-
-def _trace_probes(geom, face, records, coords):
-    """Physical tangential traces of the vector functions ``records``, each
-    at its face point (rows of ``coords``), from one Jacobian evaluation.
-
-    A record's reference trace uhat is the product of its factors in face
-    component c, the factors evaluated in one batch per face axis and
-    (degree, scaling).  Its curl-conforming push-forward u = J^-T uhat has
-    T^T u = uhat on the face tangents T = J[:, :, face axes], so the
-    tangential part of u is T (T^T T)^-1 uhat."""
-    pts = _face_points(geom.ndim, face, coords)
-    vals = np.ones(len(records))
-    for j in range(coords.shape[1]):  # one batch per face axis and factor type
-        groups = {}
-        for i, (_, _, factors) in enumerate(records):
-            groups.setdefault(factors[j][1:], []).append(i)
-        for (p, s), idx in groups.items():
-            rows = KnotRows.from_exact([records[i][2][j][0] for i in idx])
-            vals[idx] *= scaled_eval(rows, p, s, coords[idx, j][None, :])[0]
-    uhat = np.zeros_like(coords)
-    uhat[np.arange(len(records)), [c for _, c, _ in records]] = vals
-    J, _ = geom.jacobian_dets(pts)
-    T = J[:, :, list(_face_axes(geom.ndim, face[0]))]
-    return (T @ np.linalg.solve(T.transpose(0, 2, 1) @ T, uhat[:, :, None]))[:, :, 0]
+        _, flip = itf.normalized(ps.geoms[ka].ndim - 1)
+        for (da, c, _), (db, _, _) in pairs:
+            x.append(offset[ka] + da)
+            y.append(offset[kb] + db)
+            flipped.append(c is not None and bool(flip[c]))
+    x, y, flipped = np.array(x, dtype=int), np.array(y, dtype=int), np.array(flipped, dtype=bool)
+    rows, cols = np.r_[x, x + total], np.r_[y + total * flipped, y + total * ~flipped]
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * total, 2 * total))
+    labels = connected_components(graph, directed=False)[1]
+    plus, minus = labels[:total], labels[total:]
+    if np.any(plus == minus):
+        raise ConformityError("inconsistent orientation around an interface entity")
+    _, first, entity = np.unique(np.minimum(plus, minus), return_index=True, return_inverse=True)
+    master = first[entity]  # the lowest dof of each dof's entity
+    sign = np.where(plus == plus[master], 1, -1)
+    masters, gid = np.unique(master, return_inverse=True)  # global dofs numbered by their master
+    scatters = [sp.csr_matrix((sign[a:b], gid[a:b], np.arange(b - a + 1)), shape=(b - a, masters.size)) for a, b in zip(offset, offset[1:])]
+    return Glue(scatters, masters.size)
 
 
 # -- global assembly ---------------------------------------------------------------

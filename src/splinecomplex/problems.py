@@ -122,7 +122,7 @@ def _eigen_run(ps, walls, kinds, count) -> EigenRun:
     return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, kernel=G))
 
 
-def square_eigenproblem(level: int, degree: int = 3, count: int = None) -> EigenRun:
+def square_eigenproblem(level: int = 0, degree: int = 3, count: int = None) -> EigenRun:
     """Maxwell cavity eigenvalues on (0, pi)^2 with the benchmark T-meshes.
 
     ``dofs`` reports the dimension of the rot-conforming space before the
@@ -133,7 +133,7 @@ def square_eigenproblem(level: int, degree: int = 3, count: int = None) -> Eigen
     return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count)
 
 
-def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5) -> EigenRun:
+def lsection_laplace_eigenproblem(level: int = 0, degree: int = 4, count: int = 5) -> EigenRun:
     """Dirichlet Laplacian eigenvalues of the L-shaped section, three glued
     patches with corner-refined T-meshes (the first eigenvalue is the
     L-membrane benchmark value)."""
@@ -144,7 +144,7 @@ def lsection_laplace_eigenproblem(level: int, degree: int = 4, count: int = 5) -
     return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count)
 
 
-def thick_l_eigenproblem(level: int, degree: int = 4, nz: int = None, count: int = 5) -> EigenRun:
+def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count: int = 5) -> EigenRun:
     """Maxwell cavity eigenvalues of the thick L (section times (0,1))."""
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
@@ -188,7 +188,7 @@ def cyl_zero_curl(X):
     return np.zeros((X.shape[0], 3))
 
 
-def cylinder_sector_source(level: int, degree: int = 3, nz: int = None, tensor: bool = False):
+def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tensor: bool = False):
     """Curl-curl source problem on 3/4 of the cylinder with a singular exact
     gradient field; returns (total dofs, free dofs, H(curl) error).
 

@@ -2,7 +2,7 @@
 
 Rationals serialize as strings like ``"1/4"``; knot vectors use the text
 form ``p; b/q:m ...``.  Problem files are schema-validated before any
-computation and unknown keys are rejected.
+computation, and a key that the file's command does not read is rejected.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "load_json",
     "dump_json",
     "PROBLEM_SCHEMA",
+    "PROBLEM_KEYS",
 ]
 
 
@@ -156,6 +157,19 @@ PROBLEM_SCHEMA = {
 }
 
 
+# The keys each command reads besides ``kind``.
+PROBLEM_KEYS = {
+    "solve-eig": ("formulation", "level", "degree", "eigencount", "nz"),
+    "solve-source": ("level", "degree", "nz", "tensor"),
+    "solve-waveguide": ("k", "degree", "n_section", "nz", "length"),
+    "convergence": ("benchmark", "degree", "levels"),
+}
+
+
 def validate_problem(d: dict) -> dict:
+    """``d`` if it matches the schema and holds only keys its command reads."""
     jsonschema.validate(d, PROBLEM_SCHEMA)
+    unread = sorted(set(d) - {"kind", *PROBLEM_KEYS[d["kind"]]})
+    if unread:
+        raise ValueError(f"{d['kind']} does not read the problem key {unread[0]!r}")
     return d

@@ -69,13 +69,6 @@ class TensorMesh:
     def num_cells(self) -> int:
         return int(np.prod(self.nspans))
 
-    def census(self) -> dict:
-        out = {"vertices": self.num_vertices, "cells": self.num_cells}
-        out["edges"] = tuple(self.num_edges(d) for d in range(self.dim))
-        if self.dim >= 2:
-            out["faces"] = tuple(self.num_faces(d) for d in range(self.dim))
-        return out
-
     def euler_2d(self) -> bool:
         """F + V = E + 1 for two-dimensional meshes (zero-measure included)."""
         if self.dim != 2:

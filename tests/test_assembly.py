@@ -306,10 +306,16 @@ def test_traces_are_the_functions_nonzero_on_each_face(p):
             dofs = [dof for dof, _, _ in records]
             assert sorted(dofs) == sorted(oracle) == dirichlet_dofs(space, [face]), (type(space).__name__, face)
             face_axes = [d for d in range(ndim) if d != face[0]]
-            for dof, c, factors in records:
+            # (degrees, scalings) per parametric axis of the block holding each dof
+            kinds = {}
+            for off, s2d, kvz, zscal, _ in space.blocks():
+                q, s = (s2d.degrees, s2d.scalings) if kvz is None else (s2d.degrees + (kvz.degree,), s2d.scalings + (zscal,))
+                kinds.update(dict.fromkeys(range(off, off + s2d.dim * (1 if kvz is None else kvz.n)), (q, s)))
+            for dof, c, lkvs in records:
                 comp, P, values = oracle[dof]
                 assert (None if c is None else face_axes[c]) == comp
-                trace = np.prod([scaled_eval(lkv, q, s, P[:, d]) for (lkv, q, s), d in zip(factors, face_axes)], axis=0)
+                q, s = kinds[dof]
+                trace = np.prod([scaled_eval(lkv, q[d], s[d], P[:, d]) for lkv, d in zip(lkvs, face_axes)], axis=0)
                 npt.assert_allclose(trace, values, rtol=0, atol=1e-12)
 
 

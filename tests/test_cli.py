@@ -15,6 +15,7 @@ from splinecomplex import cli
 from splinecomplex.cli import build_parser, main
 from splinecomplex.problems import EigenRun
 from splinecomplex.serialization import (
+    PROBLEM_KEYS,
     PROBLEM_SCHEMA,
     dump_json,
     geometry_from_dict,
@@ -74,7 +75,7 @@ def test_solve_eig_square(tmp_path):
     assert csv[0] == "index,value"
 
 
-def test_validation_error_exit_code(tmp_path):
+def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     dump_json({"kind": "solve-eig", "unknown_key": 1}, bad)
     assert run_cli(["solve-eig", "--problem", str(bad)], tmp_path) == 2
@@ -88,6 +89,19 @@ def test_validation_error_exit_code(tmp_path):
     assert run_cli(["solve-eig", "--problem", str(unread)], tmp_path) == 2
     dump_json({"kind": "solve-eig", "mesh": "square_tmesh_l0.json"}, unread)
     assert run_cli(["solve-eig", "--problem", str(unread)], tmp_path) == 2
+    # a schema key that the file's command (or formulation) does not read
+    # exits 2 naming it, not silently ignored
+    for spec, key in (
+        ({"kind": "solve-eig", "benchmark": "lsection", "levels": [3], "level": 0, "degree": 1}, "benchmark"),
+        ({"kind": "convergence", "eigencount": 3}, "eigencount"),
+        ({"kind": "solve-waveguide", "level": 1}, "level"),
+        ({"kind": "solve-eig", "formulation": "laplace2d", "nz": 2}, "nz"),
+        ({"kind": "solve-eig", "nz": 2}, "nz"),
+    ):
+        dump_json(spec, unread)
+        capsys.readouterr()
+        assert run_cli([spec["kind"], "--problem", str(unread)], tmp_path) == 2, spec
+        assert repr(key) in capsys.readouterr().err, spec
 
 
 class _ReadKeys(dict):
@@ -109,9 +123,11 @@ class _ReadKeys(dict):
 @pytest.fixture
 def stubbed_drivers(monkeypatch):
     """The problem drivers replaced by instant stand-ins; returns the
-    recorder that collects the keys each run reads."""
+    recorder that collects the keys each run reads (``keys``) and the
+    driver calls (name, positional, keyword arguments) it makes (``calls``)."""
     run = EigenRun(3, 2, EigenResult(np.array([0.0, 1.0, 2.0]), 1))
     waves = {"k10_squared": 1.0, "beta": 0.5, "R": 0j, "T": 1 + 0j, "dofs": 3, "free_dofs": 2}
+    recorder = argparse.Namespace(keys=set(), calls=[])
     for name, result in (
         ("square_eigenproblem", run),
         ("lsection_laplace_eigenproblem", run),
@@ -119,11 +135,10 @@ def stubbed_drivers(monkeypatch):
         ("cylinder_sector_source", (3, 2, 0.1)),
         ("waveguide_scattering", waves),
     ):
-        monkeypatch.setattr(cli.problems, name, lambda *a, result=result, **k: result)
-    seen = set()
+        monkeypatch.setattr(cli.problems, name, lambda *a, name=name, result=result, **k: recorder.calls.append((name, a, k)) or result)
     validate = cli.validate_problem
-    monkeypatch.setattr(cli, "validate_problem", lambda d: _ReadKeys(validate(d), seen))
-    return seen
+    monkeypatch.setattr(cli, "validate_problem", lambda d: _ReadKeys(validate(d), recorder.keys))
+    return recorder
 
 
 def test_problem_files_hold_only_what_their_command_reads(stubbed_drivers, tmp_path):
@@ -136,15 +151,45 @@ def test_problem_files_hold_only_what_their_command_reads(stubbed_drivers, tmp_p
         spec = load_json(f)
         if "kind" not in spec:
             continue
-        stubbed_drivers.clear()
+        stubbed_drivers.keys.clear()
         assert run_cli([spec["kind"], "--problem", str(f)], tmp_path) == 0, f.name
-        assert set(spec) <= stubbed_drivers, (f.name, set(spec) - stubbed_drivers)
-        read |= stubbed_drivers
+        assert set(spec) <= stubbed_drivers.keys, (f.name, set(spec) - stubbed_drivers.keys)
+        read |= stubbed_drivers.keys
         kinds.add(spec["kind"])
-    assert read == set(PROBLEM_SCHEMA["properties"])
+    assert read <= set(PROBLEM_SCHEMA["properties"]) == {"kind"}.union(*PROBLEM_KEYS.values())
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     takes_problem = {n for n, p in sub.choices.items() if any("--problem" in a.option_strings for a in p._actions)}
-    assert kinds == takes_problem == set(PROBLEM_SCHEMA["properties"]["kind"]["enum"])
+    assert kinds == takes_problem == set(PROBLEM_SCHEMA["properties"]["kind"]["enum"]) == set(PROBLEM_KEYS)
+
+
+def test_drivers_get_only_the_keys_the_file_holds(stubbed_drivers, tmp_path):
+    """A key the file lacks is not passed, so each driver's signature holds
+    the only default; ``eigencount`` is passed as ``count``."""
+    f = tmp_path / "problem.json"
+    for spec, calls in (
+        ({"kind": "solve-eig", "formulation": "laplace2d"}, [("lsection_laplace_eigenproblem", (), {})]),
+        ({"kind": "solve-eig", "formulation": "curlcurl3d", "eigencount": 2, "nz": 3}, [("thick_l_eigenproblem", (), {"count": 2, "nz": 3})]),
+        ({"kind": "solve-eig", "level": 1}, [("square_eigenproblem", (), {"level": 1})]),
+        ({"kind": "solve-source", "tensor": True}, [("cylinder_sector_source", (), {"tensor": True})]),
+        ({"kind": "solve-waveguide", "k": 1.5}, [("waveguide_scattering", (), {"k": 1.5})]),
+        ({"kind": "convergence", "benchmark": "lsection", "levels": [0, 2]}, [("lsection_laplace_eigenproblem", (0,), {}), ("lsection_laplace_eigenproblem", (2,), {})]),
+        ({"kind": "convergence", "degree": 2, "levels": [1]}, [("square_eigenproblem", (1,), {"degree": 2})]),
+    ):
+        dump_json(spec, f)
+        stubbed_drivers.calls.clear()
+        assert run_cli([spec["kind"], "--problem", str(f)], tmp_path) == 0, spec
+        assert stubbed_drivers.calls == calls, spec
+    # a file with every key of its command passes each one that is not a
+    # driver choice or a level list on to the driver
+    example = {"integer": 2, "number": 1.5, "boolean": True, "array": [1]}
+    for kind, keys in PROBLEM_KEYS.items():
+        props = PROBLEM_SCHEMA["properties"]
+        spec = {"kind": kind, **{k: props[k]["enum"][-1] if "enum" in props[k] else example[props[k]["type"]] for k in keys}}
+        dump_json(spec, f)
+        stubbed_drivers.calls.clear()
+        assert run_cli([kind, "--problem", str(f)], tmp_path) == 0, spec
+        passed = {"count" if k == "eigencount" else k for k in keys} - {"formulation", "benchmark", "levels"}
+        assert [set(kw) for _, _, kw in stubbed_drivers.calls] == [passed], kind
 
 
 def test_every_schema_benchmark_has_a_convergence_driver(stubbed_drivers, tmp_path):
@@ -230,6 +275,19 @@ def test_convergence_csv(tmp_path):
         rows.append(f"{run.dofs},{run.result.nonzero[0] - 1:.17g}\n")
     assert [r.split(",")[0] for r in rows] == ["74", "184"]
     assert (tmp_path / "convergence.csv").read_bytes() == ("dofs,value\n" + "".join(rows)).encode()
+
+
+def test_readme_file_formats_list_each_commands_keys():
+    """The README's problem-file bullets name, per command, exactly the keys
+    of its ``PROBLEM_KEYS`` entry (values in parentheses aside), so the docs
+    cannot drift from the schema."""
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1].split("\n## ", 1)[0]
+    block = section.split("* Problem JSON", 1)[1].split("\n* ", 1)[0]
+    listed = {}
+    for item in block.split("\n  * ")[1:]:
+        command, *keys = re.findall(r"`([\w-]+)`", re.sub(r"\([^)]*\)", "", item))
+        listed[command] = set(keys)
+    assert listed == {kind: set(keys) for kind, keys in PROBLEM_KEYS.items()}
 
 
 def test_readme_command_line_matches_parser():

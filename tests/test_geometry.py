@@ -17,7 +17,6 @@ from splinecomplex.geometry import (
     control_distance,
     linear_patch,
     pullback,
-    pushforward,
 )
 
 F = Fraction

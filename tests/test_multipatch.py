@@ -444,3 +444,25 @@ def test_scatter_glue_matches_sparse_products(monkeypatch, driver):
     }[driver]
     run()
     assert calls == ([2, 2, 2] if driver == "waveguide" else [3, 3])
+
+
+def test_cycle_of_interfaces_glues_the_centre_once():
+    """Four rotated unit patches cover (-1,1)^2: the L-section's three and
+    a 180 degree rotation.  Their four interfaces close a cycle around the
+    origin, whose scalar dof all four patches share once."""
+    from splinecomplex.problems import _eigen_run
+
+    tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(3), 2))
+    geoms = lsection_patches() + [linear_patch(-np.eye(2))]
+    interfaces = [
+        Interface((0, (1, 0)), (1, (0, 0))),
+        Interface((1, (1, 0)), (2, (0, 0))),
+        Interface((2, (1, 0)), (3, (0, 0))),
+        Interface((0, (0, 0)), (3, (1, 0))),
+    ]
+    assert build_glue(PatchSet(geoms, [Scalar2D(tcx.Y0)] * 4, interfaces)).ndof == 81
+    ps = PatchSet(geoms, [Vector2D.from_complex(tcx)] * 4, interfaces)
+    assert build_glue(ps).ndof == 144
+    run = _eigen_run(ps, {k: [(0, 1), (1, 1)] for k in range(4)}, ("rotrot", "mass"), 6)
+    assert run.result.zero_count == 49
+    npt.assert_allclose(run.result.nonzero / (np.pi / 2) ** 2, [1, 1, 2, 4, 4, 5], rtol=0, atol=1e-2)
