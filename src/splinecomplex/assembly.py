@@ -364,6 +364,20 @@ def _z_tables(kv: KnotVector, scaling, spans, order):
     return act, np.take_along_axis(Z, act[None, :, None, :], axis=3)
 
 
+def _vertical_mass(kv: KnotVector, scaling):
+    """The dense 1D mass matrix int f_i f_j of the ``scaling``-scaled
+    functions of ``kv``, from the z tables with a Gauss rule exact on every
+    span."""
+    spans = [(float(a), float(b)) for a, b in kv.spans()]
+    order = kv.degree + 1
+    act, Z = _z_tables(kv, scaling, spans, order)
+    w = np.stack([gauss_points_1d(a, b, order)[1] for a, b in spans])
+    M = np.zeros((kv.n, kv.n))
+    for a, vals, ws in zip(act, Z[0], w):
+        M[np.ix_(a, a)] += vals.T @ (ws[:, None] * vals)
+    return M
+
+
 def _x1_tables(cx3: Complex3D, order):
     """The Gauss rule of all cells (element, z-span) of one patch, the
     number of 2D elements, and per X1 block (dof offset, 2D space with its

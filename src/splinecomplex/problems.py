@@ -3,6 +3,13 @@ sector source, straight-guide scattering.
 
 These drivers wire meshes, geometries, glue, assembly and solvers together
 and are what the command-line front end runs.
+
+The thick L is a prism with PEC lids, so its 3D Maxwell pencil is a
+Kronecker sum of section and vertical matrices; the vertical generalized
+eigenbasis splits it exactly into one section-sized pencil per vertical
+mode (fast diagonalization), and only the section is assembled.  Its zero
+count is the number of interior vertical B-splines times the free scalar
+section dofs.
 """
 
 from __future__ import annotations
@@ -11,12 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .assembly import (
     Complex3D,
     Scalar2D,
     Vector2D,
     _shared_patterns,
+    _vertical_mass,
     assemble_load_3d,
     assemble_matrix_2d,
     assemble_matrix_3d,
@@ -29,12 +39,11 @@ from .benchmarks import (
     cylinder_sector_patches,
     lsection_patches,
     lsection_raw_tmesh,
-    prism_patch,
     square_geometry,
     square_raw_tmesh,
     waveguide_geometry,
 )
-from .bspline import KnotVector
+from .bspline import KnotVector, grad_matrix_1d
 from .multipatch import Interface, PatchSet, build_glue, global_operator
 from .solvers import EigenResult, compute_scattering, solve_generalized_eig, solve_port_mode, solve_source
 from .tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
@@ -145,22 +154,70 @@ def lsection_laplace_eigenproblem(level: int = 0, degree: int = 4, count: int = 
 
 
 def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count: int = 5) -> EigenRun:
-    """Maxwell cavity eigenvalues of the thick L (section times (0,1))."""
+    """Maxwell cavity eigenvalues of the thick L (section times (0,1)), PEC
+    on the side walls and the lids, one vertical mode at a time.
+
+    The prism's curl-curl and mass forms are Kronecker sums of section and
+    vertical matrices, so the 1D eigenbasis in z splits the 3D pencil
+    (fast diagonalization).  Only the section is assembled: the glued
+    Vector2D rot-rot C and mass M1, the Scalar2D mass M0 and the exact
+    gradient G, on the free dofs.  Each vertical mode mu_k of
+    :func:`_vertical_modes` is one deflated pencil of :func:`_mode_pencil`
+    with a zero block of one free scalar section dof each; the constant
+    vertical mode of the vertical component is the section's Dirichlet
+    Laplacian (G^T M1 G, M0), whose kernel is empty.  ``dofs`` and
+    ``system_size`` count the 3D space, glued and on the free dofs.
+    """
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
-    ps = PatchSet([prism_patch(_rot(k)) for k in range(3)], [Complex3D(tcx, kv_z) for _ in range(3)], _L_INTERFACES)
-    walls = {k: faces + [(2, 0), (2, 1)] for k, faces in _L_WALLS.items()}
-    return _eigen_run(ps, walls, ("curlcurl", "mass"), count)
+    (C, M1, M0, G), (ndof1, ndof0) = _section_matrices(tcx)
+    parts = []
+    for mu in _vertical_modes(kv_z):
+        K, M, kernel = _mode_pencil(C, M1, M0, G, mu)
+        parts.append(solve_generalized_eig(K, M, kernel=kernel))
+    # an empty kernel: any float zero of the Laplacian raises
+    parts.append(solve_generalized_eig(G.T @ M1 @ G, M0, kernel=np.zeros((M0.shape[0], 0))))
+    zero = sum(r.zero_count for r in parts)
+    values = np.concatenate([np.zeros(zero), np.sort(np.concatenate([r.nonzero for r in parts]))])
+    if count is not None:
+        values = values[: zero + count]
+    n = kv_z.n  # the horizontal components keep the n - 2 interior vertical B-splines
+    size = C.shape[0] * (n - 2) + M0.shape[0] * (n - 1)
+    return EigenRun(ndof1 * n + ndof0 * (n - 1), size, EigenResult(values, zero))
 
 
-def _rot(k):
-    mats = [
-        np.array([[0.0, -1.0], [1.0, 0.0]]),
-        np.eye(2),
-        np.array([[0.0, 1.0], [-1.0, 0.0]]),
-    ]
-    return mats[k]
+def _section_matrices(tcx):
+    """The L-section of the thick L under the side walls: (C, M1, M0, G),
+    the glued Vector2D rot-rot and mass, the Scalar2D mass and the exact
+    gradient on the free dofs, and the glued dof counts of the two spaces."""
+    ps1 = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, _L_INTERFACES)
+    glue1, (C, M1), free1 = _system(ps1, _L_WALLS, ("rotrot", "mass"))
+    G = _gradient_kernel(ps1, glue1, _L_WALLS, free1)
+    glue0, (M0,), free0 = _system(PatchSet(ps1.geoms, [Scalar2D(tcx.Y0)] * 3, _L_INTERFACES), _L_WALLS, ("mass",))
+    sub1, sub0 = np.ix_(free1, free1), np.ix_(free0, free0)
+    return (C[sub1], M1[sub1], M0[sub0], G), (glue1.ndof, glue0.ndof)
+
+
+def _vertical_modes(kv_z: KnotVector):
+    """The eigenvalues mu_k of (D^T M_D D, M_B) on the interior B-splines of
+    ``kv_z``, the ones the lids leave free; D = d/dz into the D-scaled
+    derived space, M_B and M_D the 1D masses."""
+    inner = slice(1, kv_z.n - 1)
+    D = grad_matrix_1d(kv_z).toarray()[:, inner]
+    M_B = _vertical_mass(kv_z, "B")[inner, inner]
+    return sla.eigh(D.T @ _vertical_mass(kv_z.derived(), "D") @ D, M_B, eigvals_only=True)
+
+
+def _mode_pencil(C, M1, M0, G, mu):
+    """(K, M, kernel) of vertical mode ``mu`` on (horizontal, vertical)
+    components: K = [[C + mu M1, -sqrt(mu) M1 G], [-sqrt(mu) G^T M1,
+    G^T M1 G]], M = diag(M1, M0), kernel [G; sqrt(mu) I], the gradients of
+    the scalar section functions times the mode."""
+    s = math.sqrt(mu)
+    M1G = M1 @ G
+    K = sp.bmat([[C + mu * M1, -s * M1G], [-s * M1G.T, G.T @ M1G]], format="csr")
+    return K, sp.block_diag([M1, M0], format="csr"), sp.vstack([G, s * sp.identity(G.shape[1])], format="csr")
 
 
 # -- cylinder sector --------------------------------------------------------------

@@ -447,6 +447,7 @@ class _LineIndex:
             kind: [np.flatnonzero(c).tolist() for c in grid.T]
             for kind, grid in (("span", edges), ("line", line))
         }
+        self._midpoints = {}  # (rlo, rhi) -> midpoint(rlo, rhi)
 
     def count(self, r) -> int:
         """Multiplicity of the lines of rank r."""
@@ -464,7 +465,14 @@ class _LineIndex:
         return self.midpoint(self.rank[lo], self.rank[hi])
 
     def midpoint(self, rlo, rhi):
-        """Locator and value of the midpoint of two distinct line values."""
+        """Locator and value of the midpoint of two distinct line values,
+        computed once per pair of ranks."""
+        key = (rlo, rhi)
+        if key not in self._midpoints:
+            self._midpoints[key] = self._midpoint(rlo, rhi)
+        return self._midpoints[key]
+
+    def _midpoint(self, rlo, rhi):
         mid = (self.values[rlo] + self.values[rhi]) / 2
         r = self.rank_of.get(mid)
         if r is None:  # values[rlo] < mid < values[rhi]

@@ -129,13 +129,30 @@ def test_numerical_failures_are_numerical_errors():
         solve_generalized_eig(np.eye(3), -np.eye(3))
 
 
+def _thick_l_prisms(p, nz):
+    """The L0 thick L as three glued Complex3D prisms, with PEC side walls
+    and lids: (PatchSet, walls), the assembled 3D path."""
+    from splinecomplex import problems
+    from splinecomplex.assembly import Complex3D
+    from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.multipatch import PatchSet
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
+    cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
+    rots = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
+    ps = PatchSet([prism_patch(r) for r in rots], [cx3] * 3, problems._L_INTERFACES)
+    walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
+    return ps, walls
+
+
 def _pencil_and_kernel(problem):
     """(K, M, G) of the square L1 p=3 or thick L0 p=2 Maxwell problem, on
     its free dofs, with the exact gradient kernel the drivers deflate."""
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D, Vector2D
-    from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch, square_geometry, square_raw_tmesh
-    from splinecomplex.bspline import KnotVector
+    from splinecomplex.assembly import Vector2D
+    from splinecomplex.benchmarks import square_geometry, square_raw_tmesh
     from splinecomplex.multipatch import PatchSet
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
@@ -144,11 +161,7 @@ def _pencil_and_kernel(problem):
         ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
         walls, kinds = {0: problems.ALL_FACES_2D}, ("rotrot", "mass")
     else:
-        p = 2
-        tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
-        cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
-        ps = PatchSet([prism_patch(problems._rot(k)) for k in range(3)], [cx3] * 3, problems._L_INTERFACES)
-        walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
+        ps, walls = _thick_l_prisms(2, 2)
         kinds = ("curlcurl", "mass")
     glue, (K, M), free = problems._system(ps, walls, kinds)
     G = problems._gradient_kernel(ps, glue, walls, free)
@@ -233,3 +246,63 @@ def test_zero_threshold_flag_is_gone():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# -- the thick L, one vertical mode at a time ------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("nz", [1, 2, 3])
+def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
+    """The per-mode driver against the deflated solve of the curl-curl pencil
+    assembled on the three Complex3D prisms: same sizes and zero block, and
+    every nonzero eigenvalue to 1e-10."""
+    from splinecomplex import problems
+
+    ps, walls = _thick_l_prisms(p, nz)
+    want = problems._eigen_run(ps, walls, ("curlcurl", "mass"), None)
+    got = problems.thick_l_eigenproblem(0, degree=p, nz=nz, count=None)
+    assert (got.dofs, got.system_size) == (want.dofs, want.system_size)
+    assert got.result.zero_count == want.result.zero_count
+    assert np.array_equal(got.result.values[: got.result.zero_count], np.zeros(got.result.zero_count))
+    npt.assert_allclose(got.result.nonzero, want.result.nonzero, rtol=1e-10, atol=0)
+
+
+def test_thick_l_mode_with_the_next_modes_kernel_is_a_numerical_error():
+    """Each mode's deflation keeps the exact-kernel guards: the kernel of the
+    neighbouring vertical mode, [G; sqrt(mu_2) I], is not annihilated by the
+    pencil of mu_1, and a float zero of the constant mode raises."""
+    from splinecomplex import problems
+    from splinecomplex.benchmarks import lsection_raw_tmesh
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    p = 2
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
+    (C, M1, M0, G), _ = problems._section_matrices(tcx)
+    mu = problems._vertical_modes(KnotVector.uniform(p, 2))
+    assert mu.size == 2 and 0 < mu[0] < mu[1]
+    K, M, kernel = problems._mode_pencil(C, M1, M0, G, mu[0])
+    assert solve_generalized_eig(K, M, kernel=kernel).zero_count == G.shape[1]
+    wrong = problems._mode_pencil(C, M1, M0, G, mu[1])[2]
+    with pytest.raises(NumericalError, match="not annihilated"):
+        solve_generalized_eig(K, M, kernel=wrong)
+    # the constant mode's Laplacian has an empty kernel: a float zero raises
+    L = (G.T @ M1 @ G).tolil()
+    L[0, :] = L[:, 0] = 0.0
+    with pytest.raises(NumericalError, match="exact kernel of dimension 0$"):
+        solve_generalized_eig(L.tocsr(), M0, kernel=np.zeros((M0.shape[0], 0)))
+
+
+def test_thick_l_converges_at_levels_0_and_1():
+    """The thick L at p=3, every eigenvalue: the zero block is one free
+    scalar dof per interior vertical B-spline, and the first eigenvalue
+    approaches the benchmark 9.63972384472 from above."""
+    from splinecomplex import problems
+
+    runs = [problems.thick_l_eigenproblem(level, degree=3, count=None) for level in (0, 1)]
+    assert [r.result.zero_count for r in runs] == [783, 2010]
+    assert [r.system_size for r in runs] == [2724, 6682]
+    gaps = [r.result.nonzero[0] - 9.63972384472 for r in runs]
+    assert 0 < gaps[1] < gaps[0]
+    npt.assert_allclose([r.result.nonzero[0] for r in runs], [9.64747878, 9.64280624], rtol=0, atol=1e-8)

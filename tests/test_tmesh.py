@@ -31,6 +31,7 @@ from splinecomplex.tmesh import (
     validate_tmesh,
 )
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes, verify_t_exactness
+from tests.test_bspline import _exact_deriv, cox_de_boor_exact
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -558,6 +559,63 @@ def test_ranked_anchors_match_fraction_scan_on_random_meshes(case):
     assert d0 + d2 == d1 + 1
     rep = verify_t_exactness(tcx)
     assert rep.passed and rep.certified, rep.identities
+
+
+def _exact_factor_table(space, d, xs, deriv):
+    """The direction-d factors of all anchors of ``space`` (or their
+    derivatives) at the rational abscissae ``xs``, shape (len(xs), dim):
+    the Fraction Cox-de Boor recursion on the exact local knot vectors,
+    times (q+1)/|support| under 'D' scaling, rounded to float once."""
+    from tests.test_bspline import _exact_deriv, cox_de_boor_exact
+
+    q, scaling = space.degrees[d], space.scalings[d]
+    out = np.empty((len(xs), space.dim))
+    memo = {}  # (local knot vector, x) -> value; many anchors share one
+    for i, x in enumerate(xs):
+        for a in space.anchors:
+            t = (a.lkv1, a.lkv2)[d]
+            if (t, x) not in memo:
+                v = _exact_deriv(t, q, x) if deriv else cox_de_boor_exact(t, q, 0, x)
+                memo[t, x] = float(v * (q + 1) / (t[-1] - t[0]) if scaling == "D" else v)
+            out[i, a.index] = memo[t, x]
+    return out
+
+
+def _assert_close_to_exact(got, want):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(refined_tmeshes())
+def test_tspline_tabulation_matches_exact_recursion_on_random_meshes(case):
+    """The float tabulation of the four spaces of the complex (B and D
+    scalings, degrees p and p-1) against the exact Fraction recursion:
+    ``basis`` at rational points, and ``element_table`` (values and both
+    derivatives) on every element's Gauss grid, where the anchors it leaves
+    out vanish exactly."""
+    from splinecomplex.assembly import gauss_points_2d
+
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    cm = derive_complex_meshes(raw, p)
+    xs, ys = [F(i, 7) for i in range(1, 7)], [F(j, 11) for j in range(1, 11, 2)]
+    for mesh, scalings in zip((cm.M0, cm.M11, cm.M12, cm.M2), (("B", "B"), ("D", "B"), ("B", "D"), ("D", "D"))):
+        space = TsplineSpace(mesh, scalings)
+        assert space.degrees == tuple(p - (s == "D") for s in scalings)
+        pts = np.array([(float(x), float(y)) for x in xs for y in ys])
+        want = _exact_factor_table(space, 0, xs, 0)[:, None, :] * _exact_factor_table(space, 1, ys, 0)[None, :, :]
+        _assert_close_to_exact(space.basis(pts), want.reshape(pts.shape[0], -1))
+        order = max(space.degrees) + 1
+        for e, box in enumerate(space.elements):
+            P, _ = gauss_points_2d(box, order)
+            gx, gy = [F(float(v)) for v in P[::order, 0]], [F(float(v)) for v in P[:order, 1]]
+            X = [_exact_factor_table(space, 0, gx, k) for k in (0, 1)]
+            Y = [_exact_factor_table(space, 1, gy, k) for k in (0, 1)]
+            act, *tables = space.element_table(e, order, derivs=True)
+            for got, (kx, ky) in zip(tables, ((0, 0), (1, 0), (0, 1))):
+                want = (X[kx][:, None, :] * Y[ky][None, :, :]).reshape(order * order, -1)
+                _assert_close_to_exact(got, want[:, act])
+                assert not np.any(np.delete(want, act, axis=1))
 
 
 def test_line_index_is_built_once_per_mesh(monkeypatch):

@@ -247,7 +247,8 @@ def test_zero_count_matches_restricted_grad_rank():
     G_int = sp.vstack(
         [sp.kron(Iz, oi[:n11]), sp.kron(Iz, oi[n11:]), d * sp.kron(grad_matrix_1d(cx3.kv_z), sp.identity(tcx.space_dim(0), dtype=np.int64))]
     ).tocsr()
-    geoms = [prism_patch(problems._rot(k)) for k in range(3)]
+    rots = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
+    geoms = [prism_patch(r) for r in rots]
     walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
     ps1 = PatchSet(geoms, [cx3] * 3, problems._L_INTERFACES)
     ps0 = PatchSet(geoms, [Scalar3D(cx3)] * 3, problems._L_INTERFACES)
