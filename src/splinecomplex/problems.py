@@ -4,12 +4,18 @@ sector source, straight-guide scattering.
 These drivers wire meshes, geometries, glue, assembly and solvers together
 and are what the command-line front end runs.
 
-The thick L is a prism with PEC lids, so its 3D Maxwell pencil is a
-Kronecker sum of section and vertical matrices; the vertical generalized
-eigenbasis splits it exactly into one section-sized pencil per vertical
-mode (fast diagonalization), and only the section is assembled.  Its zero
-count is the number of interior vertical B-splines times the free scalar
-section dofs.
+The thick L and the cylinder sector are prisms, a section extruded over z
+in (0, 1): their 3D curl-curl and mass forms are Kronecker sums of section
+and vertical matrices, because the map (F(x, y), z) leaves every pullback
+block diagonal and the tensor Gauss rule of a cell is the product of its
+section and vertical rules.  The vertical generalized eigenbasis splits
+them exactly into one section-sized system per vertical mode (fast
+diagonalization), and only the section is assembled.  The thick L's lids
+are PEC, so its modes live on the interior vertical B-splines and its zero
+count is their number times the free scalar section dofs.  The cylinder's
+lids are natural: its modes live on all vertical B-splines, and the
+constant (the B-splines sum to one) is the mode mu_0 = 0, whose derivative
+vanishes, so it has no vertical component.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .benchmarks import (
     waveguide_geometry,
 )
 from .bspline import KnotVector, grad_matrix_1d
+from .geometry import GeometryMap
 from .multipatch import Interface, PatchSet, build_glue, global_operator
 from .solvers import EigenResult, compute_scattering, solve_generalized_eig, solve_port_mode, solve_source
 from .tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
@@ -62,6 +69,13 @@ _L_WALLS = {
     1: [(0, 1), (1, 1)],
     2: [(0, 1), (1, 0), (1, 1)],
 }
+
+# The three slices of the cylinder sector: interfaces and walls, as for the L.
+_CYL_INTERFACES = (
+    Interface((0, (1, 1)), (1, (1, 0))),
+    Interface((1, (1, 1)), (2, (1, 0))),
+)
+_CYL_WALLS = {0: [(1, 0)], 2: [(1, 1)]}
 
 __all__ = [
     "square_eigenproblem",
@@ -109,15 +123,17 @@ def _free(ps: PatchSet, glue, walls, ndof):
     return np.setdiff1d(np.arange(ndof), walled)
 
 
-def _gradient_kernel(ps: PatchSet, glue, walls, free):
+def _gradient_kernel(ps: PatchSet, glue, walls, free, glue0=None):
     """The exact kernel of the rot-rot or curl-curl matrix of ``ps``: the
     gradient of each patch space's scalar space (``space.gradient()``),
-    glued like ``ps``, with rows restricted to the free dofs ``free`` and
-    columns to the scalar dofs off the same walls.  Under the walls the
-    gradient is injective, so its columns are a basis of the kernel."""
+    glued like ``ps`` (by ``glue0`` on the scalar side, built here if not
+    given), with rows restricted to the free dofs ``free`` and columns to
+    the scalar dofs off the same walls.  Under the walls the gradient is
+    injective, so its columns are a basis of the kernel."""
     scalars, grads = zip(*(space.gradient() for space in ps.spaces))
     ps0 = PatchSet(ps.geoms, scalars, ps.interfaces)
-    glue0 = None if glue is None else build_glue(ps0)
+    if glue is not None and glue0 is None:
+        glue0 = build_glue(ps0)
     G = grads[0] if glue0 is None else global_operator(glue0, glue, grads)
     return G.tocsr()[free][:, _free(ps0, glue0, walls, G.shape[1])]
 
@@ -159,21 +175,22 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
 
     The prism's curl-curl and mass forms are Kronecker sums of section and
     vertical matrices, so the 1D eigenbasis in z splits the 3D pencil
-    (fast diagonalization).  Only the section is assembled: the glued
-    Vector2D rot-rot C and mass M1, the Scalar2D mass M0 and the exact
-    gradient G, on the free dofs.  Each vertical mode mu_k of
-    :func:`_vertical_modes` is one deflated pencil of :func:`_mode_pencil`
-    with a zero block of one free scalar section dof each; the constant
-    vertical mode of the vertical component is the section's Dirichlet
-    Laplacian (G^T M1 G, M0), whose kernel is empty.  ``dofs`` and
-    ``system_size`` count the 3D space, glued and on the free dofs.
+    (fast diagonalization).  Only the section is assembled
+    (:func:`_section_matrices`).  Each vertical mode mu_k of
+    :func:`_vertical_modes` on the interior B-splines is one deflated
+    pencil of :func:`_mode_pencil` with a zero block of one free scalar
+    section dof each; the constant vertical mode of the vertical component
+    is the section's Dirichlet Laplacian (G^T M1 G, M0), whose kernel is
+    empty.  ``dofs`` and ``system_size`` count the 3D space, glued and on
+    the free dofs.
     """
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
-    (C, M1, M0, G), (ndof1, ndof0) = _section_matrices(tcx)
+    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, _L_INTERFACES)
+    (C, M1, M0, G), (glue1, glue0), _ = _section_matrices(ps, _L_WALLS)
     parts = []
-    for mu in _vertical_modes(kv_z):
+    for mu in _vertical_modes(kv_z, "pec")[0]:
         K, M, kernel = _mode_pencil(C, M1, M0, G, mu)
         parts.append(solve_generalized_eig(K, M, kernel=kernel))
     # an empty kernel: any float zero of the Laplacian raises
@@ -184,29 +201,45 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
         values = values[: zero + count]
     n = kv_z.n  # the horizontal components keep the n - 2 interior vertical B-splines
     size = C.shape[0] * (n - 2) + M0.shape[0] * (n - 1)
-    return EigenRun(ndof1 * n + ndof0 * (n - 1), size, EigenResult(values, zero))
+    return EigenRun(glue1.ndof * n + glue0.ndof * (n - 1), size, EigenResult(values, zero))
 
 
-def _section_matrices(tcx):
-    """The L-section of the thick L under the side walls: (C, M1, M0, G),
-    the glued Vector2D rot-rot and mass, the Scalar2D mass and the exact
-    gradient on the free dofs, and the glued dof counts of the two spaces."""
-    ps1 = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, _L_INTERFACES)
-    glue1, (C, M1), free1 = _system(ps1, _L_WALLS, ("rotrot", "mass"))
-    G = _gradient_kernel(ps1, glue1, _L_WALLS, free1)
-    glue0, (M0,), free0 = _system(PatchSet(ps1.geoms, [Scalar2D(tcx.Y0)] * 3, _L_INTERFACES), _L_WALLS, ("mass",))
+def _section_matrices(ps: PatchSet, walls):
+    """A prism's section, Vector2D spaces glued across ``ps``'s interfaces
+    and clamped on ``walls``: (C, M1, M0, G), the rot-rot and mass, the
+    mass of the scalar spaces and the exact gradient on the free dofs;
+    (glue1, glue0) and (free1, free0), the glues and free dofs of the
+    vector and the scalar spaces.  Each glue is built once."""
+    glue1, (C, M1), free1 = _system(ps, walls, ("rotrot", "mass"))
+    ps0 = PatchSet(ps.geoms, [space.gradient()[0] for space in ps.spaces], ps.interfaces)
+    glue0, (M0,), free0 = _system(ps0, walls, ("mass",))
+    G = _gradient_kernel(ps, glue1, walls, free1, glue0)
     sub1, sub0 = np.ix_(free1, free1), np.ix_(free0, free0)
-    return (C[sub1], M1[sub1], M0[sub0], G), (glue1.ndof, glue0.ndof)
+    return (C[sub1], M1[sub1], M0[sub0], G), (glue1, glue0), (free1, free0)
 
 
-def _vertical_modes(kv_z: KnotVector):
-    """The eigenvalues mu_k of (D^T M_D D, M_B) on the interior B-splines of
-    ``kv_z``, the ones the lids leave free; D = d/dz into the D-scaled
-    derived space, M_B and M_D the 1D masses."""
-    inner = slice(1, kv_z.n - 1)
-    D = grad_matrix_1d(kv_z).toarray()[:, inner]
-    M_B = _vertical_mass(kv_z, "B")[inner, inner]
-    return sla.eigh(D.T @ _vertical_mass(kv_z.derived(), "D") @ D, M_B, eigvals_only=True)
+def _vertical_modes(kv_z: KnotVector, lids):
+    """(mu, V, W): the eigenpairs (mu_k, V) of (D^T M_D D, M_B), D = d/dz
+    into the D-scaled derived space and M_B, M_D the 1D masses, on the
+    B-splines of ``kv_z`` that the lids leave free: the interior ones under
+    "pec" lids, all of them under "natural" lids.  V is M_B-orthonormal
+    and W = D V / sqrt(mu) M_D-orthonormal.  Natural lids keep the
+    constant, mu_0 = 0, which D annihilates exactly: it is set apart and
+    the pencil solved on its M_B-orthogonal complement, so no float
+    eigenvalue is read as zero; W spans the derived space, one column per
+    mu_k > 0."""
+    natural = {"pec": False, "natural": True}[lids]
+    n, M_B = kv_z.n, _vertical_mass(kv_z, "B")
+    one = np.ones(n)
+    keep = np.eye(n)[:, 1 : n - 1 + natural]
+    if natural:
+        keep -= np.outer(one, one @ M_B @ keep) / (one @ M_B @ one)
+    DK = grad_matrix_1d(kv_z) @ keep
+    mu, Y = sla.eigh(DK.T @ _vertical_mass(kv_z.derived(), "D") @ DK, keep.T @ M_B @ keep)
+    V, W = keep @ Y, DK @ Y / np.sqrt(mu)
+    if natural:
+        mu, V = np.r_[0.0, mu], np.column_stack([one / math.sqrt(one @ M_B @ one), V])
+    return mu, V, W
 
 
 def _mode_pencil(C, M1, M0, G, mu):
@@ -249,31 +282,48 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     """Curl-curl source problem on 3/4 of the cylinder with a singular exact
     gradient field; returns (total dofs, free dofs, H(curl) error).
 
-    The vertical mesh refines with the level like the section does.
+    The vertical mesh refines with the level like the section does.  The
+    lids are natural, and the problem is solved one vertical mode at a time
+    (:func:`_vertical_modes`) on the section, the z = 0 control layer of
+    each patch: mode 0 is (C + M1) x = f, mode k >= 1 the mode pencil's
+    K + M (:func:`_mode_pencil`) on the horizontal and vertical components.
+    The load of each 3D patch is projected onto the modes and glued like the
+    section; the solution is lifted back per patch for the 3D error.
     """
     nz = nz or 2 ** (level + 1)
     raw = cylinder_section_raw_tmesh(level)
     if tensor:
         raw = tensor_raw_tmesh(raw.breakpoints_x, raw.breakpoints_y)
     kv_z = KnotVector.uniform(degree, nz)
-    geoms = cylinder_sector_patches()
     tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-    spaces = [Complex3D(tcx, kv_z) for _ in range(3)]
-    interfaces = [
-        Interface((0, (1, 1)), (1, (1, 0))),
-        Interface((1, (1, 1)), (2, (1, 0))),
-    ]
-    ps = PatchSet(geoms, spaces, interfaces)
-    glue, (K, M), free = _system(ps, {0: [(1, 0)], 2: [(1, 1)]}, ("curlcurl", "mass"))
-    b = glue.global_vector([assemble_load_3d(s, g, cyl_exact_field) for s, g in zip(spaces, geoms)])
-    x = np.zeros(glue.ndof)
-    x[free] = solve_source((K + M)[np.ix_(free, free)].tocsc(), b[free])
+    geoms = cylinder_sector_patches()
+    half = len(geoms[0].weights) // 2  # the z = 0 control layer
+    sections = [GeometryMap(g.kvs[:2], g.control_points[:half, :2], g.weights[:half]) for g in geoms]
+    ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, _CYL_INTERFACES)
+    (C, M1, M0, G), (glue1, glue0), (free1, free0) = _section_matrices(ps, _CYL_WALLS)
+    mu, V, W = _vertical_modes(kv_z, "natural")
+    cx3 = Complex3D(tcx, kv_z)
+    # the 3D blocks c1, c2 (section times B-splines) end at h_end, then c3
+    # (scalar section times D-splines); the vertical index runs slowest
+    n1, n, h_end = tcx.Y1[0].dim, kv_z.n, cx3.blocks()[2][0]
+    bh = bv = 0.0  # the glued loads: section dofs x modes
+    for S1, S0, geom in zip(glue1.scatters, glue0.scatters, geoms):
+        b = assemble_load_3d(cx3, geom, cyl_exact_field)
+        h = np.vstack([b[: n1 * n].reshape(n, -1).T, b[n1 * n : h_end].reshape(n, -1).T])
+        bh, bv = bh + S1.T @ (h @ V), bv + S0.T @ (b[h_end:].reshape(n - 1, -1).T @ W)
+    xh, xv = np.zeros((glue1.ndof, n)), np.zeros((glue0.ndof, n - 1))
+    xh[free1, 0] = solve_source((C + M1).tocsc(), bh[free1, 0])
+    for k in range(1, n):
+        K, M, _ = _mode_pencil(C, M1, M0, G, mu[k])
+        x = solve_source((K + M).tocsc(), np.r_[bh[free1, k], bv[free0, k - 1]])
+        xh[free1, k], xv[free0, k - 1] = x[: free1.size], x[free1.size :]
     err2 = 0.0
-    for k in range(3):
-        ck = glue.scatters[k] @ x
-        e_l2, e_curl = hcurl_error_3d(spaces[k], geoms[k], ck, cyl_exact_field, cyl_zero_curl)
+    for S1, S0, geom in zip(glue1.scatters, glue0.scatters, geoms):
+        h, v = S1 @ xh @ V.T, S0 @ xv @ W.T  # back to the patch's section dofs x vertical functions
+        coeffs = np.concatenate([h[:n1].T.ravel(), h[n1:].T.ravel(), v.T.ravel()])
+        e_l2, e_curl = hcurl_error_3d(cx3, geom, coeffs, cyl_exact_field, cyl_zero_curl)
         err2 += e_l2**2 + e_curl**2
-    return glue.ndof, free.size, math.sqrt(err2)
+    return glue1.ndof * n + glue0.ndof * (n - 1), free1.size * n + free0.size * (n - 1), math.sqrt(err2)
 
 
 # -- straight waveguide ----------------------------------------------------------

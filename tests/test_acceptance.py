@@ -272,8 +272,9 @@ def test_criterion_7_numerical_checks():
 
 
 def test_criterion_8_lsection_eigenvalue():
-    # 3D thick-L at the second refinement exceeds the 8000-dof budget, so the
-    # criterion runs on the 2D section analogue (same target and tolerance)
+    # the L-membrane value of the 2D section, which the thick L's spectrum
+    # contains; the 3D thick L itself is checked at levels 0 and 1 in
+    # test_solvers.py (test_thick_l_converges_at_levels_0_and_1)
     from splinecomplex.problems import lsection_laplace_eigenproblem
 
     gaps = []

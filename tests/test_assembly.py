@@ -635,7 +635,9 @@ def test_patch_record_matches_per_element_geometry():
 
 
 def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
-    # the jacobian_dets calls of a whole solve do not grow with the elements
+    # the jacobian_dets calls of a whole solve do not grow with the elements:
+    # the cylinder's matrices are evaluated on the 2D section maps (three
+    # patches, three kinds), its load and error on the 3D patches
     from splinecomplex import problems
     from splinecomplex.geometry import GeometryMap
 
@@ -643,7 +645,7 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     points = []
 
     def counting(self, pts):
-        points.append(len(pts))
+        points.append((self.ndim, len(pts)))
         return original(self, pts)
 
     monkeypatch.setattr(GeometryMap, "eval_jacobian_dets", counting)
@@ -651,9 +653,9 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     for level in (0, 1):
         points.clear()
         problems.cylinder_sector_source(level, degree=1, nz=1)
-        calls.append(len(points))
-        total.append(sum(points))
-    assert calls[0] == calls[1], calls
+        calls.append([sum(d == ndim for d, _ in points) for ndim in (2, 3)])
+        total.append(sum(n for _, n in points))
+    assert calls[0] == calls[1] == [9, 6], calls
     assert total[1] > total[0]
 
 

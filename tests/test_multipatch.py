@@ -443,8 +443,34 @@ def test_scatter_glue_matches_sparse_products(monkeypatch, driver):
         "lsection": lambda: problems.lsection_laplace_eigenproblem(1, degree=2),
     }[driver]
     run()
-    # the waveguide glues two ports, the thick L three section matrices
-    assert calls == {"waveguide": [2, 2, 2], "thick_l": [3, 3, 3]}.get(driver, [3, 3])
+    # the waveguide glues two ports, the prisms (thick L, cylinder) three
+    # section matrices
+    assert calls == {"waveguide": [2, 2, 2], "lsection": [3, 3]}.get(driver, [3, 3, 3])
+
+
+@pytest.mark.parametrize("driver", ["cylinder", "thick_l"])
+def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
+    """The two prisms build one glue per section space (vector and scalar)
+    and assemble no 3D matrix; only the cylinder's load and error are 3D."""
+    from splinecomplex import problems
+
+    calls = []
+    original = problems.build_glue
+
+    def counting(ps):
+        calls.append(type(ps.spaces[0]).__name__)
+        return original(ps)
+
+    def unreached(*args):
+        raise AssertionError("a prism driver assembled a 3D matrix")
+
+    monkeypatch.setattr(problems, "build_glue", counting)
+    monkeypatch.setattr(problems, "assemble_matrix_3d", unreached)
+    if driver == "cylinder":
+        problems.cylinder_sector_source(0, degree=2, nz=2)
+    else:
+        problems.thick_l_eigenproblem(0, degree=2, count=None)
+    assert calls == ["Vector2D", "Scalar2D"]
 
 
 def test_cycle_of_interfaces_glues_the_centre_once():

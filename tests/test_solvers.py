@@ -273,14 +273,17 @@ def test_thick_l_mode_with_the_next_modes_kernel_is_a_numerical_error():
     neighbouring vertical mode, [G; sqrt(mu_2) I], is not annihilated by the
     pencil of mu_1, and a float zero of the constant mode raises."""
     from splinecomplex import problems
-    from splinecomplex.benchmarks import lsection_raw_tmesh
+    from splinecomplex.assembly import Vector2D
+    from splinecomplex.benchmarks import lsection_patches, lsection_raw_tmesh
     from splinecomplex.bspline import KnotVector
+    from splinecomplex.multipatch import PatchSet
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     p = 2
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
-    (C, M1, M0, G), _ = problems._section_matrices(tcx)
-    mu = problems._vertical_modes(KnotVector.uniform(p, 2))
+    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, problems._L_INTERFACES)
+    (C, M1, M0, G), _, _ = problems._section_matrices(ps, problems._L_WALLS)
+    mu = problems._vertical_modes(KnotVector.uniform(p, 2), "pec")[0]
     assert mu.size == 2 and 0 < mu[0] < mu[1]
     K, M, kernel = problems._mode_pencil(C, M1, M0, G, mu[0])
     assert solve_generalized_eig(K, M, kernel=kernel).zero_count == G.shape[1]
@@ -306,3 +309,65 @@ def test_thick_l_converges_at_levels_0_and_1():
     gaps = [r.result.nonzero[0] - 9.63972384472 for r in runs]
     assert 0 < gaps[1] < gaps[0]
     npt.assert_allclose([r.result.nonzero[0] for r in runs], [9.64747878, 9.64280624], rtol=0, atol=1e-8)
+
+
+# -- the cylinder sector, one vertical mode at a time -----------------------------------
+
+
+def _cylinder_assembled(p, nz):
+    """The L0 cylinder sector source on the three Complex3D slices,
+    assembled, glued and solved in 3D: (dofs, free dofs, H(curl) error)."""
+    import math
+
+    from splinecomplex import problems
+    from splinecomplex.assembly import Complex3D, assemble_load_3d, hcurl_error_3d
+    from splinecomplex.benchmarks import cylinder_section_raw_tmesh, cylinder_sector_patches
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.multipatch import PatchSet
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(0), p))
+    cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
+    geoms = cylinder_sector_patches()
+    ps = PatchSet(geoms, [cx3] * 3, problems._CYL_INTERFACES)
+    glue, (K, M), free = problems._system(ps, problems._CYL_WALLS, ("curlcurl", "mass"))
+    b = glue.global_vector([assemble_load_3d(cx3, g, problems.cyl_exact_field) for g in geoms])
+    x = np.zeros(glue.ndof)
+    x[free] = solve_source((K + M)[np.ix_(free, free)].tocsc(), b[free])
+    errs = [hcurl_error_3d(cx3, g, S @ x, problems.cyl_exact_field, problems.cyl_zero_curl) for S, g in zip(glue.scatters, geoms)]
+    return glue.ndof, free.size, math.sqrt(sum(e**2 for pair in errs for e in pair))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("nz", [1, 2, 3])
+def test_cylinder_modes_match_the_assembled_3d_solve(p, nz):
+    """The per-mode driver against the source problem assembled on the three
+    Complex3D slices: same sizes, and the H(curl) errors to 1e-11 relative
+    (measured: at most 4.1e-12, at p=3, nz=3)."""
+    from splinecomplex import problems
+
+    want = _cylinder_assembled(p, nz)
+    got = problems.cylinder_sector_source(0, degree=p, nz=nz)
+    assert got[:2] == want[:2]
+    npt.assert_allclose(got[2], want[2], rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("nz", [1, 2, 3])
+def test_vertical_modes_are_orthonormal(p, nz):
+    """V is M_B-orthonormal under both lids; under natural lids mu_0 is an
+    exact zero with a constant V column, and W is square and
+    M_D-orthonormal."""
+    from splinecomplex import problems
+    from splinecomplex.assembly import _vertical_mass
+    from splinecomplex.bspline import KnotVector
+
+    kv = KnotVector.uniform(p, nz)
+    M_B, M_D = _vertical_mass(kv, "B"), _vertical_mass(kv.derived(), "D")
+    for lids, nmodes in (("pec", kv.n - 2), ("natural", kv.n)):
+        mu, V, W = problems._vertical_modes(kv, lids)
+        assert V.shape == (kv.n, nmodes) and mu.shape == (nmodes,)
+        npt.assert_allclose(V.T @ M_B @ V, np.eye(nmodes), rtol=0, atol=1e-13)
+    assert mu[0] == 0.0 and np.ptp(V[:, 0]) == 0.0 and np.all(mu[1:] > 0)
+    assert W.shape == (kv.n - 1, kv.n - 1)
+    npt.assert_allclose(W.T @ M_D @ W, np.eye(kv.n - 1), rtol=0, atol=1e-13)
