@@ -38,8 +38,6 @@ def main():
     dump_json(patchset_to_dict(bm.lsection_patches(), itf_l), OUT / "lsection_patches.json")
     itf_c = [Interface((0, (1, 1)), (1, (1, 0))), Interface((1, (1, 1)), (2, (1, 0)))]
     dump_json(patchset_to_dict(bm.cylinder_sector_patches(), itf_c), OUT / "cylinder_patches.json")
-    itf_g = [Interface((0, (2, 1)), (1, (2, 0)))]
-    dump_json(patchset_to_dict(bm.waveguide_geometry(), itf_g), OUT / "guide_patches.json")
 
     dump_json(
         {

@@ -42,8 +42,8 @@ vertical knot vector or None, vertical scaling, reference component or
 None for scalars); dof ``offset + iz * dim2d + anchor``.  :func:`traces`
 enumerates from it the functions with a nonzero tangential trace on a
 face, with their local knot vectors along the face, which is all the
-Dirichlet walls, the port map and the interface glue of
-:mod:`splinecomplex.multipatch` read.
+Dirichlet walls and the interface glue of :mod:`splinecomplex.multipatch`
+read.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "assemble_matrix_2d",
     "assemble_matrix_3d",
     "assemble_load_3d",
-    "assemble_port_boundary",
     "dirichlet_dofs",
     "hcurl_error_3d",
     "traces",
@@ -487,7 +486,7 @@ def assemble_load_3d(cx3: Complex3D, geom, f):
     return np.bincount(np.concatenate(dofs).ravel(), weights=np.concatenate(vals).ravel(), minlength=cx3.dim)
 
 
-# -- traces: boundary conditions, interfaces, ports -----------------------------------
+# -- traces: boundary conditions and interfaces --------------------------------------
 
 
 def traces(space, face):
@@ -529,21 +528,6 @@ def traces(space, face):
 def dirichlet_dofs(space, faces):
     """Constrained dof indices of a 2D or 3D space for the tagged faces."""
     return sorted({dof for face in faces for dof, _, _ in traces(space, face)})
-
-
-def assemble_port_boundary(cx3: Complex3D, section_mass, side):
-    """Surface matrix of tangential traces on a z-port face.
-
-    ``section_mass`` is the 2D mass matrix of the section's vector space
-    ``Vector2D.from_complex(cx3.tcx)``.  Returns (B, trace_map): trace_map
-    are the 3D dofs of the traces on the face (2, side), in the Vector2D
-    ordering of the section; B is the full-size 3D sparse matrix of
-    int (n x E).(n x G) over the port, that mass matrix scattered to them.
-    """
-    tmap = np.array([dof for dof, _, _ in traces(cx3, (2, side))])
-    M2 = section_mass.tocoo()
-    B = sp.coo_matrix((M2.data, (tmap[M2.row], tmap[M2.col])), shape=(cx3.dim, cx3.dim)).tocsr()
-    return B, tmap
 
 
 # -- error evaluation ----------------------------------------------------------------

@@ -25,7 +25,6 @@ F = Fraction
 
 LSECTION_START = 8  # elements per direction of the L-section start mesh
 CYLINDER_START = 4  # elements per direction of the cylinder-section start mesh
-GUIDE_PATCHES = 2  # z patches of the straight guide
 
 __all__ = [
     "square_raw_tmesh",
@@ -38,7 +37,6 @@ __all__ = [
     "lsection_patches",
     "cylinder_sector_patches",
     "cylinder_section_raw_tmesh",
-    "waveguide_geometry",
 ]
 
 
@@ -276,14 +274,3 @@ def cylinder_section_raw_tmesh(level: int) -> RawTMesh:
         HE[:lim, j] = True
     return RawTMesh(tuple(bx), tuple(by), tuple(TMesh2D(bx, by, VE, HE, (1, 1)).faces))
 
-
-def waveguide_geometry(length: float = 1.0):
-    """Straight guide with square section (0, pi)^2, split into
-    ``GUIDE_PATCHES`` z patches."""
-    out = []
-    dz = length / GUIDE_PATCHES
-    for k in range(GUIDE_PATCHES):
-        A = np.diag([np.pi, np.pi, dz])
-        b = np.array([0.0, 0.0, k * dz])
-        out.append(linear_patch(A, b))
-    return out

@@ -4,14 +4,16 @@ sector source, straight-guide scattering.
 These drivers wire meshes, geometries, glue, assembly and solvers together
 and are what the command-line front end runs.
 
-The thick L and the cylinder sector are prisms, a section extruded over z
-in (0, 1): their 3D curl-curl and mass forms are Kronecker sums of section
-and vertical matrices, because the map (F(x, y), z) leaves every pullback
-block diagonal and the tensor Gauss rule of a cell is the product of its
-section and vertical rules.  The vertical generalized eigenbasis splits
-them exactly into one section-sized system per vertical mode (fast
-diagonalization), and only the section is assembled.  The thick L's lids
-are PEC, so its modes live on the interior vertical B-splines and its zero
+The thick L, the cylinder sector and the straight guide are prisms, a
+section extruded over z: their 3D curl-curl and mass forms are Kronecker
+sums of section and vertical matrices (:func:`_prism_pencil`), because the
+map (F(x, y), z) leaves every pullback block diagonal and the tensor Gauss
+rule of a cell is the product of its section and vertical rules.  Only the
+section is assembled.  The guide's system, with its port term, is formed
+from the Kronecker products and solved at once.  For the thick L and the
+cylinder the vertical generalized eigenbasis splits them exactly into one
+section-sized system per vertical mode (fast diagonalization).  The thick L's lids are
+PEC, so its modes live on the interior vertical B-splines and its zero
 count is their number times the free scalar section dofs.  The cylinder's
 lids are natural: its modes live on all vertical B-splines, and the
 constant (the B-splines sum to one) is the mode mu_0 = 0, whose derivative
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,7 +39,6 @@ from .assembly import (
     assemble_load_3d,
     assemble_matrix_2d,
     assemble_matrix_3d,
-    assemble_port_boundary,
     dirichlet_dofs,
     hcurl_error_3d,
 )
@@ -47,7 +49,6 @@ from .benchmarks import (
     lsection_raw_tmesh,
     square_geometry,
     square_raw_tmesh,
-    waveguide_geometry,
 )
 from .bspline import KnotVector, grad_matrix_1d
 from .geometry import GeometryMap
@@ -178,11 +179,12 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
     (fast diagonalization).  Only the section is assembled
     (:func:`_section_matrices`).  Each vertical mode mu_k of
     :func:`_vertical_modes` on the interior B-splines is one deflated
-    pencil of :func:`_mode_pencil` with a zero block of one free scalar
-    section dof each; the constant vertical mode of the vertical component
-    is the section's Dirichlet Laplacian (G^T M1 G, M0), whose kernel is
-    empty.  ``dofs`` and ``system_size`` count the 3D space, glued and on
-    the free dofs.
+    pencil (:func:`_prism_pencil` with 1 x 1 vertical matrices), whose
+    kernel [G; sqrt(mu_k) I] gives a zero block of one free scalar section
+    dof each; the constant vertical mode of the vertical component is the
+    section's Dirichlet Laplacian (G^T M1 G, M0), whose kernel is empty.
+    ``dofs`` and ``system_size`` count the 3D space, glued and on the free
+    dofs.
     """
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
@@ -191,7 +193,8 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
     (C, M1, M0, G), (glue1, glue0), _ = _section_matrices(ps, _L_WALLS)
     parts = []
     for mu in _vertical_modes(kv_z, "pec")[0]:
-        K, M, kernel = _mode_pencil(C, M1, M0, G, mu)
+        K, M = _prism_pencil(C, M1, M0, G, *_mode(mu))
+        kernel = sp.vstack([G, math.sqrt(mu) * sp.identity(G.shape[1])], format="csr")
         parts.append(solve_generalized_eig(K, M, kernel=kernel))
     # an empty kernel: any float zero of the Laplacian raises
     parts.append(solve_generalized_eig(G.T @ M1 @ G, M0, kernel=np.zeros((M0.shape[0], 0))))
@@ -242,15 +245,28 @@ def _vertical_modes(kv_z: KnotVector, lids):
     return mu, V, W
 
 
-def _mode_pencil(C, M1, M0, G, mu):
-    """(K, M, kernel) of vertical mode ``mu`` on (horizontal, vertical)
-    components: K = [[C + mu M1, -sqrt(mu) M1 G], [-sqrt(mu) G^T M1,
-    G^T M1 G]], M = diag(M1, M0), kernel [G; sqrt(mu) I], the gradients of
-    the scalar section functions times the mode."""
-    s = math.sqrt(mu)
-    M1G = M1 @ G
-    K = sp.bmat([[C + mu * M1, -s * M1G], [-s * M1G.T, G.T @ M1G]], format="csr")
-    return K, sp.block_diag([M1, M0], format="csr"), sp.vstack([G, s * sp.identity(G.shape[1])], format="csr")
+def _prism_pencil(C, M1, M0, G, MB, MD, D):
+    """(K, M), the curl-curl and mass matrices of a prism on (horizontal,
+    vertical) components, the vertical index slowest, from the section's
+    (C, M1, M0, G) (:func:`_section_matrices`) and the vertical B-spline
+    mass MB, D-spline mass MD and derivative D from B- to D-splines:
+    K = [[MB x C + D^T MD D x M1, -D^T MD x M1 G], [-MD D x G^T M1,
+    MD x G^T M1 G]] and M = diag(MB x M1, MD x M0).  Its kernel is
+    [I x G; D x I], the gradients of the scalar functions.  One vertical
+    mode mu is the 1 x 1 case (:func:`_mode`)."""
+    M1G, DMD = M1 @ G, D.T @ MD
+    K = sp.bmat(
+        [[sp.kron(MB, C) + sp.kron(DMD @ D, M1), sp.kron(-DMD, M1G)], [sp.kron(-MD @ D, M1G.T), sp.kron(MD, G.T @ M1G)]],
+        format="csr",
+    )
+    return K, sp.block_diag([sp.kron(MB, M1), sp.kron(MD, M0)], format="csr")
+
+
+def _mode(mu):
+    """The 1 x 1 vertical matrices (MB, MD, D) of vertical mode ``mu``:
+    (1, 1, sqrt(mu)), M_B- and M_D-orthonormal (:func:`_vertical_modes`)."""
+    one = np.ones((1, 1))
+    return one, one, math.sqrt(mu) * one
 
 
 # -- cylinder sector --------------------------------------------------------------
@@ -286,7 +302,7 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     lids are natural, and the problem is solved one vertical mode at a time
     (:func:`_vertical_modes`) on the section, the z = 0 control layer of
     each patch: mode 0 is (C + M1) x = f, mode k >= 1 the mode pencil's
-    K + M (:func:`_mode_pencil`) on the horizontal and vertical components.
+    K + M (:func:`_prism_pencil`) on the horizontal and vertical components.
     The load of each 3D patch is projected onto the modes and glued like the
     section; the solution is lifted back per patch for the 3D error.
     """
@@ -314,7 +330,7 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     xh, xv = np.zeros((glue1.ndof, n)), np.zeros((glue0.ndof, n - 1))
     xh[free1, 0] = solve_source((C + M1).tocsc(), bh[free1, 0])
     for k in range(1, n):
-        K, M, _ = _mode_pencil(C, M1, M0, G, mu[k])
+        K, M = _prism_pencil(C, M1, M0, G, *_mode(mu[k]))
         x = solve_source((K + M).tocsc(), np.r_[bh[free1, k], bv[free0, k - 1]])
         xh[free1, k], xv[free0, k - 1] = x[: free1.size], x[free1.size :]
     err2 = 0.0
@@ -328,59 +344,50 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
 
 # -- straight waveguide ----------------------------------------------------------
 
+GUIDE_PATCHES = 2  # z patches of the straight guide, joined C^0 at a p-fold knot
+
 
 def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz: int = 2, length: float = 1.0):
-    """TE10 pass-through on a straight guide with square section (0, pi)^2.
+    """TE10 pass-through on a straight guide with square section (0, pi)^2,
+    a prism over (0, length) with PEC side walls and ports at both ends.
+
+    The section's (C, M1, G) are the port's rot-rot, mass and kernel; with
+    its M0 and the vertical matrices they give the 3D system as Kronecker
+    products (:func:`_prism_pencil`).  The vertical space has
+    ``GUIDE_PATCHES * nz`` spans and a p-fold knot at each patch joint.
+    The port term is (e_0 e_0^T + e_n e_n^T) x M1 on the horizontal block,
+    the vertical B-splines at the ends being the traces there; the incident
+    mode's load M1 e sits at vertical index 0.
 
     Returns a dict with the port cutoff, reflection and transmission
     coefficients and the system size.
     """
     b = [i / n_section for i in range(n_section + 1)]
-    raw = tensor_raw_tmesh(b, b)
-    tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-    kv_z = KnotVector.uniform(degree, nz)
-    geoms = waveguide_geometry(length)
-    section_geom = square_geometry()
-    spaces = [Complex3D(tcx, kv_z) for _ in geoms]
-    ps = PatchSet(geoms, spaces, [Interface((0, (2, 1)), (1, (2, 0)))])
-
-    # port mode on the section
-    v2 = Vector2D.from_complex(tcx)
-    section = PatchSet([section_geom], [v2])
-    _, (K2, M2), free2 = _system(section, {0: ALL_FACES_2D}, ("rotrot", "mass"))
-    G2 = _gradient_kernel(section, None, {0: ALL_FACES_2D}, free2)
-    k10sq, e_free = solve_port_mode(K2[np.ix_(free2, free2)], M2[np.ix_(free2, free2)], kernel=G2)
-    e10 = np.zeros(v2.dim)
-    e10[free2] = e_free
+    tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), degree))
+    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    (C, M1, M0, G), _, (free1, free0) = _section_matrices(ps, {0: ALL_FACES_2D})
+    k10sq, e = solve_port_mode(C, M1, kernel=G)
     beta = math.sqrt(k * k - k10sq)
 
-    glue, (K, M), free = _system(ps, {kk: ALL_FACES_2D for kk in range(len(geoms))}, ("curlcurl", "mass"))
-    B0, tmap0 = assemble_port_boundary(spaces[0], M2, 0)
-    B1, tmap1 = assemble_port_boundary(spaces[1], M2, 1)
-    Bg = glue.global_matrix([B0, B1])
-    z1, z2 = 0.0, length
-    Me = M2 @ e10
-    load0 = np.zeros(spaces[0].dim)
-    load0[tmap0] = Me * np.exp(-1j * beta * z1).real  # z1 = 0
-    bg = glue.scatters[0].T @ load0
-
-    A = (K - k * k * M).astype(complex) + 1j * beta * Bg
-    rhs = 2j * beta * bg
-    x = np.zeros(glue.ndof, dtype=complex)
-    sol = solve_source(A[np.ix_(free, free)].tocsc(), rhs[free], tol=1e-8)
-    x[free] = sol
-
-    c0 = (glue.scatters[0] @ x)[tmap0]
-    c1 = (glue.scatters[1] @ x)[tmap1]
-    I1 = complex(c0 @ Me)
-    I2 = complex(c1 @ Me)
-    norm = float(e10 @ Me)
-    R, T = compute_scattering(I1, I2, norm, beta, z1, z2)
+    spans = GUIDE_PATCHES * nz
+    joints = [1 if i % nz else degree for i in range(1, spans)]
+    kv_z = KnotVector(degree, [Fraction(i, spans) for i in range(spans + 1)], [degree + 1, *joints, degree + 1])
+    MB, MD = length * _vertical_mass(kv_z, "B"), _vertical_mass(kv_z.derived(), "D") / length
+    K, M = _prism_pencil(C, M1, M0, G, MB, MD, grad_matrix_1d(kv_z).toarray())
+    n, nh = kv_z.n, kv_z.n * free1.size
+    ends = np.diag(np.r_[1.0, np.zeros(n - 2), 1.0])  # e_0 e_0^T + e_n e_n^T
+    port = sp.block_diag([sp.kron(ends, M1), sp.csr_matrix((K.shape[0] - nh,) * 2)])
+    Me = M1 @ e
+    rhs = np.zeros(K.shape[0], dtype=complex)
+    rhs[: free1.size] = 2j * beta * Me
+    x = solve_source(((K - k * k * M).astype(complex) + 1j * beta * port).tocsc(), rhs, tol=1e-8)
+    I1, I2 = complex(x[: free1.size] @ Me), complex(x[nh - free1.size : nh] @ Me)
+    R, T = compute_scattering(I1, I2, float(e @ Me), beta, 0.0, length)
     return {
         "k10_squared": k10sq,
         "beta": beta,
         "R": R,
         "T": T,
-        "dofs": glue.ndof,
-        "free_dofs": int(free.size),
+        "dofs": ps.spaces[0].dim * n + tcx.Y0.dim * (n - 1),
+        "free_dofs": int(free1.size * n + free0.size * (n - 1)),
     }

@@ -16,7 +16,6 @@ from splinecomplex.assembly import (
     assemble_load_3d,
     assemble_matrix_2d,
     assemble_matrix_3d,
-    assemble_port_boundary,
     dirichlet_dofs,
     gauss_points_1d,
     gauss_points_2d,
@@ -246,22 +245,6 @@ def test_dirichlet_counts_3d():
     assert expected_c1 == len([d for d in constrained if d < c1 * nz])
 
 
-def test_port_boundary_matrix():
-    p = 2
-    tcx = tcx_for(3, p)
-    cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
-    from splinecomplex.benchmarks import square_geometry
-
-    M2 = assemble_matrix_2d(Vector2D.from_complex(tcx), square_geometry(), "mass")
-    B, tmap = assemble_port_boundary(cx3, M2, 0)
-    Bd = B.toarray()
-    assert abs(Bd - Bd.T).max() < 1e-13
-    w = np.linalg.eigvalsh(0.5 * (Bd + Bd.T))
-    assert w[0] > -1e-12  # positive semidefinite Gram of tangential traces
-    # zero incident field gives a zero load by construction
-    assert B.shape == (cx3.dim, cx3.dim)
-
-
 def _lsection_spaces(p, nz=3):
     """The section complex of the level-1 L-section T-mesh at degree p and
     its four space types."""
@@ -321,29 +304,31 @@ def test_traces_are_the_functions_nonzero_on_each_face(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_port_trace_map_is_the_section_at_the_clamped_layer(p):
+    # the records of a z-face, in order, are the section's Vector2D dofs
+    # times the vertical B-spline clamped there: a port's trace map
     tcx, (*_, cx3) = _lsection_spaces(p)
     n1, n2, nz = tcx.Y1[0].dim, tcx.Y1[1].dim, cx3.nz
     for side, iz in ((0, 0), (1, nz - 1)):
-        B, tmap = assemble_port_boundary(cx3, sp.identity(n1 + n2, format="csr"), side)
-        expected = [iz * n1 + a for a in range(n1)] + [n1 * nz + iz * n2 + a for a in range(n2)]
-        assert tmap.tolist() == expected
-        assert np.array_equal(np.flatnonzero(B.diagonal()), np.sort(expected)) and B.nnz == n1 + n2
+        records = assembly.traces(cx3, (2, side))
+        assert [dof for dof, _, _ in records] == [iz * n1 + a for a in range(n1)] + [n1 * nz + iz * n2 + a for a in range(n2)]
+        assert [c for _, c, _ in records] == [0] * n1 + [1] * n2
 
 
 def test_waveguide_assembles_section_mass_once(monkeypatch):
-    # the port mode and both port boundaries share one section mass matrix
+    # the port mode, the ports and the 3D system share one set of section
+    # matrices: the vector mass and rot-rot and the scalar mass, once each
     from splinecomplex import assembly, problems
 
     kinds = []
 
     def counting(space, geom, kind, *args, **kw):
-        kinds.append(kind)
+        kinds.append((type(space).__name__, kind))
         return assemble_matrix_2d(space, geom, kind, *args, **kw)
 
     monkeypatch.setattr(problems, "assemble_matrix_2d", counting)
     monkeypatch.setattr(assembly, "assemble_matrix_2d", counting)
     problems.waveguide_scattering()
-    assert sorted(kinds) == ["mass", "rotrot"]
+    assert sorted(kinds) == [("Scalar2D", "mass"), ("Vector2D", "mass"), ("Vector2D", "rotrot")]
 
 
 def test_zero_measure_elements_skipped():

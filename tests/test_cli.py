@@ -200,13 +200,18 @@ def test_every_schema_benchmark_has_a_convergence_driver(stubbed_drivers, tmp_pa
 
 
 def test_byte_identical_reruns(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        code = main(
-            ["--out", str(out), "tmesh", "check", "--mesh", str(FIXTURES / "square_tmesh_l0.json"), "--degrees", "3,3"]
-        )
-        assert code == 0
-    assert (a / "tmesh_report.json").read_bytes() == (b / "tmesh_report.json").read_bytes()
+    # a mesh check, and the straight guide end to end (unstubbed)
+    runs = [
+        (["tmesh", "check", "--mesh", str(FIXTURES / "square_tmesh_l0.json"), "--degrees", "3,3"], "tmesh_report.json"),
+        (["solve-waveguide", "--problem", str(FIXTURES / "straight_guide.json")], "waveguide_report.json"),
+    ]
+    for args, report in runs:
+        a, b = tmp_path / args[0] / "a", tmp_path / args[0] / "b"
+        for out in (a, b):
+            assert main(["--out", str(out)] + args) == 0
+        assert (a / report).read_bytes() == (b / report).read_bytes()
+    rep = load_json(tmp_path / "solve-waveguide" / "a" / "waveguide_report.json")
+    assert (rep["dofs"], rep["free_dofs"]) == (430, 222) and rep["abs_R"] < 0.01 and abs(rep["abs_T"] - 1) < 0.01
 
 
 def test_fixture_round_trips():

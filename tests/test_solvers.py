@@ -271,7 +271,8 @@ def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
 def test_thick_l_mode_with_the_next_modes_kernel_is_a_numerical_error():
     """Each mode's deflation keeps the exact-kernel guards: the kernel of the
     neighbouring vertical mode, [G; sqrt(mu_2) I], is not annihilated by the
-    pencil of mu_1, and a float zero of the constant mode raises."""
+    pencil of mu_1 (the prism pencil with 1 x 1 vertical matrices), and a
+    float zero of the constant mode raises."""
     from splinecomplex import problems
     from splinecomplex.assembly import Vector2D
     from splinecomplex.benchmarks import lsection_patches, lsection_raw_tmesh
@@ -285,9 +286,9 @@ def test_thick_l_mode_with_the_next_modes_kernel_is_a_numerical_error():
     (C, M1, M0, G), _, _ = problems._section_matrices(ps, problems._L_WALLS)
     mu = problems._vertical_modes(KnotVector.uniform(p, 2), "pec")[0]
     assert mu.size == 2 and 0 < mu[0] < mu[1]
-    K, M, kernel = problems._mode_pencil(C, M1, M0, G, mu[0])
+    K, M = problems._prism_pencil(C, M1, M0, G, *problems._mode(mu[0]))
+    kernel, wrong = (sp.vstack([G, np.sqrt(m) * sp.identity(G.shape[1])]) for m in mu)
     assert solve_generalized_eig(K, M, kernel=kernel).zero_count == G.shape[1]
-    wrong = problems._mode_pencil(C, M1, M0, G, mu[1])[2]
     with pytest.raises(NumericalError, match="not annihilated"):
         solve_generalized_eig(K, M, kernel=wrong)
     # the constant mode's Laplacian has an empty kernel: a float zero raises
@@ -350,6 +351,103 @@ def test_cylinder_modes_match_the_assembled_3d_solve(p, nz):
     got = problems.cylinder_sector_source(0, degree=p, nz=nz)
     assert got[:2] == want[:2]
     npt.assert_allclose(got[2], want[2], rtol=1e-11, atol=0)
+
+
+def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
+    """The straight guide as two Complex3D z patches, assembled, glued and
+    solved in 3D, the port mass scattered to the dofs of the z-face traces:
+    the dict of ``waveguide_scattering``."""
+    import math
+
+    from splinecomplex import problems
+    from splinecomplex.assembly import Complex3D, Vector2D, traces
+    from splinecomplex.benchmarks import square_geometry
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.geometry import linear_patch
+    from splinecomplex.multipatch import Interface, PatchSet
+    from splinecomplex.tmesh import tensor_raw_tmesh
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    b = [i / n_section for i in range(n_section + 1)]
+    tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), degree))
+    cx3, dz = Complex3D(tcx, KnotVector.uniform(degree, nz)), length / 2
+    geoms = [linear_patch(np.diag([np.pi, np.pi, dz]), np.array([0.0, 0.0, i * dz])) for i in range(2)]
+    ps = PatchSet(geoms, [cx3] * 2, [Interface((0, (2, 1)), (1, (2, 0)))])
+    glue, (K, M), free = problems._system(ps, dict.fromkeys((0, 1), problems.ALL_FACES_2D), ("curlcurl", "mass"))
+    section, walls2 = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)]), {0: problems.ALL_FACES_2D}
+    _, (K2, M2), free2 = problems._system(section, walls2, ("rotrot", "mass"))
+    sub = np.ix_(free2, free2)
+    k10sq, e_free = solve_port_mode(K2[sub], M2[sub], kernel=problems._gradient_kernel(section, None, walls2, free2))
+    e = np.zeros(K2.shape[0])
+    e[free2] = e_free
+    beta, Me = math.sqrt(k * k - k10sq), M2 @ e
+    # the 3D dofs of the traces on each port, in the section's order
+    tmaps = [np.array([dof for dof, _, _ in traces(cx3, (2, side))]) for side in (0, 1)]
+    M2c = M2.tocoo()
+    ports = [sp.coo_matrix((M2c.data, (t[M2c.row], t[M2c.col])), shape=(cx3.dim, cx3.dim)).tocsr() for t in tmaps]
+    load = np.zeros(cx3.dim)
+    load[tmaps[0]] = Me
+    A = (K - k * k * M).astype(complex) + 1j * beta * glue.global_matrix(ports)
+    x = np.zeros(glue.ndof, dtype=complex)
+    x[free] = solve_source(A[np.ix_(free, free)].tocsc(), (2j * beta * (glue.scatters[0].T @ load))[free], tol=1e-8)
+    I1, I2 = (complex((S @ x)[t] @ Me) for S, t in zip(glue.scatters, tmaps))
+    R, T = compute_scattering(I1, I2, float(e @ Me), beta, 0.0, length)
+    return {"k10_squared": k10sq, "beta": beta, "R": R, "T": T, "dofs": glue.ndof, "free_dofs": int(free.size)}
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"degree": 3}, {"k": 1.7, "n_section": 4, "nz": 3}, {"degree": 3, "length": 2.5, "nz": 1}, {"degree": 1, "nz": 3}],
+)
+def test_waveguide_prism_matches_the_assembled_two_patch_guide(kw):
+    """The guide's Kronecker system against the two glued Complex3D patches:
+    equal port mode and sizes, and R and T to 1e-12 (measured: at most
+    6.2e-15)."""
+    from splinecomplex import problems
+
+    got, want = problems.waveguide_scattering(**kw), _waveguide_assembled(**kw)
+    sizes = ("k10_squared", "beta", "dofs", "free_dofs")
+    assert [got[key] for key in sizes] == [want[key] for key in sizes]
+    assert abs(got["R"] - want["R"]) <= 1e-12 and abs(got["T"] - want["T"]) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_prism_pencil_is_the_assembled_3d_pencil(p):
+    """``_prism_pencil`` with the full vertical matrices of (0, 2.5) against
+    ``assemble_matrix_3d``'s curl-curl and mass on one patch diag(pi, pi,
+    2.5), on the dofs off the side walls.  The 3D dofs are permuted from
+    the Complex3D blocks() order to (horizontal, vertical), the vertical
+    index slowest."""
+    from scipy.sparse.linalg import norm as sp_norm
+
+    from splinecomplex import problems
+    from splinecomplex.assembly import Complex3D, Vector2D, _vertical_mass
+    from splinecomplex.benchmarks import square_geometry
+    from splinecomplex.bspline import KnotVector, grad_matrix_1d
+    from splinecomplex.geometry import linear_patch
+    from splinecomplex.multipatch import PatchSet
+    from splinecomplex.tmesh import tensor_raw_tmesh
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    length, walls = 2.5, {0: problems.ALL_FACES_2D}
+    b = [i / 3 for i in range(4)]
+    tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), p))
+    kv = KnotVector.uniform(p, 2)
+    cx3 = Complex3D(tcx, kv)
+    ps3 = PatchSet([linear_patch(np.diag([np.pi, np.pi, length]))], [cx3])
+    _, (K3, M3), free = problems._system(ps3, walls, ("curlcurl", "mass"))
+    section = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    (C, M1, M0, G), _, (free1, free0) = problems._section_matrices(section, walls)
+    MB, MD = length * _vertical_mass(kv, "B"), _vertical_mass(kv.derived(), "D") / length
+    K, M = problems._prism_pencil(C, M1, M0, G, MB, MD, grad_matrix_1d(kv).toarray())
+    (o1, s1, *_), (o2, s2, *_), (o3, s0, *_) = cx3.blocks()
+    horizontal = [o1 + iz * s1.dim + d if d < s1.dim else o2 + iz * s2.dim + d - s1.dim for iz in range(kv.n) for d in free1]
+    vertical = [o3 + iz * s0.dim + d for iz in range(kv.n - 1) for d in free0]
+    perm = np.array(horizontal + vertical)
+    assert np.array_equal(np.sort(perm), free)
+    for A, A3 in ((K, K3), (M, M3)):
+        A3 = A3[np.ix_(perm, perm)]
+        assert sp_norm(A - A3) <= 1e-13 * sp_norm(A3)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

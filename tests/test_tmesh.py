@@ -1,6 +1,7 @@
 """T-mesh structure, extensions, analysis-suitability and anchor tracing."""
 
 import bisect
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -616,6 +617,25 @@ def test_tspline_tabulation_matches_exact_recursion_on_random_meshes(case):
                 want = (X[kx][:, None, :] * Y[ky][None, :, :]).reshape(order * order, -1)
                 _assert_close_to_exact(got, want[:, act])
                 assert not np.any(np.delete(want, act, axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(refined_tmeshes())
+def test_tsplines_reproduce_polynomials_on_random_meshes(case):
+    """On an analysis-suitable mesh the T-splines of degree p span every
+    x^a y^b with a, b <= p: the least-squares fit of each monomial by
+    ``TsplineSpace(M0).basis`` on a grid of more points than functions
+    leaves no residual."""
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    space = TsplineSpace(derive_complex_meshes(raw, p).M0)
+    m = math.isqrt(2 * space.dim) + 2  # m^2 > 2 dim points
+    g = (np.arange(m) + 1 / 3) / m
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    monomials = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a in range(p + 1) for b in range(p + 1)], axis=1)
+    B = space.basis(pts)
+    coeffs = np.linalg.lstsq(B, monomials, rcond=None)[0]
+    assert np.max(np.abs(B @ coeffs - monomials)) <= 1e-10
 
 
 def test_line_index_is_built_once_per_mesh(monkeypatch):
