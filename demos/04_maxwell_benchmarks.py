@@ -30,7 +30,7 @@ for level in (0, 1, 2):
     lam = float(run.result.values[0])
     print(f"level {level}: dofs {run.dofs}, lambda1 = {lam:.8f}, gap = {lam - reference:.2e}")
 
-print("\n== thick L (section times (0, 1)), degree 3, one vertical mode at a time ==")
+print("\n== thick L (section times (0, 1)), degree 3, from two section eigensolves ==")
 for level in (0, 1, 2):
     run = thick_l_eigenproblem(level, degree=3, count=1)
     lam = float(run.result.nonzero[0])

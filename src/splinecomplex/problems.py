@@ -10,14 +10,14 @@ sums of section and vertical matrices (:func:`_prism_pencil`), because the
 map (F(x, y), z) leaves every pullback block diagonal and the tensor Gauss
 rule of a cell is the product of its section and vertical rules.  Only the
 section is assembled.  The guide's system, with its port term, is formed
-from the Kronecker products and solved at once.  For the thick L and the
-cylinder the vertical generalized eigenbasis splits them exactly into one
-section-sized system per vertical mode (fast diagonalization).  The thick L's lids are
-PEC, so its modes live on the interior vertical B-splines and its zero
-count is their number times the free scalar section dofs.  The cylinder's
-lids are natural: its modes live on all vertical B-splines, and the
-constant (the B-splines sum to one) is the mode mu_0 = 0, whose derivative
-vanishes, so it has no vertical component.
+from the Kronecker products and solved at once.  The vertical generalized
+eigenbasis splits the thick L and the cylinder exactly by vertical modes
+(fast diagonalization).  The thick L's lids are PEC, so its modes live on
+the interior vertical B-splines, and its spectrum is sums of theirs and
+the section's (:func:`thick_l_eigenproblem`).  The cylinder solves one
+section-sized system per mode.  Its lids are natural: its modes live on
+all vertical B-splines, and the constant (the B-splines sum to one) is the
+mode mu_0 = 0, whose derivative vanishes, so it has no vertical component.
 """
 
 from __future__ import annotations
@@ -172,37 +172,36 @@ def lsection_laplace_eigenproblem(level: int = 0, degree: int = 4, count: int = 
 
 def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count: int = 5) -> EigenRun:
     """Maxwell cavity eigenvalues of the thick L (section times (0,1)), PEC
-    on the side walls and the lids, one vertical mode at a time.
+    on the side walls and the lids, from two section eigensolves.
 
-    The prism's curl-curl and mass forms are Kronecker sums of section and
-    vertical matrices, so the 1D eigenbasis in z splits the 3D pencil
-    (fast diagonalization).  Only the section is assembled
-    (:func:`_section_matrices`).  Each vertical mode mu_k of
-    :func:`_vertical_modes` on the interior B-splines is one deflated
-    pencil (:func:`_prism_pencil` with 1 x 1 vertical matrices), whose
-    kernel [G; sqrt(mu_k) I] gives a zero block of one free scalar section
-    dof each; the constant vertical mode of the vertical component is the
-    section's Dirichlet Laplacian (G^T M1 G, M0), whose kernel is empty.
-    ``dofs`` and ``system_size`` count the 3D space, glued and on the free
-    dofs.
+    Only the section is assembled (:func:`_section_matrices`).  On each
+    vertical mode mu_k of :func:`_vertical_modes` (interior B-splines, fast
+    diagonalization) a section TE pair C u = lambda M1 u, G^T M1 u = 0
+    gives lambda + mu_k; a Dirichlet Laplacian pair (G^T M1 G) phi =
+    kappa M0 phi spans with (G phi, phi) the block [[mu, -sqrt(mu)],
+    [-kappa sqrt(mu), kappa]], eigenvalues 0 and kappa + mu_k; the constant
+    vertical mode of the vertical component gives kappa.  So the spectrum is
+    n0 (n - 2) exact zeros (n0 free scalar section dofs, n vertical
+    B-splines), then {lambda_j + mu_k}, {kappa_i + mu_k} and {kappa_i}: the
+    cavity modes omega^2 = gamma^2 + (p pi / d)^2 in discrete form.  Any
+    float zero of the Laplacian raises.  ``dofs`` and ``system_size`` count
+    the 3D space, glued and on the free dofs.
     """
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
     ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, _L_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), _ = _section_matrices(ps, _L_WALLS)
-    parts = []
-    for mu in _vertical_modes(kv_z, "pec")[0]:
-        K, M = _prism_pencil(C, M1, M0, G, *_mode(mu))
-        kernel = sp.vstack([G, math.sqrt(mu) * sp.identity(G.shape[1])], format="csr")
-        parts.append(solve_generalized_eig(K, M, kernel=kernel))
+    mu = _vertical_modes(kv_z, "pec")[0]
+    lam = solve_generalized_eig(C, M1, kernel=G).nonzero
     # an empty kernel: any float zero of the Laplacian raises
-    parts.append(solve_generalized_eig(G.T @ M1 @ G, M0, kernel=np.zeros((M0.shape[0], 0))))
-    zero = sum(r.zero_count for r in parts)
-    values = np.concatenate([np.zeros(zero), np.sort(np.concatenate([r.nonzero for r in parts]))])
+    kappa = solve_generalized_eig(G.T @ M1 @ G, M0, kernel=np.zeros((M0.shape[0], 0))).values
+    n = kv_z.n  # the horizontal components keep the n - 2 interior vertical B-splines
+    zero = G.shape[1] * (n - 2)
+    sums = np.concatenate([np.add.outer(lam, mu).ravel(), np.add.outer(kappa, mu).ravel(), kappa])
+    values = np.concatenate([np.zeros(zero), np.sort(sums)])
     if count is not None:
         values = values[: zero + count]
-    n = kv_z.n  # the horizontal components keep the n - 2 interior vertical B-splines
     size = C.shape[0] * (n - 2) + M0.shape[0] * (n - 1)
     return EigenRun(glue1.ndof * n + glue0.ndof * (n - 1), size, EigenResult(values, zero))
 

@@ -273,8 +273,9 @@ def test_criterion_7_numerical_checks():
 
 def test_criterion_8_lsection_eigenvalue():
     # the L-membrane value of the 2D section, which the thick L's spectrum
-    # contains; the 3D thick L itself is checked at levels 0 and 1 in
-    # test_solvers.py (test_thick_l_converges_at_levels_0_and_1)
+    # contains (test_solvers.py, test_thick_l_tm_family_is_the_l_membrane_spectrum);
+    # the 3D thick L itself is checked at levels 0-2 in test_solvers.py
+    # (test_thick_l_converges_at_levels_0_to_2)
     from splinecomplex.problems import lsection_laplace_eigenproblem
 
     gaps = []

@@ -200,10 +200,11 @@ def test_every_schema_benchmark_has_a_convergence_driver(stubbed_drivers, tmp_pa
 
 
 def test_byte_identical_reruns(tmp_path):
-    # a mesh check, and the straight guide end to end (unstubbed)
+    # a mesh check, and the straight guide and the thick L end to end (unstubbed)
     runs = [
         (["tmesh", "check", "--mesh", str(FIXTURES / "square_tmesh_l0.json"), "--degrees", "3,3"], "tmesh_report.json"),
         (["solve-waveguide", "--problem", str(FIXTURES / "straight_guide.json")], "waveguide_report.json"),
+        (["solve-eig", "--problem", str(FIXTURES / "thickL_p4.json")], "eigenvalues.json"),
     ]
     for args, report in runs:
         a, b = tmp_path / args[0] / "a", tmp_path / args[0] / "b"
@@ -212,6 +213,8 @@ def test_byte_identical_reruns(tmp_path):
         assert (a / report).read_bytes() == (b / report).read_bytes()
     rep = load_json(tmp_path / "solve-waveguide" / "a" / "waveguide_report.json")
     assert (rep["dofs"], rep["free_dofs"]) == (430, 222) and rep["abs_R"] < 0.01 and abs(rep["abs_T"] - 1) < 0.01
+    rep = load_json(tmp_path / "solve-eig" / "a" / "eigenvalues.json")
+    assert (rep["dofs"], rep["zero_count"]) == (6660, 1280) and len(rep["nonzero_eigenvalues"]) == 5
 
 
 def test_fixture_round_trips():

@@ -248,13 +248,13 @@ def test_zero_threshold_flag_is_gone():
         assert exc.value.code == 2
 
 
-# -- the thick L, one vertical mode at a time ------------------------------------------
+# -- the thick L from two section eigensolves -------------------------------------------
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("nz", [1, 2, 3])
 def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
-    """The per-mode driver against the deflated solve of the curl-curl pencil
+    """The two-solve driver against the deflated solve of the curl-curl pencil
     assembled on the three Complex3D prisms: same sizes and zero block, and
     every nonzero eigenvalue to 1e-10."""
     from splinecomplex import problems
@@ -268,48 +268,68 @@ def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
     npt.assert_allclose(got.result.nonzero, want.result.nonzero, rtol=1e-10, atol=0)
 
 
-def test_thick_l_mode_with_the_next_modes_kernel_is_a_numerical_error():
-    """Each mode's deflation keeps the exact-kernel guards: the kernel of the
-    neighbouring vertical mode, [G; sqrt(mu_2) I], is not annihilated by the
-    pencil of mu_1 (the prism pencil with 1 x 1 vertical matrices), and a
-    float zero of the constant mode raises."""
+def test_thick_l_is_two_guarded_section_solves(monkeypatch):
+    """The thick L makes two eigensolves, the deflated section Maxwell
+    pencil and the section Laplacian, for any number of vertical modes.
+    Each keeps its guards through the driver: a gradient left out of the
+    section kernel is a float zero beyond it, and a float zero of the
+    Laplacian, whose kernel is empty, raises."""
     from splinecomplex import problems
     from splinecomplex.assembly import Vector2D
     from splinecomplex.benchmarks import lsection_patches, lsection_raw_tmesh
-    from splinecomplex.bspline import KnotVector
     from splinecomplex.multipatch import PatchSet
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
-    p = 2
-    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
+    tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, 2), 2))
     ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, problems._L_INTERFACES)
-    (C, M1, M0, G), _, _ = problems._section_matrices(ps, problems._L_WALLS)
-    mu = problems._vertical_modes(KnotVector.uniform(p, 2), "pec")[0]
-    assert mu.size == 2 and 0 < mu[0] < mu[1]
-    K, M = problems._prism_pencil(C, M1, M0, G, *problems._mode(mu[0]))
-    kernel, wrong = (sp.vstack([G, np.sqrt(m) * sp.identity(G.shape[1])]) for m in mu)
-    assert solve_generalized_eig(K, M, kernel=kernel).zero_count == G.shape[1]
-    with pytest.raises(NumericalError, match="not annihilated"):
-        solve_generalized_eig(K, M, kernel=wrong)
-    # the constant mode's Laplacian has an empty kernel: a float zero raises
+    section = problems._section_matrices
+    (C, M1, M0, G), _, _ = section(ps, problems._L_WALLS)
     L = (G.T @ M1 @ G).tolil()
     L[0, :] = L[:, 0] = 0.0
     with pytest.raises(NumericalError, match="exact kernel of dimension 0$"):
         solve_generalized_eig(L.tocsr(), M0, kernel=np.zeros((M0.shape[0], 0)))
 
+    calls = []
+    monkeypatch.setattr(problems, "solve_generalized_eig", lambda *a, **k: calls.append(1) or solve_generalized_eig(*a, **k))
+    for nz in (1, 2, 3):
+        calls.clear()
+        problems.thick_l_eigenproblem(0, degree=2, nz=nz, count=None)
+        assert len(calls) == 2, nz
 
-def test_thick_l_converges_at_levels_0_and_1():
+    def dropped(ps, walls):  # the first free scalar dof and its gradient left out
+        (C, M1, M0, G), glues, frees = section(ps, walls)
+        return (C, M1, M0[1:, 1:], G[:, 1:]), glues, frees
+
+    monkeypatch.setattr(problems, "_section_matrices", dropped)
+    with pytest.raises(NumericalError, match=r"^1 deflated eigenvalue\(s\) .* exact kernel of dimension"):
+        problems.thick_l_eigenproblem(0, degree=2, nz=2, count=None)
+
+
+@pytest.mark.parametrize("level, p", [(0, 2), (1, 3)])
+def test_thick_l_tm_family_is_the_l_membrane_spectrum(level, p):
+    """Every Dirichlet eigenvalue of the L-section, assembled on its own
+    scalar T-spline space, is a thick-L eigenvalue: the TM family of the
+    constant vertical mode of the vertical component."""
+    from splinecomplex import problems
+
+    membrane = problems.lsection_laplace_eigenproblem(level, p, count=None).result.values
+    thick = problems.thick_l_eigenproblem(level, degree=p, count=None).result.nonzero
+    gap = np.abs(thick[None, :] - membrane[:, None]).min(axis=1) / membrane
+    assert membrane.size > 0 and gap.max() <= 1e-11, gap.max()
+
+
+def test_thick_l_converges_at_levels_0_to_2():
     """The thick L at p=3, every eigenvalue: the zero block is one free
     scalar dof per interior vertical B-spline, and the first eigenvalue
     approaches the benchmark 9.63972384472 from above."""
     from splinecomplex import problems
 
-    runs = [problems.thick_l_eigenproblem(level, degree=3, count=None) for level in (0, 1)]
-    assert [r.result.zero_count for r in runs] == [783, 2010]
-    assert [r.system_size for r in runs] == [2724, 6682]
+    runs = [problems.thick_l_eigenproblem(level, degree=3, count=None) for level in (0, 1, 2)]
+    assert [r.result.zero_count for r in runs] == [783, 2010, 4302]
+    assert [r.system_size for r in runs] == [2724, 6682, 13906]
     gaps = [r.result.nonzero[0] - 9.63972384472 for r in runs]
-    assert 0 < gaps[1] < gaps[0]
-    npt.assert_allclose([r.result.nonzero[0] for r in runs], [9.64747878, 9.64280624], rtol=0, atol=1e-8)
+    assert 0 < gaps[2] < gaps[1] < gaps[0]
+    npt.assert_allclose([r.result.nonzero[0] for r in runs], [9.64747878, 9.64280624, 9.64095058], rtol=0, atol=1e-8)
 
 
 # -- the cylinder sector, one vertical mode at a time -----------------------------------
