@@ -9,7 +9,7 @@ the shipped fixtures stay reproducible.
 from pathlib import Path
 
 from splinecomplex import benchmarks as bm
-from splinecomplex.multipatch import Interface
+from splinecomplex.geometry import extrude
 from splinecomplex.serialization import dump_json, geometry_to_dict, patchset_to_dict, tmesh_to_dict
 
 OUT = Path(__file__).resolve().parent.parent / "fixtures"
@@ -34,10 +34,9 @@ def main():
         )
 
     dump_json(geometry_to_dict(bm.square_geometry()), OUT / "square_geometry.json")
-    itf_l = [Interface((0, (1, 0)), (1, (0, 0))), Interface((1, (1, 0)), (2, (0, 0)))]
-    dump_json(patchset_to_dict(bm.lsection_patches(), itf_l), OUT / "lsection_patches.json")
-    itf_c = [Interface((0, (1, 1)), (1, (1, 0))), Interface((1, (1, 1)), (2, (1, 0)))]
-    dump_json(patchset_to_dict(bm.cylinder_sector_patches(), itf_c), OUT / "cylinder_patches.json")
+    dump_json(patchset_to_dict(bm.lsection_patches(), bm.LSECTION_INTERFACES), OUT / "lsection_patches.json")
+    slices = [extrude(g) for g in bm.cylinder_sector_patches()]
+    dump_json(patchset_to_dict(slices, bm.CYLINDER_INTERFACES), OUT / "cylinder_patches.json")
 
     dump_json(
         {

@@ -8,6 +8,10 @@ The L-section family: per patch an 8 x 8 start mesh, dyadic refinement of a
 corner block per level; the terminating fine lines are prolonged by their
 face-extension length so the mesh stays analysis-suitable (for degree p the
 added prolongations are the ceil(p/2)-bay face extensions).
+
+The thick L and the cylinder sector are prisms: each is defined here by its
+planar section patches and their interfaces, and its 3D patches are the
+sections' ``extrude``.
 """
 
 from __future__ import annotations
@@ -19,12 +23,18 @@ import numpy as np
 
 from .bspline import KnotVector
 from .geometry import GeometryMap, affine_map, linear_patch
+from .multipatch import Interface
 from .tmesh import RawTMesh, TMesh2D
 
 F = Fraction
 
 LSECTION_START = 8  # elements per direction of the L-section start mesh
 CYLINDER_START = 4  # elements per direction of the cylinder-section start mesh
+
+# The interfaces of the three L-section patches and of the three
+# quarter-disk sections of the cylinder (and of their prisms).
+LSECTION_INTERFACES = (Interface((0, (1, 0)), (1, (0, 0))), Interface((1, (1, 0)), (2, (0, 0))))
+CYLINDER_INTERFACES = (Interface((0, (1, 1)), (1, (1, 0))), Interface((1, (1, 1)), (2, (1, 0))))
 
 __all__ = [
     "square_raw_tmesh",
@@ -35,7 +45,9 @@ __all__ = [
     "two_t_raw",
     "lsection_raw_tmesh",
     "lsection_patches",
+    "LSECTION_INTERFACES",
     "cylinder_sector_patches",
+    "CYLINDER_INTERFACES",
     "cylinder_section_raw_tmesh",
 ]
 
@@ -182,62 +194,33 @@ def lsection_patches():
     """Three unit patches covering the L-shaped section (-1,1)^2 \\ [-1,0]^2.
 
     Each patch maps the parametric corner (0, 0) onto the reentrant corner
-    and has a positively oriented affine (rotation) map.
+    and has a positively oriented affine (rotation) map; their ``extrude``
+    are the patches of the thick L.
     """
     rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rotm90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    ident = np.eye(2)
-    return [
-        linear_patch(rot90),  # (-1,0) x (0,1)
-        linear_patch(ident),  # (0,1) x (0,1)
-        linear_patch(rotm90),  # (0,1) x (-1,0)
-    ]
-
-
-def prism_patch(A2, b2=None) -> GeometryMap:
-    """3D patch: a planar affine section extruded along z over (0, 1)."""
-    A2 = np.asarray(A2, dtype=float)
-    b2 = np.zeros(2) if b2 is None else np.asarray(b2, dtype=float)
-    A = np.zeros((3, 3))
-    A[:2, :2] = A2
-    A[2, 2] = 1.0
-    b = np.array([b2[0], b2[1], 0.0])
-    return linear_patch(A, b)
+    # (-1,0) x (0,1), (0,1) x (0,1) and (0,1) x (-1,0)
+    return [linear_patch(rot90), linear_patch(np.eye(2)), linear_patch(rot90.T)]
 
 
 # -- cylinder sector --------------------------------------------------------------
 
 
 def cylinder_sector_patches():
-    """Three quarter-disk slices (times (0, 1) in z) covering 3/4 of the unit
-    cylinder.
+    """Three quarter-disk sections covering 3/4 of the unit disk; their
+    ``extrude`` are the slices of the cylinder sector.
 
-    Each slice is a degenerate NURBS patch: linear in the radius, a rational
-    quarter arc in the angle; the whole edge zeta1 = 0 collapses onto the
-    axis.
+    Each section is a degenerate NURBS patch: linear in the radius, a
+    rational quarter arc in the angle; the whole edge zeta1 = 0 collapses
+    onto the axis.
     """
-    out = []
-    w = np.sqrt(2) / 2
     arcs = [
         np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
         np.array([[0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]]),
         np.array([[-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0]]),
     ]
-    kv_r = KnotVector.uniform(1, 1)
-    kv_t = KnotVector.uniform(2, 1)
-    kv_z = KnotVector.uniform(1, 1)
-    for arc in arcs:
-        cp2, wts2 = [], []
-        for j in range(3):
-            for i in range(2):
-                cp2.append(arc[j] * (0.0 if i == 0 else 1.0))
-                wts2.append(1.0 if j != 1 else w)
-        cp2 = np.asarray(cp2)
-        wts2 = np.asarray(wts2)
-        cp = np.vstack([np.column_stack([cp2, np.full(6, z)]) for z in (0.0, 1.0)])
-        wts = np.concatenate([wts2, wts2])
-        out.append(GeometryMap((kv_r, kv_t, kv_z), cp, wts))
-    return out
+    kvs, wts = (KnotVector.uniform(1, 1), KnotVector.uniform(2, 1)), np.repeat([1.0, np.sqrt(2) / 2, 1.0], 2)
+    radius = np.tile([0.0, 1.0], 3)[:, None]  # the axis, then the arc point: direction 1 fastest
+    return [GeometryMap(kvs, np.repeat(arc, 2, axis=0) * radius, wts) for arc in arcs]
 
 
 def cylinder_section_raw_tmesh(level: int) -> RawTMesh:

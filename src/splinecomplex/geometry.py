@@ -7,7 +7,8 @@ four pullbacks are the composition, covariant, Piola and determinant
 transforms that preserve point values, circulations, fluxes and integrals.
 Unknown fields are always splines; NURBS enter through the geometry only.
 Affine patches (``linear_patch``, ``affine_map``) are degree-one maps on
-one element, and the control map F_C of a spline geometry is the degree-one
+one element, a prism (``extrude``) is a section times a degree-one z
+direction, and the control map F_C of a spline geometry is the degree-one
 map on its Greville mesh through the same control points.
 """
 
@@ -25,6 +26,7 @@ __all__ = [
     "GeometryMap",
     "affine_map",
     "linear_patch",
+    "extrude",
     "pullback",
     "apply_pullback",
     "apply_pushforward",
@@ -161,6 +163,15 @@ def affine_map(scale, offset=None, ndim=None) -> GeometryMap:
     """Axis-aligned affine geometry x = offset + diag(scale) * zeta."""
     scale = np.atleast_1d(np.asarray(scale, dtype=float))
     return linear_patch(np.diag(np.broadcast_to(scale, ndim or scale.size)), offset)
+
+
+def extrude(section: GeometryMap) -> GeometryMap:
+    """The prism (F(x, y), z), z in (0, 1), over a planar section F: its
+    knot vectors and a degree-one z direction, slowest, whose control net
+    is the section's at z = 0, then at z = 1, with the section's weights."""
+    cp, w = section.control_points, section.weights
+    net = np.vstack([np.column_stack([cp, np.full(len(cp), z)]) for z in (0.0, 1.0)])
+    return GeometryMap((*section.kvs, KnotVector.uniform(1, 1)), net, None if w is None else np.tile(w, 2))
 
 
 # -- pullbacks / push-forwards -----------------------------------------------------

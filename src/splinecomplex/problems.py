@@ -5,11 +5,12 @@ These drivers wire meshes, geometries, glue, assembly and solvers together
 and are what the command-line front end runs.
 
 The thick L, the cylinder sector and the straight guide are prisms, a
-section extruded over z: their 3D curl-curl and mass forms are Kronecker
-sums of section and vertical matrices (:func:`_prism_pencil`), because the
-map (F(x, y), z) leaves every pullback block diagonal and the tensor Gauss
-rule of a cell is the product of its section and vertical rules.  Only the
-section is assembled.  The guide's system, with its port term, is formed
+section extruded over z (the benchmarks define the sections, and
+``geometry.extrude`` the 3D patches): their 3D curl-curl and mass forms
+are Kronecker sums of section and vertical matrices (:func:`_prism_pencil`),
+because the map (F(x, y), z) leaves every pullback block diagonal and the
+tensor Gauss rule of a cell is the product of its section and vertical
+rules.  Only the section is assembled.  The guide's system, with its port term, is formed
 from the Kronecker products and solved at once.  The vertical generalized
 eigenbasis splits the thick L and the cylinder exactly by vertical modes
 (fast diagonalization).  The thick L's lids are PEC, so its modes live on
@@ -43,6 +44,8 @@ from .assembly import (
     hcurl_error_3d,
 )
 from .benchmarks import (
+    CYLINDER_INTERFACES,
+    LSECTION_INTERFACES,
     cylinder_section_raw_tmesh,
     cylinder_sector_patches,
     lsection_patches,
@@ -51,31 +54,23 @@ from .benchmarks import (
     square_raw_tmesh,
 )
 from .bspline import KnotVector, grad_matrix_1d
-from .geometry import GeometryMap
-from .multipatch import Interface, PatchSet, build_glue, global_operator
+from .geometry import extrude
+from .multipatch import PatchSet, build_glue, global_operator
 from .solvers import EigenResult, compute_scattering, solve_generalized_eig, solve_port_mode, solve_source
 from .tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from .tspline import build_tspline_complex, derive_complex_meshes
 
 ALL_FACES_2D = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-# The three patches of the L-section (and of the thick L): the interfaces
-# and, per patch, the faces on the outer wall.
-_L_INTERFACES = (
-    Interface((0, (1, 0)), (1, (0, 0))),
-    Interface((1, (1, 0)), (2, (0, 0))),
-)
+# Per patch of the L-section (and of the thick L), the faces on the outer
+# wall; the interfaces are the benchmark's (LSECTION_INTERFACES).
 _L_WALLS = {
     0: [(0, 0), (0, 1), (1, 1)],
     1: [(0, 1), (1, 1)],
     2: [(0, 1), (1, 0), (1, 1)],
 }
 
-# The three slices of the cylinder sector: interfaces and walls, as for the L.
-_CYL_INTERFACES = (
-    Interface((0, (1, 1)), (1, (1, 0))),
-    Interface((1, (1, 1)), (2, (1, 0))),
-)
+# The walls of the three slices of the cylinder sector, as for the L.
 _CYL_WALLS = {0: [(1, 0)], 2: [(1, 1)]}
 
 __all__ = [
@@ -166,7 +161,7 @@ def lsection_laplace_eigenproblem(level: int = 0, degree: int = 4, count: int = 
     raw = lsection_raw_tmesh(level, degree)
     geoms = lsection_patches()
     spaces = [Scalar2D(TsplineSpace(TMesh2D.from_raw(raw, (degree, degree)))) for _ in geoms]
-    ps = PatchSet(geoms, spaces, _L_INTERFACES)
+    ps = PatchSet(geoms, spaces, LSECTION_INTERFACES)
     return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count)
 
 
@@ -190,7 +185,7 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
-    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, _L_INTERFACES)
+    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, LSECTION_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), _ = _section_matrices(ps, _L_WALLS)
     mu = _vertical_modes(kv_z, "pec")[0]
     lam = solve_generalized_eig(C, M1, kernel=G).nonzero
@@ -299,11 +294,12 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
 
     The vertical mesh refines with the level like the section does.  The
     lids are natural, and the problem is solved one vertical mode at a time
-    (:func:`_vertical_modes`) on the section, the z = 0 control layer of
-    each patch: mode 0 is (C + M1) x = f, mode k >= 1 the mode pencil's
-    K + M (:func:`_prism_pencil`) on the horizontal and vertical components.
-    The load of each 3D patch is projected onto the modes and glued like the
-    section; the solution is lifted back per patch for the 3D error.
+    (:func:`_vertical_modes`) on the three quarter-disk sections: mode 0 is
+    (C + M1) x = f, mode k >= 1 the mode pencil's K + M
+    (:func:`_prism_pencil`) on the horizontal and vertical components.  The
+    load of each slice, its section's ``extrude`` built once per solve, is
+    projected onto the modes and glued like the section; the solution is
+    lifted back per slice for the 3D error, on the same 3D tabulation.
     """
     nz = nz or 2 ** (level + 1)
     raw = cylinder_section_raw_tmesh(level)
@@ -311,10 +307,9 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
         raw = tensor_raw_tmesh(raw.breakpoints_x, raw.breakpoints_y)
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
-    geoms = cylinder_sector_patches()
-    half = len(geoms[0].weights) // 2  # the z = 0 control layer
-    sections = [GeometryMap(g.kvs[:2], g.control_points[:half, :2], g.weights[:half]) for g in geoms]
-    ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, _CYL_INTERFACES)
+    sections = cylinder_sector_patches()
+    geoms = [extrude(g) for g in sections]
+    ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, CYLINDER_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), (free1, free0) = _section_matrices(ps, _CYL_WALLS)
     mu, V, W = _vertical_modes(kv_z, "natural")
     cx3 = Complex3D(tcx, kv_z)
@@ -359,13 +354,18 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     mode's load M1 e sits at vertical index 0.
 
     Returns a dict with the port cutoff, reflection and transmission
-    coefficients and the system size.
+    coefficients and the system size.  A guide without length, or a k at or
+    below the TE10 cutoff (no propagating mode), is a ValueError.
     """
+    if length <= 0:
+        raise ValueError(f"waveguide length must be positive, got length = {length}")
     b = [i / n_section for i in range(n_section + 1)]
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), degree))
     ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
     (C, M1, M0, G), _, (free1, free0) = _section_matrices(ps, {0: ALL_FACES_2D})
     k10sq, e = solve_port_mode(C, M1, kernel=G)
+    if k * k <= k10sq:
+        raise ValueError(f"k = {k} is not above the TE10 cutoff sqrt(k10^2) = {math.sqrt(k10sq):.6g}: no propagating mode")
     beta = math.sqrt(k * k - k10sq)
 
     spans = GUIDE_PATCHES * nz

@@ -21,10 +21,10 @@ from splinecomplex.assembly import (
     gauss_points_2d,
     hcurl_error_3d,
 )
-from splinecomplex.benchmarks import cylinder_sector_patches, prism_patch, square_raw_tmesh
+from splinecomplex.benchmarks import cylinder_sector_patches, square_raw_tmesh
 from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
 from splinecomplex.complexes import build_complex
-from splinecomplex.geometry import linear_patch, pullback_weight
+from splinecomplex.geometry import extrude, linear_patch, pullback_weight
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
@@ -160,7 +160,7 @@ def test_curlcurl_kernel_contains_gradients():
     tcx = tcx_for(2, p)
     kv_z = KnotVector.uniform(p, 2)
     cx3 = Complex3D(tcx, kv_z)
-    geom = prism_patch(np.eye(2))
+    geom = extrude(linear_patch(np.eye(2)))
     K = assemble_matrix_3d(cx3, geom, "curlcurl")
     G = cx3.operators()["grad"]
     rng = np.random.default_rng(50)
@@ -195,7 +195,7 @@ def test_source_recovers_gradient_field():
     tcx = tcx_for(2, p)
     kv_z = KnotVector.uniform(p, 2)
     cx3 = Complex3D(tcx, kv_z)
-    geom = prism_patch(np.eye(2))
+    geom = extrude(linear_patch(np.eye(2)))
     K = assemble_matrix_3d(cx3, geom, "curlcurl")
     M = assemble_matrix_3d(cx3, geom, "mass")
 
@@ -217,7 +217,7 @@ def test_zero_rhs_zero_solution():
     p = 2
     tcx = tcx_for(2, p)
     cx3 = Complex3D(tcx, KnotVector.uniform(p, 1))
-    geom = prism_patch(np.eye(2))
+    geom = extrude(linear_patch(np.eye(2)))
     A = (assemble_matrix_3d(cx3, geom, "curlcurl") + assemble_matrix_3d(cx3, geom, "mass")).tocsc()
     x = solve_source(A, np.zeros(A.shape[0]))
     assert np.all(x == 0)
@@ -487,7 +487,7 @@ def test_3d_tables_match_per_anchor_oracle():
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(0), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
     # an affine prism and a degenerate NURBS cylinder slice
-    for geom in (prism_patch(np.array([[1.0, 0.3], [-0.2, 0.8]])), cylinder_sector_patches()[0]):
+    for geom in (extrude(linear_patch([[1.0, 0.3], [-0.2, 0.8]])), extrude(cylinder_sector_patches()[0])):
         _check_3d_against_oracle(cx3, geom)
 
 
@@ -591,7 +591,7 @@ def test_3d_patches_share_one_pattern_and_match_coo_sum():
     n = cx3.dim
     cells = list(_cells_3d(cx3, 3))
     with assembly._shared_patterns():
-        for geom in cylinder_sector_patches():
+        for geom in map(extrude, cylinder_sector_patches()):
             for kind, j in (("mass", 1), ("curlcurl", 2)):
                 A = assemble_matrix_3d(cx3, geom, kind)
                 tables = [(P, W, idx, C if kind != "mass" else V) for P, W, idx, V, C in cells]
@@ -603,7 +603,7 @@ def test_3d_patches_share_one_pattern_and_match_coo_sum():
 def test_patch_record_matches_per_element_geometry():
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
-    geom = cylinder_sector_patches()[1]
+    geom = extrude(cylinder_sector_patches()[1])
     (P, W), nelem, _ = assembly._x1_tables(cx3, 4)
     J, det = geom.jacobian_dets(P.reshape(-1, 3))
     J, det = J.reshape(*P.shape, 3), det.reshape(W.shape)
@@ -622,25 +622,34 @@ def test_patch_record_matches_per_element_geometry():
 def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     # the jacobian_dets calls of a whole solve do not grow with the elements:
     # the cylinder's matrices are evaluated on the 2D section maps (three
-    # patches, three kinds), its load and error on the 3D patches
+    # patches, three kinds), its load and error on the 3D slices, each slice
+    # contracted once: its error reuses the tabulation of its load
     from splinecomplex import problems
     from splinecomplex.geometry import GeometryMap
 
-    original = GeometryMap.eval_jacobian_dets
-    points = []
+    original, contract = GeometryMap.eval_jacobian_dets, GeometryMap._contract
+    points, contracted = [], []
 
     def counting(self, pts):
         points.append((self.ndim, len(pts)))
         return original(self, pts)
 
+    def counting_contract(self, pts):
+        contracted.append(self.ndim)
+        return contract(self, pts)
+
     monkeypatch.setattr(GeometryMap, "eval_jacobian_dets", counting)
-    calls, total = [], []
+    monkeypatch.setattr(GeometryMap, "_contract", counting_contract)
+    calls, total, contractions = [], [], []
     for level in (0, 1):
         points.clear()
+        contracted.clear()
         problems.cylinder_sector_source(level, degree=1, nz=1)
         calls.append([sum(d == ndim for d, _ in points) for ndim in (2, 3)])
         total.append(sum(n for _, n in points))
+        contractions.append(contracted.count(3))
     assert calls[0] == calls[1] == [9, 6], calls
+    assert contractions == [3, 3], contractions
     assert total[1] > total[0]
 
 
@@ -651,7 +660,7 @@ def test_geometry_tabulates_each_direction_on_its_distinct_abscissae(monkeypatch
 
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 3))
-    geom = cylinder_sector_patches()[0]
+    geom = extrude(cylinder_sector_patches()[0])
     seen = []
 
     def counting(f):

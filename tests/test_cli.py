@@ -104,6 +104,25 @@ def test_validation_error_exit_code(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err, spec
 
 
+@pytest.mark.parametrize(
+    "spec, names",
+    [
+        ({"k": 1.2, "length": -1.0}, ["length = -1.0"]),
+        ({"length": 0}, ["length = 0"]),
+        ({"k": 0.5}, ["k = 0.5", "cutoff sqrt(k10^2) = 1.001"]),
+    ],
+)
+def test_waveguide_without_length_or_propagating_mode_exits_2(tmp_path, capsys, spec, names):
+    # a guide of no length, or a k at or below the TE10 cutoff, is bad input
+    # named in the message, and no report is written
+    problem = tmp_path / "guide.json"
+    dump_json({"kind": "solve-waveguide", **spec}, problem)
+    assert run_cli(["solve-waveguide", "--problem", str(problem)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not (tmp_path / "waveguide_report.json").exists()
+
+
 class _ReadKeys(dict):
     """A problem spec that records every key a command reads."""
 
@@ -236,6 +255,22 @@ def test_fixture_round_trips():
             assert len(geoms2) == len(geoms)
         elif "kind" in d:
             validate_problem(d)
+
+
+def test_regenerate_fixtures_rebuilds_every_shipped_file(tmp_path, monkeypatch):
+    # the script run into an empty directory writes exactly fixtures/, byte
+    # for byte: the builders, the interfaces and the extruded slices agree
+    import importlib.util
+
+    path = FIXTURES.parent / "demos" / "regenerate_fixtures.py"
+    spec = importlib.util.spec_from_file_location("regenerate_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f.name for f in FIXTURES.iterdir())
+    for f in FIXTURES.iterdir():
+        assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_console_entry_point(tmp_path):

@@ -15,6 +15,7 @@ from splinecomplex.geometry import (
     apply_pushforward,
     build_control_complex,
     control_distance,
+    extrude,
     linear_patch,
     pullback,
 )
@@ -286,6 +287,36 @@ def test_closed_form_inverse_and_determinant(n):
     assert rel(pullback_weight(1, J, det, w), inv @ inv.transpose(0, 2, 1) * (w * det)[:, None, None]) < 1e-13
     if n == 3:
         assert rel(apply_pullback(2, J, det, v), det[:, None] * np.einsum("pij,pj->pi", inv, v)) < 1e-13
+
+
+@pytest.mark.parametrize("section", ["affine", "NURBS"])
+def test_extrude_is_the_section_times_z(section):
+    """extrude(F) maps (x, y, z) to (F(x, y), z): its Jacobian is
+    blockdiag(J2, 1) and its determinant the section's.  On an affine
+    section x = A2 zeta + b2 its control net is, exactly, that of the 3D
+    linear patch of [[A2, 0], [0, 1]] and (b2, 0)."""
+    from splinecomplex.benchmarks import cylinder_sector_patches
+
+    A2, b2 = np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([0.4, -1.5])
+    sec = linear_patch(A2, b2) if section == "affine" else cylinder_sector_patches()[1]
+    geo = extrude(sec)
+    assert geo.kvs == (*sec.kvs, KnotVector.uniform(1, 1)) and geo.nphys == 3
+    P = np.random.default_rng(11).uniform(0.05, 1, size=(40, 3))
+    X, J, det = geo.eval_jacobian_dets(P)
+    X2, J2, det2 = sec.eval_jacobian_dets(P[:, :2])
+    npt.assert_allclose(X, np.column_stack([X2, P[:, 2]]), rtol=0, atol=1e-14)
+    block = np.zeros((len(P), 3, 3))
+    block[:, :2, :2], block[:, 2, 2] = J2, 1.0
+    npt.assert_allclose(J, block, rtol=0, atol=1e-14)
+    npt.assert_allclose(det, det2, rtol=1e-14)
+    if section == "affine":
+        A = np.eye(3)
+        A[:2, :2] = A2
+        prism = linear_patch(A, np.r_[b2, 0.0])
+        assert geo.kvs == prism.kvs and geo.weights is None
+        assert np.array_equal(geo.control_points, prism.control_points)
+    else:
+        assert np.array_equal(geo.weights, np.tile(sec.weights, 2))
 
 
 def test_the_last_evaluation_is_kept_read_only():

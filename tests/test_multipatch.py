@@ -9,10 +9,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sp_norm
 
 from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D, assemble_matrix_2d
-from splinecomplex.benchmarks import lsection_patches, prism_patch
+from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches
 from splinecomplex.bspline import KnotVector
 from splinecomplex.exactrank import modular_rank
-from splinecomplex.geometry import linear_patch
+from splinecomplex.geometry import extrude, linear_patch
 from splinecomplex.multipatch import (
     ConformityError,
     Interface,
@@ -168,12 +168,8 @@ def test_lsection_global_grad_rank():
         tcxs.append(tcx)
         scalars.append(Scalar2D(TsplineSpace(tcx.meshes.M0)))
         vectors.append(Vector2D.from_complex(tcx))
-    interfaces = [
-        Interface((0, (1, 0)), (1, (0, 0))),
-        Interface((1, (1, 0)), (2, (0, 0))),
-    ]
-    ps0 = PatchSet(geoms, scalars, interfaces)
-    ps1 = PatchSet(geoms, vectors, interfaces)
+    ps0 = PatchSet(geoms, scalars, LSECTION_INTERFACES)
+    ps1 = PatchSet(geoms, vectors, LSECTION_INTERFACES)
     glue0 = build_glue(ps0)
     glue1 = build_glue(ps1)
     ops = [tcx.operators_int["grad"] for tcx in tcxs]
@@ -211,8 +207,8 @@ def test_two_cubes_scalar_dim():
     for _ in range(2):
         tcx = build_tspline_complex(derive_complex_meshes(raw, p))
         spaces.append(Scalar3D(Complex3D(tcx, kv_z)))
-    g0 = prism_patch(np.eye(2))
-    g1 = prism_patch(np.eye(2), b2=[1.0, 0.0])
+    g0 = extrude(linear_patch(np.eye(2)))
+    g1 = extrude(linear_patch(np.eye(2), [1.0, 0.0]))
     ps = PatchSet([g0, g1], spaces, [Interface((0, (0, 1)), (1, (0, 0)))])
     glue = build_glue(ps)
     n1d = n + p  # univariate dimension
@@ -231,8 +227,8 @@ def test_two_cubes_x1_glue_dd_zero():
         cx3s.append(cx3)
         x1s.append(cx3)
         x0s.append(Scalar3D(cx3))
-    g0 = prism_patch(np.eye(2))
-    g1 = prism_patch(np.eye(2), b2=[1.0, 0.0])
+    g0 = extrude(linear_patch(np.eye(2)))
+    g1 = extrude(linear_patch(np.eye(2), [1.0, 0.0]))
     itf = [Interface((0, (0, 1)), (1, (0, 0)))]
     glue0 = build_glue(PatchSet([g0, g1], x0s, itf))
     glue1 = build_glue(PatchSet([g0, g1], x1s, itf))
@@ -281,9 +277,7 @@ def test_thick_l_zero_block_is_glued_gradient_image():
     p, nz = 1, 2
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
     spaces = [Scalar3D(Complex3D(tcx, KnotVector.uniform(p, nz))) for _ in range(3)]
-    rots = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
-    itfs = [Interface((0, (1, 0)), (1, (0, 0))), Interface((1, (1, 0)), (2, (0, 0)))]
-    glue = build_glue(PatchSet([prism_patch(r) for r in rots], spaces, itfs))
+    glue = build_glue(PatchSet([extrude(g) for g in lsection_patches()], spaces, LSECTION_INTERFACES))
     walls = {0: [(0, 0), (0, 1), (1, 1)], 1: [(0, 1), (1, 1)], 2: [(0, 1), (1, 0), (1, 1)]}
     walled = set()
     for k, faces in walls.items():
@@ -482,8 +476,7 @@ def test_cycle_of_interfaces_glues_the_centre_once():
     tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(3), 2))
     geoms = lsection_patches() + [linear_patch(-np.eye(2))]
     interfaces = [
-        Interface((0, (1, 0)), (1, (0, 0))),
-        Interface((1, (1, 0)), (2, (0, 0))),
+        *LSECTION_INTERFACES,
         Interface((2, (1, 0)), (3, (0, 0))),
         Interface((0, (0, 0)), (3, (1, 0))),
     ]

@@ -134,15 +134,15 @@ def _thick_l_prisms(p, nz):
     and lids: (PatchSet, walls), the assembled 3D path."""
     from splinecomplex import problems
     from splinecomplex.assembly import Complex3D
-    from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch
+    from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches, lsection_raw_tmesh
     from splinecomplex.bspline import KnotVector
+    from splinecomplex.geometry import extrude
     from splinecomplex.multipatch import PatchSet
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, p), p))
     cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
-    rots = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
-    ps = PatchSet([prism_patch(r) for r in rots], [cx3] * 3, problems._L_INTERFACES)
+    ps = PatchSet([extrude(g) for g in lsection_patches()], [cx3] * 3, LSECTION_INTERFACES)
     walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
     return ps, walls
 
@@ -276,12 +276,12 @@ def test_thick_l_is_two_guarded_section_solves(monkeypatch):
     Laplacian, whose kernel is empty, raises."""
     from splinecomplex import problems
     from splinecomplex.assembly import Vector2D
-    from splinecomplex.benchmarks import lsection_patches, lsection_raw_tmesh
+    from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches, lsection_raw_tmesh
     from splinecomplex.multipatch import PatchSet
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, 2), 2))
-    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, problems._L_INTERFACES)
+    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, LSECTION_INTERFACES)
     section = problems._section_matrices
     (C, M1, M0, G), _, _ = section(ps, problems._L_WALLS)
     L = (G.T @ M1 @ G).tolil()
@@ -342,15 +342,16 @@ def _cylinder_assembled(p, nz):
 
     from splinecomplex import problems
     from splinecomplex.assembly import Complex3D, assemble_load_3d, hcurl_error_3d
-    from splinecomplex.benchmarks import cylinder_section_raw_tmesh, cylinder_sector_patches
+    from splinecomplex.benchmarks import CYLINDER_INTERFACES, cylinder_section_raw_tmesh, cylinder_sector_patches
     from splinecomplex.bspline import KnotVector
+    from splinecomplex.geometry import extrude
     from splinecomplex.multipatch import PatchSet
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(0), p))
     cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
-    geoms = cylinder_sector_patches()
-    ps = PatchSet(geoms, [cx3] * 3, problems._CYL_INTERFACES)
+    geoms = [extrude(g) for g in cylinder_sector_patches()]
+    ps = PatchSet(geoms, [cx3] * 3, CYLINDER_INTERFACES)
     glue, (K, M), free = problems._system(ps, problems._CYL_WALLS, ("curlcurl", "mass"))
     b = glue.global_vector([assemble_load_3d(cx3, g, problems.cyl_exact_field) for g in geoms])
     x = np.zeros(glue.ndof)

@@ -233,8 +233,9 @@ def test_zero_count_matches_restricted_grad_rank():
     import scipy.sparse as sp
 
     from splinecomplex.assembly import Complex3D, Scalar3D
-    from splinecomplex.benchmarks import lsection_raw_tmesh, prism_patch
+    from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches, lsection_raw_tmesh
     from splinecomplex.bspline import grad_matrix_1d
+    from splinecomplex.geometry import extrude
     from splinecomplex.multipatch import PatchSet, build_glue, global_operator
     from splinecomplex import problems
 
@@ -247,11 +248,10 @@ def test_zero_count_matches_restricted_grad_rank():
     G_int = sp.vstack(
         [sp.kron(Iz, oi[:n11]), sp.kron(Iz, oi[n11:]), d * sp.kron(grad_matrix_1d(cx3.kv_z), sp.identity(tcx.space_dim(0), dtype=np.int64))]
     ).tocsr()
-    rots = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]
-    geoms = [prism_patch(r) for r in rots]
+    geoms = [extrude(g) for g in lsection_patches()]
     walls = {k: faces + [(2, 0), (2, 1)] for k, faces in problems._L_WALLS.items()}
-    ps1 = PatchSet(geoms, [cx3] * 3, problems._L_INTERFACES)
-    ps0 = PatchSet(geoms, [Scalar3D(cx3)] * 3, problems._L_INTERFACES)
+    ps1 = PatchSet(geoms, [cx3] * 3, LSECTION_INTERFACES)
+    ps0 = PatchSet(geoms, [Scalar3D(cx3)] * 3, LSECTION_INTERFACES)
     glue1, glue0 = build_glue(ps1), build_glue(ps0)
     free1 = problems._free(ps1, glue1, walls, glue1.ndof)
     free0 = problems._free(ps0, glue0, walls, glue0.ndof)
