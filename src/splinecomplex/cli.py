@@ -240,6 +240,8 @@ def cmd_solve_waveguide(args):
 def cmd_convergence(args):
     spec = _problem(args, "convergence")
     bench = spec.get("benchmark", "square")
+    if "tensor" in spec and bench != "cylinder-sector":
+        raise ValueError(f"benchmark {bench} does not read the problem key 'tensor'")
     kwargs = _arguments(spec, "benchmark", "levels")
     rows = []
     for lev in spec.get("levels", [0, 1]):

@@ -6,22 +6,29 @@ operators are sparse integer matrices with entries in {-1, 0, +1}, assembled
 as Kronecker combinations of the univariate derivative pattern with
 identities.  Works for parametric dimension 1, 2 and 3; in 2D both the
 grad/rot and the rot/div sequences are produced.
+
+One rule ties the spaces to the mesh (:mod:`.tensormesh`): for equal odd
+degrees X_j sits on the j-dimensional entities and grad is the edge-vertex
+incidence; for equal even degrees X_j sits on the interior
+(d - j)-dimensional entities and grad is the interior face-cell incidence.
+Homogeneous boundary conditions follow one rule too: a scalar is clamped on
+every face, a 1-form in its tangential components, any other form below
+the top degree in its normal one, and the top form nowhere.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import Anchor1D, KnotVector, _clamped, grad_matrix_1d, scaled_eval
+from .bspline import _clamped, grad_matrix_1d, scaled_eval
 from .exactrank import annihilates, rank_with_upper_bound, rational_kernel_vector
 from .tensormesh import TensorMesh, build_tensor_mesh
 
 __all__ = [
-    "SplineFactor",
     "SplineSpace",
     "DiscreteComplex",
     "build_complex",
@@ -33,37 +40,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SplineFactor:
-    """One direction of a tensor-product space: a knot vector plus scaling tag."""
-
-    kv: KnotVector
-    scaling: str  # 'B' plain B-splines, 'D' Curry-Schoenberg scaled
-
-    @property
-    def dim(self) -> int:
-        return self.kv.n
-
-    def anchors(self):
-        return self.kv.anchors()
-
-
-@dataclass(frozen=True)
 class SplineSpace:
     """Tensor-product spline space, optionally one Cartesian component.
 
     Anchors are ordered lexicographically with direction 1 fastest.
     """
 
-    factors: tuple
+    kvs: tuple  # per direction, the derived knot vector where scaled
+    scalings: str  # per direction: 'B' plain B-splines, 'D' Curry-Schoenberg scaled
     component: int | None = None
 
     @property
     def ndim(self) -> int:
-        return len(self.factors)
+        return len(self.kvs)
 
     @property
     def shape(self) -> tuple:
-        return tuple(f.dim for f in self.factors)
+        return tuple(kv.n for kv in self.kvs)
 
     @property
     def dim(self) -> int:
@@ -71,17 +64,13 @@ class SplineSpace:
 
     def anchor_tuples(self):
         """All anchors as per-direction Anchor1D tuples, direction 1 fastest."""
-        per_dir = [f.anchors() for f in self.factors]
-        out = []
-        for idx in itertools.product(*(range(len(a)) for a in reversed(per_dir))):
-            rev = tuple(reversed(idx))
-            out.append(tuple(per_dir[d][rev[d]] for d in range(self.ndim)))
-        return out
+        per_dir = [kv.anchors() for kv in self.kvs]
+        return [tuple(a[i] for a, i in zip(per_dir, idx[::-1])) for idx in np.ndindex(*self.shape[::-1])]
 
     def eval_factors(self, direction: int, x, deriv: int = 0) -> np.ndarray:
         """Values (npts, n_dir) of this direction's scaled basis functions."""
-        f = self.factors[direction]
-        return scaled_eval(f.kv.local_rows, f.kv.degree, f.scaling, x, deriv)
+        kv = self.kvs[direction]
+        return scaled_eval(kv.local_rows, kv.degree, self.scalings[direction], x, deriv)
 
     def eval(self, coeffs, points) -> np.ndarray:
         """Evaluate the scalar field with the given coefficients.
@@ -99,14 +88,9 @@ class SplineSpace:
         return vals @ np.asarray(coeffs)
 
 
-def _space(kvs, pattern, component=None) -> SplineSpace:
-    factors = []
-    for kv, tag in zip(kvs, pattern):
-        if tag == "B":
-            factors.append(SplineFactor(kv, "B"))
-        else:
-            factors.append(SplineFactor(kv.derived(), "D"))
-    return SplineSpace(tuple(factors), component)
+def _space(kvs, scalings, component=None) -> SplineSpace:
+    kvs = tuple(kv if tag == "B" else kv.derived() for kv, tag in zip(kvs, scalings))
+    return SplineSpace(kvs, scalings, component)
 
 
 def _eye(n):
@@ -227,25 +211,13 @@ def build_complex(kvs) -> DiscreteComplex:
 
 def _kept_mask(space: SplineSpace, faces, constrained_axes) -> np.ndarray:
     """Mask of anchors kept after removing those with nonzero trace."""
-    keep = np.ones(space.dim, dtype=bool)
-    per_dir = [f.anchors() for f in space.factors]
-    shape = space.shape
+    keep = np.ones(space.shape, dtype=bool)
     for axis, side in faces:
-        if axis not in constrained_axes:
-            continue
-        deg = space.factors[axis].kv.degree
-        bad = [a.index for a in per_dir[axis] if _clamped(a.local, deg, side)]
-        for i in bad:
-            sl = _axis_indices(shape, axis, i)
-            keep[sl] = False
-    return keep
-
-
-def _axis_indices(shape, axis, i):
-    """Flat indices (direction 1 fastest) where the axis-index equals i."""
-    idx = np.arange(int(np.prod(shape)))
-    coord = (idx // int(np.prod(shape[:axis]))) % shape[axis]
-    return idx[coord == i]
+        if axis in constrained_axes:
+            kv = space.kvs[axis]
+            clamped = [_clamped(a.local, kv.degree, side) for a in kv.anchors()]
+            np.moveaxis(keep, axis, 0)[clamped] = False
+    return keep.ravel(order="F")
 
 
 @dataclass
@@ -261,31 +233,34 @@ class RestrictedComplex:
         return int(self.masks[j].sum())
 
 
+def _constrained_axes(j, component, d):
+    """The face axes on which the traces of form degree ``j`` (component
+    ``component``) vanish: every axis for scalars, none for the top form,
+    the tangential ones for 1-forms and the normal one otherwise."""
+    if j == 0:
+        return range(d)
+    if j == d:
+        return ()
+    return [axis for axis in range(d) if (axis != component) == (j == 1)]
+
+
 def _space_masks(cx: DiscreteComplex, faces) -> dict:
-    d = cx.ndim
     masks = {}
-
-    def vector_mask(spaces, constrained_for):
-        return np.concatenate(
-            [_kept_mask(s, faces, constrained_for(s.component)) for s in spaces]
+    for j, spaces in cx.spaces.items():
+        comps = spaces if isinstance(spaces, tuple) else (spaces,)
+        masks[j] = np.concatenate(
+            [_kept_mask(s, faces, _constrained_axes(j, s.component, cx.ndim)) for s in comps]
         )
-
-    if d == 1:
-        masks[0] = _kept_mask(cx.spaces[0], faces, {0})
-        masks[1] = np.ones(cx.spaces[1].dim, dtype=bool)
-        return masks
-    if d == 2:
-        masks[0] = _kept_mask(cx.spaces[0], faces, {0, 1})
-        # tangential trace: component m constrained on faces with axis != m
-        masks[1] = vector_mask(cx.spaces[1], lambda m: {0, 1} - {m})
-        masks["1*"] = vector_mask(cx.spaces["1*"], lambda m: {m})
-        masks[2] = np.ones(cx.spaces[2].dim, dtype=bool)
-        return masks
-    masks[0] = _kept_mask(cx.spaces[0], faces, {0, 1, 2})
-    masks[1] = vector_mask(cx.spaces[1], lambda m: {0, 1, 2} - {m})
-    masks[2] = vector_mask(cx.spaces[2], lambda m: {m})
-    masks[3] = np.ones(cx.spaces[3].dim, dtype=bool)
     return masks
+
+
+# The sequences of each dimension as (operator, source, target) form degrees;
+# 2D has the grad/rot and the rot/div ones.
+_SEQUENCES = {
+    1: [[("grad", 0, 1)]],
+    2: [[("grad", 0, 1), ("rot", 1, 2)], [("rotvec", 0, "1*"), ("div", "1*", 2)]],
+    3: [[("grad", 0, 1), ("curl", 1, 2), ("div", 2, 3)]],
+}
 
 
 def restrict_boundary(cx: DiscreteComplex, faces) -> RestrictedComplex:
@@ -293,16 +268,11 @@ def restrict_boundary(cx: DiscreteComplex, faces) -> RestrictedComplex:
     the selected faces; faces are (axis, side) pairs."""
     faces = tuple(sorted(set(faces)))
     masks = _space_masks(cx, faces)
-    ops = {}
-    d = cx.ndim
-    pairs = {
-        1: [("grad", 0, 1)],
-        2: [("grad", 0, 1), ("rot", 1, 2), ("rotvec", 0, "1*"), ("div", "1*", 2)],
-        3: [("grad", 0, 1), ("curl", 1, 2), ("div", 2, 3)],
-    }[d]
-    for name, src, dst in pairs:
-        A = cx.operators[name]
-        ops[name] = A[masks[dst]][:, masks[src]].tocsr()
+    ops = {
+        name: cx.operators[name][masks[dst]][:, masks[src]].tocsr()
+        for seq in _SEQUENCES[cx.ndim]
+        for name, src, dst in seq
+    }
     return RestrictedComplex(cx, faces, masks, ops)
 
 
@@ -386,28 +356,14 @@ def verify_exactness(cx) -> ExactnessReport:
     """
     restricted = isinstance(cx, RestrictedComplex)
     d = cx.parent.ndim if restricted else cx.ndim
-    ops = cx.operators
-    dims = {}
-    src = cx.masks if restricted else cx.spaces
-    for j in src:
-        dims[j] = cx.space_dim(j)
-    with_bc = False
-    if restricted:
-        if len(cx.faces) != 2 * d:
-            raise ValueError("exactness verification needs the full boundary constrained")
-        with_bc = True
-
-    if d == 1:
-        return verify_sequence([ops["grad"]], [dims[0], dims[1]], with_bc)
-    if d == 2:
-        rep = verify_sequence([ops["grad"], ops["rot"]], [dims[0], dims[1], dims[2]], with_bc)
-        rep2 = verify_sequence(
-            [ops["rotvec"], ops["div"]], [dims[0], dims["1*"], dims[2]], with_bc, prefix="*"
-        )
-        return _merge_reports(rep, rep2)
-    return verify_sequence(
-        [ops["grad"], ops["curl"], ops["div"]], [dims[0], dims[1], dims[2], dims[3]], with_bc
-    )
+    if restricted and len(cx.faces) != 2 * d:
+        raise ValueError("exactness verification needs the full boundary constrained")
+    reports = []
+    for i, seq in enumerate(_SEQUENCES[d]):
+        ops = [cx.operators[name] for name, _, _ in seq]
+        chain = [cx.space_dim(j) for j in (seq[0][1], *(dst for _, _, dst in seq))]
+        reports.append(verify_sequence(ops, chain, restricted, prefix="*" * i))
+    return functools.reduce(_merge_reports, reports)
 
 
 # -- field evaluation ----------------------------------------------------------------
@@ -461,54 +417,20 @@ def entity_correspondence(cx: DiscreteComplex) -> IncidenceReport:
     on interior entities.  Mixed parities are reported as not applicable.
     """
     degrees = [kv.degree for kv in cx.kvs]
-    parities = {p % 2 for p in degrees}
-    if len(set(degrees)) != 1 or len(parities) != 1:
+    if len(set(degrees)) != 1:
         return IncidenceReport("mixed", False, {}, {}, _entries_pm1(cx.operators))
-    mesh = cx.mesh
-    d = cx.ndim
+    mesh, d = cx.mesh, cx.ndim
     odd = degrees[0] % 2 == 1
+    names = ("vertices", "edges", "faces")
     bij = {}
-    matches = {}
+    for j in range(d + 1):
+        k = j if odd else d - j
+        name = "cells" if k == d else names[k] if odd else f"interior {names[k]}"
+        bij[f"X{j}"] = (name, cx.space_dim(j) == mesh.num_entities(k, interior=not odd))
     if odd:
-        bij["X0"] = ("vertices", cx.space_dim(0) == mesh.num_vertices)
-        if d >= 2:
-            edges = sum(mesh.num_edges(k) for k in range(d))
-            bij["X1"] = ("edges", cx.space_dim(1) == edges)
-        if d == 3:
-            faces = sum(mesh.num_faces(k) for k in range(3))
-            bij["X2"] = ("faces", cx.space_dim(2) == faces)
-            bij["X3"] = ("cells", cx.space_dim(3) == mesh.num_cells)
-        if d == 2:
-            bij["X2"] = ("cells", cx.space_dim(2) == mesh.num_cells)
-        inc = sp.vstack([mesh.edge_vertex_incidence(k) for k in range(d)]).tocsr()
-        G = cx.operators["grad"]
-        matches["grad=edge-vertex"] = (G - inc).nnz == 0
+        inc, key = [mesh.edge_vertex_incidence(k) for k in range(d)], "grad=edge-vertex"
     else:
-        bij["X0"] = ("cells", cx.space_dim(0) == mesh.num_cells)
-        if d >= 2:
-            kind = "interior faces" if d == 3 else "interior edges"
-            if d == 3:
-                cnt = sum(mesh.num_faces(k) - 2 * int(np.prod([mesh.nspans[j] for j in range(3) if j != k])) for k in range(3))
-            else:
-                cnt = sum(mesh.num_edges(k) - 2 * mesh.nspans[k] for k in range(2))
-            bij["X1"] = (kind, cx.space_dim(1) == cnt)
-        if d == 2:
-            interior_v = (mesh.nlines[0] - 2) * (mesh.nlines[1] - 2)
-            bij["X2"] = ("interior vertices", cx.space_dim(2) == interior_v)
-        if d == 3:
-            interior_e = sum(
-                mesh.nspans[k]
-                * int(np.prod([mesh.nlines[j] - 2 for j in range(3) if j != k]))
-                for k in range(3)
-            )
-            bij["X2"] = ("interior edges", cx.space_dim(2) == interior_e)
-            interior_v = int(np.prod([nl - 2 for nl in mesh.nlines]))
-            bij["X3"] = ("interior vertices", cx.space_dim(3) == interior_v)
-        inc = sp.vstack(
-            [mesh.face_cell_incidence(k) for k in range(d)]
-        ).tocsr()
-        G = cx.operators["grad"]
-        matches["grad=face-cell(interior)"] = (G - inc).nnz == 0
-    ok_bij = all(v[1] for v in bij.values())
-    matches["anchor-entity counts"] = ok_bij
+        inc, key = [mesh.face_cell_incidence(k) for k in range(d)], "grad=face-cell(interior)"
+    matches = {key: (cx.operators["grad"] - sp.vstack(inc)).nnz == 0}
+    matches["anchor-entity counts"] = all(v[1] for v in bij.values())
     return IncidenceReport("odd" if odd else "even", True, bij, matches, _entries_pm1(cx.operators))

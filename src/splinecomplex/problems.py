@@ -158,10 +158,8 @@ def lsection_laplace_eigenproblem(level: int = 0, degree: int = 4, count: int = 
     """Dirichlet Laplacian eigenvalues of the L-shaped section, three glued
     patches with corner-refined T-meshes (the first eigenvalue is the
     L-membrane benchmark value)."""
-    raw = lsection_raw_tmesh(level, degree)
-    geoms = lsection_patches()
-    spaces = [Scalar2D(TsplineSpace(TMesh2D.from_raw(raw, (degree, degree)))) for _ in geoms]
-    ps = PatchSet(geoms, spaces, LSECTION_INTERFACES)
+    space = Scalar2D(TsplineSpace(TMesh2D.from_raw(lsection_raw_tmesh(level, degree), (degree, degree))))
+    ps = PatchSet(lsection_patches(), [space] * 3, LSECTION_INTERFACES)
     return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count)
 
 

@@ -162,7 +162,7 @@ PROBLEM_KEYS = {
     "solve-eig": ("formulation", "level", "degree", "eigencount", "nz"),
     "solve-source": ("level", "degree", "nz", "tensor"),
     "solve-waveguide": ("k", "degree", "n_section", "nz", "length"),
-    "convergence": ("benchmark", "degree", "levels"),
+    "convergence": ("benchmark", "degree", "levels", "tensor"),
 }
 
 

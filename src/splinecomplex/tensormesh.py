@@ -1,16 +1,20 @@
 """Tensor-product meshes with zero-measure entities and their incidence matrices.
 
 The mesh induced by open knot vectors keeps empty knot spans, and renders each
-boundary breakpoint with multiplicity floor(p/2)+1.  Entity orderings are
-lexicographic with direction 1 fastest, matching the anchor numbering of the
-discrete spaces, so incidence matrices computed here can be compared entry by
-entry with the spline derivative matrices.
+boundary breakpoint with multiplicity floor(p/2)+1.  A k-dimensional entity
+spans k directions and sits on a line of each other direction; the interior
+ones avoid the two outermost lines.  One rule places the compatible spline
+spaces on them: X_j sits on the j-dimensional entities for odd degree and on
+the interior (d - j)-dimensional ones for even degree.  Entities of one kind
+are numbered with direction 1 fastest (NumPy's Fortran order), matching the
+anchor numbering of the discrete spaces, so incidence matrices computed here
+can be compared entry by entry with the spline derivative matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,12 +22,18 @@ import scipy.sparse as sp
 __all__ = ["TensorMesh", "build_tensor_mesh"]
 
 
-def _mixed_index(idx, sizes):
-    """Flatten a per-direction index tuple, direction 1 fastest."""
-    out = 0
-    for i, n in zip(reversed(idx), reversed(sizes)):
-        out = out * n + i
-    return out
+def _step_incidence(row_shape, col_shape, direction: int):
+    """Signed incidence of the entities of the grid ``row_shape`` with those
+    of ``col_shape``: entity i meets i (-1) and i plus one step in
+    ``direction`` (+1), both grids numbered with direction 1 fastest."""
+    tail = np.indices(row_shape).reshape(len(row_shape), -1, order="F")
+    head = tail.copy()
+    head[direction] += 1
+    n = tail.shape[1]
+    cols = np.concatenate([np.ravel_multi_index(x, col_shape, order="F") for x in (head, tail)])
+    vals = np.repeat(np.array([1, -1], dtype=np.int64), n)
+    shape = (n, int(np.prod(col_shape)))
+    return sp.coo_matrix((vals, (np.tile(np.arange(n), 2), cols)), shape=shape).tocsr()
 
 
 @dataclass(frozen=True)
@@ -49,34 +59,21 @@ class TensorMesh:
         ls = self.lines[direction]
         return [b - a for a, b in zip(ls, ls[1:])]
 
-    # -- entity counts -----------------------------------------------------
-
-    @property
-    def num_vertices(self) -> int:
-        return int(np.prod(self.nlines))
-
-    def num_edges(self, direction: int) -> int:
-        sizes = [self.nlines[d] for d in range(self.dim)]
-        sizes[direction] = self.nspans[direction]
-        return int(np.prod(sizes))
-
-    def num_faces(self, normal: int) -> int:
-        sizes = [self.nspans[d] for d in range(self.dim)]
-        sizes[normal] = self.nlines[normal]
-        return int(np.prod(sizes))
-
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.nspans))
+    def num_entities(self, k: int, interior: bool = False) -> int:
+        """Number of k-dimensional entities, zero-measure ones included:
+        over each choice of k directions, their spans times the other
+        directions' lines, the two outermost lines dropped if ``interior``."""
+        lines = [n - 2 * interior for n in self.nlines]
+        return sum(
+            int(np.prod([self.nspans[i] if i in axes else lines[i] for i in range(self.dim)]))
+            for axes in itertools.combinations(range(self.dim), k)
+        )
 
     def euler_2d(self) -> bool:
         """F + V = E + 1 for two-dimensional meshes (zero-measure included)."""
         if self.dim != 2:
             raise ValueError("Euler identity implemented for 2D meshes")
-        F = self.num_cells
-        V = self.num_vertices
-        E = self.num_edges(0) + self.num_edges(1)
-        return F + V == E + 1
+        return self.num_entities(2) + self.num_entities(0) == self.num_entities(1) + 1
 
     # -- incidence matrices ---------------------------------------------------
 
@@ -86,63 +83,21 @@ class TensorMesh:
         Edges are oriented toward increasing coordinate: +1 at the head
         vertex, -1 at the tail.
         """
-        nl = self.nlines
-        sizes_e = [nl[d] for d in range(self.dim)]
-        sizes_e[direction] = self.nspans[direction]
-        rows, cols, vals = [], [], []
-        for e_idx in _product_indices(tuple(sizes_e)):
-            e_flat = _mixed_index(e_idx, sizes_e)
-            tail = list(e_idx)
-            head = list(e_idx)
-            head[direction] += 1
-            rows.extend([e_flat, e_flat])
-            cols.extend([_mixed_index(tuple(head), nl), _mixed_index(tuple(tail), nl)])
-            vals.extend([1, -1])
-        shape = (int(np.prod(sizes_e)), self.num_vertices)
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64).tocsr()
+        edges = list(self.nlines)
+        edges[direction] = self.nspans[direction]
+        return _step_incidence(edges, self.nlines, direction)
 
     def face_cell_incidence(self, normal: int):
         """Signed face-cell incidence: for each cell, +1 on its lower face
         and -1 on its upper face in the normal direction.
 
         The outermost faces are dropped, matching the chain-complex
-        correspondence of even-degree spaces.
+        correspondence of even-degree spaces: face i lies between cells i
+        and i + 1.
         """
-        ns = self.nspans
-        nl = self.nlines
-        sizes_f = [ns[d] for d in range(self.dim)]
-        nlines_kept = nl[normal] - 2
-        sizes_f[normal] = nlines_kept
-        rows, cols, vals = [], [], []
-        for c_idx in _product_indices(ns):
-            c_flat = _mixed_index(c_idx, ns)
-            for side, sign in ((0, 1), (1, -1)):
-                f = list(c_idx)
-                f[normal] = c_idx[normal] + side - 1
-                if not (0 <= f[normal] < nlines_kept):
-                    continue
-                rows.append(_mixed_index(tuple(f), sizes_f))
-                cols.append(c_flat)
-                vals.append(sign)
-        shape = (int(np.prod(sizes_f)), self.num_cells)
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.int64).tocsr()
-
-
-def _product_indices(sizes):
-    """All index tuples over the given sizes, direction 1 fastest."""
-    if any(n == 0 for n in sizes):
-        return []
-    out = []
-    idx = [0] * len(sizes)
-    total = int(np.prod(sizes))
-    for _ in range(total):
-        out.append(tuple(idx))
-        for d in range(len(sizes)):
-            idx[d] += 1
-            if idx[d] < sizes[d]:
-                break
-            idx[d] = 0
-    return out
+        faces = list(self.nspans)
+        faces[normal] = self.nlines[normal] - 2
+        return _step_incidence(faces, self.nspans, normal)
 
 
 def build_tensor_mesh(kvs) -> TensorMesh:

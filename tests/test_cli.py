@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -273,6 +274,17 @@ def test_regenerate_fixtures_rebuilds_every_shipped_file(tmp_path, monkeypatch):
         assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+@pytest.mark.parametrize("demo", ["01_univariate_basics", "02_discrete_complex", "03_tmesh_and_tsplines"])
+def test_demo_runs(demo):
+    # each quick demo runs to the end and reports no failed check (the
+    # minutes-long 04_maxwell_benchmarks is left out)
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(FIXTURES.parent / "demos" / f"{demo}.py")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout, proc.stdout
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "splinecomplex.cli", "--out", str(tmp_path), "check-complex", "--degrees", "2", "--n", "5"],
@@ -318,6 +330,25 @@ def test_convergence_csv(tmp_path):
         rows.append(f"{run.dofs},{run.result.nonzero[0] - 1:.17g}\n")
     assert [r.split(",")[0] for r in rows] == ["74", "184"]
     assert (tmp_path / "convergence.csv").read_bytes() == ("dofs,value\n" + "".join(rows)).encode()
+
+
+def test_convergence_reads_tensor_for_the_cylinder_only(tmp_path, capsys):
+    # the cylinder row of a tensor mesh is the driver's tensor solve (at
+    # level 1 its dofs differ from the T-mesh's); another benchmark exits 2
+    # naming the key
+    from splinecomplex.problems import cylinder_sector_source
+
+    spec = tmp_path / "convergence.json"
+    dump_json({"kind": "convergence", "benchmark": "cylinder-sector", "degree": 1, "levels": [1], "tensor": True}, spec)
+    assert run_cli(["convergence", "--problem", str(spec)], tmp_path) == 0
+    dofs, _, err = cylinder_sector_source(1, 1, tensor=True)
+    assert dofs != cylinder_sector_source(1, 1)[0]
+    assert (tmp_path / "convergence.csv").read_text() == f"dofs,value\n{dofs},{err:.17g}\n"
+    for bench in ("square", "lsection"):
+        dump_json({"kind": "convergence", "benchmark": bench, "tensor": True}, spec)
+        capsys.readouterr()
+        assert run_cli(["convergence", "--problem", str(spec)], tmp_path) == 2, bench
+        assert "'tensor'" in capsys.readouterr().err, bench
 
 
 def test_readme_file_formats_list_each_commands_keys():

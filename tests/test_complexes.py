@@ -43,9 +43,9 @@ def test_tensor_mesh_1d_census():
 def test_tensor_mesh_2d_counts_p1():
     kv = KnotVector.uniform(1, 2)
     mesh = build_tensor_mesh([kv, kv])
-    assert mesh.num_vertices == 9
-    assert mesh.num_edges(0) + mesh.num_edges(1) == 12
-    assert mesh.num_cells == 4
+    assert mesh.num_entities(0) == 9
+    assert mesh.num_entities(1) == 12
+    assert mesh.num_entities(2) == 4
     assert mesh.euler_2d()
 
 
@@ -69,8 +69,8 @@ def test_lowest_order_nedelec_counts():
     kv = KnotVector.uniform(1, 3)
     cx = build_complex([kv, kv, kv])
     mesh = cx.mesh
-    assert cx.space_dim(1) == sum(mesh.num_edges(k) for k in range(3))
-    assert cx.space_dim(0) == mesh.num_vertices
+    assert cx.space_dim(1) == mesh.num_entities(1)
+    assert cx.space_dim(0) == mesh.num_entities(0)
 
 
 def test_alternating_dim_sum():
@@ -238,19 +238,18 @@ def test_eval_field_partition_of_unity():
 
 
 def test_eval_field_single_basis():
-    kv = KnotVector.uniform(2, 2)
-    cx = build_complex([kv, kv])
+    # each X0 basis function is the product of its anchor's univariate
+    # B-splines; unequal directions make the anchor order show
+    cx = build_complex([KnotVector.uniform(2, 2), KnotVector.uniform(2, 3)])
     X0 = cx.spaces[0]
-    c = np.zeros(X0.dim)
-    c[5] = 1.0
-    pts = np.array([[0.3, 0.6], [0.1, 0.9]])
-    direct = X0.eval(c, pts)
-    anchors = X0.anchor_tuples()
+    pts = np.random.default_rng(5).uniform(0, 1, size=(30, 2))
     from splinecomplex.bspline import eval_local
 
-    a = anchors[5]
-    manual = eval_local(a[0].local, 2, pts[:, 0]) * eval_local(a[1].local, 2, pts[:, 1])
-    npt.assert_allclose(direct, manual, atol=1e-14)
+    for i, a in enumerate(X0.anchor_tuples()):
+        c = np.zeros(X0.dim)
+        c[i] = 1.0
+        manual = eval_local(a[0].local, 2, pts[:, 0]) * eval_local(a[1].local, 2, pts[:, 1])
+        npt.assert_allclose(X0.eval(c, pts), manual, atol=1e-14)
 
 
 def test_grad_eval_consistency():
@@ -279,8 +278,7 @@ def test_entity_correspondence_odd():
     rep = entity_correspondence(cx)
     assert rep.applicable and rep.passed
     assert rep.bijections["X1"][0] == "edges"
-    mesh = cx.mesh
-    assert cx.space_dim(1) == sum(mesh.num_edges(k) for k in range(3))
+    assert cx.space_dim(1) == cx.mesh.num_entities(1)
 
 
 def test_entity_correspondence_even():
@@ -289,6 +287,16 @@ def test_entity_correspondence_even():
     rep = entity_correspondence(cx)
     assert rep.applicable and rep.passed, rep
     assert rep.bijections["X3"][0] == "interior vertices"
+
+
+def test_entity_correspondence_1d_covers_both_spaces():
+    # the one rule also places X1 in 1D: on the cells for odd degree, on the
+    # interior vertices for even degree
+    for p, x0, x1 in ((3, "vertices", "cells"), (2, "cells", "interior vertices")):
+        kv = KnotVector(p, (F(0), F(1, 3), F(1, 2), F(1)), (p + 1, 2, 1, p + 1))
+        rep = entity_correspondence(build_complex([kv]))
+        assert rep.applicable and rep.passed, rep
+        assert (rep.bijections["X0"][0], rep.bijections["X1"][0]) == (x0, x1)
 
 
 def test_entity_correspondence_mixed_not_applicable():
