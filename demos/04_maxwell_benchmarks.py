@@ -4,7 +4,7 @@
 Square cavity eigenvalues on the T-meshed (0, pi)^2 (compare m^2 + n^2),
 the L-section Dirichlet eigenvalue against the L-membrane reference, the
 thick-L Maxwell eigenvalue against the same reference, and the straight-guide TE10 pass-through with reflection/transmission
-coefficients.  Expect a couple of minutes in total.
+coefficients.  It runs in a few seconds.
 """
 
 import numpy as np

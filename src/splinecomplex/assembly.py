@@ -32,9 +32,8 @@ direction; component coefficient blocks are ordered (c1, c2, c3) with the
 never expanded: each is a sum of terms (2D factor) x (z factor) in one
 component.  Per 2D element the z-spans of its column are a batch axis and
 the z direction is contracted first, into z-integrated weights
-H = sum_qz Z Z' W, then the 2D factors against H.  Loads and the H(curl)
-error read the same factored tables, with the pulled-back source and the
-pushed-forward field (:func:`apply_pullback`, :func:`apply_pushforward`).
+H = sum_qz Z Z' W, then the 2D factors against H.  Prism loads and errors
+are integrated on their sections (:mod:`splinecomplex.problems`).
 
 Every space type (Scalar2D, Vector2D, Scalar3D, Complex3D) describes itself
 by ``blocks()``: per component block, (dof offset, 2D T-spline space,
@@ -49,7 +48,6 @@ read.
 from __future__ import annotations
 
 import itertools
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -59,7 +57,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bspline import KnotVector, _clamped, grad_matrix_1d, scaled_eval
 from .complexes import extrude_operators
-from .geometry import apply_pullback, apply_pushforward, pullback_weight
+from .geometry import pullback_weight
 from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
 
@@ -72,9 +70,7 @@ __all__ = [
     "Scalar3D",
     "assemble_matrix_2d",
     "assemble_matrix_3d",
-    "assemble_load_3d",
     "dirichlet_dofs",
-    "hcurl_error_3d",
     "traces",
 ]
 
@@ -468,24 +464,6 @@ def assemble_matrix_3d(cx3: Complex3D, geom, kind):
     return _csr(cx3, cx3.dim, dofs, np.concatenate(data))
 
 
-def assemble_load_3d(cx3: Complex3D, geom, f):
-    """Load vector int f . v for the curl-conforming space of one patch, the
-    z direction contracted first like in :func:`assemble_matrix_3d`."""
-    order = cx3.tcx.degree + 2
-    (P, W), nelem, blocks = _x1_tables(cx3, order)
-    X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
-    fhat = apply_pullback(2, J, det, np.asarray(f(X))) * W.reshape(-1, 1)
-    Z, ranges = _z_factors(blocks, False)
-    nzs = Z.shape[0]
-    Hf = fhat.reshape(nelem, nzs, order * order, 3 * order) @ Z.reshape(nzs, 3 * order, -1)  # z first
-    dofs, vals = [], []
-    for e in range(nelem):
-        cell_dofs, _, X2 = _element_tables(blocks, e, order)
-        dofs.append(cell_dofs)
-        vals.append(np.concatenate([(Xm[:, 0].T @ Hf[e][:, :, r]).reshape(nzs, -1) for Xm, r in zip(X2, ranges)], 1))
-    return np.bincount(np.concatenate(dofs).ravel(), weights=np.concatenate(vals).ravel(), minlength=cx3.dim)
-
-
 # -- traces: boundary conditions and interfaces --------------------------------------
 
 
@@ -528,31 +506,3 @@ def traces(space, face):
 def dirichlet_dofs(space, faces):
     """Constrained dof indices of a 2D or 3D space for the tagged faces."""
     return sorted({dof for face in faces for dof, _, _ in traces(space, face)})
-
-
-# -- error evaluation ----------------------------------------------------------------
-
-
-def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact):
-    """H(curl) error (l2_err, curl_err) of a discrete field against
-    closed-form references, by quadrature on the extended mesh of one patch."""
-    order = cx3.tcx.degree + 2
-    coeffs = np.asarray(coeffs)
-    (P, W), nelem, blocks = _x1_tables(cx3, order)
-    fields = []
-    for curl in (False, True):
-        Z, ranges = _z_factors(blocks, curl)
-        nzs = Z.shape[0]
-        Y = np.empty((nelem, nzs, order * order, Z.shape[-1]))
-        for e in range(nelem):  # the 2D factors against the coefficients
-            cell_dofs, pos, X2 = _element_tables(blocks, e, order, curl)
-            c = coeffs[cell_dofs]
-            for Xm, r, p in zip(X2, ranges, pos):
-                cm = c[:, p].reshape(nzs, Xm.shape[-1], -1)
-                Y[e][:, :, r] = (Xm.reshape(-1, Xm.shape[-1]) @ cm).reshape(nzs, order * order, -1)
-        fields.append((Y @ Z.reshape(nzs, 3 * order, -1).transpose(0, 2, 1)).reshape(-1, 3))
-    X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
-    du = apply_pushforward(1, J, det, fields[0]) - np.asarray(u_exact(X))
-    dc = apply_pushforward(2, J, det, fields[1]) - np.asarray(curlu_exact(X))
-    wdet = W.ravel() * det
-    return math.sqrt(np.sum(wdet * np.sum(du * du, axis=1))), math.sqrt(np.sum(wdet * np.sum(dc * dc, axis=1)))

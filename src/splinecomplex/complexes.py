@@ -7,10 +7,11 @@ as Kronecker combinations of the univariate derivative pattern with
 identities.  Works for parametric dimension 1, 2 and 3; in 2D both the
 grad/rot and the rot/div sequences are produced.
 
-One rule ties the spaces to the mesh (:mod:`.tensormesh`): for equal odd
+One rule ties the spaces to the mesh (:mod:`.tensormesh`): for odd
 degrees X_j sits on the j-dimensional entities and grad is the edge-vertex
-incidence; for equal even degrees X_j sits on the interior
-(d - j)-dimensional entities and grad is the interior face-cell incidence.
+incidence; for even degrees X_j sits on the interior (d - j)-dimensional
+entities and grad is the interior face-cell incidence.  The degrees may
+differ by direction as long as they share one parity.
 Homogeneous boundary conditions follow one rule too: a scalar is clamped on
 every face, a 1-form in its tangential components, any other form below
 the top degree in its normal one, and the top form nowhere.
@@ -412,15 +413,16 @@ def _entries_pm1(ops) -> bool:
 def entity_correspondence(cx: DiscreteComplex) -> IncidenceReport:
     """Match anchors to mesh entities and operators to incidence matrices.
 
-    Equal odd degrees give the cochain complex of the mesh (grad equals the
-    edge-vertex incidence matrix); equal even degrees give the chain complex
-    on interior entities.  Mixed parities are reported as not applicable.
+    Odd degrees give the cochain complex of the mesh (grad equals the
+    edge-vertex incidence matrix); even degrees give the chain complex on
+    interior entities.  Only the parity counts, so (3, 1) is odd; mixed
+    parities are reported as not applicable.
     """
-    degrees = [kv.degree for kv in cx.kvs]
-    if len(set(degrees)) != 1:
+    parities = {kv.degree % 2 for kv in cx.kvs}
+    if len(parities) != 1:
         return IncidenceReport("mixed", False, {}, {}, _entries_pm1(cx.operators))
     mesh, d = cx.mesh, cx.ndim
-    odd = degrees[0] % 2 == 1
+    odd = parities == {1}
     names = ("vertices", "edges", "faces")
     bij = {}
     for j in range(d + 1):

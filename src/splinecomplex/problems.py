@@ -5,13 +5,14 @@ These drivers wire meshes, geometries, glue, assembly and solvers together
 and are what the command-line front end runs.
 
 The thick L, the cylinder sector and the straight guide are prisms, a
-section extruded over z (the benchmarks define the sections, and
-``geometry.extrude`` the 3D patches): their 3D curl-curl and mass forms
-are Kronecker sums of section and vertical matrices (:func:`_prism_pencil`),
-because the map (F(x, y), z) leaves every pullback block diagonal and the
-tensor Gauss rule of a cell is the product of its section and vertical
-rules.  Only the section is assembled.  The guide's system, with its port term, is formed
-from the Kronecker products and solved at once.  The vertical generalized
+section extruded over z (the benchmarks define the sections; no driver
+needs the 3D patches of ``geometry.extrude``): their 3D curl-curl and mass
+forms are Kronecker sums of section and vertical matrices
+(:func:`_prism_pencil`), because the map (F(x, y), z) leaves every
+pullback block diagonal and the tensor Gauss rule of a cell is the product
+of its section and vertical rules.  Only the section is assembled.  The
+guide's system, with its port term, is formed from the Kronecker products
+and solved at once.  The vertical generalized
 eigenbasis splits the thick L and the cylinder exactly by vertical modes
 (fast diagonalization).  The thick L's lids are PEC, so its modes live on
 the interior vertical B-splines, and its spectrum is sums of theirs and
@@ -19,6 +20,9 @@ the section's (:func:`thick_l_eigenproblem`).  The cylinder solves one
 section-sized system per mode.  Its lids are natural: its modes live on
 all vertical B-splines, and the constant (the B-splines sum to one) is the
 mode mu_0 = 0, whose derivative vanishes, so it has no vertical component.
+Its load and H(curl) error are integrated on the section too (sum
+factorization): the section map on the 2D Gauss points, the modes on the z
+points, and no 3D map or 3D space (:func:`cylinder_sector_source`).
 """
 
 from __future__ import annotations
@@ -35,13 +39,15 @@ from .assembly import (
     Complex3D,
     Scalar2D,
     Vector2D,
+    _dof_tables_2d,
+    _rules_2d,
+    _shared_elements,
     _shared_patterns,
     _vertical_mass,
-    assemble_load_3d,
     assemble_matrix_2d,
     assemble_matrix_3d,
     dirichlet_dofs,
-    hcurl_error_3d,
+    gauss_points_1d,
 )
 from .benchmarks import (
     CYLINDER_INTERFACES,
@@ -53,8 +59,8 @@ from .benchmarks import (
     square_geometry,
     square_raw_tmesh,
 )
-from .bspline import KnotVector, grad_matrix_1d
-from .geometry import extrude
+from .bspline import KnotVector, grad_matrix_1d, scaled_eval
+from .geometry import _adjugate
 from .multipatch import PatchSet, build_glue, global_operator
 from .solvers import EigenResult, compute_scattering, solve_generalized_eig, solve_port_mode, solve_source
 from .tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
@@ -245,20 +251,13 @@ def _prism_pencil(C, M1, M0, G, MB, MD, D):
     K = [[MB x C + D^T MD D x M1, -D^T MD x M1 G], [-MD D x G^T M1,
     MD x G^T M1 G]] and M = diag(MB x M1, MD x M0).  Its kernel is
     [I x G; D x I], the gradients of the scalar functions.  One vertical
-    mode mu is the 1 x 1 case (:func:`_mode`)."""
+    mode mu is the 1 x 1 case MB = MD = 1, D = sqrt(mu)."""
     M1G, DMD = M1 @ G, D.T @ MD
     K = sp.bmat(
         [[sp.kron(MB, C) + sp.kron(DMD @ D, M1), sp.kron(-DMD, M1G)], [sp.kron(-MD @ D, M1G.T), sp.kron(MD, G.T @ M1G)]],
         format="csr",
     )
     return K, sp.block_diag([sp.kron(MB, M1), sp.kron(MD, M0)], format="csr")
-
-
-def _mode(mu):
-    """The 1 x 1 vertical matrices (MB, MD, D) of vertical mode ``mu``:
-    (1, 1, sqrt(mu)), M_B- and M_D-orthonormal (:func:`_vertical_modes`)."""
-    one = np.ones((1, 1))
-    return one, one, math.sqrt(mu) * one
 
 
 # -- cylinder sector --------------------------------------------------------------
@@ -286,6 +285,25 @@ def cyl_zero_curl(X):
     return np.zeros((X.shape[0], 3))
 
 
+def _point_tables(space, order, deriv):
+    """The reference values of a 2D ``space``, or with ``deriv`` its rots or
+    grads (:func:`_dof_tables_2d`), at the Gauss points of its elements,
+    element by element, as one sparse matrix (point, component) x dof."""
+    data, rows, cols = [], [], []
+    for e in range(len(space.elements())):
+        idx, T = _dof_tables_2d(space, e, order, deriv)
+        m = T.shape[1] * T.shape[2]
+        data.append(T.reshape(idx.size, m).T.ravel())
+        rows.append(np.repeat(np.arange(e * m, (e + 1) * m), idx.size))
+        cols.append(np.tile(idx, m))
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=((e + 1) * m, space.dim))
+
+
+def _lift(F, T):
+    """F (..., k) times T^T, T (m, k), as one matrix product: (..., m)."""
+    return (F.reshape(-1, F.shape[-1]) @ T.T).reshape(*F.shape[:-1], -1)
+
+
 def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tensor: bool = False):
     """Curl-curl source problem on 3/4 of the cylinder with a singular exact
     gradient field; returns (total dofs, free dofs, H(curl) error).
@@ -294,10 +312,14 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     lids are natural, and the problem is solved one vertical mode at a time
     (:func:`_vertical_modes`) on the three quarter-disk sections: mode 0 is
     (C + M1) x = f, mode k >= 1 the mode pencil's K + M
-    (:func:`_prism_pencil`) on the horizontal and vertical components.  The
-    load of each slice, its section's ``extrude`` built once per solve, is
-    projected onto the modes and glued like the section; the solution is
-    lifted back per slice for the 3D error, on the same 3D tabulation.
+    (:func:`_prism_pencil` with 1 x 1 vertical matrices) on the horizontal
+    and vertical components.  Load and error are integrated section point
+    by section point: a slice (F(x, y), z) has J = blockdiag(J2, 1), det J
+    = det J2 and adj J = blockdiag(adj J2, det J2), so only the section map
+    is evaluated, on the 2D Gauss points, and the modes Psi = B V, Psi' and
+    chi = D W on the z points.  The exact field, evaluated once on each
+    slice's (section point x z point) grid, is projected onto the modes for
+    the load, and the modal section fields are lifted over z for the error.
     """
     nz = nz or 2 ** (level + 1)
     raw = cylinder_section_raw_tmesh(level)
@@ -306,31 +328,47 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
     sections = cylinder_sector_patches()
-    geoms = [extrude(g) for g in sections]
     ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, CYLINDER_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), (free1, free0) = _section_matrices(ps, _CYL_WALLS)
     mu, V, W = _vertical_modes(kv_z, "natural")
-    cx3 = Complex3D(tcx, kv_z)
-    # the 3D blocks c1, c2 (section times B-splines) end at h_end, then c3
-    # (scalar section times D-splines); the vertical index runs slowest
-    n1, n, h_end = tcx.Y1[0].dim, kv_z.n, cx3.blocks()[2][0]
+    n, order = kv_z.n, degree + 2  # the rule of the load and the error
+    # the section's values, rots, scalar values and grads; the z rule and the modes on it
+    vec, sca = ps.spaces[0], Scalar2D(tcx.Y0)
+    E1, E0, R1, D0 = (_point_tables(s, order, d) for d in (False, True) for s in (vec, sca))
+    P2, W2 = (a.reshape(-1, *a.shape[2:]) for a in _rules_2d(_shared_elements(tcx.Y0, *tcx.Y1), order))
+    zq, wz = map(np.concatenate, zip(*(gauss_points_1d(float(a), float(b), order) for a, b in kv_z.spans())))
+    Psi, dPsi = (scaled_eval(kv_z.local_rows, degree, "B", zq, d) @ V for d in (0, 1))
+    chi = scaled_eval(kv_z.derived().local_rows, degree - 1, "D", zq) @ W
+    slices = []
     bh = bv = 0.0  # the glued loads: section dofs x modes
-    for S1, S0, geom in zip(glue1.scatters, glue0.scatters, geoms):
-        b = assemble_load_3d(cx3, geom, cyl_exact_field)
-        h = np.vstack([b[: n1 * n].reshape(n, -1).T, b[n1 * n : h_end].reshape(n, -1).T])
-        bh, bv = bh + S1.T @ (h @ V), bv + S0.T @ (b[h_end:].reshape(n - 1, -1).T @ W)
+    for S1, S0, section in zip(glue1.scatters, glue0.scatters, sections):
+        X2, J2, det2 = section.eval_jacobian_dets(P2)
+        X = np.column_stack([np.repeat(X2, zq.size, axis=0), np.tile(zq, len(P2))])
+        u, curl = (f(X).reshape(len(P2), zq.size, 3).transpose(0, 2, 1) for f in (cyl_exact_field, cyl_zero_curl))
+        A2 = _adjugate(J2)
+        slices.append((A2, J2, det2, u, curl))  # u, curl: (point, component, z)
+        fh = A2 @ _lift(u[:, :2] * wz, Psi.T) * W2[:, None, None]  # adj J2 f_h, z integrated
+        fv = _lift(u[:, 2] * wz, chi.T) * (det2 * W2)[:, None]
+        bh, bv = bh + S1.T @ (E1.T @ fh.reshape(-1, n)), bv + S0.T @ (E0.T @ fv)
     xh, xv = np.zeros((glue1.ndof, n)), np.zeros((glue0.ndof, n - 1))
     xh[free1, 0] = solve_source((C + M1).tocsc(), bh[free1, 0])
+    M1G = M1 @ G
+    GMG, GM1 = G.T @ M1G + M0, M1G.T
     for k in range(1, n):
-        K, M = _prism_pencil(C, M1, M0, G, *_mode(mu[k]))
-        x = solve_source((K + M).tocsc(), np.r_[bh[free1, k], bv[free0, k - 1]])
+        s = math.sqrt(mu[k])
+        A = sp.bmat([[C + (mu[k] + 1) * M1, -s * M1G], [-s * GM1, GMG]], format="csc")
+        x = solve_source(A, np.r_[bh[free1, k], bv[free0, k - 1]])
         xh[free1, k], xv[free0, k - 1] = x[: free1.size], x[free1.size :]
     err2 = 0.0
-    for S1, S0, geom in zip(glue1.scatters, glue0.scatters, geoms):
-        h, v = S1 @ xh @ V.T, S0 @ xv @ W.T  # back to the patch's section dofs x vertical functions
-        coeffs = np.concatenate([h[:n1].T.ravel(), h[n1:].T.ravel(), v.T.ravel()])
-        e_l2, e_curl = hcurl_error_3d(cx3, geom, coeffs, cyl_exact_field, cyl_zero_curl)
-        err2 += e_l2**2 + e_curl**2
+    for S1, S0, (A2, J2, det2, u, curl) in zip(glue1.scatters, glue0.scatters, slices):
+        h, v = S1 @ xh, S0 @ xv  # the modal fields on the patch's section dofs
+        U, rot = (E1 @ h).reshape(-1, 2, n), R1 @ h
+        w, gw = E0 @ v, (D0 @ v).reshape(-1, 2, n - 1)
+        # the reference field and curl over z, pushed forward: J^-T = adj J^T / det J and J / det J
+        ch = np.stack([_lift(gw[:, 1], chi) - _lift(U[:, 1], dPsi), _lift(U[:, 0], dPsi) - _lift(gw[:, 0], chi)], 1)
+        du = np.concatenate([np.swapaxes(A2, 1, 2) @ _lift(U, Psi) / det2[:, None, None], _lift(w, chi)[:, None]], 1) - u
+        dc = np.concatenate([J2 @ ch, _lift(rot, Psi)[:, None]], 1) / det2[:, None, None] - curl
+        err2 += np.sum((W2 * det2)[:, None, None] * wz * (du**2 + dc**2))
     return glue1.ndof * n + glue0.ndof * (n - 1), free1.size * n + free0.size * (n - 1), math.sqrt(err2)
 
 

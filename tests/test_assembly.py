@@ -13,13 +13,11 @@ from splinecomplex.assembly import (
     Scalar2D,
     Scalar3D,
     Vector2D,
-    assemble_load_3d,
     assemble_matrix_2d,
     assemble_matrix_3d,
     dirichlet_dofs,
     gauss_points_1d,
     gauss_points_2d,
-    hcurl_error_3d,
 )
 from splinecomplex.benchmarks import cylinder_sector_patches, square_raw_tmesh
 from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
@@ -27,6 +25,8 @@ from splinecomplex.complexes import build_complex
 from splinecomplex.geometry import extrude, linear_patch, pullback_weight
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+from oracle3d import assemble_load_3d, hcurl_error_3d
 
 F = Fraction
 
@@ -622,8 +622,8 @@ def test_patch_record_matches_per_element_geometry():
 def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     # the jacobian_dets calls of a whole solve do not grow with the elements:
     # the cylinder's matrices are evaluated on the 2D section maps (three
-    # patches, three kinds), its load and error on the 3D slices, each slice
-    # contracted once: its error reuses the tabulation of its load
+    # patches, three kinds), and its load and error once per section on the
+    # 2D points of their rule; no 3D map is evaluated or contracted
     from splinecomplex import problems
     from splinecomplex.geometry import GeometryMap
 
@@ -648,8 +648,8 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
         calls.append([sum(d == ndim for d, _ in points) for ndim in (2, 3)])
         total.append(sum(n for _, n in points))
         contractions.append(contracted.count(3))
-    assert calls[0] == calls[1] == [9, 6], calls
-    assert contractions == [3, 3], contractions
+    assert calls[0] == calls[1] == [12, 0], calls
+    assert contractions == [0, 0], contractions
     assert total[1] > total[0]
 
 

@@ -274,10 +274,9 @@ def test_regenerate_fixtures_rebuilds_every_shipped_file(tmp_path, monkeypatch):
         assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
 
 
-@pytest.mark.parametrize("demo", ["01_univariate_basics", "02_discrete_complex", "03_tmesh_and_tsplines"])
+@pytest.mark.parametrize("demo", ["01_univariate_basics", "02_discrete_complex", "03_tmesh_and_tsplines", "04_maxwell_benchmarks"])
 def test_demo_runs(demo):
-    # each quick demo runs to the end and reports no failed check (the
-    # minutes-long 04_maxwell_benchmarks is left out)
+    # each demo runs to the end in seconds and reports no failed check
     src = str(FIXTURES.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(FIXTURES.parent / "demos" / f"{demo}.py")], capture_output=True, text=True, env=env)

@@ -305,6 +305,21 @@ def test_entity_correspondence_mixed_not_applicable():
     assert not rep.applicable
 
 
+@pytest.mark.parametrize("degrees", [(3, 1), (1, 3, 5), (2, 4), (4, 2, 2)])
+def test_entity_correspondence_needs_one_parity_not_one_degree(degrees):
+    # unequal degrees of one parity follow the same entity rule
+    rep = entity_correspondence(build_complex([KnotVector.uniform(p, 3) for p in degrees]))
+    assert rep.applicable and rep.passed, rep
+    assert rep.kind == ("odd" if degrees[0] % 2 else "even")
+    assert rep.operator_matches and all(rep.operator_matches.values())
+    assert all(ok for _, ok in rep.bijections.values())
+
+
+def test_entity_correspondence_mixed_parity_stays_mixed():
+    rep = entity_correspondence(build_complex([KnotVector.uniform(2, 3), KnotVector.uniform(3, 3)]))
+    assert rep.kind == "mixed" and not rep.applicable and not rep.passed
+
+
 def test_incidence_property_random():
     rng = np.random.default_rng(18)
     for _ in range(10):

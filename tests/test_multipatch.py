@@ -293,7 +293,9 @@ def test_permuted_flipped_interface_glues_gradients():
     patch 0 map onto (zeta, xi), a permutation with the first axis
     reversed.  The glued gradient, the glued curl-curl kernel and a global
     gradient field must all come out right across it."""
-    from splinecomplex.assembly import assemble_load_3d, assemble_matrix_3d, hcurl_error_3d
+    from oracle3d import assemble_load_3d, hcurl_error_3d
+
+    from splinecomplex.assembly import assemble_matrix_3d
     from splinecomplex.solvers import solve_source
 
     p = 2
@@ -441,9 +443,9 @@ def test_scatter_glue_matches_sparse_products(monkeypatch, driver):
 
 @pytest.mark.parametrize("driver", ["cylinder", "thick_l", "waveguide"])
 def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
-    """The three prisms assemble no 3D matrix; the two multipatch sections
-    build one glue per section space (vector and scalar), and the guide's
-    one-patch section none.  Only the cylinder's load and error are 3D."""
+    """The three prisms build no 3D space and assemble no 3D matrix; the two
+    multipatch sections build one glue per section space (vector and
+    scalar), and the guide's one-patch section none."""
     from splinecomplex import problems
 
     calls = []
@@ -456,8 +458,12 @@ def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
     def unreached(*args):
         raise AssertionError("a prism driver assembled a 3D matrix")
 
+    def unbuilt(self):
+        raise AssertionError("a prism driver built a Complex3D")
+
     monkeypatch.setattr(problems, "build_glue", counting)
     monkeypatch.setattr(problems, "assemble_matrix_3d", unreached)
+    monkeypatch.setattr(Complex3D, "__post_init__", unbuilt)
     if driver == "cylinder":
         problems.cylinder_sector_source(0, degree=2, nz=2)
     elif driver == "thick_l":

@@ -340,8 +340,10 @@ def _cylinder_assembled(p, nz):
     assembled, glued and solved in 3D: (dofs, free dofs, H(curl) error)."""
     import math
 
+    from oracle3d import assemble_load_3d, hcurl_error_3d
+
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D, assemble_load_3d, hcurl_error_3d
+    from splinecomplex.assembly import Complex3D
     from splinecomplex.benchmarks import CYLINDER_INTERFACES, cylinder_section_raw_tmesh, cylinder_sector_patches
     from splinecomplex.bspline import KnotVector
     from splinecomplex.geometry import extrude
@@ -372,6 +374,46 @@ def test_cylinder_modes_match_the_assembled_3d_solve(p, nz):
     got = problems.cylinder_sector_source(0, degree=p, nz=nz)
     assert got[:2] == want[:2]
     npt.assert_allclose(got[2], want[2], rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cylinder_modal_load_is_the_3d_load_times_the_modes(monkeypatch, p):
+    """The right-hand sides of the driver's mode solves, the glued modal load
+    (bh, bv) on the free dofs, against the load assembled on the three
+    Complex3D slices, glued by section and vertical function and times the
+    modes (V, W): equal to 1e-12 of its largest entry."""
+    from oracle3d import assemble_load_3d
+
+    from splinecomplex import problems
+    from splinecomplex.assembly import Complex3D, Vector2D
+    from splinecomplex.benchmarks import CYLINDER_INTERFACES, cylinder_section_raw_tmesh, cylinder_sector_patches
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.geometry import extrude
+    from splinecomplex.multipatch import PatchSet
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    rhs = []
+    monkeypatch.setattr(problems, "solve_source", lambda A, b, **kw: rhs.append(b) or solve_source(A, b, **kw))
+    problems.cylinder_sector_source(0, degree=p, nz=2)
+
+    tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(0), p))
+    kv_z = KnotVector.uniform(p, 2)
+    cx3 = Complex3D(tcx, kv_z)
+    sections = cylinder_sector_patches()
+    ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, CYLINDER_INTERFACES)
+    _, (glue1, glue0), (free1, free0) = problems._section_matrices(ps, problems._CYL_WALLS)
+    _, V, W = problems._vertical_modes(kv_z, "natural")
+    n1, n, h_end = tcx.Y1[0].dim, kv_z.n, cx3.blocks()[2][0]
+    bh = bv = 0.0  # glued: section dofs x vertical functions
+    for S1, S0, g in zip(glue1.scatters, glue0.scatters, sections):
+        b = assemble_load_3d(cx3, extrude(g), problems.cyl_exact_field)
+        h = np.vstack([b[: n1 * n].reshape(n, -1).T, b[n1 * n : h_end].reshape(n, -1).T])
+        bh, bv = bh + S1.T @ h, bv + S0.T @ b[h_end:].reshape(n - 1, -1).T
+    want = np.concatenate([(bh @ V)[free1].T.ravel(), (bv @ W)[free0].T.ravel()])
+
+    assert len(rhs) == n
+    got = np.concatenate([rhs[0]] + [b[: free1.size] for b in rhs[1:]] + [b[free1.size :] for b in rhs[1:]])
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
