@@ -24,7 +24,8 @@ matrix go into a CSR pattern built once per element set (sorted
 ``indptr``/``indices`` plus the slot of every block entry in ``data``), so
 each kind is one ``np.bincount`` over the slots; inside
 :func:`_shared_patterns` every kind and every patch on the same spaces
-reuses it.
+reuses it, and every patch on the same 2D space reuses its element dof
+tables of one rule and derivative.
 
 Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
 direction; component coefficient blocks are ordered (c1, c2, c3) with the
@@ -185,18 +186,28 @@ def _bilinear(V, Gw):
 
 
 _PATTERNS = None  # pattern per element set while _shared_patterns() is open
+_TABLES = None  # element dof tables per (2D space, order, deriv), likewise
 
 
 @contextmanager
 def _shared_patterns():
     """Matrices assembled inside the block on the same element dof lists
-    share one sparsity pattern; it is dropped on exit."""
-    global _PATTERNS
-    outer, _PATTERNS = _PATTERNS, {}
+    share one sparsity pattern, and on the same 2D space one set of element
+    dof tables per rule and derivative; both are dropped on exit."""
+    global _PATTERNS, _TABLES
+    outer, _PATTERNS, outer_tables, _TABLES = _PATTERNS, {}, _TABLES, {}
     try:
         yield
     finally:
-        _PATTERNS = outer
+        _PATTERNS, _TABLES = outer, outer_tables
+
+
+def _space_key(space) -> tuple:
+    """The T-spline spaces (and the vertical knot vector) that fix the
+    element dof lists of ``space``: the key of its shared pattern."""
+    if isinstance(space, Complex3D):
+        return (space.tcx.Y0, *space.tcx.Y1, space.kv_z)
+    return (space.space,) if isinstance(space, Scalar2D) else (space.c1, space.c2)
 
 
 def _pattern(space, n, dofs):
@@ -204,10 +215,7 @@ def _pattern(space, n, dofs):
     slot), slot the position in ``data`` of each block entry, blocks in
     element order and row-major.  The element dof lists are fixed by the 2D
     spaces (and the vertical knot vector), which key the shared patterns."""
-    if isinstance(space, Complex3D):
-        key = (space.tcx.Y0, *space.tcx.Y1, space.kv_z)
-    else:
-        key = (space.space,) if isinstance(space, Scalar2D) else (space.c1, space.c2)
+    key = _space_key(space)
     if _PATTERNS is not None and key in _PATTERNS:
         return _PATTERNS[key]
     sizes = np.array([d.size for d in dofs])
@@ -267,6 +275,18 @@ def _dof_tables_2d(space, e, order, deriv):
     return idx, T
 
 
+def _space_tables(space, order, deriv) -> list:
+    """:func:`_dof_tables_2d` of every element of a 2D ``space``, shared
+    inside :func:`_shared_patterns` by the spaces of one key."""
+    key = (*_space_key(space), order, deriv)
+    if _TABLES is not None and key in _TABLES:
+        return _TABLES[key]
+    tables = [_dof_tables_2d(space, e, order, deriv) for e in range(len(space.elements()))]
+    if _TABLES is not None:
+        _TABLES[key] = tables
+    return tables
+
+
 def assemble_matrix_2d(space, geom, kind):
     """Sparse symmetric Galerkin matrix on one 2D patch: 'mass' and
     'gradgrad' on Scalar2D, 'mass' and 'rotrot' on Vector2D."""
@@ -275,7 +295,7 @@ def assemble_matrix_2d(space, geom, kind):
     order = max(degrees) + 1
     boxes = space.elements()
     G = _weights(geom, _rules_2d(boxes, order), j)
-    tables = [_dof_tables_2d(space, e, order, deriv) for e in range(len(boxes))]
+    tables = _space_tables(space, order, deriv)
     data = np.concatenate([_bilinear(T, Ge).ravel() for (_, T), Ge in zip(tables, G)])
     return _csr(space, space.dim, [idx for idx, _ in tables], data)
 
@@ -488,14 +508,17 @@ def traces(space, face):
         face_axes = [ax for ax in range(2 if kvz is None else 3) if ax != axis]
         c = None if comp is None else face_axes.index(comp)
         # (dof term, local knot vectors) of the 2D anchors and of the vertical functions
-        planar = [(a.index, (a.lkv1, a.lkv2)) for a in s2d.anchors]
+        on = np.arange(s2d.dim)
         vertical = [(0, ())]
         if kvz is not None:
             vertical = [(z.index * s2d.dim, (z.local,)) for z in kvz.anchors()]
-        if axis < 2:
-            planar = [(d, k) for d, k in planar if _clamped(k[axis], s2d.degrees[axis], side)]
+        if axis < 2:  # clamped on the rank arrays: rank 0 is the value 0, the last rank 1
+            R, q = s2d.ranks[axis], s2d.degrees[axis]
+            on = np.flatnonzero(R[:, q] == 0 if side == 0 else R[:, 1] == len(s2d.mesh.line_values[axis]) - 1)
         else:
             vertical = [(d, k) for d, k in vertical if _clamped(k[0], kvz.degree, side)]
+        keys = [(np.array(v, dtype=object)[R[on]]).tolist() for R, v in zip(s2d.ranks, s2d.mesh.line_values)]
+        planar = [(d, (tuple(k1), tuple(k2))) for d, k1, k2 in zip(on.tolist(), *keys)]
         for d2, k2 in planar:
             for dz, kz in vertical:
                 k = k2 + kz

@@ -244,11 +244,22 @@ class KnotRows:
         q = len(rows[0]) - 2
         if q < 0 or any(len(r) != q + 2 for r in rows):
             raise ValueError("local knot vectors must all have degree+2 entries")
-        knots = np.array([[float(k) for k in r] for r in rows])
-        left = np.array([float(r[q] - r[0]) for r in rows])
-        right = np.array([float(r[q + 1] - r[1]) for r in rows])
-        support = np.array([float(r[-1] - r[0]) for r in rows])
-        return cls(knots, left, right, support)
+        values = sorted(set().union(*rows))
+        rank = {v: r for r, v in enumerate(values)}
+        return cls.from_ranks(np.array([[rank[k] for k in r] for r in rows]), values)
+
+    @classmethod
+    def from_ranks(cls, ranks, values) -> "KnotRows":
+        """Convert local knot vectors given as an (N, q+2) int array of
+        indices into the increasing exact ``values``; each length is
+        rounded from the exact difference of its pair of values, computed
+        once per distinct pair."""
+        n, q = len(values), ranks.shape[1] - 2
+        pairs = ranks[:, [0, 1, 0]] * n + ranks[:, [q, q + 1, q + 1]]  # (left, right, support) as lo * n + hi
+        uniq, inv = np.unique(pairs, return_inverse=True)
+        lengths = np.array([float(values[hi] - values[lo]) for lo, hi in (divmod(c, n) for c in uniq.tolist())])
+        left, right, support = lengths[inv.reshape(pairs.shape).T]
+        return cls(np.array([float(v) for v in values])[ranks], left, right, support)
 
     @property
     def degree(self) -> int:

@@ -26,7 +26,7 @@ from .serialization import (
     validate_problem,
 )
 from .solvers import NumericalError
-from .tmesh import TMesh2D, TMeshError
+from .tmesh import TMeshError, validate_tmesh
 from .tspline import build_tspline_complex, derive_complex_meshes
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def cmd_check_complex(args):
 def cmd_tmesh_check(args):
     degrees = tuple(int(d) for d in args.degrees.split(","))
     raw = tmesh_from_dict(load_json(args.mesh))
-    mesh = TMesh2D.from_raw(raw, degrees)
+    mesh = validate_tmesh(raw, degrees)
     census = mesh.census()
     exts = mesh.compute_extensions()
     as_ok, pair = mesh.is_analysis_suitable()

@@ -39,10 +39,10 @@ from .assembly import (
     Complex3D,
     Scalar2D,
     Vector2D,
-    _dof_tables_2d,
     _rules_2d,
     _shared_elements,
     _shared_patterns,
+    _space_tables,
     _vertical_mass,
     assemble_matrix_2d,
     assemble_matrix_3d,
@@ -287,11 +287,11 @@ def cyl_zero_curl(X):
 
 def _point_tables(space, order, deriv):
     """The reference values of a 2D ``space``, or with ``deriv`` its rots or
-    grads (:func:`_dof_tables_2d`), at the Gauss points of its elements,
-    element by element, as one sparse matrix (point, component) x dof."""
+    grads, at the Gauss points of its elements, element by element (the
+    tables of :func:`_space_tables`), as one sparse matrix (point,
+    component) x dof."""
     data, rows, cols = [], [], []
-    for e in range(len(space.elements())):
-        idx, T = _dof_tables_2d(space, e, order, deriv)
+    for e, (idx, T) in enumerate(_space_tables(space, order, deriv)):
         m = T.shape[1] * T.shape[2]
         data.append(T.reshape(idx.size, m).T.ravel())
         rows.append(np.repeat(np.arange(e * m, (e + 1) * m), idx.size))

@@ -78,7 +78,8 @@ def solve_generalized_eig(K, M, count=None, vectors=False, kernel=None) -> Eigen
     Kd = 0.5 * (Kd + Kd.T)
     Md = 0.5 * (Md + Md.T)
     try:
-        w, V = sla.eigh(Kd, Md) if vectors else (sla.eigh(Kd, Md, eigvals_only=True), None)
+        # values only: LAPACK sygv, faster on these pencils than the default sygvd
+        w, V = sla.eigh(Kd, Md) if vectors else (sla.eigh(Kd, Md, eigvals_only=True, driver="gv"), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0

@@ -8,8 +8,9 @@ lines to their stated multiplicities; all structure queries (census,
 T-junctions, extensions, anchor tracing) run on the rendered index grid, so
 segment comparisons are exact integer index comparisons.  Anchor lookups and
 local-knot-vector keys likewise run on integer line ranks (a line's position
-among the distinct line values of its axis); the knots themselves stay
-Fractions.
+among the distinct line values of its axis): all anchors of a mesh are
+located and traced at once into one int array of ranks per axis, and the
+Fraction knots are looked up from the ranks only where they are asked for.
 
 The faces are the connected components of the cells joined across missing
 edges, each of which must fill its bounding box.  Each mesh also holds two
@@ -80,19 +81,24 @@ class RawTMesh:
                 raise TMeshError("breakpoint tables must increase strictly from 0 to 1")
 
     def edge_grids(self):
-        """Raw elementary edge presence derived from the face list."""
+        """Raw elementary edge presence derived from the face list, by
+        cumulative sums of the faces' corner marks."""
         nx, ny = len(self.breakpoints_x), len(self.breakpoints_y)
-        VE = np.zeros((nx, ny - 1), dtype=bool)
-        HE = np.zeros((nx - 1, ny), dtype=bool)
-        cover = np.zeros((nx - 1, ny - 1), dtype=int)
-        for (i1, j1, i2, j2) in self.faces:
-            if not (0 <= i1 < i2 < nx and 0 <= j1 < j2 < ny):
-                raise TMeshError(f"face {(i1, j1, i2, j2)} has out-of-range or empty extent")
-            VE[i1, j1:j2] = True
-            VE[i2, j1:j2] = True
-            HE[i1:i2, j1] = True
-            HE[i1:i2, j2] = True
-            cover[i1:i2, j1:j2] += 1
+        i1, j1, i2, j2 = np.array(self.faces, dtype=int).reshape(-1, 4).T
+        bad = ~((0 <= i1) & (i1 < i2) & (i2 < nx) & (0 <= j1) & (j1 < j2) & (j2 < ny))
+        if bad.any():
+            raise TMeshError(f"face {tuple(self.faces[np.argmax(bad)])} has out-of-range or empty extent")
+        V, H, C = np.zeros((3, nx, ny), dtype=int)
+        for i in (i1, i2):  # the left and right sides run up from j1 to j2
+            np.add.at(V, (i, j1), 1)
+            np.add.at(V, (i, j2), -1)
+        for j in (j1, j2):  # the bottom and top sides run from i1 to i2
+            np.add.at(H, (i1, j), 1)
+            np.add.at(H, (i2, j), -1)
+        for i, j, sign in ((i1, j1, 1), (i2, j1, -1), (i1, j2, -1), (i2, j2, 1)):
+            np.add.at(C, (i, j), sign)
+        VE, HE = V.cumsum(1)[:, :-1] > 0, H.cumsum(0)[:-1] > 0
+        cover = C.cumsum(0).cumsum(1)[:-1, :-1]
         if np.any(cover != 1):
             bad = np.argwhere(cover != 1)[0]
             kind = "gap" if cover[tuple(bad)] == 0 else "overlap"
@@ -252,11 +258,14 @@ class TMesh2D:
 
     def horizontal_edges(self):
         """Maximal horizontal edges as (i_start, i_end, j), row-major order."""
-        return [(a, b, j) for j, a, b in _runs(self.HE.T, self._vertex.T)]
+        j, a, b = (x.tolist() for x in _runs(self.HE.T, self._vertex.T))
+        return list(zip(a, b, j))
 
     def vertical_edges(self):
         """Maximal vertical edges as (i, j_start, j_end), ordered by (j, i)."""
-        return sorted(_runs(self.VE, self._vertex), key=lambda e: (e[1], e[0]))
+        i, a, b = _runs(self.VE, self._vertex)
+        order = np.lexsort((i, a))
+        return list(zip(i[order].tolist(), a[order].tolist(), b[order].tolist()))
 
     def t_junctions(self):
         """Interior vertices with exactly three edge germs, row-major, as
@@ -291,7 +300,8 @@ class TMesh2D:
         meshes rendered at different degrees (repetitions collapsed)."""
         segs = set()
         for tag, E, along, at in (("h", self.HE.T, self.xs, self.ys), ("v", self.VE, self.ys, self.xs)):
-            segs.update((tag, at[k], along[a], along[b]) for k, a, b in _runs(E) if along[b] > along[a])
+            runs = zip(*(x.tolist() for x in _runs(E)))
+            segs.update((tag, at[k], along[a], along[b]) for k, a, b in runs if along[b] > along[a])
         return segs
 
     # -- extensions and analysis-suitability -----------------------------------
@@ -386,7 +396,7 @@ class TMesh2D:
         """The x and y :class:`_LineIndex` of this mesh, built once: horizontal
         rays cross the vertical edges, vertical rays the horizontal ones."""
         vx, vy = self.line_values
-        return _LineIndex(self.xs, vx, self.VE), _LineIndex(self.ys, vy, self.HE.T)
+        return _LineIndex("x", self.xs, vx, self.VE), _LineIndex("y", self.ys, vy, self.HE.T)
 
     @cached_property
     def line_values(self) -> tuple:
@@ -394,31 +404,66 @@ class TMesh2D:
         rank is the position of its value here."""
         return tuple(sorted(set(t)) for t in (self.xs, self.ys))
 
+    @cached_property
+    def _anchor_boxes(self) -> np.ndarray:
+        """Index box (i1, j1, i2, j2) of every anchor entity, by degree
+        parity: vertices, edges or faces, as boxes of zero extent where the
+        entity has none; row-major (x fastest), an (n, 4) int array."""
+        ox, oy = (p % 2 == 1 for p in self.degrees)
+        if ox and oy:
+            j, i = np.nonzero(self._vertex.T)
+            return np.c_[i, j, i, j]
+        if oy:
+            j, a, b = _runs(self.HE.T, self._vertex.T)
+            return np.c_[a, j, b, j]
+        if ox:
+            i, a, b = _runs(self.VE, self._vertex)
+            return np.c_[i, a, i, b][np.lexsort((i, a))]
+        return np.array(self._faces).reshape(-1, 4)
+
     def anchor_entities(self):
         """Entity per anchor, by degree parity: vertices, edge midpoints or
         face barycentres; ordered row-major (x fastest)."""
+        ox, oy = (p % 2 == 1 for p in self.degrees)
+        kind = "vertex" if ox and oy else "hedge" if oy else "vedge" if ox else "face"
+        return [(kind, tuple(b[k] for k in _ENTITY_OF_BOX[kind])) for b in self._anchor_boxes.tolist()]
+
+    @cached_property
+    def anchor_locators(self) -> tuple:
+        """Per axis, the locators of all anchors as two int arrays (kind, m),
+        kind 0 the line m and kind 1 the span from line m.  Raises
+        :class:`TMeshError` where an anchor coordinate has no locator."""
+        B = self._anchor_boxes
+        return tuple(index.locate(B[:, d], B[:, d + 2]) for d, index in enumerate(self.line_index))
+
+    @cached_property
+    def anchor_ranks(self) -> tuple:
+        """Per axis, the local knot vectors of all anchors as an (n, p + 2)
+        int array of line ranks, traced along the rays of the perpendicular
+        locators; row a is ``Anchor2D.key[d]`` of anchor a."""
+        (kx, mx), (ky, my) = self.anchor_locators
+        ix, iy = self.line_index
         p1, p2 = self.degrees
-        ox, oy = p1 % 2 == 1, p2 % 2 == 1
-        if ox and oy:
-            return [("vertex", v) for v in self.vertices()]
-        if not ox and oy:
-            return [("hedge", e) for e in self.horizontal_edges()]
-        if ox and not oy:
-            return [("vedge", e) for e in self.vertical_edges()]
-        return [("face", f) for f in self._faces]
+        return ix.trace(kx, mx, (ky, my), p1), iy.trace(ky, my, (kx, mx), p2)
 
     def anchors(self):
-        """All anchors with exact positions and traced local knot vectors."""
-        p1, p2 = self.degrees
-        ix, iy = self.line_index
-        out = []
-        for idx, (kind, ent) in enumerate(self.anchor_entities()):
-            i1, j1, i2, j2 = (ent[k] for k in _ENTITY_BOX[kind])
-            (locx, posx), (locy, posy) = ix.locator(i1, i2), iy.locator(j1, j2)
-            lkv1, key1 = ix.trace(locx, locy, p1)
-            lkv2, key2 = iy.trace(locy, locx, p2)
-            out.append(Anchor2D(idx, (posx, posy), (locx, locy), lkv1, lkv2, (key1, key2)))
-        return out
+        """All anchors with exact positions and local knot vectors, built
+        from the rank arrays on demand."""
+        per_axis = []  # positions, locators, local knot vectors and rank keys
+        for d, (index, (kind, m), ranks) in enumerate(zip(self.line_index, self.anchor_locators, self.anchor_ranks)):
+            lo, hi = self._anchor_boxes[:, d].tolist(), self._anchor_boxes[:, d + 2].tolist()
+            pos = [
+                index.table[a] if index.rank[a] == index.rank[b] else index.midpoint(index.rank[a], index.rank[b])[1]
+                for a, b in zip(lo, hi)
+            ]
+            locs = [(("line", "span")[k], i) for k, i in zip(kind.tolist(), m.tolist())]
+            keys = [tuple(r) for r in ranks.tolist()]
+            per_axis.append((pos, locs, [tuple(index.values[r] for r in key) for key in keys], keys))
+        (px, lx, kx, rx), (py, ly, ky, ry) = per_axis
+        return [
+            Anchor2D(idx, (px[idx], py[idx]), (lx[idx], ly[idx]), kx[idx], ky[idx], (rx[idx], ry[idx]))
+            for idx in range(len(px))
+        ]
 
 
 class _LineIndex:
@@ -429,11 +474,13 @@ class _LineIndex:
     the knots stay Fractions; lines of rank r are ``bounds[r]`` up to
     ``bounds[r + 1]`` (the table is sorted).  ``hits[kind][m]`` lists,
     ascending, the lines of this axis crossed by the ray at the perpendicular
-    locator (kind, m).  ``edges[k, m]`` is the edge on line k across the m-th
+    locator (kind, m); ``crossed[kind]`` is the same as a boolean grid
+    (line, m).  ``edges[k, m]`` is the edge on line k across the m-th
     perpendicular span.
     """
 
-    def __init__(self, table, values, edges):
+    def __init__(self, axis, table, values, edges):
+        self.axis = axis
         self.table = table
         self.values = values
         self.rank_of = {v: r for r, v in enumerate(self.values)}
@@ -443,26 +490,31 @@ class _LineIndex:
         line = np.zeros((edges.shape[0], edges.shape[1] + 1), dtype=bool)
         line[:, :-1] |= edges
         line[:, 1:] |= edges
-        self.hits = {
-            kind: [np.flatnonzero(c).tolist() for c in grid.T]
-            for kind, grid in (("span", edges), ("line", line))
-        }
+        self.crossed = {"span": edges, "line": line}
+        self.hits = {kind: [np.flatnonzero(c).tolist() for c in grid.T] for kind, grid in self.crossed.items()}
         self._midpoints = {}  # (rlo, rhi) -> midpoint(rlo, rhi)
 
     def count(self, r) -> int:
         """Multiplicity of the lines of rank r."""
         return self.bounds[r + 1] - self.bounds[r]
 
-    def locator(self, lo, hi):
-        """Locator and value of an anchor coordinate on lines [lo, hi]: the
-        line itself when lo == hi, else the even-parity midpoint."""
-        if lo == hi:
-            return ("line", lo), self.table[lo]
-        if self.rank[lo] == self.rank[hi]:
-            if hi != lo + 1:
-                raise TMeshError("ambiguous zero-width anchor extent")
-            return ("span", lo), self.table[lo]
-        return self.midpoint(self.rank[lo], self.rank[hi])
+    def locate(self, lo, hi):
+        """Locators (kind, m) of anchor coordinates on lines [lo, hi], int
+        arrays: the line itself (kind 0) when lo == hi, the zero-width span
+        (kind 1) between two copies of one line, else the even-parity
+        midpoint, computed once per distinct pair of ranks."""
+        rank = np.array(self.rank)
+        rlo, rhi = rank[lo], rank[hi]
+        kind, m = (lo != hi).astype(int), lo.copy()
+        if np.any((rlo == rhi) & (hi > lo + 1)):
+            raise TMeshError("ambiguous zero-width anchor extent")
+        mid = np.flatnonzero(rlo != rhi)
+        if mid.size:
+            pairs, inv = np.unique(rlo[mid] * len(self.values) + rhi[mid], return_inverse=True)
+            locs = [self.midpoint(*divmod(pair, len(self.values)))[0] for pair in pairs.tolist()]
+            kind[mid] = np.array([k == "span" for k, _ in locs], dtype=int)[inv]
+            m[mid] = np.array([k for _, k in locs])[inv]
+        return kind, m
 
     def midpoint(self, rlo, rhi):
         """Locator and value of the midpoint of two distinct line values,
@@ -478,35 +530,39 @@ class _LineIndex:
         if r is None:  # values[rlo] < mid < values[rhi]
             return ("span", self.bounds[bisect.bisect_right(self.values, mid, rlo + 1, rhi)] - 1), mid
         if self.count(r) > 1:
-            raise TMeshError(f"midpoint {mid} lies on a repeated line")
+            raise TMeshError(f"anchor midpoint lies on the repeated {self.axis} line {mid}")
         return ("line", self.bounds[r]), mid
 
-    def trace(self, locator, other_locator, degree):
-        """Local knot vector at ``locator`` along this axis by ray tracing,
-        and its ranks; ``other_locator`` fixes the perpendicular coordinate
-        of the ray.  Pads with the boundary values 0 and 1, the first and last
-        ranks."""
-        kind, k0 = locator
-        if degree % 2 == 1:
-            if kind != "line":
-                raise TMeshError("odd-degree anchor must sit on a line")
-            need = (degree + 1) // 2
-            center = [k0]
-            left_from = k0 - 1
-        else:
-            need = (degree + 2) // 2
-            center = []
-            # a 'line' anchor of even degree sits on a line the ray misses
-            left_from = k0 if kind == "span" else k0 - 1
-        hits = self.hits[other_locator[0]][other_locator[1]]
-        i = bisect.bisect_right(hits, left_from)
-        j = bisect.bisect_left(hits, k0 + 1)
-        lines = hits[max(i - need, 0) : i] + center + hits[j : j + need]
-        lo, hi = need - min(i, need), need - min(len(hits) - j, need)
-        last = len(self.values) - 1
-        knots = self.values[:1] * lo + [self.table[k] for k in lines] + self.values[last:] * hi
-        ranks = (0,) * lo + tuple([self.rank[k] for k in lines]) + (last,) * hi
-        return tuple(knots), ranks
+    def trace(self, kind, m, perp, degree):
+        """Local knot vectors of the anchors at the locators (kind, m) along
+        this axis, as an (n, degree + 2) int array of line ranks, padded
+        with the first and last rank (the boundary values 0 and 1).
+
+        ``perp`` = (kind, m) arrays of the perpendicular locators fix the
+        rays.  The lines crossed by all rays, each ray padded with
+        ``need`` copies of the lines -1 and n on either side, form one
+        array sorted by (ray, line), so a single search finds every
+        anchor's neighbours: the ``need`` crossed lines below it and the
+        ``need`` above, and, at odd degree, the anchor's own line between.
+        A 'line' anchor of even degree sits on a line the ray misses."""
+        odd = degree % 2 == 1
+        if odd and np.any(kind != 0):
+            raise TMeshError("odd-degree anchor must sit on a line")
+        need = (degree + 1) // 2 if odd else degree // 2 + 1
+        n = len(self.table)
+        crossed = np.hstack([self.crossed["line"], self.crossed["span"]]).T  # (ray, line)
+        pad = np.ones((crossed.shape[0], need), dtype=bool)
+        rays, cols = np.nonzero(np.hstack([pad, crossed, pad]))
+        lines = np.r_[np.full(need, -1), np.arange(n), np.full(need, n)][cols]
+        keys = rays * (n + 2) + lines + 1
+        base = np.where(perp[0] == 0, perp[1], self.crossed["line"].shape[1] + perp[1]) * (n + 2) + 1
+        below = np.searchsorted(keys, base + m - 1 + kind, side="right")  # after the last line <= m - 1 (span: <= m)
+        above = np.searchsorted(keys, base + m + 1, side="left")  # the first line >= m + 1
+        parts = [lines[below[:, None] + np.arange(-need, 0)], lines[above[:, None] + np.arange(need)]]
+        if odd:
+            parts.insert(1, m[:, None])
+        rank = np.r_[0, self.rank, len(self.values) - 1]  # line -1 and n are the padding
+        return rank[np.hstack(parts) + 1]
 
     def between(self, locator, rlo, rhi) -> list:
         """Ranks of the lines crossed by the ray at ``locator`` whose values
@@ -517,20 +573,20 @@ class _LineIndex:
         return [self.rank[k] for k in hits[i:j]]
 
 
-# Positions in an anchor entity of its index box (i1, j1, i2, j2): a vertex
-# is a box of zero extent, an edge one of zero extent across the edge.
-_ENTITY_BOX = {"vertex": (0, 1, 0, 1), "hedge": (0, 2, 1, 2), "vedge": (0, 1, 0, 2), "face": (0, 1, 2, 3)}
+# Positions in an anchor's index box (i1, j1, i2, j2) of its entity: a
+# vertex (i, j), an edge (i1, i2, j) or (i, j1, j2), a face the box itself.
+_ENTITY_OF_BOX = {"vertex": (0, 1), "hedge": (0, 2, 1), "vedge": (0, 1, 3), "face": (0, 1, 2, 3)}
 
 
 def _runs(E, cut=False):
     """Maximal runs of edges along the lines of one axis, ``E[k, m]`` being
     the edge of line k from point m to m + 1, cut at the points where
-    ``cut[k, m]`` is set: (line, start point, end point), by line."""
+    ``cut[k, m]`` is set: arrays (line, start point, end point), by line."""
     pad = np.zeros((E.shape[0], 1), dtype=bool)
     before, after = np.hstack([pad, E]), np.hstack([E, pad])  # the edges at each point
     lines, starts = np.nonzero(after & (~before | cut))
     ends = np.nonzero(before & (~after | cut))[1]
-    return list(zip(lines.tolist(), starts.tolist(), ends.tolist()))
+    return lines, starts, ends
 
 
 def _render_edges(raw, lines, spans):
@@ -539,16 +595,16 @@ def _render_edges(raw, lines, spans):
     the raw lines across it.  Every copy of a line gets its edges; a line
     passes through a repeated band across it when it has edges on both
     sides, or when the band is the outer boundary."""
-    E = np.zeros((lines[-1][1] + 1, spans[-1][1]), dtype=bool)
-    last = len(spans) - 1
-    for k, (a, b) in enumerate(lines):
-        for m, (c, d) in enumerate(spans):
-            below, above = m > 0 and raw[k, m - 1], m < last and raw[k, m]
-            if above:
-                E[a : b + 1, d : spans[m + 1][0]] = True
-            if (below and above) or (m in (0, last) and (below or above)):
-                E[a : b + 1, c:d] = True
-    return E
+    ends = np.array([d for _, d in spans])
+    below, above = np.zeros((2, raw.shape[0], len(spans)), dtype=bool)
+    below[:, 1:], above[:, :-1] = raw, raw
+    outer = np.isin(np.arange(len(spans)), (0, len(spans) - 1))
+    band = (below & above) | (outer & (below | above))
+    # rendered span s lies in the band of raw line m, or is the gap after it
+    s = np.arange(ends[-1])
+    m = np.searchsorted(ends, s)
+    E = np.where(ends[m] == s, above[:, m], band[:, m])
+    return np.repeat(E, [b - a + 1 for a, b in lines], axis=0)
 
 
 def _render_lines(breakpoints, multiplicities, axis, degree):
@@ -566,11 +622,27 @@ def _render_lines(breakpoints, multiplicities, axis, degree):
 
 
 def validate_tmesh(raw: RawTMesh, degrees) -> TMesh2D:
-    """Validate the raw tiling and render it for the given degrees."""
-    return TMesh2D.from_raw(raw, degrees)
+    """Validate the raw tiling and render it for the given degrees; every
+    anchor must have a locator, so no anchor midpoint lies on a repeated
+    line."""
+    mesh = TMesh2D.from_raw(raw, degrees)
+    mesh.anchor_locators
+    return mesh
 
 
 # -- T-spline spaces -------------------------------------------------------------
+
+
+def _row_codes(rows, base) -> np.ndarray:
+    """Int codes of the rows of an (n, k) int array with entries in [0,
+    base), equal exactly for equal rows: the rows read as numbers in radix
+    ``base``, renumbered densely before a digit could overflow int64."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for digit in rows.T:
+        if code.size and code.max() >= (2**62 - base) // base:
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * base + digit
+    return code
 
 
 class TsplineSpace:
@@ -580,27 +652,41 @@ class TsplineSpace:
         self.mesh = mesh
         self.degrees = mesh.degrees
         self.scalings = tuple(scalings)
-        self.anchors = mesh.anchors()
-        self.key_index = {}  # Anchor2D.key -> anchor index
-        for a in self.anchors:
-            if a.key in self.key_index:
-                raise TMeshError("two anchors share identical local knot vectors")
-            self.key_index[a.key] = a.index
+        self.ranks = mesh.anchor_ranks  # per direction, the local knot vectors as line ranks
+        if np.unique(self._codes(*self.ranks)).size < self.dim:
+            raise TMeshError("two anchors share identical local knot vectors")
 
     @property
     def dim(self) -> int:
-        return len(self.anchors)
+        return len(self.ranks[0])
+
+    @cached_property
+    def anchors(self) -> list:
+        """The :class:`Anchor2D` objects of the mesh, built on first use."""
+        return self.mesh.anchors()
+
+    def _codes(self, keys1, keys2) -> np.ndarray:
+        """Radix codes of rank keys, equal exactly for equal keys."""
+        return _row_codes(np.hstack([keys1, keys2]), max(map(len, self.mesh.line_values)))
+
+    def key_index(self, keys1, keys2) -> np.ndarray:
+        """Index of the anchor whose rank key is (keys1[i], keys2[i]), or -1
+        where there is none, for (m, p1 + 2) and (m, p2 + 2) int arrays."""
+        n = self.dim
+        codes = self._codes(*(np.vstack([own, keys]) for own, keys in zip(self.ranks, (keys1, keys2))))
+        own, wanted = codes[:n], codes[n:]
+        order = np.argsort(own)
+        idx = order[np.searchsorted(own[order], wanted).clip(max=n - 1)]
+        return np.where(own[idx] == wanted, idx, -1)
 
     # -- tabulation: float data derived on first use, never in __init__ ----------
 
     @cached_property
     def knot_rows(self) -> tuple:
         """Per direction, the local knot vectors of all anchors as
-        :class:`KnotRows`; the exact knots are converted to floats here,
-        once per space.  Column 0 and -1 of ``knots`` are the support box."""
-        return tuple(
-            KnotRows.from_exact([(a.lkv1, a.lkv2)[d] for a in self.anchors]) for d in (0, 1)
-        )
+        :class:`KnotRows`, converted from the rank arrays once per space.
+        Column 0 and -1 of ``knots`` are the support box."""
+        return tuple(KnotRows.from_ranks(r, v) for r, v in zip(self.ranks, self.mesh.line_values))
 
     @cached_property
     def elements(self) -> list:

@@ -10,11 +10,12 @@ the lowered degree).
 Operator matrices are built column by column from the univariate derivative
 decomposition.  The differentiated direction always yields +-1 entries in
 the Curry-Schoenberg-scaled target basis.  In the transverse direction the
-two windows are located by exact local-knot-vector matching, on the integer
-line ranks of the anchor keys (the four derived meshes rank the same line
-values); where the derived mesh refines the transverse knot line (possible
-next to extension bays) the source window is expanded by exact rational knot
-insertion instead, with the knot values looked up from the ranks.  Matrices
+two windows are located by exact local-knot-vector matching, on the rank
+arrays of the spaces, all anchors at once (the four derived meshes rank the
+same line values); where the derived mesh refines the transverse knot line
+(possible next to extension bays) the source window is expanded by exact
+rational knot insertion instead, with the knot values looked up from the
+ranks.  Matrices
 are therefore rational; they are stored as integer matrices over one common
 denominator so compositions and ranks stay exact, and they reduce
 bit-for-bit to the signed B-spline pattern on tensor input.
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complexes import ExactnessReport, _merge_reports, verify_sequence
-from .tmesh import RawTMesh, TMesh2D, TMeshError, TsplineSpace
+from .tmesh import RawTMesh, TMesh2D, TMeshError, TsplineSpace, validate_tmesh
 
 __all__ = [
     "ComplexMeshes",
@@ -65,9 +66,9 @@ class ComplexMeshes:
 def derive_complex_meshes(raw: RawTMesh, p: int) -> ComplexMeshes:
     """Derive the meshes for the scalar, vector and top-form spaces.
 
-    Requires an analysis-suitable input with interior multiplicities at
-    most p (both checked); equal degree in both directions is assumed
-    throughout.
+    Requires a valid (:func:`~splinecomplex.tmesh.validate_tmesh`),
+    analysis-suitable input with interior multiplicities at most p (all
+    checked); equal degree in both directions is assumed throughout.
     """
     if p < 1:
         raise ValueError("degree must be at least 1")
@@ -75,7 +76,7 @@ def derive_complex_meshes(raw: RawTMesh, p: int) -> ComplexMeshes:
         if m > p:
             value = (raw.breakpoints_x if axis == "x" else raw.breakpoints_y)[k]
             raise TMeshError(f"interior multiplicity {m} of the {axis} line {value} exceeds the degree {p}")
-    M0 = TMesh2D.from_raw(raw, (p, p))
+    M0 = validate_tmesh(raw, (p, p))
     ok, pair = M0.is_analysis_suitable()
     if not ok:
         raise TMeshError(f"input mesh is not analysis-suitable: {pair}")
@@ -210,52 +211,51 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     values = src.mesh.line_values[t_dir]
     src_t_scaling = src.scalings[t_dir]
     dst_t_scaling = dst.scalings[t_dir]
-    index = dst.mesh.line_index  # built by the target space's anchors
-    rows, cols, vals = [], [], []
-    for a in src.anchors:
-        K, T = a.key[direction], a.key[t_dir]
-        # d/dx N[K] = c N[K[:-1]] - c' N[K[1:]]; a term with zero support vanishes
-        for sign, target in ((1, K[:-1]), (-1, K[1:])):
-            if target[-1] == target[0]:
-                continue
-            key = (target, T) if direction == 0 else (T, target)
-            tidx = dst.key_index.get(key)
-            if tidx is not None:
-                rows.append(tidx)
-                cols.append(a.index)
-                vals.append(sign)
-                continue
-            # transverse window needs refinement on the derived mesh
-            floc = _abscissa_locator(index[direction], target, dst.degrees[direction])
-            refined = index[t_dir].between(floc, T[0], T[-1])
-            t_open = [t for t in T[1:-1] if T[0] < t < T[-1]]
-            missing = _multiset_difference(refined, t_open)
-            if missing is None:
-                raise TMeshError(
-                    f"derivative of anchor {a.index}: transverse knots "
-                    f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
-                )
-            chain = _expand_window(T, t_deg, missing, values)
-            for w, c in chain.items():
-                key = (target, w) if direction == 0 else (w, target)
-                tidx = dst.key_index.get(key)
-                if tidx is None:
-                    raise TMeshError(
-                        f"derivative of anchor {a.index} has no target with transverse "
-                        f"local knot vector {[values[t] for t in w]} in the derived space"
-                    )
-                scale = c
-                if src_t_scaling == "D" and dst_t_scaling == "D":
-                    scale = c * (values[w[-1]] - values[w[0]]) / (values[T[-1]] - values[T[0]])
-                elif src_t_scaling != dst_t_scaling:
-                    raise TMeshError("mixed transverse scalings are not wired")
-                rows.append(tidx)
-                cols.append(a.index)
-                vals.append(sign * scale)
-    den = 1
-    for v in vals:
-        den = math.lcm(den, v.denominator)
-    ints = np.array([int(v * den) for v in vals], dtype=np.int64)
+    index = dst.mesh.line_index  # built by the target space's rank arrays
+    K, T = src.ranks[direction], src.ranks[t_dir]
+
+    def lookup(along, across):  # target indices of rank keys, -1 where none
+        return dst.key_index(*((along, across) if direction == 0 else (across, along)))
+
+    # d/dx N[K] = c N[K[:-1]] - c' N[K[1:]]; a term with zero support vanishes
+    targets = np.vstack([K[:, :-1], K[:, 1:]])
+    signs = np.repeat([1, -1], src.dim)
+    cols = np.tile(np.arange(src.dim), 2)
+    live = np.flatnonzero(targets[:, -1] != targets[:, 0])
+    targets, signs, cols = targets[live], signs[live], cols[live]
+    found = lookup(targets, T[cols])
+    direct = found >= 0
+    # the rest need their transverse window refined on the derived mesh
+    refined = []  # (target, window, anchor, coefficient)
+    for target, sign, a in zip(*(x[~direct].tolist() for x in (targets, signs, cols))):
+        T_a = T[a].tolist()
+        floc = _abscissa_locator(index[direction], target, dst.degrees[direction])
+        t_open = [t for t in T_a[1:-1] if T_a[0] < t < T_a[-1]]
+        missing = _multiset_difference(index[t_dir].between(floc, T_a[0], T_a[-1]), t_open)
+        if missing is None:
+            raise TMeshError(
+                f"derivative of anchor {a}: transverse knots "
+                f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
+            )
+        for w, c in _expand_window(T_a, t_deg, missing, values).items():
+            scale = c
+            if src_t_scaling == "D" and dst_t_scaling == "D":
+                scale = c * (values[w[-1]] - values[w[0]]) / (values[T_a[-1]] - values[T_a[0]])
+            elif src_t_scaling != dst_t_scaling:
+                raise TMeshError("mixed transverse scalings are not wired")
+            refined.append((target, w, a, sign * scale))
+    den = math.lcm(*(c.denominator for *_, c in refined))
+    rows, cols, ints = found[direct], cols[direct], signs[direct] * den
+    if refined:
+        along, across, anchor, coeff = zip(*refined)
+        hit = lookup(np.array(along), np.array(across))
+        if np.any(hit < 0):
+            k = int(np.argmax(hit < 0))
+            raise TMeshError(
+                f"derivative of anchor {anchor[k]} has no target with transverse "
+                f"local knot vector {[values[t] for t in across[k]]} in the derived space"
+            )
+        rows, cols, ints = np.r_[rows, hit], np.r_[cols, anchor], np.r_[ints, [int(c * den) for c in coeff]]
     A = sp.coo_matrix((ints, (rows, cols)), shape=(dst.dim, src.dim), dtype=np.int64).tocsr()
     A.sum_duplicates()
     return A.astype(float) / den, A, den

@@ -653,6 +653,27 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     assert total[1] > total[0]
 
 
+def test_patches_on_one_space_share_its_element_tables(monkeypatch):
+    # the three cylinder sections share one Vector2D: each element's dof
+    # table of a rule and derivative is built once per solve, not per patch
+    from splinecomplex import problems
+
+    original, built = assembly._dof_tables_2d, []
+
+    def counting(space, e, order, deriv):
+        built.append((*assembly._space_key(space), e, order, deriv))
+        return original(space, e, order, deriv)
+
+    monkeypatch.setattr(assembly, "_dof_tables_2d", counting)
+    ref = problems.cylinder_sector_source(1, nz=2)
+    assert len(built) == len(set(built)) > 0
+    monkeypatch.setattr(assembly, "_space_tables", lambda space, order, deriv: [
+        original(space, e, order, deriv) for e in range(len(space.elements()))
+    ])
+    monkeypatch.setattr(problems, "_space_tables", assembly._space_tables)
+    assert problems.cylinder_sector_source(1, nz=2) == ref  # unshared tables, same numbers
+
+
 def test_geometry_tabulates_each_direction_on_its_distinct_abscissae(monkeypatch):
     # Cox-de Boor sees the distinct abscissae of the rule per direction, not
     # every quadrature point of every cell

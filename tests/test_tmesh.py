@@ -704,3 +704,98 @@ def test_multiplicity_above_the_degree_is_rejected(tmp_path):
         derive_complex_meshes(raw, 1)
     dump_json(tmesh_to_dict(raw), tmp_path / "doubled.json")
     assert main(["--out", str(tmp_path), "tmesh", "complex", "--mesh", str(tmp_path / "doubled.json"), "--degree", "1"]) == 2
+
+
+def test_validation_rejects_an_anchor_midpoint_on_a_repeated_line(tmp_path):
+    # the right face spans y = 0..1, so its p = 2 anchor sits at y = 1/2,
+    # which is doubled: the mesh is analysis-suitable but has no anchor there
+    from splinecomplex.cli import main
+
+    half = F(1, 2)
+    raw = RawTMesh((0, half, 1), (0, half, 1), ((0, 0, 1, 1), (0, 1, 1, 2), (1, 0, 2, 2)), {("y", 1): 2})
+    assert TMesh2D.from_raw(raw, (2, 2)).is_analysis_suitable() == (True, None)
+    for reject in (lambda: validate_tmesh(raw, (2, 2)), lambda: derive_complex_meshes(raw, 2)):
+        with pytest.raises(TMeshError, match="anchor midpoint lies on the repeated y line 1/2"):
+            reject()
+    dump_json(tmesh_to_dict(raw), tmp_path / "partial.json")
+    assert main(["--out", str(tmp_path), "tmesh", "check", "--mesh", str(tmp_path / "partial.json"), "--degrees", "2,2"]) == 2
+
+
+def test_zero_width_face_across_three_copies_has_no_anchor():
+    # the middle copy of the tripled boundary line x = 0 has no edges, so
+    # one zero-width face spans all three copies
+    xs = [F(0)] * 3 + [F(1)] * 3
+    VE, HE = np.ones((6, 5), dtype=bool), np.ones((5, 6), dtype=bool)
+    VE[1] = False
+    mesh = TMesh2D(xs, xs, VE, HE, (4, 4))
+    assert mesh.faces[0] == (0, 0, 2, 1)
+    with pytest.raises(TMeshError, match="^ambiguous zero-width anchor extent$"):
+        mesh.anchors()
+
+
+def test_odd_degree_trace_needs_line_locators():
+    mesh = validate_tmesh(uniform_raw(2), (3, 3))
+    span = (np.array([1]), np.array([3]))  # the span after line 3
+    with pytest.raises(TMeshError, match="^odd-degree anchor must sit on a line$"):
+        mesh.line_index[0].trace(*span, (np.array([0]), np.array([0])), 3)
+
+
+def test_row_codes_tell_rows_apart_beyond_int64():
+    from splinecomplex.tmesh import _row_codes
+
+    base = 2**20  # six digits need 120 bits: the codes are renumbered on the way
+    rows = np.random.default_rng(0).integers(0, 3, size=(200, 6)) * (base // 3)
+    codes = _row_codes(rows, base)
+    npt.assert_array_equal(codes[:, None] == codes[None], (rows[:, None] == rows[None]).all(axis=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(refined_tmeshes())
+def test_rank_arrays_serve_the_space_like_the_anchors(case):
+    from splinecomplex.assembly import Scalar2D, traces
+    from splinecomplex.bspline import _clamped
+
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    for mesh in derive_complex_meshes(raw, p).__dict__.values():
+        if not isinstance(mesh, TMesh2D):
+            continue
+        space = TsplineSpace(mesh)
+        anchors = mesh.anchors()
+        assert [tuple(map(tuple, r)) for r in zip(*(R.tolist() for R in space.ranks))] == [a.key for a in anchors]
+        npt.assert_array_equal(space.key_index(*space.ranks), np.arange(space.dim))
+        shifted = [R[::-1] for R in space.ranks]  # the same keys, listed backwards
+        npt.assert_array_equal(space.key_index(*shifted), np.arange(space.dim)[::-1])
+        missing = [np.full_like(R[:1], R.max() + 1) for R in space.ranks]
+        assert space.key_index(*missing).tolist() == [-1]
+        for d, rows in enumerate(space.knot_rows):
+            lkvs, q = [(a.lkv1, a.lkv2)[d] for a in anchors], mesh.degrees[d]
+            npt.assert_array_equal(rows.knots, [[float(t) for t in lkv] for lkv in lkvs])
+            for name, (i, j) in (("left", (0, q)), ("right", (1, q + 1)), ("support", (0, q + 1))):
+                npt.assert_array_equal(getattr(rows, name), [float(lkv[j] - lkv[i]) for lkv in lkvs])
+            for side in (0, 1):
+                clamped = [a.index for a in anchors if _clamped((a.lkv1, a.lkv2)[d], mesh.degrees[d], side)]
+                recs = traces(Scalar2D(space), (d, side))
+                assert [r[0] for r in recs] == clamped
+                assert [r[2] for r in recs] == [((a.lkv1, a.lkv2)[1 - d],) for a in anchors if a.index in clamped]
+
+
+@settings(max_examples=40, deadline=None)
+@given(refined_tmeshes())
+def test_t_exactness_merges_both_sequences(case):
+    from splinecomplex.complexes import verify_sequence
+
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    try:
+        tcx = build_tspline_complex(derive_complex_meshes(raw, p))
+    except TMeshError:
+        assume(False)  # the known failure of a crossed repeated line
+    chain = list(tcx.dims)
+    oi = tcx.operators_int
+    primal = verify_sequence([oi["grad"], oi["rot"]], chain)
+    starred = verify_sequence([oi["rotvec"], oi["div"]], chain, prefix="*")
+    rep = verify_t_exactness(tcx)
+    assert rep.ranks == {**primal.ranks, **starred.ranks}
+    assert rep.identities == {**primal.identities, **starred.identities, "dimY0+dimY2=dimY1+1": True}
+    assert rep.certified == (primal.certified and starred.certified)
