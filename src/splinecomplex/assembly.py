@@ -1,9 +1,11 @@
 """Galerkin assembly on (extended) T-meshes and tensor 3D spaces.
 
-Integration runs element by element over the positive-area faces of the
-extended mesh (times nonempty knot spans in the third direction), with
-tensor Gauss rules of order degree+1 per direction; zero-measure elements
-contribute nothing and are skipped.
+Integration covers the positive-area faces of the extended mesh (times
+nonempty knot spans in the third direction) with tensor Gauss rules of
+order degree+1 per direction; zero-measure elements are skipped.  In 2D
+every element is one batch: the dof rows (nel, ndof) are padded with -1
+where elements have fewer active functions, and the padding has zero
+tables and is never scattered.
 
 Every matrix is one element kernel, sum_q T_q W_q T_q^T, and its kind picks
 both factors:
@@ -24,7 +26,7 @@ matrix go into a CSR pattern built once per element set (sorted
 ``indptr``/``indices`` plus the slot of every block entry in ``data``), so
 each kind is one ``np.bincount`` over the slots; inside
 :func:`_shared_patterns` every kind and every patch on the same spaces
-reuses it, and every patch on the same 2D space reuses its element dof
+reuses it, and every patch on the same 2D space reuses its batched dof
 tables of one rule and derivative.
 
 Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
@@ -157,7 +159,7 @@ class Vector2D:
 def _shared_elements(*spaces):
     """The integration elements common to spaces assembled in one loop."""
     boxes = spaces[0].elements
-    if any(s.elements != boxes for s in spaces[1:]):
+    if any(not np.array_equal(s.elements, boxes) for s in spaces[1:]):
         raise ValueError("component spaces have different extended meshes")
     return boxes
 
@@ -176,13 +178,11 @@ def _kind(space, kind):
 
 
 def _bilinear(V, Gw):
-    """sum_q V[a,q,:] Gw[q] V[b,q,:]^T as one BLAS product; V has shape
-    (ndof, npts, c), Gw (npts, c, c)."""
-    nq, c = Gw.shape[0], Gw.shape[-1]
-    GV = np.matmul(V.transpose(1, 0, 2), Gw.transpose(0, 2, 1))  # (q, a, i)
-    A = GV.transpose(1, 0, 2).reshape(V.shape[0], nq * c)
-    B = V.reshape(V.shape[0], nq * c)
-    return A @ B.T
+    """sum_q V[e,a,q,:] Gw[e,q] V[e,b,q,:]^T of every element e, one BLAS
+    product each; V has shape (nel, ndof, npts, c), Gw (nel, npts, c, c)."""
+    GV = np.matmul(V.transpose(0, 2, 1, 3), np.swapaxes(Gw, -1, -2))  # (e, q, a, i)
+    A = GV.transpose(0, 2, 1, 3).reshape(*V.shape[:2], -1)
+    return A @ np.swapaxes(V.reshape(*V.shape[:2], -1), -1, -2)
 
 
 _PATTERNS = None  # pattern per element set while _shared_patterns() is open
@@ -210,24 +210,33 @@ def _space_key(space) -> tuple:
     return (space.space,) if isinstance(space, Scalar2D) else (space.c1, space.c2)
 
 
+def _pairs(dofs):
+    """The (nel, m, m) mask of the block entries joining two dofs of padded element dof rows."""
+    valid = dofs >= 0
+    return valid[:, :, None] & valid[:, None, :]
+
+
+def _padded(rows):
+    """Int rows of unequal lengths as one array, padded with -1."""
+    return np.array(list(itertools.zip_longest(*rows, fillvalue=-1)), dtype=int).T
+
+
 def _pattern(space, n, dofs):
-    """CSR pattern of the element blocks dofs x dofs: (indptr, indices,
-    slot), slot the position in ``data`` of each block entry, blocks in
-    element order and row-major.  The element dof lists are fixed by the 2D
-    spaces (and the vertical knot vector), which key the shared patterns."""
+    """CSR pattern of the blocks dofs x dofs of padded element dof rows:
+    (indptr, indices, slot), slot the position in ``data`` of each entry of
+    :func:`_pairs`, element-major and row-major.  The 2D spaces (and the
+    vertical knot vector) fix the rows and key the shared patterns."""
     key = _space_key(space)
     if _PATTERNS is not None and key in _PATTERNS:
         return _PATTERNS[key]
-    sizes = np.array([d.size for d in dofs])
-    E = sp.csr_matrix((np.ones(sizes.sum()), np.concatenate(dofs), np.r_[0, np.cumsum(sizes)]), shape=(len(dofs), n))
+    element, _ = np.nonzero(dofs >= 0)
+    E = sp.csr_matrix((np.ones(element.size), (element, dofs[dofs >= 0])), shape=(len(dofs), n))
     A = (E.T @ E).tocsr()  # the dof pairs sharing an element
     A.sort_indices()
     itype = np.int32 if n * n < 2**31 else np.int64  # keys row * n + col
     flat = np.repeat(np.arange(n, dtype=itype), np.diff(A.indptr)) * itype(n) + A.indices  # sorted
-    keys, ends = np.empty((sizes**2).sum(), dtype=itype), np.cumsum(sizes**2)
-    for d, end in zip(dofs, ends):
-        keys[end - d.size**2 : end] = (d[:, None] * n + d[None, :]).ravel()
-    slot = np.searchsorted(flat, keys)
+    d = dofs.astype(itype)
+    slot = np.searchsorted(flat, (d[:, :, None] * itype(n) + d[:, None, :])[_pairs(dofs)])
     pattern = (A.indptr, A.indices, slot)
     if _PATTERNS is not None:
         _PATTERNS[key] = pattern
@@ -244,8 +253,8 @@ def _weights(geom, rule, j):
 
 
 def _csr(space, n, dofs, data):
-    """Sum the element blocks, ``data`` their concatenation in the order of
-    the element dof lists ``dofs``, into an n x n CSR matrix."""
+    """Sum the element blocks into an n x n CSR matrix: ``dofs`` the padded
+    element dof rows, ``data`` the entries of their :func:`_pairs`."""
     indptr, indices, slot = _pattern(space, n, dofs)
     data = np.bincount(slot, weights=data, minlength=indices.size)
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))  # copies: the pattern is shared
@@ -254,34 +263,23 @@ def _csr(space, n, dofs, data):
 # -- 2D assembly -----------------------------------------------------------------
 
 
-def _dof_tables_2d(space, e, order, deriv):
-    """Dofs of element ``e`` and their reference values, or with ``deriv``
-    their reference grads (Scalar2D) or rots (Vector2D), shape
-    (ndof, npts, c)."""
-    if isinstance(space, Scalar2D):
-        act, v, dx, dy = space.space.element_table(e, order, derivs=deriv)
-        return act, np.stack([dx.T, dy.T], axis=-1) if deriv else v.T[:, :, None]
-    parts = [S.element_table(e, order, derivs=deriv) for S in (space.c1, space.c2)]
-    idx = np.concatenate([parts[0][0], space.c1.dim + parts[1][0]])
-    T = np.zeros((idx.size, order**2, 1 if deriv else 2))
-    start = 0
-    for m, (act, v, dx, dy) in enumerate(parts):
-        blk = T[start : start + act.size]
-        start += act.size
-        if deriv:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx
-            blk[:, :, 0] = -dy.T if m == 0 else dx.T
-        else:
-            blk[:, :, m] = v.T
-    return idx, T
-
-
-def _space_tables(space, order, deriv) -> list:
-    """:func:`_dof_tables_2d` of every element of a 2D ``space``, shared
-    inside :func:`_shared_patterns` by the spaces of one key."""
+def _space_tables(space, order, deriv) -> tuple:
+    """The padded dof rows (nel, ndof) of a 2D ``space`` and their reference
+    values, or with ``deriv`` grads (Scalar2D) or rots (Vector2D), shape (nel,
+    ndof, npts, c), shared inside :func:`_shared_patterns` per space key."""
     key = (*_space_key(space), order, deriv)
     if _TABLES is not None and key in _TABLES:
         return _TABLES[key]
-    tables = [_dof_tables_2d(space, e, order, deriv) for e in range(len(space.elements()))]
+    if isinstance(space, Scalar2D):
+        act, v, dx, dy = space.space.element_tables(order, derivs=deriv)
+        tables = act, np.stack([dx, dy], axis=-1) if deriv else v[..., None]
+    else:
+        (a1, v1, _, dy1), (a2, v2, dx2, _) = (S.element_tables(order, derivs=deriv) for S in (space.c1, space.c2))
+        idx = np.concatenate([a1, np.where(a2 >= 0, space.c1.dim + a2, -1)], axis=1)
+        if deriv:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx
+            tables = idx, np.concatenate([-dy1, dx2], axis=1)[..., None]
+        else:
+            tables = idx, np.concatenate([np.stack([v1, np.zeros_like(v1)], -1), np.stack([np.zeros_like(v2), v2], -1)], 1)
     if _TABLES is not None:
         _TABLES[key] = tables
     return tables
@@ -289,15 +287,13 @@ def _space_tables(space, order, deriv) -> list:
 
 def assemble_matrix_2d(space, geom, kind):
     """Sparse symmetric Galerkin matrix on one 2D patch: 'mass' and
-    'gradgrad' on Scalar2D, 'mass' and 'rotrot' on Vector2D."""
+    'gradgrad' on Scalar2D, 'mass' and 'rotrot' on Vector2D, every element
+    in one batched kernel."""
     deriv, j = _kind(space, kind)
-    degrees = space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees
-    order = max(degrees) + 1
-    boxes = space.elements()
-    G = _weights(geom, _rules_2d(boxes, order), j)
-    tables = _space_tables(space, order, deriv)
-    data = np.concatenate([_bilinear(T, Ge).ravel() for (_, T), Ge in zip(tables, G)])
-    return _csr(space, space.dim, [idx for idx, _ in tables], data)
+    order = max(space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees) + 1
+    G = _weights(geom, _rules_2d(space.elements(), order), j)
+    idx, T = _space_tables(space, order, deriv)
+    return _csr(space, space.dim, idx, _bilinear(T, G)[_pairs(idx)])
 
 
 # -- 3D tensor spaces ---------------------------------------------------------------
@@ -481,7 +477,7 @@ def assemble_matrix_3d(cx3: Complex3D, geom, kind):
                 A[:, pos[b], pos[a]] = A[:, pos[a], pos[b]].transpose(0, 2, 1)
         dofs.extend(cell_dofs)
         data.append(A.ravel())
-    return _csr(cx3, cx3.dim, dofs, np.concatenate(data))
+    return _csr(cx3, cx3.dim, _padded(dofs), np.concatenate(data))
 
 
 # -- traces: boundary conditions and interfaces --------------------------------------

@@ -287,16 +287,14 @@ def cyl_zero_curl(X):
 
 def _point_tables(space, order, deriv):
     """The reference values of a 2D ``space``, or with ``deriv`` its rots or
-    grads, at the Gauss points of its elements, element by element (the
-    tables of :func:`_space_tables`), as one sparse matrix (point,
-    component) x dof."""
-    data, rows, cols = [], [], []
-    for e, (idx, T) in enumerate(_space_tables(space, order, deriv)):
-        m = T.shape[1] * T.shape[2]
-        data.append(T.reshape(idx.size, m).T.ravel())
-        rows.append(np.repeat(np.arange(e * m, (e + 1) * m), idx.size))
-        cols.append(np.tile(idx, m))
-    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=((e + 1) * m, space.dim))
+    grads, at the Gauss points of its elements, element by element, as one
+    sparse matrix (point, component) x dof, built from the batched tables
+    of :func:`_space_tables` without their padding."""
+    idx, T = _space_tables(space, order, deriv)
+    T = T.reshape(*idx.shape, -1).transpose(0, 2, 1)  # (element, point and component, dof)
+    cols = np.broadcast_to(idx[:, None, :], T.shape)
+    indptr = np.r_[0, np.cumsum((cols >= 0).sum(axis=2))]  # rows in order, their dofs ascending
+    return sp.csr_matrix((T[cols >= 0], cols[cols >= 0], indptr), shape=(indptr.size - 1, space.dim))
 
 
 def _lift(F, T):

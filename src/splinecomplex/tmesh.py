@@ -646,7 +646,9 @@ def _row_codes(rows, base) -> np.ndarray:
 
 
 class TsplineSpace:
-    """Span of the T-spline functions of one rendered mesh, with B/D scaling."""
+    """Span of the T-spline functions of one rendered mesh, with B/D scaling.
+    Its float tables are derived on first use: each distinct 1D factor once
+    per rule, and all element tables as one gathered product of factors."""
 
     def __init__(self, mesh: TMesh2D, scalings=("B", "B")):
         self.mesh = mesh
@@ -689,77 +691,81 @@ class TsplineSpace:
         return tuple(KnotRows.from_ranks(r, v) for r, v in zip(self.ranks, self.mesh.line_values))
 
     @cached_property
-    def elements(self) -> list:
+    def elements(self) -> np.ndarray:
         """Float boxes (x1, y1, x2, y2) of the positive-area faces of the
-        extended mesh, the integration elements."""
+        extended mesh, the integration elements, as an (nel, 4) array."""
         ext = self.mesh.extended()
-        return [
-            (float(ext.xs[f[0]]), float(ext.ys[f[1]]), float(ext.xs[f[2]]), float(ext.ys[f[3]]))
-            for f in ext.positive_faces()
-        ]
+        i1, j1, i2, j2 = np.array(ext.faces).reshape(-1, 4).T
+        xs, ys = np.array(ext.xs, dtype=object), np.array(ext.ys, dtype=object)  # exact, for the areas
+        xf, yf = xs.astype(float), ys.astype(float)
+        return np.stack([xf[i1], yf[j1], xf[i2], yf[j2]], axis=1)[(xs[i2] != xs[i1]) & (ys[j2] != ys[j1])]
 
     @cached_property
     def element_anchors(self) -> tuple:
-        """Element -> anchor map of ``elements``.
+        """Element -> anchor map of ``elements``: (columns, (act, cx, cy)).
 
-        Returns (pairs, active).  Per direction, ``pairs`` holds the
-        distinct element spans and the (span, anchor) pairs whose supports
-        overlap, as two index arrays sorted by span.  Per element,
-        ``active`` holds the ascending indices of the anchors overlapping it
-        and their x and y pair numbers.
+        Per direction, ``columns`` holds the distinct element spans (ns, 2)
+        and per distinct 1D factor its span and an anchor: the span and the
+        anchor's rank row fix a factor, so equal rows share it.  ``act``,
+        ``cx`` and ``cy`` are (nel, nmax) int arrays padded with -1: per
+        element, the ascending anchors overlapping it and their x and y
+        factor numbers.
         """
-        boxes = self.elements
-        pairs, hits, numbers = [], [], []
-        for d, rows in enumerate(self.knot_rows):
-            ivs = sorted({(b[d], b[d + 2]) for b in boxes})
-            lo, hi = rows.knots[:, 0], rows.knots[:, -1]
-            hit = np.array([(lo < b) & (hi > a) for a, b in ivs])
-            span, anchor = np.nonzero(hit)
-            number = np.zeros(hit.shape, dtype=int)
-            number[span, anchor] = np.arange(span.size)
-            pos = {iv: k for k, iv in enumerate(ivs)}
-            pairs.append((ivs, span, anchor))
-            hits.append((hit, [pos[(b[d], b[d + 2])] for b in boxes]))
-            numbers.append(number)
-        (hx, sx), (hy, sy) = hits
-        active = []
-        for i, j in zip(sx, sy):
-            act = np.flatnonzero(hx[i] & hy[j])
-            active.append((act, numbers[0][i, act], numbers[1][j, act]))
-        return pairs, active
+        boxes, columns, gathered = self.elements, [], []
+        for d, (rows, ranks) in enumerate(zip(self.knot_rows, self.ranks)):
+            ivs, s = np.unique(boxes[:, [d, d + 2]], axis=0, return_inverse=True)
+            span, anchor = np.nonzero((rows.knots[:, 0] < ivs[:, 1:]) & (rows.knots[:, -1] > ivs[:, :1]))
+            _, first, row = np.unique(ranks, axis=0, return_index=True, return_inverse=True)
+            key, col = np.unique(span * first.size + row.ravel()[anchor], return_inverse=True)
+            columns.append((ivs, key // first.size, first[key % first.size]))
+            gathered.append(sp.csr_matrix((col + 1, (span, anchor)), shape=(len(ivs), self.dim))[s.ravel()])
+        # per element, the factor numbers + 1 of the anchors over its spans: over both reads cx + 1 + base (cy + 1)
+        base = len(columns[0][1]) + 1
+        both = (gathered[0] + base * gathered[1]).tocoo()
+        keep = (both.data % base > 0) & (both.data > base)
+        e, code = both.row[keep], both.data[keep]
+        nact = np.bincount(e, minlength=len(boxes))
+        out = np.full((3, len(boxes), nact.max(initial=0)), -1)
+        out[:, e, np.arange(e.size) - (np.cumsum(nact) - nact)[e]] = both.col[keep], code % base - 1, code // base - 1
+        return columns, tuple(out)
 
     def factor_tables(self, order: int) -> tuple:
-        """Per direction, (values, derivatives) of the 1D factors at the
-        ``order``-point Gauss rule of every distinct element span, one column
-        per (span, anchor) pair of ``element_anchors``: shape (order, npairs),
-        from one batched evaluation per direction."""
+        """Per direction, (values, derivatives) of the distinct 1D factors on
+        the ``order``-point Gauss rule of their span, (nfactors + 1, order),
+        from one batched evaluation; the last row, read by the padding -1, is zero."""
         from .assembly import gauss_points_1d
 
         cache = self.__dict__.setdefault("_factor_tables", {})
         if order not in cache:
             tabs = []
             for d, (ivs, span, anchor) in enumerate(self.element_anchors[0]):
-                x = np.array([gauss_points_1d(a, b, order)[0] for a, b in ivs])[span].T
+                x = gauss_points_1d(ivs[:, :1], ivs[:, 1:], order)[0][span].T
                 args = (self.knot_rows[d][anchor], self.degrees[d], self.scalings[d], x)
-                tabs.append((scaled_eval(*args), scaled_eval(*args, 1)))
+                tabs.append(tuple(np.vstack([scaled_eval(*args, k).T, np.zeros(order)]) for k in (0, 1)))
             cache[order] = tuple(tabs)
         return cache[order]
 
-    def element_table(self, e: int, order: int, derivs: bool = True) -> tuple:
-        """Active anchors of element ``e`` and their values on its tensor
-        Gauss grid (x index slowest), shape (order**2, nact), as outer
-        products of factor-table columns; with ``derivs`` also the x and y
-        derivatives, else None for both."""
-        act, cx, cy = self.element_anchors[1][e]
+    def element_tables(self, order: int, derivs: bool = True, e=slice(None)) -> tuple:
+        """Active anchors (nel, nmax) of the elements ``e`` (all by default) and
+        their values on each element's Gauss grid (x index slowest), (nel,
+        nmax, order**2), one gathered outer product of factor rows; with
+        ``derivs`` also d/dx and d/dy, else None.  Padding rows are zero."""
+        act, cx, cy = (a[e] for a in self.element_anchors[1])
         (vx, gx), (vy, gy) = self.factor_tables(order)
-        fx, fy = vx[:, cx], vy[:, cy]
 
-        def outer(a, b):  # C order: BLAS sums these tables in a fixed order
-            return np.multiply(a[:, None, :], b[None, :, :], order="C").reshape(-1, len(act))
+        def outer(fx, fy):
+            return (fx[cx][..., :, None] * fy[cy][..., None, :]).reshape(*act.shape, -1)
 
         if not derivs:
-            return act, outer(fx, fy), None, None
-        return act, outer(fx, fy), outer(gx[:, cx], fy), outer(fx, gy[:, cy])
+            return act, outer(vx, vy), None, None
+        return act, outer(vx, vy), outer(gx, vy), outer(vx, gy)
+
+    def element_table(self, e: int, order: int, derivs: bool = True) -> tuple:
+        """The :meth:`element_tables` of element ``e`` without padding,
+        tables of shape (order**2, nact)."""
+        act, *tabs = self.element_tables(order, derivs, e)
+        keep = act >= 0
+        return (act[keep], *(t if t is None else t[keep].T for t in tabs))
 
     def basis(self, points) -> np.ndarray:
         """Values of all anchors at arbitrary points, shape (npts, dim)."""

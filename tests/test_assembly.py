@@ -536,8 +536,10 @@ def _rule_3d(box, zspan, order):
 
 
 def _cells_2d(space, deriv, order):
-    for e, box in enumerate(space.elements()):
-        yield (*_rule_2d(box, order), *assembly._dof_tables_2d(space, e, order, deriv))
+    """Per element, its rule and its dof row and table without the padding."""
+    idx, T = assembly._space_tables(space, order, deriv)
+    for box, i, t in zip(space.elements(), idx, T):
+        yield (*_rule_2d(box, order), i[i >= 0], t[i >= 0])
 
 
 def _cells_3d(cx3, order):
@@ -654,23 +656,27 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
 
 
 def test_patches_on_one_space_share_its_element_tables(monkeypatch):
-    # the three cylinder sections share one Vector2D: each element's dof
-    # table of a rule and derivative is built once per solve, not per patch
+    # the three cylinder sections share one Vector2D: each T-spline space of
+    # a space key is tabulated in one batched call per rule and derivative
+    # per solve, not per patch or per element
     from splinecomplex import problems
 
-    original, built = assembly._dof_tables_2d, []
+    original, shared, built = TsplineSpace.element_tables, assembly._space_tables, []
 
-    def counting(space, e, order, deriv):
-        built.append((*assembly._space_key(space), e, order, deriv))
-        return original(space, e, order, deriv)
+    def counting(self, order, derivs=True, e=slice(None)):
+        built.append((self, order, derivs))
+        return original(self, order, derivs, e)
 
-    monkeypatch.setattr(assembly, "_dof_tables_2d", counting)
+    def unshared(space, order, deriv):
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "_TABLES", None)
+            return shared(space, order, deriv)
+
+    monkeypatch.setattr(TsplineSpace, "element_tables", counting)
     ref = problems.cylinder_sector_source(1, nz=2)
     assert len(built) == len(set(built)) > 0
-    monkeypatch.setattr(assembly, "_space_tables", lambda space, order, deriv: [
-        original(space, e, order, deriv) for e in range(len(space.elements()))
-    ])
-    monkeypatch.setattr(problems, "_space_tables", assembly._space_tables)
+    monkeypatch.setattr(assembly, "_space_tables", unshared)
+    monkeypatch.setattr(problems, "_space_tables", unshared)
     assert problems.cylinder_sector_source(1, nz=2) == ref  # unshared tables, same numbers
 
 
@@ -700,6 +706,30 @@ def test_geometry_tabulates_each_direction_on_its_distinct_abscissae(monkeypatch
     assert sum(seen) < P.shape[0] * P.shape[1] / 10
 
 
+def test_factor_tables_evaluate_each_distinct_factor_once(monkeypatch):
+    # on square L3 p=3 Cox-de Boor runs once per distinct (element span,
+    # local knot vector) of a direction, values and derivatives, not once
+    # per (span, anchor) pair with overlapping support
+    from splinecomplex import tmesh
+
+    tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(3), 3))
+    original, seen = tmesh.scaled_eval, []
+
+    def counting(rows, *args):
+        seen.append(len(rows))
+        return original(rows, *args)
+
+    monkeypatch.setattr(tmesh, "scaled_eval", counting)
+    for space, distinct, pairs in ((tcx.Y1[0], (96, 400), (2640, 6816)), (tcx.Y1[1], (128, 304), (3360, 5328))):
+        seen.clear()
+        space.factor_tables(4)
+        assert seen == [n for n in distinct for _ in range(2)]
+        for d in (0, 1):
+            ivs = np.unique(space.elements[:, [d, d + 2]], axis=0)
+            knots = space.knot_rows[d].knots
+            assert np.sum((knots[:, 0] < ivs[:, 1:]) & (knots[:, -1] > ivs[:, :1])) == pairs[d]
+
+
 def test_pattern_slots_match_a_search_per_element():
     # one search over all element keys gives the slots of one search per element
     from splinecomplex.benchmarks import cylinder_section_raw_tmesh
@@ -708,12 +738,13 @@ def test_pattern_slots_match_a_search_per_element():
     for space in (Vector2D.from_complex(tcx), Complex3D(tcx, KnotVector.uniform(2, 3))):
         n = space.dim
         if isinstance(space, Vector2D):
-            dofs = [assembly._dof_tables_2d(space, e, 3, False)[0] for e in range(len(space.elements()))]
+            rows = assembly._space_tables(space, 3, False)[0]
         else:
             _, nelem, blocks = assembly._x1_tables(space, 3)
-            dofs = [d for e in range(nelem) for d in assembly._element_tables(blocks, e, 3)[0]]
-        indptr, indices, slot = assembly._pattern(space, n, dofs)
+            rows = assembly._padded([d for e in range(nelem) for d in assembly._element_tables(blocks, e, 3)[0]])
+        indptr, indices, slot = assembly._pattern(space, n, rows)
         flat = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+        dofs = [d[d >= 0] for d in rows]
         sizes = np.array([d.size for d in dofs])
         expected, ends = np.empty((sizes**2).sum(), dtype=np.intp), np.cumsum(sizes**2)
         for d, end in zip(dofs, ends):

@@ -328,3 +328,18 @@ def test_incidence_property_random():
         kvs = [random_kv(rng, p, int(rng.integers(2, 4))) for _ in range(d)]
         rep = entity_correspondence(build_complex(kvs))
         assert rep.applicable and rep.passed, (p, d, rep)
+
+
+def test_incidence_property_random_degrees_of_one_parity():
+    # per-direction degrees that differ but share one parity, e.g. (1, 3) or
+    # (2, 4, 2), follow the entity rule of that parity
+    rng = np.random.default_rng(23)
+    unequal = 0
+    for _ in range(10):
+        choices = (1, 3) if rng.integers(2) else (2, 4)
+        degrees = [int(rng.choice(choices)) for _ in range(int(rng.integers(2, 4)))]
+        unequal += len(set(degrees)) > 1
+        rep = entity_correspondence(build_complex([random_kv(rng, p, int(rng.integers(2, 4))) for p in degrees]))
+        assert rep.applicable and rep.passed, (degrees, rep)
+        assert rep.kind == ("odd" if degrees[0] % 2 else "even")
+    assert unequal > 0

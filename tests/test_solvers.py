@@ -362,6 +362,35 @@ def _cylinder_assembled(p, nz):
     return glue.ndof, free.size, math.sqrt(sum(e**2 for pair in errs for e in pair))
 
 
+def test_cylinder_dof_counts_t_spline_against_tensor():
+    """The dof-efficiency rows of the cylinder sector at its default nz and
+    p=3, L0-L3, counted from the section glues and the vertical knot vector
+    as ``cylinder_sector_source`` counts them, without a solve: from L1 on,
+    the T-spline space is smaller than the tensor space."""
+    from splinecomplex import problems
+    from splinecomplex.assembly import Scalar2D, Vector2D
+    from splinecomplex.benchmarks import CYLINDER_INTERFACES, cylinder_section_raw_tmesh, cylinder_sector_patches
+    from splinecomplex.bspline import KnotVector
+    from splinecomplex.multipatch import PatchSet, build_glue
+    from splinecomplex.tmesh import tensor_raw_tmesh
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    rows = {0: (1732, 1732), 1: (3811, 4687), 2: (10156, 15136), 3: (31593, 55533)}
+    for level, want in rows.items():
+        n = KnotVector.uniform(3, 2 ** (level + 1)).n
+        raw, got = cylinder_section_raw_tmesh(level), []
+        for mesh in (raw, tensor_raw_tmesh(raw.breakpoints_x, raw.breakpoints_y)):
+            tcx = build_tspline_complex(derive_complex_meshes(mesh, 3))
+            glue1, glue0 = (
+                build_glue(PatchSet(cylinder_sector_patches(), [space] * 3, CYLINDER_INTERFACES))
+                for space in (Vector2D.from_complex(tcx), Scalar2D(tcx.Y0))
+            )
+            got.append(glue1.ndof * n + glue0.ndof * (n - 1))
+        assert tuple(got) == want, level
+        assert level == 0 or got[0] < got[1]
+    assert problems.cylinder_sector_source(0)[0] == rows[0][0]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("nz", [1, 2, 3])
 def test_cylinder_modes_match_the_assembled_3d_solve(p, nz):

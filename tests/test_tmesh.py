@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splinecomplex.benchmarks import (
@@ -617,6 +617,59 @@ def test_tspline_tabulation_matches_exact_recursion_on_random_meshes(case):
                 want = (X[kx][:, None, :] * Y[ky][None, :, :]).reshape(order * order, -1)
                 _assert_close_to_exact(got, want[:, act])
                 assert not np.any(np.delete(want, act, axis=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(refined_tmeshes())
+@example((3, crossing_extensions_raw()))
+def test_padded_tables_on_random_meshes_with_or_without_analysis_suitability(case):
+    """Elements of a mesh that is not analysis-suitable (drawn here, unlike
+    above) carry unequal numbers of active anchors, so the batched tables
+    are padded.  On every element they equal the exact recursion and the
+    padding rows vanish; the padding is never scattered, so ``gram_matrix``
+    has the values and the sparsity of a COO sum of per-element kernels,
+    and so has a two-component mass."""
+    import scipy.sparse as sp
+
+    from splinecomplex import assembly
+    from splinecomplex.assembly import Scalar2D, Vector2D, assemble_matrix_2d, gauss_points_2d
+    from splinecomplex.geometry import affine_map
+
+    p, raw = case
+    space = TsplineSpace(TMesh2D.from_raw(raw, (p, p)))
+    order = p + 1
+    act, *tables = space.element_tables(order, derivs=True)
+    tx, ty = (r.knots for r in space.knot_rows)
+    rows, cols, vals, exact = [], [], [], {}  # exact: (direction, abscissae) -> tables
+    for e, box in enumerate(space.elements):
+        P, W = gauss_points_2d(box, order)
+        for d, g in ((0, P[::order, 0]), (1, P[:order, 1])):
+            if (d, tuple(g)) not in exact:
+                exact[d, tuple(g)] = [_exact_factor_table(space, d, [F(float(v)) for v in g], k) for k in (0, 1)]
+        X, Y = exact[0, tuple(P[::order, 0])], exact[1, tuple(P[:order, 1])]
+        a = act[e][act[e] >= 0]
+        over = (tx[:, 0] < box[2]) & (tx[:, -1] > box[0]) & (ty[:, 0] < box[3]) & (ty[:, -1] > box[1])
+        assert np.array_equal(a, np.flatnonzero(over)) and np.all(act[e][a.size :] == -1)  # padded at the end
+        for got, (kx, ky) in zip(tables, ((0, 0), (1, 0), (0, 1))):
+            want = (X[kx][:, None, :] * Y[ky][None, :, :]).reshape(order * order, -1)
+            _assert_close_to_exact(got[e][: a.size].T, want[:, a])
+            assert not np.any(got[e][a.size :]) and not np.any(np.delete(want, a, axis=1))
+        v = tables[0][e][: a.size]
+        rows.append(np.repeat(a, a.size))
+        cols.append(np.tile(a, a.size))
+        vals.append((v @ (W[:, None] * v.T)).ravel())
+    want = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(space.dim,) * 2).tocsr()
+    want.sort_indices()
+    idx = assembly._space_tables(Scalar2D(space), order, False)[0]
+    assert assembly._pattern(Scalar2D(space), space.dim, idx)[2].size == sum(map(len, rows))  # real pairs only
+    got = assemble_matrix_2d(Scalar2D(space), affine_map(1.0, ndim=2), "mass")
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    _assert_close_to_exact(space.gram_matrix(), want.toarray())
+    # two components on the space: every dof pair of an element, the padding of neither
+    got = assemble_matrix_2d(Vector2D(space, space, None), affine_map(1.0, ndim=2), "mass")
+    pairs = sp.bmat([[want, want], [want, want]], format="csr")
+    assert np.array_equal(got.indptr, pairs.indptr) and np.array_equal(got.indices, pairs.indices)
+    _assert_close_to_exact(got.toarray(), sp.block_diag([want, want]).toarray())
 
 
 @settings(max_examples=30, deadline=None)
