@@ -1,23 +1,21 @@
-"""Galerkin assembly on (extended) T-meshes and tensor 3D spaces.
+"""Galerkin assembly on (extended) T-meshes.
 
-Integration covers the positive-area faces of the extended mesh (times
-nonempty knot spans in the third direction) with tensor Gauss rules of
-order degree+1 per direction; zero-measure elements are skipped.  In 2D
-every element is one batch: the dof rows (nel, ndof) are padded with -1
-where elements have fewer active functions, and the padding has zero
-tables and is never scattered.
+Integration covers the positive-area faces of the extended mesh with
+tensor Gauss rules of order degree+1 per direction; zero-measure elements
+are skipped.  Every element is one batch: the dof rows (nel, ndof) are
+padded with -1 where elements have fewer active functions, and the padding
+has zero tables and is never scattered.
 
 Every matrix is one element kernel, sum_q T_q W_q T_q^T, and its kind picks
 both factors:
 
 * the dof table T, shape (ndof, npts, c): the reference values of the space
-  for 'mass'; the reference values of its exterior derivative (grad, rot,
-  curl) for 'gradgrad', 'rotrot' and 'curlcurl';
+  for 'mass'; the reference values of its exterior derivative (grad, rot)
+  for 'gradgrad' and 'rotrot';
 * the form degree j of the integrand: the space's own (Scalar2D 0,
-  Vector2D and Complex3D 1) for 'mass', one more for the derivative kinds;
-  W is the weight of the degree-j pullback (:func:`pullback_weight`): det J
-  for j=0, J^-1 J^-T det J for j=1, J^T J / det J for j=2 in 3D, 1 / det J
-  for the top form.
+  Vector2D 1) for 'mass', one more for the derivative kinds; W is the
+  weight of the degree-j pullback (:func:`pullback_weight`): det J for
+  j=0, J^-1 J^-T det J for j=1, 1 / det J for the top form.
 
 Per patch and quadrature rule, the Gauss points of all cells form one
 record, shape (ncell, npts, d): the geometry (J, det J, the physical points)
@@ -29,37 +27,32 @@ each kind is one ``np.bincount`` over the slots; inside
 reuses it, and every patch on the same 2D space reuses its batched dof
 tables of one rule and derivative.
 
-Three-dimensional spaces combine a 2D T-spline complex with a 1D spline
-direction; component coefficient blocks are ordered (c1, c2, c3) with the
-2D anchor index running fastest inside each block.  Their dof tables are
-never expanded: each is a sum of terms (2D factor) x (z factor) in one
-component.  Per 2D element the z-spans of its column are a batch axis and
-the z direction is contracted first, into z-integrated weights
-H = sum_qz Z Z' W, then the 2D factors against H.  Prism loads and errors
-are integrated on their sections (:mod:`splinecomplex.problems`).
+The library's 3D form is the prism: a section space times a vertical
+spline direction, whose matrices are Kronecker sums of section matrices
+and the vertical ones of :func:`_vertical_mass` and :func:`_z_tables`
+(:mod:`splinecomplex.problems`).  The assembled 3D curl-conforming space
+is a test oracle (``tests/oracle3d.py``) built on the same kernel.
 
-Every space type (Scalar2D, Vector2D, Scalar3D, Complex3D) describes itself
-by ``blocks()``: per component block, (dof offset, 2D T-spline space,
-vertical knot vector or None, vertical scaling, reference component or
-None for scalars); dof ``offset + iz * dim2d + anchor``.  :func:`traces`
-enumerates from it the functions with a nonzero tangential trace on a
-face, with their local knot vectors along the face, which is all the
-Dirichlet walls and the interface glue of :mod:`splinecomplex.multipatch`
-read.
+Every space type describes itself by ``blocks()``: per component block,
+(dof offset, 2D T-spline space, vertical knot vector or None, vertical
+scaling, reference component or None for scalars); dof ``offset + iz *
+dim2d + anchor``.  :func:`traces` enumerates from it the functions with a
+nonzero tangential trace on a face, with their local knot vectors along
+the face, which is all the Dirichlet walls and the interface glue of
+:mod:`splinecomplex.multipatch` read.
 """
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from .bspline import KnotVector, _clamped, grad_matrix_1d, scaled_eval
-from .complexes import extrude_operators
+from .bspline import KnotVector, _clamped, scaled_eval
 from .geometry import pullback_weight
 from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
@@ -69,21 +62,12 @@ __all__ = [
     "gauss_points_2d",
     "Scalar2D",
     "Vector2D",
-    "Complex3D",
-    "Scalar3D",
     "assemble_matrix_2d",
-    "assemble_matrix_3d",
     "dirichlet_dofs",
     "traces",
 ]
 
-_GAUSS_CACHE = {}
-
-
-def _leggauss(n):
-    if n not in _GAUSS_CACHE:
-        _GAUSS_CACHE[n] = leggauss(n)
-    return _GAUSS_CACHE[n]
+_leggauss = cache(leggauss)
 
 
 def gauss_points_1d(a, b, order):
@@ -164,6 +148,10 @@ def _shared_elements(*spaces):
     return boxes
 
 
+# Per space type: its form degree and the kind built on its derivative table.
+_FORMS = {Scalar2D: (0, "gradgrad"), Vector2D: (1, "rotrot")}
+
+
 # -- the element kernel -------------------------------------------------------------
 
 
@@ -203,22 +191,15 @@ def _shared_patterns():
 
 
 def _space_key(space) -> tuple:
-    """The T-spline spaces (and the vertical knot vector) that fix the
-    element dof lists of ``space``: the key of its shared pattern."""
-    if isinstance(space, Complex3D):
-        return (space.tcx.Y0, *space.tcx.Y1, space.kv_z)
-    return (space.space,) if isinstance(space, Scalar2D) else (space.c1, space.c2)
+    """The 2D spaces and vertical knot vectors of the blocks of ``space``,
+    which fix its element dof lists: the key of its shared pattern."""
+    return tuple((s2d, kvz) for _, s2d, kvz, _, _ in space.blocks())
 
 
 def _pairs(dofs):
     """The (nel, m, m) mask of the block entries joining two dofs of padded element dof rows."""
     valid = dofs >= 0
     return valid[:, :, None] & valid[:, None, :]
-
-
-def _padded(rows):
-    """Int rows of unequal lengths as one array, padded with -1."""
-    return np.array(list(itertools.zip_longest(*rows, fillvalue=-1)), dtype=int).T
 
 
 def _pattern(space, n, dofs):
@@ -296,72 +277,7 @@ def assemble_matrix_2d(space, geom, kind):
     return _csr(space, space.dim, idx, _bilinear(T, G)[_pairs(idx)])
 
 
-# -- 3D tensor spaces ---------------------------------------------------------------
-
-
-@dataclass
-class Complex3D:
-    """Tensor product of a 2D T-spline complex with a 1D spline direction."""
-
-    tcx: TsplineComplex
-    kv_z: KnotVector
-
-    def __post_init__(self):
-        if self.kv_z.degree != self.tcx.degree:
-            raise ValueError("vertical degree must match the horizontal complex")
-
-    @property
-    def nz(self):
-        return self.kv_z.n
-
-    def space_dims(self):
-        t = self.tcx
-        nz, nzd = self.nz, self.nz - 1
-        return {
-            0: t.space_dim(0) * nz,
-            1: (t.Y1[0].dim + t.Y1[1].dim) * nz + t.space_dim(0) * nzd,
-            2: (t.Y1[0].dim + t.Y1[1].dim) * nzd + t.space_dim(2) * nz,
-            3: t.space_dim(2) * nzd,
-        }
-
-    @property
-    def dim(self):
-        return self.space_dims()[1]
-
-    def blocks(self):
-        """The X1 components (c1, c2, c3): 2D space times vertical factor."""
-        t, kvd = self.tcx, self.kv_z.derived()
-        parts = ((t.Y1[0], self.kv_z, "B"), (t.Y1[1], self.kv_z, "B"), (t.Y0, kvd, "D"))
-        offs = np.cumsum([0] + [s2d.dim * kvz.n for s2d, kvz, _ in parts])
-        return tuple((int(off), *part, m) for m, (off, part) in enumerate(zip(offs, parts)))
-
-    def gradient(self):
-        """The exact gradient: the scalar space X0 and grad: X0 -> X1, whose
-        image is the kernel of curl."""
-        return Scalar3D(self), self.operators()["grad"]
-
-    def operators(self):
-        """grad, curl, div as float matrices (Kronecker combinations)."""
-        t = self.tcx
-        return extrude_operators(t.operators["grad"], t.operators["rot"], t.Y1[0].dim, grad_matrix_1d(self.kv_z))
-
-
-@dataclass
-class Scalar3D:
-    """Scalar 3D space (X0): a 2D scalar space tensor a vertical direction."""
-
-    cx3: Complex3D
-
-    @property
-    def dim(self):
-        return self.cx3.tcx.space_dim(0) * self.cx3.kv_z.n
-
-    def blocks(self):
-        return ((0, self.cx3.tcx.Y0, self.cx3.kv_z, "B", None),)
-
-
-# Per space type: its form degree and the kind built on its derivative table.
-_FORMS = {Scalar2D: (0, "gradgrad"), Vector2D: (1, "rotrot"), Complex3D: (1, "curlcurl")}
+# -- vertical factors of prisms ---------------------------------------------------
 
 
 def _z_tables(kv: KnotVector, scaling, spans, order):
@@ -387,97 +303,6 @@ def _vertical_mass(kv: KnotVector, scaling):
     for a, vals, ws in zip(act, Z[0], w):
         M[np.ix_(a, a)] += vals.T @ (ws[:, None] * vals)
     return M
-
-
-def _x1_tables(cx3: Complex3D, order):
-    """The Gauss rule of all cells (element, z-span) of one patch, the
-    number of 2D elements, and per X1 block (dof offset, 2D space with its
-    caches filled, z tables)."""
-    zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
-    blocks = []
-    for off, s2d, kvz, zscal, _ in cx3.blocks():
-        s2d.factor_tables(order)
-        blocks.append((off, s2d, _z_tables(kvz, zscal, zspans, order)))
-    boxes = _shared_elements(cx3.tcx.Y0, cx3.tcx.Y1[0], cx3.tcx.Y1[1])
-    return _rules_3d(boxes, zspans, order), len(boxes), blocks
-
-
-def _rules_3d(boxes, zspans, order):
-    """Tensor Gauss rules of all 3D cells (box, z-span), z-span fastest:
-    points (ncell, npts, 3), 2D point index slowest, and weights."""
-    P2, W2 = _rules_2d(boxes, order)
-    Z = np.asarray(zspans, dtype=float)
-    pz, wz = gauss_points_1d(Z[:, :1], Z[:, 1:], order)
-    P = np.empty((len(P2), len(Z), P2.shape[1], order, 3))
-    P[..., :2], P[..., 2] = P2[:, None, :, None, :], pz[None, :, None, :]
-    W = W2[:, None, :, None] * wz[None, :, None, :]
-    return P.reshape(len(P2) * len(Z), -1, 3), W.reshape(len(P2) * len(Z), -1)
-
-
-# Per table (values, curls) and block m, the terms sign * (2D factor) x (z
-# factor) in one component of f e_m or of its reference curl: (component,
-# 2D factor 0 value, 1 d/dx, 2 d/dy; z factor 0 value, 1 d/dz; sign).
-_TERMS = (
-    (((0, 0, 0, 1),), ((1, 0, 0, 1),), ((2, 0, 0, 1),)),
-    (((1, 0, 1, 1), (2, 2, 0, -1)), ((0, 0, 1, -1), (2, 1, 0, 1)), ((0, 2, 0, 1), (1, 1, 0, -1))),
-)
-
-
-def _z_factors(blocks, curl):
-    """The signed z factors of all terms in their components, one table
-    (nzs, order, 3, nt) with columns (term, z function) block by block, and
-    the column range of each block."""
-    cols, ends = [], [0]
-    for m, (_, _, (_, Zm)) in enumerate(blocks):
-        for comp, _, zf, sign in _TERMS[curl][m]:
-            cols.append(np.zeros((*Zm.shape[1:3], 3, Zm.shape[-1])))
-            cols[-1][:, :, comp] = sign * Zm[zf]
-        ends.append(sum(c.shape[-1] for c in cols))
-    return np.concatenate(cols, axis=-1), [slice(a, b) for a, b in zip(ends, ends[1:])]
-
-
-def _element_tables(blocks, e, order, curl=False):
-    """The z column of 2D element ``e``: its cell dofs (nzs, ndof), block by
-    block with the 2D anchor slowest, their positions per block, and per
-    block the 2D factors (order**2, nterms, n2d) of the terms."""
-    dofs, tables = [], []
-    for m, (off, s2d, (actz, _)) in enumerate(blocks):
-        act2, *tabs = s2d.element_table(e, order, derivs=curl)
-        dofs.append((off + actz[:, None, :] * s2d.dim + act2[None, :, None]).reshape(len(actz), -1))
-        tables.append(np.stack([tabs[x] for _, x, _, _ in _TERMS[curl][m]], axis=1))
-    ends = np.cumsum([d.shape[1] for d in dofs])
-    return np.concatenate(dofs, axis=1), [slice(b - d.shape[1], b) for d, b in zip(dofs, ends)], tables
-
-
-def assemble_matrix_3d(cx3: Complex3D, geom, kind):
-    """'mass' or 'curlcurl' on the curl-conforming space of one patch, per
-    z column: H = sum_qz Z Z' G for all pairs of terms, then per pair of
-    blocks one product of 2D factors with H; each cell gets its own block."""
-    curl, j = _kind(cx3, kind)
-    order = cx3.tcx.degree + 1
-    rule, nelem, blocks = _x1_tables(cx3, order)
-    Z, ranges = _z_factors(blocks, curl)
-    nzs, nt, o2 = Z.shape[0], Z.shape[-1], order * order
-    ZT = Z.reshape(nzs, 3 * order, nt).transpose(0, 2, 1)
-    G = _weights(geom, rule, j).reshape(nelem, nzs, o2, order, 3, 3)
-    nk = [act.shape[1] for _, _, (act, _) in blocks]
-    dofs, data = [], []
-    for e in range(nelem):
-        cell_dofs, pos, X = _element_tables(blocks, e, order, curl)
-        H = ZT[:, None] @ (G[e] @ Z[:, None]).reshape(nzs, o2, 3 * order, nt)  # (nzs, o2, nt, nt)
-        A = np.empty((nzs, cell_dofs.shape[1], cell_dofs.shape[1]))
-        for a, b in itertools.combinations_with_replacement(range(len(blocks)), 2):
-            (nta, na), (ntb, nb) = X[a].shape[1:], X[b].shape[1:]
-            # one product, K = (2D point, term a, term b) and N = (z-span, z function a, z function b)
-            Hab = H[:, :, ranges[a], ranges[b]].reshape(nzs, o2, nta, nk[a], ntb, nk[b]).transpose(1, 2, 4, 0, 3, 5)
-            XX = X[a][:, :, None, :, None] * X[b][:, None, :, None, :]  # (o2, nta, ntb, na, nb)
-            out = Hab.reshape(o2 * nta * ntb, -1).T @ XX.reshape(o2 * nta * ntb, -1)
-            A[:, pos[a], pos[b]] = out.reshape(nzs, nk[a], nk[b], na, nb).transpose(0, 3, 1, 4, 2).reshape(nzs, na * nk[a], -1)
-            if a != b:
-                A[:, pos[b], pos[a]] = A[:, pos[a], pos[b]].transpose(0, 2, 1)
-        dofs.extend(cell_dofs)
-        data.append(A.ravel())
-    return _csr(cx3, cx3.dim, _padded(dofs), np.concatenate(data))
 
 
 # -- traces: boundary conditions and interfaces --------------------------------------

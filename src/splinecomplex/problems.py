@@ -36,7 +36,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import (
-    Complex3D,
     Scalar2D,
     Vector2D,
     _rules_2d,
@@ -45,7 +44,6 @@ from .assembly import (
     _space_tables,
     _vertical_mass,
     assemble_matrix_2d,
-    assemble_matrix_3d,
     dirichlet_dofs,
     gauss_points_1d,
 )
@@ -108,10 +106,7 @@ def _system(ps: PatchSet, walls, kinds):
     matrices = []
     with _shared_patterns():
         for kind in kinds:
-            local = []
-            for space, geom in zip(ps.spaces, ps.geoms):
-                assemble = assemble_matrix_3d if isinstance(space, Complex3D) else assemble_matrix_2d
-                local.append(assemble(space, geom, kind))
+            local = [assemble_matrix_2d(space, geom, kind) for space, geom in zip(ps.spaces, ps.geoms)]
             matrices.append(glue.global_matrix(local) if glue else local[0])
     return glue, matrices, _free(ps, glue, walls, matrices[0].shape[0])
 

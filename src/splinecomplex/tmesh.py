@@ -760,13 +760,6 @@ class TsplineSpace:
             return act, outer(vx, vy), None, None
         return act, outer(vx, vy), outer(gx, vy), outer(vx, gy)
 
-    def element_table(self, e: int, order: int, derivs: bool = True) -> tuple:
-        """The :meth:`element_tables` of element ``e`` without padding,
-        tables of shape (order**2, nact)."""
-        act, *tabs = self.element_tables(order, derivs, e)
-        keep = act >= 0
-        return (act[keep], *(t if t is None else t[keep].T for t in tabs))
-
     def basis(self, points) -> np.ndarray:
         """Values of all anchors at arbitrary points, shape (npts, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

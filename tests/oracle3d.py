@@ -1,57 +1,188 @@
-"""Reference 3D load and H(curl) error on a Complex3D patch.
+"""The assembled 3D curl-conforming space: the oracle of the prism drivers.
 
-The library solves prisms on their sections (``problems``); these two
-routines integrate on the full 3D Gauss rule of a patch, evaluating its 3D
-map at every point, and are what the section paths are checked against.
-Both read the factored z-first tables of ``assembly.assemble_matrix_3d``.
+The library solves prisms on their sections (``problems``); here the 3D
+space is assembled, loaded and measured on the 3D Gauss rule of each patch,
+evaluating its 3D map at every point.
+
+A 3D space is a 2D T-spline complex times a 1D spline direction; its
+component blocks are ordered (c1, c2, c3), the 2D anchor index fastest in
+each.  Each function is a sum of terms (2D factor) x (z factor) in one
+component (``_TERMS``).  All cells (2D element, z-span), z-span fastest,
+are one batch: their padded dof rows and reference tables are outer
+products of the batched 2D tables (``TsplineSpace.element_tables``) and
+the z tables (``assembly._z_tables``), and every matrix is the element
+kernel of ``assembly`` on them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from splinecomplex.assembly import Complex3D, _element_tables, _x1_tables, _z_factors
+from splinecomplex import problems
+from splinecomplex.assembly import (
+    _bilinear,
+    _csr,
+    _pairs,
+    _rules_2d,
+    _shared_elements,
+    _shared_patterns,
+    _weights,
+    _z_tables,
+    gauss_points_1d,
+)
+from splinecomplex.bspline import KnotVector, grad_matrix_1d
+from splinecomplex.complexes import extrude_operators
 from splinecomplex.geometry import apply_pullback, apply_pushforward
+from splinecomplex.multipatch import build_glue
+from splinecomplex.tspline import TsplineComplex
+
+
+@dataclass
+class Complex3D:
+    """Tensor product of a 2D T-spline complex with a 1D spline direction."""
+
+    tcx: TsplineComplex
+    kv_z: KnotVector
+
+    def __post_init__(self):
+        if self.kv_z.degree != self.tcx.degree:
+            raise ValueError("vertical degree must match the horizontal complex")
+
+    @property
+    def nz(self):
+        return self.kv_z.n
+
+    def space_dims(self):
+        t = self.tcx
+        nz, nzd = self.nz, self.nz - 1
+        return {
+            0: t.space_dim(0) * nz,
+            1: (t.Y1[0].dim + t.Y1[1].dim) * nz + t.space_dim(0) * nzd,
+            2: (t.Y1[0].dim + t.Y1[1].dim) * nzd + t.space_dim(2) * nz,
+            3: t.space_dim(2) * nzd,
+        }
+
+    @property
+    def dim(self):
+        return self.space_dims()[1]
+
+    def blocks(self):
+        """The X1 components (c1, c2, c3): 2D space times vertical factor."""
+        t, kvd = self.tcx, self.kv_z.derived()
+        parts = ((t.Y1[0], self.kv_z, "B"), (t.Y1[1], self.kv_z, "B"), (t.Y0, kvd, "D"))
+        offs = np.cumsum([0] + [s2d.dim * kvz.n for s2d, kvz, _ in parts])
+        return tuple((int(off), *part, m) for m, (off, part) in enumerate(zip(offs, parts)))
+
+    def gradient(self):
+        """The exact gradient: the scalar space X0 and grad: X0 -> X1, whose
+        image is the kernel of curl."""
+        return Scalar3D(self), self.operators()["grad"]
+
+    def operators(self):
+        """grad, curl, div as float matrices (Kronecker combinations)."""
+        t = self.tcx
+        return extrude_operators(t.operators["grad"], t.operators["rot"], t.Y1[0].dim, grad_matrix_1d(self.kv_z))
+
+
+@dataclass
+class Scalar3D:
+    """Scalar 3D space (X0): a 2D scalar space tensor a vertical direction."""
+
+    cx3: Complex3D
+
+    @property
+    def dim(self):
+        return self.cx3.tcx.space_dim(0) * self.cx3.kv_z.n
+
+    def blocks(self):
+        return ((0, self.cx3.tcx.Y0, self.cx3.kv_z, "B", None),)
+
+
+# Per table (values, curls) and block m, the terms sign * (2D factor) x (z
+# factor) in one component of f e_m or of its reference curl: (component,
+# 2D factor 0 value, 1 d/dx, 2 d/dy; z factor 0 value, 1 d/dz; sign).
+_TERMS = (
+    (((0, 0, 0, 1),), ((1, 0, 0, 1),), ((2, 0, 0, 1),)),
+    (((1, 0, 1, 1), (2, 2, 0, -1)), ((0, 0, 1, -1), (2, 1, 0, 1)), ((0, 2, 0, 1), (1, 1, 0, -1))),
+)
+
+
+def _rules_3d(cx3, order):
+    """Tensor Gauss rules of all cells (2D element, z-span) of one patch,
+    z-span fastest: points (ncell, npts, 3), 2D point index slowest, and
+    weights (ncell, npts)."""
+    P2, W2 = _rules_2d(_shared_elements(cx3.tcx.Y0, *cx3.tcx.Y1), order)
+    Z = np.array(cx3.kv_z.spans(), dtype=float)
+    pz, wz = gauss_points_1d(Z[:, :1], Z[:, 1:], order)
+    P = np.empty((len(P2), len(Z), P2.shape[1], order, 3))
+    P[..., :2], P[..., 2] = P2[:, None, :, None, :], pz[None, :, None, :]
+    W = W2[:, None, :, None] * wz[None, :, None, :]
+    return P.reshape(len(P2) * len(Z), -1, 3), W.reshape(len(P2) * len(Z), -1)
+
+
+def _cell_tables(cx3, order, curl=False):
+    """The padded dof rows (ncell, ndof) of all cells in the order of
+    :func:`_rules_3d`, block by block with the 2D anchor slowest, and their
+    reference values or, with ``curl``, curls (ncell, ndof, npts, 3)."""
+    rows, terms = [], []
+    for m, (off, s2d, kvz, zscal, _) in enumerate(cx3.blocks()):
+        act, *tabs = s2d.element_tables(order, derivs=curl)
+        actz, Z = _z_tables(kvz, zscal, np.array(cx3.kv_z.spans(), dtype=float), order)
+        dofs = off + actz[None, :, None, :] * s2d.dim + act[:, None, :, None]  # (element, z-span, anchor, z function)
+        rows.append(np.where(act[:, None, :, None] >= 0, dofs, -1).reshape(*dofs.shape[:2], -1))
+        terms.append([(comp, sign * tabs[xy], Z[z]) for comp, xy, z, sign in _TERMS[curl][m]])
+    T = np.zeros((*rows[0].shape[:2], sum(r.shape[2] for r in rows), order * order, order, 3))
+    end = 0
+    for r, block in zip(rows, terms):
+        for comp, XY, Z in block:  # each term fills its own component
+            T[:, :, end : end + r.shape[2], ..., comp] = np.einsum("eaq,szk->esakqz", XY, Z).reshape(*r.shape, -1, order)
+        end += r.shape[2]
+    return np.concatenate(rows, axis=2).reshape(-1, end), T.reshape(-1, end, order**3, 3)
+
+
+def assemble_matrix_3d(cx3: Complex3D, geom, kind):
+    """'mass' or 'curlcurl' on the curl-conforming space of one patch, all
+    cells in the batched kernel of ``assemble_matrix_2d``."""
+    curl, j = {"mass": (False, 1), "curlcurl": (True, 2)}[kind]  # (curl table?, form degree)
+    order = cx3.tcx.degree + 1
+    dofs, T = _cell_tables(cx3, order, curl)
+    return _csr(cx3, cx3.dim, dofs, _bilinear(T, _weights(geom, _rules_3d(cx3, order), j))[_pairs(dofs)])
 
 
 def assemble_load_3d(cx3: Complex3D, geom, f):
-    """Load vector int f . v for the curl-conforming space of one patch, the
-    z direction contracted first like in ``assemble_matrix_3d``."""
+    """Load vector int f . v for the curl-conforming space of one patch."""
     order = cx3.tcx.degree + 2
-    (P, W), nelem, blocks = _x1_tables(cx3, order)
+    P, W = _rules_3d(cx3, order)
     X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
     fhat = apply_pullback(2, J, det, np.asarray(f(X))) * W.reshape(-1, 1)
-    Z, ranges = _z_factors(blocks, False)
-    nzs = Z.shape[0]
-    Hf = fhat.reshape(nelem, nzs, order * order, 3 * order) @ Z.reshape(nzs, 3 * order, -1)  # z first
-    dofs, vals = [], []
-    for e in range(nelem):
-        cell_dofs, _, X2 = _element_tables(blocks, e, order)
-        dofs.append(cell_dofs)
-        vals.append(np.concatenate([(Xm[:, 0].T @ Hf[e][:, :, r]).reshape(nzs, -1) for Xm, r in zip(X2, ranges)], 1))
-    return np.bincount(np.concatenate(dofs).ravel(), weights=np.concatenate(vals).ravel(), minlength=cx3.dim)
+    dofs, T = _cell_tables(cx3, order)
+    vals = np.einsum("caqi,cqi->ca", T, fhat.reshape(*P.shape[:2], 3))
+    return np.bincount(dofs[dofs >= 0], weights=vals[dofs >= 0], minlength=cx3.dim)
 
 
 def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact):
     """H(curl) error (l2_err, curl_err) of a discrete field against
     closed-form references, by quadrature on the extended mesh of one patch."""
     order = cx3.tcx.degree + 2
-    coeffs = np.asarray(coeffs)
-    (P, W), nelem, blocks = _x1_tables(cx3, order)
-    fields = []
-    for curl in (False, True):
-        Z, ranges = _z_factors(blocks, curl)
-        nzs = Z.shape[0]
-        Y = np.empty((nelem, nzs, order * order, Z.shape[-1]))
-        for e in range(nelem):  # the 2D factors against the coefficients
-            cell_dofs, pos, X2 = _element_tables(blocks, e, order, curl)
-            c = coeffs[cell_dofs]
-            for Xm, r, p in zip(X2, ranges, pos):
-                cm = c[:, p].reshape(nzs, Xm.shape[-1], -1)
-                Y[e][:, :, r] = (Xm.reshape(-1, Xm.shape[-1]) @ cm).reshape(nzs, order * order, -1)
-        fields.append((Y @ Z.reshape(nzs, 3 * order, -1).transpose(0, 2, 1)).reshape(-1, 3))
+    P, W = _rules_3d(cx3, order)
     X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
-    du = apply_pushforward(1, J, det, fields[0]) - np.asarray(u_exact(X))
-    dc = apply_pushforward(2, J, det, fields[1]) - np.asarray(curlu_exact(X))
-    wdet = W.ravel() * det
-    return math.sqrt(np.sum(wdet * np.sum(du * du, axis=1))), math.sqrt(np.sum(wdet * np.sum(dc * dc, axis=1)))
+    errors = []
+    for j, exact in ((1, u_exact), (2, curlu_exact)):
+        dofs, T = _cell_tables(cx3, order, curl=j == 2)
+        field = np.einsum("caqi,ca->cqi", T, np.where(dofs >= 0, np.asarray(coeffs)[dofs], 0.0))
+        d = apply_pushforward(j, J, det, field.reshape(-1, 3)) - np.asarray(exact(X))
+        errors.append(math.sqrt(np.sum(W.ravel() * det * np.sum(d * d, axis=1))))
+    return tuple(errors)
+
+
+def system_3d(ps, walls, kinds):
+    """``problems._system`` on 3D patches: (glue, matrices, free dofs), each
+    kind assembled on every patch, glued, and the dofs on the walls found."""
+    glue = build_glue(ps) if ps.npatches > 1 or ps.interfaces else None
+    matrices = []
+    with _shared_patterns():
+        for kind in kinds:
+            local = [assemble_matrix_3d(space, geom, kind) for space, geom in zip(ps.spaces, ps.geoms)]
+            matrices.append(glue.global_matrix(local) if glue else local[0])
+    return glue, matrices, problems._free(ps, glue, walls, matrices[0].shape[0])

@@ -9,12 +9,9 @@ import scipy.sparse as sp
 
 from splinecomplex import assembly
 from splinecomplex.assembly import (
-    Complex3D,
     Scalar2D,
-    Scalar3D,
     Vector2D,
     assemble_matrix_2d,
-    assemble_matrix_3d,
     dirichlet_dofs,
     gauss_points_1d,
     gauss_points_2d,
@@ -26,7 +23,8 @@ from splinecomplex.geometry import extrude, linear_patch, pullback_weight
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
-from oracle3d import assemble_load_3d, hcurl_error_3d
+import oracle3d
+from oracle3d import Complex3D, Scalar3D, assemble_load_3d, assemble_matrix_3d, hcurl_error_3d
 
 F = Fraction
 
@@ -417,11 +415,11 @@ def _per_anchor_dofs_3d(cx3, order):
                     lo1, hi1, lo2, hi2 = a.support
                     if not (_overlaps(lo1, hi1, x1, x2) and _overlaps(lo2, hi2, y1, y2)):
                         continue
+                    (fx, gx), (fy, gy) = _factor(a.lkv1, p1, s1, P[:, 0]), _factor(a.lkv2, p2, s2, P[:, 1])
                     for iz in range(kvz.n):
                         lz = ks[iz : iz + q + 2]
                         if not _overlaps(lz[0], lz[-1], za, zb):
                             continue
-                        (fx, gx), (fy, gy) = _factor(a.lkv1, p1, s1, P[:, 0]), _factor(a.lkv2, p2, s2, P[:, 1])
                         fz, gz = _factor(lz, q, zscal, P[:, 2])
                         f, dx, dy, dz = fx * fy * fz, gx * fy * fz, fx * gy * fz, fx * fy * gz
                         val = np.zeros((len(W), 3))
@@ -486,20 +484,22 @@ def test_2d_matrices_match_per_anchor_oracle():
 def test_3d_tables_match_per_anchor_oracle():
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(0), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
+    # the per-anchor tables do not depend on the geometry: built once for both
+    cells = [list(_per_anchor_dofs_3d(cx3, order)) for order in (3, 4)]
     # an affine prism and a degenerate NURBS cylinder slice
     for geom in (extrude(linear_patch([[1.0, 0.3], [-0.2, 0.8]])), extrude(cylinder_sector_patches()[0])):
-        _check_3d_against_oracle(cx3, geom)
+        _check_3d_against_oracle(cx3, geom, *cells)
 
 
-def _check_3d_against_oracle(cx3, geom):
+def _check_3d_against_oracle(cx3, geom, cells3, cells4):
     n = cx3.dim
     f = lambda X: np.column_stack([np.sin(X[:, 2]), X[:, 0] * X[:, 1], np.cos(X[:, 0])])
     coeffs = np.random.default_rng(7).standard_normal(n)
 
-    M, K = _oracle_matrices(_per_anchor_dofs_3d(cx3, 3), geom, n, 1)
+    M, K = _oracle_matrices(cells3, geom, n, 1)
     b = np.zeros(n)
     e_l2 = e_curl = 0.0
-    for P, W, dofs in _per_anchor_dofs_3d(cx3, 4):
+    for P, W, dofs in cells4:
         J, det = geom.jacobian_dets(P)
         X = geom.eval(P)
         u_h, c_h = np.zeros((len(W), 3)), np.zeros((len(W), 3))
@@ -606,11 +606,12 @@ def test_patch_record_matches_per_element_geometry():
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 2))
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
     geom = extrude(cylinder_sector_patches()[1])
-    (P, W), nelem, _ = assembly._x1_tables(cx3, 4)
+    P, W = oracle3d._rules_3d(cx3, 4)
     J, det = geom.jacobian_dets(P.reshape(-1, 3))
     J, det = J.reshape(*P.shape, 3), det.reshape(W.shape)
     boxes = tcx.Y0.elements
     zspans = [(float(a), float(b)) for a, b in cx3.kv_z.spans()]
+    nelem = len(P) // len(zspans)
     assert nelem == len(boxes) and len(P) == nelem * len(zspans)
     for k, (e, s) in enumerate((e, s) for e in range(nelem) for s in range(len(zspans))):
         Pk, Wk = _rule_3d(boxes[e], zspans[s], 4)
@@ -700,7 +701,7 @@ def test_geometry_tabulates_each_direction_on_its_distinct_abscissae(monkeypatch
     for name in ("eval_basis", "eval_basis_deriv"):
         monkeypatch.setattr(geometry, name, counting(getattr(geometry, name)))
     assemble_matrix_3d(cx3, geom, "mass")
-    (P, _), _, _ = assembly._x1_tables(cx3, 3)
+    P, _ = oracle3d._rules_3d(cx3, 3)
     distinct = [np.unique(P[..., d]).size for d in range(3)]
     assert seen == [n for n in distinct for _ in range(2)]
     assert sum(seen) < P.shape[0] * P.shape[1] / 10
@@ -740,8 +741,7 @@ def test_pattern_slots_match_a_search_per_element():
         if isinstance(space, Vector2D):
             rows = assembly._space_tables(space, 3, False)[0]
         else:
-            _, nelem, blocks = assembly._x1_tables(space, 3)
-            rows = assembly._padded([d for e in range(nelem) for d in assembly._element_tables(blocks, e, 3)[0]])
+            rows = oracle3d._cell_tables(space, 3)[0]
         indptr, indices, slot = assembly._pattern(space, n, rows)
         flat = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
         dofs = [d[d >= 0] for d in rows]

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sp_norm
 
-from splinecomplex.assembly import Complex3D, Scalar2D, Scalar3D, Vector2D, assemble_matrix_2d
+from splinecomplex.assembly import Scalar2D, Vector2D, assemble_matrix_2d
 from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches
 from splinecomplex.bspline import KnotVector
 from splinecomplex.exactrank import modular_rank
@@ -23,6 +23,9 @@ from splinecomplex.multipatch import (
 )
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
 from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+import oracle3d
+from oracle3d import Complex3D, Scalar3D, assemble_load_3d, assemble_matrix_3d, hcurl_error_3d
 
 F = Fraction
 
@@ -293,9 +296,6 @@ def test_permuted_flipped_interface_glues_gradients():
     patch 0 map onto (zeta, xi), a permutation with the first axis
     reversed.  The glued gradient, the glued curl-curl kernel and a global
     gradient field must all come out right across it."""
-    from oracle3d import assemble_load_3d, hcurl_error_3d
-
-    from splinecomplex.assembly import assemble_matrix_3d
     from splinecomplex.solvers import solve_source
 
     p = 2
@@ -400,8 +400,6 @@ def test_every_interface_orientation_glues_gradients(perm, flip):
     for S0, S1 in zip(glue0.scatters, glue1.scatters):
         npt.assert_allclose(S1 @ (G @ x), grad @ (S0 @ x), rtol=0, atol=1e-12 * np.abs(x).max())
     # the scatter glue of the patch matrices is the sum of S^T A S
-    from splinecomplex.assembly import assemble_matrix_3d
-
     for kind in ("mass", "curlcurl"):
         local = [assemble_matrix_3d(cx3, g, kind) for g in geoms]
         _check_scatter_glue(glue1.global_matrix(local), glue1, local)
@@ -443,11 +441,14 @@ def test_scatter_glue_matches_sparse_products(monkeypatch, driver):
 
 @pytest.mark.parametrize("driver", ["cylinder", "thick_l", "waveguide"])
 def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
-    """The three prisms build no 3D space and assemble no 3D matrix; the two
-    multipatch sections build one glue per section space (vector and
-    scalar), and the guide's one-patch section none."""
-    from splinecomplex import problems
+    """The three prisms build no 3D space and assemble no 3D matrix: the
+    library has neither, they live in the tests' oracle; the two multipatch
+    sections build one glue per section space (vector and scalar), and the
+    guide's one-patch section none."""
+    from splinecomplex import assembly, problems
 
+    for name in ("Complex3D", "Scalar3D", "assemble_matrix_3d"):
+        assert name not in assembly.__all__ and name not in vars(problems), name
     calls = []
     original = problems.build_glue
 
@@ -455,15 +456,11 @@ def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
         calls.append(type(ps.spaces[0]).__name__)
         return original(ps)
 
-    def unreached(*args):
-        raise AssertionError("a prism driver assembled a 3D matrix")
-
     def unbuilt(self):
         raise AssertionError("a prism driver built a Complex3D")
 
     monkeypatch.setattr(problems, "build_glue", counting)
-    monkeypatch.setattr(problems, "assemble_matrix_3d", unreached)
-    monkeypatch.setattr(Complex3D, "__post_init__", unbuilt)
+    monkeypatch.setattr(oracle3d.Complex3D, "__post_init__", unbuilt)
     if driver == "cylinder":
         problems.cylinder_sector_source(0, degree=2, nz=2)
     elif driver == "thick_l":

@@ -14,6 +14,8 @@ from splinecomplex.solvers import (
     solve_source,
 )
 
+from oracle3d import Complex3D, assemble_load_3d, hcurl_error_3d, system_3d
+
 
 def random_spd(rng, n):
     A = rng.standard_normal((n, n))
@@ -133,7 +135,6 @@ def _thick_l_prisms(p, nz):
     """The L0 thick L as three glued Complex3D prisms, with PEC side walls
     and lids: (PatchSet, walls), the assembled 3D path."""
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D
     from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches, lsection_raw_tmesh
     from splinecomplex.bspline import KnotVector
     from splinecomplex.geometry import extrude
@@ -159,11 +160,11 @@ def _pencil_and_kernel(problem):
     if problem == "square":
         tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 3))
         ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
-        walls, kinds = {0: problems.ALL_FACES_2D}, ("rotrot", "mass")
+        walls, kinds, system = {0: problems.ALL_FACES_2D}, ("rotrot", "mass"), problems._system
     else:
         ps, walls = _thick_l_prisms(2, 2)
-        kinds = ("curlcurl", "mass")
-    glue, (K, M), free = problems._system(ps, walls, kinds)
+        kinds, system = ("curlcurl", "mass"), system_3d
+    glue, (K, M), free = system(ps, walls, kinds)
     G = problems._gradient_kernel(ps, glue, walls, free)
     sub = np.ix_(free, free)
     return K[sub], M[sub], G
@@ -260,12 +261,14 @@ def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
     from splinecomplex import problems
 
     ps, walls = _thick_l_prisms(p, nz)
-    want = problems._eigen_run(ps, walls, ("curlcurl", "mass"), None)
+    glue, (K, M), free = system_3d(ps, walls, ("curlcurl", "mass"))
+    sub = np.ix_(free, free)
+    want = solve_generalized_eig(K[sub], M[sub], kernel=problems._gradient_kernel(ps, glue, walls, free))
     got = problems.thick_l_eigenproblem(0, degree=p, nz=nz, count=None)
-    assert (got.dofs, got.system_size) == (want.dofs, want.system_size)
-    assert got.result.zero_count == want.result.zero_count
+    assert (got.dofs, got.system_size) == (K.shape[0], free.size)
+    assert got.result.zero_count == want.zero_count
     assert np.array_equal(got.result.values[: got.result.zero_count], np.zeros(got.result.zero_count))
-    npt.assert_allclose(got.result.nonzero, want.result.nonzero, rtol=1e-10, atol=0)
+    npt.assert_allclose(got.result.nonzero, want.nonzero, rtol=1e-10, atol=0)
 
 
 def test_thick_l_is_two_guarded_section_solves(monkeypatch):
@@ -340,10 +343,7 @@ def _cylinder_assembled(p, nz):
     assembled, glued and solved in 3D: (dofs, free dofs, H(curl) error)."""
     import math
 
-    from oracle3d import assemble_load_3d, hcurl_error_3d
-
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D
     from splinecomplex.benchmarks import CYLINDER_INTERFACES, cylinder_section_raw_tmesh, cylinder_sector_patches
     from splinecomplex.bspline import KnotVector
     from splinecomplex.geometry import extrude
@@ -354,7 +354,7 @@ def _cylinder_assembled(p, nz):
     cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
     geoms = [extrude(g) for g in cylinder_sector_patches()]
     ps = PatchSet(geoms, [cx3] * 3, CYLINDER_INTERFACES)
-    glue, (K, M), free = problems._system(ps, problems._CYL_WALLS, ("curlcurl", "mass"))
+    glue, (K, M), free = system_3d(ps, problems._CYL_WALLS, ("curlcurl", "mass"))
     b = glue.global_vector([assemble_load_3d(cx3, g, problems.cyl_exact_field) for g in geoms])
     x = np.zeros(glue.ndof)
     x[free] = solve_source((K + M)[np.ix_(free, free)].tocsc(), b[free])
@@ -411,10 +411,8 @@ def test_cylinder_modal_load_is_the_3d_load_times_the_modes(monkeypatch, p):
     (bh, bv) on the free dofs, against the load assembled on the three
     Complex3D slices, glued by section and vertical function and times the
     modes (V, W): equal to 1e-12 of its largest entry."""
-    from oracle3d import assemble_load_3d
-
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D, Vector2D
+    from splinecomplex.assembly import Vector2D
     from splinecomplex.benchmarks import CYLINDER_INTERFACES, cylinder_section_raw_tmesh, cylinder_sector_patches
     from splinecomplex.bspline import KnotVector
     from splinecomplex.geometry import extrude
@@ -452,7 +450,7 @@ def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
     import math
 
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D, Vector2D, traces
+    from splinecomplex.assembly import Vector2D, traces
     from splinecomplex.benchmarks import square_geometry
     from splinecomplex.bspline import KnotVector
     from splinecomplex.geometry import linear_patch
@@ -465,7 +463,7 @@ def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
     cx3, dz = Complex3D(tcx, KnotVector.uniform(degree, nz)), length / 2
     geoms = [linear_patch(np.diag([np.pi, np.pi, dz]), np.array([0.0, 0.0, i * dz])) for i in range(2)]
     ps = PatchSet(geoms, [cx3] * 2, [Interface((0, (2, 1)), (1, (2, 0)))])
-    glue, (K, M), free = problems._system(ps, dict.fromkeys((0, 1), problems.ALL_FACES_2D), ("curlcurl", "mass"))
+    glue, (K, M), free = system_3d(ps, dict.fromkeys((0, 1), problems.ALL_FACES_2D), ("curlcurl", "mass"))
     section, walls2 = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)]), {0: problems.ALL_FACES_2D}
     _, (K2, M2), free2 = problems._system(section, walls2, ("rotrot", "mass"))
     sub = np.ix_(free2, free2)
@@ -513,7 +511,7 @@ def test_prism_pencil_is_the_assembled_3d_pencil(p):
     from scipy.sparse.linalg import norm as sp_norm
 
     from splinecomplex import problems
-    from splinecomplex.assembly import Complex3D, Vector2D, _vertical_mass
+    from splinecomplex.assembly import Vector2D, _vertical_mass
     from splinecomplex.benchmarks import square_geometry
     from splinecomplex.bspline import KnotVector, grad_matrix_1d
     from splinecomplex.geometry import linear_patch
@@ -527,7 +525,7 @@ def test_prism_pencil_is_the_assembled_3d_pencil(p):
     kv = KnotVector.uniform(p, 2)
     cx3 = Complex3D(tcx, kv)
     ps3 = PatchSet([linear_patch(np.diag([np.pi, np.pi, length]))], [cx3])
-    _, (K3, M3), free = problems._system(ps3, walls, ("curlcurl", "mass"))
+    _, (K3, M3), free = system_3d(ps3, walls, ("curlcurl", "mass"))
     section = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
     (C, M1, M0, G), _, (free1, free0) = problems._section_matrices(section, walls)
     MB, MD = length * _vertical_mass(kv, "B"), _vertical_mass(kv.derived(), "D") / length

@@ -232,7 +232,8 @@ def test_zero_count_matches_restricted_grad_rank():
     # zero count and the column count of the kernel the eigensolve deflates
     import scipy.sparse as sp
 
-    from splinecomplex.assembly import Complex3D, Scalar3D
+    from oracle3d import Complex3D, Scalar3D
+
     from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches, lsection_raw_tmesh
     from splinecomplex.bspline import grad_matrix_1d
     from splinecomplex.geometry import extrude
