@@ -29,7 +29,7 @@ tables of one rule and derivative.
 
 The library's 3D form is the prism: a section space times a vertical
 spline direction, whose matrices are Kronecker sums of section matrices
-and the vertical ones of :func:`_vertical_mass` and :func:`_z_tables`
+and the dense vertical ones of :func:`_vertical_mass`
 (:mod:`splinecomplex.problems`).  The assembled 3D curl-conforming space
 is a test oracle (``tests/oracle3d.py``) built on the same kernel.
 
@@ -52,14 +52,13 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
-from .bspline import KnotVector, _clamped, scaled_eval
+from .bspline import KnotVector, scaled_eval
 from .geometry import pullback_weight
 from .tmesh import TsplineSpace
 from .tspline import TsplineComplex
 
 __all__ = [
     "gauss_points_1d",
-    "gauss_points_2d",
     "Scalar2D",
     "Vector2D",
     "assemble_matrix_2d",
@@ -74,11 +73,6 @@ def gauss_points_1d(a, b, order):
     gx, gw = _leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * gx, half * gw
-
-
-def gauss_points_2d(box, order):
-    P, W = _rules_2d([box], order)
-    return P[0], W[0]
 
 
 def _rules_2d(boxes, order):
@@ -280,29 +274,21 @@ def assemble_matrix_2d(space, geom, kind):
 # -- vertical factors of prisms ---------------------------------------------------
 
 
-def _z_tables(kv: KnotVector, scaling, spans, order):
-    """The functions of ``kv`` active on each z-span (nzs, q+1) and their
-    values and derivatives (2, nzs, order, q+1) at its Gauss points."""
-    rows = kv.local_rows
-    x = np.concatenate([gauss_points_1d(za, zb, order)[0] for za, zb in spans])
-    args = (rows, kv.degree, scaling, x)
-    Z = np.stack([scaled_eval(*args), scaled_eval(*args, 1)]).reshape(2, len(spans), order, kv.n)
-    act = np.array([np.flatnonzero((rows.knots[:, 0] < zb) & (rows.knots[:, -1] > za)) for za, zb in spans])
-    return act, np.take_along_axis(Z, act[None, :, None, :], axis=3)
+def _span_rule(kv: KnotVector, order):
+    """The ``order``-point Gauss rules of all spans of ``kv``, one after the
+    other: points and weights, each (nspans * order,)."""
+    spans = np.array(kv.spans(), dtype=float)
+    x, w = gauss_points_1d(spans[:, :1], spans[:, 1:], order)
+    return x.ravel(), w.ravel()
 
 
 def _vertical_mass(kv: KnotVector, scaling):
     """The dense 1D mass matrix int f_i f_j of the ``scaling``-scaled
-    functions of ``kv``, from the z tables with a Gauss rule exact on every
-    span."""
-    spans = [(float(a), float(b)) for a, b in kv.spans()]
-    order = kv.degree + 1
-    act, Z = _z_tables(kv, scaling, spans, order)
-    w = np.stack([gauss_points_1d(a, b, order)[1] for a, b in spans])
-    M = np.zeros((kv.n, kv.n))
-    for a, vals, ws in zip(act, Z[0], w):
-        M[np.ix_(a, a)] += vals.T @ (ws[:, None] * vals)
-    return M
+    functions of ``kv``, Z^T diag(w) Z from their values Z on a Gauss rule
+    (x, w) exact on every span."""
+    x, w = _span_rule(kv, kv.degree + 1)
+    Z = scaled_eval(kv.local_rows, kv.degree, scaling, x)
+    return Z.T @ (w[:, None] * Z)
 
 
 # -- traces: boundary conditions and interfaces --------------------------------------
@@ -332,12 +318,13 @@ def traces(space, face):
         on = np.arange(s2d.dim)
         vertical = [(0, ())]
         if kvz is not None:
-            vertical = [(z.index * s2d.dim, (z.local,)) for z in kvz.anchors()]
+            ks = kvz.knots
+            vertical = [(i * s2d.dim, (ks[i : i + kvz.degree + 2],)) for i in range(kvz.n)]
         if axis < 2:  # clamped on the rank arrays: rank 0 is the value 0, the last rank 1
             R, q = s2d.ranks[axis], s2d.degrees[axis]
             on = np.flatnonzero(R[:, q] == 0 if side == 0 else R[:, 1] == len(s2d.mesh.line_values[axis]) - 1)
-        else:
-            vertical = [(d, k) for d, k in vertical if _clamped(k[0], kvz.degree, side)]
+        else:  # on an open knot vector only the first function reaches side 0, the last side 1
+            vertical = [vertical[-side]]
         keys = [(np.array(v, dtype=object)[R[on]]).tolist() for R, v in zip(s2d.ranks, s2d.mesh.line_values)]
         planar = [(d, (tuple(k1), tuple(k2))) for d, k1, k2 in zip(on.tolist(), *keys)]
         for d2, k2 in planar:

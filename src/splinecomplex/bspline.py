@@ -33,7 +33,6 @@ __all__ = [
     "as_fraction",
     "eval_local",
     "eval_local_deriv",
-    "curry_scaled",
     "scaled_eval",
     "derivative_decomposition",
     "eval_basis",
@@ -351,18 +350,6 @@ def scaled_eval(local_knots, degree: int, scaling: str, x, deriv: int = 0):
     return v[:, 0] if single else v
 
 
-def curry_scaled(local_knots: Sequence, p: int, x) -> np.ndarray:
-    """Curry-Schoenberg spline D(x) = (p/|support|) N[local_knots](x).
-
-    ``local_knots`` has p+1 entries (a degree p-1 function); the scaling makes
-    it integrate to one over its support.
-    """
-    supp = local_knots[-1] - local_knots[0]
-    if supp <= 0:
-        raise ValueError("zero support length")
-    return p / float(supp) * eval_local(local_knots, p - 1, x)
-
-
 def derivative_decomposition(local_knots: Sequence, degree: int):
     """Split d/dx N[local_knots] into scaled lower-degree neighbours.
 
@@ -405,6 +392,23 @@ def eval_basis_deriv(kv: KnotVector, x) -> np.ndarray:
     return scaled_eval(kv.local_rows, kv.degree, "B", _domain_points(x), 1)
 
 
+def _distinct(tabulate, x) -> np.ndarray:
+    """``tabulate(u)``, u the distinct values of the points x, read back at
+    every point along its second-to-last axis."""
+    u, back = np.unique(x, return_inverse=True)
+    return tabulate(u)[..., back, :]
+
+
+def _tensor_rows(tables) -> np.ndarray:
+    """Row-wise tensor product of per-direction tables (npts, n_d): the
+    (npts, prod n_d) table of the tensor-product functions, direction 1
+    fastest."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = (t[:, :, None] * out[:, None, :]).reshape(len(out), -1)
+    return out
+
+
 # -- knot insertion ---------------------------------------------------------------
 
 
@@ -438,18 +442,9 @@ def insert_knot(kv: KnotVector, coeffs, xbar):
         else:
             new[j] = coeffs[j - 1]
 
-    if kv.multiplicity_of(xbar) > 0:
-        idx = kv.breakpoints.index(xbar)
-        mult = list(kv.multiplicities)
-        mult[idx] += 1
-        new_kv = KnotVector(p, kv.breakpoints, tuple(mult))
-    else:
-        bp = list(kv.breakpoints)
-        mult = list(kv.multiplicities)
-        pos = bisect.bisect_left(bp, xbar)
-        bp.insert(pos, xbar)
-        mult.insert(pos, 1)
-        new_kv = KnotVector(p, tuple(bp), tuple(mult))
+    knots = sorted((*ks, xbar))
+    breakpoints = sorted(set(knots))
+    new_kv = KnotVector(p, breakpoints, [knots.count(b) for b in breakpoints])
     return new_kv, new
 
 

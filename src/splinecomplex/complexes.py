@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .bspline import _clamped, grad_matrix_1d, scaled_eval
+from .bspline import _distinct, _tensor_rows, grad_matrix_1d, scaled_eval
 from .exactrank import annihilates, rank_with_upper_bound, rational_kernel_vector
 from .tensormesh import TensorMesh, build_tensor_mesh
 
@@ -68,25 +68,17 @@ class SplineSpace:
         per_dir = [kv.anchors() for kv in self.kvs]
         return [tuple(a[i] for a, i in zip(per_dir, idx[::-1])) for idx in np.ndindex(*self.shape[::-1])]
 
-    def eval_factors(self, direction: int, x, deriv: int = 0) -> np.ndarray:
-        """Values (npts, n_dir) of this direction's scaled basis functions."""
-        kv = self.kvs[direction]
-        return scaled_eval(kv.local_rows, kv.degree, self.scalings[direction], x, deriv)
-
     def eval(self, coeffs, points) -> np.ndarray:
         """Evaluate the scalar field with the given coefficients.
 
         ``points`` is (npts, ndim); coefficients are anchor-ordered.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.ones((pts.shape[0], self.dim))
-        for d in range(self.ndim):
-            fam = self.eval_factors(d, pts[:, d])
-            reps = int(np.prod(self.shape[:d])) or 1
-            tiles = int(np.prod(self.shape[d + 1 :])) or 1
-            expanded = np.tile(np.repeat(fam, reps, axis=1), (1, tiles))
-            vals *= expanded
-        return vals @ np.asarray(coeffs)
+        tables = [
+            _distinct(functools.partial(scaled_eval, kv.local_rows, kv.degree, tag), pts[:, d])
+            for d, (kv, tag) in enumerate(zip(self.kvs, self.scalings))
+        ]
+        return _tensor_rows(tables) @ np.asarray(coeffs)
 
 
 def _space(kvs, scalings, component=None) -> SplineSpace:
@@ -215,9 +207,8 @@ def _kept_mask(space: SplineSpace, faces, constrained_axes) -> np.ndarray:
     keep = np.ones(space.shape, dtype=bool)
     for axis, side in faces:
         if axis in constrained_axes:
-            kv = space.kvs[axis]
-            clamped = [_clamped(a.local, kv.degree, side) for a in kv.anchors()]
-            np.moveaxis(keep, axis, 0)[clamped] = False
+            # on an open knot vector only the first function reaches side 0, the last side 1
+            np.moveaxis(keep, axis, 0)[-side] = False
     return keep.ravel(order="F")
 
 

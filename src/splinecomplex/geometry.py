@@ -1,8 +1,9 @@
 """Spline and NURBS geometry maps, pullbacks and control complexes.
 
-Geometry maps are tabulated per direction on the distinct abscissae of the
-points and contracted per cell of the geometry's mesh (values and exact
-Jacobians); 2x2 and 3x3 inverses and determinants are closed-form.  The
+Geometry maps are tabulated densely per direction on the distinct
+abscissae of the points, and the map and its exact Jacobian are products
+of the row-wise tensor product of those tables with the control points;
+2x2 and 3x3 inverses and determinants are closed-form.  The
 four pullbacks are the composition, covariant, Piola and determinant
 transforms that preserve point values, circulations, fluxes and integrals.
 Unknown fields are always splines; NURBS enter through the geometry only.
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bspline import KnotVector, eval_basis, eval_basis_deriv
+from .bspline import KnotVector, _distinct, _tensor_rows, eval_basis, eval_basis_deriv
 from .complexes import DiscreteComplex, build_complex
 
 __all__ = [
@@ -73,45 +74,23 @@ class GeometryMap:
     def nphys(self) -> int:
         return self.control_points.shape[1]
 
-    def _local_tables(self, pts: np.ndarray):
-        """Per direction: the first of the degree+1 functions that can be
-        nonzero at each point, and their values and derivatives (degree+1,
-        npts).  Cox-de Boor runs once on the distinct abscissae; the tables
-        are indexed back to the points."""
-        out = []
-        for d, kv in enumerate(self.kvs):
-            x, back = np.unique(pts[:, d], return_inverse=True)
-            first = np.searchsorted(kv.local_rows.knots[:, 0], x, side="right") - 1 - kv.degree
-            window = first[:, None] + np.arange(kv.degree + 1)
-            tabs = [np.take_along_axis(f(kv, x), window, axis=1).T[:, back] for f in (eval_basis, eval_basis_deriv)]
-            out.append((first[back], *tabs))
-        return out
-
     def _contract(self, pts: np.ndarray):
-        """(X, J) at the points.  Per cell of the geometry's mesh, the
-        (homogeneous, for NURBS) map and its derivatives are one product of
-        the windowed tables, direction 1 fastest, with its control points."""
-        tables = self._local_tables(pts)
+        """(X, J) at the points.  Per direction the dense basis values and
+        derivatives (2, npts, n) come from the distinct abscissae; the
+        (homogeneous, for NURBS) map and each derivative are one product of
+        their row-wise tensor product with the control points."""
+        tables = [
+            _distinct(lambda x: np.stack([eval_basis(kv, x), eval_basis_deriv(kv, x)]), pts[:, d])
+            for d, kv in enumerate(self.kvs)
+        ]
         w = self.weights
         cp = self.control_points if w is None else np.column_stack([self.control_points * w[:, None], w])
-        shape = [kv.n for kv in self.kvs]
-        local = np.ravel_multi_index(np.indices([kv.degree + 1 for kv in self.kvs]), shape, order="F").ravel(order="F")
-        corner = np.ravel_multi_index([f for f, _, _ in tables], shape, order="F")
-        order = np.argsort(corner, kind="stable")  # the points cell by cell
-        tables, corner = [(v[:, order], g[:, order]) for _, v, g in tables], corner[order]
-        starts = np.flatnonzero(np.r_[True, corner[1:] != corner[:-1], True])
-        S = np.empty((1 + self.ndim, len(pts), cp.shape[1]))
-        for k in range(len(S)):  # k = 0 the values, k = d + 1 the derivative along d
-            W = np.ones((1, len(pts)))
-            for d, (v, g) in enumerate(tables):
-                W = ((g if k == d + 1 else v)[:, None, :] * W[None, :, :]).reshape(-1, len(pts))
-            for a, b in zip(starts, starts[1:]):
-                S[k, a:b] = W[:, a:b].T @ cp[corner[a] + local]
-        S[:, order] = S.copy()  # back to the order of the points
+        # k = 0 the values, k = d + 1 the derivative along d
+        S = [_tensor_rows([t[int(k == d + 1)] for d, t in enumerate(tables)]) @ cp for k in range(1 + self.ndim)]
         if w is None:
             return S[0], np.stack(S[1:], axis=-1)
-        den = S[0, :, -1:]
-        X = S[0, :, :-1] / den
+        den = S[0][:, -1:]
+        X = S[0][:, :-1] / den
         return X, np.stack([(Sd[:, :-1] - X * Sd[:, -1:]) / den for Sd in S[1:]], axis=-1)
 
     def eval(self, points) -> np.ndarray:

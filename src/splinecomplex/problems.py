@@ -42,10 +42,10 @@ from .assembly import (
     _shared_elements,
     _shared_patterns,
     _space_tables,
+    _span_rule,
     _vertical_mass,
     assemble_matrix_2d,
     dirichlet_dofs,
-    gauss_points_1d,
 )
 from .benchmarks import (
     CYLINDER_INTERFACES,
@@ -329,7 +329,7 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     vec, sca = ps.spaces[0], Scalar2D(tcx.Y0)
     E1, E0, R1, D0 = (_point_tables(s, order, d) for d in (False, True) for s in (vec, sca))
     P2, W2 = (a.reshape(-1, *a.shape[2:]) for a in _rules_2d(_shared_elements(tcx.Y0, *tcx.Y1), order))
-    zq, wz = map(np.concatenate, zip(*(gauss_points_1d(float(a), float(b), order) for a, b in kv_z.spans())))
+    zq, wz = _span_rule(kv_z, order)
     Psi, dPsi = (scaled_eval(kv_z.local_rows, degree, "B", zq, d) @ V for d in (0, 1))
     chi = scaled_eval(kv_z.derived().local_rows, degree - 1, "D", zq) @ W
     slices = []

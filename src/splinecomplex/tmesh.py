@@ -745,12 +745,12 @@ class TsplineSpace:
             cache[order] = tuple(tabs)
         return cache[order]
 
-    def element_tables(self, order: int, derivs: bool = True, e=slice(None)) -> tuple:
-        """Active anchors (nel, nmax) of the elements ``e`` (all by default) and
-        their values on each element's Gauss grid (x index slowest), (nel,
-        nmax, order**2), one gathered outer product of factor rows; with
-        ``derivs`` also d/dx and d/dy, else None.  Padding rows are zero."""
-        act, cx, cy = (a[e] for a in self.element_anchors[1])
+    def element_tables(self, order: int, derivs: bool = True) -> tuple:
+        """Active anchors (nel, nmax) of the elements and their values on
+        each element's Gauss grid (x index slowest), (nel, nmax, order**2),
+        one gathered outer product of factor rows; with ``derivs`` also d/dx
+        and d/dy, else None.  Padding rows are zero."""
+        act, cx, cy = self.element_anchors[1]
         (vx, gx), (vy, gy) = self.factor_tables(order)
 
         def outer(fx, fy):

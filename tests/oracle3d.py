@@ -10,8 +10,8 @@ each.  Each function is a sum of terms (2D factor) x (z factor) in one
 component (``_TERMS``).  All cells (2D element, z-span), z-span fastest,
 are one batch: their padded dof rows and reference tables are outer
 products of the batched 2D tables (``TsplineSpace.element_tables``) and
-the z tables (``assembly._z_tables``), and every matrix is the element
-kernel of ``assembly`` on them.
+the z tables (:func:`_z_tables`), and every matrix is the element kernel
+of ``assembly`` on them.
 """
 
 import math
@@ -27,11 +27,11 @@ from splinecomplex.assembly import (
     _rules_2d,
     _shared_elements,
     _shared_patterns,
+    _span_rule,
     _weights,
-    _z_tables,
     gauss_points_1d,
 )
-from splinecomplex.bspline import KnotVector, grad_matrix_1d
+from splinecomplex.bspline import KnotVector, grad_matrix_1d, scaled_eval
 from splinecomplex.complexes import extrude_operators
 from splinecomplex.geometry import apply_pullback, apply_pushforward
 from splinecomplex.multipatch import build_glue
@@ -108,6 +108,16 @@ _TERMS = (
 )
 
 
+def _z_tables(kv: KnotVector, scaling, order):
+    """The functions of ``kv`` active on each of its spans (nzs, q+1) and
+    their values and derivatives (2, nzs, order, q+1) at its Gauss points."""
+    rows, spans = kv.local_rows, np.array(kv.spans(), dtype=float)
+    args = (rows, kv.degree, scaling, _span_rule(kv, order)[0])
+    Z = np.stack([scaled_eval(*args), scaled_eval(*args, 1)]).reshape(2, len(spans), order, kv.n)
+    act = np.array([np.flatnonzero((rows.knots[:, 0] < zb) & (rows.knots[:, -1] > za)) for za, zb in spans])
+    return act, np.take_along_axis(Z, act[None, :, None, :], axis=3)
+
+
 def _rules_3d(cx3, order):
     """Tensor Gauss rules of all cells (2D element, z-span) of one patch,
     z-span fastest: points (ncell, npts, 3), 2D point index slowest, and
@@ -128,7 +138,7 @@ def _cell_tables(cx3, order, curl=False):
     rows, terms = [], []
     for m, (off, s2d, kvz, zscal, _) in enumerate(cx3.blocks()):
         act, *tabs = s2d.element_tables(order, derivs=curl)
-        actz, Z = _z_tables(kvz, zscal, np.array(cx3.kv_z.spans(), dtype=float), order)
+        actz, Z = _z_tables(kvz, zscal, order)  # kvz and its derived vector share the z-spans
         dofs = off + actz[None, :, None, :] * s2d.dim + act[:, None, :, None]  # (element, z-span, anchor, z function)
         rows.append(np.where(act[:, None, :, None] >= 0, dofs, -1).reshape(*dofs.shape[:2], -1))
         terms.append([(comp, sign * tabs[xy], Z[z]) for comp, xy, z, sign in _TERMS[curl][m]])

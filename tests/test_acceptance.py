@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from splinecomplex.benchmarks import (
     crossing_extensions_raw,
@@ -292,7 +291,6 @@ def test_criterion_8_lsection_eigenvalue():
     _report(8, f"L-section first eigenvalue {lam2:.8f} within {rel:.2e} of {LSHAPE_LAMBDA1}; gaps decrease {gaps}")
 
 
-@pytest.mark.slow
 def test_criterion_9_cylinder_sector():
     from splinecomplex.problems import cylinder_sector_source
 

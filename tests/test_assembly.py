@@ -14,7 +14,6 @@ from splinecomplex.assembly import (
     assemble_matrix_2d,
     dirichlet_dofs,
     gauss_points_1d,
-    gauss_points_2d,
 )
 from splinecomplex.benchmarks import cylinder_sector_patches, square_raw_tmesh
 from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
@@ -376,7 +375,7 @@ def _per_anchor_dofs_2d(space, order):
     """
     comps = [(space.space, 0)] if isinstance(space, Scalar2D) else [(space.c1, 0), (space.c2, space.c1.dim)]
     for x1, y1, x2, y2 in _boxes(comps[0][0].mesh):
-        P, W = gauss_points_2d((x1, y1, x2, y2), order)
+        P, W = _rule_2d((x1, y1, x2, y2), order)
         dofs = []
         for m, (S, off) in enumerate(comps):
             (p1, p2), (s1, s2) = S.degrees, S.scalings
@@ -403,7 +402,7 @@ def _per_anchor_dofs_3d(cx3, order):
     """
     for x1, y1, x2, y2 in _boxes(cx3.tcx.meshes.M0):
         for za, zb in ((float(a), float(b)) for a, b in cx3.kv_z.spans()):
-            pts2, w2 = gauss_points_2d((x1, y1, x2, y2), order)
+            pts2, w2 = _rule_2d((x1, y1, x2, y2), order)
             pz, wz = gauss_points_1d(za, zb, order)
             P = np.array([[x, y, z] for x, y in pts2 for z in pz])
             W = np.array([a * b for a in w2 for b in wz])
@@ -664,9 +663,9 @@ def test_patches_on_one_space_share_its_element_tables(monkeypatch):
 
     original, shared, built = TsplineSpace.element_tables, assembly._space_tables, []
 
-    def counting(self, order, derivs=True, e=slice(None)):
+    def counting(self, order, derivs=True):
         built.append((self, order, derivs))
-        return original(self, order, derivs, e)
+        return original(self, order, derivs)
 
     def unshared(space, order, deriv):
         with monkeypatch.context() as m:

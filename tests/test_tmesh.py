@@ -594,7 +594,7 @@ def test_tspline_tabulation_matches_exact_recursion_on_random_meshes(case):
     ``basis`` at rational points, and ``element_tables`` (values and both
     derivatives) on every element's Gauss grid without its padding, where
     the anchors it leaves out vanish exactly."""
-    from splinecomplex.assembly import gauss_points_2d
+    from splinecomplex.assembly import _rules_2d
 
     p, raw = case
     assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
@@ -607,15 +607,16 @@ def test_tspline_tabulation_matches_exact_recursion_on_random_meshes(case):
         want = _exact_factor_table(space, 0, xs, 0)[:, None, :] * _exact_factor_table(space, 1, ys, 0)[None, :, :]
         _assert_close_to_exact(space.basis(pts), want.reshape(pts.shape[0], -1))
         order = max(space.degrees) + 1
-        for e, box in enumerate(space.elements):
-            P, _ = gauss_points_2d(box, order)
-            gx, gy = [F(float(v)) for v in P[::order, 0]], [F(float(v)) for v in P[:order, 1]]
-            X = [_exact_factor_table(space, 0, gx, k) for k in (0, 1)]
-            Y = [_exact_factor_table(space, 1, gy, k) for k in (0, 1)]
-            act, *tables = space.element_tables(order, derivs=True, e=e)
-            keep = act >= 0  # the padding masked out
-            act = act[keep]
-            for got, (kx, ky) in zip(tables, ((0, 0), (1, 0), (0, 1))):
+        act_all, *tables_all = space.element_tables(order, derivs=True)
+        exact = {}  # (direction, abscissae) -> tables, shared by a row or column of elements
+        for e, P in enumerate(_rules_2d(space.elements, order)[0]):
+            for d, g in ((0, P[::order, 0]), (1, P[:order, 1])):
+                if (d, tuple(g)) not in exact:
+                    exact[d, tuple(g)] = [_exact_factor_table(space, d, [F(float(v)) for v in g], k) for k in (0, 1)]
+            X, Y = exact[0, tuple(P[::order, 0])], exact[1, tuple(P[:order, 1])]
+            keep = act_all[e] >= 0  # the padding masked out
+            act = act_all[e][keep]
+            for got, (kx, ky) in zip((t[e] for t in tables_all), ((0, 0), (1, 0), (0, 1))):
                 want = (X[kx][:, None, :] * Y[ky][None, :, :]).reshape(order * order, -1)
                 _assert_close_to_exact(got[keep].T, want[:, act])
                 assert not np.any(np.delete(want, act, axis=1))
@@ -634,7 +635,7 @@ def test_padded_tables_on_random_meshes_with_or_without_analysis_suitability(cas
     import scipy.sparse as sp
 
     from splinecomplex import assembly
-    from splinecomplex.assembly import Scalar2D, Vector2D, assemble_matrix_2d, gauss_points_2d
+    from splinecomplex.assembly import Scalar2D, Vector2D, _rules_2d, assemble_matrix_2d
     from splinecomplex.geometry import affine_map
 
     p, raw = case
@@ -643,8 +644,7 @@ def test_padded_tables_on_random_meshes_with_or_without_analysis_suitability(cas
     act, *tables = space.element_tables(order, derivs=True)
     tx, ty = (r.knots for r in space.knot_rows)
     rows, cols, vals, exact = [], [], [], {}  # exact: (direction, abscissae) -> tables
-    for e, box in enumerate(space.elements):
-        P, W = gauss_points_2d(box, order)
+    for e, (box, P, W) in enumerate(zip(space.elements, *_rules_2d(space.elements, order))):
         for d, g in ((0, P[::order, 0]), (1, P[:order, 1])):
             if (d, tuple(g)) not in exact:
                 exact[d, tuple(g)] = [_exact_factor_table(space, d, [F(float(v)) for v in g], k) for k in (0, 1)]
