@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -54,14 +53,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _clamped(local, degree: int, side: int) -> bool:
-    """True if the basis function with local knots ``local`` (nondecreasing
-    in [0, 1]) has a nonzero value at the 0/1 end of its direction."""
-    if side == 0:
-        return local[degree] == 0
-    return local[1] == 1
 
 
 @dataclass(frozen=True)

@@ -282,9 +282,8 @@ class ExactnessReport:
         return all(self.identities.values())
 
 
-def _first_nonzero_product(A, B) -> bool:
-    P = (A @ B).tocoo()
-    return P.nnz == 0 or np.all(P.data == 0)
+def _product_vanishes(A, B) -> bool:
+    return not np.any(sp.csr_matrix(A @ B).data)
 
 
 def verify_sequence(ops, chain, with_bc=False, prefix="") -> ExactnessReport:
@@ -301,7 +300,7 @@ def verify_sequence(ops, chain, with_bc=False, prefix="") -> ExactnessReport:
     certified = True
 
     for k in range(1, len(ops)):
-        identities[f"{prefix}d{k}∘d{k-1}=0"] = _first_nonzero_product(ops[k], ops[k - 1])
+        identities[f"{prefix}d{k}∘d{k-1}=0"] = _product_vanishes(ops[k], ops[k - 1])
 
     G = ops[0]
     if with_bc:

@@ -1,23 +1,29 @@
 """Exact rank determination for integer matrices.
 
-Ranks are certified without floating point:
+Ranks are certified without floating point: a lower bound is the rank over
+GF(q) for a word-size prime q (a nonsingular minor mod q is nonsingular
+over the rationals); upper bounds are integer certificates supplied by the
+caller (a kernel vector, a left annihilator, the row count).  When the two
+meet, the rank is exact.
 
-* a lower bound comes from Gaussian elimination over GF(q) for a word-size
-  prime q (a nonsingular minor mod q is nonsingular over the rationals);
-* upper bounds come from explicit integer certificates supplied by the
-  caller (a known kernel vector, a left annihilator, or the row count).
+The operators are signed incidence matrices of the control mesh, changed
+in a few rows near T-junctions.  Reduced mod q (vanishing entries dropped),
+a row is a *graph row* when it holds one residue (an edge from its column
+to an extra ground node) or two residues with r1 + r2 = 0 (an edge between
+its columns).  Of A and its transpose the one with more graph rows is used,
+with n columns.  The kernel of its graph rows is {P y}: the vectors constant
+on each connected component and zero on the ground's, P the n x k indicator
+of the k components without the ground.  So, exactly for any matrix,
 
-When the modular lower bound meets the certified upper bound the rank is
-known exactly.
+    rank A = n - k + rank(A_rest P),
 
-The operators are sparse (a handful of entries per row), so the matrix is
-never densified.  Elimination works on rows stored as ``{col: value}``
-dicts and keeps, per column, the set of live rows holding it.  Each step
-pivots on the live column with the fewest live entries, on that column's
-shortest row, ties broken by the lowest index, which keeps fill-in low and
-the pivot order deterministic.  The same elimination runs over the
-rationals to solve for an exact kernel vector.  A dense Fraction-arithmetic
-elimination is provided for small matrices as an independent cross-check.
+where the core A_rest P is the other rows with columns summed per component.
+
+The core, the pivot columns and the rational kernel solve share one sparse
+elimination on ``{col: value}`` row dicts that keeps, per column, the set of
+live rows holding it.  Each step pivots on the live column with the fewest
+live entries, on its shortest row, ties to the lowest index: fill-in stays
+low and the order deterministic.  No matrix is densified.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from math import lcm
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-__all__ = ["modular_rank", "fraction_rank", "rank_with_upper_bound", "rational_kernel_vector", "annihilates"]
+__all__ = ["modular_rank", "rank_with_upper_bound", "rational_kernel_vector", "annihilates"]
 
 _PRIMES = (2147483629, 2147483587, 2147483563)
 
@@ -41,10 +48,8 @@ def _int_csr(A) -> sp.csr_matrix:
     Raises ``ValueError`` when an entry is not an integer.
     """
     A = sp.csr_matrix(A)
-    if A.dtype.kind not in "iu":
-        data = A.data
-        if not (np.all(np.isfinite(data)) and np.array_equal(np.rint(data), data)):
-            raise ValueError("matrix entries are not integers")
+    if A.dtype.kind not in "iu" and not (np.all(np.isfinite(A.data)) and np.array_equal(np.rint(A.data), A.data)):
+        raise ValueError("matrix entries are not integers")
     A = A.astype(np.int64)
     A.sum_duplicates()
     return A
@@ -112,39 +117,38 @@ def _eliminate(rows: list[dict], prime=None) -> list[tuple[int, int]]:
     return pivots
 
 
+def _graph_rows(M, prime) -> np.ndarray:
+    """Mask of the graph rows of a CSR matrix of nonzero residues."""
+    nnz = np.diff(M.indptr)
+    return (nnz == 1) | ((nnz == 2) & (np.asarray(M.sum(axis=1)).ravel() % prime == 0))
+
+
 def modular_rank(A, prime: int = _PRIMES[0], return_pivots: bool = False):
-    """Rank of an integer matrix over GF(prime) by sparse elimination.
+    """Rank of an integer matrix over GF(prime), by contracting its graph rows.
 
-    With ``return_pivots`` also returns the sorted pivot columns, a set of
-    columns independent over GF(prime) and hence over the rationals.
+    With ``return_pivots`` the whole matrix is eliminated and the sorted
+    pivot columns, independent over GF(prime) and so over the rationals,
+    are returned too.
     """
-    pivots = _eliminate(_rows(_int_csr(A), prime), prime)
+    A = _int_csr(A)
     if return_pivots:
+        pivots = _eliminate(_rows(A, prime), prime)
         return len(pivots), sorted(c for _, c in pivots)
-    return len(pivots)
-
-
-def fraction_rank(A) -> int:
-    """Exact rank via Fraction Gaussian elimination (small matrices only)."""
-    M = [[Fraction(v) for v in row] for row in _int_csr(A).toarray().tolist()]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if M[r][col] != 0), None)
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        pv = M[rank][col]
-        M[rank] = [v / pv for v in M[rank]]
-        for r in range(nrows):
-            if r != rank and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    A = sp.csr_matrix((A.data % prime, A.indices, A.indptr), shape=A.shape)
+    A.eliminate_zeros()
+    M, graph = max(((B, _graph_rows(B, prime)) for B in (A, A.T.tocsr())), key=lambda t: t[1].sum())
+    n, nnz = M.shape[1], np.diff(M.indptr)
+    # one edge per graph row; a single residue ties its column to node n
+    first, last = M.indices[M.indptr[:-1][graph]], M.indices[M.indptr[1:][graph] - 1]
+    second = np.where(nnz[graph] == 2, last, n)
+    edges = sp.csr_matrix((np.ones(len(first)), (first, second)), shape=(n + 1, n + 1))
+    ncomp, labels = connected_components(edges, directed=False)
+    # the other rows, their columns summed per component; the ground's is zero
+    rest = ~graph & (nnz > 0)
+    row = np.repeat(np.cumsum(rest) - 1, nnz)
+    keep = np.repeat(rest, nnz) & (labels[M.indices] != labels[n])
+    core = sp.csr_matrix((M.data[keep], (row[keep], labels[M.indices[keep]])), shape=(rest.sum(), ncomp))
+    return n - (ncomp - 1) + len(_eliminate(_rows(core, prime), prime))
 
 
 def rank_with_upper_bound(A, upper: int) -> tuple[int, bool]:
@@ -163,9 +167,14 @@ def rank_with_upper_bound(A, upper: int) -> tuple[int, bool]:
 
 
 def annihilates(A, x) -> bool:
-    """True when ``A @ x == 0`` exactly, row by row in Python integers."""
-    A = _int_csr(A)
-    xs = np.asarray(x).tolist()
+    """True when ``A @ x == 0`` exactly: in int64 when ``x`` is an integer
+    array and no partial row sum reaches 2**62, else in Python integers."""
+    A, x = _int_csr(A), np.asarray(x)
+    if x.dtype.kind in "iu" and A.nnz and x.size:
+        top = [max(int(v.max()), -int(v.min())) for v in (A.data, x)]
+        if top[0] * top[1] * int(np.diff(A.indptr).max()) < 2**62:
+            return not np.any(A @ x.astype(np.int64))
+    xs = x.tolist()
     cols, vals, ptr = A.indices.tolist(), A.data.tolist(), A.indptr.tolist()
     return all(
         sum(v * xs[c] for c, v in zip(cols[a:b], vals[a:b])) == 0 for a, b in zip(ptr[:-1], ptr[1:])

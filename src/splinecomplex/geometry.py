@@ -16,7 +16,6 @@ map on its Greville mesh through the same control points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 

@@ -18,7 +18,16 @@ from splinecomplex.complexes import (
     verify_exactness,
     verify_sequence,
 )
-from splinecomplex.exactrank import _PRIMES, annihilates, fraction_rank, modular_rank, rational_kernel_vector
+from splinecomplex.exactrank import (
+    _PRIMES,
+    _eliminate,
+    _graph_rows,
+    _int_csr,
+    _rows,
+    annihilates,
+    modular_rank,
+    rational_kernel_vector,
+)
 from splinecomplex.tensormesh import build_tensor_mesh
 
 F = Fraction
@@ -152,6 +161,34 @@ def test_restrict_no_faces_identity():
     assert (rcx.operators["grad"] - cx.operators["grad"]).nnz == 0
 
 
+def fraction_rank(A) -> int:
+    """Exact rank by dense Fraction Gaussian elimination (small matrices only)."""
+    M = [[Fraction(int(v)) for v in row] for row in np.asarray(A).tolist()]
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if M[r][col] != 0), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        pv = M[rank][col]
+        M[rank] = [v / pv for v in M[rank]]
+        for r in range(nrows):
+            if r != rank and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def direct_rank(A, prime) -> int:
+    """Rank over GF(prime) by eliminating every row, without contraction."""
+    return len(_eliminate(_rows(_int_csr(A), prime), prime))
+
+
 def test_modular_rank_agrees_with_fractions():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -188,6 +225,83 @@ def test_modular_rank_property(A):
     r, pivots = modular_rank(sp.csr_matrix(A), return_pivots=True)
     assert r == rank and len(set(pivots)) == rank
     assert fraction_rank(A[:, pivots]) == rank
+
+
+@st.composite
+def incidence_like_matrices(draw):
+    """Rows that are graph rows over the rationals (a, -a) or a single entry,
+    graph rows only mod p (a, p - a), entries vanishing mod p, general and
+    zero rows; returned as they are or transposed, with the prime p."""
+    p = draw(st.sampled_from(_PRIMES))
+    n = draw(st.integers(2, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge", "single", "edge_mod_p", "vanishing", "general", "zero"]))
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
+        row = [0] * n
+        if kind == "general":
+            row = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        elif kind != "zero":
+            row[i] = a
+            if kind != "single":
+                row[j] = {"edge": -a, "edge_mod_p": p - a, "vanishing": p * draw(st.sampled_from([-2, -1, 1]))}[kind]
+        rows.append(row)
+    A = np.array(rows, dtype=np.int64).reshape(-1, n)
+    return p, A.T if draw(st.booleans()) else A
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidence_like_matrices())
+def test_contracted_rank_matches_direct_elimination(case):
+    p, A = case
+    for q in _PRIMES:
+        assert modular_rank(A, q) == direct_rank(A, q)
+        assert modular_rank(sp.csr_matrix(A), q) == direct_rank(A, q)
+    # the residues mod p as integers of least absolute value: entries of at
+    # most 3 in at most 8 columns keep every minor below 8.5**8 < p, so the
+    # rank over the rationals equals the rank over GF(p)
+    centered = A % p - p * (A % p > p // 2)
+    assert modular_rank(A, p) == fraction_rank(centered)
+    if np.abs(A).max(initial=0) <= 3:
+        assert all(modular_rank(A, q) == fraction_rank(A) for q in _PRIMES)
+
+
+def test_contracted_rank_matches_direct_elimination_on_t_spline_operators():
+    from splinecomplex.benchmarks import square_raw_tmesh
+    from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
+
+    cx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(3), 3))
+    for name, A in cx.operators_int.items():
+        for q in _PRIMES:
+            assert modular_rank(A, q) == direct_rank(A, q), (name, q)
+
+
+def test_contracted_rank_matches_direct_elimination_on_3d_tensor_complex():
+    cx = build_complex([KnotVector.uniform(2, 3), KnotVector.uniform(3, 2), KnotVector.uniform(1, 3)])
+    for name, A in cx.operators.items():
+        for q in _PRIMES:
+            assert modular_rank(A, q) == direct_rank(A, q), (name, q)
+    # four entries in every row of the curl; of its columns only edges on the
+    # edges of the cube lie on two faces, so nearly all of it is core
+    curl = _int_csr(cx.operators["curl"])
+    assert not _graph_rows(curl, _PRIMES[0]).any()
+    assert 0 < _graph_rows(curl.T.tocsr(), _PRIMES[0]).sum() < curl.shape[1] / 8
+
+
+def test_annihilates_fast_path_agrees_with_python_integers():
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        A = sp.random(9, 7, density=0.4, random_state=rng, data_rvs=lambda k: rng.integers(-3, 4, k)).tocsr()
+        for x in (np.ones(7, dtype=np.int64), rng.integers(-5, 6, 7), np.zeros(7, dtype=np.uint8)):
+            exact = not any(sum(int(a) * int(b) for a, b in zip(row, x)) for row in A.toarray())
+            assert annihilates(A, x) == annihilates(A, x.astype(object)) == exact
+    # 2 * 2**62 + 2 * 2**62 = 2**64 wraps to 0 in int64: the bound sends it
+    # to the Python integers
+    big = np.array([2**62, 2**62], dtype=np.int64)
+    assert not annihilates(sp.csr_matrix([[2, 2]]), big)
+    assert annihilates(sp.csr_matrix([[2, -2]]), big)
+    assert annihilates(sp.csr_matrix([[1, -1]]), np.array([2**63 + 5, 2**63 + 5], dtype=np.uint64))
 
 
 def test_modular_rank_rejects_non_integers():

@@ -808,7 +808,7 @@ def test_row_codes_tell_rows_apart_beyond_int64():
 @given(refined_tmeshes())
 def test_rank_arrays_serve_the_space_like_the_anchors(case):
     from splinecomplex.assembly import Scalar2D, traces
-    from splinecomplex.bspline import _clamped
+    from clamping import is_clamped
 
     p, raw = case
     assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
@@ -829,7 +829,7 @@ def test_rank_arrays_serve_the_space_like_the_anchors(case):
             for name, (i, j) in (("left", (0, q)), ("right", (1, q + 1)), ("support", (0, q + 1))):
                 npt.assert_array_equal(getattr(rows, name), [float(lkv[j] - lkv[i]) for lkv in lkvs])
             for side in (0, 1):
-                clamped = [a.index for a in anchors if _clamped((a.lkv1, a.lkv2)[d], mesh.degrees[d], side)]
+                clamped = [a.index for a in anchors if is_clamped((a.lkv1, a.lkv2)[d], mesh.degrees[d], side)]
                 recs = traces(Scalar2D(space), (d, side))
                 assert [r[0] for r in recs] == clamped
                 assert [r[2] for r in recs] == [((a.lkv1, a.lkv2)[1 - d],) for a in anchors if a.index in clamped]

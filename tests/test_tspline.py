@@ -204,7 +204,7 @@ def test_zero_count_matches_restricted_grad_rank():
     # the fully constrained scalar space: cross-check via the exact rank of
     # the boundary-restricted gradient matrix
     from splinecomplex.assembly import Vector2D, dirichlet_dofs
-    from splinecomplex.bspline import _clamped
+    from clamping import is_clamped
     from splinecomplex.exactrank import modular_rank
     from splinecomplex.problems import square_eigenproblem
 
@@ -216,7 +216,7 @@ def test_zero_count_matches_restricted_grad_rank():
         keep0 = []
         for a in tcx.Y0.anchors:
             clamped = any(
-                _clamped(lkv, 3, side) for lkv in (a.lkv1, a.lkv2) for side in (0, 1)
+                is_clamped(lkv, 3, side) for lkv in (a.lkv1, a.lkv2) for side in (0, 1)
             )
             if not clamped:
                 keep0.append(a.index)
