@@ -161,9 +161,11 @@ def _kind(space, kind):
 
 def _bilinear(V, Gw):
     """sum_q V[e,a,q,:] Gw[e,q] V[e,b,q,:]^T of every element e, one BLAS
-    product each; V has shape (nel, ndof, npts, c), Gw (nel, npts, c, c)."""
-    GV = np.matmul(V.transpose(0, 2, 1, 3), np.swapaxes(Gw, -1, -2))  # (e, q, a, i)
-    A = GV.transpose(0, 2, 1, 3).reshape(*V.shape[:2], -1)
+    product each; V has shape (nel, ndof, npts, c), Gw (nel, npts, c, c).
+    ``A`` is rebound to its (e, a, q * c) copy, so the (e, q, a, i) product
+    is freed before the last product."""
+    A = np.matmul(V.transpose(0, 2, 1, 3), np.swapaxes(Gw, -1, -2))  # (e, q, a, i)
+    A = A.transpose(0, 2, 1, 3).reshape(*V.shape[:2], -1)
     return A @ np.swapaxes(V.reshape(*V.shape[:2], -1), -1, -2)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bspline import _distinct, _tensor_rows, grad_matrix_1d, scaled_eval
-from .exactrank import annihilates, rank_with_upper_bound, rational_kernel_vector
+from .exactrank import annihilates, rank_with_upper_bound
 from .tensormesh import TensorMesh, build_tensor_mesh
 
 __all__ = [
@@ -290,10 +290,11 @@ def verify_sequence(ops, chain, with_bc=False, prefix="") -> ExactnessReport:
     """Certified rank identities for one sequence of operator matrices.
 
     ``ops`` is the ordered list of matrices, ``chain`` the space dimensions.
-    Without boundary conditions the kernel of the first operator is spanned
-    by the coefficients of the constant (all-ones is tried first); with full
-    boundary conditions the sequence ends in the integral functional and the
-    first operator is injective.
+    Without boundary conditions the basis must be a partition of unity: the
+    all-ones vector, checked exactly to lie in the kernel of the first
+    operator, is the certificate for the constants (``d0(const)=0`` is False
+    otherwise).  With full boundary conditions the sequence ends in the
+    integral functional and the first operator is injective.
     """
     identities = {}
     ranks = {}
@@ -306,8 +307,7 @@ def verify_sequence(ops, chain, with_bc=False, prefix="") -> ExactnessReport:
     if with_bc:
         upper0 = chain[0]
     else:
-        kernel_ok = annihilates(G, np.ones(chain[0], dtype=np.int64)) or rational_kernel_vector(G) is not None
-        identities[f"{prefix}d0(const)=0"] = bool(kernel_ok)
+        identities[f"{prefix}d0(const)=0"] = annihilates(G, np.ones(chain[0], dtype=np.int64))
         upper0 = chain[0] - 1
     r0, ok0 = rank_with_upper_bound(G, upper0)
     ranks[f"{prefix}d0"] = r0

@@ -3,8 +3,8 @@
 Ranks are certified without floating point: a lower bound is the rank over
 GF(q) for a word-size prime q (a nonsingular minor mod q is nonsingular
 over the rationals); upper bounds are integer certificates supplied by the
-caller (a kernel vector, a left annihilator, the row count).  When the two
-meet, the rank is exact.
+caller (a kernel vector checked by :func:`annihilates`, a left annihilator,
+the row count).  When the two meet, the rank is exact.
 
 The operators are signed incidence matrices of the control mesh, changed
 in a few rows near T-junctions.  Reduced mod q (vanishing entries dropped),
@@ -19,25 +19,23 @@ of the k components without the ground.  So, exactly for any matrix,
 
 where the core A_rest P is the other rows with columns summed per component.
 
-The core, the pivot columns and the rational kernel solve share one sparse
-elimination on ``{col: value}`` row dicts that keeps, per column, the set of
-live rows holding it.  Each step pivots on the live column with the fewest
-live entries, on its shortest row, ties to the lowest index: fill-in stays
-low and the order deterministic.  No matrix is densified.
+The core is reduced by the one elimination here, over GF(q), on
+``{col: residue}`` row dicts that keep, per column, the set of live rows
+holding it.  Each step pivots on the live column with the fewest live
+entries, on its shortest row, ties to the lowest index: fill-in stays low
+and the order deterministic.  No matrix is densified.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from fractions import Fraction
-from math import lcm
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-__all__ = ["modular_rank", "rank_with_upper_bound", "rational_kernel_vector", "annihilates"]
+__all__ = ["modular_rank", "rank_with_upper_bound", "annihilates"]
 
 _PRIMES = (2147483629, 2147483587, 2147483563)
 
@@ -55,32 +53,24 @@ def _int_csr(A) -> sp.csr_matrix:
     return A
 
 
-def _rows(A, prime=None) -> list[dict]:
-    """Rows of an integer CSR matrix as ``{col: value}`` dicts of Python ints.
-
-    With a prime the values are residues mod prime; entries that vanish
-    (explicit zeros, multiples of the prime) are left out.
+def _rows(A, prime) -> list[dict]:
+    """Rows of an integer CSR matrix as ``{col: residue mod prime}`` dicts of
+    Python ints; entries that vanish (explicit zeros, multiples of the prime)
+    are left out.
     """
-    data = A.data % prime if prime else A.data
-    cols, vals, ptr = A.indices.tolist(), data.tolist(), A.indptr.tolist()
+    cols, vals, ptr = A.indices.tolist(), (A.data % prime).tolist(), A.indptr.tolist()
     return [{c: v for c, v in zip(cols[a:b], vals[a:b]) if v} for a, b in zip(ptr[:-1], ptr[1:])]
 
 
-def _eliminate(rows: list[dict], prime=None) -> list[tuple[int, int]]:
-    """Sparse Gaussian elimination of ``rows`` in place.
-
-    Over GF(prime) when a prime is given, else over the rationals.  Returns
-    the pivots ``(row, col)`` in elimination order.  A pivot row is left as
-    it was when chosen: it holds its pivot column and only columns pivoted
-    later or never, so back-substitution runs in reverse pivot order.
-    """
+def _eliminate(rows: list[dict], prime) -> int:
+    """Rank of ``rows`` over GF(prime), by sparse Gaussian elimination in place."""
     live = defaultdict(set)  # col -> live rows with a nonzero there
     for i, row in enumerate(rows):
         for c in row:
             live[c].add(i)
     heap = [(len(s), c) for c, s in live.items()]
     heapq.heapify(heap)
-    pivots = []
+    rank = 0
     while heap:
         count, c = heapq.heappop(heap)
         holders = live.get(c)
@@ -88,7 +78,7 @@ def _eliminate(rows: list[dict], prime=None) -> list[tuple[int, int]]:
             continue  # stale entry: the column was pivoted or its count moved
         r = min(holders, key=lambda i: (len(rows[i]), i))
         prow = rows[r]
-        inv = pow(prow[c], -1, prime) if prime else 1 / Fraction(prow[c])
+        inv = pow(prow[c], -1, prime)
         rest = [(k, v) for k, v in prow.items() if k != c]
         del live[c]
         holders.discard(r)
@@ -96,13 +86,9 @@ def _eliminate(rows: list[dict], prime=None) -> list[tuple[int, int]]:
             live[k].discard(r)
         for s in holders:
             srow = rows[s]
-            f = srow.pop(c) * inv
-            if prime:
-                f %= prime
+            f = srow.pop(c) * inv % prime
             for k, v in rest:
-                new = srow.get(k, 0) - f * v
-                if prime:
-                    new %= prime
+                new = (srow.get(k, 0) - f * v) % prime
                 if new:
                     if k not in srow:
                         live[k].add(s)
@@ -113,8 +99,8 @@ def _eliminate(rows: list[dict], prime=None) -> list[tuple[int, int]]:
         for k, _ in rest:
             if live[k]:
                 heapq.heappush(heap, (len(live[k]), k))
-        pivots.append((r, c))
-    return pivots
+        rank += 1
+    return rank
 
 
 def _graph_rows(M, prime) -> np.ndarray:
@@ -123,17 +109,9 @@ def _graph_rows(M, prime) -> np.ndarray:
     return (nnz == 1) | ((nnz == 2) & (np.asarray(M.sum(axis=1)).ravel() % prime == 0))
 
 
-def modular_rank(A, prime: int = _PRIMES[0], return_pivots: bool = False):
-    """Rank of an integer matrix over GF(prime), by contracting its graph rows.
-
-    With ``return_pivots`` the whole matrix is eliminated and the sorted
-    pivot columns, independent over GF(prime) and so over the rationals,
-    are returned too.
-    """
+def modular_rank(A, prime: int = _PRIMES[0]) -> int:
+    """Rank of an integer matrix over GF(prime), by contracting its graph rows."""
     A = _int_csr(A)
-    if return_pivots:
-        pivots = _eliminate(_rows(A, prime), prime)
-        return len(pivots), sorted(c for _, c in pivots)
     A = sp.csr_matrix((A.data % prime, A.indices, A.indptr), shape=A.shape)
     A.eliminate_zeros()
     M, graph = max(((B, _graph_rows(B, prime)) for B in (A, A.T.tocsr())), key=lambda t: t[1].sum())
@@ -148,7 +126,7 @@ def modular_rank(A, prime: int = _PRIMES[0], return_pivots: bool = False):
     row = np.repeat(np.cumsum(rest) - 1, nnz)
     keep = np.repeat(rest, nnz) & (labels[M.indices] != labels[n])
     core = sp.csr_matrix((M.data[keep], (row[keep], labels[M.indices[keep]])), shape=(rest.sum(), ncomp))
-    return n - (ncomp - 1) + len(_eliminate(_rows(core, prime), prime))
+    return n - (ncomp - 1) + _eliminate(_rows(core, prime), prime)
 
 
 def rank_with_upper_bound(A, upper: int) -> tuple[int, bool]:
@@ -179,33 +157,3 @@ def annihilates(A, x) -> bool:
     return all(
         sum(v * xs[c] for c, v in zip(cols[a:b], vals[a:b])) == 0 for a, b in zip(ptr[:-1], ptr[1:])
     )
-
-
-def rational_kernel_vector(A):
-    """An exact nonzero integer kernel vector of an integer matrix, or None.
-
-    Modular elimination picks independent pivot columns and one free column,
-    then independent rows of those columns; the resulting square-plus-one
-    system is eliminated over the rationals, its one-dimensional kernel is
-    scaled to integers, and ``A x = 0`` is verified exactly.
-    """
-    A = _int_csr(A)
-    ncols = A.shape[1]
-    rank, pivots = modular_rank(A, _PRIMES[0], return_pivots=True)
-    if rank == ncols:
-        return None
-    chosen = set(pivots)
-    cols = pivots + [next(c for c in range(ncols) if c not in chosen)]
-    sub = A[:, cols]
-    _, rows = modular_rank(sub.T, _PRIMES[0], return_pivots=True)
-    B = _rows(sub[rows])
-    steps = _eliminate(B)
-    done = {c for _, c in steps}
-    y = [Fraction(0 if j in done else 1) for j in range(len(cols))]
-    for r, c in reversed(steps):
-        y[c] = -sum((v * y[k] for k, v in B[r].items() if k != c), Fraction(0)) / B[r][c]
-    den = lcm(*(v.denominator for v in y))
-    x = np.zeros(ncols, dtype=object)
-    for c, v in zip(cols, y):
-        x[c] = int(v * den)
-    return x if annihilates(A, x) else None

@@ -16,7 +16,7 @@ import numpy as np
 from .bspline import KnotVector
 from .geometry import GeometryMap
 from .multipatch import Interface
-from .tmesh import RawTMesh
+from .tmesh import RawTMesh, TMeshError
 
 __all__ = [
     "rational_to_str",
@@ -71,13 +71,23 @@ def tmesh_to_dict(raw: RawTMesh) -> dict:
 
 
 def tmesh_from_dict(d: dict) -> RawTMesh:
+    """The raw T-mesh of a T-mesh file; a key it does not read, or a
+    multiplicity given twice, raises :class:`TMeshError`."""
+    unread = sorted(set(d) - {"breakpoints1", "breakpoints2", "faces", "multiplicities"})
+    if unread:
+        raise TMeshError(f"T-mesh files have no key {unread[0]!r}")
     mult = {}
     for entry in d.get("multiplicities", []):
-        mult[(entry["axis"], entry["index"])] = int(entry["mult"])
+        if not isinstance(entry, dict) or sorted(entry) != ["axis", "index", "mult"]:
+            raise TMeshError(f"multiplicity entry {entry} does not hold exactly axis, index and mult")
+        key = (entry["axis"], entry["index"])
+        if key in mult:
+            raise TMeshError(f"multiplicity of the {key[0]} line {key[1]} is given twice")
+        mult[key] = entry["mult"]
     return RawTMesh(
         tuple(Fraction(b) for b in d["breakpoints1"]),
         tuple(Fraction(b) for b in d["breakpoints2"]),
-        tuple(tuple(f) for f in d["faces"]),
+        tuple(tuple(f) if isinstance(f, list) else f for f in d["faces"]),
         mult,
     )
 

@@ -57,13 +57,19 @@ class TMeshError(ValueError):
     """Structured T-mesh validation failure."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RawTMesh:
     """Tiling-level description: distinct breakpoints, faces as index boxes.
 
     ``faces`` entries are (i1, j1, i2, j2) with i referring to x-breakpoints.
     ``multiplicities`` optionally maps ("x"|"y", line index) to an interior
-    line multiplicity (constant along the line).
+    line multiplicity (constant along the line): 0 < index < last, an
+    integer of at least 1.  A face or multiplicity that breaks these rules
+    raises :class:`TMeshError` naming it.
     """
 
     breakpoints_x: tuple
@@ -79,6 +85,16 @@ class RawTMesh:
         for bp in (bx, by):
             if bp[0] != 0 or bp[-1] != 1 or any(b >= c for b, c in zip(bp, bp[1:])):
                 raise TMeshError("breakpoint tables must increase strictly from 0 to 1")
+        for f in self.faces:
+            if not (isinstance(f, (tuple, list)) and len(f) == 4 and all(map(_is_int, f))):
+                raise TMeshError(f"face {f!r} is not four integer indices")
+        last = {"x": len(bx) - 1, "y": len(by) - 1}
+        for key, m in self.multiplicities.items():
+            axis, k = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            if axis not in last or not (_is_int(k) and 0 < k < last[axis]):
+                raise TMeshError(f"multiplicity key {key!r} is not an ('x'|'y', interior line index) pair")
+            if not (_is_int(m) and m >= 1):
+                raise TMeshError(f"multiplicity {m!r} of the {axis} line {k} is not an integer of at least 1")
 
     def edge_grids(self):
         """Raw elementary edge presence derived from the face list, by
@@ -614,7 +630,7 @@ def _render_lines(breakpoints, multiplicities, axis, degree):
     ranges = []
     last = len(breakpoints) - 1
     for i, bp in enumerate(breakpoints):
-        m = b if i in (0, last) else int(multiplicities.get((axis, i), 1))
+        m = b if i in (0, last) else multiplicities.get((axis, i), 1)
         start = len(values)
         values.extend([bp] * m)
         ranges.append((start, len(values) - 1))

@@ -305,9 +305,9 @@ def verify_t_exactness(cx: TsplineComplex) -> ExactnessReport:
     """Certified rank identities for both T-spline sequences.
 
     Runs on the integer-scaled matrices (scaling changes no rank and no
-    kernel); the constant's coefficient vector is all ones when the basis
-    sums to one (checked exactly), otherwise an exact rational kernel vector
-    is computed.
+    kernel).  The constant's coefficient vector is all ones, as the basis is
+    a partition of unity on an analysis-suitable T-mesh; ``A @ 1 == 0`` is
+    checked exactly for grad and rotvec.
     """
     d0, d1, d2 = cx.dims
     oi = cx.operators_int

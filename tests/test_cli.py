@@ -124,6 +124,56 @@ def test_waveguide_without_length_or_propagating_mode_exits_2(tmp_path, capsys, 
     assert not (tmp_path / "waveguide_report.json").exists()
 
 
+def _set_face_entry(value):
+    def edit(d):
+        d["faces"][0][2] = value
+
+    return edit
+
+
+def _set_multiplicities(*entries):
+    def edit(d):
+        d["multiplicities"] = [dict(zip(("axis", "index", "mult"), e)) for e in entries]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (_set_face_entry(1.9), "(0, 0, 1.9, 1)"),
+        (_set_face_entry(True), "(0, 0, True, 1)"),
+        (_set_multiplicities(("x", 1, 0)), "multiplicity 0 of the x line 1"),
+        (_set_multiplicities(("x", 1, 2.7)), "multiplicity 2.7 of the x line 1"),
+        (_set_multiplicities(("y", 2, True)), "multiplicity True of the y line 2"),
+        (_set_multiplicities(("z", 1, 2)), "('z', 1)"),
+        (_set_multiplicities(("x", 0, 2)), "('x', 0)"),
+        (_set_multiplicities(("y", 4, 2)), "('y', 4)"),
+        (_set_multiplicities(("x", 99, 2)), "('x', 99)"),
+        (_set_multiplicities(("x", True, 2)), "('x', True)"),
+        (_set_multiplicities(("x", 1, 2), ("x", 1, 3)), "x line 1 is given twice"),
+        (lambda d: d.update(multiplicities=[{"axis": "x", "index": 1, "mult": 2, "note": 1}]), "'note'"),
+        (lambda d: d["faces"].__setitem__(0, 5), "face 5 is not"),
+        (lambda d: d.update(multiplicities=[5]), "multiplicity entry 5"),
+        (lambda d: d.update(comment="l0"), "'comment'"),
+    ],
+)
+def test_malformed_tmesh_file_exits_2_naming_the_entry(tmp_path, capsys, edit, name):
+    # a face that is not four integers, a multiplicity that is no integer of
+    # at least 1 or names no interior line, and a key the loader does not
+    # read exit 2 before any mesh is rendered, instead of being truncated,
+    # dropped or ignored
+    d = load_json(FIXTURES / "square_tmesh_l0.json")
+    edit(d)
+    mesh = tmp_path / "mesh.json"
+    dump_json(d, mesh)
+    for cmd in (["check", "--degrees", "3,3"], ["complex", "--degree", "3"]):
+        assert run_cli(["tmesh", cmd[0], "--mesh", str(mesh), *cmd[1:]], tmp_path) == 2, cmd
+        err = capsys.readouterr().err
+        assert name in err, err
+    assert not list(tmp_path.glob("*report*.json"))
+
+
 class _ReadKeys(dict):
     """A problem spec that records every key a command reads."""
 

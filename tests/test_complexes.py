@@ -26,7 +26,6 @@ from splinecomplex.exactrank import (
     _rows,
     annihilates,
     modular_rank,
-    rational_kernel_vector,
 )
 from splinecomplex.tensormesh import build_tensor_mesh
 
@@ -186,7 +185,7 @@ def fraction_rank(A) -> int:
 
 def direct_rank(A, prime) -> int:
     """Rank over GF(prime) by eliminating every row, without contraction."""
-    return len(_eliminate(_rows(_int_csr(A), prime), prime))
+    return _eliminate(_rows(_int_csr(A), prime), prime)
 
 
 def test_modular_rank_agrees_with_fractions():
@@ -222,9 +221,7 @@ def integer_matrices(draw):
 def test_modular_rank_property(A):
     rank = fraction_rank(A)
     assert modular_rank(A) == rank
-    r, pivots = modular_rank(sp.csr_matrix(A), return_pivots=True)
-    assert r == rank and len(set(pivots)) == rank
-    assert fraction_rank(A[:, pivots]) == rank
+    assert modular_rank(sp.csr_matrix(A)) == rank
 
 
 @st.composite
@@ -321,26 +318,38 @@ def test_modular_rank_drops_zeros_mod_p():
     p, q = _PRIMES[:2]
     B = np.array([[p, 1], [-p, 1], [2 * p, 0]])
     for M in (B, sp.csr_matrix(B)):
-        assert modular_rank(M, p, return_pivots=True) == (1, [1])
+        assert modular_rank(M, p) == 1
         assert modular_rank(M, q) == 2
 
 
-def test_rational_kernel_vector():
-    # kernel spanned by (5, -2, 1)
-    A = np.array([[2, 4, -2], [1, 3, 1]])
-    for M in (A, sp.csr_matrix(A)):
-        x = rational_kernel_vector(M)
-        assert x is not None and annihilates(M, x)
-        assert [5 * v for v in x] == [x[0] * v for v in (5, -2, 1)]
-    # a two-dimensional rational kernel
-    A = np.array([[3, 1, 0, 2], [0, 2, 5, 1]])
-    x = rational_kernel_vector(sp.csr_matrix(A))
-    assert any(v != 0 for v in x) and all(v == 0 for v in A.astype(object) @ x)
-    # full column rank
-    assert rational_kernel_vector(np.array([[1, 2], [3, 4], [5, 6]])) is None
-    # verify_sequence falls back to it when the constants are not in the kernel
+def test_constants_are_certified_by_the_all_ones_vector_alone():
+    # the kernel of [[2, -1]] is spanned by (1, 2): a basis that is no
+    # partition of unity fails d0(const)=0, whatever its kernel
     rep = verify_sequence([sp.csr_matrix([[2, -1]])], [2, 1])
-    assert rep.identities["d0(const)=0"] and rep.passed and rep.certified
+    assert not rep.identities["d0(const)=0"] and not rep.passed
+    assert rep.identities["rank(d0)=1"] and rep.certified
+
+
+@st.composite
+def knot_vectors(draw):
+    """A clamped knot vector of degree 1-3 on 1-3 spans with dyadic
+    breakpoints and interior multiplicities up to the degree."""
+    p = draw(st.integers(1, 3))
+    cuts = draw(st.lists(st.integers(1, 7), max_size=2, unique=True))
+    mult = [draw(st.integers(1, p)) for _ in cuts]
+    return KnotVector(p, (F(0), *(F(c, 8) for c in sorted(cuts)), F(1)), (p + 1, *mult, p + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(knot_vectors(), min_size=d, max_size=d)))
+def test_tensor_constants_are_the_all_ones_vector(kvs):
+    # the tensor B-splines are a partition of unity on every knot vector:
+    # the all-ones vector is in the kernel of grad, and the report says so
+    cx = build_complex(kvs)
+    assert annihilates(cx.operators["grad"], np.ones(cx.space_dim(0), dtype=np.int64))
+    rep = verify_exactness(cx)
+    const = {k: v for k, v in rep.identities.items() if k.endswith("d0(const)=0")}
+    assert len(const) == (2 if len(kvs) == 2 else 1) and all(const.values()), rep.identities
 
 
 def test_eval_field_partition_of_unity():

@@ -854,3 +854,24 @@ def test_t_exactness_merges_both_sequences(case):
     assert rep.ranks == {**primal.ranks, **starred.ranks}
     assert rep.identities == {**primal.identities, **starred.identities, "dimY0+dimY2=dimY1+1": True}
     assert rep.certified == (primal.certified and starred.certified)
+
+
+@settings(max_examples=100, deadline=None)
+@given(refined_tmeshes())
+def test_t_spline_constants_are_the_all_ones_vector(case):
+    # the constants' only certificate: on every analysis-suitable T-mesh the
+    # scalar T-splines are a partition of unity, so grad (and rotvec) of the
+    # all-ones vector vanish exactly
+    from splinecomplex.exactrank import annihilates
+
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    try:
+        tcx = build_tspline_complex(derive_complex_meshes(raw, p))
+    except TMeshError:
+        assume(False)  # the known failure of a crossed repeated line
+    ones = np.ones(tcx.dims[0], dtype=np.int64)
+    assert annihilates(tcx.operators_int["grad"], ones)
+    assert annihilates(tcx.operators_int["rotvec"], ones)
+    rep = verify_t_exactness(tcx)
+    assert rep.identities["d0(const)=0"] and rep.identities["*d0(const)=0"]
