@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 * :mod:`splinecomplex.bspline` - exact univariate kernel (rational knots,
-  Cox-de Boor evaluation, knot insertion, derivative decompositions);
+  Cox-de Boor, derivative splits, the one knot insertion and line rendering);
 * :mod:`splinecomplex.tensormesh`, :mod:`splinecomplex.complexes` - tensor
   meshes with zero-measure entities and the compatible spline spaces whose
   differential operators are signed incidence matrices;

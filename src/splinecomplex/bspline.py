@@ -5,6 +5,10 @@ knot vectors, mesh coordinates and derivative targets can be compared
 exactly.  Evaluation converts to floating point once, into :class:`KnotRows`,
 and one vectorized Cox-de Boor recursion evaluates all rows at all points.
 
+Knot insertion (Boehm's rule on line ranks, :func:`_refine`) and the drawing
+of breakpoints as lines (:func:`_render_lines`) are stated here only; the
+T-mesh and T-spline layers call them.
+
 Conventions:
 
 * knot vectors are open ("p-open"): first/last breakpoints are 0 and 1 with
@@ -140,14 +144,8 @@ class KnotVector:
         return self.multiplicities[i]
 
     def rendered_lines(self) -> list:
-        """Breakpoints expanded with the drawing convention: boundary knots
-        are repeated floor(p/2)+1 times, internal knots their multiplicity."""
-        b = self.degree // 2 + 1
-        out = [self.breakpoints[0]] * b
-        for bp, m in zip(self.breakpoints[1:-1], self.multiplicities[1:-1]):
-            out.extend([bp] * m)
-        out.extend([self.breakpoints[-1]] * b)
-        return out
+        """Breakpoints expanded into drawn lines by :func:`_render_lines`."""
+        return _render_lines(self.breakpoints, self.internal_multiplicities, self.degree)[0]
 
     # -- derived objects -------------------------------------------------------
 
@@ -206,6 +204,18 @@ class KnotVector:
             bp.append(Fraction(val))
             mult.append(int(m))
         return cls(degree, tuple(bp), tuple(mult))
+
+
+def _render_lines(breakpoints, interior_multiplicities, degree):
+    """The drawn lines of one direction: the boundary breakpoints repeated
+    floor(p/2)+1 times, the interior ones their multiplicity.  Returns the
+    line values and, per breakpoint, the (first, last) index of its copies."""
+    b = degree // 2 + 1
+    values, ranges = [], []
+    for bp, m in zip(breakpoints, (b, *interior_multiplicities, b)):
+        ranges.append((len(values), len(values) + m - 1))
+        values.extend([bp] * m)
+    return values, ranges
 
 
 # -- batched Cox-de Boor kernel ----------------------------------------------------
@@ -403,12 +413,36 @@ def _tensor_rows(tables) -> np.ndarray:
 # -- knot insertion ---------------------------------------------------------------
 
 
+def _refine(window, inserted, values) -> dict:
+    """Boehm's knot insertion on one B-spline: N[window] = sum c_w N[w], c_w
+    exact Fractions, over the windows w of the line refined by the
+    ``inserted`` knots.  Windows and knots are ranks into the increasing exact
+    ``values``; a term of zero coefficient or zero support is dropped."""
+    q = len(window) - 2
+    chain = {tuple(window): Fraction(1)}
+    for z in inserted:
+        zv, new = values[z], {}
+        for t, c in chain.items():
+            if not t[0] < z < t[-1]:
+                new[t] = new.get(t, ZERO) + c
+                continue
+            pos = bisect.bisect_left(t, z)
+            refined = t[:pos] + (z,) + t[pos:]
+            a = 1 if z >= t[q] else (zv - values[t[0]]) / (values[t[q]] - values[t[0]])
+            b = 1 if z <= t[1] else (values[t[q + 1]] - zv) / (values[t[q + 1]] - values[t[1]])
+            for w, s in ((refined[: q + 2], a), (refined[1:], b)):
+                if s != 0 and w[-1] > w[0]:
+                    new[w] = new.get(w, ZERO) + c * s
+        chain = new
+    return chain
+
+
 def insert_knot(kv: KnotVector, coeffs, xbar):
     """Insert the knot xbar, returning the refined knot vector and coefficients.
 
-    The new coefficients follow the three-case convex-combination rule; the
-    represented spline is unchanged pointwise.  Inserting an existing value
-    reduces the inter-element continuity by one.
+    Every basis function splits by :func:`_refine`, so the represented spline
+    is unchanged pointwise; inserting an existing value reduces the continuity
+    there by one.  The coefficients come back as floats (or complex).
     """
     xbar = as_fraction(xbar)
     if not (0 < xbar < 1):
@@ -416,26 +450,19 @@ def insert_knot(kv: KnotVector, coeffs, xbar):
     p = kv.degree
     if kv.multiplicity_of(xbar) >= p + 1:
         raise ValueError("knot already has multiplicity p+1")
-    coeffs = np.asarray(coeffs)
-    n = kv.n
+    n, coeffs = kv.n, np.asarray(coeffs)
     if coeffs.shape[0] != n:
         raise ValueError("coefficient vector has wrong length")
-    ks = kv.knots
-    k = bisect.bisect_right(ks, xbar)  # number of knots <= xbar (paper's k, 1-based)
-    new = np.zeros((n + 1,) + coeffs.shape[1:], dtype=coeffs.dtype)
-    for j in range(n + 1):
-        i = j + 1
-        if i <= k - p:
-            new[j] = coeffs[j]
-        elif i <= k:
-            alpha = float((xbar - ks[j]) / (ks[j + p] - ks[j]))
-            new[j] = alpha * coeffs[j] + (1.0 - alpha) * coeffs[j - 1]
-        else:
-            new[j] = coeffs[j - 1]
-
-    knots = sorted((*ks, xbar))
-    breakpoints = sorted(set(knots))
-    new_kv = KnotVector(p, breakpoints, [knots.count(b) for b in breakpoints])
+    values = sorted({*kv.breakpoints, xbar})
+    rank = {v: r for r, v in enumerate(values)}
+    old, z = [rank[k] for k in kv.knots], rank[xbar]
+    knots = sorted((*old, z))
+    index = {tuple(knots[j : j + p + 2]): j for j in range(n + 1)}
+    new = np.zeros((n + 1,) + coeffs.shape[1:], dtype=np.result_type(coeffs, float))
+    for i in range(n):
+        for w, c in _refine(old[i : i + p + 2], (z,), values).items():
+            new[index[w]] += float(c) * coeffs[i]
+    new_kv = KnotVector(p, values, [knots.count(r) for r in range(len(values))])
     return new_kv, new
 
 

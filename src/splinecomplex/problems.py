@@ -276,10 +276,6 @@ def cyl_exact_field(X):
     return np.column_stack([ux, uy, uz])
 
 
-def cyl_zero_curl(X):
-    return np.zeros((X.shape[0], 3))
-
-
 def _point_tables(space, order, deriv):
     """The reference values of a 2D ``space``, or with ``deriv`` its rots or
     grads, at the Gauss points of its elements, element by element, as one
@@ -337,9 +333,9 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     for S1, S0, section in zip(glue1.scatters, glue0.scatters, sections):
         X2, J2, det2 = section.eval_jacobian_dets(P2)
         X = np.column_stack([np.repeat(X2, zq.size, axis=0), np.tile(zq, len(P2))])
-        u, curl = (f(X).reshape(len(P2), zq.size, 3).transpose(0, 2, 1) for f in (cyl_exact_field, cyl_zero_curl))
+        u = cyl_exact_field(X).reshape(len(P2), zq.size, 3).transpose(0, 2, 1)  # (point, component, z)
         A2 = _adjugate(J2)
-        slices.append((A2, J2, det2, u, curl))  # u, curl: (point, component, z)
+        slices.append((A2, J2, det2, u))
         fh = A2 @ _lift(u[:, :2] * wz, Psi.T) * W2[:, None, None]  # adj J2 f_h, z integrated
         fv = _lift(u[:, 2] * wz, chi.T) * (det2 * W2)[:, None]
         bh, bv = bh + S1.T @ (E1.T @ fh.reshape(-1, n)), bv + S0.T @ (E0.T @ fv)
@@ -353,14 +349,14 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
         x = solve_source(A, np.r_[bh[free1, k], bv[free0, k - 1]])
         xh[free1, k], xv[free0, k - 1] = x[: free1.size], x[free1.size :]
     err2 = 0.0
-    for S1, S0, (A2, J2, det2, u, curl) in zip(glue1.scatters, glue0.scatters, slices):
+    for S1, S0, (A2, J2, det2, u) in zip(glue1.scatters, glue0.scatters, slices):
         h, v = S1 @ xh, S0 @ xv  # the modal fields on the patch's section dofs
         U, rot = (E1 @ h).reshape(-1, 2, n), R1 @ h
         w, gw = E0 @ v, (D0 @ v).reshape(-1, 2, n - 1)
         # the reference field and curl over z, pushed forward: J^-T = adj J^T / det J and J / det J
         ch = np.stack([_lift(gw[:, 1], chi) - _lift(U[:, 1], dPsi), _lift(U[:, 0], dPsi) - _lift(gw[:, 0], chi)], 1)
         du = np.concatenate([np.swapaxes(A2, 1, 2) @ _lift(U, Psi) / det2[:, None, None], _lift(w, chi)[:, None]], 1) - u
-        dc = np.concatenate([J2 @ ch, _lift(rot, Psi)[:, None]], 1) / det2[:, None, None] - curl
+        dc = np.concatenate([J2 @ ch, _lift(rot, Psi)[:, None]], 1) / det2[:, None, None]  # the exact curl is 0
         err2 += np.sum((W2 * det2)[:, None, None] * wz * (du**2 + dc**2))
     return glue1.ndof * n + glue0.ndof * (n - 1), free1.size * n + free0.size * (n - 1), math.sqrt(err2)
 

@@ -70,24 +70,36 @@ def tmesh_to_dict(raw: RawTMesh) -> dict:
     return out
 
 
+def _json_list(value, key, read=lambda v: v) -> tuple:
+    try:
+        if isinstance(value, list):
+            return tuple(map(read, value))
+    except TypeError:
+        pass
+    raise TMeshError(f"T-mesh key {key!r} holds {value!r}, not a list of its entries")
+
+
 def tmesh_from_dict(d: dict) -> RawTMesh:
-    """The raw T-mesh of a T-mesh file; a key it does not read, or a
-    multiplicity given twice, raises :class:`TMeshError`."""
+    """The raw T-mesh of a T-mesh file; a key it does not read, an entry of
+    the wrong JSON type, or a multiplicity given twice raises
+    :class:`TMeshError` naming it."""
     unread = sorted(set(d) - {"breakpoints1", "breakpoints2", "faces", "multiplicities"})
     if unread:
         raise TMeshError(f"T-mesh files have no key {unread[0]!r}")
     mult = {}
-    for entry in d.get("multiplicities", []):
+    for entry in _json_list(d.get("multiplicities", []), "multiplicities"):
         if not isinstance(entry, dict) or sorted(entry) != ["axis", "index", "mult"]:
             raise TMeshError(f"multiplicity entry {entry} does not hold exactly axis, index and mult")
         key = (entry["axis"], entry["index"])
+        if any(isinstance(k, (list, dict)) for k in key):
+            raise TMeshError(f"multiplicity entry {entry} names no ('x'|'y', line index) pair")
         if key in mult:
             raise TMeshError(f"multiplicity of the {key[0]} line {key[1]} is given twice")
         mult[key] = entry["mult"]
     return RawTMesh(
-        tuple(Fraction(b) for b in d["breakpoints1"]),
-        tuple(Fraction(b) for b in d["breakpoints2"]),
-        tuple(tuple(f) if isinstance(f, list) else f for f in d["faces"]),
+        _json_list(d["breakpoints1"], "breakpoints1", Fraction),
+        _json_list(d["breakpoints2"], "breakpoints2", Fraction),
+        _json_list(d["faces"], "faces", lambda f: tuple(f) if isinstance(f, list) else f),
         mult,
     )
 

@@ -3,8 +3,8 @@ anchors and local-knot-vector inference, extended mesh, T-spline evaluation.
 
 A raw T-mesh is a rectangular tiling of the unit square given by distinct
 breakpoint tables and faces as index rectangles.  Rendering it for degrees
-(p1, p2) expands boundary lines to multiplicity floor(p/2)+1 and interior
-lines to their stated multiplicities; all structure queries (census,
+(p1, p2) draws its lines by :func:`splinecomplex.bspline._render_lines`;
+all structure queries (census,
 T-junctions, extensions, anchor tracing) run on the rendered index grid, so
 segment comparisons are exact integer index comparisons.  Anchor lookups and
 local-knot-vector keys likewise run on integer line ranks (a line's position
@@ -34,12 +34,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .bspline import KnotRows, as_fraction, scaled_eval
+from .bspline import KnotRows, _render_lines, as_fraction, scaled_eval
 
 __all__ = [
     "RawTMesh",
@@ -57,8 +58,9 @@ class TMeshError(ValueError):
     """Structured T-mesh validation failure."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+def _ints(values) -> bool:
+    """All ints or NumPy integers, never bools; checked once per type."""
+    return all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,16 @@ class RawTMesh:
         for bp in (bx, by):
             if bp[0] != 0 or bp[-1] != 1 or any(b >= c for b, c in zip(bp, bp[1:])):
                 raise TMeshError("breakpoint tables must increase strictly from 0 to 1")
-        for f in self.faces:
-            if not (isinstance(f, (tuple, list)) and len(f) == 4 and all(map(_is_int, f))):
-                raise TMeshError(f"face {f!r} is not four integer indices")
+        four = [isinstance(f, (tuple, list)) and len(f) == 4 for f in self.faces]
+        if not (all(four) and _ints(chain.from_iterable(self.faces))):
+            f = next(f for f, ok in zip(self.faces, four) if not (ok and _ints(f)))
+            raise TMeshError(f"face {f!r} is not four integer indices")
         last = {"x": len(bx) - 1, "y": len(by) - 1}
         for key, m in self.multiplicities.items():
             axis, k = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-            if axis not in last or not (_is_int(k) and 0 < k < last[axis]):
+            if axis not in last or not (_ints((k,)) and 0 < k < last[axis]):
                 raise TMeshError(f"multiplicity key {key!r} is not an ('x'|'y', interior line index) pair")
-            if not (_is_int(m) and m >= 1):
+            if not (_ints((m,)) and m >= 1):
                 raise TMeshError(f"multiplicity {m!r} of the {axis} line {k} is not an integer of at least 1")
 
     def edge_grids(self):
@@ -191,8 +194,10 @@ class TMesh2D:
     def from_raw(cls, raw: RawTMesh, degrees) -> "TMesh2D":
         p1, p2 = degrees
         rawVE, rawHE = raw.edge_grids()
-        xs, xr = _render_lines(raw.breakpoints_x, raw.multiplicities, "x", p1)
-        ys, yr = _render_lines(raw.breakpoints_y, raw.multiplicities, "y", p2)
+        (xs, xr), (ys, yr) = (
+            _render_lines(bp, [raw.multiplicities.get((axis, i), 1) for i in range(1, len(bp) - 1)], p)
+            for axis, bp, p in (("x", raw.breakpoints_x, p1), ("y", raw.breakpoints_y, p2))
+        )
         return cls(xs, ys, _render_edges(rawVE, xr, yr), _render_edges(rawHE.T, yr, xr).T, degrees)
 
     def with_segments(self, segments, degrees=None) -> "TMesh2D":
@@ -621,20 +626,6 @@ def _render_edges(raw, lines, spans):
     m = np.searchsorted(ends, s)
     E = np.where(ends[m] == s, above[:, m], band[:, m])
     return np.repeat(E, [b - a + 1 for a, b in lines], axis=0)
-
-
-def _render_lines(breakpoints, multiplicities, axis, degree):
-    """Rendered value table and raw-line index ranges for one direction."""
-    b = degree // 2 + 1
-    values = []
-    ranges = []
-    last = len(breakpoints) - 1
-    for i, bp in enumerate(breakpoints):
-        m = b if i in (0, last) else multiplicities.get((axis, i), 1)
-        start = len(values)
-        values.extend([bp] * m)
-        ranges.append((start, len(values) - 1))
-    return values, ranges
 
 
 def validate_tmesh(raw: RawTMesh, degrees) -> TMesh2D:

@@ -13,24 +13,23 @@ the Curry-Schoenberg-scaled target basis.  In the transverse direction the
 two windows are located by exact local-knot-vector matching, on the rank
 arrays of the spaces, all anchors at once (the four derived meshes rank the
 same line values); where the derived mesh refines the transverse knot line
-(possible next to extension bays) the source window is expanded by exact
-rational knot insertion instead, with the knot values looked up from the
-ranks.  Matrices
-are therefore rational; they are stored as integer matrices over one common
+(possible next to extension bays) the source window is expanded instead
+by the exact knot insertion of :mod:`splinecomplex.bspline` (Boehm's rule on
+line ranks, :func:`~splinecomplex.bspline._refine`).  Matrices are therefore
+rational; they are stored as integer matrices over one common
 denominator so compositions and ranks stay exact, and they reduce
 bit-for-bit to the signed B-spline pattern on tensor input.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
+from .bspline import _refine
 from .complexes import ExactnessReport, _merge_reports, verify_sequence
 from .tmesh import RawTMesh, TMesh2D, TMeshError, TsplineSpace, validate_tmesh
 
@@ -139,48 +138,6 @@ class TsplineComplex:
         return (self.space_dim(0), self.space_dim(1), self.space_dim(2))
 
 
-def _insert_knot_window(window, degree, z, values):
-    """Split one B-spline by inserting z: N[window] = a N[w1] + b N[w2].
-
-    Windows and z are line ranks; ``values`` maps a rank to its knot."""
-    q = degree
-    t = list(window)
-    pos = bisect.bisect_left(t, z)
-    refined = t[:pos] + [z] + t[pos:]
-    w1 = tuple(refined[: q + 2])
-    w2 = tuple(refined[1:])
-    x, zv = [values[r] for r in t], values[z]
-    if z >= t[q]:
-        a = Fraction(1)
-    else:
-        a = (zv - x[0]) / (x[q] - x[0])
-    if z <= t[1]:
-        b = Fraction(1)
-    else:
-        b = 1 - (zv - x[1]) / (x[q + 1] - x[1])
-    out = []
-    if a != 0 and w1[-1] > w1[0]:
-        out.append((w1, a))
-    if b != 0 and w2[-1] > w2[0]:
-        out.append((w2, b))
-    return out
-
-
-def _expand_window(window, degree, missing, values):
-    """Cascade knot insertion: N[window] = sum c_w N[w] on the refined line."""
-    chain = {tuple(window): Fraction(1)}
-    for z in missing:
-        new = {}
-        for w, c in chain.items():
-            if w[0] < z < w[-1]:
-                for w2, a in _insert_knot_window(w, degree, z, values):
-                    new[w2] = new.get(w2, Fraction(0)) + c * a
-            else:
-                new[w] = new.get(w, Fraction(0)) + c
-        chain = new
-    return chain
-
-
 def _abscissa_locator(index, window, degree):
     """Locator of the anchor abscissa of a derivative-target window of ranks
     on the axis ``index``."""
@@ -202,15 +159,13 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     """Exact matrix of the partial derivative mapping src into dst.
 
     Anchors match by their rank keys, so both meshes must rank the same
-    distinct line values.  Returns (float_csr, int_csr, denominator).
+    distinct line values.  Returns (int_csr, denominator).
     """
     if src.mesh.line_values != dst.mesh.line_values:
         raise TMeshError("source and target meshes do not share one table of distinct line values")
     t_dir = 1 - direction
-    t_deg = src.degrees[t_dir]
     values = src.mesh.line_values[t_dir]
-    src_t_scaling = src.scalings[t_dir]
-    dst_t_scaling = dst.scalings[t_dir]
+    scalings = src.scalings[t_dir], dst.scalings[t_dir]
     index = dst.mesh.line_index  # built by the target space's rank arrays
     K, T = src.ranks[direction], src.ranks[t_dir]
 
@@ -237,13 +192,12 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
                 f"derivative of anchor {a}: transverse knots "
                 f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
             )
-        for w, c in _expand_window(T_a, t_deg, missing, values).items():
-            scale = c
-            if src_t_scaling == "D" and dst_t_scaling == "D":
-                scale = c * (values[w[-1]] - values[w[0]]) / (values[T_a[-1]] - values[T_a[0]])
-            elif src_t_scaling != dst_t_scaling:
+        for w, c in _refine(T_a, missing, values).items():
+            if scalings == ("D", "D"):
+                c *= (values[w[-1]] - values[w[0]]) / (values[T_a[-1]] - values[T_a[0]])
+            elif scalings[0] != scalings[1]:
                 raise TMeshError("mixed transverse scalings are not wired")
-            refined.append((target, w, a, sign * scale))
+            refined.append((target, w, a, sign * c))
     den = math.lcm(*(c.denominator for *_, c in refined))
     rows, cols, ints = found[direct], cols[direct], signs[direct] * den
     if refined:
@@ -258,7 +212,7 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
         rows, cols, ints = np.r_[rows, hit], np.r_[cols, anchor], np.r_[ints, [int(c * den) for c in coeff]]
     A = sp.coo_matrix((ints, (rows, cols)), shape=(dst.dim, src.dim), dtype=np.int64).tocsr()
     A.sum_duplicates()
-    return A.astype(float) / den, A, den
+    return A, den
 
 
 def _multiset_difference(big, small):
@@ -278,25 +232,17 @@ def build_tspline_complex(cm: ComplexMeshes) -> TsplineComplex:
     Y1c1 = TsplineSpace(cm.M11, ("D", "B"))
     Y1c2 = TsplineSpace(cm.M12, ("B", "D"))
     Y2 = TsplineSpace(cm.M2, ("D", "D"))
-    G1, G1i, dG1 = _derivative_block(Y0, Y1c1, 0)
-    G2, G2i, dG2 = _derivative_block(Y0, Y1c2, 1)
-    R1, R1i, dR1 = _derivative_block(Y1c1, Y2, 1)
-    R2, R2i, dR2 = _derivative_block(Y1c2, Y2, 0)
-
-    def stack_v(a, b, da, db):
-        den = math.lcm(da, db)
-        return sp.vstack([a * (den // da), b * (den // db)]).tocsr(), den
-
-    def stack_h(a, b, da, db):
-        den = math.lcm(da, db)
-        return sp.hstack([a * (den // da), b * (den // db)]).tocsr(), den
-
-    grad_i, d_grad = stack_v(G1i, G2i, dG1, dG2)
-    rot_i, d_rot = stack_h(-R1i, R2i, dR1, dR2)
-    rotvec_i, d_rotvec = stack_v(G2i, -G1i, dG2, dG1)
-    div_i, d_div = stack_h(R2i, R1i, dR2, dR1)
-    ints = {"grad": grad_i, "rot": rot_i, "rotvec": rotvec_i, "div": div_i}
-    dens = {"grad": d_grad, "rot": d_rot, "rotvec": d_rotvec, "div": d_div}
+    G1, G2 = _derivative_block(Y0, Y1c1, 0), _derivative_block(Y0, Y1c2, 1)
+    R1, R2 = _derivative_block(Y1c1, Y2, 1), _derivative_block(Y1c2, Y2, 0)
+    ints, dens = {}, {}
+    for name, stack, blocks in (
+        ("grad", sp.vstack, ((1, G1), (1, G2))),
+        ("rot", sp.hstack, ((-1, R1), (1, R2))),
+        ("rotvec", sp.vstack, ((1, G2), (-1, G1))),
+        ("div", sp.hstack, ((1, R2), (1, R1))),
+    ):
+        dens[name] = den = math.lcm(*(d for _, (_, d) in blocks))
+        ints[name] = stack([A * (sign * den // d) for sign, (A, d) in blocks]).tocsr()
     ops = {k: ints[k].astype(float) / dens[k] for k in ints}
     return TsplineComplex(cm, Y0, (Y1c1, Y1c2), Y2, ops, ints, dens)
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splinecomplex.bspline import (
     KnotRows,
     KnotVector,
+    _refine,
     derivative_decomposition,
     eval_basis,
     eval_basis_deriv,
@@ -212,6 +213,44 @@ def test_insert_alpha_pattern():
         eval_basis(kvr, xs) @ cr, eval_basis(KV_HALF, xs) @ coeffs, atol=1e-13
     )
     npt.assert_allclose(cr, [1.0, 0.5, 0.0, 0.0, 0.0], atol=1e-15)
+
+
+def test_insert_knot_keeps_integer_coefficients_exact():
+    # integer coefficients are not truncated to the integer dtype
+    kvr, cr = insert_knot(KV_HALF, np.array([1, 0, 0, 0]), F(1, 4))
+    assert cr.dtype == float
+    npt.assert_array_equal(cr, [1.0, 0.5, 0.0, 0.0, 0.0])
+    xs = np.linspace(0, 1, 150)
+    npt.assert_allclose(eval_basis(kvr, xs) @ cr, eval_basis(KV_HALF, xs) @ [1, 0, 0, 0], atol=1e-13)
+
+
+@st.composite
+def refinements(draw):
+    """A window of ranks of degree 0-4, repeated knots allowed, on line
+    values in [0, 1], and 1-3 inserted ranks over its closed support,
+    repeats allowed."""
+    cuts = draw(st.lists(st.integers(1, 15), min_size=1, max_size=6, unique=True))
+    values = [F(0), *sorted(F(c, 16) for c in cuts), F(1)]
+    q = draw(st.integers(0, 4))
+    rank = st.integers(0, len(values) - 1)
+    window = sorted(draw(st.lists(rank, min_size=q + 2, max_size=q + 2)))
+    assume(window[-1] > window[0])  # a positive support
+    inserted = draw(st.lists(st.integers(window[0], window[-1]), min_size=1, max_size=3))
+    return window, inserted, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(refinements())
+def test_refine_splits_a_b_spline_exactly(case):
+    window, inserted, values = case
+    q = len(window) - 2
+    chain = _refine(window, inserted, values)
+    assert all(type(c) is F for c in chain.values())
+    x = np.linspace(0, 1, 50)
+    lhs = scaled_eval(KnotRows.from_ranks(np.array([window]), values), q, "B", x)[:, 0]
+    rows = KnotRows.from_ranks(np.array(list(chain)), values)
+    rhs = scaled_eval(rows, q, "B", x) @ np.array([float(c) for c in chain.values()])
+    npt.assert_allclose(rhs, lhs, atol=1e-13, rtol=0)
 
 
 def test_derivative_decomposition_bernstein_middle():

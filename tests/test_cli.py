@@ -156,13 +156,20 @@ def _set_multiplicities(*entries):
         (lambda d: d["faces"].__setitem__(0, 5), "face 5 is not"),
         (lambda d: d.update(multiplicities=[5]), "multiplicity entry 5"),
         (lambda d: d.update(comment="l0"), "'comment'"),
+        (lambda d: d.update(faces=5), "'faces' holds 5,"),
+        (lambda d: d.update(breakpoints1=None), "'breakpoints1' holds None,"),
+        (lambda d: d.update(breakpoints1=[[0], [1]]), "'breakpoints1' holds [[0], [1]],"),
+        (lambda d: d.update(multiplicities=3), "'multiplicities' holds 3,"),
+        (_set_multiplicities((["x"], 1, 2)), "'axis': ['x']"),
+        (_set_multiplicities(({"a": 1}, 1, 2)), "'axis': {'a': 1}"),
+        (_set_multiplicities(("x", [1], 2)), "'index': [1]"),
     ],
 )
 def test_malformed_tmesh_file_exits_2_naming_the_entry(tmp_path, capsys, edit, name):
     # a face that is not four integers, a multiplicity that is no integer of
-    # at least 1 or names no interior line, and a key the loader does not
-    # read exit 2 before any mesh is rendered, instead of being truncated,
-    # dropped or ignored
+    # at least 1 or names no interior line, a key the loader does not read,
+    # and an entry of the wrong JSON type exit 2 before any mesh is rendered,
+    # instead of being truncated, dropped, ignored or crashing
     d = load_json(FIXTURES / "square_tmesh_l0.json")
     edit(d)
     mesh = tmp_path / "mesh.json"

@@ -1,5 +1,6 @@
-"""Source hygiene of the package: every exported name resolves and no module
-imports a name it never uses."""
+"""Source hygiene of the package: every exported name resolves, no module
+imports a name it never uses, and every private top-level function or class
+is used somewhere in the package."""
 
 import ast
 import importlib
@@ -41,3 +42,24 @@ def test_no_unused_imports(name):
             exported = set(ast.literal_eval(node.value))
     unused = sorted((line, n) for n, line in imported.items() if n not in used | exported)
     assert not unused, unused
+
+
+def test_no_unreferenced_private_definitions():
+    # a private helper left behind when its callers moved away is dead code
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    dead = sorted(
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    )
+    assert not dead, dead

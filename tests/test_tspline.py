@@ -180,7 +180,7 @@ def test_derivative_needs_one_table_of_line_values():
 
     a, b = derive_complex_meshes(uniform_raw(2), 3), derive_complex_meshes(uniform_raw(3), 3)
     src = TsplineSpace(a.M0)
-    assert _derivative_block(src, TsplineSpace(a.M11, ("D", "B")), 0)[2] == 1
+    assert _derivative_block(src, TsplineSpace(a.M11, ("D", "B")), 0)[1] == 1
     with pytest.raises(TMeshError, match="distinct line values"):
         _derivative_block(src, TsplineSpace(b.M11, ("D", "B")), 0)
 
