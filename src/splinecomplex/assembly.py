@@ -11,7 +11,10 @@ both factors:
 
 * the dof table T, shape (ndof, npts, c): the reference values of the space
   for 'mass'; the reference values of its exterior derivative (grad, rot)
-  for 'gradgrad' and 'rotrot';
+  for 'gradgrad' and 'rotrot'.  T is stored as component tables, each the
+  component c of a contiguous run of functions, zero on the others
+  (:func:`_space_tables`): a Vector2D value has one per component block,
+  so the kernel (:func:`_element_matrices`) multiplies no zero component;
 * the form degree j of the integrand: the space's own (Scalar2D 0,
   Vector2D 1) for 'mass', one more for the derivative kinds; W is the
   weight of the degree-j pullback (:func:`pullback_weight`): det J for
@@ -159,14 +162,22 @@ def _kind(space, kind):
     raise ValueError(f"unknown kind {kind!r} for {type(space).__name__}")
 
 
-def _bilinear(V, Gw):
-    """sum_q V[e,a,q,:] Gw[e,q] V[e,b,q,:]^T of every element e, one BLAS
-    product each; V has shape (nel, ndof, npts, c), Gw (nel, npts, c, c).
-    ``A`` is rebound to its (e, a, q * c) copy, so the (e, q, a, i) product
-    is freed before the last product."""
-    A = np.matmul(V.transpose(0, 2, 1, 3), np.swapaxes(Gw, -1, -2))  # (e, q, a, i)
-    A = A.transpose(0, 2, 1, 3).reshape(*V.shape[:2], -1)
-    return A @ np.swapaxes(V.reshape(*V.shape[:2], -1), -1, -2)
+def _element_matrices(comps, Gw, ndof):
+    """sum_q T_q Gw_q T_q^T of every element, (nel, ndof, ndof), from the
+    component tables ``comps`` of the dof table T (:func:`_space_tables`)
+    and the weights Gw (nel, npts, c, c).  With (s_a, V_a) the table of
+    component a, the block (a, b) is V_a diag(Gw[..., a, b]) V_b^T, one
+    BLAS product per element for each a <= b, added at the functions of
+    the two tables; the block (b, a) is its mirror, Gw being symmetric.
+    Tables of disjoint functions (a vector space's) never multiply a zero."""
+    out = np.zeros((len(Gw), ndof, ndof))
+    for a, (sa, Va) in enumerate(comps):
+        for b, (sb, Vb) in enumerate(comps[a:], a):
+            block = (Va * Gw[:, None, :, a, b]) @ np.swapaxes(Vb, -1, -2)
+            out[:, sa : sa + Va.shape[1], sb : sb + Vb.shape[1]] += block
+            if b > a:
+                out[:, sb : sb + Vb.shape[1], sa : sa + Va.shape[1]] += np.swapaxes(block, -1, -2)
+    return out
 
 
 _PATTERNS = None  # pattern per element set while _shared_patterns() is open
@@ -241,22 +252,31 @@ def _csr(space, n, dofs, data):
 
 
 def _space_tables(space, order, deriv) -> tuple:
-    """The padded dof rows (nel, ndof) of a 2D ``space`` and their reference
-    values, or with ``deriv`` grads (Scalar2D) or rots (Vector2D), shape (nel,
-    ndof, npts, c), shared inside :func:`_shared_patterns` per space key."""
+    """The padded dof rows (nel, ndof) of a 2D ``space`` and the component
+    tables of its reference values, or with ``deriv`` of its grads
+    (Scalar2D) or rots (Vector2D), shared inside :func:`_shared_patterns`
+    per space key.
+
+    The c-th component table (start, V) gives, in V (nel, ndof_c, npts),
+    the component c of the functions start .. start + ndof_c of the rows;
+    c is zero on the others.  A grad has two tables on all functions; a rot
+    and a scalar value have one; a Vector2D value has one per component
+    block, (0, D x B values) and (ndof_1, B x D values), so no table holds
+    a zero component.
+    """
     key = (*_space_key(space), order, deriv)
     if _TABLES is not None and key in _TABLES:
         return _TABLES[key]
     if isinstance(space, Scalar2D):
         act, v, dx, dy = space.space.element_tables(order, derivs=deriv)
-        tables = act, np.stack([dx, dy], axis=-1) if deriv else v[..., None]
+        tables = act, ((0, dx), (0, dy)) if deriv else ((0, v),)
     else:
         (a1, v1, _, dy1), (a2, v2, dx2, _) = (S.element_tables(order, derivs=deriv) for S in (space.c1, space.c2))
         idx = np.concatenate([a1, np.where(a2 >= 0, space.c1.dim + a2, -1)], axis=1)
         if deriv:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx
-            tables = idx, np.concatenate([-dy1, dx2], axis=1)[..., None]
+            tables = idx, ((0, np.concatenate([-dy1, dx2], axis=1)),)
         else:
-            tables = idx, np.concatenate([np.stack([v1, np.zeros_like(v1)], -1), np.stack([np.zeros_like(v2), v2], -1)], 1)
+            tables = idx, ((0, v1), (a1.shape[1], v2))
     if _TABLES is not None:
         _TABLES[key] = tables
     return tables
@@ -269,8 +289,8 @@ def assemble_matrix_2d(space, geom, kind):
     deriv, j = _kind(space, kind)
     order = max(space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees) + 1
     G = _weights(geom, _rules_2d(space.elements(), order), j)
-    idx, T = _space_tables(space, order, deriv)
-    return _csr(space, space.dim, idx, _bilinear(T, G)[_pairs(idx)])
+    idx, comps = _space_tables(space, order, deriv)
+    return _csr(space, space.dim, idx, _element_matrices(comps, G, idx.shape[1])[_pairs(idx)])
 
 
 # -- vertical factors of prisms ---------------------------------------------------

@@ -140,8 +140,9 @@ def _eigen_run(ps, walls, kinds, count) -> EigenRun:
     gradient kernel is deflated whenever the space has one."""
     glue, (K, M), free = _system(ps, walls, kinds)
     G = _gradient_kernel(ps, glue, walls, free) if hasattr(ps.spaces[0], "gradient") else None
-    sub = np.ix_(free, free)
-    return EigenRun(K.shape[0], free.size, solve_generalized_eig(K[sub], M[sub], count, kernel=G))
+    ndof, sub = K.shape[0], np.ix_(free, free)
+    K, M = K[sub], M[sub]  # the full matrices are freed before the dense solve
+    return EigenRun(ndof, free.size, solve_generalized_eig(K, M, count, kernel=G))
 
 
 def square_eigenproblem(level: int = 0, degree: int = 3, count: int = None) -> EigenRun:
@@ -279,13 +280,21 @@ def cyl_exact_field(X):
 def _point_tables(space, order, deriv):
     """The reference values of a 2D ``space``, or with ``deriv`` its rots or
     grads, at the Gauss points of its elements, element by element, as one
-    sparse matrix (point, component) x dof, built from the batched tables
-    of :func:`_space_tables` without their padding."""
-    idx, T = _space_tables(space, order, deriv)
-    T = T.reshape(*idx.shape, -1).transpose(0, 2, 1)  # (element, point and component, dof)
-    cols = np.broadcast_to(idx[:, None, :], T.shape)
-    indptr = np.r_[0, np.cumsum((cols >= 0).sum(axis=2))]  # rows in order, their dofs ascending
-    return sp.csr_matrix((T[cols >= 0], cols[cols >= 0], indptr), shape=(indptr.size - 1, space.dim))
+    sparse matrix (point, component) x dof, built from the component tables
+    of :func:`_space_tables` without their padding: a component holds
+    entries only for the functions of its table."""
+    idx, comps = _space_tables(space, order, deriv)
+    nel, npts, c = len(idx), comps[0][1].shape[2], len(comps)
+    rows, cols, vals = [], [], []
+    for i, (start, V) in enumerate(comps):
+        shape = (nel, npts, V.shape[1])
+        dofs = np.broadcast_to(idx[:, None, start : start + V.shape[1]], shape)
+        keep = dofs >= 0
+        row = (np.arange(nel)[:, None, None] * npts + np.arange(npts)[:, None]) * c + i
+        rows.append(np.broadcast_to(row, shape)[keep])
+        cols.append(dofs[keep])
+        vals.append(V.transpose(0, 2, 1)[keep])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nel * npts * c, space.dim))
 
 
 def _lift(F, T):

@@ -79,6 +79,20 @@ def _json_list(value, key, read=lambda v: v) -> tuple:
     raise TMeshError(f"T-mesh key {key!r} holds {value!r}, not a list of its entries")
 
 
+def _breakpoint(key):
+    """The reader of the entries of breakpoint table ``key``: exact
+    rationals, a string such as "1/4" or an integer.  A float or a boolean
+    raises :class:`TMeshError` naming it; a JSON list, object or null is a
+    TypeError, which :func:`_json_list` reports on the whole table."""
+
+    def read(v):
+        if isinstance(v, (bool, float)):
+            raise TMeshError(f"{key} entry {v!r} is not an exact rational (a string such as '1/4' or an integer)")
+        return Fraction(v)
+
+    return read
+
+
 def tmesh_from_dict(d: dict) -> RawTMesh:
     """The raw T-mesh of a T-mesh file; a key it does not read, an entry of
     the wrong JSON type, or a multiplicity given twice raises
@@ -97,8 +111,8 @@ def tmesh_from_dict(d: dict) -> RawTMesh:
             raise TMeshError(f"multiplicity of the {key[0]} line {key[1]} is given twice")
         mult[key] = entry["mult"]
     return RawTMesh(
-        _json_list(d["breakpoints1"], "breakpoints1", Fraction),
-        _json_list(d["breakpoints2"], "breakpoints2", Fraction),
+        _json_list(d["breakpoints1"], "breakpoints1", _breakpoint("breakpoints1")),
+        _json_list(d["breakpoints2"], "breakpoints2", _breakpoint("breakpoints2")),
         _json_list(d["faces"], "faces", lambda f: tuple(f) if isinstance(f, list) else f),
         mult,
     )

@@ -13,6 +13,17 @@ Numer. Math. 54, 2005).  The zero count is m, never a threshold: a float
 zero beyond the kernel (a deflated eigenvalue below ``ZERO_REL_TOL`` of the
 largest), a kernel that K does not annihilate, that is rank deficient, or
 that leaves an indefinite deflated mass matrix raises :class:`NumericalError`.
+
+The solver never writes into K, M or the kernel: every dense array it
+factors or hands to LAPACK is a Fortran-ordered copy it made itself
+(:func:`_dense`), and those copies are overwritten in place.  Without
+eigenvectors the deflation keeps at most about three dense arrays alive at
+once: the LU of G (n x m, in place) is dropped before the Cholesky factor
+L of G^T M G is formed; W = L^-1 (MG)_C^T overwrites its right-hand side,
+L is dropped, one ``syrk`` turns the dense M_CC into the lower triangle of
+S = M_CC - W^T W, and W is dropped before K_CC is densified.  ``eigh``
+reads the lower triangles of K_CC and S and overwrites both, so no
+symmetrized copy is made.
 """
 
 from __future__ import annotations
@@ -71,17 +82,18 @@ def solve_generalized_eig(K, M, count=None, vectors=False, kernel=None) -> Eigen
     Without a kernel, the zeros are the values below that threshold.
     ``count`` is the number of nonzero eigenvalues kept after the zero
     block; all of them when None.  With ``vectors`` the zero block holds
-    the kernel columns.
+    the kernel columns.  K, M and the kernel are only read.
     """
     m = 0 if kernel is None else kernel.shape[1]
-    Kd, Md, lift = _deflate(K, M, kernel) if m else (_dense(K), _dense(M), None)
-    Kd = 0.5 * (Kd + Kd.T)
-    Md = 0.5 * (Md + Md.T)
-    try:
-        # values only: LAPACK sygv, faster on these pencils than the default sygvd
-        w, V = sla.eigh(Kd, Md) if vectors else (sla.eigh(Kd, Md, eigvals_only=True, driver="gv"), None)
+    Kd, Md, lift = _deflate(K, M, kernel, vectors) if m else (_dense(K), _dense(M), None)
+    try:  # on the lower triangles of the solver's own arrays, overwritten
+        if vectors:
+            w, V = sla.eigh(Kd, Md, lower=True, overwrite_a=True, overwrite_b=True)
+        else:  # LAPACK sygv, faster on these pencils than the default sygvd
+            w, V = sla.eigh(Kd, Md, lower=True, eigvals_only=True, overwrite_a=True, overwrite_b=True, driver="gv"), None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolve failed: {exc}") from exc
+    del Kd, Md
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     below = int(np.sum(w < ZERO_REL_TOL * lam_max))
     if kernel is not None and below:
@@ -97,33 +109,39 @@ def solve_generalized_eig(K, M, count=None, vectors=False, kernel=None) -> Eigen
 
 
 def _dense(A):
-    return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    """A dense Fortran-ordered float copy of ``A``, which the solver owns."""
+    return A.toarray(order="F") if sp.issparse(A) else np.array(A, dtype=float, order="F")
 
 
 def _fro(A):
     return float(spla.norm(A)) if sp.issparse(A) else float(np.linalg.norm(A))
 
 
-def _deflate(K, M, G):
+def _deflate(K, M, G, vectors):
     """The pencil (K_CC, S) on a complement of range(G), with K G = 0.
 
     T are the m pivot rows of a partially pivoted LU of G, C the others.
     In the basis [E_C, G] the matrix K is block diagonal (K_CC, 0); the
     Schur complement S = M_CC - M_CR (G^T M G)^-1 M_RC of the G block of M
     (M_CR = E_C^T M G) makes the nonzero eigenvalues of (K_CC, S) exactly
-    those of (K, M).  Returns (K_CC, S, lift): lift maps deflated
-    eigenvectors x to the full v = E_C x - G (G^T M G)^-1 G^T M E_C x.
-    Raises NumericalError when G is not a kernel of K, is rank deficient
-    or has an indefinite G^T M G.
+    those of (K, M).  S = M_CC - W^T W with W = L^-1 (MG)_C^T and L L^T =
+    G^T M G; only its lower triangle is formed.  Returns (K_CC, S, lift),
+    dense Fortran arrays the caller may overwrite; with ``vectors``, lift
+    maps deflated eigenvectors x to the full v = E_C x - G (G^T M G)^-1
+    G^T M E_C x, else it is None and L and W are freed before K_CC is
+    densified.  Raises NumericalError when G is not a kernel of K, is rank
+    deficient or has an indefinite G^T M G.
     """
     n, m = G.shape
-    KG = K @ G
-    if _fro(KG) > KERNEL_REL_TOL * _fro(K) * _fro(G):
-        raise NumericalError(f"the kernel is not annihilated: |KG| = {_fro(KG):.2e}")
-    lu, piv = sla.lu_factor(_dense(G))
-    pivots = np.abs(np.diag(lu))
-    if not pivots.min() > max(n, m) * np.finfo(float).eps * np.abs(np.triu(lu[:m])).max():
+    kg = _fro(K @ G)
+    if kg > KERNEL_REL_TOL * _fro(K) * _fro(G):
+        raise NumericalError(f"the kernel is not annihilated: |KG| = {kg:.2e}")
+    lu, piv = sla.lu_factor(_dense(G), overwrite_a=True)
+    # max |U| column by column: contiguous in Fortran order, no triangle copy
+    umax = max(float(np.abs(lu[: j + 1, j]).max()) for j in range(m))
+    if not np.abs(np.diagonal(lu)).min() > max(n, m) * np.finfo(float).eps * umax:
         raise NumericalError("the kernel columns are linearly dependent")
+    del lu
     perm = np.arange(n)
     for i, p in enumerate(piv):
         perm[[i, p]] = perm[[p, i]]
@@ -133,16 +151,25 @@ def _deflate(K, M, G):
         L = np.linalg.cholesky(_dense(G.T @ MG))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("G^T M G is not positive definite") from exc
-    W = sla.solve_triangular(L, _dense(MG[C].T), lower=True)
+    W = sla.solve_triangular(L, _dense(MG[C].T), lower=True, overwrite_b=True)
+    del MG
+    lift = _lift(G, C, L, W) if vectors else None
+    del L
     sub = np.ix_(C, C)
-    S = _dense(M[sub]) - W.T @ W
+    S = sla.blas.dsyrk(-1.0, W, beta=1.0, c=_dense(M[sub]), trans=1, lower=1, overwrite_c=1)  # M_CC - W^T W
+    del W
+    return _dense(K[sub]), S, lift
+
+
+def _lift(G, C, L, W):
+    """The map of deflated eigenvectors x to v = E_C x - G L^-T W x."""
 
     def lift(X):
-        V = np.zeros((n, X.shape[1]))
+        V = np.zeros((G.shape[0], X.shape[1]))
         V[C] = X
         return V - G @ sla.solve_triangular(L, W @ X, lower=True, trans="T")
 
-    return _dense(K[sub]), S, lift
+    return lift
 
 
 def solve_source(A, b, tol=1e-10):

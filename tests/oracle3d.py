@@ -10,8 +10,10 @@ each.  Each function is a sum of terms (2D factor) x (z factor) in one
 component (``_TERMS``).  All cells (2D element, z-span), z-span fastest,
 are one batch: their padded dof rows and reference tables are outer
 products of the batched 2D tables (``TsplineSpace.element_tables``) and
-the z tables (:func:`_z_tables`), and every matrix is the element kernel
-of ``assembly`` on them.
+the z tables (:func:`_z_tables`).  The values are component tables, one
+per block, and the mass is the component-block kernel of ``assembly``
+on them; the curl-curl is :func:`_bilinear` on the curls, whose functions
+have two components each.
 """
 
 import math
@@ -21,8 +23,8 @@ import numpy as np
 
 from splinecomplex import problems
 from splinecomplex.assembly import (
-    _bilinear,
     _csr,
+    _element_matrices,
     _pairs,
     _rules_2d,
     _shared_elements,
@@ -134,7 +136,9 @@ def _rules_3d(cx3, order):
 def _cell_tables(cx3, order, curl=False):
     """The padded dof rows (ncell, ndof) of all cells in the order of
     :func:`_rules_3d`, block by block with the 2D anchor slowest, and their
-    reference values or, with ``curl``, curls (ncell, ndof, npts, 3)."""
+    reference tables: the values as component tables (start, (ncell,
+    ndof_m, npts)), one per block m (``assembly._space_tables``), or with
+    ``curl`` the curls (ncell, ndof, npts, 3)."""
     rows, terms = [], []
     for m, (off, s2d, kvz, zscal, _) in enumerate(cx3.blocks()):
         act, *tabs = s2d.element_tables(order, derivs=curl)
@@ -142,22 +146,41 @@ def _cell_tables(cx3, order, curl=False):
         dofs = off + actz[None, :, None, :] * s2d.dim + act[:, None, :, None]  # (element, z-span, anchor, z function)
         rows.append(np.where(act[:, None, :, None] >= 0, dofs, -1).reshape(*dofs.shape[:2], -1))
         terms.append([(comp, sign * tabs[xy], Z[z]) for comp, xy, z, sign in _TERMS[curl][m]])
-    T = np.zeros((*rows[0].shape[:2], sum(r.shape[2] for r in rows), order * order, order, 3))
-    end = 0
-    for r, block in zip(rows, terms):
+    ends = np.cumsum([r.shape[2] for r in rows])
+    dofs = np.concatenate(rows, axis=2).reshape(-1, ends[-1])
+
+    def product(XY, Z):  # (ncell, anchor and z function, 2D point and z point)
+        return np.einsum("eaq,szk->esakqz", XY, Z).reshape(len(dofs), XY.shape[1] * Z.shape[2], -1)
+
+    if not curl:
+        return dofs, tuple((int(end - r.shape[2]), product(XY, Z)) for end, r, ((_, XY, Z),) in zip(ends, rows, terms))
+    T = np.zeros((len(dofs), ends[-1], order**3, 3))
+    for end, r, block in zip(ends, rows, terms):
         for comp, XY, Z in block:  # each term fills its own component
-            T[:, :, end : end + r.shape[2], ..., comp] = np.einsum("eaq,szk->esakqz", XY, Z).reshape(*r.shape, -1, order)
-        end += r.shape[2]
-    return np.concatenate(rows, axis=2).reshape(-1, end), T.reshape(-1, end, order**3, 3)
+            T[:, end - r.shape[2] : end, :, comp] = product(XY, Z)
+    return dofs, T
+
+
+def _bilinear(V, Gw):
+    """sum_q V[e,a,q,:] Gw[e,q] V[e,b,q,:]^T of every element e, one BLAS
+    product each; V has shape (nel, ndof, npts, c), Gw (nel, npts, c, c).
+    ``A`` is rebound to its (e, a, q * c) copy, so the (e, q, a, i) product
+    is freed before the last product."""
+    A = np.matmul(V.transpose(0, 2, 1, 3), np.swapaxes(Gw, -1, -2))  # (e, q, a, i)
+    A = A.transpose(0, 2, 1, 3).reshape(*V.shape[:2], -1)
+    return A @ np.swapaxes(V.reshape(*V.shape[:2], -1), -1, -2)
 
 
 def assemble_matrix_3d(cx3: Complex3D, geom, kind):
     """'mass' or 'curlcurl' on the curl-conforming space of one patch, all
-    cells in the batched kernel of ``assemble_matrix_2d``."""
+    cells in one batched kernel: the component blocks of
+    ``assemble_matrix_2d`` for the mass, :func:`_bilinear` for the curls."""
     curl, j = {"mass": (False, 1), "curlcurl": (True, 2)}[kind]  # (curl table?, form degree)
     order = cx3.tcx.degree + 1
     dofs, T = _cell_tables(cx3, order, curl)
-    return _csr(cx3, cx3.dim, dofs, _bilinear(T, _weights(geom, _rules_3d(cx3, order), j))[_pairs(dofs)])
+    Gw = _weights(geom, _rules_3d(cx3, order), j)
+    E = _bilinear(T, Gw) if curl else _element_matrices(T, Gw, dofs.shape[1])
+    return _csr(cx3, cx3.dim, dofs, E[_pairs(dofs)])
 
 
 def assemble_load_3d(cx3: Complex3D, geom, f):
@@ -165,9 +188,9 @@ def assemble_load_3d(cx3: Complex3D, geom, f):
     order = cx3.tcx.degree + 2
     P, W = _rules_3d(cx3, order)
     X, J, det = geom.eval_jacobian_dets(P.reshape(-1, 3))
-    fhat = apply_pullback(2, J, det, np.asarray(f(X))) * W.reshape(-1, 1)
-    dofs, T = _cell_tables(cx3, order)
-    vals = np.einsum("caqi,cqi->ca", T, fhat.reshape(*P.shape[:2], 3))
+    fhat = (apply_pullback(2, J, det, np.asarray(f(X))) * W.reshape(-1, 1)).reshape(*P.shape[:2], 3)
+    dofs, comps = _cell_tables(cx3, order)
+    vals = np.concatenate([np.einsum("caq,cq->ca", V, fhat[..., m]) for m, (_, V) in enumerate(comps)], axis=1)
     return np.bincount(dofs[dofs >= 0], weights=vals[dofs >= 0], minlength=cx3.dim)
 
 
@@ -180,7 +203,11 @@ def hcurl_error_3d(cx3: Complex3D, geom, coeffs, u_exact, curlu_exact):
     errors = []
     for j, exact in ((1, u_exact), (2, curlu_exact)):
         dofs, T = _cell_tables(cx3, order, curl=j == 2)
-        field = np.einsum("caqi,ca->cqi", T, np.where(dofs >= 0, np.asarray(coeffs)[dofs], 0.0))
+        c = np.where(dofs >= 0, np.asarray(coeffs)[dofs], 0.0)
+        if j == 1:  # one component per block
+            field = np.stack([np.einsum("caq,ca->cq", V, c[:, s : s + V.shape[1]]) for s, V in T], axis=-1)
+        else:
+            field = np.einsum("caqi,ca->cqi", T, c)
         d = apply_pushforward(j, J, det, field.reshape(-1, 3)) - np.asarray(exact(X))
         errors.append(math.sqrt(np.sum(W.ravel() * det * np.sum(d * d, axis=1))))
     return tuple(errors)

@@ -535,8 +535,13 @@ def _rule_3d(box, zspan, order):
 
 
 def _cells_2d(space, deriv, order):
-    """Per element, its rule and its dof row and table without the padding."""
-    idx, T = assembly._space_tables(space, order, deriv)
+    """Per element, its rule and its dof row and table (ndof, npts, c)
+    without the padding: the component tables set into their components,
+    zeros elsewhere."""
+    idx, comps = assembly._space_tables(space, order, deriv)
+    T = np.zeros((*idx.shape, comps[0][1].shape[2], len(comps)))
+    for c, (start, V) in enumerate(comps):
+        T[:, start : start + V.shape[1], :, c] = V
     for box, i, t in zip(space.elements(), idx, T):
         yield (*_rule_2d(box, order), i[i >= 0], t[i >= 0])
 

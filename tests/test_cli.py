@@ -163,12 +163,15 @@ def _set_multiplicities(*entries):
         (_set_multiplicities((["x"], 1, 2)), "'axis': ['x']"),
         (_set_multiplicities(({"a": 1}, 1, 2)), "'axis': {'a': 1}"),
         (_set_multiplicities(("x", [1], 2)), "'index': [1]"),
+        (lambda d: d["breakpoints2"].__setitem__(-1, True), "breakpoints2 entry True is not an exact rational"),
+        (lambda d: d["breakpoints2"].__setitem__(1, 0.1), "breakpoints2 entry 0.1 is not an exact rational"),
     ],
 )
 def test_malformed_tmesh_file_exits_2_naming_the_entry(tmp_path, capsys, edit, name):
     # a face that is not four integers, a multiplicity that is no integer of
-    # at least 1 or names no interior line, a key the loader does not read,
-    # and an entry of the wrong JSON type exit 2 before any mesh is rendered,
+    # at least 1 or names no interior line, a breakpoint that is no exact
+    # rational, a key the loader does not read, and an entry of the wrong
+    # JSON type exit 2 before any mesh is rendered,
     # instead of being truncated, dropped, ignored or crashing
     d = load_json(FIXTURES / "square_tmesh_l0.json")
     edit(d)

@@ -1,5 +1,7 @@
 """Eigensolvers, port modes, scattering formulas."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -148,9 +150,10 @@ def _thick_l_prisms(p, nz):
     return ps, walls
 
 
-def _pencil_and_kernel(problem):
-    """(K, M, G) of the square L1 p=3 or thick L0 p=2 Maxwell problem, on
-    its free dofs, with the exact gradient kernel the drivers deflate."""
+def _pencil_and_kernel(problem, level=1):
+    """(K, M, G) of the square p=3 (at ``level``) or thick L0 p=2 Maxwell
+    problem, on its free dofs, with the exact gradient kernel the drivers
+    deflate."""
     from splinecomplex import problems
     from splinecomplex.assembly import Vector2D
     from splinecomplex.benchmarks import square_geometry, square_raw_tmesh
@@ -158,7 +161,7 @@ def _pencil_and_kernel(problem):
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     if problem == "square":
-        tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 3))
+        tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), 3))
         ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
         walls, kinds, system = {0: problems.ALL_FACES_2D}, ("rotrot", "mass"), problems._system
     else:
@@ -227,6 +230,45 @@ def test_wrong_kernels_are_numerical_errors():
     Md = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
     with pytest.raises(NumericalError, match="positive definite"):
         solve_generalized_eig(Kd, Md, kernel=np.eye(n)[:, :2])
+
+
+def test_values_only_deflated_solve_keeps_three_dense_arrays():
+    """On square L3 (n = 1732 free dofs, m = 833 kernel columns) the
+    values-only solve holds at most the dense G (n m doubles), then W and S
+    (m (n-m) + (n-m)^2), then the deflated pencil (2 (n-m)^2): each factor,
+    product and eigensolve works in place on arrays the solver owns."""
+    K, M, G = _pencil_and_kernel("square", level=3)
+    n, m = G.shape
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_generalized_eig(K, M, kernel=G)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (n, m) == (1732, 833)
+    assert peak <= 1.25 * 8 * max(n * m, m * (n - m) + (n - m) ** 2, 2 * (n - m) ** 2)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_the_solver_never_writes_into_its_inputs(dense, vectors):
+    # the factorizations and the eigensolve overwrite their arrays: only
+    # copies the solver made, never the caller's K, M or kernel, even dense
+    # ones in the Fortran order LAPACK would write into directly
+    K, M, G = _pencil_and_kernel("square")
+    if dense:
+        K, M, G = (np.asfortranarray(A.toarray()) for A in (K, M, G))
+    inputs = (K, M, G)
+    saved = [A.toarray() if sp.issparse(A) else A.copy() for A in inputs]
+    for kernel in (G, None):
+        solve_generalized_eig(K, M, vectors=vectors, kernel=kernel)
+        for A, B in zip(inputs, saved):
+            assert np.array_equal(A.toarray() if sp.issparse(A) else A, B)
 
 
 @pytest.mark.parametrize("problem", ["square", "thick_l"])
