@@ -31,7 +31,7 @@ print("\n== L-shaped section, degree 4, corner-refined T-meshes ==")
 reference = 9.63972384472
 for level in (0, 1, 2):
     run = lsection_laplace_eigenproblem(level)
-    lam = float(run.result.values[0])
+    lam = float(run.result.nonzero[0])
     print(f"level {level}: dofs {run.dofs}, lambda1 = {lam:.8f}, gap = {lam - reference:.2e}")
 
 print("\n== thick L (section times (0, 1)), degree 3, from two section eigensolves ==")

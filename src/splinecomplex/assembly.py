@@ -268,15 +268,13 @@ def _space_tables(space, order, deriv) -> tuple:
     if _TABLES is not None and key in _TABLES:
         return _TABLES[key]
     if isinstance(space, Scalar2D):
-        act, v, dx, dy = space.space.element_tables(order, derivs=deriv)
-        tables = act, ((0, dx), (0, dy)) if deriv else ((0, v),)
-    else:
-        (a1, v1, _, dy1), (a2, v2, dx2, _) = (S.element_tables(order, derivs=deriv) for S in (space.c1, space.c2))
+        act, *tabs = space.space.element_tables(order, *(("dx", "dy") if deriv else ("value",)))
+        tables = act, tuple((0, t) for t in tabs)
+    else:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx: only those derivatives are tabulated
+        names = ("dy", "dx") if deriv else ("value", "value")
+        (a1, t1), (a2, t2) = (S.element_tables(order, t) for S, t in zip((space.c1, space.c2), names))
         idx = np.concatenate([a1, np.where(a2 >= 0, space.c1.dim + a2, -1)], axis=1)
-        if deriv:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx
-            tables = idx, ((0, np.concatenate([-dy1, dx2], axis=1)),)
-        else:
-            tables = idx, ((0, v1), (a1.shape[1], v2))
+        tables = idx, ((0, np.concatenate([-t1, t2], axis=1)),) if deriv else ((0, t1), (a1.shape[1], t2))
     if _TABLES is not None:
         _TABLES[key] = tables
     return tables

@@ -251,7 +251,7 @@ def cmd_convergence(args):
             rows.append((run.dofs, value))
         elif bench == "lsection":
             run = problems.lsection_laplace_eigenproblem(lev, **kwargs)
-            rows.append((run.dofs, float(run.result.values[0] - 9.63972384472)))
+            rows.append((run.dofs, float(run.result.nonzero[0] - 9.63972384472)))
         elif bench == "cylinder-sector":
             dofs, _, err = problems.cylinder_sector_source(lev, **kwargs)
             rows.append((dofs, err))

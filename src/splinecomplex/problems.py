@@ -19,7 +19,8 @@ the interior vertical B-splines, and its spectrum is sums of theirs and
 the section's (:func:`thick_l_eigenproblem`).  The cylinder solves one
 section-sized system per mode.  Its lids are natural: its modes live on
 all vertical B-splines, and the constant (the B-splines sum to one) is the
-mode mu_0 = 0, whose derivative vanishes, so it has no vertical component.
+mode mu_0 = 0, the exact kernel that the vertical eigensolve deflates: its
+derivative vanishes, so it has no vertical component.
 Its load and H(curl) error are integrated on the section too (sum
 factorization): the section map on the 2D Gauss points, the modes on the z
 points, and no 3D map or 3D space (:func:`cylinder_sector_source`).
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import (
@@ -136,13 +136,13 @@ def _gradient_kernel(ps: PatchSet, glue, walls, free, glue0=None):
 
 
 def _eigen_run(ps, walls, kinds, count) -> EigenRun:
-    """Eigenvalues of the pencil ``kinds`` on the free dofs; the exact
-    gradient kernel is deflated whenever the space has one."""
+    """Eigenvalues of the pencil ``kinds`` on the free dofs, deflating its
+    exact kernel: the gradient of a vector space, empty for a scalar one."""
     glue, (K, M), free = _system(ps, walls, kinds)
-    G = _gradient_kernel(ps, glue, walls, free) if hasattr(ps.spaces[0], "gradient") else None
+    G = _gradient_kernel(ps, glue, walls, free) if hasattr(ps.spaces[0], "gradient") else np.zeros((free.size, 0))
     ndof, sub = K.shape[0], np.ix_(free, free)
     K, M = K[sub], M[sub]  # the full matrices are freed before the dense solve
-    return EigenRun(ndof, free.size, solve_generalized_eig(K, M, count, kernel=G))
+    return EigenRun(ndof, free.size, solve_generalized_eig(K, M, G, count))
 
 
 def square_eigenproblem(level: int = 0, degree: int = 3, count: int = None) -> EigenRun:
@@ -188,9 +188,9 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
     ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, LSECTION_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), _ = _section_matrices(ps, _L_WALLS)
     mu = _vertical_modes(kv_z, "pec")[0]
-    lam = solve_generalized_eig(C, M1, kernel=G).nonzero
+    lam = solve_generalized_eig(C, M1, G).nonzero
     # an empty kernel: any float zero of the Laplacian raises
-    kappa = solve_generalized_eig(G.T @ M1 @ G, M0, kernel=np.zeros((M0.shape[0], 0))).values
+    kappa = solve_generalized_eig(G.T @ M1 @ G, M0, np.zeros((M0.shape[0], 0))).values
     n = kv_z.n  # the horizontal components keep the n - 2 interior vertical B-splines
     zero = G.shape[1] * (n - 2)
     sums = np.concatenate([np.add.outer(lam, mu).ravel(), np.add.outer(kappa, mu).ravel(), kappa])
@@ -220,23 +220,20 @@ def _vertical_modes(kv_z: KnotVector, lids):
     into the D-scaled derived space and M_B, M_D the 1D masses, on the
     B-splines of ``kv_z`` that the lids leave free: the interior ones under
     "pec" lids, all of them under "natural" lids.  V is M_B-orthonormal
-    and W = D V / sqrt(mu) M_D-orthonormal.  Natural lids keep the
-    constant, mu_0 = 0, which D annihilates exactly: it is set apart and
-    the pencil solved on its M_B-orthogonal complement, so no float
-    eigenvalue is read as zero; W spans the derived space, one column per
-    mu_k > 0."""
-    natural = {"pec": False, "natural": True}[lids]
+    and W = D V / sqrt(mu) M_D-orthonormal, one column per mu_k > 0.  The
+    pencil's exact kernel is deflated (:func:`solve_generalized_eig`): it
+    is empty under PEC lids; natural lids keep the constant, M_B-normalized,
+    which D annihilates exactly (its rows are +1 and -1), so mu_0 = 0 and
+    W spans the derived space."""
     n, M_B = kv_z.n, _vertical_mass(kv_z, "B")
-    one = np.ones(n)
-    keep = np.eye(n)[:, 1 : n - 1 + natural]
-    if natural:
-        keep -= np.outer(one, one @ M_B @ keep) / (one @ M_B @ one)
-    DK = grad_matrix_1d(kv_z) @ keep
-    mu, Y = sla.eigh(DK.T @ _vertical_mass(kv_z.derived(), "D") @ DK, keep.T @ M_B @ keep)
-    V, W = keep @ Y, DK @ Y / np.sqrt(mu)
-    if natural:
-        mu, V = np.r_[0.0, mu], np.column_stack([one / math.sqrt(one @ M_B @ one), V])
-    return mu, V, W
+    free, m = {"pec": (np.arange(1, n - 1), 0), "natural": (np.arange(n), 1)}[lids]
+    D = grad_matrix_1d(kv_z)[:, free].toarray()
+    constant = np.ones((free.size, m)) / math.sqrt(M_B.sum())  # 1^T M_B 1 = M_B.sum()
+    K = D.T @ _vertical_mass(kv_z.derived(), "D") @ D
+    res = solve_generalized_eig(K, M_B[np.ix_(free, free)], constant, vectors=True)
+    V = np.zeros((n, free.size))
+    V[free] = res.vectors
+    return res.values, V, D @ res.vectors[:, m:] / np.sqrt(res.values[m:])
 
 
 def _prism_pencil(C, M1, M0, G, MB, MD, D):
@@ -397,7 +394,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), degree))
     ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
     (C, M1, M0, G), _, (free1, free0) = _section_matrices(ps, {0: ALL_FACES_2D})
-    k10sq, e = solve_port_mode(C, M1, kernel=G)
+    k10sq, e = solve_port_mode(C, M1, G)
     if k * k <= k10sq:
         raise ValueError(f"k = {k} is not above the TE10 cutoff sqrt(k10^2) = {math.sqrt(k10sq):.6g}: no propagating mode")
     beta = math.sqrt(k * k - k10sq)

@@ -4,10 +4,11 @@ Solves are deterministic and single-threaded; systems at desk scale are
 reduced with a Cholesky factorization of the mass matrix inside LAPACK's
 generalized symmetric driver.
 
-The kernel of the Maxwell stiffness is exactly the image of the discrete
-gradient, the zero block of every Maxwell spectrum.  Given that kernel G
-(n x m), :func:`solve_generalized_eig` deflates it: it solves only the
-(n-m)-dim pencil on a complement of range(G), whose eigenvalues are the
+Every eigensolve is given the exact kernel of its stiffness.  For Maxwell
+that is the image of the discrete gradient, the zero block of every
+Maxwell spectrum; a Dirichlet Laplacian has the empty kernel.  Given that
+kernel G (n x m), :func:`solve_generalized_eig` deflates it: it solves only
+the (n-m)-dim pencil on a complement of range(G), whose eigenvalues are the
 nonzero ones, and puts m exact zeros in front (Arbenz and Geus, Appl.
 Numer. Math. 54, 2005).  The zero count is m, never a threshold: a float
 zero beyond the kernel (a deflated eigenvalue below ``ZERO_REL_TOL`` of the
@@ -24,6 +25,9 @@ L is dropped, one ``syrk`` turns the dense M_CC into the lower triangle of
 S = M_CC - W^T W, and W is dropped before K_CC is densified.  ``eigh``
 reads the lower triangles of K_CC and S and overwrites both, so no
 symmetrized copy is made.
+
+:func:`solve_source` is one sparse LU factorization (``splu``) with a
+relative-residual guard.
 """
 
 from __future__ import annotations
@@ -72,19 +76,18 @@ class EigenResult:
         return np.linalg.norm(R, axis=0) / (np.linalg.norm(V, axis=0) * lam_max)
 
 
-def solve_generalized_eig(K, M, count=None, vectors=False, kernel=None) -> EigenResult:
+def solve_generalized_eig(K, M, kernel, count=None, vectors=False) -> EigenResult:
     """Smallest eigenpairs of K v = lambda M v, K sym-psd and M SPD.
 
-    ``kernel`` is an exact basis G (n x m) of the null space of K.  Its m
-    exact zeros are the whole zero block, the dense solve runs only on the
-    (n-m)-dim deflated pencil of :func:`_deflate`, and a deflated value
-    below ``ZERO_REL_TOL`` times the largest raises :class:`NumericalError`.
-    Without a kernel, the zeros are the values below that threshold.
-    ``count`` is the number of nonzero eigenvalues kept after the zero
-    block; all of them when None.  With ``vectors`` the zero block holds
-    the kernel columns.  K, M and the kernel are only read.
+    ``kernel`` is an exact basis G (n x m) of the null space of K, possibly
+    empty (m = 0).  Its m exact zeros are the whole zero block, the dense
+    solve runs only on the (n-m)-dim deflated pencil of :func:`_deflate`,
+    and a deflated value below ``ZERO_REL_TOL`` times the largest raises
+    :class:`NumericalError`.  ``count`` is the number of nonzero eigenvalues
+    kept after the zero block; all of them when None.  With ``vectors`` the
+    zero block holds the kernel columns.  K, M and the kernel are only read.
     """
-    m = 0 if kernel is None else kernel.shape[1]
+    m = kernel.shape[1]
     Kd, Md, lift = _deflate(K, M, kernel, vectors) if m else (_dense(K), _dense(M), None)
     try:  # on the lower triangles of the solver's own arrays, overwritten
         if vectors:
@@ -96,16 +99,15 @@ def solve_generalized_eig(K, M, count=None, vectors=False, kernel=None) -> Eigen
     del Kd, Md
     lam_max = float(np.max(np.abs(w))) if w.size else 0.0
     below = int(np.sum(w < ZERO_REL_TOL * lam_max))
-    if kernel is not None and below:
+    if below:
         raise NumericalError(f"{below} deflated eigenvalue(s) below {ZERO_REL_TOL:.0e} of the largest: float zeros beyond the exact kernel of dimension {m}")
-    zero = m + below
     w = np.concatenate([np.zeros(m), w])
     if V is not None and m:
         V = np.hstack([_dense(kernel), lift(V)])
     if count is not None:
-        w = w[: zero + count]
-        V = V[:, : zero + count] if V is not None else None
-    return EigenResult(w, zero, V)
+        w = w[: m + count]
+        V = V[:, : m + count] if V is not None else None
+    return EigenResult(w, m, V)
 
 
 def _dense(A):
@@ -156,7 +158,9 @@ def _deflate(K, M, G, vectors):
     lift = _lift(G, C, L, W) if vectors else None
     del L
     sub = np.ix_(C, C)
-    S = sla.blas.dsyrk(-1.0, W, beta=1.0, c=_dense(M[sub]), trans=1, lower=1, overwrite_c=1)  # M_CC - W^T W
+    S = _dense(M[sub])
+    if C.size:  # BLAS refuses an empty product; M_CC - W^T W
+        S = sla.blas.dsyrk(-1.0, W, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
     del W
     return _dense(K[sub]), S, lift
 
@@ -173,19 +177,16 @@ def _lift(G, C, L, W):
 
 
 def solve_source(A, b, tol=1e-10):
-    """Direct solve with a relative-residual guard.  Real sparse systems are
-    the SPD ones here: they are factored with a symmetric minimum-degree
-    ordering and diagonal pivots; complex ones with the default ordering."""
-    if sp.issparse(A) and not (np.iscomplexobj(A) or np.iscomplexobj(b)):
-        try:
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, options={"SymmetricMode": True})
-        except RuntimeError as exc:  # an exactly singular factor
-            raise NumericalError(f"sparse factorization failed: {exc}") from exc
-        x = lu.solve(b)
-    elif sp.issparse(A):
-        x = spla.spsolve(A.tocsc(), b)
-    else:
-        x = np.linalg.solve(A, b)
+    """Sparse direct solve of A x = b, one ``splu`` factorization, with a
+    relative-residual guard.  Real systems are the SPD ones here: they are
+    factored with a symmetric minimum-degree ordering and diagonal pivots;
+    complex ones with the default ordering and pivoting."""
+    dtype = np.result_type(A.dtype, b.dtype, float)
+    spd = {} if dtype.kind == "c" else {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
+    try:
+        x = spla.splu(sp.csc_matrix(A, dtype=dtype), **spd).solve(b)
+    except RuntimeError as exc:  # an exactly singular factor
+        raise NumericalError(f"sparse factorization failed: {exc}") from exc
     nb = np.linalg.norm(b)
     if nb > 0:
         res = np.linalg.norm(A @ x - b) / nb
@@ -194,7 +195,7 @@ def solve_source(A, b, tol=1e-10):
     return x
 
 
-def solve_port_mode(K, M, kernel=None):
+def solve_port_mode(K, M, kernel):
     """Smallest nonzero eigenvalue and its mass-normalized eigenvector;
     ``kernel`` is deflated as in :func:`solve_generalized_eig`.
 
@@ -203,9 +204,9 @@ def solve_port_mode(K, M, kernel=None):
     coefficient, that entry is never at roundoff, so the sign does not
     depend on the solver path.
     """
-    res = solve_generalized_eig(K, M, vectors=True, kernel=kernel)
+    res = solve_generalized_eig(K, M, kernel, vectors=True)
     if res.zero_count >= res.values.size:
-        raise NumericalError("all port eigenvalues are numerically zero")
+        raise NumericalError("the deflated port pencil is empty: the kernel spans the whole space")
     k2 = float(res.values[res.zero_count])
     v = res.vectors[:, res.zero_count]
     v = v / np.sqrt(v @ (M @ v))

@@ -752,20 +752,19 @@ class TsplineSpace:
             cache[order] = tuple(tabs)
         return cache[order]
 
-    def element_tables(self, order: int, derivs: bool = True) -> tuple:
-        """Active anchors (nel, nmax) of the elements and their values on
+    def element_tables(self, order: int, *tables: str) -> tuple:
+        """Active anchors (nel, nmax) of the elements, then per name in
+        ``tables`` ("value", "dx" or "dy") their values or derivatives on
         each element's Gauss grid (x index slowest), (nel, nmax, order**2),
-        one gathered outer product of factor rows; with ``derivs`` also d/dx
-        and d/dy, else None.  Padding rows are zero."""
+        one gathered outer product of factor rows.  Padding rows are zero."""
         act, cx, cy = self.element_anchors[1]
         (vx, gx), (vy, gy) = self.factor_tables(order)
+        factors = {"value": (vx, vy), "dx": (gx, vy), "dy": (vx, gy)}
 
         def outer(fx, fy):
             return (fx[cx][..., :, None] * fy[cy][..., None, :]).reshape(*act.shape, -1)
 
-        if not derivs:
-            return act, outer(vx, vy), None, None
-        return act, outer(vx, vy), outer(gx, vy), outer(vx, gy)
+        return (act, *(outer(*factors[t]) for t in tables))
 
     def basis(self, points) -> np.ndarray:
         """Values of all anchors at arbitrary points, shape (npts, dim)."""

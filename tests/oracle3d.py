@@ -103,10 +103,14 @@ class Scalar3D:
 
 # Per table (values, curls) and block m, the terms sign * (2D factor) x (z
 # factor) in one component of f e_m or of its reference curl: (component,
-# 2D factor 0 value, 1 d/dx, 2 d/dy; z factor 0 value, 1 d/dz; sign).
+# 2D factor table "value", "dx" or "dy"; z factor 0 value, 1 d/dz; sign).
 _TERMS = (
-    (((0, 0, 0, 1),), ((1, 0, 0, 1),), ((2, 0, 0, 1),)),
-    (((1, 0, 1, 1), (2, 2, 0, -1)), ((0, 0, 1, -1), (2, 1, 0, 1)), ((0, 2, 0, 1), (1, 1, 0, -1))),
+    (((0, "value", 0, 1),), ((1, "value", 0, 1),), ((2, "value", 0, 1),)),
+    (
+        ((1, "value", 1, 1), (2, "dy", 0, -1)),
+        ((0, "value", 1, -1), (2, "dx", 0, 1)),
+        ((0, "dy", 0, 1), (1, "dx", 0, -1)),
+    ),
 )
 
 
@@ -141,7 +145,9 @@ def _cell_tables(cx3, order, curl=False):
     ``curl`` the curls (ncell, ndof, npts, 3)."""
     rows, terms = [], []
     for m, (off, s2d, kvz, zscal, _) in enumerate(cx3.blocks()):
-        act, *tabs = s2d.element_tables(order, derivs=curl)
+        names = sorted({xy for _, xy, _, _ in _TERMS[curl][m]})  # only the 2D tables the terms read
+        act, *tabs = s2d.element_tables(order, *names)
+        tabs = dict(zip(names, tabs))
         actz, Z = _z_tables(kvz, zscal, order)  # kvz and its derived vector share the z-spans
         dofs = off + actz[None, :, None, :] * s2d.dim + act[:, None, :, None]  # (element, z-span, anchor, z function)
         rows.append(np.where(act[:, None, :, None] >= 0, dofs, -1).reshape(*dofs.shape[:2], -1))

@@ -314,20 +314,19 @@ def test_criterion_10_waveguide():
     assert abs(res["R"]) < 0.01
     assert abs(abs(res["T"]) - 1.0) < 0.01
 
-    # port cutoff at its own (finer) section resolution
-    from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs
+    # port cutoff at its own (finer) section resolution, its exact kernel deflated
+    from splinecomplex.assembly import Vector2D
     from splinecomplex.benchmarks import square_geometry
-    from splinecomplex.problems import ALL_FACES_2D
+    from splinecomplex.multipatch import PatchSet
+    from splinecomplex.problems import ALL_FACES_2D, _section_matrices
     from splinecomplex.solvers import solve_port_mode
     from splinecomplex.tmesh import tensor_raw_tmesh
 
     n, p = 6, 3
     b = [F(k, n) for k in range(n + 1)]
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), p))
-    v2 = Vector2D.from_complex(tcx)
-    K2 = assemble_matrix_2d(v2, square_geometry(), "rotrot")
-    M2 = assemble_matrix_2d(v2, square_geometry(), "mass")
-    free = np.setdiff1d(np.arange(v2.dim), dirichlet_dofs(v2, ALL_FACES_2D))
-    k2, _ = solve_port_mode(K2[np.ix_(free, free)].toarray(), M2[np.ix_(free, free)].toarray())
+    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    (K2, M2, _, G), _, _ = _section_matrices(ps, {0: ALL_FACES_2D})
+    k2, _ = solve_port_mode(K2, M2, G)
     assert abs(k2 - 1.0) <= 1e-6, k2
     _report(10, f"|R|={abs(res['R']):.2e}, |T|={abs(res['T']):.6f}, port k10^2={k2:.8f}")

@@ -668,9 +668,9 @@ def test_patches_on_one_space_share_its_element_tables(monkeypatch):
 
     original, shared, built = TsplineSpace.element_tables, assembly._space_tables, []
 
-    def counting(self, order, derivs=True):
-        built.append((self, order, derivs))
-        return original(self, order, derivs)
+    def counting(self, order, *tables):
+        built.append((self, order, tables))
+        return original(self, order, *tables)
 
     def unshared(space, order, deriv):
         with monkeypatch.context() as m:

@@ -369,6 +369,18 @@ def test_tmesh_complex_report(tmp_path):
     assert ("h", "1/4", "0", "3/4") in m11
 
 
+def test_lsection_float_zero_exits_3(tmp_path, capsys):
+    # the Dirichlet Laplacian's kernel is empty: at L9 its first eigenvalue
+    # is below the float-zero guard of the largest, which is a numerical
+    # failure, never a zero in the report
+    f = tmp_path / "lsection_l9.json"
+    dump_json({**load_json(FIXTURES / "lsection_p4.json"), "level": 9}, f)
+    assert run_cli(["solve-eig", "--problem", str(f)], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: 2 deflated eigenvalue(s) below 1e-08") and err.rstrip().endswith("exact kernel of dimension 0")
+    assert not (tmp_path / "eigenvalues.json").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     def not_spd(a):
         raise np.linalg.LinAlgError("Matrix is not positive definite")

@@ -1,6 +1,6 @@
 """Source hygiene of the package: every exported name resolves, no module
-imports a name it never uses, and every private top-level function or class
-is used somewhere in the package."""
+imports a name it never uses, and every private top-level function, class
+or constant is used somewhere in the package."""
 
 import ast
 import importlib
@@ -44,22 +44,30 @@ def test_no_unused_imports(name):
     assert not unused, unused
 
 
+def _top_level_names(tree):
+    """Every function, class and assigned name at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
 def test_no_unreferenced_private_definitions():
-    # a private helper left behind when its callers moved away is dead code
+    # a private helper or constant left behind when its callers moved away
+    # is dead code; an assignment does not count as a use of its own name
     trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) for name in MODULES}
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
     }
     dead = sorted(
-        (name, node.name)
+        (name, defined)
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        for defined in _top_level_names(tree)
+        if defined.startswith("_") and not defined.startswith("__") and defined not in used
     )
     assert not dead, dead

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from splinecomplex.solvers import (
@@ -30,10 +31,11 @@ def test_generalized_eig_basic():
     M = random_spd(rng, n)
     B = rng.standard_normal((n, n - 5))
     K = B @ B.T  # rank n-5: five zero eigenvalues
-    res = solve_generalized_eig(K, M, vectors=True)
+    res = solve_generalized_eig(K, M, sla.null_space(B.T), vectors=True)
     assert res.zero_count == 5
     assert np.all(np.diff(res.values) >= -1e-12)
     assert np.all(res.residuals(K, M) < 1e-8)
+    npt.assert_allclose(res.nonzero, sla.eigh(K, M, eigvals_only=True)[5:], rtol=1e-10, atol=0)
 
 
 def test_eigenvalues_invariant_under_permutation():
@@ -42,9 +44,10 @@ def test_eigenvalues_invariant_under_permutation():
     M = random_spd(rng, n)
     K = random_spd(rng, n) - 0.5 * np.eye(n)
     K = K @ K.T
-    w1 = solve_generalized_eig(K, M).values
+    empty = np.zeros((n, 0))  # K is SPD
+    w1 = solve_generalized_eig(K, M, empty).values
     p = rng.permutation(n)
-    w2 = solve_generalized_eig(K[np.ix_(p, p)], M[np.ix_(p, p)]).values
+    w2 = solve_generalized_eig(K[np.ix_(p, p)], M[np.ix_(p, p)], empty).values
     npt.assert_allclose(w1, w2, rtol=1e-10, atol=1e-10)
 
 
@@ -52,7 +55,7 @@ def test_not_spd_rejected():
     K = np.eye(3)
     M = -np.eye(3)
     with pytest.raises(ValueError, match="positive definite"):
-        solve_generalized_eig(K, M)
+        solve_generalized_eig(K, M, np.zeros((3, 0)))
 
 
 def test_solve_source_residual_guard():
@@ -65,7 +68,7 @@ def test_solve_source_residual_guard():
     # an exactly singular sparse factor is a numerical failure, not NaNs
     with pytest.raises(NumericalError):
         solve_source(sp.csc_matrix(np.ones((2, 2))), np.array([1.0, 0.0]))
-    with pytest.raises(NumericalError):  # the complex path solves to NaNs
+    with pytest.raises(NumericalError):  # and so is a singular complex one
         solve_source(sp.csc_matrix(np.ones((2, 2)) + 0j), np.array([1.0, 0.0]))
 
 
@@ -73,22 +76,19 @@ def test_port_mode_rectangle():
     # analytic TE10 cutoff: k10^2 = (pi/a)^2 on (0,a)x(0,b), a > b
     from fractions import Fraction as F
 
-    from splinecomplex.assembly import Vector2D, assemble_matrix_2d, dirichlet_dofs
+    from splinecomplex import problems
+    from splinecomplex.assembly import Vector2D
     from splinecomplex.geometry import linear_patch
+    from splinecomplex.multipatch import PatchSet
     from splinecomplex.tmesh import tensor_raw_tmesh
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     n, p = 6, 3
     b = [F(k, n) for k in range(n + 1)]
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), p))
-    v2 = Vector2D.from_complex(tcx)
-    geom = linear_patch(np.diag([2.0, 1.0]))
-    K = assemble_matrix_2d(v2, geom, "rotrot")
-    M = assemble_matrix_2d(v2, geom, "mass")
-    faces = ((0, 0), (0, 1), (1, 0), (1, 1))
-    c = dirichlet_dofs(v2, faces)
-    free = np.setdiff1d(np.arange(v2.dim), c)
-    k2, e = solve_port_mode(K[np.ix_(free, free)].toarray(), M[np.ix_(free, free)].toarray())
+    ps = PatchSet([linear_patch(np.diag([2.0, 1.0]))], [Vector2D.from_complex(tcx)])
+    (K, M, _, G), _, _ = problems._section_matrices(ps, {0: problems.ALL_FACES_2D})
+    k2, e = solve_port_mode(K.toarray(), M.toarray(), G)
     npt.assert_allclose(k2, (np.pi / 2.0) ** 2, rtol=1e-6)
     # deterministic sign: the largest-magnitude component is positive
     assert e[np.argmax(np.abs(e))] > 0
@@ -130,7 +130,13 @@ def test_numerical_failures_are_numerical_errors():
     from splinecomplex.solvers import NumericalError
 
     with pytest.raises(NumericalError, match="positive definite"):
-        solve_generalized_eig(np.eye(3), -np.eye(3))
+        solve_generalized_eig(np.eye(3), -np.eye(3), np.zeros((3, 0)))
+
+
+def test_an_empty_deflated_port_pencil_is_a_numerical_error():
+    # a kernel that spans the whole space leaves no nonzero eigenvalue
+    with pytest.raises(NumericalError, match="deflated port pencil is empty"):
+        solve_port_mode(np.zeros((4, 4)), np.eye(4), np.eye(4))
 
 
 def _thick_l_prisms(p, nz):
@@ -175,12 +181,15 @@ def _pencil_and_kernel(problem, level=1):
 
 @pytest.mark.parametrize("problem", ["square", "thick_l"])
 def test_deflated_spectrum_matches_full_solve(problem):
+    # the oracle: SciPy's eigh of the whole dense pencil, whose m smallest
+    # values are the kernel's float zeros
     K, M, G = _pencil_and_kernel(problem)
-    full = solve_generalized_eig(K, M)
+    m = G.shape[1]
+    full = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     res = solve_generalized_eig(K, M, kernel=G)
-    assert res.zero_count == full.zero_count == G.shape[1] > 0
-    assert np.array_equal(res.values[: res.zero_count], np.zeros(res.zero_count))
-    npt.assert_allclose(res.nonzero, full.nonzero, rtol=1e-10, atol=0)
+    assert res.zero_count == m == np.sum(full < 1e-8 * full[-1]) > 0
+    assert np.array_equal(res.values[:m], np.zeros(m))
+    npt.assert_allclose(res.nonzero, full[m:], rtol=1e-10, atol=0)
 
 
 def test_deflated_vectors_are_eigenpairs():
@@ -195,10 +204,12 @@ def test_deflated_vectors_are_eigenpairs():
     V = res.vectors[:, m:]
     npt.assert_allclose(V.T @ (M @ V), np.eye(V.shape[1]), atol=1e-10)
     # whole component blocks of the mode vanish in exact arithmetic, so
-    # only a sign rule that reads no roundoff gives both solves one sign
+    # only a sign rule that reads no roundoff gives the port mode and the
+    # full dense pencil's eigenvector (the oracle) one sign
     k2, e = solve_port_mode(K, M, kernel=G)
-    k2_full, e_full = solve_port_mode(K, M)
-    npt.assert_allclose(k2, k2_full, rtol=1e-10)
+    w, X = sla.eigh(K.toarray(), M.toarray())
+    e_full = X[:, m] * np.sign(X[np.argmax(np.abs(X[:, m])), m])
+    npt.assert_allclose(k2, w[m], rtol=1e-10)
     npt.assert_allclose(e @ (M @ e_full), 1.0, rtol=1e-10)
 
 
@@ -259,14 +270,16 @@ def test_values_only_deflated_solve_keeps_three_dense_arrays():
 def test_the_solver_never_writes_into_its_inputs(dense, vectors):
     # the factorizations and the eigensolve overwrite their arrays: only
     # copies the solver made, never the caller's K, M or kernel, even dense
-    # ones in the Fortran order LAPACK would write into directly
+    # ones in the Fortran order LAPACK would write into directly; without
+    # deflation, an empty kernel on the nonsingular pencil (K + M, M)
     K, M, G = _pencil_and_kernel("square")
+    KM = K + M
     if dense:
-        K, M, G = (np.asfortranarray(A.toarray()) for A in (K, M, G))
-    inputs = (K, M, G)
+        K, KM, M, G = (np.asfortranarray(A.toarray()) for A in (K, KM, M, G))
+    inputs = (K, KM, M, G)
     saved = [A.toarray() if sp.issparse(A) else A.copy() for A in inputs]
-    for kernel in (G, None):
-        solve_generalized_eig(K, M, vectors=vectors, kernel=kernel)
+    for stiffness, kernel in ((K, G), (KM, np.zeros((G.shape[0], 0)))):
+        solve_generalized_eig(stiffness, M, kernel, vectors=vectors)
         for A, B in zip(inputs, saved):
             assert np.array_equal(A.toarray() if sp.issparse(A) else A, B)
 
@@ -314,11 +327,12 @@ def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
 
 
 def test_thick_l_is_two_guarded_section_solves(monkeypatch):
-    """The thick L makes two eigensolves, the deflated section Maxwell
-    pencil and the section Laplacian, for any number of vertical modes.
-    Each keeps its guards through the driver: a gradient left out of the
-    section kernel is a float zero beyond it, and a float zero of the
-    Laplacian, whose kernel is empty, raises."""
+    """The thick L makes two section eigensolves, the deflated section
+    Maxwell pencil and the section Laplacian, and one 1D vertical solve,
+    for any number of vertical modes.  Each section solve keeps its guards
+    through the driver: a gradient left out of the section kernel is a
+    float zero beyond it, and a float zero of the Laplacian, whose kernel
+    is empty, raises."""
     from splinecomplex import problems
     from splinecomplex.assembly import Vector2D
     from splinecomplex.benchmarks import LSECTION_INTERFACES, lsection_patches, lsection_raw_tmesh
@@ -339,7 +353,7 @@ def test_thick_l_is_two_guarded_section_solves(monkeypatch):
     for nz in (1, 2, 3):
         calls.clear()
         problems.thick_l_eigenproblem(0, degree=2, nz=nz, count=None)
-        assert len(calls) == 2, nz
+        assert len(calls) == 3, nz
 
     def dropped(ps, walls):  # the first free scalar dof and its gradient left out
         (C, M1, M0, G), glues, frees = section(ps, walls)

@@ -607,7 +607,7 @@ def test_tspline_tabulation_matches_exact_recursion_on_random_meshes(case):
         want = _exact_factor_table(space, 0, xs, 0)[:, None, :] * _exact_factor_table(space, 1, ys, 0)[None, :, :]
         _assert_close_to_exact(space.basis(pts), want.reshape(pts.shape[0], -1))
         order = max(space.degrees) + 1
-        act_all, *tables_all = space.element_tables(order, derivs=True)
+        act_all, *tables_all = space.element_tables(order, "value", "dx", "dy")
         exact = {}  # (direction, abscissae) -> tables, shared by a row or column of elements
         for e, P in enumerate(_rules_2d(space.elements, order)[0]):
             for d, g in ((0, P[::order, 0]), (1, P[:order, 1])):
@@ -641,7 +641,7 @@ def test_padded_tables_on_random_meshes_with_or_without_analysis_suitability(cas
     p, raw = case
     space = TsplineSpace(TMesh2D.from_raw(raw, (p, p)))
     order = p + 1
-    act, *tables = space.element_tables(order, derivs=True)
+    act, *tables = space.element_tables(order, "value", "dx", "dy")
     tx, ty = (r.knots for r in space.knot_rows)
     rows, cols, vals, exact = [], [], [], {}  # exact: (direction, abscissae) -> tables
     for e, (box, P, W) in enumerate(zip(space.elements, *_rules_2d(space.elements, order))):
