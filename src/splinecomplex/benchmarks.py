@@ -4,10 +4,11 @@ The square-domain eigenproblem family: the coarsest mesh has 8 square
 elements in the left half and 4 taller rectangles in the right half, with
 T-junctions on the line x = 1/2; each refinement splits every element in 4.
 
-The L-section family: per patch an 8 x 8 start mesh, dyadic refinement of a
-corner block per level; the terminating fine lines are prolonged by their
-face-extension length so the mesh stays analysis-suitable (for degree p the
-added prolongations are the ceil(p/2)-bay face extensions).
+The L-section and cylinder-section families are drawn by one rule: each
+line runs from 0 up to its reach (:func:`_drawn`).  The L-section refines a
+corner block of its 8 x 8 start mesh dyadically per level; a new line
+reaches ceil(p/2) bays of the surrounding spacing beyond the block, its face
+extension for degree p, so the mesh stays analysis-suitable.
 
 The thick L and the cylinder sector are prisms: each is defined here by its
 planar section patches and their interfaces, and its 3D patches are the
@@ -16,7 +17,6 @@ sections' ``extrude``.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +136,20 @@ def two_t_raw() -> RawTMesh:
     return RawTMesh(tuple(b), tuple(b), tuple(faces))
 
 
+def _drawn(vertical: dict, horizontal: dict) -> RawTMesh:
+    """The T-mesh drawn by lines with a reach.
+
+    ``vertical`` and ``horizontal`` map each line value v to its reach r:
+    the line x = v (or y = v) runs from 0 up to the first breakpoint of the
+    other direction at or beyond r, so a reach of 1 crosses the square.  The
+    faces are read off the degree-one mesh the lines render.
+    """
+    bx, by = sorted(vertical), sorted(horizontal)
+    VE = np.arange(len(by) - 1) < np.searchsorted(by, [vertical[v] for v in bx])[:, None]
+    HE = np.arange(len(bx) - 1)[:, None] < np.searchsorted(bx, [horizontal[v] for v in by])
+    return RawTMesh(tuple(bx), tuple(by), tuple(TMesh2D(bx, by, VE, HE, (1, 1)).faces))
+
+
 # -- L-shaped section -----------------------------------------------------------
 
 
@@ -143,51 +157,15 @@ def lsection_raw_tmesh(level: int, degree: int) -> RawTMesh:
     """Dyadically corner-refined T-mesh near the parametric corner (0, 0).
 
     Level 0 is the uniform start mesh.  Level 1 refines a 3 x 3 block of
-    elements, later levels a 2 x 2 block of the current finest elements;
-    new lines are prolonged by ceil(p/2) bays of the surrounding spacing so
-    the mesh remains analysis-suitable.
+    elements, later levels a 2 x 2 block of the current finest elements.
     """
-    fb = (degree + 1) // 2
-    h = F(1, LSECTION_START)
-    # refinement block sizes per level
-    sizes = []
-    for lev in range(1, level + 1):
-        if lev == 1:
-            sizes.append((3 * h, h / 2))
-        else:
-            prev = sizes[-1][1]
-            sizes.append((2 * prev, prev / 2))
-    xs = {F(k, LSECTION_START) for k in range(LSECTION_START + 1)}
-    segs = []  # (value, reach) pairs for the fine lines of each level
-    for (block, hfine) in sizes:
-        reach = block + fb * (2 * hfine)
-        v = hfine
-        while v < block:
-            if v not in xs:
-                segs.append((v, reach))
-                xs.add(v)
-            v += 2 * hfine
-    bp = sorted(xs)
-    idx = {v: k for k, v in enumerate(bp)}
-    n = len(bp)
-    reach_of = {v: r for v, r in segs}
-
-    def line_extent(v):
-        # index up to which the line at value v is present (full if coarse):
-        # the first breakpoint at or beyond its reach
-        if v in reach_of:
-            return bisect.bisect_left(bp, reach_of[v])
-        return n - 1
-
-    # elementary edge grids; the faces are read off the mesh they render
-    VE = np.zeros((n, n - 1), dtype=bool)
-    HE = np.zeros((n - 1, n), dtype=bool)
-    for v in bp:
-        i = idx[v]
-        ext = line_extent(v)
-        VE[i, :ext] = True
-        HE[:ext, i] = True
-    return RawTMesh(tuple(bp), tuple(bp), tuple(TMesh2D(bp, bp, VE, HE, (1, 1)).faces))
+    lines = {F(k, LSECTION_START): 1 for k in range(LSECTION_START + 1)}
+    block, fine = F(3, LSECTION_START), F(1, 2 * LSECTION_START)
+    for _ in range(level):
+        for k in range(1, int(block / fine), 2):  # the first value given to a line wins
+            lines.setdefault(k * fine, block + (degree + 1) // 2 * 2 * fine)
+        block, fine = 2 * fine, fine / 2
+    return _drawn(lines, lines)
 
 
 def lsection_patches():
@@ -230,30 +208,13 @@ def cylinder_section_raw_tmesh(level: int) -> RawTMesh:
     horizontal T-junctions only (extensions never intersect).  Level 0 is
     the uniform start mesh.
     """
-    xs = {F(k, CYLINDER_START) for k in range(CYLINDER_START + 1)}
-    ys = set(xs)
-    segs = []
+    xs = {F(k, CYLINDER_START): 1 for k in range(CYLINDER_START + 1)}
+    ys = dict(xs)
     band = hy = F(1, CYLINDER_START)
-    for lev in range(level):
+    for _ in range(level):
         hy = hy / 2
-        newx = band / 2
-        xs.add(newx)
         for k in range(1, int(1 / hy), 2):
-            v = F(k) * hy
-            if v not in ys:
-                segs.append((v, band))
-                ys.add(v)
-        band = newx
-    bx = sorted(xs)
-    by = sorted(ys)
-    idx_x = {v: k for k, v in enumerate(bx)}
-    nx, ny = len(bx), len(by)
-    VE = np.zeros((nx, ny - 1), dtype=bool)
-    HE = np.zeros((nx - 1, ny), dtype=bool)
-    VE[:, :] = True  # vertical lines are all full height
-    reach = {v: r for v, r in segs}
-    for j, v in enumerate(by):
-        lim = idx_x[reach[v]] if v in reach else nx - 1
-        HE[:lim, j] = True
-    return RawTMesh(tuple(bx), tuple(by), tuple(TMesh2D(bx, by, VE, HE, (1, 1)).faces))
-
+            ys.setdefault(k * hy, band)
+        band = band / 2
+        xs[band] = 1
+    return _drawn(xs, ys)

@@ -327,9 +327,9 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     (C, M1, M0, G), (glue1, glue0), (free1, free0) = _section_matrices(ps, _CYL_WALLS)
     mu, V, W = _vertical_modes(kv_z, "natural")
     n, order = kv_z.n, degree + 2  # the rule of the load and the error
-    # the section's values, rots, scalar values and grads; the z rule and the modes on it
+    # the section's values, rots and scalar values; the z rule and the modes on it
     vec, sca = ps.spaces[0], Scalar2D(tcx.Y0)
-    E1, E0, R1, D0 = (_point_tables(s, order, d) for d in (False, True) for s in (vec, sca))
+    E1, E0, R1 = _point_tables(vec, order, False), _point_tables(sca, order, False), _point_tables(vec, order, True)
     P2, W2 = (a.reshape(-1, *a.shape[2:]) for a in _rules_2d(_shared_elements(tcx.Y0, *tcx.Y1), order))
     zq, wz = _span_rule(kv_z, order)
     Psi, dPsi = (scaled_eval(kv_z.local_rows, degree, "B", zq, d) @ V for d in (0, 1))
@@ -358,7 +358,7 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     for S1, S0, (A2, J2, det2, u) in zip(glue1.scatters, glue0.scatters, slices):
         h, v = S1 @ xh, S0 @ xv  # the modal fields on the patch's section dofs
         U, rot = (E1 @ h).reshape(-1, 2, n), R1 @ h
-        w, gw = E0 @ v, (D0 @ v).reshape(-1, 2, n - 1)
+        w, gw = E0 @ v, (E1 @ (tcx.operators["grad"] @ v)).reshape(-1, 2, n - 1)  # grad Y0 lies in Y1
         # the reference field and curl over z, pushed forward: J^-T = adj J^T / det J and J / det J
         ch = np.stack([_lift(gw[:, 1], chi) - _lift(U[:, 1], dPsi), _lift(U[:, 0], dPsi) - _lift(gw[:, 0], chi)], 1)
         du = np.concatenate([np.swapaxes(A2, 1, 2) @ _lift(U, Psi) / det2[:, None, None], _lift(w, chi)[:, None]], 1) - u

@@ -32,6 +32,7 @@ relative-residual guard.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +139,9 @@ def _deflate(K, M, G, vectors):
     kg = _fro(K @ G)
     if kg > KERNEL_REL_TOL * _fro(K) * _fro(G):
         raise NumericalError(f"the kernel is not annihilated: |KG| = {kg:.2e}")
-    lu, piv = sla.lu_factor(_dense(G), overwrite_a=True)
+    with warnings.catch_warnings():  # a singular U is reported by the check below
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(_dense(G), overwrite_a=True)
     # max |U| column by column: contiguous in Fortran order, no triangle copy
     umax = max(float(np.abs(lu[: j + 1, j]).max()) for j in range(m))
     if not np.abs(np.diagonal(lu)).min() > max(n, m) * np.finfo(float).eps * umax:

@@ -382,7 +382,7 @@ class TMesh2D:
         if not ok:
             return False, ("extension intersection", pair)
         exts = self.compute_extensions()
-        for kind, table in (("h", self.xs), ("v", self.ys)):
+        for kind in "hv":
             same = [e for e in exts if e.orientation == kind]
             for a in range(len(same)):
                 for b in range(a + 1, len(same)):

@@ -26,6 +26,7 @@ from splinecomplex.exactrank import (
     _rows,
     annihilates,
     modular_rank,
+    rank_with_upper_bound,
 )
 from splinecomplex.tensormesh import build_tensor_mesh
 
@@ -328,6 +329,15 @@ def test_constants_are_certified_by_the_all_ones_vector_alone():
     rep = verify_sequence([sp.csr_matrix([[2, -1]])], [2, 1])
     assert not rep.identities["d0(const)=0"] and not rep.passed
     assert rep.identities["rank(d0)=1"] and rep.certified
+
+
+def test_a_rank_below_its_upper_bound_is_not_certified():
+    # no prime reaches the bound 2 of a rank-one matrix: the best modular
+    # rank comes back uncertified, and an injective d0 fails with it
+    A = sp.csr_matrix([[1, 1], [1, 1]])
+    assert rank_with_upper_bound(A, 2) == (1, False)
+    rep = verify_sequence([A], [2, 2], with_bc=True)
+    assert not rep.certified and not rep.identities["rank(d0)=2"]
 
 
 @st.composite

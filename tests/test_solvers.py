@@ -72,6 +72,15 @@ def test_solve_source_residual_guard():
         solve_source(sp.csc_matrix(np.ones((2, 2)) + 0j), np.array([1.0, 0.0]))
 
 
+def test_solve_source_residual_guard_after_a_successful_factorization():
+    # splu factors the SPD Q diag(1, 1e-12) Q^T, Q a rotation by 0.5 rad, but
+    # its solution leaves a relative residual |r|/|b| of 2.92e-06
+    c, s = np.cos(0.5), np.sin(0.5)
+    Q = np.array([[c, -s], [s, c]])
+    with pytest.raises(NumericalError, match=r"residual 2\.92e-06 exceeds 1e-10"):
+        solve_source(sp.csc_matrix(Q @ np.diag([1.0, 1e-12]) @ Q.T), np.array([1.0, 0.3]))
+
+
 def test_port_mode_rectangle():
     # analytic TE10 cutoff: k10^2 = (pi/a)^2 on (0,a)x(0,b), a > b
     from fractions import Fraction as F

@@ -294,6 +294,27 @@ def test_refined_mesh_generators_match_fixtures(level):
     assert tmesh_to_dict(cylinder_section_raw_tmesh(level)) == load_json(FIXTURES / f"cylinder_section_l{level}.json")
 
 
+# faces of the L-section at levels 3-9, per degree; the fixtures stop at level 2
+LSECTION_FACES = {
+    1: (129, 145, 161, 177, 193, 209, 225),
+    2: (129, 145, 161, 177, 193, 209, 225),
+    3: (143, 163, 183, 203, 223, 243, 263),
+    4: (143, 163, 183, 203, 223, 243, 263),
+    5: (157, 181, 205, 229, 253, 277, 301),
+}
+
+
+def test_refined_mesh_generators_keep_their_counts_past_the_fixtures():
+    # (x breakpoints, y breakpoints, faces)
+    for p, faces in LSECTION_FACES.items():
+        for level, n in zip(range(3, 10), faces):
+            raw = lsection_raw_tmesh(level, p)
+            assert (len(raw.breakpoints_x), len(raw.breakpoints_y), len(raw.faces)) == (2 * level + 10,) * 2 + (n,)
+    for level, n in zip(range(3, 7), (100, 196, 388, 772)):
+        raw = cylinder_section_raw_tmesh(level)
+        assert (len(raw.breakpoints_x), len(raw.breakpoints_y), len(raw.faces)) == (level + 5, 2 ** (level + 2) + 1, n)
+
+
 @pytest.mark.parametrize("level", [3, 4])
 def test_degree5_lsection_builds_exact_complex(level):
     # at p=5 the reach of a fine line falls between breakpoints (5/32 at
