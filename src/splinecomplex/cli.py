@@ -27,7 +27,7 @@ from .serialization import (
 )
 from .solvers import NumericalError
 from .tmesh import TMeshError, validate_tmesh
-from .tspline import build_tspline_complex, derive_complex_meshes
+from .tspline import build_tspline_complex, derive_complex_meshes, verify_t_exactness
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,6 +79,8 @@ def cmd_check_complex(args):
 
 def cmd_tmesh_check(args):
     degrees = tuple(int(d) for d in args.degrees.split(","))
+    if len(degrees) != 2:
+        raise ValueError(f"--degrees needs two comma-separated degrees p1,p2, got {args.degrees!r}")
     raw = tmesh_from_dict(load_json(args.mesh))
     mesh = validate_tmesh(raw, degrees)
     census = mesh.census()
@@ -118,8 +120,6 @@ def cmd_tmesh_check(args):
 def cmd_tmesh_complex(args):
     raw = tmesh_from_dict(load_json(args.mesh))
     p = int(args.degree)
-    from .tspline import verify_t_exactness
-
     cm = derive_complex_meshes(raw, p)
     tcx = build_tspline_complex(cm)
     rep = verify_t_exactness(tcx)

@@ -14,6 +14,8 @@ components keep their sign.  The matched pairs then form a signed graph
 on the local dofs, and one connected-components labelling of its doubled
 graph (a node per dof and sign) gives the shared entities: each has the
 lowest dof among its members as master (+1), so the lower patch wins.
+A glued matrix is the sum over the patches of S^T A S, S a patch's signed
+scatter (:class:`Glue`).
 
 Faces are (axis, side) pairs; the face coordinates are the remaining
 parametric axes in increasing order.
@@ -163,22 +165,9 @@ class Glue:
     ndof: int
 
     def global_matrix(self, locals_):
-        """Glued sum of the patch matrices, no sparse products: entry (i, j, a)
-        of a patch goes to (g[i], g[j]) with sign s[i] s[j], (g, s) the signed
-        row map of its scatter; the relabelled patches are summed in order."""
-        out = None
-        for S, A in zip(self.scatters, locals_):
-            A = sp.csr_matrix(A)
-            g, s, counts = S.indices, S.data, np.diff(A.indptr)
-            order = np.argsort(g, kind="stable")  # the local rows in global row order
-            shift = A.indptr[order] - np.r_[0, np.cumsum(counts[order])[:-1]]  # a row block's start in A minus in P
-            take = np.repeat(shift, counts[order]) + np.arange(A.nnz)  # the entries of A in P's order
-            indptr = np.r_[0, np.cumsum(np.bincount(g, counts, self.ndof))].astype(A.indptr.dtype)
-            data = (np.repeat(s, counts) * s[A.indices] * A.data)[take]
-            P = sp.csr_matrix((data, g[A.indices[take]], indptr), shape=(self.ndof, self.ndof))
-            P.sum_duplicates()  # sorts each row, and sums any entry two local rows share
-            out = P if out is None else out + P
-        return out
+        """Glued sum of the patch matrices, S_k^T A_k S_k summed in patch
+        order, as CSR."""
+        return sum(S.T @ A @ S for S, A in zip(self.scatters, locals_)).tocsr()
 
     def global_vector(self, locals_):
         v = np.zeros(self.ndof, dtype=np.result_type(*[l.dtype for l in locals_]))

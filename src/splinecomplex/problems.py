@@ -2,7 +2,8 @@
 sector source, straight-guide scattering.
 
 These drivers wire meshes, geometries, glue, assembly and solvers together
-and are what the command-line front end runs.
+and are what the command-line front end runs.  Every Maxwell driver takes
+its matrices, the exact gradient kernel too, from :func:`_section_matrices`.
 
 The thick L, the cylinder sector and the straight guide are prisms, a
 section extruded over z (the benchmarks define the sections; no driver
@@ -94,9 +95,9 @@ class EigenRun:
 
 
 def _system(ps: PatchSet, walls, kinds):
-    """The one problem pipeline: assemble every kind on every patch, glue it
-    into a global matrix, and drop the dofs clamped on the walls (patch ->
-    faces).  Returns (glue, matrices, free dofs).
+    """Assemble every kind on every patch, glue it into a global matrix, and
+    drop the dofs clamped on the walls (patch -> faces).  Returns (glue,
+    matrices, free dofs).
 
     A lone patch without interfaces keeps its local numbering and is not
     glued; its glue is None.  All kinds and patches on the same spaces share
@@ -108,7 +109,7 @@ def _system(ps: PatchSet, walls, kinds):
         for kind in kinds:
             local = [assemble_matrix_2d(space, geom, kind) for space, geom in zip(ps.spaces, ps.geoms)]
             matrices.append(glue.global_matrix(local) if glue else local[0])
-    return glue, matrices, _free(ps, glue, walls, matrices[0].shape[0])
+    return glue, matrices, _free(ps, glue, walls, glue.ndof if glue else ps.spaces[0].dim)
 
 
 def _free(ps: PatchSet, glue, walls, ndof):
@@ -120,29 +121,19 @@ def _free(ps: PatchSet, glue, walls, ndof):
     return np.setdiff1d(np.arange(ndof), walled)
 
 
-def _gradient_kernel(ps: PatchSet, glue, walls, free, glue0=None):
-    """The exact kernel of the rot-rot or curl-curl matrix of ``ps``: the
-    gradient of each patch space's scalar space (``space.gradient()``),
-    glued like ``ps`` (by ``glue0`` on the scalar side, built here if not
-    given), with rows restricted to the free dofs ``free`` and columns to
-    the scalar dofs off the same walls.  Under the walls the gradient is
-    injective, so its columns are a basis of the kernel."""
+def _section_matrices(ps: PatchSet, walls, scalar_kinds=("mass",)):
+    """The Maxwell pipeline on Vector2D spaces glued across ``ps``'s
+    interfaces and clamped on ``walls``: (C, M1, *scalar matrices, G), the
+    rot-rot and mass, the ``scalar_kinds`` of the scalar spaces of
+    ``space.gradient()`` and the gradient G, a basis of C's exact kernel,
+    on the free dofs; (glue1, glue0) and (free1, free0), the glues and free
+    dofs of the vector and the scalar spaces, each glue built once."""
+    glue1, (C, M1), free1 = _system(ps, walls, ("rotrot", "mass"))
     scalars, grads = zip(*(space.gradient() for space in ps.spaces))
-    ps0 = PatchSet(ps.geoms, scalars, ps.interfaces)
-    if glue is not None and glue0 is None:
-        glue0 = build_glue(ps0)
-    G = grads[0] if glue0 is None else global_operator(glue0, glue, grads)
-    return G.tocsr()[free][:, _free(ps0, glue0, walls, G.shape[1])]
-
-
-def _eigen_run(ps, walls, kinds, count) -> EigenRun:
-    """Eigenvalues of the pencil ``kinds`` on the free dofs, deflating its
-    exact kernel: the gradient of a vector space, empty for a scalar one."""
-    glue, (K, M), free = _system(ps, walls, kinds)
-    G = _gradient_kernel(ps, glue, walls, free) if hasattr(ps.spaces[0], "gradient") else np.zeros((free.size, 0))
-    ndof, sub = K.shape[0], np.ix_(free, free)
-    K, M = K[sub], M[sub]  # the full matrices are freed before the dense solve
-    return EigenRun(ndof, free.size, solve_generalized_eig(K, M, G, count))
+    glue0, scalar, free0 = _system(PatchSet(ps.geoms, scalars, ps.interfaces), walls, scalar_kinds)
+    G = grads[0] if glue0 is None else global_operator(glue0, glue1, grads)
+    sub1, sub0 = np.ix_(free1, free1), np.ix_(free0, free0)
+    return (C[sub1], M1[sub1], *(A[sub0] for A in scalar), G.tocsr()[free1][:, free0]), (glue1, glue0), (free1, free0)
 
 
 def square_eigenproblem(level: int = 0, degree: int = 3, count: int = None) -> EigenRun:
@@ -153,16 +144,19 @@ def square_eigenproblem(level: int = 0, degree: int = 3, count: int = None) -> E
     """
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), degree))
     ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
-    return _eigen_run(ps, {0: ALL_FACES_2D}, ("rotrot", "mass"), count)
+    (C, M1, G), _, (free1, _) = _section_matrices(ps, {0: ALL_FACES_2D}, ())
+    return EigenRun(ps.spaces[0].dim, free1.size, solve_generalized_eig(C, M1, G, count))
 
 
 def lsection_laplace_eigenproblem(level: int = 0, degree: int = 4, count: int = 5) -> EigenRun:
     """Dirichlet Laplacian eigenvalues of the L-shaped section, three glued
     patches with corner-refined T-meshes (the first eigenvalue is the
-    L-membrane benchmark value)."""
+    L-membrane benchmark value); the exact kernel is empty."""
     space = Scalar2D(TsplineSpace(TMesh2D.from_raw(lsection_raw_tmesh(level, degree), (degree, degree))))
     ps = PatchSet(lsection_patches(), [space] * 3, LSECTION_INTERFACES)
-    return _eigen_run(ps, _L_WALLS, ("gradgrad", "mass"), count)
+    glue, (K, M), free = _system(ps, _L_WALLS, ("gradgrad", "mass"))
+    K, M = (A[np.ix_(free, free)] for A in (K, M))  # the full matrices are freed before the dense solve
+    return EigenRun(glue.ndof, free.size, solve_generalized_eig(K, M, np.zeros((free.size, 0)), count))
 
 
 def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count: int = 5) -> EigenRun:
@@ -199,20 +193,6 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
         values = values[: zero + count]
     size = C.shape[0] * (n - 2) + M0.shape[0] * (n - 1)
     return EigenRun(glue1.ndof * n + glue0.ndof * (n - 1), size, EigenResult(values, zero))
-
-
-def _section_matrices(ps: PatchSet, walls):
-    """A prism's section, Vector2D spaces glued across ``ps``'s interfaces
-    and clamped on ``walls``: (C, M1, M0, G), the rot-rot and mass, the
-    mass of the scalar spaces and the exact gradient on the free dofs;
-    (glue1, glue0) and (free1, free0), the glues and free dofs of the
-    vector and the scalar spaces.  Each glue is built once."""
-    glue1, (C, M1), free1 = _system(ps, walls, ("rotrot", "mass"))
-    ps0 = PatchSet(ps.geoms, [space.gradient()[0] for space in ps.spaces], ps.interfaces)
-    glue0, (M0,), free0 = _system(ps0, walls, ("mass",))
-    G = _gradient_kernel(ps, glue1, walls, free1, glue0)
-    sub1, sub0 = np.ix_(free1, free1), np.ix_(free0, free0)
-    return (C[sub1], M1[sub1], M0[sub0], G), (glue1, glue0), (free1, free0)
 
 
 def _vertical_modes(kv_z: KnotVector, lids):
@@ -395,7 +375,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
     (C, M1, M0, G), _, (free1, free0) = _section_matrices(ps, {0: ALL_FACES_2D})
     k10sq, e = solve_port_mode(C, M1, G)
-    if k * k <= k10sq:
+    if not k > math.sqrt(k10sq):  # a negative k included
         raise ValueError(f"k = {k} is not above the TE10 cutoff sqrt(k10^2) = {math.sqrt(k10sq):.6g}: no propagating mode")
     beta = math.sqrt(k * k - k10sq)
 
@@ -410,7 +390,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     Me = M1 @ e
     rhs = np.zeros(K.shape[0], dtype=complex)
     rhs[: free1.size] = 2j * beta * Me
-    x = solve_source(((K - k * k * M).astype(complex) + 1j * beta * port).tocsc(), rhs, tol=1e-8)
+    x = solve_source(((K - k * k * M).astype(complex) + 1j * beta * port).tocsc(), rhs)
     I1, I2 = complex(x[: free1.size] @ Me), complex(x[nh - free1.size : nh] @ Me)
     R, T = compute_scattering(I1, I2, float(e @ Me), beta, 0.0, length)
     return {

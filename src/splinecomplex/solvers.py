@@ -51,6 +51,7 @@ __all__ = [
 
 ZERO_REL_TOL = 1e-8  # a float zero, relative to the largest eigenvalue
 KERNEL_REL_TOL = 1e-10  # |K G| against |K| |G|, all Frobenius
+SOLVE_REL_TOL = 1e-10  # |A x - b| against |b|, the direct solve's guard
 
 
 class NumericalError(ValueError):
@@ -179,11 +180,12 @@ def _lift(G, C, L, W):
     return lift
 
 
-def solve_source(A, b, tol=1e-10):
+def solve_source(A, b):
     """Sparse direct solve of A x = b, one ``splu`` factorization, with a
-    relative-residual guard.  Real systems are the SPD ones here: they are
-    factored with a symmetric minimum-degree ordering and diagonal pivots;
-    complex ones with the default ordering and pivoting."""
+    relative-residual guard, ``SOLVE_REL_TOL``.  Real systems are the SPD
+    ones here: they are factored with a symmetric minimum-degree ordering
+    and diagonal pivots; complex ones with the default ordering and
+    pivoting."""
     dtype = np.result_type(A.dtype, b.dtype, float)
     spd = {} if dtype.kind == "c" else {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
     try:
@@ -193,8 +195,8 @@ def solve_source(A, b, tol=1e-10):
     nb = np.linalg.norm(b)
     if nb > 0:
         res = np.linalg.norm(A @ x - b) / nb
-        if not res <= tol:  # NaN fails too
-            raise NumericalError(f"direct solve residual {res:.2e} exceeds {tol:.0e}")
+        if not res <= SOLVE_REL_TOL:  # NaN fails too
+            raise NumericalError(f"direct solve residual {res:.2e} exceeds {SOLVE_REL_TOL:.0e}")
     return x
 
 

@@ -36,7 +36,7 @@ from splinecomplex.assembly import (
 from splinecomplex.bspline import KnotVector, grad_matrix_1d, scaled_eval
 from splinecomplex.complexes import extrude_operators
 from splinecomplex.geometry import apply_pullback, apply_pushforward
-from splinecomplex.multipatch import build_glue
+from splinecomplex.multipatch import PatchSet, build_glue, global_operator
 from splinecomplex.tspline import TsplineComplex
 
 
@@ -229,3 +229,15 @@ def system_3d(ps, walls, kinds):
             local = [assemble_matrix_3d(space, geom, kind) for space, geom in zip(ps.spaces, ps.geoms)]
             matrices.append(glue.global_matrix(local) if glue else local[0])
     return glue, matrices, problems._free(ps, glue, walls, matrices[0].shape[0])
+
+
+def gradient_kernel(ps, glue, walls, free):
+    """The exact kernel of the curl-curl (or rot-rot) matrix of ``ps``: the
+    gradient of each patch space's scalar space (``space.gradient()``),
+    glued like ``ps``, with rows restricted to the free dofs ``free`` and
+    columns to the scalar dofs off the same walls."""
+    scalars, grads = zip(*(space.gradient() for space in ps.spaces))
+    ps0 = PatchSet(ps.geoms, scalars, ps.interfaces)
+    glue0 = None if glue is None else build_glue(ps0)
+    G = grads[0] if glue0 is None else global_operator(glue0, glue, grads)
+    return G.tocsr()[free][:, problems._free(ps0, glue0, walls, G.shape[1])]

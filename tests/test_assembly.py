@@ -311,9 +311,15 @@ def test_port_trace_map_is_the_section_at_the_clamped_layer(p):
         assert [c for _, c, _ in records] == [0] * n1 + [1] * n2
 
 
-def test_waveguide_assembles_section_mass_once(monkeypatch):
-    # the port mode, the ports and the 3D system share one set of section
-    # matrices: the vector mass and rot-rot and the scalar mass, once each
+_VECTOR_PAIR = [("Vector2D", "mass"), ("Vector2D", "rotrot")]
+
+
+@pytest.mark.parametrize("driver", ["square", "lsection", "thick_l", "cylinder", "waveguide"])
+def test_each_driver_assembles_its_section_matrices_once(monkeypatch, driver):
+    # each driver assembles its section matrices once per patch: the vector
+    # mass and rot-rot, and the scalar mass only where a prism needs it (the
+    # square cavity does not); the L-section its scalar pair.  The guide's
+    # port mode, ports and 3D system share one set.
     from splinecomplex import assembly, problems
 
     kinds = []
@@ -324,8 +330,15 @@ def test_waveguide_assembles_section_mass_once(monkeypatch):
 
     monkeypatch.setattr(problems, "assemble_matrix_2d", counting)
     monkeypatch.setattr(assembly, "assemble_matrix_2d", counting)
-    problems.waveguide_scattering()
-    assert sorted(kinds) == [("Scalar2D", "mass"), ("Vector2D", "mass"), ("Vector2D", "rotrot")]
+    run, want = {
+        "square": (lambda: problems.square_eigenproblem(0, 2), _VECTOR_PAIR),
+        "lsection": (lambda: problems.lsection_laplace_eigenproblem(0, 2), [("Scalar2D", "gradgrad")] * 3 + [("Scalar2D", "mass")] * 3),
+        "thick_l": (lambda: problems.thick_l_eigenproblem(0, degree=2, count=None), [("Scalar2D", "mass")] * 3 + sorted(_VECTOR_PAIR * 3)),
+        "cylinder": (lambda: problems.cylinder_sector_source(0, degree=2, nz=2), [("Scalar2D", "mass")] * 3 + sorted(_VECTOR_PAIR * 3)),
+        "waveguide": (problems.waveguide_scattering, [("Scalar2D", "mass"), *_VECTOR_PAIR]),
+    }[driver]
+    run()
+    assert sorted(kinds) == want
 
 
 def test_zero_measure_elements_skipped():

@@ -66,6 +66,14 @@ def test_tmesh_check_fig_extensions(tmp_path):
     assert (by_orient["v"]["from"], by_orient["v"]["to"]) == ("1/3", "5/6")
 
 
+@pytest.mark.parametrize("degrees", ["3", "3,3,3"])
+def test_tmesh_check_needs_two_degrees(tmp_path, capsys, degrees):
+    code = run_cli(["tmesh", "check", "--mesh", str(FIXTURES / "square_tmesh_l0.json"), "--degrees", degrees], tmp_path)
+    assert code == 2
+    assert "--degrees needs two comma-separated degrees" in capsys.readouterr().err
+    assert not (tmp_path / "tmesh_report.json").exists()
+
+
 def test_solve_eig_square(tmp_path):
     code = run_cli(["solve-eig", "--problem", str(FIXTURES / "square_p3.json")], tmp_path)
     assert code == 0
@@ -111,6 +119,7 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ({"k": 1.2, "length": -1.0}, ["length = -1.0"]),
         ({"length": 0}, ["length = 0"]),
         ({"k": 0.5}, ["k = 0.5", "cutoff sqrt(k10^2) = 1.001"]),
+        ({"k": -1.5}, ["k = -1.5", "cutoff"]),
     ],
 )
 def test_waveguide_without_length_or_propagating_mode_exits_2(tmp_path, capsys, spec, names):

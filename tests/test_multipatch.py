@@ -439,12 +439,13 @@ def test_scatter_glue_matches_sparse_products(monkeypatch, driver):
     assert calls == {"lsection": [3, 3]}.get(driver, [3, 3, 3])
 
 
-@pytest.mark.parametrize("driver", ["cylinder", "thick_l", "waveguide"])
+@pytest.mark.parametrize("driver", ["cylinder", "thick_l", "waveguide", "square", "lsection"])
 def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
     """The three prisms build no 3D space and assemble no 3D matrix: the
     library has neither, they live in the tests' oracle; the two multipatch
     sections build one glue per section space (vector and scalar), and the
-    guide's one-patch section none."""
+    guide's one-patch section none.  So does the one-patch square cavity;
+    the L-section glues its one scalar space."""
     from splinecomplex import assembly, problems
 
     for name in ("Complex3D", "Scalar3D", "assemble_matrix_3d"):
@@ -465,16 +466,21 @@ def test_prism_drivers_glue_each_section_space_once(monkeypatch, driver):
         problems.cylinder_sector_source(0, degree=2, nz=2)
     elif driver == "thick_l":
         problems.thick_l_eigenproblem(0, degree=2, count=None)
+    elif driver == "square":
+        problems.square_eigenproblem(0, 2)
+    elif driver == "lsection":
+        problems.lsection_laplace_eigenproblem(0, 2)
     else:
         problems.waveguide_scattering()
-    assert calls == ([] if driver == "waveguide" else ["Vector2D", "Scalar2D"])
+    assert calls == {"waveguide": [], "square": [], "lsection": ["Scalar2D"]}.get(driver, ["Vector2D", "Scalar2D"])
 
 
 def test_cycle_of_interfaces_glues_the_centre_once():
     """Four rotated unit patches cover (-1,1)^2: the L-section's three and
     a 180 degree rotation.  Their four interfaces close a cycle around the
     origin, whose scalar dof all four patches share once."""
-    from splinecomplex.problems import _eigen_run
+    from splinecomplex.problems import _section_matrices
+    from splinecomplex.solvers import solve_generalized_eig
 
     tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(3), 2))
     geoms = lsection_patches() + [linear_patch(-np.eye(2))]
@@ -486,6 +492,7 @@ def test_cycle_of_interfaces_glues_the_centre_once():
     assert build_glue(PatchSet(geoms, [Scalar2D(tcx.Y0)] * 4, interfaces)).ndof == 81
     ps = PatchSet(geoms, [Vector2D.from_complex(tcx)] * 4, interfaces)
     assert build_glue(ps).ndof == 144
-    run = _eigen_run(ps, {k: [(0, 1), (1, 1)] for k in range(4)}, ("rotrot", "mass"), 6)
-    assert run.result.zero_count == 49
-    npt.assert_allclose(run.result.nonzero / (np.pi / 2) ** 2, [1, 1, 2, 4, 4, 5], rtol=0, atol=1e-2)
+    (C, M1, G), _, _ = _section_matrices(ps, {k: [(0, 1), (1, 1)] for k in range(4)}, ())
+    res = solve_generalized_eig(C, M1, G, 6)
+    assert res.zero_count == 49
+    npt.assert_allclose(res.nonzero / (np.pi / 2) ** 2, [1, 1, 2, 4, 4, 5], rtol=0, atol=1e-2)

@@ -17,7 +17,7 @@ from splinecomplex.solvers import (
     solve_source,
 )
 
-from oracle3d import Complex3D, assemble_load_3d, hcurl_error_3d, system_3d
+from oracle3d import Complex3D, assemble_load_3d, gradient_kernel, hcurl_error_3d, system_3d
 
 
 def random_spd(rng, n):
@@ -183,7 +183,7 @@ def _pencil_and_kernel(problem, level=1):
         ps, walls = _thick_l_prisms(2, 2)
         kinds, system = ("curlcurl", "mass"), system_3d
     glue, (K, M), free = system(ps, walls, kinds)
-    G = problems._gradient_kernel(ps, glue, walls, free)
+    G = gradient_kernel(ps, glue, walls, free)
     sub = np.ix_(free, free)
     return K[sub], M[sub], G
 
@@ -327,7 +327,7 @@ def test_thick_l_modes_match_the_assembled_3d_pencil(p, nz):
     ps, walls = _thick_l_prisms(p, nz)
     glue, (K, M), free = system_3d(ps, walls, ("curlcurl", "mass"))
     sub = np.ix_(free, free)
-    want = solve_generalized_eig(K[sub], M[sub], kernel=problems._gradient_kernel(ps, glue, walls, free))
+    want = solve_generalized_eig(K[sub], M[sub], kernel=gradient_kernel(ps, glue, walls, free))
     got = problems.thick_l_eigenproblem(0, degree=p, nz=nz, count=None)
     assert (got.dofs, got.system_size) == (K.shape[0], free.size)
     assert got.result.zero_count == want.zero_count
@@ -485,7 +485,7 @@ def test_cylinder_modal_load_is_the_3d_load_times_the_modes(monkeypatch, p):
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     rhs = []
-    monkeypatch.setattr(problems, "solve_source", lambda A, b, **kw: rhs.append(b) or solve_source(A, b, **kw))
+    monkeypatch.setattr(problems, "solve_source", lambda A, b: rhs.append(b) or solve_source(A, b))
     problems.cylinder_sector_source(0, degree=p, nz=2)
 
     tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(0), p))
@@ -532,7 +532,7 @@ def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
     section, walls2 = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)]), {0: problems.ALL_FACES_2D}
     _, (K2, M2), free2 = problems._system(section, walls2, ("rotrot", "mass"))
     sub = np.ix_(free2, free2)
-    k10sq, e_free = solve_port_mode(K2[sub], M2[sub], kernel=problems._gradient_kernel(section, None, walls2, free2))
+    k10sq, e_free = solve_port_mode(K2[sub], M2[sub], kernel=gradient_kernel(section, None, walls2, free2))
     e = np.zeros(K2.shape[0])
     e[free2] = e_free
     beta, Me = math.sqrt(k * k - k10sq), M2 @ e
@@ -544,7 +544,7 @@ def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
     load[tmaps[0]] = Me
     A = (K - k * k * M).astype(complex) + 1j * beta * glue.global_matrix(ports)
     x = np.zeros(glue.ndof, dtype=complex)
-    x[free] = solve_source(A[np.ix_(free, free)].tocsc(), (2j * beta * (glue.scatters[0].T @ load))[free], tol=1e-8)
+    x[free] = solve_source(A[np.ix_(free, free)].tocsc(), (2j * beta * (glue.scatters[0].T @ load))[free])
     I1, I2 = (complex((S @ x)[t] @ Me) for S, t in zip(glue.scatters, tmaps))
     R, T = compute_scattering(I1, I2, float(e @ Me), beta, 0.0, length)
     return {"k10_squared": k10sq, "beta": beta, "R": R, "T": T, "dofs": glue.ndof, "free_dofs": int(free.size)}
