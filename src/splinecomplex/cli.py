@@ -78,11 +78,11 @@ def cmd_check_complex(args):
 
 
 def cmd_tmesh_check(args):
-    degrees = tuple(int(d) for d in args.degrees.split(","))
-    if len(degrees) != 2:
+    degrees = args.degrees.split(",")
+    if len(degrees) != 2 or not all(d.isdigit() for d in degrees):
         raise ValueError(f"--degrees needs two comma-separated degrees p1,p2, got {args.degrees!r}")
     raw = tmesh_from_dict(load_json(args.mesh))
-    mesh = validate_tmesh(raw, degrees)
+    mesh = validate_tmesh(raw, tuple(map(int, degrees)))
     census = mesh.census()
     exts = mesh.compute_extensions()
     as_ok, pair = mesh.is_analysis_suitable()

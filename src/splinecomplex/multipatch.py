@@ -166,8 +166,10 @@ class Glue:
 
     def global_matrix(self, locals_):
         """Glued sum of the patch matrices, S_k^T A_k S_k summed in patch
-        order, as CSR."""
-        return sum(S.T @ A @ S for S, A in zip(self.scatters, locals_)).tocsr()
+        order, as CSR with sorted indices."""
+        A = sum(S.T.tocsr() @ A @ S for S, A in zip(self.scatters, locals_))
+        A.sort_indices()
+        return A
 
     def global_vector(self, locals_):
         v = np.zeros(self.ndof, dtype=np.result_type(*[l.dtype for l in locals_]))

@@ -12,19 +12,27 @@ the (n-m)-dim pencil on a complement of range(G), whose eigenvalues are the
 nonzero ones, and puts m exact zeros in front (Arbenz and Geus, Appl.
 Numer. Math. 54, 2005).  The zero count is m, never a threshold: a float
 zero beyond the kernel (a deflated eigenvalue below ``ZERO_REL_TOL`` of the
-largest), a kernel that K does not annihilate, that is rank deficient, or
-that leaves an indefinite deflated mass matrix raises :class:`NumericalError`.
+largest), a kernel that K does not annihilate, or one that leaves an
+indefinite deflated mass matrix raises :class:`NumericalError`.
+
+G must be an incidence kernel, as every gradient the library deflates is:
+its rows with one nonzero entry (an edge from the column to a ground node)
+or two that sum to exactly 0 (an edge between the two columns) must span
+a tree.  Their breadth-first tree from the ground, the lowest of parallel
+rows kept, gives m pivot rows on which G is triangular with a nonzero
+diagonal, so independence is exact (the tree-cotree gauge, Albanese and
+Rubinacci, IEE Proc. A 135, 1988).  Any other kernel, a generic dense
+basis or one with dependent columns, raises :class:`NumericalError`.
 
 The solver never writes into K, M or the kernel: every dense array it
 factors or hands to LAPACK is a Fortran-ordered copy it made itself
 (:func:`_dense`), and those copies are overwritten in place.  Without
 eigenvectors the deflation keeps at most about three dense arrays alive at
-once: the LU of G (n x m, in place) is dropped before the Cholesky factor
-L of G^T M G is formed; W = L^-1 (MG)_C^T overwrites its right-hand side,
-L is dropped, one ``syrk`` turns the dense M_CC into the lower triangle of
-S = M_CC - W^T W, and W is dropped before K_CC is densified.  ``eigh``
-reads the lower triangles of K_CC and S and overwrites both, so no
-symmetrized copy is made.
+once: the Cholesky factor L of G^T M G overwrites its copy; W = L^-1
+(MG)_C^T overwrites its right-hand side, L is dropped, one ``syrk`` turns
+the dense M_CC into the lower triangle of S = M_CC - W^T W, and W is
+dropped before K_CC is densified.  ``eigh`` reads the lower triangles of
+K_CC and S and overwrites both, so no symmetrized copy is made.
 
 :func:`solve_source` is one sparse LU factorization (``splu``) with a
 relative-residual guard.
@@ -32,13 +40,13 @@ relative-residual guard.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_tree
 
 __all__ = [
     "NumericalError",
@@ -82,12 +90,14 @@ def solve_generalized_eig(K, M, kernel, count=None, vectors=False) -> EigenResul
     """Smallest eigenpairs of K v = lambda M v, K sym-psd and M SPD.
 
     ``kernel`` is an exact basis G (n x m) of the null space of K, possibly
-    empty (m = 0).  Its m exact zeros are the whole zero block, the dense
-    solve runs only on the (n-m)-dim deflated pencil of :func:`_deflate`,
-    and a deflated value below ``ZERO_REL_TOL`` times the largest raises
-    :class:`NumericalError`.  ``count`` is the number of nonzero eigenvalues
-    kept after the zero block; all of them when None.  With ``vectors`` the
-    zero block holds the kernel columns.  K, M and the kernel are only read.
+    empty (m = 0), whose incidence rows span a tree (module docstring); a
+    kernel without one raises :class:`NumericalError`.  Its m exact zeros
+    are the whole zero block, the dense solve runs only on the (n-m)-dim
+    deflated pencil of :func:`_deflate`, and a deflated value below
+    ``ZERO_REL_TOL`` times the largest raises :class:`NumericalError`.
+    ``count`` is the number of nonzero eigenvalues kept after the zero
+    block; all of them when None.  With ``vectors`` the zero block holds the
+    kernel columns.  K, M and the kernel are only read.
     """
     m = kernel.shape[1]
     Kd, Md, lift = _deflate(K, M, kernel, vectors) if m else (_dense(K), _dense(M), None)
@@ -124,8 +134,8 @@ def _fro(A):
 def _deflate(K, M, G, vectors):
     """The pencil (K_CC, S) on a complement of range(G), with K G = 0.
 
-    T are the m pivot rows of a partially pivoted LU of G, C the others.
-    In the basis [E_C, G] the matrix K is block diagonal (K_CC, 0); the
+    C are the rows of G off the spanning tree of :func:`_cotree`.  In the
+    basis [E_C, G] the matrix K is block diagonal (K_CC, 0); the
     Schur complement S = M_CC - M_CR (G^T M G)^-1 M_RC of the G block of M
     (M_CR = E_C^T M G) makes the nonzero eigenvalues of (K_CC, S) exactly
     those of (K, M).  S = M_CC - W^T W with W = L^-1 (MG)_C^T and L L^T =
@@ -133,28 +143,16 @@ def _deflate(K, M, G, vectors):
     dense Fortran arrays the caller may overwrite; with ``vectors``, lift
     maps deflated eigenvectors x to the full v = E_C x - G (G^T M G)^-1
     G^T M E_C x, else it is None and L and W are freed before K_CC is
-    densified.  Raises NumericalError when G is not a kernel of K, is rank
-    deficient or has an indefinite G^T M G.
+    densified.  Raises NumericalError when G is not a kernel of K, has no
+    spanning tree or has an indefinite G^T M G.
     """
-    n, m = G.shape
     kg = _fro(K @ G)
     if kg > KERNEL_REL_TOL * _fro(K) * _fro(G):
         raise NumericalError(f"the kernel is not annihilated: |KG| = {kg:.2e}")
-    with warnings.catch_warnings():  # a singular U is reported by the check below
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(_dense(G), overwrite_a=True)
-    # max |U| column by column: contiguous in Fortran order, no triangle copy
-    umax = max(float(np.abs(lu[: j + 1, j]).max()) for j in range(m))
-    if not np.abs(np.diagonal(lu)).min() > max(n, m) * np.finfo(float).eps * umax:
-        raise NumericalError("the kernel columns are linearly dependent")
-    del lu
-    perm = np.arange(n)
-    for i, p in enumerate(piv):
-        perm[[i, p]] = perm[[p, i]]
-    C = np.sort(perm[m:])
+    C = _cotree(G)
     MG = sp.csr_matrix(M @ G)
-    try:
-        L = np.linalg.cholesky(_dense(G.T @ MG))
+    try:  # in place on the solver's own copy
+        L = sla.cholesky(_dense(G.T @ MG), lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("G^T M G is not positive definite") from exc
     W = sla.solve_triangular(L, _dense(MG[C].T), lower=True, overwrite_b=True)
@@ -167,6 +165,25 @@ def _deflate(K, M, G, vectors):
         S = sla.blas.dsyrk(-1.0, W, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
     del W
     return _dense(K[sub]), S, lift
+
+
+def _cotree(G):
+    """The rows of G off the breadth-first tree of its incidence rows (module
+    docstring), ascending; NumericalError if the tree misses a column."""
+    n, m = G.shape
+    A = sp.csr_matrix(G).sorted_indices()  # a copy: a < b on a two-entry row
+    A.eliminate_zeros()
+    count = np.diff(A.indptr)
+    rows = np.flatnonzero((count == 1) | (count == 2))
+    first, two = A.indptr[rows], count[rows] == 2
+    a, b = A.indices[first], np.where(two, A.indices[first + two], m)
+    keep = np.flatnonzero(~two | (A.data[first] + A.data[first + two] == 0))
+    keep = keep[np.unique(a[keep] * (m + 1) + b[keep], return_index=True)[1]]  # the lowest of parallel rows
+    tree = breadth_first_tree(sp.csr_matrix((rows[keep] + 1.0, (a[keep], b[keep])), shape=(m + 1, m + 1)), m, directed=False)
+    if tree.nnz < m:
+        missing = np.setdiff1d(np.arange(m), tree.indices)[0]
+        raise NumericalError(f"the kernel columns are linearly dependent or not an incidence kernel: no tree of its incidence rows reaches column {missing}")
+    return np.setdiff1d(np.arange(n), tree.data.astype(int) - 1)
 
 
 def _lift(G, C, L, W):
@@ -202,7 +219,8 @@ def solve_source(A, b):
 
 def solve_port_mode(K, M, kernel):
     """Smallest nonzero eigenvalue and its mass-normalized eigenvector;
-    ``kernel`` is deflated as in :func:`solve_generalized_eig`.
+    ``kernel`` is deflated as in :func:`solve_generalized_eig`, so its
+    incidence rows must span a tree.
 
     The eigenvector sign is fixed so its largest-magnitude coefficient
     (the lowest-indexed one on a tie) is positive; unlike the first nonzero

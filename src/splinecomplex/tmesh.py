@@ -632,6 +632,8 @@ def validate_tmesh(raw: RawTMesh, degrees) -> TMesh2D:
     """Validate the raw tiling and render it for the given degrees; every
     anchor must have a locator, so no anchor midpoint lies on a repeated
     line."""
+    if min(degrees) < 1:
+        raise ValueError("degree must be at least 1")
     mesh = TMesh2D.from_raw(raw, degrees)
     mesh.anchor_locators
     return mesh

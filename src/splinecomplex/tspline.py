@@ -69,8 +69,6 @@ def derive_complex_meshes(raw: RawTMesh, p: int) -> ComplexMeshes:
     analysis-suitable input with interior multiplicities at most p (all
     checked); equal degree in both directions is assumed throughout.
     """
-    if p < 1:
-        raise ValueError("degree must be at least 1")
     for (axis, k), m in sorted(raw.multiplicities.items()):
         if m > p:
             value = (raw.breakpoints_x if axis == "x" else raw.breakpoints_y)[k]

@@ -74,6 +74,19 @@ def test_tmesh_check_needs_two_degrees(tmp_path, capsys, degrees):
     assert not (tmp_path / "tmesh_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "degrees, message",
+    [("3,x", "--degrees needs two comma-separated degrees p1,p2, got '3,x'"), ("0,3", "degree must be at least 1")],
+    ids=["not-an-integer", "degree-0"],
+)
+def test_tmesh_check_needs_integer_degrees_of_at_least_1(tmp_path, capsys, degrees, message):
+    # the same validation errors as ``tmesh complex``, not int()'s message
+    code = run_cli(["tmesh", "check", "--mesh", str(FIXTURES / "square_tmesh_l0.json"), "--degrees", degrees], tmp_path)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "tmesh_report.json").exists()
+
+
 def test_solve_eig_square(tmp_path):
     code = run_cli(["solve-eig", "--problem", str(FIXTURES / "square_p3.json")], tmp_path)
     assert code == 0
@@ -391,11 +404,31 @@ def test_lsection_float_zero_exits_3(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
-    def not_spd(a):
+    import scipy.linalg
+
+    def not_spd(*args, **kwargs):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "cholesky", not_spd)
+    monkeypatch.setattr(scipy.linalg, "cholesky", not_spd)
     assert run_cli(["solve-eig", "--problem", str(FIXTURES / "square_p3.json")], tmp_path) == 3
+
+
+def test_a_kernel_without_a_spanning_tree_exits_3(tmp_path, capsys, monkeypatch):
+    # the square's gradient kernel mixed by a dense rotation: the same
+    # kernel, but a generic basis with no incidence rows, which the
+    # deflation refuses as a numerical failure
+    from splinecomplex import problems
+
+    solve = problems.solve_generalized_eig
+
+    def rotated(K, M, kernel, *args, **kwargs):
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((kernel.shape[1],) * 2))[0]
+        return solve(K, M, kernel @ Q, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "solve_generalized_eig", rotated)
+    assert run_cli(["solve-eig", "--problem", str(FIXTURES / "square_p3.json")], tmp_path) == 3
+    assert "numerical failure: the kernel columns are linearly dependent" in capsys.readouterr().err
+    assert not (tmp_path / "eigenvalues.json").exists()
 
 
 def test_convergence_csv(tmp_path):

@@ -71,3 +71,20 @@ def test_no_unreferenced_private_definitions():
         if defined.startswith("_") and not defined.startswith("__") and defined not in used
     )
     assert not dead, dead
+
+
+# calls that hide a warning from pytest's filterwarnings = ["error"]
+_SILENCERS = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings", "errstate", "seterr"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_silences_a_warning(name):
+    # every warning of the package reaches the test suite, where it is an
+    # error; a failure it stands for is reported as an exception instead
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    calls = [
+        (node.lineno, func.attr if isinstance(func, ast.Attribute) else func.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(func := node.func, (ast.Attribute, ast.Name))
+    ]
+    assert not [(line, n) for line, n in calls if n in _SILENCERS]
