@@ -16,7 +16,9 @@ from splinecomplex.geometry import GeometryMap, control_distance
 F = Fraction
 
 kv = KnotVector(2, (F(0), F(1, 2), F(1)), (3, 1, 3))
-print("knot vector:", kv.to_text())
+print("degree:", kv.degree)
+print("breakpoints:", [str(b) for b in kv.breakpoints])
+print("multiplicities:", list(kv.multiplicities))
 print("dimension n =", kv.n)
 print("anchors:", [str(a.position) for a in kv.anchors()])
 print("Greville:", [str(g) for g in kv.greville()])

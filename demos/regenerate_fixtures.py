@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Rebuild the benchmark input files under fixtures/.
 
-Every mesh, geometry and problem file consumed by the CLI and the test
-suite is produced here from the builders in splinecomplex.benchmarks, so
-the shipped fixtures stay reproducible.
+Every T-mesh and problem file consumed by the CLI and the test suite is
+produced here from the builders in splinecomplex.benchmarks, so the
+shipped fixtures stay reproducible.
 """
 
 from pathlib import Path
 
 from splinecomplex import benchmarks as bm
-from splinecomplex.geometry import extrude
-from splinecomplex.serialization import dump_json, geometry_to_dict, patchset_to_dict, tmesh_to_dict
+from splinecomplex.serialization import dump_json, tmesh_to_dict
 
 OUT = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,11 +31,6 @@ def main():
             tmesh_to_dict(bm.cylinder_section_raw_tmesh(level)),
             OUT / f"cylinder_section_l{level}.json",
         )
-
-    dump_json(geometry_to_dict(bm.square_geometry()), OUT / "square_geometry.json")
-    dump_json(patchset_to_dict(bm.lsection_patches(), bm.LSECTION_INTERFACES), OUT / "lsection_patches.json")
-    slices = [extrude(g) for g in bm.cylinder_sector_patches()]
-    dump_json(patchset_to_dict(slices, bm.CYLINDER_INTERFACES), OUT / "cylinder_patches.json")
 
     dump_json(
         {

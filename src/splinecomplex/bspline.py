@@ -35,8 +35,6 @@ __all__ = [
     "KnotRows",
     "Anchor1D",
     "as_fraction",
-    "eval_local",
-    "eval_local_deriv",
     "scaled_eval",
     "derivative_decomposition",
     "eval_basis",
@@ -52,9 +50,7 @@ def as_fraction(x) -> Fraction:
     """Convert ints, strings like ``"1/4"`` and exact binary floats to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, str, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -186,25 +182,6 @@ class KnotVector:
         """Nonempty spans as (left, right) pairs of Fractions."""
         return list(zip(self.breakpoints, self.breakpoints[1:]))
 
-    def to_text(self) -> str:
-        """Text form ``p; b1/q1:m1 b2/q2:m2 ...``."""
-        parts = " ".join(
-            f"{b.numerator}/{b.denominator}:{m}"
-            for b, m in zip(self.breakpoints, self.multiplicities)
-        )
-        return f"{self.degree}; {parts}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "KnotVector":
-        head, _, tail = text.partition(";")
-        degree = int(head.strip())
-        bp, mult = [], []
-        for tok in tail.split():
-            val, _, m = tok.rpartition(":")
-            bp.append(Fraction(val))
-            mult.append(int(m))
-        return cls(degree, tuple(bp), tuple(mult))
-
 
 def _render_lines(breakpoints, interior_multiplicities, degree):
     """The drawn lines of one direction: the boundary breakpoints repeated
@@ -313,21 +290,6 @@ def _points(x) -> np.ndarray:
 
 
 # -- single-function and full-basis evaluation ---------------------------------------
-
-
-def eval_local(local_knots: Sequence, degree: int, x) -> np.ndarray:
-    """Evaluate the single B-spline N[local_knots] of the given degree.
-
-    ``local_knots`` has degree+2 entries.  Spans are half-open, closed on the
-    right where the span ends at 1 so that evaluation at the domain end uses
-    the left limit.
-    """
-    return scaled_eval(local_knots, degree, "B", x)
-
-
-def eval_local_deriv(local_knots: Sequence, degree: int, x) -> np.ndarray:
-    """First derivative of N[local_knots], via the two-term decomposition."""
-    return scaled_eval(local_knots, degree, "B", x, 1)
 
 
 def scaled_eval(local_knots, degree: int, scaling: str, x, deriv: int = 0):

@@ -51,11 +51,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _integers(flag, text, needs, count=None):
+    """The comma list ``text`` given to ``flag`` as non-negative integers.
+    An entry that is not one, or a list of another length than ``count``,
+    raises ValueError naming the flag, what it ``needs`` and the entry."""
+    entries = text.split(",")
+    bad = [e for e in entries if not (e.isascii() and e.isdigit())]
+    if bad or count not in (None, len(entries)):
+        why = f": {bad[0]!r} is not a non-negative integer" if bad else ""
+        raise ValueError(f"{flag} needs {needs}, got {text!r}{why}")
+    return [int(e) for e in entries]
+
+
 def cmd_check_complex(args):
-    degrees = [int(d) for d in args.degrees.split(",")]
-    sizes = [int(n) for n in args.n.split(",")]
-    if len(degrees) != len(sizes):
-        raise ValueError("--degrees and --n must have equal length")
+    degrees = _integers("--degrees", args.degrees, "comma-separated degrees")
+    sizes = _integers("--n", args.n, "comma-separated dimensions, one per degree", len(degrees))
     for d, (p, n) in enumerate(zip(degrees, sizes), 1):
         if n < p + 1:
             raise ValueError(f"--n gives {n} functions in direction {d}, fewer than degree + 1 = {p + 1}")
@@ -78,11 +88,9 @@ def cmd_check_complex(args):
 
 
 def cmd_tmesh_check(args):
-    degrees = args.degrees.split(",")
-    if len(degrees) != 2 or not all(d.isdigit() for d in degrees):
-        raise ValueError(f"--degrees needs two comma-separated degrees p1,p2, got {args.degrees!r}")
+    degrees = _integers("--degrees", args.degrees, "two comma-separated degrees p1,p2", 2)
     raw = tmesh_from_dict(load_json(args.mesh))
-    mesh = validate_tmesh(raw, tuple(map(int, degrees)))
+    mesh = validate_tmesh(raw, tuple(degrees))
     census = mesh.census()
     exts = mesh.compute_extensions()
     as_ok, pair = mesh.is_analysis_suitable()

@@ -392,7 +392,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
     rhs[: free1.size] = 2j * beta * Me
     x = solve_source(((K - k * k * M).astype(complex) + 1j * beta * port).tocsc(), rhs)
     I1, I2 = complex(x[: free1.size] @ Me), complex(x[nh - free1.size : nh] @ Me)
-    R, T = compute_scattering(I1, I2, float(e @ Me), beta, 0.0, length)
+    R, T = compute_scattering(I1, I2, float(e @ Me), beta, length)
     return {
         "k10_squared": k10sq,
         "beta": beta,

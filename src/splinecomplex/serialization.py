@@ -1,8 +1,8 @@
-"""JSON formats for meshes, geometries, patch sets and problem files.
+"""JSON formats for T-mesh files and problem files, the two that commands read.
 
-Rationals serialize as strings like ``"1/4"``; knot vectors use the text
-form ``p; b/q:m ...``.  Problem files are schema-validated before any
-computation, and a key that the file's command does not read is rejected.
+T-mesh breakpoints serialize as exact rationals, strings like ``"1/4"``.
+Problem files are schema-validated before any computation, and in either
+format a key that its reader does not read is rejected.
 """
 
 from __future__ import annotations
@@ -11,21 +11,12 @@ import json
 from fractions import Fraction
 
 import jsonschema
-import numpy as np
 
-from .bspline import KnotVector
-from .geometry import GeometryMap
-from .multipatch import Interface
 from .tmesh import RawTMesh, TMeshError
 
 __all__ = [
-    "rational_to_str",
     "tmesh_to_dict",
     "tmesh_from_dict",
-    "geometry_to_dict",
-    "geometry_from_dict",
-    "patchset_to_dict",
-    "patchset_from_dict",
     "validate_problem",
     "load_json",
     "dump_json",
@@ -34,12 +25,8 @@ __all__ = [
 ]
 
 
-def rational_to_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _rat_list(vals):
-    return [rational_to_str(v) for v in vals]
+    return [f"{v.numerator}/{v.denominator}" for v in vals]
 
 
 def load_json(path):
@@ -116,58 +103,6 @@ def tmesh_from_dict(d: dict) -> RawTMesh:
         _json_list(d["faces"], "faces", lambda f: tuple(f) if isinstance(f, list) else f),
         mult,
     )
-
-
-# -- geometry -------------------------------------------------------------------
-
-
-def geometry_to_dict(geo: GeometryMap) -> dict:
-    out = {
-        "degrees": [kv.degree for kv in geo.kvs],
-        "knot_vectors": [kv.to_text() for kv in geo.kvs],
-        "control_points": np.asarray(geo.control_points).tolist(),
-    }
-    if geo.weights is not None:
-        out["weights"] = np.asarray(geo.weights).tolist()
-    return out
-
-
-def geometry_from_dict(d: dict) -> GeometryMap:
-    kvs = tuple(KnotVector.from_text(t) for t in d["knot_vectors"])
-    return GeometryMap(kvs, np.asarray(d["control_points"], dtype=float), d.get("weights"))
-
-
-# -- patch sets -------------------------------------------------------------------
-
-
-def patchset_to_dict(geoms, interfaces) -> dict:
-    return {
-        "patches": [geometry_to_dict(g) for g in geoms],
-        "interfaces": [
-            {
-                "a": [itf.a[0], list(itf.a[1])],
-                "b": [itf.b[0], list(itf.b[1])],
-                **({"perm": list(itf.perm)} if itf.perm else {}),
-                **({"flip": list(itf.flip)} if itf.flip else {}),
-            }
-            for itf in interfaces
-        ],
-    }
-
-
-def patchset_from_dict(d: dict):
-    geoms = [geometry_from_dict(g) for g in d["patches"]]
-    interfaces = []
-    for e in d.get("interfaces", []):
-        interfaces.append(
-            Interface(
-                (e["a"][0], tuple(e["a"][1])),
-                (e["b"][0], tuple(e["b"][1])),
-                tuple(e["perm"]) if "perm" in e else None,
-                tuple(e["flip"]) if "flip" in e else None,
-            )
-        )
-    return geoms, interfaces
 
 
 # -- problem files -----------------------------------------------------------------

@@ -238,17 +238,17 @@ def solve_port_mode(K, M, kernel):
     return k2, v
 
 
-def compute_scattering(I1, I2, norm, beta, z1, z2):
+def compute_scattering(I1, I2, norm, beta, length):
     """Reflection and transmission coefficients from port overlap integrals.
 
-    ``I1`` and ``I2`` are the overlaps of the solution with the port mode on
-    the input and output ports, ``norm`` the mode's self-overlap.  The
-    reflection coefficient subtracts the incident wave's own overlap; the
-    transmitted wave is phase-referenced at the output port.
+    ``I1`` and ``I2`` are the solution's overlaps with the port mode on the
+    ports at z = 0 and z = ``length``, ``norm`` the mode's self-overlap.
+    R = I1/norm - 1 subtracts the incident wave's own overlap; T = e^{i beta
+    length} I2/norm is the transmitted wave phase-referenced at z = length.
     """
     if norm == 0:
         raise ValueError("zero port-mode normalization")
-    R = np.exp(-1j * beta * z1) * I1 / norm - np.exp(-2j * beta * z1)
-    T = np.exp(1j * beta * z2) * I2 / norm
+    R = I1 / norm - 1
+    T = np.exp(1j * beta * length) * I2 / norm
     return R, T
 

@@ -214,7 +214,7 @@ def test_criterion_6_tspline_complex_suite():
 
 
 def test_criterion_7_numerical_checks():
-    from splinecomplex.bspline import derivative_decomposition, eval_local, insert_knot, eval_basis
+    from splinecomplex.bspline import derivative_decomposition, scaled_eval, insert_knot, eval_basis
     from splinecomplex.geometry import GeometryMap, control_distance, pullback
 
     # derivative decomposition vs central differences, relative 1e-6
@@ -228,8 +228,8 @@ def test_criterion_7_numerical_checks():
         vals = np.zeros(pts.size)
         for lkv, coeff in derivative_decomposition(local, kv.degree):
             if lkv is not None:
-                vals += float(coeff) * eval_local(lkv, kv.degree - 1, pts)
-        fd = (eval_local(local, kv.degree, pts + h) - eval_local(local, kv.degree, pts - h)) / (2 * h)
+                vals += float(coeff) * scaled_eval(lkv, kv.degree - 1, "B", pts)
+        fd = (scaled_eval(local, kv.degree, "B", pts + h) - scaled_eval(local, kv.degree, "B", pts - h)) / (2 * h)
         scale = max(np.abs(fd).max(), 1.0)
         npt.assert_allclose(vals, fd, atol=1e-6 * scale)
 

@@ -16,7 +16,7 @@ from splinecomplex.assembly import (
     gauss_points_1d,
 )
 from splinecomplex.benchmarks import cylinder_sector_patches, square_raw_tmesh
-from splinecomplex.bspline import KnotVector, eval_local, eval_local_deriv
+from splinecomplex.bspline import KnotVector, scaled_eval
 from splinecomplex.complexes import build_complex
 from splinecomplex.geometry import extrude, linear_patch, pullback_weight
 from splinecomplex.tmesh import TMesh2D, TsplineSpace, tensor_raw_tmesh
@@ -117,7 +117,7 @@ def test_gradgrad_1d_matches_symbolic_oracle():
     for a, b in kv.spans():
         pts, w = gauss_points_1d(float(a), float(b), kv.degree + 1)
         dv = np.stack(
-            [eval_local_deriv(ks[i : i + kv.degree + 2], kv.degree, pts) for i in range(n)],
+            [scaled_eval(ks[i : i + kv.degree + 2], kv.degree, "B", pts, 1) for i in range(n)],
             axis=1,
         )
         K += dv.T @ (dv * w[:, None])

@@ -15,8 +15,6 @@ from splinecomplex.bspline import (
     derivative_decomposition,
     eval_basis,
     eval_basis_deriv,
-    eval_local,
-    eval_local_deriv,
     grad_matrix_1d,
     insert_knot,
     scaled_eval,
@@ -282,11 +280,11 @@ def test_derivative_vs_finite_differences():
             vals = np.zeros(pts.size)
             for lkv, coeff in dec:
                 if lkv is not None:
-                    vals += float(coeff) * eval_local(lkv, kv.degree - 1, pts)
-            fd = (eval_local(local, kv.degree, pts + h) - eval_local(local, kv.degree, pts - h)) / (2 * h)
+                    vals += float(coeff) * scaled_eval(lkv, kv.degree - 1, "B", pts)
+            fd = (scaled_eval(local, kv.degree, "B", pts + h) - scaled_eval(local, kv.degree, "B", pts - h)) / (2 * h)
             scale = np.maximum(np.abs(fd), 1.0)
             npt.assert_allclose(vals, fd, atol=2e-6 * scale.max())
-            direct = eval_local_deriv(local, kv.degree, pts)
+            direct = scaled_eval(local, kv.degree, "B", pts, 1)
             npt.assert_allclose(vals, direct, atol=1e-12)
 
 
@@ -334,19 +332,13 @@ def test_grad_matrix_matches_decomposition():
         # target basis with Curry-Schoenberg scaling
         dvals = np.column_stack(
             [
-                p / float(dks[i + p + 1 - 1] - dks[i]) * eval_local(dks[i : i + p + 1], p - 1, xs)
+                p / float(dks[i + p + 1 - 1] - dks[i]) * scaled_eval(dks[i : i + p + 1], p - 1, "B", xs)
                 for i in range(dkv.n)
             ]
         )
         lhs = eval_basis_deriv(kv, xs) @ c
         rhs = dvals @ (G @ c)
         npt.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.abs(lhs).max()))
-
-
-def test_text_round_trip():
-    text = KV_HALF.to_text()
-    assert text == "2; 0/1:3 1/2:1 1/1:3"
-    assert KnotVector.from_text(text) == KV_HALF
 
 
 # -- batched kernel: property test against the per-function path and the exact oracle --
@@ -417,8 +409,8 @@ def test_batched_kernel_matches_per_function_and_exact(case):
     for i in range(kv.n):
         local = ks[i : i + q + 2]
         # batching changes no bit: same operations as the scalar recursion
-        assert np.array_equal(vals[:, i], eval_local(local, q, x))
-        assert np.array_equal(ders[:, i], eval_local_deriv(local, q, x))
+        assert np.array_equal(vals[:, i], scaled_eval(local, q, "B", x))
+        assert np.array_equal(ders[:, i], scaled_eval(local, q, "B", x, 1))
         assert np.array_equal(vals[:, i], _scalar_recursion(local, q, x))
         assert np.array_equal(ders[:, i], _scalar_deriv(local, q, x))
         # the float recursion is the exact one on the float-rounded knots

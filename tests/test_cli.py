@@ -19,11 +19,7 @@ from splinecomplex.serialization import (
     PROBLEM_KEYS,
     PROBLEM_SCHEMA,
     dump_json,
-    geometry_from_dict,
-    geometry_to_dict,
     load_json,
-    patchset_from_dict,
-    patchset_to_dict,
     tmesh_from_dict,
     tmesh_to_dict,
     validate_problem,
@@ -48,6 +44,21 @@ def test_check_complex_rejects_fewer_functions_than_degree_plus_one(tmp_path, ca
     # the requested dimension is not silently raised to p + 1
     assert run_cli(["check-complex", "--degrees", "3,2", "--n", "2,6"], tmp_path) == 2
     assert "direction 1" in capsys.readouterr().err
+    assert not (tmp_path / "complex_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "degrees, n, message",
+    [
+        ("3,x", "5,5", "--degrees needs comma-separated degrees, got '3,x': 'x' is not a non-negative integer"),
+        ("3,3", "3,x", "--n needs comma-separated dimensions, one per degree, got '3,x': 'x' is not a non-negative integer"),
+        ("3,3", "5", "--n needs comma-separated dimensions, one per degree, got '5'"),
+    ],
+    ids=["degrees-not-an-integer", "n-not-an-integer", "n-one-per-degree"],
+)
+def test_check_complex_names_the_flag_and_its_bad_entry(tmp_path, capsys, degrees, n, message):
+    assert run_cli(["check-complex", "--degrees", degrees, "--n", n], tmp_path) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "complex_report.json").exists()
 
 
@@ -76,8 +87,12 @@ def test_tmesh_check_needs_two_degrees(tmp_path, capsys, degrees):
 
 @pytest.mark.parametrize(
     "degrees, message",
-    [("3,x", "--degrees needs two comma-separated degrees p1,p2, got '3,x'"), ("0,3", "degree must be at least 1")],
-    ids=["not-an-integer", "degree-0"],
+    [
+        ("3,x", "--degrees needs two comma-separated degrees p1,p2, got '3,x'"),
+        ("²,3", "--degrees needs two comma-separated degrees p1,p2, got '²,3'"),
+        ("0,3", "degree must be at least 1"),
+    ],
+    ids=["not-an-integer", "superscript-digit", "degree-0"],
 )
 def test_tmesh_check_needs_integer_degrees_of_at_least_1(tmp_path, capsys, degrees, message):
     # the same validation errors as ``tmesh complex``, not int()'s message
@@ -320,29 +335,21 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_fixture_round_trips():
+    # every fixture is in a format that a command reads: a T-mesh or a problem file
     for f in sorted(FIXTURES.glob("*.json")):
         d = load_json(f)
         if "breakpoints1" in d:
             again = tmesh_to_dict(tmesh_from_dict(d))
             assert tmesh_from_dict(again) == tmesh_from_dict(d), f.name
-        elif "knot_vectors" in d:
-            geo = geometry_from_dict(d)
-            geo2 = geometry_from_dict(geometry_to_dict(geo))
-            assert geo2.kvs == geo.kvs
-            np.testing.assert_array_equal(geo2.control_points, geo.control_points)
-        elif "patches" in d:
-            geoms, itfs = patchset_from_dict(d)
-            d2 = patchset_to_dict(geoms, itfs)
-            geoms2, itfs2 = patchset_from_dict(d2)
-            assert itfs2 == itfs
-            assert len(geoms2) == len(geoms)
         elif "kind" in d:
             validate_problem(d)
+        else:
+            pytest.fail(f"{f.name} is neither a T-mesh file nor a problem file")
 
 
 def test_regenerate_fixtures_rebuilds_every_shipped_file(tmp_path, monkeypatch):
     # the script run into an empty directory writes exactly fixtures/, byte
-    # for byte: the builders, the interfaces and the extruded slices agree
+    # for byte: the mesh builders and the problem files agree
     import importlib.util
 
     path = FIXTURES.parent / "demos" / "regenerate_fixtures.py"
@@ -475,6 +482,14 @@ def test_readme_file_formats_list_each_commands_keys():
         command, *keys = re.findall(r"`([\w-]+)`", re.sub(r"\([^)]*\)", "", item))
         listed[command] = set(keys)
     assert listed == {kind: set(keys) for kind, keys in PROBLEM_KEYS.items()}
+
+
+def test_readme_file_formats_are_the_formats_commands_read():
+    """The README's file formats are the two that a command reads, T-mesh
+    JSON (``--mesh``) and Problem JSON (``--problem``), and the Results it
+    writes, so a format that no command reads cannot come back to the docs."""
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\* ([^:]+):", section, re.M) == ["T-mesh JSON", "Problem JSON", "Results"]
 
 
 def test_readme_command_line_matches_parser():

@@ -376,12 +376,12 @@ def test_eval_field_single_basis():
     cx = build_complex([KnotVector.uniform(2, 2), KnotVector.uniform(2, 3)])
     X0 = cx.spaces[0]
     pts = np.random.default_rng(5).uniform(0, 1, size=(30, 2))
-    from splinecomplex.bspline import eval_local
+    from splinecomplex.bspline import scaled_eval
 
     for i, a in enumerate(X0.anchor_tuples()):
         c = np.zeros(X0.dim)
         c[i] = 1.0
-        manual = eval_local(a[0].local, 2, pts[:, 0]) * eval_local(a[1].local, 2, pts[:, 1])
+        manual = scaled_eval(a[0].local, 2, "B", pts[:, 0]) * scaled_eval(a[1].local, 2, "B", pts[:, 1])
         npt.assert_allclose(X0.eval(c, pts), manual, atol=1e-14)
 
 

@@ -121,22 +121,21 @@ def test_port_mode_rectangle():
 
 
 def test_scattering_formula_zero_field():
-    beta = 0.7
-    z1, z2 = 0.25, 1.5
-    R, T = compute_scattering(0.0, 0.0, 1.0, beta, z1, z2)
-    npt.assert_allclose(R, -np.exp(-2j * beta * z1))
+    beta, length = 0.7, 1.5
+    R, T = compute_scattering(0.0, 0.0, 1.0, beta, length)
+    npt.assert_allclose(R, -1.0)
     npt.assert_allclose(T, 0.0)
     with pytest.raises(ValueError):
-        compute_scattering(1.0, 1.0, 0.0, beta, z1, z2)
+        compute_scattering(1.0, 1.0, 0.0, beta, length)
 
 
 def test_scattering_pure_travelling_wave():
-    # I1 = e^{-i beta z1} * norm, I2 = e^{-i beta z2} * norm: R = 0, T = 1
-    beta, z1, z2 = 0.9, 0.0, 1.0
+    # I1 = norm at z = 0, I2 = e^{-i beta length} * norm: R = 0, T = 1
+    beta, length = 0.9, 1.0
     norm = 2.3
-    I1 = np.exp(-1j * beta * z1) * norm
-    I2 = np.exp(-1j * beta * z2) * norm
-    R, T = compute_scattering(I1, I2, norm, beta, z1, z2)
+    I1 = norm
+    I2 = np.exp(-1j * beta * length) * norm
+    R, T = compute_scattering(I1, I2, norm, beta, length)
     npt.assert_allclose(R, 0.0, atol=1e-15)
     npt.assert_allclose(T, 1.0, atol=1e-15)
 
@@ -615,7 +614,7 @@ def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
     x = np.zeros(glue.ndof, dtype=complex)
     x[free] = solve_source(A[np.ix_(free, free)].tocsc(), (2j * beta * (glue.scatters[0].T @ load))[free])
     I1, I2 = (complex((S @ x)[t] @ Me) for S, t in zip(glue.scatters, tmaps))
-    R, T = compute_scattering(I1, I2, float(e @ Me), beta, 0.0, length)
+    R, T = compute_scattering(I1, I2, float(e @ Me), beta, length)
     return {"k10_squared": k10sq, "beta": beta, "R": R, "T": T, "dofs": glue.ndof, "free_dofs": int(free.size)}
 
 
