@@ -2,9 +2,11 @@
 
 Integration covers the positive-area faces of the extended mesh with
 tensor Gauss rules of order degree+1 per direction; zero-measure elements
-are skipped.  Every element is one batch: the dof rows (nel, ndof) are
-padded with -1 where elements have fewer active functions, and the padding
-has zero tables and is never scattered.
+are skipped.  A Vector2D is built from its T-spline complex, whose spaces
+all extend to one mesh (``ComplexMeshes.extended_meshes_agree``), and
+integrates on its first component's elements.  Every element is one
+batch: the dof rows (nel, ndof) are padded with -1 where elements have
+fewer active functions; the padding has zero tables and is never scattered.
 
 Every matrix is one element kernel, sum_q T_q W_q T_q^T, and its kind picks
 both factors:
@@ -110,20 +112,22 @@ class Scalar2D:
 
 @dataclass
 class Vector2D:
-    """Rot-conforming vector 2D space: components (D x B, B x D), the Y1 of
-    the T-spline complex ``tcx`` it is built from."""
+    """Rot-conforming vector 2D space: the Y1 of the T-spline complex
+    ``tcx``, components c1 = D x B and c2 = B x D."""
 
-    c1: TsplineSpace
-    c2: TsplineSpace
     tcx: TsplineComplex
+
+    @property
+    def c1(self) -> TsplineSpace:
+        return self.tcx.Y1[0]
+
+    @property
+    def c2(self) -> TsplineSpace:
+        return self.tcx.Y1[1]
 
     @property
     def dim(self):
         return self.c1.dim + self.c2.dim
-
-    @classmethod
-    def from_complex(cls, tcx: TsplineComplex) -> "Vector2D":
-        return cls(tcx.Y1[0], tcx.Y1[1], tcx)
 
     def gradient(self):
         """The exact gradient: the scalar space Y0 and grad: Y0 -> Y1, whose
@@ -131,18 +135,10 @@ class Vector2D:
         return Scalar2D(self.tcx.Y0), self.tcx.operators["grad"]
 
     def elements(self):
-        return _shared_elements(self.c1, self.c2)
+        return self.c1.elements
 
     def blocks(self):
         return ((0, self.c1, None, None, 0), (self.c1.dim, self.c2, None, None, 1))
-
-
-def _shared_elements(*spaces):
-    """The integration elements common to spaces assembled in one loop."""
-    boxes = spaces[0].elements
-    if any(not np.array_equal(s.elements, boxes) for s in spaces[1:]):
-        raise ValueError("component spaces have different extended meshes")
-    return boxes
 
 
 # Per space type: its form degree and the kind built on its derivative table.

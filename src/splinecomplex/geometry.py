@@ -107,8 +107,9 @@ class GeometryMap:
     def eval_jacobian_dets(self, points):
         """(X, J, detJ) from one tabulation.  Singular: |det J| at most
         ``_SINGULAR_TOL`` times the product of J's column norms, at any scale.
-        The last result is kept, read-only: every kind of a patch and rule
-        evaluates the same points, and so do its load and error."""
+        The last result is kept, read-only: the kinds of a patch on one rule,
+        vector and scalar alike, share it; the cylinder's load and error,
+        on the p+2 rule against assembly's p+1, never hit it."""
         if self.nphys != self.ndim:
             raise ValueError("determinants need a square Jacobian")
         pts = np.atleast_2d(np.asarray(points, dtype=float))

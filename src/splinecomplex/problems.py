@@ -40,7 +40,6 @@ from .assembly import (
     Scalar2D,
     Vector2D,
     _rules_2d,
-    _shared_elements,
     _shared_patterns,
     _space_tables,
     _span_rule,
@@ -143,7 +142,7 @@ def square_eigenproblem(level: int = 0, degree: int = 3, count: int = None) -> E
     tangential boundary conditions are eliminated.
     """
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), degree))
-    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    ps = PatchSet([square_geometry()], [Vector2D(tcx)])
     (C, M1, G), _, (free1, _) = _section_matrices(ps, {0: ALL_FACES_2D}, ())
     return EigenRun(ps.spaces[0].dim, free1.size, solve_generalized_eig(C, M1, G, count))
 
@@ -179,7 +178,7 @@ def thick_l_eigenproblem(level: int = 0, degree: int = 4, nz: int = None, count:
     nz = nz or max(2, 2 ** (1 + level))
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(level, degree), degree))
-    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, LSECTION_INTERFACES)
+    ps = PatchSet(lsection_patches(), [Vector2D(tcx)] * 3, LSECTION_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), _ = _section_matrices(ps, _L_WALLS)
     mu = _vertical_modes(kv_z, "pec")[0]
     lam = solve_generalized_eig(C, M1, G).nonzero
@@ -286,9 +285,10 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     The vertical mesh refines with the level like the section does.  The
     lids are natural, and the problem is solved one vertical mode at a time
     (:func:`_vertical_modes`) on the three quarter-disk sections: mode 0 is
-    (C + M1) x = f, mode k >= 1 the mode pencil's K + M
-    (:func:`_prism_pencil` with 1 x 1 vertical matrices) on the horizontal
-    and vertical components.  Load and error are integrated section point
+    (C + M1) x = f, mode k >= 1 the K + M of :func:`_prism_pencil` with
+    MB = MD = 1, D = sqrt(mu_k), written out from products shared by all
+    modes (level 1, nz = 2, 2 cores: 8 ms, against 25 ms through
+    :func:`_prism_pencil`).  Load and error are integrated section point
     by section point: a slice (F(x, y), z) has J = blockdiag(J2, 1), det J
     = det J2 and adj J = blockdiag(adj J2, det J2), so only the section map
     is evaluated, on the 2D Gauss points, and the modes Psi = B V, Psi' and
@@ -303,14 +303,14 @@ def cylinder_sector_source(level: int = 0, degree: int = 3, nz: int = None, tens
     kv_z = KnotVector.uniform(degree, nz)
     tcx = build_tspline_complex(derive_complex_meshes(raw, degree))
     sections = cylinder_sector_patches()
-    ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, CYLINDER_INTERFACES)
+    ps = PatchSet(sections, [Vector2D(tcx)] * 3, CYLINDER_INTERFACES)
     (C, M1, M0, G), (glue1, glue0), (free1, free0) = _section_matrices(ps, _CYL_WALLS)
     mu, V, W = _vertical_modes(kv_z, "natural")
     n, order = kv_z.n, degree + 2  # the rule of the load and the error
     # the section's values, rots and scalar values; the z rule and the modes on it
     vec, sca = ps.spaces[0], Scalar2D(tcx.Y0)
     E1, E0, R1 = _point_tables(vec, order, False), _point_tables(sca, order, False), _point_tables(vec, order, True)
-    P2, W2 = (a.reshape(-1, *a.shape[2:]) for a in _rules_2d(_shared_elements(tcx.Y0, *tcx.Y1), order))
+    P2, W2 = (a.reshape(-1, *a.shape[2:]) for a in _rules_2d(vec.elements(), order))
     zq, wz = _span_rule(kv_z, order)
     Psi, dPsi = (scaled_eval(kv_z.local_rows, degree, "B", zq, d) @ V for d in (0, 1))
     chi = scaled_eval(kv_z.derived().local_rows, degree - 1, "D", zq) @ W
@@ -372,7 +372,7 @@ def waveguide_scattering(k: float = 1.2, degree: int = 2, n_section: int = 3, nz
         raise ValueError(f"waveguide length must be positive, got length = {length}")
     b = [i / n_section for i in range(n_section + 1)]
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), degree))
-    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    ps = PatchSet([square_geometry()], [Vector2D(tcx)])
     (C, M1, M0, G), _, (free1, free0) = _section_matrices(ps, {0: ALL_FACES_2D})
     k10sq, e = solve_port_mode(C, M1, G)
     if not k > math.sqrt(k10sq):  # a negative k included

@@ -704,10 +704,9 @@ class TsplineSpace:
         """Float boxes (x1, y1, x2, y2) of the positive-area faces of the
         extended mesh, the integration elements, as an (nel, 4) array."""
         ext = self.mesh.extended()
-        i1, j1, i2, j2 = np.array(ext.faces).reshape(-1, 4).T
-        xs, ys = np.array(ext.xs, dtype=object), np.array(ext.ys, dtype=object)  # exact, for the areas
-        xf, yf = xs.astype(float), ys.astype(float)
-        return np.stack([xf[i1], yf[j1], xf[i2], yf[j2]], axis=1)[(xs[i2] != xs[i1]) & (ys[j2] != ys[j1])]
+        i1, j1, i2, j2 = np.array(ext.positive_faces(), dtype=int).reshape(-1, 4).T
+        xs, ys = np.array(ext.xs, dtype=float), np.array(ext.ys, dtype=float)
+        return np.stack([xs[i1], ys[j1], xs[i2], ys[j2]], axis=1)
 
     @cached_property
     def element_anchors(self) -> tuple:

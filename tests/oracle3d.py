@@ -23,11 +23,11 @@ import numpy as np
 
 from splinecomplex import problems
 from splinecomplex.assembly import (
+    Vector2D,
     _csr,
     _element_matrices,
     _pairs,
     _rules_2d,
-    _shared_elements,
     _shared_patterns,
     _span_rule,
     _weights,
@@ -128,7 +128,7 @@ def _rules_3d(cx3, order):
     """Tensor Gauss rules of all cells (2D element, z-span) of one patch,
     z-span fastest: points (ncell, npts, 3), 2D point index slowest, and
     weights (ncell, npts)."""
-    P2, W2 = _rules_2d(_shared_elements(cx3.tcx.Y0, *cx3.tcx.Y1), order)
+    P2, W2 = _rules_2d(Vector2D(cx3.tcx).elements(), order)
     Z = np.array(cx3.kv_z.spans(), dtype=float)
     pz, wz = gauss_points_1d(Z[:, :1], Z[:, 1:], order)
     P = np.empty((len(P2), len(Z), P2.shape[1], order, 3))

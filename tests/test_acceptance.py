@@ -325,7 +325,7 @@ def test_criterion_10_waveguide():
     n, p = 6, 3
     b = [F(k, n) for k in range(n + 1)]
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), p))
-    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    ps = PatchSet([square_geometry()], [Vector2D(tcx)])
     (K2, M2, _, G), _, _ = _section_matrices(ps, {0: ALL_FACES_2D})
     k2, _ = solve_port_mode(K2, M2, G)
     assert abs(k2 - 1.0) <= 1e-6, k2

@@ -136,7 +136,7 @@ def test_mass_row_sums_partition():
 
 def test_mass_spd():
     tcx = tcx_for(3, 2)
-    v2 = Vector2D.from_complex(tcx)
+    v2 = Vector2D(tcx)
     geom = linear_patch(2.0 * np.eye(2))
     M = assemble_matrix_2d(v2, geom, "mass").toarray()
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
@@ -145,7 +145,7 @@ def test_mass_spd():
 
 def test_symmetry():
     tcx = tcx_for(2, 3)
-    v2 = Vector2D.from_complex(tcx)
+    v2 = Vector2D(tcx)
     geom = linear_patch(np.array([[1.2, 0.1], [0.0, 0.8]]))
     for kind in ("mass", "rotrot"):
         A = assemble_matrix_2d(v2, geom, kind)
@@ -249,7 +249,7 @@ def _lsection_spaces(p, nz=3):
 
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(1, p), p))
     cx3 = Complex3D(tcx, KnotVector.uniform(p, nz))
-    return tcx, (Scalar2D(tcx.Y0), Vector2D.from_complex(tcx), Scalar3D(cx3), cx3)
+    return tcx, (Scalar2D(tcx.Y0), Vector2D(tcx), Scalar3D(cx3), cx3)
 
 
 def _face_traces(space, face):
@@ -485,7 +485,7 @@ def test_2d_matrices_match_per_anchor_oracle():
     geom = quarter_annulus()
     spaces = (
         (Scalar2D(TsplineSpace(tcx.meshes.M0)), 0, "gradgrad"),
-        (Vector2D.from_complex(tcx), 1, "rotrot"),
+        (Vector2D(tcx), 1, "rotrot"),
     )
     for space, j, deriv_kind in spaces:
         M, K = _oracle_matrices(_per_anchor_dofs_2d(space, 3), geom, space.dim, j)
@@ -595,7 +595,7 @@ def test_2d_matrices_match_coo_sum_of_element_kernels():
 
     tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(1), 3))
     geom = quarter_annulus()
-    for space, j in ((Scalar2D(TsplineSpace(tcx.meshes.M0)), 0), (Vector2D.from_complex(tcx), 1)):
+    for space, j in ((Scalar2D(TsplineSpace(tcx.meshes.M0)), 0), (Vector2D(tcx), 1)):
         for kind in ("mass", assembly._FORMS[type(space)][1]):
             deriv = kind != "mass"
             A = assemble_matrix_2d(space, geom, kind)
@@ -753,7 +753,7 @@ def test_pattern_slots_match_a_search_per_element():
     from splinecomplex.benchmarks import cylinder_section_raw_tmesh
 
     tcx = build_tspline_complex(derive_complex_meshes(cylinder_section_raw_tmesh(1), 2))
-    for space in (Vector2D.from_complex(tcx), Complex3D(tcx, KnotVector.uniform(2, 3))):
+    for space in (Vector2D(tcx), Complex3D(tcx, KnotVector.uniform(2, 3))):
         n = space.dim
         if isinstance(space, Vector2D):
             rows = assembly._space_tables(space, 3, False)[0]

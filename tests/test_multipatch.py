@@ -108,7 +108,7 @@ def test_scalar_continuity_across_interface():
 
 def vector_space(n, p):
     tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(n), p))
-    return Vector2D.from_complex(tcx), tcx
+    return Vector2D(tcx), tcx
 
 
 def test_vector_tangential_continuity():
@@ -170,7 +170,7 @@ def test_lsection_global_grad_rank():
         tcx = build_tspline_complex(derive_complex_meshes(raw, p))
         tcxs.append(tcx)
         scalars.append(Scalar2D(TsplineSpace(tcx.meshes.M0)))
-        vectors.append(Vector2D.from_complex(tcx))
+        vectors.append(Vector2D(tcx))
     ps0 = PatchSet(geoms, scalars, LSECTION_INTERFACES)
     ps1 = PatchSet(geoms, vectors, LSECTION_INTERFACES)
     glue0 = build_glue(ps0)
@@ -490,7 +490,7 @@ def test_cycle_of_interfaces_glues_the_centre_once():
         Interface((0, (0, 0)), (3, (1, 0))),
     ]
     assert build_glue(PatchSet(geoms, [Scalar2D(tcx.Y0)] * 4, interfaces)).ndof == 81
-    ps = PatchSet(geoms, [Vector2D.from_complex(tcx)] * 4, interfaces)
+    ps = PatchSet(geoms, [Vector2D(tcx)] * 4, interfaces)
     assert build_glue(ps).ndof == 144
     (C, M1, G), _, _ = _section_matrices(ps, {k: [(0, 1), (1, 1)] for k in range(4)}, ())
     res = solve_generalized_eig(C, M1, G, 6)

@@ -112,7 +112,7 @@ def test_port_mode_rectangle():
     n, p = 6, 3
     b = [F(k, n) for k in range(n + 1)]
     tcx = build_tspline_complex(derive_complex_meshes(tensor_raw_tmesh(b, b), p))
-    ps = PatchSet([linear_patch(np.diag([2.0, 1.0]))], [Vector2D.from_complex(tcx)])
+    ps = PatchSet([linear_patch(np.diag([2.0, 1.0]))], [Vector2D(tcx)])
     (K, M, _, G), _, _ = problems._section_matrices(ps, {0: problems.ALL_FACES_2D})
     k2, e = solve_port_mode(K.toarray(), M.toarray(), G)
     npt.assert_allclose(k2, (np.pi / 2.0) ** 2, rtol=1e-6)
@@ -193,7 +193,7 @@ def _pencil_and_kernel(problem, level=1):
 
     if problem == "square":
         tcx = build_tspline_complex(derive_complex_meshes(square_raw_tmesh(level), 3))
-        ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+        ps = PatchSet([square_geometry()], [Vector2D(tcx)])
         walls, kinds, system = {0: problems.ALL_FACES_2D}, ("rotrot", "mass"), problems._system
     else:
         ps, walls = _thick_l_prisms(2, 2)
@@ -288,7 +288,7 @@ def test_glued_gradients_of_random_meshes_span_a_tree(case):
         tcx = build_tspline_complex(derive_complex_meshes(raw, p))
     except TMeshError:
         assume(False)  # the known failure of a crossed repeated line
-    ps = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    ps = PatchSet([square_geometry()], [Vector2D(tcx)])
     for walls in (problems.ALL_FACES_2D, [(0, 0)]):
         (C, M1, G), _, _ = problems._section_matrices(ps, {0: walls}, ())
         n, m = G.shape
@@ -417,7 +417,7 @@ def test_thick_l_is_two_guarded_section_solves(monkeypatch):
     from splinecomplex.tspline import build_tspline_complex, derive_complex_meshes
 
     tcx = build_tspline_complex(derive_complex_meshes(lsection_raw_tmesh(0, 2), 2))
-    ps = PatchSet(lsection_patches(), [Vector2D.from_complex(tcx)] * 3, LSECTION_INTERFACES)
+    ps = PatchSet(lsection_patches(), [Vector2D(tcx)] * 3, LSECTION_INTERFACES)
     section = problems._section_matrices
     (C, M1, M0, G), _, _ = section(ps, problems._L_WALLS)
     L = (G.T @ M1 @ G).tolil()
@@ -516,7 +516,7 @@ def test_cylinder_dof_counts_t_spline_against_tensor():
             tcx = build_tspline_complex(derive_complex_meshes(mesh, 3))
             glue1, glue0 = (
                 build_glue(PatchSet(cylinder_sector_patches(), [space] * 3, CYLINDER_INTERFACES))
-                for space in (Vector2D.from_complex(tcx), Scalar2D(tcx.Y0))
+                for space in (Vector2D(tcx), Scalar2D(tcx.Y0))
             )
             got.append(glue1.ndof * n + glue0.ndof * (n - 1))
         assert tuple(got) == want, level
@@ -560,7 +560,7 @@ def test_cylinder_modal_load_is_the_3d_load_times_the_modes(monkeypatch, p):
     kv_z = KnotVector.uniform(p, 2)
     cx3 = Complex3D(tcx, kv_z)
     sections = cylinder_sector_patches()
-    ps = PatchSet(sections, [Vector2D.from_complex(tcx)] * 3, CYLINDER_INTERFACES)
+    ps = PatchSet(sections, [Vector2D(tcx)] * 3, CYLINDER_INTERFACES)
     _, (glue1, glue0), (free1, free0) = problems._section_matrices(ps, problems._CYL_WALLS)
     _, V, W = problems._vertical_modes(kv_z, "natural")
     n1, n, h_end = tcx.Y1[0].dim, kv_z.n, cx3.blocks()[2][0]
@@ -597,7 +597,7 @@ def _waveguide_assembled(k=1.2, degree=2, n_section=3, nz=2, length=1.0):
     geoms = [linear_patch(np.diag([np.pi, np.pi, dz]), np.array([0.0, 0.0, i * dz])) for i in range(2)]
     ps = PatchSet(geoms, [cx3] * 2, [Interface((0, (2, 1)), (1, (2, 0)))])
     glue, (K, M), free = system_3d(ps, dict.fromkeys((0, 1), problems.ALL_FACES_2D), ("curlcurl", "mass"))
-    section, walls2 = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)]), {0: problems.ALL_FACES_2D}
+    section, walls2 = PatchSet([square_geometry()], [Vector2D(tcx)]), {0: problems.ALL_FACES_2D}
     _, (K2, M2), free2 = problems._system(section, walls2, ("rotrot", "mass"))
     sub = np.ix_(free2, free2)
     k10sq, e_free = solve_port_mode(K2[sub], M2[sub], kernel=gradient_kernel(section, None, walls2, free2))
@@ -659,7 +659,7 @@ def test_prism_pencil_is_the_assembled_3d_pencil(p):
     cx3 = Complex3D(tcx, kv)
     ps3 = PatchSet([linear_patch(np.diag([np.pi, np.pi, length]))], [cx3])
     _, (K3, M3), free = system_3d(ps3, walls, ("curlcurl", "mass"))
-    section = PatchSet([square_geometry()], [Vector2D.from_complex(tcx)])
+    section = PatchSet([square_geometry()], [Vector2D(tcx)])
     (C, M1, M0, G), _, (free1, free0) = problems._section_matrices(section, walls)
     MB, MD = length * _vertical_mass(kv, "B"), _vertical_mass(kv.derived(), "D") / length
     K, M = problems._prism_pencil(C, M1, M0, G, MB, MD, grad_matrix_1d(kv).toarray())
@@ -671,6 +671,43 @@ def test_prism_pencil_is_the_assembled_3d_pencil(p):
     for A, A3 in ((K, K3), (M, M3)):
         A3 = A3[np.ix_(perm, perm)]
         assert sp_norm(A - A3) <= 1e-13 * sp_norm(A3)
+
+
+def test_cylinder_mode_blocks_are_the_prism_pencil(monkeypatch):
+    """Every mode k >= 1 of the cylinder at level 0 solves the K + M of
+    ``_prism_pencil`` with the 1 x 1 vertical matrices MB = MD = 1 and
+    D = sqrt(mu_k), though the driver writes the block out; mode 0 solves
+    C + M1.  The blocks are read from the driver's own solves."""
+    from scipy.sparse.linalg import norm as sp_norm
+
+    from splinecomplex import problems
+
+    seen = {"solves": []}
+
+    def record(name, f):
+        def wrapped(*args, **kwargs):
+            seen[name] = f(*args, **kwargs)
+            return seen[name]
+
+        monkeypatch.setattr(problems, name, wrapped)
+
+    record("_section_matrices", problems._section_matrices)
+    record("_vertical_modes", problems._vertical_modes)
+
+    def solve(A, b):
+        seen["solves"].append(A)
+        return solve_source(A, b)
+
+    monkeypatch.setattr(problems, "solve_source", solve)
+    problems.cylinder_sector_source(0)
+    (C, M1, M0, G), _, _ = seen["_section_matrices"]
+    mu = seen["_vertical_modes"][0]
+    first, *blocks = seen["solves"]
+    assert len(blocks) == mu.size - 1 and sp_norm(first - (C + M1)) == 0.0
+    one = np.ones((1, 1))
+    for m, A in zip(mu[1:], blocks):
+        K, M = problems._prism_pencil(C, M1, M0, G, one, one, np.sqrt(m) * one)
+        assert sp_norm(A - (K + M)) <= 1e-14 * sp_norm(A)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

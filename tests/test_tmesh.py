@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -689,7 +690,8 @@ def test_padded_tables_on_random_meshes_with_or_without_analysis_suitability(cas
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     _assert_close_to_exact(space.gram_matrix(), want.toarray())
     # two components on the space: every dof pair of an element, the padding of neither
-    got = assemble_matrix_2d(Vector2D(space, space, None), affine_map(1.0, ndim=2), "mass")
+    stand_in = types.SimpleNamespace(Y0=space, Y1=(space, space))  # a complex whose components share one space
+    got = assemble_matrix_2d(Vector2D(stand_in), affine_map(1.0, ndim=2), "mass")
     pairs = sp.bmat([[want, want], [want, want]], format="csr")
     assert np.array_equal(got.indptr, pairs.indptr) and np.array_equal(got.indices, pairs.indices)
     _assert_close_to_exact(got.toarray(), sp.block_diag([want, want]).toarray())

@@ -5,16 +5,19 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
 
-from splinecomplex.benchmarks import square_raw_tmesh, two_t_raw
+from splinecomplex.benchmarks import cylinder_section_raw_tmesh, lsection_raw_tmesh, square_raw_tmesh, two_t_raw
 from splinecomplex.bspline import KnotVector
 from splinecomplex.complexes import build_complex
-from splinecomplex.tmesh import RawTMesh, TMesh2D, tensor_raw_tmesh
+from splinecomplex.tmesh import RawTMesh, TMesh2D, TMeshError, tensor_raw_tmesh
 from splinecomplex.tspline import (
     build_tspline_complex,
     derive_complex_meshes,
     verify_t_exactness,
 )
+
+from test_tmesh import refined_tmeshes
 
 F = Fraction
 
@@ -46,10 +49,44 @@ def test_tensor_meshes_even_p_differ_only_on_boundary():
     assert cm.extended_meshes_agree()
 
 
-def test_square_mesh_family_extended_meshes_agree():
-    for p in (2, 3):
-        cm = derive_complex_meshes(square_raw_tmesh(0), p)
-        assert cm.extended_meshes_agree()
+def _assert_one_extended_mesh(cm, tcx):
+    """The spaces of a complex integrate on one set of elements: the boxes
+    of Y0, both components of Y1 and Y2 are bitwise equal, and the four
+    derived meshes extend to one mesh (what ``Vector2D`` relies on when it
+    integrates on its first component's elements)."""
+    boxes = [s.elements for s in (tcx.Y0, *tcx.Y1, tcx.Y2)]
+    assert all(b.shape == boxes[0].shape and b.tobytes() == boxes[0].tobytes() for b in boxes[1:])
+    assert cm.extended_meshes_agree()
+
+
+@settings(max_examples=40, deadline=None)
+@given(refined_tmeshes())
+def test_complex_spaces_share_one_extended_mesh(case):
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    cm = derive_complex_meshes(raw, p)
+    try:
+        tcx = build_tspline_complex(cm)
+    except TMeshError:
+        assume(False)  # the known failure of a crossed repeated line
+    _assert_one_extended_mesh(cm, tcx)
+
+
+# the levels and degrees the drivers and the benchmark workloads run, per family
+_BENCHMARK_FAMILIES = {
+    "square": (lambda L, p: square_raw_tmesh(L), range(4), range(1, 5)),
+    "lsection": (lsection_raw_tmesh, range(4), range(2, 5)),
+    "cylinder": (lambda L, p: cylinder_section_raw_tmesh(L), range(3), range(2, 4)),
+}
+
+
+@pytest.mark.parametrize("family", _BENCHMARK_FAMILIES)
+def test_benchmark_complexes_share_one_extended_mesh(family):
+    raw_tmesh, levels, degrees = _BENCHMARK_FAMILIES[family]
+    for L in levels:
+        for p in degrees:
+            cm = derive_complex_meshes(raw_tmesh(L, p), p)
+            _assert_one_extended_mesh(cm, build_tspline_complex(cm))
 
 
 def test_tensor_reduction_bit_equality():
@@ -220,7 +257,7 @@ def test_zero_count_matches_restricted_grad_rank():
             )
             if not clamped:
                 keep0.append(a.index)
-        v2 = Vector2D.from_complex(tcx)
+        v2 = Vector2D(tcx)
         constrained1 = dirichlet_dofs(v2, ((0, 0), (0, 1), (1, 0), (1, 1)))
         keep1 = np.setdiff1d(np.arange(v2.dim), constrained1)
         Gb = G[keep1][:, keep0]
