@@ -5,9 +5,10 @@ knot vectors, mesh coordinates and derivative targets can be compared
 exactly.  Evaluation converts to floating point once, into :class:`KnotRows`,
 and one vectorized Cox-de Boor recursion evaluates all rows at all points.
 
-Knot insertion (Boehm's rule on line ranks, :func:`_refine`) and the drawing
-of breakpoints as lines (:func:`_render_lines`) are stated here only; the
-T-mesh and T-spline layers call them.
+Knot insertion (Boehm's rule on line ranks, :func:`_refine`, in integer
+numerators over one common denominator) and the drawing of breakpoints as
+lines (:func:`_render_lines`) are stated here only; the T-mesh and T-spline
+layers call them.
 
 Conventions:
 
@@ -23,6 +24,7 @@ Conventions:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -375,28 +377,36 @@ def _tensor_rows(tables) -> np.ndarray:
 # -- knot insertion ---------------------------------------------------------------
 
 
-def _refine(window, inserted, values) -> dict:
-    """Boehm's knot insertion on one B-spline: N[window] = sum c_w N[w], c_w
-    exact Fractions, over the windows w of the line refined by the
-    ``inserted`` knots.  Windows and knots are ranks into the increasing exact
-    ``values``; a term of zero coefficient or zero support is dropped."""
+def _refine(window, inserted, values) -> tuple:
+    """Boehm's knot insertion on one B-spline: N[window] = sum c_w N[w] over
+    the windows w of the line refined by the ``inserted`` knots, as ({w:
+    integer numerator of c_w}, one common denominator).  Windows and knots
+    are ranks into the increasing exact ``values``, read as integers over
+    their common denominator; a term of zero coefficient or zero support is
+    dropped."""
+    used = {*window, *inserted}
+    scale = math.lcm(*(values[r].denominator for r in used))
+    ints = {r: values[r].numerator * (scale // values[r].denominator) for r in used}
     q = len(window) - 2
-    chain = {tuple(window): Fraction(1)}
-    for z in inserted:
-        zv, new = values[z], {}
+    chain, den = {tuple(window): 1}, 1
+    for z in inserted:  # the (numerator, denominator) of the left and right part of each split window
+        split = {
+            t: ((1, 1) if z >= t[q] else (ints[z] - ints[t[0]], ints[t[q]] - ints[t[0]]),
+                (1, 1) if z <= t[1] else (ints[t[q + 1]] - ints[z], ints[t[q + 1]] - ints[t[1]]))
+            for t in chain if t[0] < z < t[-1]
+        }
+        step, new = math.lcm(*(d for parts in split.values() for _, d in parts)), {}
         for t, c in chain.items():
-            if not t[0] < z < t[-1]:
-                new[t] = new.get(t, ZERO) + c
+            if t not in split:
+                new[t] = new.get(t, 0) + c * step
                 continue
             pos = bisect.bisect_left(t, z)
             refined = t[:pos] + (z,) + t[pos:]
-            a = 1 if z >= t[q] else (zv - values[t[0]]) / (values[t[q]] - values[t[0]])
-            b = 1 if z <= t[1] else (values[t[q + 1]] - zv) / (values[t[q + 1]] - values[t[1]])
-            for w, s in ((refined[: q + 2], a), (refined[1:], b)):
-                if s != 0 and w[-1] > w[0]:
-                    new[w] = new.get(w, ZERO) + c * s
-        chain = new
-    return chain
+            for w, (n, d) in zip((refined[: q + 2], refined[1:]), split[t]):
+                if n != 0 and w[-1] > w[0]:
+                    new[w] = new.get(w, 0) + c * n * (step // d)
+        chain, den = new, den * step
+    return chain, den
 
 
 def insert_knot(kv: KnotVector, coeffs, xbar):
@@ -422,8 +432,9 @@ def insert_knot(kv: KnotVector, coeffs, xbar):
     index = {tuple(knots[j : j + p + 2]): j for j in range(n + 1)}
     new = np.zeros((n + 1,) + coeffs.shape[1:], dtype=np.result_type(coeffs, float))
     for i in range(n):
-        for w, c in _refine(old[i : i + p + 2], (z,), values).items():
-            new[index[w]] += float(c) * coeffs[i]
+        nums, den = _refine(old[i : i + p + 2], (z,), values)
+        for w, c in nums.items():
+            new[index[w]] += c / den * coeffs[i]
     new_kv = KnotVector(p, values, [knots.count(r) for r in range(len(values))])
     return new_kv, new
 

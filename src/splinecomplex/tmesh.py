@@ -7,15 +7,18 @@ breakpoint tables and faces as index rectangles.  Rendering it for degrees
 all structure queries (census,
 T-junctions, extensions, anchor tracing) run on the rendered index grid, so
 segment comparisons are exact integer index comparisons.  Anchor lookups and
-local-knot-vector keys likewise run on integer line ranks (a line's position
-among the distinct line values of its axis): all anchors of a mesh are
+local-knot-vector keys run on integer line ranks (a line's position among
+the distinct line values of its axis), held with the values as integers
+over one common denominator in one :class:`_LineTable` per axis, which is
+checked and ranked once per mesh family: the meshes derived by
+``with_segments`` and ``extended`` share it.  All anchors of a mesh are
 located and traced at once into one int array of ranks per axis, and the
 Fraction knots are looked up from the ranks only where they are asked for.
 
-The faces are the connected components of the cells joined across missing
-edges, each of which must fill its bounding box.  Each mesh also holds two
-per-axis structures, built once: a germ table (which of the edges left,
-right, below and above every grid point exist), from which the
+The faces, one (n, 4) int array of index boxes, are the connected
+components of the cells joined across missing edges, each of which must
+fill its bounding box.  Each mesh also holds a germ table (which of the
+edges left, right, below and above every grid point exist), from which the
 dangling-edge check, the vertices and the T-junctions are read, and the
 cached ``line_index``, one :class:`_LineIndex` per axis listing the lines
 crossed by every ray, which serves extension walks, the strong-AS check,
@@ -32,6 +35,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -173,8 +177,12 @@ class TMesh2D:
     """Rendered, degree-aware T-mesh on an index grid with repeated lines."""
 
     def __init__(self, xs, ys, VE, HE, degrees):
-        self.xs = list(xs)
-        self.ys = list(ys)
+        self._build((_LineTable("x", xs), _LineTable("y", ys)), VE, HE, degrees)
+
+    def _build(self, lines, VE, HE, degrees) -> "TMesh2D":
+        self.lines = lines  # one checked _LineTable per axis, shared by the meshes derived from this one
+        self.xs, self.ys = (t.table for t in lines)
+        self.line_values = tuple(t.values for t in lines)  # per axis, the distinct values a line's rank indexes
         self.VE = np.asarray(VE, dtype=bool)
         self.HE = np.asarray(HE, dtype=bool)
         self.degrees = tuple(degrees)
@@ -182,11 +190,8 @@ class TMesh2D:
             raise TMeshError("vertical edge grid has wrong shape")
         if self.HE.shape != (len(self.xs) - 1, len(self.ys)):
             raise TMeshError("horizontal edge grid has wrong shape")
-        for t in (self.xs, self.ys):
-            if t[0] != 0 or t[-1] != 1 or any(a > b for a, b in zip(t, t[1:])):
-                raise TMeshError("line tables must be non-decreasing from 0 to 1")
-        self._faces = None
         self._validate()
+        return self
 
     # -- construction -------------------------------------------------------
 
@@ -201,7 +206,8 @@ class TMesh2D:
         return cls(xs, ys, _render_edges(rawVE, xr, yr), _render_edges(rawHE.T, yr, xr).T, degrees)
 
     def with_segments(self, segments, degrees=None) -> "TMesh2D":
-        """Copy with horizontal/vertical segments added as mesh edges."""
+        """Copy with horizontal/vertical segments added as mesh edges, on
+        this mesh's line tables (not checked or ranked again)."""
         VE = self.VE.copy()
         HE = self.HE.copy()
         for orientation, line, lo, hi in segments:
@@ -209,7 +215,7 @@ class TMesh2D:
                 HE[lo:hi, line] = True
             else:
                 VE[line, lo:hi] = True
-        return TMesh2D(self.xs, self.ys, VE, HE, degrees or self.degrees)
+        return object.__new__(TMesh2D)._build(self.lines, VE, HE, degrees or self.degrees)
 
     # -- basic structure -----------------------------------------------------
 
@@ -234,13 +240,14 @@ class TMesh2D:
         self.germs = g
         # a vertex is a grid point with germs that is not a pass-through
         self._vertex = (nh + nv > 2) | ((nh == 1) & (nv == 1))
-        inner = [[0 < t < 1 for t in table] for table in (self.xs, self.ys)]
+        inner = [(t.rank > 0) & (t.rank < len(t.values) - 1) for t in self.lines]
         self._tjunction = (nh + nv == 3) & np.outer(*inner)
         self._faces = self._extract_faces()
 
     def _extract_faces(self):
         """Faces are the connected components of the cells joined across
-        missing edges; each must fill its bounding box."""
+        missing edges; each must fill its bounding box.  Returns their
+        boxes (i1, j1, i2, j2) by (j1, i1), an (n, 4) int array."""
         shape = (self.nx - 1, self.ny - 1)
         cell = np.arange(np.prod(shape)).reshape(shape, order="F")  # cell[i, j] = i + (nx - 1) j
         open_v, open_h = ~self.VE[1:-1], ~self.HE[:, 1:-1]
@@ -257,20 +264,21 @@ class TMesh2D:
         if bad.size:
             cells = [tuple(c) for c in ij.T[label == bad[0]].tolist()]
             raise TMeshError(f"non-rectangular face with cells {sorted(cells)[:4]}...")
-        order = np.lexsort((lo[0], lo[1]))  # by (j1, i1)
-        return [tuple(f) for f in np.vstack([lo, hi]).T[order].tolist()]
+        return np.vstack([lo, hi]).T[np.lexsort((lo[0], lo[1]))]
 
     @property
     def faces(self):
         """Faces as (i1, j1, i2, j2) rendered-index rectangles, row-major order."""
-        return list(self._faces)
+        return list(map(tuple, self._faces.tolist()))
 
     def face_is_empty(self, f) -> bool:
         i1, j1, i2, j2 = f
         return self.xs[i2] == self.xs[i1] or self.ys[j2] == self.ys[j1]
 
     def positive_faces(self):
-        return [f for f in self._faces if not self.face_is_empty(f)]
+        """The faces of positive area, picked by comparing line ranks."""
+        (rx, ry), (i1, j1, i2, j2) = (t.rank for t in self.lines), self._faces.T
+        return list(map(tuple, self._faces[(rx[i2] > rx[i1]) & (ry[j2] > ry[j1])].tolist()))
 
     # -- census -----------------------------------------------------------------
 
@@ -393,12 +401,12 @@ class TMesh2D:
                         if lo1 <= hi2 and lo2 <= hi1:
                             return False, ("parallel extension overlap", (e1, e2))
         for e in exts:
-            index = self.line_index["hv".index(e.orientation)]
+            d = "hv".index(e.orientation)
             lo, hi = e.full_range
-            hits = index.hits["line"][e.line_index]
+            lines, hits = self.lines[d], self.line_index[d].hits["line"][e.line_index]
             for k in hits[bisect.bisect_left(hits, lo) : bisect.bisect_right(hits, hi)]:
-                r = index.rank[k]
-                if 0 < r < len(index.values) - 1 and index.count(r) > 1:
+                r = lines.rank[k]
+                if 0 < r < len(lines.values) - 1 and lines.count(r) > 1:
                     return False, ("repeated line crossed", (e, k))
         return True, None
 
@@ -416,14 +424,7 @@ class TMesh2D:
     def line_index(self) -> tuple:
         """The x and y :class:`_LineIndex` of this mesh, built once: horizontal
         rays cross the vertical edges, vertical rays the horizontal ones."""
-        vx, vy = self.line_values
-        return _LineIndex("x", self.xs, vx, self.VE), _LineIndex("y", self.ys, vy, self.HE.T)
-
-    @cached_property
-    def line_values(self) -> tuple:
-        """Per axis, the distinct line values in increasing order; a line's
-        rank is the position of its value here."""
-        return tuple(sorted(set(t)) for t in (self.xs, self.ys))
+        return _LineIndex(self.lines[0], self.VE), _LineIndex(self.lines[1], self.HE.T)
 
     @cached_property
     def _anchor_boxes(self) -> np.ndarray:
@@ -440,7 +441,7 @@ class TMesh2D:
         if ox:
             i, a, b = _runs(self.VE, self._vertex)
             return np.c_[i, a, i, b][np.lexsort((i, a))]
-        return np.array(self._faces).reshape(-1, 4)
+        return self._faces
 
     def anchor_entities(self):
         """Entity per anchor, by degree parity: vertices, edge midpoints or
@@ -455,7 +456,7 @@ class TMesh2D:
         kind 0 the line m and kind 1 the span from line m.  Raises
         :class:`TMeshError` where an anchor coordinate has no locator."""
         B = self._anchor_boxes
-        return tuple(index.locate(B[:, d], B[:, d + 2]) for d, index in enumerate(self.line_index))
+        return tuple(lines.locate(B[:, d], B[:, d + 2]) for d, lines in enumerate(self.lines))
 
     @cached_property
     def anchor_ranks(self) -> tuple:
@@ -471,15 +472,12 @@ class TMesh2D:
         """All anchors with exact positions and local knot vectors, built
         from the rank arrays on demand."""
         per_axis = []  # positions, locators, local knot vectors and rank keys
-        for d, (index, (kind, m), ranks) in enumerate(zip(self.line_index, self.anchor_locators, self.anchor_ranks)):
-            lo, hi = self._anchor_boxes[:, d].tolist(), self._anchor_boxes[:, d + 2].tolist()
-            pos = [
-                index.table[a] if index.rank[a] == index.rank[b] else index.midpoint(index.rank[a], index.rank[b])[1]
-                for a, b in zip(lo, hi)
-            ]
+        for d, (lines, (kind, m), ranks) in enumerate(zip(self.lines, self.anchor_locators, self.anchor_ranks)):
+            lo, hi = (lines.rank[self._anchor_boxes[:, d + e]].tolist() for e in (0, 2))
+            pos = [lines.values[a] if a == b else (lines.values[a] + lines.values[b]) / 2 for a, b in zip(lo, hi)]
             locs = [(("line", "span")[k], i) for k, i in zip(kind.tolist(), m.tolist())]
             keys = [tuple(r) for r in ranks.tolist()]
-            per_axis.append((pos, locs, [tuple(index.values[r] for r in key) for key in keys], keys))
+            per_axis.append((pos, locs, [tuple(lines.values[r] for r in key) for key in keys], keys))
         (px, lx, kx, rx), (py, ly, ky, ry) = per_axis
         return [
             Anchor2D(idx, (px[idx], py[idx]), (lx[idx], ly[idx]), kx[idx], ky[idx], (rx[idx], ry[idx]))
@@ -487,32 +485,28 @@ class TMesh2D:
         ]
 
 
-class _LineIndex:
-    """Exact integer index of one axis of a rendered T-mesh.
+class _LineTable:
+    """One axis's line table, checked and ranked once per mesh family: the
+    meshes derived by :meth:`TMesh2D.with_segments` and ``extended`` share it.
 
-    ``rank[k]`` is the position of line k's value among the distinct line
-    values ``values``, so knot vectors compare and hash as int tuples while
+    ``rank[k]`` (an int array) is the position of line k's value among the
+    distinct ``values``, so knot vectors compare and hash as int tuples while
     the knots stay Fractions; lines of rank r are ``bounds[r]`` up to
-    ``bounds[r + 1]`` (the table is sorted).  ``hits[kind][m]`` lists,
-    ascending, the lines of this axis crossed by the ray at the perpendicular
-    locator (kind, m); ``crossed[kind]`` is the same as a boolean grid
-    (line, m).  ``edges[k, m]`` is the edge on line k across the m-th
-    perpendicular span.
+    ``bounds[r + 1]``.  ``ints`` are the values as integers over one common
+    denominator; midpoint locators are cached per pair of ranks.
     """
 
-    def __init__(self, axis, table, values, edges):
-        self.axis = axis
-        self.table = table
-        self.values = values
-        self.rank_of = {v: r for r, v in enumerate(self.values)}
-        self.rank = [self.rank_of[v] for v in table]
-        self.bounds = [k for k in range(len(table)) if k == 0 or table[k] != table[k - 1]]
-        self.bounds.append(len(table))
-        line = np.zeros((edges.shape[0], edges.shape[1] + 1), dtype=bool)
-        line[:, :-1] |= edges
-        line[:, 1:] |= edges
-        self.crossed = {"span": edges, "line": line}
-        self.hits = {kind: [np.flatnonzero(c).tolist() for c in grid.T] for kind, grid in self.crossed.items()}
+    def __init__(self, axis, table):
+        self.axis, self.table = axis, list(table)
+        t = self.table
+        if t[0] != 0 or t[-1] != 1 or any(a > b for a, b in zip(t, t[1:])):
+            raise TMeshError("line tables must be non-decreasing from 0 to 1")
+        self.bounds = [k for k in range(len(t)) if k == 0 or t[k] != t[k - 1]] + [len(t)]
+        self.values = [t[k] for k in self.bounds[:-1]]
+        self.rank = np.repeat(np.arange(len(self.values)), np.diff(self.bounds))
+        exact = [as_fraction(v) for v in self.values]
+        scale = 2 * math.lcm(*(v.denominator for v in exact))  # even, so midpoints are integers too
+        self.ints = [v.numerator * (scale // v.denominator) for v in exact]
         self._midpoints = {}  # (rlo, rhi) -> midpoint(rlo, rhi)
 
     def count(self, r) -> int:
@@ -524,35 +518,50 @@ class _LineIndex:
         arrays: the line itself (kind 0) when lo == hi, the zero-width span
         (kind 1) between two copies of one line, else the even-parity
         midpoint, computed once per distinct pair of ranks."""
-        rank = np.array(self.rank)
-        rlo, rhi = rank[lo], rank[hi]
+        rlo, rhi = self.rank[lo], self.rank[hi]
         kind, m = (lo != hi).astype(int), lo.copy()
         if np.any((rlo == rhi) & (hi > lo + 1)):
             raise TMeshError("ambiguous zero-width anchor extent")
         mid = np.flatnonzero(rlo != rhi)
         if mid.size:
             pairs, inv = np.unique(rlo[mid] * len(self.values) + rhi[mid], return_inverse=True)
-            locs = [self.midpoint(*divmod(pair, len(self.values)))[0] for pair in pairs.tolist()]
+            locs = [self.midpoint(*divmod(pair, len(self.values))) for pair in pairs.tolist()]
             kind[mid] = np.array([k == "span" for k, _ in locs], dtype=int)[inv]
             m[mid] = np.array([k for _, k in locs])[inv]
         return kind, m
 
     def midpoint(self, rlo, rhi):
-        """Locator and value of the midpoint of two distinct line values,
-        computed once per pair of ranks."""
-        key = (rlo, rhi)
-        if key not in self._midpoints:
-            self._midpoints[key] = self._midpoint(rlo, rhi)
-        return self._midpoints[key]
+        """Locator of the midpoint of two distinct line values, found on
+        ``ints`` once per pair of ranks."""
+        if (rlo, rhi) not in self._midpoints:
+            mid = (self.ints[rlo] + self.ints[rhi]) // 2
+            r = bisect.bisect_left(self.ints, mid, rlo + 1, rhi)  # values[r - 1] < midpoint <= values[r]
+            if self.ints[r] == mid and self.count(r) > 1:
+                raise TMeshError(f"anchor midpoint lies on the repeated {self.axis} line {self.values[r]}")
+            self._midpoints[rlo, rhi] = ("line", self.bounds[r]) if self.ints[r] == mid else ("span", self.bounds[r] - 1)
+        return self._midpoints[rlo, rhi]
 
-    def _midpoint(self, rlo, rhi):
-        mid = (self.values[rlo] + self.values[rhi]) / 2
-        r = self.rank_of.get(mid)
-        if r is None:  # values[rlo] < mid < values[rhi]
-            return ("span", self.bounds[bisect.bisect_right(self.values, mid, rlo + 1, rhi)] - 1), mid
-        if self.count(r) > 1:
-            raise TMeshError(f"anchor midpoint lies on the repeated {self.axis} line {mid}")
-        return ("line", self.bounds[r]), mid
+
+class _LineIndex:
+    """The rays across the lines of one axis's :class:`_LineTable` ``lines``.
+
+    ``hits[kind][m]`` lists, ascending, the lines crossed by the ray at the
+    perpendicular locator (kind, m); ``crossed[kind]`` is the same as a
+    boolean grid (line, m).  ``edges[k, m]`` is the edge on line k across
+    the m-th perpendicular span.
+    """
+
+    def __init__(self, lines, edges):
+        self.lines = lines
+        line = np.zeros((edges.shape[0], edges.shape[1] + 1), dtype=bool)
+        line[:, :-1] |= edges
+        line[:, 1:] |= edges
+        self.crossed = {"span": edges, "line": line}
+        self.hits = {}
+        for kind, grid in self.crossed.items():  # one nonzero per grid, cut into its columns
+            m, k = np.nonzero(grid.T)
+            cuts, k = np.searchsorted(m, np.arange(grid.shape[1] + 1)).tolist(), k.tolist()
+            self.hits[kind] = [k[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def trace(self, kind, m, perp, degree):
         """Local knot vectors of the anchors at the locators (kind, m) along
@@ -570,7 +579,7 @@ class _LineIndex:
         if odd and np.any(kind != 0):
             raise TMeshError("odd-degree anchor must sit on a line")
         need = (degree + 1) // 2 if odd else degree // 2 + 1
-        n = len(self.table)
+        n = len(self.lines.table)
         crossed = np.hstack([self.crossed["line"], self.crossed["span"]]).T  # (ray, line)
         pad = np.ones((crossed.shape[0], need), dtype=bool)
         rays, cols = np.nonzero(np.hstack([pad, crossed, pad]))
@@ -582,16 +591,16 @@ class _LineIndex:
         parts = [lines[below[:, None] + np.arange(-need, 0)], lines[above[:, None] + np.arange(need)]]
         if odd:
             parts.insert(1, m[:, None])
-        rank = np.r_[0, self.rank, len(self.values) - 1]  # line -1 and n are the padding
+        rank = np.r_[0, self.lines.rank, len(self.lines.values) - 1]  # line -1 and n are the padding
         return rank[np.hstack(parts) + 1]
 
     def between(self, locator, rlo, rhi) -> list:
         """Ranks of the lines crossed by the ray at ``locator`` whose values
         lie strictly between ranks rlo and rhi, with multiplicity."""
         hits = self.hits[locator[0]][locator[1]]
-        i = bisect.bisect_left(hits, self.bounds[rlo + 1])
-        j = bisect.bisect_left(hits, self.bounds[rhi])
-        return [self.rank[k] for k in hits[i:j]]
+        i = bisect.bisect_left(hits, self.lines.bounds[rlo + 1])
+        j = bisect.bisect_left(hits, self.lines.bounds[rhi])
+        return self.lines.rank[hits[i:j]].tolist()
 
 
 # Positions in an anchor's index box (i1, j1, i2, j2) of its entity: a

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,21 +137,21 @@ class TsplineComplex:
         return (self.space_dim(0), self.space_dim(1), self.space_dim(2))
 
 
-def _abscissa_locator(index, window, degree):
+def _abscissa_locator(lines, window, degree):
     """Locator of the anchor abscissa of a derivative-target window of ranks
-    on the axis ``index``."""
+    on the line table ``lines`` of its axis."""
     q = degree
     if q % 2 == 1:
         r = window[(q + 1) // 2]
-        if index.count(r) != 1:
+        if lines.count(r) != 1:
             raise TMeshError("ambiguous line abscissa for derivative target")
-        return ("line", index.bounds[r])
+        return ("line", lines.bounds[r])
     lo, hi = window[q // 2], window[q // 2 + 1]
     if lo == hi:
-        if index.count(lo) < 2:
+        if lines.count(lo) < 2:
             raise TMeshError("no zero-width span for degenerate abscissa")
-        return ("span", index.bounds[lo])
-    return index.midpoint(lo, hi)[0]
+        return ("span", lines.bounds[lo])
+    return lines.midpoint(lo, hi)
 
 
 def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
@@ -162,8 +163,9 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     if src.mesh.line_values != dst.mesh.line_values:
         raise TMeshError("source and target meshes do not share one table of distinct line values")
     t_dir = 1 - direction
-    values = src.mesh.line_values[t_dir]
-    scalings = src.scalings[t_dir], dst.scalings[t_dir]
+    values, V = src.mesh.line_values[t_dir], dst.mesh.lines[t_dir].ints
+    if src.scalings[t_dir] != dst.scalings[t_dir]:
+        raise TMeshError("mixed transverse scalings are not wired")
     index = dst.mesh.line_index  # built by the target space's rank arrays
     K, T = src.ranks[direction], src.ranks[t_dir]
 
@@ -182,7 +184,7 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     refined = []  # (target, window, anchor, coefficient)
     for target, sign, a in zip(*(x[~direct].tolist() for x in (targets, signs, cols))):
         T_a = T[a].tolist()
-        floc = _abscissa_locator(index[direction], target, dst.degrees[direction])
+        floc = _abscissa_locator(dst.mesh.lines[direction], target, dst.degrees[direction])
         t_open = [t for t in T_a[1:-1] if T_a[0] < t < T_a[-1]]
         missing = _multiset_difference(index[t_dir].between(floc, T_a[0], T_a[-1]), t_open)
         if missing is None:
@@ -190,12 +192,10 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
                 f"derivative of anchor {a}: transverse knots "
                 f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
             )
-        for w, c in _refine(T_a, missing, values).items():
-            if scalings == ("D", "D"):
-                c *= (values[w[-1]] - values[w[0]]) / (values[T_a[-1]] - values[T_a[0]])
-            elif scalings[0] != scalings[1]:
-                raise TMeshError("mixed transverse scalings are not wired")
-            refined.append((target, w, a, sign * c))
+        nums, den = _refine(T_a, missing, V)
+        if src.scalings[t_dir] == "D":  # D scaling: c_w times |w| / |T_a|
+            nums, den = {w: n * (V[w[-1]] - V[w[0]]) for w, n in nums.items()}, den * (V[T_a[-1]] - V[T_a[0]])
+        refined.extend((target, w, a, Fraction(sign * n, den)) for w, n in nums.items())
     den = math.lcm(*(c.denominator for *_, c in refined))
     rows, cols, ints = found[direct], cols[direct], signs[direct] * den
     if refined:
@@ -207,7 +207,7 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
                 f"derivative of anchor {anchor[k]} has no target with transverse "
                 f"local knot vector {[values[t] for t in across[k]]} in the derived space"
             )
-        rows, cols, ints = np.r_[rows, hit], np.r_[cols, anchor], np.r_[ints, [int(c * den) for c in coeff]]
+        rows, cols, ints = np.r_[rows, hit], np.r_[cols, anchor], np.r_[ints, [c.numerator * (den // c.denominator) for c in coeff]]
     A = sp.coo_matrix((ints, (rows, cols)), shape=(dst.dim, src.dim), dtype=np.int64).tocsr()
     A.sum_duplicates()
     return A, den

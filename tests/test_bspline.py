@@ -1,5 +1,7 @@
 """Univariate kernel tests: exact oracles first, float paths checked against them."""
 
+import bisect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -225,10 +227,10 @@ def test_insert_knot_keeps_integer_coefficients_exact():
 @st.composite
 def refinements(draw):
     """A window of ranks of degree 0-4, repeated knots allowed, on line
-    values in [0, 1], and 1-3 inserted ranks over its closed support,
-    repeats allowed."""
-    cuts = draw(st.lists(st.integers(1, 15), min_size=1, max_size=6, unique=True))
-    values = [F(0), *sorted(F(c, 16) for c in cuts), F(1)]
+    values in [0, 1] of mixed denominators, and 1-3 inserted ranks over its
+    closed support, repeats and existing knots allowed."""
+    cuts = draw(st.lists(st.tuples(st.integers(1, 15), st.sampled_from([3, 10, 16, 21])), min_size=1, max_size=6))
+    values = [F(0), *sorted({F(c % d or 1, d) for c, d in cuts}), F(1)]
     q = draw(st.integers(0, 4))
     rank = st.integers(0, len(values) - 1)
     window = sorted(draw(st.lists(rank, min_size=q + 2, max_size=q + 2)))
@@ -237,18 +239,85 @@ def refinements(draw):
     return window, inserted, values
 
 
+def fraction_refine(window, inserted, values) -> dict:
+    """Reference for ``_refine``: Boehm's insertion with a normalised
+    Fraction coefficient at every step, {window: Fraction}."""
+    q = len(window) - 2
+    chain = {tuple(window): F(1)}
+    for z in inserted:
+        zv, new = values[z], {}
+        for t, c in chain.items():
+            if not t[0] < z < t[-1]:
+                new[t] = new.get(t, F(0)) + c
+                continue
+            pos = bisect.bisect_left(t, z)
+            refined = t[:pos] + (z,) + t[pos:]
+            a = 1 if z >= t[q] else (zv - values[t[0]]) / (values[t[q]] - values[t[0]])
+            b = 1 if z <= t[1] else (values[t[q + 1]] - zv) / (values[t[q + 1]] - values[t[1]])
+            for w, s in ((refined[: q + 2], a), (refined[1:], b)):
+                if s != 0 and w[-1] > w[0]:
+                    new[w] = new.get(w, F(0)) + c * s
+        chain = new
+    return chain
+
+
+def refine_fractions(window, inserted, values) -> dict:
+    """``_refine`` as {window: Fraction}, one Fraction per coefficient."""
+    nums, den = _refine(window, inserted, values)
+    assert type(den) is int and den > 0 and all(type(n) is int for n in nums.values())
+    return {w: F(n, den) for w, n in nums.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(refinements())
 def test_refine_splits_a_b_spline_exactly(case):
     window, inserted, values = case
     q = len(window) - 2
-    chain = _refine(window, inserted, values)
-    assert all(type(c) is F for c in chain.values())
+    chain = refine_fractions(window, inserted, values)
     x = np.linspace(0, 1, 50)
     lhs = scaled_eval(KnotRows.from_ranks(np.array([window]), values), q, "B", x)[:, 0]
     rows = KnotRows.from_ranks(np.array(list(chain)), values)
     rhs = scaled_eval(rows, q, "B", x) @ np.array([float(c) for c in chain.values()])
     npt.assert_allclose(rhs, lhs, atol=1e-13, rtol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(refinements())
+def test_integer_refine_equals_the_fraction_reference(case):
+    """Integer numerators over one common denominator give the reference's
+    coefficients in its window order, on Fraction values and on the same
+    values as integers over their common denominator."""
+    window, inserted, values = case
+    want = fraction_refine(window, inserted, values)
+    got = refine_fractions(window, inserted, values)
+    assert got == want and list(got) == list(want)
+    scale = math.lcm(*(v.denominator for v in values))
+    assert refine_fractions(window, inserted, [int(v * scale) for v in values]) == want
+
+
+def test_insert_knot_matches_the_fraction_reference():
+    """``insert_knot`` gives bitwise the coefficients of the Fraction
+    reference rounded once per term, on new and on existing knots."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(40):
+        kv = random_knot_vector(rng)
+        coeffs = rng.standard_normal(kv.n)
+        xbar = F(int(rng.integers(1, 16)), 16)
+        if kv.multiplicity_of(xbar) >= kv.degree + 1:
+            continue
+        got_kv, got = insert_knot(kv, coeffs, xbar)
+        p, values = kv.degree, sorted({*kv.breakpoints, xbar})
+        old, z = [values.index(k) for k in kv.knots], values.index(xbar)
+        knots = sorted((*old, z))
+        index = {tuple(knots[j : j + p + 2]): j for j in range(kv.n + 1)}
+        want = np.zeros(kv.n + 1)
+        for i in range(kv.n):
+            for w, c in fraction_refine(old[i : i + p + 2], (z,), values).items():
+                want[index[w]] += float(c) * coeffs[i]
+        assert np.array_equal(got, want) and got_kv.knots == tuple(values[r] for r in knots)
+        checked += 1
+    assert checked >= 30
 
 
 def test_derivative_decomposition_bernstein_middle():

@@ -739,6 +739,57 @@ def test_line_index_is_built_once_per_mesh(monkeypatch):
     assert len(built) == 2 * len(meshes)
 
 
+def _anchor_tables(mesh):
+    """Anchor locators and rank arrays as lists, or the error that refuses them."""
+    try:
+        return [a.tolist() for pair in mesh.anchor_locators for a in pair], [r.tolist() for r in mesh.anchor_ranks]
+    except TMeshError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(refined_tmeshes())
+def test_derived_meshes_share_line_tables_that_match_a_fresh_build(case):
+    """Meshes derived by ``with_segments`` (the odd-degree M11, M12 and M2)
+    and ``extended`` rank, locate and tile exactly as the same mesh built
+    from scratch, on the very value tables of the mesh they come from."""
+    p, raw = case
+    assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
+    cm = derive_complex_meshes(raw, p)
+    family = [(cm.M0, m) for m in (cm.M11, cm.M12, cm.M2) if p % 2 == 1]
+    family += [(m, m.extended()) for m in (cm.M0, cm.M11, cm.M12, cm.M2)]
+    for parent, mesh in family:
+        assert mesh.lines is parent.lines
+        assert all(a is b for a, b in zip(mesh.line_values, parent.line_values))
+        fresh = TMesh2D(mesh.xs, mesh.ys, mesh.VE, mesh.HE, mesh.degrees)
+        assert fresh.lines[0] is not mesh.lines[0] and fresh.line_values == mesh.line_values
+        for d in (0, 1):
+            npt.assert_array_equal(fresh.lines[d].rank, mesh.lines[d].rank)
+            assert fresh.lines[d].bounds == mesh.lines[d].bounds
+            assert fresh.line_index[d].hits == mesh.line_index[d].hits
+        assert _anchor_tables(fresh) == _anchor_tables(mesh)
+        assert fresh.faces == mesh.faces and fresh.positive_faces() == mesh.positive_faces()
+
+
+@pytest.mark.parametrize("raw", [fig_extensions_raw(), square_raw_tmesh(1)], ids=["fig_extensions", "square_l1"])
+def test_face_api_keeps_its_types_and_order(raw):
+    # faces are held as one index array; the public views stay lists of int
+    # tuples in (j1, i1) order, and the positive faces are the ones that
+    # face_is_empty does not flag
+    mesh = TMesh2D.from_raw(raw, (2, 2))
+    faces = mesh.faces
+    assert type(faces) is list and all(type(f) is tuple and len(f) == 4 for f in faces)
+    assert all(type(i) is int for f in faces for i in f)
+    assert faces == sorted(faces, key=lambda f: (f[1], f[0])) and len(set(faces)) == len(faces)
+    empty = [mesh.face_is_empty(f) for f in faces]
+    assert all(type(e) is bool for e in empty) and any(empty)  # the doubled boundary lines bound empty faces
+    positive = mesh.positive_faces()
+    assert type(positive) is list and all(type(f) is tuple for f in positive)
+    assert positive == [f for f, e in zip(faces, empty) if not e]
+    faces.clear()  # each call hands out a new list
+    assert len(mesh.faces) == len(empty)
+
+
 def _doubled_line_raw(split_to):
     """x = 1/2 runs up from y = 0 to ``split_to`` (1/4 or 1/2) and ends on a
     horizontal line; y = 1/2 is doubled."""
