@@ -14,8 +14,9 @@ components keep their sign.  The matched pairs then form a signed graph
 on the local dofs, and one connected-components labelling of its doubled
 graph (a node per dof and sign) gives the shared entities: each has the
 lowest dof among its members as master (+1), so the lower patch wins.
-A glued matrix is the sum over the patches of S^T A S, S a patch's signed
-scatter (:class:`Glue`).
+The glue keeps the masters.  A glued matrix is the sum over the patches of
+S^T A S, S a patch's signed scatter (:class:`Glue`); a glued operator is
+the master rows of the stacked patch products op_k S_k.
 
 Faces are (axis, side) pairs; the face coordinates are the remaining
 parametric axes in increasing order.
@@ -94,12 +95,12 @@ def _key(record, perm, flip):
     return (None if c is None else perm[c], *out)
 
 
-def _match(ps: PatchSet, itf: Interface):
+def _match(ps: PatchSet, itf: Interface, perm, flip):
     """(record on a, record on b) per trace function of the interface,
-    matched by key; ConformityError if the trace spaces differ."""
+    matched by key, a's mapped by the face map ``perm`` and ``flip``;
+    ConformityError if the trace spaces differ."""
     (ka, fa), (kb, fb) = itf.a, itf.b
-    n = ps.geoms[ka].ndim - 1
-    perm, flip = itf.normalized(n)
+    n = len(perm)
     ta = {_key(r, perm, flip): r for r in traces(ps.spaces[ka], fa)}
     tb = {_key(r, range(n), [False] * n): r for r in traces(ps.spaces[kb], fb)}
     if ta.keys() != tb.keys():
@@ -128,30 +129,30 @@ def _map_coords(coords, perm, flip):
 
 
 def _checked(ps: PatchSet):
-    """Per interface: (interface, matched records or None, ok, message), the
-    conformity check of :func:`check_conformity` plus the matched records
-    :func:`build_glue` merges."""
+    """Per interface: (interface, (perm, flip), matched records or None, ok,
+    message), the conformity check of :func:`check_conformity` plus the
+    face map and the matched records :func:`build_glue` merges."""
     for itf in ps.interfaces:
-        try:
-            pairs = _match(ps, itf)
-        except ConformityError as exc:
-            yield itf, None, False, str(exc)
-            continue
         (ka, fa), (kb, fb) = itf.a, itf.b
         ndim = ps.geoms[ka].ndim
         perm, flip = itf.normalized(ndim - 1)
+        try:
+            pairs = _match(ps, itf, perm, flip)
+        except ConformityError as exc:
+            yield itf, (perm, flip), None, False, str(exc)
+            continue
         grid = np.linspace(0.05, 0.95, _SAMPLES)
         coords = np.stack(np.meshgrid(*([grid] * (ndim - 1)), indexing="ij"), axis=-1).reshape(-1, ndim - 1)
         Fa = ps.geoms[ka].eval(_face_points(ndim, fa, coords))
         Fb = ps.geoms[kb].eval(_face_points(ndim, fb, _map_coords(coords, perm, flip)))
         err = float(np.max(np.linalg.norm(Fa - Fb, axis=1)))
-        yield itf, pairs, err < _GEOM_TOL, f"max geometric mismatch {err:.2e}"
+        yield itf, (perm, flip), pairs, err < _GEOM_TOL, f"max geometric mismatch {err:.2e}"
 
 
 def check_conformity(ps: PatchSet):
     """Per interface: (interface, ok, message); ok when the trace keys match
     under the coordinate map and the two geometry images agree pointwise."""
-    return [(itf, ok, msg) for itf, _, ok, msg in _checked(ps)]
+    return [(itf, ok, msg) for itf, _, _, ok, msg in _checked(ps)]
 
 
 # -- glue -----------------------------------------------------------------------
@@ -159,10 +160,16 @@ def check_conformity(ps: PatchSet):
 
 @dataclass
 class Glue:
-    """Scatter maps: per patch a sparse (local x global) matrix with signs."""
+    """Scatter maps: per patch a sparse (local x global) matrix with signs,
+    and per global dof its master, the lowest of its dofs in the patches'
+    stacked numbering (ascending, scatter sign +1)."""
 
     scatters: list
-    ndof: int
+    masters: np.ndarray
+
+    @property
+    def ndof(self) -> int:
+        return self.masters.size
 
     def global_matrix(self, locals_):
         """Glued sum of the patch matrices, S_k^T A_k S_k summed in patch
@@ -196,15 +203,14 @@ def build_glue(ps: PatchSet) -> Glue:
     master's label.  x+ and x- in one component is a sign cycle.
     """
     checked = list(_checked(ps))
-    bad = [(itf, ok, msg) for itf, _, ok, msg in checked if not ok]
+    bad = [(itf, ok, msg) for itf, _, _, ok, msg in checked if not ok]
     if bad:
         raise ConformityError(str(bad[0]))
     offset = np.concatenate([[0], np.cumsum([s.dim for s in ps.spaces])])
     total = int(offset[-1])
     x, y, flipped = [], [], []
-    for itf, pairs, _, _ in checked:
+    for itf, (_, flip), pairs, _, _ in checked:
         (ka, _), (kb, _) = itf.a, itf.b
-        _, flip = itf.normalized(ps.geoms[ka].ndim - 1)
         for (da, c, _), (db, _, _) in pairs:
             x.append(offset[ka] + da)
             y.append(offset[kb] + db)
@@ -221,29 +227,17 @@ def build_glue(ps: PatchSet) -> Glue:
     sign = np.where(plus == plus[master], 1, -1)
     masters, gid = np.unique(master, return_inverse=True)  # global dofs numbered by their master
     scatters = [sp.csr_matrix((sign[a:b], gid[a:b], np.arange(b - a + 1)), shape=(b - a, masters.size)) for a, b in zip(offset, offset[1:])]
-    return Glue(scatters, masters.size)
+    return Glue(scatters, masters)
 
 
 # -- global assembly ---------------------------------------------------------------
 
 
 def global_operator(glue_src: Glue, glue_dst: Glue, local_ops):
-    """Global differential operator from per-patch operators and two glues.
-
-    Each global target row is taken from its master patch representative:
-    the first (patch, local row) that scatters to it, in patch order.  Per
-    patch, the signed selection P_k of its master rows gives the sum of
-    P_k @ op_k @ S_k over the patches, S_k the source scatters.
-    """
-    ndst = glue_dst.ndof
-    taken = np.zeros(ndst, dtype=bool)
-    A = None
-    for D, op, S in zip(glue_dst.scatters, local_ops, glue_src.scatters):
-        g = D.indices[D.indptr[:-1]]  # one signed entry per local row
-        _, first = np.unique(g, return_index=True)
-        rows = first[~taken[g[first]]]
-        taken[g[rows]] = True
-        P = sp.csr_matrix((D.data[D.indptr[rows]], (g[rows], rows)), shape=(ndst, D.shape[0]))
-        term = P @ op @ S
-        A = term if A is None else A + term
-    return A.tocsr()
+    """Global differential operator from per-patch operators and two glues:
+    the master rows of the stacked products op_k @ S_k, S_k the source
+    scatters, so each global row is its master's local row (sign +1); CSR
+    with sorted indices."""
+    A = sp.vstack([op @ S for op, S in zip(local_ops, glue_src.scatters)], format="csr")[glue_dst.masters]
+    A.sort_indices()
+    return A

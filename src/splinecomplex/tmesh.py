@@ -11,9 +11,11 @@ local-knot-vector keys run on integer line ranks (a line's position among
 the distinct line values of its axis), held with the values as integers
 over one common denominator in one :class:`_LineTable` per axis, which is
 checked and ranked once per mesh family: the meshes derived by
-``with_segments`` and ``extended`` share it.  All anchors of a mesh are
-located and traced at once into one int array of ranks per axis, and the
-Fraction knots are looked up from the ranks only where they are asked for.
+``with_segments`` and ``extended`` share it, but for an axis whose boundary
+band loses its outer copies at a lowered even degree.  All anchors of a
+mesh are located and traced at once into one int array of ranks per axis,
+and the Fraction knots are looked up from the ranks only where they are
+asked for.
 
 The faces, one (n, 4) int array of index boxes, are the connected
 components of the cells joined across missing edges, each of which must
@@ -206,8 +208,11 @@ class TMesh2D:
         return cls(xs, ys, _render_edges(rawVE, xr, yr), _render_edges(rawHE.T, yr, xr).T, degrees)
 
     def with_segments(self, segments, degrees=None) -> "TMesh2D":
-        """Copy with horizontal/vertical segments added as mesh edges, on
-        this mesh's line tables (not checked or ranked again)."""
+        """Copy with horizontal/vertical segments (on this mesh's grid)
+        added as mesh edges, at ``degrees`` no higher than this mesh's.  An
+        axis whose boundary band of floor(p/2) + 1 line copies shrinks (an
+        even degree lowered) drops its outer copies onto a new table; the
+        others share this mesh's (not checked or ranked again)."""
         VE = self.VE.copy()
         HE = self.HE.copy()
         for orientation, line, lo, hi in segments:
@@ -215,7 +220,16 @@ class TMesh2D:
                 HE[lo:hi, line] = True
             else:
                 VE[line, lo:hi] = True
-        return object.__new__(TMesh2D)._build(self.lines, VE, HE, degrees or self.degrees)
+        degrees, lines = degrees or self.degrees, list(self.lines)
+        for d, (p, q) in enumerate(zip(self.degrees, degrees)):
+            k = p // 2 - q // 2  # the band's copies lost at each end
+            if k < 0:
+                raise TMeshError(f"degree {q} exceeds the mesh's {p} in direction {d}")
+            if k:  # the lines of axis d and the spans between them, along axis d of VE and HE
+                lines[d] = _LineTable(lines[d].axis, lines[d].table[k:-k])
+                cut = (slice(None),) * d + (slice(k, -k),)
+                VE, HE = VE[cut], HE[cut]
+        return object.__new__(TMesh2D)._build(tuple(lines), VE, HE, degrees)
 
     # -- basic structure -----------------------------------------------------
 
@@ -487,7 +501,8 @@ class TMesh2D:
 
 class _LineTable:
     """One axis's line table, checked and ranked once per mesh family: the
-    meshes derived by :meth:`TMesh2D.with_segments` and ``extended`` share it.
+    meshes derived by :meth:`TMesh2D.with_segments` and ``extended`` share
+    it unless ``with_segments`` drops the axis's outer boundary copies.
 
     ``rank[k]`` (an int array) is the position of line k's value among the
     distinct ``values``, so knot vectors compare and hash as int tuples while

@@ -1,11 +1,13 @@
 """Two-dimensional T-spline de Rham complexes.
 
-From one analysis-suitable T-mesh, four derived meshes carry the scalar,
-vector, rotated-vector and top-form spaces.  For odd degree the vector
-meshes add the first-bay face extensions of the horizontal/vertical
-T-junctions; for even degree one boundary line repetition is dropped per
-constrained direction (both falling out of re-rendering the same tiling at
-the lowered degree).
+From one analysis-suitable T-mesh M0, four derived meshes carry the scalar,
+vector, rotated-vector and top-form spaces, each derived from M0 by one
+rule (:meth:`~splinecomplex.tmesh.TMesh2D.with_segments`): the mesh of a
+derived space lowers the degree in its differentiated directions and adds
+the first-bay face extensions that run along them (odd degree only).  The
+boundary band of a direction of degree p holds floor(p/2) + 1 line copies,
+so lowering an even degree drops one outer copy at each end; at even
+degree a derived mesh is the same tiling rendered at the lowered degrees.
 
 Operator matrices are built column by column from the univariate derivative
 decomposition.  The differentiated direction always yields +-1 entries in
@@ -24,6 +26,7 @@ bit-for-bit to the signed B-spline pattern on tensor input.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,17 +81,12 @@ def derive_complex_meshes(raw: RawTMesh, p: int) -> ComplexMeshes:
     ok, pair = M0.is_analysis_suitable()
     if not ok:
         raise TMeshError(f"input mesh is not analysis-suitable: {pair}")
-    if p % 2 == 1:
-        exts = M0.compute_extensions()
-        segs_h = [_first_bay(M0, e) for e in exts if e.orientation == "h"]
-        segs_v = [_first_bay(M0, e) for e in exts if e.orientation == "v"]
-        M11 = M0.with_segments(segs_h, (p - 1, p))
-        M12 = M0.with_segments(segs_v, (p, p - 1))
-        M2 = M0.with_segments(segs_h + segs_v, (p - 1, p - 1))
-    else:
-        M11 = TMesh2D.from_raw(raw, (p - 1, p))
-        M12 = TMesh2D.from_raw(raw, (p, p - 1))
-        M2 = TMesh2D.from_raw(raw, (p - 1, p - 1))
+    exts = M0.compute_extensions() if p % 2 == 1 else []  # even degree adds no first bays
+    segs_h = [_first_bay(M0, e) for e in exts if e.orientation == "h"]
+    segs_v = [_first_bay(M0, e) for e in exts if e.orientation == "v"]
+    M11 = M0.with_segments(segs_h, (p - 1, p))
+    M12 = M0.with_segments(segs_v, (p, p - 1))
+    M2 = M11.with_segments(segs_v, (p - 1, p - 1))
     return ComplexMeshes(p, M0, M11, M12, M2)
 
 
@@ -186,13 +184,13 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
         T_a = T[a].tolist()
         floc = _abscissa_locator(dst.mesh.lines[direction], target, dst.degrees[direction])
         t_open = [t for t in T_a[1:-1] if T_a[0] < t < T_a[-1]]
-        missing = _multiset_difference(index[t_dir].between(floc, T_a[0], T_a[-1]), t_open)
-        if missing is None:
+        crossed, known = Counter(index[t_dir].between(floc, T_a[0], T_a[-1])), Counter(t_open)
+        if known - crossed:
             raise TMeshError(
                 f"derivative of anchor {a}: transverse knots "
                 f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
             )
-        nums, den = _refine(T_a, missing, V)
+        nums, den = _refine(T_a, sorted((crossed - known).elements()), V)
         if src.scalings[t_dir] == "D":  # D scaling: c_w times |w| / |T_a|
             nums, den = {w: n * (V[w[-1]] - V[w[0]]) for w, n in nums.items()}, den * (V[T_a[-1]] - V[T_a[0]])
         refined.extend((target, w, a, Fraction(sign * n, den)) for w, n in nums.items())
@@ -211,17 +209,6 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
     A = sp.coo_matrix((ints, (rows, cols)), shape=(dst.dim, src.dim), dtype=np.int64).tocsr()
     A.sum_duplicates()
     return A, den
-
-
-def _multiset_difference(big, small):
-    """Multiset big - small, or None if small is not contained in big."""
-    big = sorted(big)
-    for s in small:
-        try:
-            big.remove(s)
-        except ValueError:
-            return None
-    return big
 
 
 def build_tspline_complex(cm: ComplexMeshes) -> TsplineComplex:

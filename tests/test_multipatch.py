@@ -345,11 +345,9 @@ def _global_operator_by_rows(glue_src, glue_dst, local_ops):
     return sp.vstack(rows).tocsr()
 
 
-def test_global_operator_matches_row_by_row_reference():
-    """On the permuted, flipped two-cube interface the selection-matrix
-    global operator equals the row-by-row reference exactly, for the float
-    gradient, an X1 -> X1 operator and the integer-scaled gradient, each
-    doubled on patch 1."""
+def _two_cube_glues():
+    """The permuted, flipped two-cube interface: (glue0, glue1) and the
+    float gradient, an X1 -> X1 operator and the integer-scaled gradient."""
     p = 2
     tcx = build_tspline_complex(derive_complex_meshes(uniform_raw(2), p))
     cx3 = Complex3D(tcx, KnotVector.uniform(p, 2))
@@ -361,8 +359,54 @@ def test_global_operator_matches_row_by_row_reference():
     grad_int = (ops["grad"] * tcx.denominators["grad"]).tocsr()
     grad_int.data = np.rint(grad_int.data)
     grad_int = grad_int.astype(np.int64)
-    for src, dst, op in ((glue0, glue1, ops["grad"]), (glue1, glue1, ops["grad"] @ ops["grad"].T), (glue0, glue1, grad_int)):
-        ops_k = [op, 2 * op]  # unequal per patch, so the choice of master rows shows
+    return [(glue0, glue1, ops["grad"]), (glue1, glue1, ops["grad"] @ ops["grad"].T), (glue0, glue1, grad_int)]
+
+
+def _section_glues(name):
+    """The three-patch L-section (the entities of the interface between
+    patches 1 and 2 have their master in the middle patch) or the
+    cylinder sector section: (glue0, glue1) with the float gradient and
+    with the integer-scaled one."""
+    from splinecomplex.benchmarks import (
+        CYLINDER_INTERFACES,
+        cylinder_sector_patches,
+        cylinder_section_raw_tmesh,
+        lsection_raw_tmesh,
+    )
+
+    p = 2
+    raw, geoms, interfaces = {
+        "lsection": (lsection_raw_tmesh(0, p), lsection_patches(), LSECTION_INTERFACES),
+        "cylinder": (cylinder_section_raw_tmesh(0), cylinder_sector_patches(), CYLINDER_INTERFACES),
+    }[name]
+    tcx = build_tspline_complex(derive_complex_meshes(raw, p))
+    vector = Vector2D(tcx)
+    scalar, grad = vector.gradient()
+    glue0 = build_glue(PatchSet(geoms, [scalar] * 3, interfaces))
+    glue1 = build_glue(PatchSet(geoms, [vector] * 3, interfaces))
+    return [(glue0, glue1, grad), (glue0, glue1, tcx.operators_int["grad"])]
+
+
+def _check_masters(glue):
+    """The glue's masters ascend, one per global dof: each is the lowest
+    stacked local dof of its global dof and scatters to it with +1."""
+    S = sp.vstack(glue.scatters, format="csr")
+    g = S.indices[S.indptr[:-1]]
+    assert glue.masters.size == glue.ndof and np.all(np.diff(glue.masters) > 0)
+    npt.assert_array_equal(np.unique(g, return_index=True)[1], glue.masters)
+    npt.assert_array_equal(g[glue.masters], np.arange(glue.ndof))
+    assert np.all(S.data[S.indptr[glue.masters]] == 1)
+
+
+def test_global_operator_matches_row_by_row_reference():
+    """On the permuted, flipped two-cube interface, the three-patch
+    L-section and the cylinder sector section, the master-row global
+    operator equals the row-by-row reference exactly, for each operator
+    scaled by k + 1 on patch k."""
+    for src, dst, op in [*_two_cube_glues(), *_section_glues("lsection"), *_section_glues("cylinder")]:
+        _check_masters(src)
+        _check_masters(dst)
+        ops_k = [(k + 1) * op for k in range(len(dst.scatters))]  # unequal per patch, so the choice of master rows shows
         got = global_operator(src, dst, ops_k)
         want = _global_operator_by_rows(src, dst, ops_k)
         assert got.shape == want.shape and got.dtype == want.dtype

@@ -750,17 +750,29 @@ def _anchor_tables(mesh):
 @settings(max_examples=60, deadline=None)
 @given(refined_tmeshes())
 def test_derived_meshes_share_line_tables_that_match_a_fresh_build(case):
-    """Meshes derived by ``with_segments`` (the odd-degree M11, M12 and M2)
-    and ``extended`` rank, locate and tile exactly as the same mesh built
-    from scratch, on the very value tables of the mesh they come from."""
+    """Meshes derived by ``with_segments`` (M11, M12 and M2) and
+    ``extended`` rank, locate and tile exactly as the same mesh built from
+    scratch.  An axis shares the value table of M0 unless its degree is
+    lowered from an even p, whose boundary band loses one copy per end; at
+    even p, M11, M12 and M2 are the tiling rendered at their degrees."""
     p, raw = case
     assume(TMesh2D.from_raw(raw, (p, p)).is_analysis_suitable()[0])
     cm = derive_complex_meshes(raw, p)
-    family = [(cm.M0, m) for m in (cm.M11, cm.M12, cm.M2) if p % 2 == 1]
-    family += [(m, m.extended()) for m in (cm.M0, cm.M11, cm.M12, cm.M2)]
+    derived = (cm.M11, cm.M12, cm.M2)
+    for mesh in derived:
+        for d in (0, 1):
+            assert (mesh.lines[d] is cm.M0.lines[d]) == (p % 2 == 1 or mesh.degrees[d] == p)
+        if p % 2 == 0:
+            ref = TMesh2D.from_raw(raw, mesh.degrees)
+            assert (ref.xs, ref.ys, ref.faces) == (mesh.xs, mesh.ys, mesh.faces)
+            npt.assert_array_equal(ref.VE, mesh.VE)
+            npt.assert_array_equal(ref.HE, mesh.HE)
+            assert _anchor_tables(ref) == _anchor_tables(mesh)
+    family = [(m, m.extended()) for m in (cm.M0, *derived)]
     for parent, mesh in family:
-        assert mesh.lines is parent.lines
+        assert all(a is b for a, b in zip(mesh.lines, parent.lines))
         assert all(a is b for a, b in zip(mesh.line_values, parent.line_values))
+    for mesh in [*derived, *(ext for _, ext in family)]:
         fresh = TMesh2D(mesh.xs, mesh.ys, mesh.VE, mesh.HE, mesh.degrees)
         assert fresh.lines[0] is not mesh.lines[0] and fresh.line_values == mesh.line_values
         for d in (0, 1):
