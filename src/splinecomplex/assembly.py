@@ -23,14 +23,15 @@ both factors:
   j=0, J^-1 J^-T det J for j=1, 1 / det J for the top form.
 
 Per patch and quadrature rule, the Gauss points of all cells form one
-record, shape (ncell, npts, d): the geometry (J, det J, the physical points)
-and the pullback weights are evaluated once on it.  The element blocks of a
-matrix go into a CSR pattern built once per element set (sorted
-``indptr``/``indices`` plus the slot of every block entry in ``data``), so
-each kind is one ``np.bincount`` over the slots; inside
-:func:`_shared_patterns` every kind and every patch on the same spaces
-reuses it, and every patch on the same 2D space reuses its batched dof
-tables of one rule and derivative.
+record, shape (ncell, npts, d): the geometry (J, det J) and the pullback
+weights are evaluated once on it.  The element blocks of a matrix go into a
+CSR pattern built once per element set (sorted ``indptr``/``indices`` plus
+the slot of every block entry in ``data``), so each kind is one
+``np.bincount`` over the slots.  :func:`_shared_patterns` is the one
+sharing scope: inside it every kind and every patch on the same spaces
+reuses the pattern, every patch on the same 2D space its batched dof
+tables of one rule and derivative, and every kind of a patch on one rule,
+vector and scalar alike, the geometry of that rule.
 
 The library's 3D form is the prism: a section space times a vertical
 spline direction, whose matrices are Kronecker sums of section matrices
@@ -176,21 +177,31 @@ def _element_matrices(comps, Gw, ndof):
     return out
 
 
-_PATTERNS = None  # pattern per element set while _shared_patterns() is open
-_TABLES = None  # element dof tables per (2D space, order, deriv), likewise
+_SHARED = None  # what _shared() made while _shared_patterns() is open, by key
 
 
 @contextmanager
 def _shared_patterns():
     """Matrices assembled inside the block on the same element dof lists
-    share one sparsity pattern, and on the same 2D space one set of element
-    dof tables per rule and derivative; both are dropped on exit."""
-    global _PATTERNS, _TABLES
-    outer, _PATTERNS, outer_tables, _TABLES = _PATTERNS, {}, _TABLES, {}
+    share one sparsity pattern, on the same 2D space one set of element dof
+    tables per rule and derivative, and on the same patch and rule one
+    geometry evaluation.  A block opened inside an open block joins it; all
+    is dropped when the outermost block exits."""
+    global _SHARED
+    outer, _SHARED = _SHARED, {} if _SHARED is None else _SHARED
     try:
         yield
     finally:
-        _PATTERNS, _TABLES = outer, outer_tables
+        _SHARED = outer
+
+
+def _shared(key, make):
+    """make(), made once per ``key`` while :func:`_shared_patterns` is open."""
+    if _SHARED is None:
+        return make()
+    if key not in _SHARED:
+        _SHARED[key] = make()
+    return _SHARED[key]
 
 
 def _space_key(space) -> tuple:
@@ -205,14 +216,10 @@ def _pairs(dofs):
     return valid[:, :, None] & valid[:, None, :]
 
 
-def _pattern(space, n, dofs):
+def _pattern(n, dofs):
     """CSR pattern of the blocks dofs x dofs of padded element dof rows:
     (indptr, indices, slot), slot the position in ``data`` of each entry of
-    :func:`_pairs`, element-major and row-major.  The 2D spaces (and the
-    vertical knot vector) fix the rows and key the shared patterns."""
-    key = _space_key(space)
-    if _PATTERNS is not None and key in _PATTERNS:
-        return _PATTERNS[key]
+    :func:`_pairs`, element-major and row-major."""
     element, _ = np.nonzero(dofs >= 0)
     E = sp.csr_matrix((np.ones(element.size), (element, dofs[dofs >= 0])), shape=(len(dofs), n))
     A = (E.T @ E).tocsr()  # the dof pairs sharing an element
@@ -220,26 +227,25 @@ def _pattern(space, n, dofs):
     itype = np.int32 if n * n < 2**31 else np.int64  # keys row * n + col
     flat = np.repeat(np.arange(n, dtype=itype), np.diff(A.indptr)) * itype(n) + A.indices  # sorted
     d = dofs.astype(itype)
-    slot = np.searchsorted(flat, (d[:, :, None] * itype(n) + d[:, None, :])[_pairs(dofs)])
-    pattern = (A.indptr, A.indices, slot)
-    if _PATTERNS is not None:
-        _PATTERNS[key] = pattern
-    return pattern
+    return A.indptr, A.indices, np.searchsorted(flat, (d[:, :, None] * itype(n) + d[:, None, :])[_pairs(dofs)])
 
 
 def _weights(geom, rule, j):
     """Degree-j pullback weights (ncell, npts, c, c) at the points (ncell,
-    npts, d) of ``rule`` = (points, weights), from one geometry call."""
+    npts, d) of ``rule`` = (points, weights), from one geometry call shared
+    inside :func:`_shared_patterns` per patch and points."""
     P, W = rule
-    J, det = geom.jacobian_dets(P.reshape(-1, P.shape[-1]))
+    P = P.reshape(-1, P.shape[-1])
+    J, det = _shared((geom, P.tobytes()), lambda: geom.jacobian_dets(P))
     G = pullback_weight(j, J, det, W.ravel())
     return G.reshape(*W.shape, *G.shape[1:])
 
 
 def _csr(space, n, dofs, data):
     """Sum the element blocks into an n x n CSR matrix: ``dofs`` the padded
-    element dof rows, ``data`` the entries of their :func:`_pairs`."""
-    indptr, indices, slot = _pattern(space, n, dofs)
+    element dof rows of ``space``, ``data`` the entries of their
+    :func:`_pairs`.  The pattern is shared per space key."""
+    indptr, indices, slot = _shared(_space_key(space), lambda: _pattern(n, dofs))
     data = np.bincount(slot, weights=data, minlength=indices.size)
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))  # copies: the pattern is shared
 
@@ -250,8 +256,7 @@ def _csr(space, n, dofs, data):
 def _space_tables(space, order, deriv) -> tuple:
     """The padded dof rows (nel, ndof) of a 2D ``space`` and the component
     tables of its reference values, or with ``deriv`` of its grads
-    (Scalar2D) or rots (Vector2D), shared inside :func:`_shared_patterns`
-    per space key.
+    (Scalar2D) or rots (Vector2D).
 
     The c-th component table (start, V) gives, in V (nel, ndof_c, npts),
     the component c of the functions start .. start + ndof_c of the rows;
@@ -260,20 +265,14 @@ def _space_tables(space, order, deriv) -> tuple:
     block, (0, D x B values) and (ndof_1, B x D values), so no table holds
     a zero component.
     """
-    key = (*_space_key(space), order, deriv)
-    if _TABLES is not None and key in _TABLES:
-        return _TABLES[key]
     if isinstance(space, Scalar2D):
         act, *tabs = space.space.element_tables(order, *(("dx", "dy") if deriv else ("value",)))
-        tables = act, tuple((0, t) for t in tabs)
-    else:  # rot (f, 0) = -df/dy, rot (0, g) = dg/dx: only those derivatives are tabulated
-        names = ("dy", "dx") if deriv else ("value", "value")
-        (a1, t1), (a2, t2) = (S.element_tables(order, t) for S, t in zip((space.c1, space.c2), names))
-        idx = np.concatenate([a1, np.where(a2 >= 0, space.c1.dim + a2, -1)], axis=1)
-        tables = idx, ((0, np.concatenate([-t1, t2], axis=1)),) if deriv else ((0, t1), (a1.shape[1], t2))
-    if _TABLES is not None:
-        _TABLES[key] = tables
-    return tables
+        return act, tuple((0, t) for t in tabs)
+    # rot (f, 0) = -df/dy, rot (0, g) = dg/dx: only those derivatives are tabulated
+    names = ("dy", "dx") if deriv else ("value", "value")
+    (a1, t1), (a2, t2) = (S.element_tables(order, t) for S, t in zip((space.c1, space.c2), names))
+    idx = np.concatenate([a1, np.where(a2 >= 0, space.c1.dim + a2, -1)], axis=1)
+    return idx, ((0, np.concatenate([-t1, t2], axis=1)),) if deriv else ((0, t1), (a1.shape[1], t2))
 
 
 def assemble_matrix_2d(space, geom, kind):
@@ -283,7 +282,7 @@ def assemble_matrix_2d(space, geom, kind):
     deriv, j = _kind(space, kind)
     order = max(space.space.degrees if isinstance(space, Scalar2D) else space.c1.degrees) + 1
     G = _weights(geom, _rules_2d(space.elements(), order), j)
-    idx, comps = _space_tables(space, order, deriv)
+    idx, comps = _shared((*_space_key(space), order, deriv), lambda: _space_tables(space, order, deriv))
     return _csr(space, space.dim, idx, _element_matrices(comps, G, idx.shape[1])[_pairs(idx)])
 
 

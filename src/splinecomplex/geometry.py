@@ -39,12 +39,12 @@ __all__ = [
 _SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometryMap:
     """Tensor spline or NURBS parametrization of a patch.
 
     Control points are stored flat in lexicographic order (direction 1
-    fastest), one row per control point.
+    fastest), one row per control point.  Maps compare and hash by identity.
     """
 
     kvs: tuple
@@ -106,25 +106,16 @@ class GeometryMap:
 
     def eval_jacobian_dets(self, points):
         """(X, J, detJ) from one tabulation.  Singular: |det J| at most
-        ``_SINGULAR_TOL`` times the product of J's column norms, at any scale.
-        The last result is kept, read-only: the kinds of a patch on one rule,
-        vector and scalar alike, share it; the cylinder's load and error,
-        on the p+2 rule against assembly's p+1, never hit it."""
+        ``_SINGULAR_TOL`` times the product of J's column norms, at any scale."""
         if self.nphys != self.ndim:
             raise ValueError("determinants need a square Jacobian")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        last = self.__dict__.get("_last")
-        if last is not None and last[0].shape == pts.shape and np.array_equal(last[0], pts):
-            return last[1:]
         X, J = self._contract(pts)
         A = _adjugate(J)
         det = sum(A[:, 0, k] * J[:, k, 0] for k in range(self.ndim))  # along the first column
         bad = np.abs(det) <= _SINGULAR_TOL * np.prod(np.linalg.norm(J, axis=1), axis=1)
         if np.any(bad):
             raise ValueError(f"singular Jacobian at parametric point {pts[np.argmax(bad)]}")
-        for a in (X, J, det):
-            a.flags.writeable = False
-        self.__dict__["_last"] = (pts.copy(), X, J, det)
         return X, J, det
 
 
@@ -279,13 +270,10 @@ def build_control_complex(geo: GeometryMap, cx: DiscreteComplex) -> ControlCompl
 
 def control_distance(geo: GeometryMap, sample_count: int = 200) -> float:
     """Sup-norm estimate of |F - F_C| over a uniform sample grid."""
-    cx = build_complex(geo.kvs)
-    cc = build_control_complex(geo, cx)
+    control = GeometryMap(tuple(greville_knot_vector(kv) for kv in geo.kvs), geo.control_points)
     d = geo.ndim
     per = max(2, int(round(sample_count ** (1.0 / d))))
     axes = [np.linspace(0.0, 1.0, per if d > 1 else sample_count) for _ in range(d)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    F = geo.eval(pts)
-    FC = cc.control_map(pts)
-    return float(np.max(np.linalg.norm(F - FC, axis=1)))
+    return float(np.max(np.linalg.norm(geo.eval(pts) - control.eval(pts), axis=1)))

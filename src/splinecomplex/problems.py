@@ -100,7 +100,7 @@ def _system(ps: PatchSet, walls, kinds):
 
     A lone patch without interfaces keeps its local numbering and is not
     glued; its glue is None.  All kinds and patches on the same spaces share
-    one sparsity pattern, dropped before the matrices are returned.
+    one sparsity pattern (:func:`_shared_patterns`).
     """
     glue = build_glue(ps) if ps.npatches > 1 or ps.interfaces else None
     matrices = []
@@ -126,10 +126,12 @@ def _section_matrices(ps: PatchSet, walls, scalar_kinds=("mass",)):
     rot-rot and mass, the ``scalar_kinds`` of the scalar spaces of
     ``space.gradient()`` and the gradient G, a basis of C's exact kernel,
     on the free dofs; (glue1, glue0) and (free1, free0), the glues and free
-    dofs of the vector and the scalar spaces, each glue built once."""
-    glue1, (C, M1), free1 = _system(ps, walls, ("rotrot", "mass"))
+    dofs of the vector and the scalar spaces, each glue built once.  The
+    scalar kinds reuse the geometry the vector kinds evaluated on a rule."""
     scalars, grads = zip(*(space.gradient() for space in ps.spaces))
-    glue0, scalar, free0 = _system(PatchSet(ps.geoms, scalars, ps.interfaces), walls, scalar_kinds)
+    with _shared_patterns():
+        glue1, (C, M1), free1 = _system(ps, walls, ("rotrot", "mass"))
+        glue0, scalar, free0 = _system(PatchSet(ps.geoms, scalars, ps.interfaces), walls, scalar_kinds)
     G = grads[0] if glue0 is None else global_operator(glue0, glue1, grads)
     sub1, sub0 = np.ix_(free1, free1), np.ix_(free0, free0)
     return (C[sub1], M1[sub1], *(A[sub0] for A in scalar), G.tocsr()[free1][:, free0]), (glue1, glue0), (free1, free0)

@@ -100,7 +100,7 @@ def solve_generalized_eig(K, M, kernel, count=None, vectors=False) -> EigenResul
     kernel columns.  K, M and the kernel are only read.
     """
     m = kernel.shape[1]
-    Kd, Md, lift = _deflate(K, M, kernel, vectors) if m else (_dense(K), _dense(M), None)
+    Kd, Md, lift = _deflate(K, M, kernel, vectors)
     try:  # on the lower triangles of the solver's own arrays, overwritten
         if vectors:
             w, V = sla.eigh(Kd, Md, lower=True, overwrite_a=True, overwrite_b=True)
@@ -114,7 +114,7 @@ def solve_generalized_eig(K, M, kernel, count=None, vectors=False) -> EigenResul
     if below:
         raise NumericalError(f"{below} deflated eigenvalue(s) below {ZERO_REL_TOL:.0e} of the largest: float zeros beyond the exact kernel of dimension {m}")
     w = np.concatenate([np.zeros(m), w])
-    if V is not None and m:
+    if V is not None:
         V = np.hstack([_dense(kernel), lift(V)])
     if count is not None:
         w = w[: m + count]
@@ -161,7 +161,7 @@ def _deflate(K, M, G, vectors):
     del L
     sub = np.ix_(C, C)
     S = _dense(M[sub])
-    if C.size:  # BLAS refuses an empty product; M_CC - W^T W
+    if W.size:  # BLAS refuses an empty product; M_CC - W^T W
         S = sla.blas.dsyrk(-1.0, W, beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
     del W
     return _dense(K[sub]), S, lift

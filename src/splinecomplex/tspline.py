@@ -26,7 +26,6 @@ bit-for-bit to the signed B-spline pattern on tensor input.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,13 +183,15 @@ def _derivative_block(src: TsplineSpace, dst: TsplineSpace, direction: int):
         T_a = T[a].tolist()
         floc = _abscissa_locator(dst.mesh.lines[direction], target, dst.degrees[direction])
         t_open = [t for t in T_a[1:-1] if T_a[0] < t < T_a[-1]]
-        crossed, known = Counter(index[t_dir].between(floc, T_a[0], T_a[-1])), Counter(t_open)
-        if known - crossed:
-            raise TMeshError(
-                f"derivative of anchor {a}: transverse knots "
-                f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
-            )
-        nums, den = _refine(T_a, sorted((crossed - known).elements()), V)
+        missing = index[t_dir].between(floc, T_a[0], T_a[-1])  # ascending; removals keep it so
+        for t in t_open:
+            if t not in missing:
+                raise TMeshError(
+                    f"derivative of anchor {a}: transverse knots "
+                    f"{[values[t] for t in t_open]} not visible on the derived mesh (non-AS input?)"
+                )
+            missing.remove(t)
+        nums, den = _refine(T_a, missing, V)
         if src.scalings[t_dir] == "D":  # D scaling: c_w times |w| / |T_a|
             nums, den = {w: n * (V[w[-1]] - V[w[0]]) for w, n in nums.items()}, den * (V[T_a[-1]] - V[T_a[0]])
         refined.extend((target, w, a, Fraction(sign * n, den)) for w, n in nums.items())

@@ -609,14 +609,20 @@ def test_3d_patches_share_one_pattern_and_match_coo_sum():
     cx3 = Complex3D(tcx, KnotVector.uniform(2, 2))
     n = cx3.dim
     cells = list(_cells_3d(cx3, 3))
+    geoms = list(map(extrude, cylinder_sector_patches()))
     with assembly._shared_patterns():
-        for geom in map(extrude, cylinder_sector_patches()):
-            for kind, j in (("mass", 1), ("curlcurl", 2)):
-                A = assemble_matrix_3d(cx3, geom, kind)
-                tables = [(P, W, idx, C if kind != "mass" else V) for P, W, idx, V, C in cells]
-                assert _frob_rel(A, _coo_sum(tables, geom, j, n)) < 1e-14
-        assert len(assembly._PATTERNS) == 1
-    assert assembly._PATTERNS is None
+        shared = assembly._SHARED
+        for geom in geoms:
+            with assembly._shared_patterns():  # an inner block joins the open one
+                assert assembly._SHARED is shared
+                for kind, j in (("mass", 1), ("curlcurl", 2)):
+                    A = assemble_matrix_3d(cx3, geom, kind)
+                    tables = [(P, W, idx, C if kind != "mass" else V) for P, W, idx, V, C in cells]
+                    assert _frob_rel(A, _coo_sum(tables, geom, j, n)) < 1e-14
+        # one pattern for all patches and kinds, one geometry per patch on the one rule
+        assert assembly._SHARED is shared and len(shared) == 1 + len(geoms)
+        assert assembly._space_key(cx3) in shared and [k[0] for k in shared if k[0] in geoms] == geoms
+    assert assembly._SHARED is None
 
 
 def test_patch_record_matches_per_element_geometry():
@@ -641,9 +647,9 @@ def test_patch_record_matches_per_element_geometry():
 
 def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
     # the jacobian_dets calls of a whole solve do not grow with the elements:
-    # the cylinder's matrices are evaluated on the 2D section maps (three
-    # patches, three kinds), and its load and error once per section on the
-    # 2D points of their rule; no 3D map is evaluated or contracted
+    # the cylinder's three kinds are evaluated once per 2D section map on
+    # their one rule, and its load and error once per section on the 2D
+    # points of theirs; no 3D map is evaluated or contracted
     from splinecomplex import problems
     from splinecomplex.geometry import GeometryMap
 
@@ -668,9 +674,15 @@ def test_geometry_is_evaluated_once_per_patch_and_rule(monkeypatch):
         calls.append([sum(d == ndim for d, _ in points) for ndim in (2, 3)])
         total.append(sum(n for _, n in points))
         contractions.append(contracted.count(3))
-    assert calls[0] == calls[1] == [12, 0], calls
+    assert calls[0] == calls[1] == [6, 0], calls
     assert contractions == [0, 0], contractions
     assert total[1] > total[0]
+    # the kinds of a patch on one rule, vector and scalar alike, share one
+    # evaluation: one call per patch on the thick L and on the square
+    for run, count in ((lambda: problems.thick_l_eigenproblem(0, 3, count=None), 3), (lambda: problems.square_eigenproblem(3, 3), 1)):
+        points.clear()
+        run()
+        assert len(points) == count, points
 
 
 def test_patches_on_one_space_share_its_element_tables(monkeypatch):
@@ -679,23 +691,17 @@ def test_patches_on_one_space_share_its_element_tables(monkeypatch):
     # per solve, not per patch or per element
     from splinecomplex import problems
 
-    original, shared, built = TsplineSpace.element_tables, assembly._space_tables, []
+    original, built = TsplineSpace.element_tables, []
 
     def counting(self, order, *tables):
         built.append((self, order, tables))
         return original(self, order, *tables)
 
-    def unshared(space, order, deriv):
-        with monkeypatch.context() as m:
-            m.setattr(assembly, "_TABLES", None)
-            return shared(space, order, deriv)
-
     monkeypatch.setattr(TsplineSpace, "element_tables", counting)
     ref = problems.cylinder_sector_source(1, nz=2)
     assert len(built) == len(set(built)) > 0
-    monkeypatch.setattr(assembly, "_space_tables", unshared)
-    monkeypatch.setattr(problems, "_space_tables", unshared)
-    assert problems.cylinder_sector_source(1, nz=2) == ref  # unshared tables, same numbers
+    monkeypatch.setattr(assembly, "_shared", lambda key, make: make())
+    assert problems.cylinder_sector_source(1, nz=2) == ref  # nothing shared, same numbers
 
 
 def test_geometry_tabulates_each_direction_on_its_distinct_abscissae(monkeypatch):
@@ -759,7 +765,7 @@ def test_pattern_slots_match_a_search_per_element():
             rows = assembly._space_tables(space, 3, False)[0]
         else:
             rows = oracle3d._cell_tables(space, 3)[0]
-        indptr, indices, slot = assembly._pattern(space, n, rows)
+        indptr, indices, slot = assembly._pattern(n, rows)
         flat = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
         dofs = [d[d >= 0] for d in rows]
         sizes = np.array([d.size for d in dofs])

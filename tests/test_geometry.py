@@ -325,14 +325,19 @@ def test_extrude_is_the_section_times_z(section):
         assert np.array_equal(geo.weights, np.tile(sec.weights, 2))
 
 
-def test_the_last_evaluation_is_kept_read_only():
+def test_evaluations_are_fresh_and_maps_key_by_identity():
+    # eval_jacobian_dets keeps nothing: each call returns its own writeable
+    # arrays; a map compares and hashes by identity, so it can key a dict
     geo = quarter_annulus()
     P = np.random.default_rng(7).uniform(0.1, 0.9, size=(20, 2))
-    first = geo.eval_jacobian_dets(P)
-    assert all(a is b for a, b in zip(first, geo.eval_jacobian_dets(P.copy())))
-    assert not any(a.flags.writeable for a in first)
+    first, second = geo.eval_jacobian_dets(P), geo.eval_jacobian_dets(P.copy())
+    for a, b in zip(first, second):
+        assert a is not b and not np.shares_memory(a, b) and a.flags.writeable
+        npt.assert_array_equal(a, b)
+    twin = GeometryMap(geo.kvs, geo.control_points, geo.weights)
+    assert geo == geo and geo != twin and hash(geo) == hash(geo)
+    assert {geo: 1, twin: 2}[geo] == 1
     other = geo.eval_jacobian_dets(P[::-1])
-    assert other[0] is not first[0]
     npt.assert_allclose(other[1], first[1][::-1], rtol=1e-15, atol=1e-15)
 
 

@@ -88,3 +88,25 @@ def test_no_module_silences_a_warning(name):
         if isinstance(node, ast.Call) and isinstance(func := node.func, (ast.Attribute, ast.Name))
     ]
     assert not [(line, n) for line, n in calls if n in _SILENCERS]
+
+
+def test_frozen_dataclasses_with_array_fields_compare_by_identity():
+    # the __eq__ and __hash__ a frozen dataclass generates compare and hash
+    # its fields, which raises on an array; a frozen dataclass with an array
+    # field declares eq=False, so it compares and hashes by identity
+    frozen, compared = [], []
+    for name in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            annotations = [s.annotation for s in node.body if isinstance(s, ast.AnnAssign)]
+            arrays = any(isinstance(a, ast.Attribute) and a.attr == "ndarray" for t in annotations for a in ast.walk(t))
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "dataclass":
+                    keywords = {k.arg: ast.literal_eval(k.value) for k in dec.keywords}
+                    if keywords.get("frozen") and arrays:
+                        frozen.append(node.name)
+                        if keywords.get("eq", True):
+                            compared.append((name, node.name))
+    assert {"GeometryMap", "KnotRows"} <= set(frozen), frozen
+    assert not compared, compared

@@ -685,7 +685,7 @@ def test_padded_tables_on_random_meshes_with_or_without_analysis_suitability(cas
     want = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(space.dim,) * 2).tocsr()
     want.sort_indices()
     idx = assembly._space_tables(Scalar2D(space), order, False)[0]
-    assert assembly._pattern(Scalar2D(space), space.dim, idx)[2].size == sum(map(len, rows))  # real pairs only
+    assert assembly._pattern(space.dim, idx)[2].size == sum(map(len, rows))  # real pairs only
     got = assemble_matrix_2d(Scalar2D(space), affine_map(1.0, ndim=2), "mass")
     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
     _assert_close_to_exact(space.gram_matrix(), want.toarray())
